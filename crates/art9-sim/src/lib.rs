@@ -73,7 +73,6 @@
 
 mod checkpoint;
 mod core;
-mod debug;
 mod error;
 mod exec;
 mod functional;
@@ -87,7 +86,6 @@ mod trace;
 
 pub use crate::core::{Backend, Budget, Core, RunSummary, SimBuilder};
 pub use checkpoint::Checkpoint;
-pub use debug::{Debugger, StopReason};
 pub use error::SimError;
 pub use exec::{branch_taken, control_target, shift, talu};
 pub use functional::{CoreState, FunctionalSim, HaltReason, RunResult, DEFAULT_TDM_WORDS};

@@ -1,5 +1,6 @@
 //! Bench regression gate: compares a regenerated `BENCH_ternary.json`
-//! against the committed baseline and fails on >N% throughput loss.
+//! against the committed baseline and fails when a gated row moved the
+//! wrong way past its own tolerance or disappeared.
 //!
 //! ```sh
 //! cp BENCH_ternary.json /tmp/bench-baseline.json
@@ -10,41 +11,24 @@
 
 use std::process::ExitCode;
 
-use art9_bench::gate::{compare, parse_bench_json};
+use art9_bench::gate::{compare, parse};
 
 const USAGE: &str = "\
-usage: gate --baseline FILE --current FILE [--max-regress FRACTION]
+usage: gate --baseline FILE --current FILE
 
-Fails (exit 1) when any simulator throughput metric in CURRENT is more
-than FRACTION (default 0.25) below BASELINE, or a workload disappeared.
+Fails (exit 1) when a gated row of BASELINE is missing from CURRENT or
+moved the wrong way by more than the baseline row's tolerance.
 ";
 
 fn main() -> ExitCode {
     let mut baseline = None;
     let mut current = None;
-    let mut max_regress = 0.25f64;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {name} needs a value\n\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--baseline" => baseline = Some(value("--baseline")),
-            "--current" => current = Some(value("--current")),
-            "--max-regress" => {
-                let v = value("--max-regress");
-                max_regress = match v.parse() {
-                    Ok(f) if (0.0..1.0).contains(&f) => f,
-                    _ => {
-                        eprintln!("error: --max-regress must be a fraction in [0, 1): {v:?}");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
+        let slot = match arg.as_str() {
+            "--baseline" => &mut baseline,
+            "--current" => &mut current,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -53,7 +37,12 @@ fn main() -> ExitCode {
                 eprintln!("error: unknown option {other:?}\n\n{USAGE}");
                 return ExitCode::from(2);
             }
-        }
+        };
+        let Some(value) = args.next() else {
+            eprintln!("error: {arg} needs a value\n\n{USAGE}");
+            return ExitCode::from(2);
+        };
+        *slot = Some(value);
     }
     let (Some(baseline), Some(current)) = (baseline, current) else {
         eprintln!("error: --baseline and --current are both required\n\n{USAGE}");
@@ -61,8 +50,8 @@ fn main() -> ExitCode {
     };
 
     let load = |path: &str| match std::fs::read_to_string(path) {
-        Ok(text) => match parse_bench_json(&text) {
-            Ok(doc) => doc,
+        Ok(text) => match parse(&text) {
+            Ok(rows) => rows,
             Err(e) => {
                 eprintln!("error: {path}: {e}");
                 std::process::exit(2);
@@ -74,8 +63,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let result = compare(&load(&baseline), &load(&current), max_regress);
-    print!("{}", result.render(max_regress));
+    let result = compare(&load(&baseline), &load(&current));
+    print!("{}", result.render());
     if result.ok() {
         ExitCode::SUCCESS
     } else {

@@ -240,14 +240,7 @@ fn main() {
         println!("  wide/{:<26} {:>8.2} ns/op", op.name, op.ns_per_op);
     }
 
-    let json = perf::bench_json(
-        &word_ops,
-        &sims,
-        &energy_rows,
-        Some(&service),
-        Some(&nn),
-        &wide,
-    );
+    let json = perf::bench_json(&word_ops, &sims, &energy_rows, &service, &nn, &wide);
     std::fs::write("BENCH_ternary.json", &json).expect("write BENCH_ternary.json");
     println!("wrote BENCH_ternary.json");
 }

@@ -1,433 +1,163 @@
-//! The bench regression gate behind `cargo run -p art9-bench --bin gate`.
+//! `BENCH_ternary.json` and the regression gate behind
+//! `cargo run -p art9-bench --bin gate`.
 //!
-//! Compares two `BENCH_ternary.json` documents (the committed baseline
-//! and a freshly regenerated one) and fails when any simulator
-//! throughput metric (`functional_ips`, `threaded_ips`,
-//! `pipelined_cps`) regressed by more than the allowed fraction.
-//! `threaded_ips` is optional so baselines committed before the
-//! direct-threaded backend existed still parse; once a baseline
-//! carries it, dropping it from the current document fails the gate.
-//! The measured-energy section (`energy_nj` up, `dmips_per_watt`
-//! down = regression) is pinned the same way: absent from older
-//! baselines, gated once committed. So is the `service` section
-//! (scheduler throughput from an in-process multi-tenant load run),
-//! except its `per_worker_ips` is gated at *twice* the allowed
-//! fraction — a threaded scheduler under a full worker fleet is far
-//! noisier on shared runners than a single-threaded simulator loop.
-//! The `nn` section (ternary-NN golden-path SIMD speedup and simulator
-//! throughput) is pinned the same way; its `simd_speedup` is a ratio
-//! of two timings from the same run, so host speed cancels and the
-//! plain threshold applies.
-//! The `wide` section (multi-plane 27/81-trit word and tapered-real
-//! operation timings) is pinned the same way; its rows gate at the
-//! service section's doubled threshold because per-op timings, even
-//! the wide ones, are noisier on shared runners than whole-simulator
-//! rates (`ns_per_op` up = regression).
-//! `Word9`-operation timings are reported
-//! but not gated — they are nanosecond-scale and too noisy on shared
-//! CI runners; the whole-simulator rates integrate over millions of
-//! operations and are the metrics PR 2's history is recorded in.
-//!
-//! The parser below handles exactly the schema `perf::bench_json`
-//! emits (documented in `docs/PERFORMANCE.md`) — a deliberate
-//! non-goal: it is not a general JSON parser, and unknown fields are
-//! simply ignored.
+//! The document (schema [`SCHEMA`], documented in
+//! `docs/PERFORMANCE.md`) is one flat list of [`Row`]s. [`render`]
+//! writes it, [`parse`] reads back exactly that layout (it is not a
+//! general JSON parser), and [`compare`] is one loop over the
+//! baseline's gated rows, each judged by its own direction and
+//! tolerance.
 //!
 //! **Cross-host caveat:** the committed baseline carries the numbers
-//! of whatever machine regenerated it last. Comparing against a
-//! different host (as CI does) makes the gate a coarse tripwire —
-//! that is why the default threshold is a generous 25% — while
-//! same-host comparisons are exact. PRs that intentionally change
-//! performance should regenerate and commit `BENCH_ternary.json`.
+//! of whatever machine regenerated it last, so a comparison on another
+//! host (as in CI) is a coarse tripwire — hence the generous
+//! tolerances — while same-host comparisons are exact. Changes that
+//! intentionally move performance should regenerate and commit
+//! `BENCH_ternary.json`.
 
-/// One simulator row from a bench document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimRow {
-    /// Workload name.
-    pub workload: String,
-    /// Functional-simulator instructions per second.
-    pub functional_ips: f64,
-    /// Direct-threaded-simulator instructions per second (`None` in
-    /// documents that predate the threaded backend).
-    pub threaded_ips: Option<f64>,
-    /// Pipelined-simulator cycles per second.
-    pub pipelined_cps: f64,
+use std::fmt::Write as _;
+
+/// The schema identifier [`render`] writes and [`parse`] requires.
+pub const SCHEMA: &str = "art9-bench-ternary/v2";
+
+/// The measurement layers a row may belong to: ternary kernels,
+/// simulator execution, measured energy, the service scheduler.
+pub const LAYERS: [&str; 4] = ["kernel", "execution", "energy", "service"];
+
+/// Which direction of change is an improvement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Rates, speedups, efficiency.
+    Higher,
+    /// Latencies, per-operation costs, energy.
+    Lower,
 }
 
-/// One energy row from a bench document's `energy` section.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnergyGateRow {
-    /// Workload name.
-    pub workload: String,
-    /// Total dynamic switching energy of the measured run, nJ.
-    pub energy_nj: f64,
-    /// Measured DMIPS/W (present on Dhrystone rows only).
-    pub dmips_per_watt: Option<f64>,
-}
-
-/// The service-scheduler row from a bench document's `service`
-/// section.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceGateRow {
-    /// Aggregate retired instructions per second per worker.
-    pub per_worker_ips: f64,
-}
-
-/// The ternary-NN row from a bench document's `nn` section.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NnGateRow {
-    /// Host golden-path speedup of the bitplane-SIMD matvec over the
-    /// scalar word-at-a-time loop.
-    pub simd_speedup: f64,
-    /// Functional-simulator instructions per second of the `nn-mlp`
-    /// workload.
-    pub functional_ips: f64,
-}
-
-/// One wide-word operation row from a bench document's `wide` section.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WideGateRow {
-    /// Operation name (`word27_add`, `word81_mul`, `real_add`, …).
-    pub name: String,
-    /// Mean nanoseconds per operation.
-    pub ns_per_op: f64,
-}
-
-/// The gated contents of one `BENCH_ternary.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchDoc {
-    /// One row per workload.
-    pub simulators: Vec<SimRow>,
-    /// Measured-energy rows (empty for baselines committed before the
-    /// energy section existed; once a baseline carries it, the section
-    /// is pinned).
-    pub energy: Vec<EnergyGateRow>,
-    /// Scheduler throughput (`None` for baselines committed before the
-    /// service existed; pinned once present).
-    pub service: Option<ServiceGateRow>,
-    /// Ternary-NN golden-path and simulator rates (`None` for baselines
-    /// committed before the SIMD subsystem; pinned once present).
-    pub nn: Option<NnGateRow>,
-    /// Wide-word operation timings (empty for baselines committed
-    /// before the multi-plane subsystem; pinned once present).
-    pub wide: Vec<WideGateRow>,
-}
-
-/// One metric comparison.
-#[derive(Debug, Clone)]
-pub struct MetricDelta {
-    /// `"<workload>/<metric>"`.
-    pub name: String,
-    /// The committed value.
-    pub baseline: f64,
-    /// The regenerated value.
-    pub current: f64,
-}
-
-impl MetricDelta {
-    /// Relative change: positive = the value went up, negative = it
-    /// went down. Whether up is good depends on the metric (throughput:
-    /// up is good; `energy_nj`: down is good).
-    pub fn ratio(&self) -> f64 {
-        self.current / self.baseline - 1.0
+impl Better {
+    /// The name the document uses.
+    pub fn name(self) -> &'static str {
+        match self {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+        }
     }
 }
 
-/// The gate's verdict.
-#[derive(Debug, Clone)]
-pub struct GateResult {
-    /// Every throughput comparison made.
-    pub deltas: Vec<MetricDelta>,
-    /// The comparisons that regressed beyond the threshold.
-    pub regressions: Vec<MetricDelta>,
-    /// Workloads (or per-workload metrics) present in the baseline but
-    /// missing from the current document (a silent drop must fail the
-    /// gate too).
-    pub missing: Vec<String>,
+/// One measurement of a bench document.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// One of [`LAYERS`].
+    pub layer: &'static str,
+    /// `<subject>/<metric>` (e.g. `dhrystone/functional_ips`,
+    /// `wide/word81_add/ns_per_op`), unique within its layer.
+    pub name: String,
+    /// The measured value.
+    pub value: f64,
+    /// Unit of `value`.
+    pub unit: String,
+    /// Which direction is an improvement.
+    pub better: Better,
+    /// For a gated row, how far the value may move the wrong way, as a
+    /// fraction of the baseline value; `None` for a reported row.
+    pub tolerance: Option<f64>,
 }
 
-impl GateResult {
-    /// `true` when the gate passes.
-    pub fn ok(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
+impl Row {
+    fn same_metric(&self, other: &Row) -> bool {
+        self.layer == other.layer && self.name == other.name
     }
+}
 
-    /// Renders the comparison table.
-    pub fn render(&self, max_regress: f64) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
+/// Renders `rows` as a complete `BENCH_ternary.json` document. Values
+/// are written in Rust's shortest round-trip form, so
+/// `parse(&render(rows))` returns `rows` exactly.
+pub fn render(rows: &[Row]) -> String {
+    let mut out = format!(
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \
+         \"generated_by\": \"cargo run --release -p art9-bench --bin report\",\n  \
+         \"rows\": [\n"
+    );
+    for (i, r) in rows.iter().enumerate() {
+        let tolerance = r.tolerance.map_or("null".to_string(), |t| t.to_string());
+        let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "{:<28} {:>12} {:>12} {:>8}",
-            "metric", "baseline", "current", "change"
+            "    {{\"layer\": \"{}\", \"name\": \"{}\", \"value\": {}, \"unit\": \"{}\", \
+             \"better\": \"{}\", \"tolerance\": {tolerance}}}{comma}",
+            r.layer,
+            r.name,
+            r.value,
+            r.unit,
+            r.better.name()
         );
-        for d in &self.deltas {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>12.3e} {:>12.3e} {:>+7.1}%",
-                d.name,
-                d.baseline,
-                d.current,
-                d.ratio() * 100.0
-            );
-        }
-        for w in &self.missing {
-            let _ = writeln!(out, "MISSING: {w} dropped from the current document");
-        }
-        if self.regressions.is_empty() {
-            let _ = writeln!(
-                out,
-                "gate: OK (no gated metric regressed more than {:.0}%)",
-                max_regress * 100.0
-            );
-        } else {
-            for d in &self.regressions {
-                let _ = writeln!(
-                    out,
-                    "gate: REGRESSION {} moved {:+.1}% (limit {:.0}%)",
-                    d.name,
-                    d.ratio() * 100.0,
-                    max_regress * 100.0
-                );
-            }
-        }
-        out
     }
+    out.push_str("  ]\n}\n");
+    out
 }
 
-/// Compares `current` against `baseline` with the given allowed
-/// regression fraction (e.g. `0.25` for 25%).
-pub fn compare(baseline: &BenchDoc, current: &BenchDoc, max_regress: f64) -> GateResult {
-    let mut deltas = Vec::new();
-    let mut regressions = Vec::new();
-    let mut missing = Vec::new();
-    for base in &baseline.simulators {
-        let Some(cur) = current
-            .simulators
-            .iter()
-            .find(|r| r.workload == base.workload)
-        else {
-            missing.push(base.workload.clone());
-            continue;
-        };
-        let mut metrics = vec![
-            ("functional_ips", base.functional_ips, cur.functional_ips),
-            ("pipelined_cps", base.pipelined_cps, cur.pipelined_cps),
-        ];
-        match (base.threaded_ips, cur.threaded_ips) {
-            (Some(b), Some(c)) => metrics.push(("threaded_ips", b, c)),
-            // A baseline that carries the metric pins it: silently
-            // dropping it from the regenerated document fails the gate
-            // just like dropping a whole workload would.
-            (Some(_), None) => missing.push(format!("{}/threaded_ips", base.workload)),
-            // A baseline without it (pre-threaded-backend) gates only
-            // the two legacy metrics.
-            (None, _) => {}
-        }
-        for (metric, b, c) in metrics {
-            let delta = MetricDelta {
-                name: format!("{}/{metric}", base.workload),
-                baseline: b,
-                current: c,
-            };
-            if c < b * (1.0 - max_regress) {
-                regressions.push(delta.clone());
-            }
-            deltas.push(delta);
-        }
-    }
-    // Pin-once, like threaded_ips: a baseline without the energy
-    // section gates nothing here; one that carries it fails the gate
-    // when a row (or the whole section) silently disappears.
-    for base in &baseline.energy {
-        let Some(cur) = current.energy.iter().find(|r| r.workload == base.workload) else {
-            missing.push(format!("{}/energy", base.workload));
-            continue;
-        };
-        // The simulation is deterministic, so measured energy should be
-        // bit-stable; the threshold only tolerates intentional model
-        // retunes inside the allowed band. More energy = regression.
-        let delta = MetricDelta {
-            name: format!("{}/energy_nj", base.workload),
-            baseline: base.energy_nj,
-            current: cur.energy_nj,
-        };
-        if cur.energy_nj > base.energy_nj * (1.0 + max_regress) {
-            regressions.push(delta.clone());
-        }
-        deltas.push(delta);
-        match (base.dmips_per_watt, cur.dmips_per_watt) {
-            (Some(b), Some(c)) => {
-                let delta = MetricDelta {
-                    name: format!("{}/dmips_per_watt", base.workload),
-                    baseline: b,
-                    current: c,
-                };
-                if c < b * (1.0 - max_regress) {
-                    regressions.push(delta.clone());
-                }
-                deltas.push(delta);
-            }
-            (Some(_), None) => missing.push(format!("{}/dmips_per_watt", base.workload)),
-            (None, _) => {}
-        }
-    }
-    // Scheduler throughput, pin-once like the other late sections. The
-    // allowed regression is doubled: the multi-threaded scheduler's
-    // rate depends on how many of the fleet's workers the host actually
-    // ran concurrently, which shared CI runners vary far more than a
-    // single simulator loop.
-    match (&baseline.service, &current.service) {
-        (Some(base), Some(cur)) => {
-            let delta = MetricDelta {
-                name: "service/per_worker_ips".into(),
-                baseline: base.per_worker_ips,
-                current: cur.per_worker_ips,
-            };
-            if cur.per_worker_ips < base.per_worker_ips * (1.0 - (2.0 * max_regress).min(0.95)) {
-                regressions.push(delta.clone());
-            }
-            deltas.push(delta);
-        }
-        (Some(_), None) => missing.push("service/per_worker_ips".into()),
-        (None, _) => {}
-    }
-    // Ternary-NN, pin-once. Both gated metrics go down = regression.
-    match (&baseline.nn, &current.nn) {
-        (Some(base), Some(cur)) => {
-            for (metric, b, c) in [
-                ("simd_speedup", base.simd_speedup, cur.simd_speedup),
-                ("functional_ips", base.functional_ips, cur.functional_ips),
-            ] {
-                let delta = MetricDelta {
-                    name: format!("nn/{metric}"),
-                    baseline: b,
-                    current: c,
-                };
-                if c < b * (1.0 - max_regress) {
-                    regressions.push(delta.clone());
-                }
-                deltas.push(delta);
-            }
-        }
-        (Some(_), None) => missing.push("nn/simd_speedup".into()),
-        (None, _) => {}
-    }
-    // Wide-word operation timings, pin-once per row. Unlike the Word9
-    // suite these rows integrate enough work per call (multi-word carry
-    // ripples, shift-and-add multiplies) to be gateable, but per-op
-    // timings are still noisier than whole-simulator rates, so the
-    // allowed increase is doubled like the service threshold. More
-    // nanoseconds = regression.
-    for base in &baseline.wide {
-        let Some(cur) = current.wide.iter().find(|r| r.name == base.name) else {
-            missing.push(format!("wide/{}", base.name));
-            continue;
-        };
-        let delta = MetricDelta {
-            name: format!("wide/{}/ns_per_op", base.name),
-            baseline: base.ns_per_op,
-            current: cur.ns_per_op,
-        };
-        if cur.ns_per_op > base.ns_per_op * (1.0 + 2.0 * max_regress) {
-            regressions.push(delta.clone());
-        }
-        deltas.push(delta);
-    }
-    GateResult {
-        deltas,
-        regressions,
-        missing,
-    }
-}
-
-/// Parses the `simulators` array of a `BENCH_ternary.json` document.
+/// Parses a `BENCH_ternary.json` document.
 ///
 /// # Errors
 ///
-/// Returns a description when the document lacks the array or a row
-/// lacks one of the gated fields.
-pub fn parse_bench_json(text: &str) -> Result<BenchDoc, String> {
-    let array = section(text, "\"simulators\"").ok_or("no \"simulators\" array")?;
-    let mut simulators = Vec::new();
-    for obj in objects(array) {
-        simulators.push(SimRow {
-            workload: string_field(obj, "workload")
-                .ok_or_else(|| format!("row without \"workload\": {obj}"))?,
-            functional_ips: number_field(obj, "functional_ips")
-                .ok_or_else(|| format!("row without \"functional_ips\": {obj}"))?,
-            threaded_ips: number_field(obj, "threaded_ips"),
-            pipelined_cps: number_field(obj, "pipelined_cps")
-                .ok_or_else(|| format!("row without \"pipelined_cps\": {obj}"))?,
-        });
+/// Returns a description when the schema is not [`SCHEMA`], the `rows`
+/// array is missing, a row lacks a field or carries an unknown layer or
+/// direction, a tolerance lies outside `[0, 1)`, a gated value is not
+/// positive, a metric appears twice, or no row is gated (so the gate
+/// cannot pass vacuously).
+pub fn parse(text: &str) -> Result<Vec<Row>, String> {
+    if string_field(text, "schema").as_deref() != Some(SCHEMA) {
+        return Err(format!("schema is not {SCHEMA:?}"));
     }
-    if simulators.is_empty() {
-        return Err("empty \"simulators\" array".into());
-    }
-    // The energy section postdates the simulators section: absent in
-    // older documents, required-well-formed when present. The key
-    // search cannot false-positive on row fields like "energy_nj"
-    // because the pattern includes the closing quote.
-    let mut energy = Vec::new();
-    if let Some(array) = section(text, "\"energy\"") {
-        for obj in objects(array) {
-            energy.push(EnergyGateRow {
-                workload: string_field(obj, "workload")
-                    .ok_or_else(|| format!("energy row without \"workload\": {obj}"))?,
-                energy_nj: number_field(obj, "energy_nj")
-                    .ok_or_else(|| format!("energy row without \"energy_nj\": {obj}"))?,
-                dmips_per_watt: number_field(obj, "dmips_per_watt"),
-            });
-        }
-        if energy.is_empty() {
-            return Err("empty \"energy\" array".into());
+    let body = section(text, "\"rows\"").ok_or("no \"rows\" array")?;
+    let rows = objects(body)
+        .map(parse_row)
+        .collect::<Result<Vec<_>, _>>()?;
+    for (i, r) in rows.iter().enumerate() {
+        if rows[..i].iter().any(|p| p.same_metric(r)) {
+            return Err(format!("duplicate row {} {}", r.layer, r.name));
         }
     }
-    // The service section postdates both: same pin-once contract.
-    let mut service = None;
-    if let Some(array) = section(text, "\"service\"") {
-        let obj = objects(array).next().ok_or("empty \"service\" array")?;
-        service = Some(ServiceGateRow {
-            per_worker_ips: number_field(obj, "per_worker_ips")
-                .ok_or_else(|| format!("service row without \"per_worker_ips\": {obj}"))?,
-        });
+    if rows.iter().all(|r| r.tolerance.is_none()) {
+        return Err("no gated rows".into());
     }
-    // The nn section postdates all of the above: same pin-once
-    // contract. The key search cannot false-positive on the row's
-    // "workload": "nn-mlp" value because the pattern includes the
-    // closing quote.
-    let mut nn = None;
-    if let Some(array) = section(text, "\"nn\"") {
-        let obj = objects(array).next().ok_or("empty \"nn\" array")?;
-        nn = Some(NnGateRow {
-            simd_speedup: number_field(obj, "simd_speedup")
-                .ok_or_else(|| format!("nn row without \"simd_speedup\": {obj}"))?,
-            functional_ips: number_field(obj, "functional_ips")
-                .ok_or_else(|| format!("nn row without \"functional_ips\": {obj}"))?,
-        });
+    Ok(rows)
+}
+
+fn parse_row(obj: &str) -> Result<Row, String> {
+    let bad = |what: &str| format!("row {what}: {{{obj}}}");
+    let text = |key: &str| string_field(obj, key).ok_or_else(|| bad(&format!("without {key}")));
+    let layer = text("layer")?;
+    let layer = *LAYERS
+        .iter()
+        .find(|l| **l == layer)
+        .ok_or_else(|| bad("with an unknown layer"))?;
+    let better = match text("better")?.as_str() {
+        "higher" => Better::Higher,
+        "lower" => Better::Lower,
+        _ => return Err(bad("with an unknown direction")),
+    };
+    let value = number_field(obj, "value")
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| bad("without a numeric value"))?;
+    let tolerance = match field_value(obj, "tolerance") {
+        None => return Err(bad("without tolerance")),
+        Some(v) if v.starts_with("null") => None,
+        Some(_) => Some(
+            number_field(obj, "tolerance")
+                .filter(|t| (0.0..1.0).contains(t))
+                .ok_or_else(|| bad("with a tolerance outside [0, 1)"))?,
+        ),
+    };
+    if tolerance.is_some() && value <= 0.0 {
+        return Err(bad("gated on a non-positive value"));
     }
-    // The wide section postdates everything above: same pin-once
-    // contract, one row per wide operation.
-    let mut wide = Vec::new();
-    if let Some(array) = section(text, "\"wide\"") {
-        for obj in objects(array) {
-            wide.push(WideGateRow {
-                name: string_field(obj, "name")
-                    .ok_or_else(|| format!("wide row without \"name\": {obj}"))?,
-                ns_per_op: number_field(obj, "ns_per_op")
-                    .ok_or_else(|| format!("wide row without \"ns_per_op\": {obj}"))?,
-            });
-        }
-        if wide.is_empty() {
-            return Err("empty \"wide\" array".into());
-        }
-    }
-    Ok(BenchDoc {
-        simulators,
-        energy,
-        service,
-        nn,
-        wide,
+    Ok(Row {
+        layer,
+        name: text("name")?,
+        value,
+        unit: text("unit")?,
+        better,
+        tolerance,
     })
 }
 
@@ -439,8 +169,8 @@ fn section<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     Some(&text[open + 1..close])
 }
 
-/// Splits an array body into `{...}` object bodies (the schema nests
-/// no objects, so plain brace matching suffices).
+/// Splits an array body into `{...}` object bodies (rows nest no
+/// objects, so plain brace matching suffices).
 fn objects(array: &str) -> impl Iterator<Item = &str> {
     array.split('{').skip(1).filter_map(|chunk| {
         let end = chunk.find('}')?;
@@ -473,428 +203,556 @@ fn field_value<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
     Some(rest.trim_start())
 }
 
+/// One gated comparison: the baseline row against the current value.
+#[derive(Debug, Clone)]
+pub struct MetricDelta {
+    /// The gated baseline row (direction and tolerance come from it).
+    pub baseline: Row,
+    /// The regenerated value.
+    pub current: f64,
+}
+
+impl MetricDelta {
+    /// Relative change: positive = the value went up.
+    pub fn ratio(&self) -> f64 {
+        self.current / self.baseline.value - 1.0
+    }
+
+    /// `true` when the value moved the wrong way by more than the
+    /// tolerance.
+    pub fn regressed(&self) -> bool {
+        let wrong_way = match self.baseline.better {
+            Better::Higher => -self.ratio(),
+            Better::Lower => self.ratio(),
+        };
+        self.baseline.tolerance.is_some_and(|t| wrong_way > t)
+    }
+}
+
+/// The gate's verdict.
+#[derive(Debug, Clone, Default)]
+pub struct GateResult {
+    /// Every gated comparison made.
+    pub deltas: Vec<MetricDelta>,
+    /// Gated baseline rows absent from the current document.
+    pub missing: Vec<Row>,
+    /// Current rows the baseline does not carry: listed, not gated.
+    pub added: Vec<Row>,
+}
+
+impl GateResult {
+    /// The comparisons that moved the wrong way past their tolerance.
+    pub fn regressions(&self) -> impl Iterator<Item = &MetricDelta> {
+        self.deltas.iter().filter(|d| d.regressed())
+    }
+
+    /// `true` when the gate passes.
+    pub fn ok(&self) -> bool {
+        self.missing.is_empty() && self.regressions().next().is_none()
+    }
+
+    /// Renders the comparison table and the verdict.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "{:<9} {:<40} {:>11} {:>11} {:>8} {:>9}\n",
+            "layer", "metric", "baseline", "current", "change", "tolerance"
+        );
+        for d in &self.deltas {
+            let b = &d.baseline;
+            let _ = writeln!(
+                out,
+                "{:<9} {:<40} {:>11.4e} {:>11.4e} {:>+7.1}% {:>8.0}% ({} is better)",
+                b.layer,
+                b.name,
+                b.value,
+                d.current,
+                d.ratio() * 100.0,
+                b.tolerance.unwrap_or(0.0) * 100.0,
+                b.better.name()
+            );
+        }
+        for r in &self.added {
+            let _ = writeln!(out, "NEW (not gated): {} {}", r.layer, r.name);
+        }
+        for r in &self.missing {
+            let _ = writeln!(out, "MISSING: {} {} dropped", r.layer, r.name);
+        }
+        for d in self.regressions() {
+            let _ = writeln!(
+                out,
+                "gate: REGRESSION {} moved {:+.1}%",
+                d.baseline.name,
+                d.ratio() * 100.0
+            );
+        }
+        let (regressed, missing) = (self.regressions().count(), self.missing.len());
+        let _ = if self.ok() {
+            writeln!(out, "gate: OK ({} gated comparisons)", self.deltas.len())
+        } else {
+            writeln!(out, "gate: FAIL ({regressed} regressed, {missing} missing)")
+        };
+        out
+    }
+}
+
+/// Compares `current` against the gated rows of `baseline`.
+pub fn compare(baseline: &[Row], current: &[Row]) -> GateResult {
+    let mut result = GateResult::default();
+    for base in baseline.iter().filter(|r| r.tolerance.is_some()) {
+        match current.iter().find(|r| r.same_metric(base)) {
+            Some(cur) => result.deltas.push(MetricDelta {
+                baseline: base.clone(),
+                current: cur.value,
+            }),
+            None => result.missing.push(base.clone()),
+        }
+    }
+    result.added = current
+        .iter()
+        .filter(|r| !baseline.iter().any(|b| b.same_metric(r)))
+        .cloned()
+        .collect();
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = r#"{
-  "schema": "art9-bench-ternary/v1",
-  "word_ops": [
-    {"name": "add", "ns_per_op": 4.30}
-  ],
-  "simulators": [
-    {"workload": "bubble-sort", "instructions": 3177, "functional_ips": 6.75e7, "pipelined_cps": 2.31e7},
-    {"workload": "gemm", "instructions": 14084, "functional_ips": 6.19e7, "pipelined_cps": 2.12e7}
-  ]
-}"#;
+    const COMMITTED: &str = include_str!("../../../BENCH_ternary.json");
 
-    fn doc(f_scale: f64, p_scale: f64) -> BenchDoc {
-        let base = parse_bench_json(SAMPLE).unwrap();
-        BenchDoc {
-            simulators: base
-                .simulators
-                .into_iter()
-                .map(|r| SimRow {
-                    workload: r.workload,
-                    functional_ips: r.functional_ips * f_scale,
-                    threaded_ips: r.threaded_ips.map(|t| t * f_scale),
-                    pipelined_cps: r.pipelined_cps * p_scale,
-                })
-                .collect(),
-            energy: Vec::new(),
-            service: None,
-            nn: None,
-            wide: Vec::new(),
+    fn baseline() -> Vec<Row> {
+        parse(COMMITTED).expect("the committed baseline parses")
+    }
+
+    fn gated() -> Vec<Row> {
+        baseline()
+            .into_iter()
+            .filter(|r| r.tolerance.is_some())
+            .collect()
+    }
+
+    /// The baseline with `row`'s value scaled by `factor`.
+    fn scaled(row: &Row, factor: f64) -> Vec<Row> {
+        let mut rows = baseline();
+        for r in rows.iter_mut().filter(|r| r.same_metric(row)) {
+            r.value *= factor;
         }
+        rows
     }
 
-    /// `doc()` with a wide section at `w_scale` times nominal per-op
-    /// costs (scale *up* = slower = worse).
-    fn doc_with_wide(w_scale: f64) -> BenchDoc {
-        let mut d = doc(1.0, 1.0);
-        d.wide = vec![
-            WideGateRow {
-                name: "word81_add".into(),
-                ns_per_op: 7.0 * w_scale,
-            },
-            WideGateRow {
-                name: "real_mul".into(),
-                ns_per_op: 45.0 * w_scale,
-            },
-        ];
-        d
-    }
-
-    /// `doc()` with an nn section at `n_scale` times nominal rates.
-    fn doc_with_nn(n_scale: f64) -> BenchDoc {
-        let mut d = doc(1.0, 1.0);
-        d.nn = Some(NnGateRow {
-            simd_speedup: 5.0 * n_scale,
-            functional_ips: 3.0e7 * n_scale,
-        });
-        d
-    }
-
-    /// `doc()` with a service section at `s_scale` times a nominal
-    /// per-worker rate.
-    fn doc_with_service(s_scale: f64) -> BenchDoc {
-        let mut d = doc(1.0, 1.0);
-        d.service = Some(ServiceGateRow {
-            per_worker_ips: 4.0e6 * s_scale,
-        });
-        d
-    }
-
-    /// `doc()` with an energy section: one plain row and one Dhrystone
-    /// row carrying DMIPS/W, both scaled by `e_scale`.
-    fn doc_with_energy(e_scale: f64) -> BenchDoc {
-        let mut d = doc(1.0, 1.0);
-        d.energy = vec![
-            EnergyGateRow {
-                workload: "bubble-sort".into(),
-                energy_nj: 120.0 * e_scale,
-                dmips_per_watt: None,
-            },
-            EnergyGateRow {
-                workload: "dhrystone".into(),
-                energy_nj: 540.0 * e_scale,
-                // DMIPS/W moves inversely with energy at fixed runtime.
-                dmips_per_watt: Some(7.0e6 / e_scale),
-            },
-        ];
-        d
-    }
-
-    /// `doc()` with the threaded metric populated at `t_scale` times
-    /// 3x the functional rate.
-    fn doc_with_threaded(t_scale: f64) -> BenchDoc {
-        let mut d = doc(1.0, 1.0);
-        for r in &mut d.simulators {
-            r.threaded_ips = Some(r.functional_ips * 3.0 * t_scale);
+    /// The baseline with every row matching `pick` scaled by `factor`.
+    fn scaled_where(pick: impl Fn(&Row) -> bool, factor: f64) -> Vec<Row> {
+        let mut rows = baseline();
+        for r in rows.iter_mut().filter(|r| pick(r)) {
+            r.value *= factor;
         }
-        d
+        rows
     }
 
-    #[test]
-    fn parses_the_emitted_schema() {
-        let d = parse_bench_json(SAMPLE).unwrap();
-        assert_eq!(d.simulators.len(), 2);
-        assert_eq!(d.simulators[0].workload, "bubble-sort");
-        assert!((d.simulators[0].functional_ips - 6.75e7).abs() < 1.0);
-        assert!((d.simulators[1].pipelined_cps - 2.12e7).abs() < 1.0);
+    /// The baseline without the rows matching `pick`.
+    fn without(pick: impl Fn(&Row) -> bool) -> Vec<Row> {
+        let mut rows = baseline();
+        rows.retain(|r| !pick(r));
+        rows
+    }
+
+    fn regressed_names(r: &GateResult) -> Vec<&str> {
+        r.regressions().map(|d| d.baseline.name.as_str()).collect()
+    }
+
+    fn missing_names(r: &GateResult) -> Vec<&str> {
+        r.missing.iter().map(|r| r.name.as_str()).collect()
+    }
+
+    fn is_threaded(r: &Row) -> bool {
+        r.name.ends_with("/threaded_ips")
+    }
+
+    fn is_energy(r: &Row) -> bool {
+        r.layer == "energy"
+    }
+
+    fn is_service(r: &Row) -> bool {
+        r.layer == "service"
+    }
+
+    fn is_nn(r: &Row) -> bool {
+        r.name.starts_with("nn/")
+    }
+
+    fn is_wide(r: &Row) -> bool {
+        r.name.starts_with("wide/")
+    }
+
+    /// The factor moving `row` `step` past (positive) or inside
+    /// (negative) its tolerance in the bad direction.
+    fn bad_factor(row: &Row, step: f64) -> f64 {
+        let t = row.tolerance.expect("gated") + step;
+        match row.better {
+            Better::Higher => 1.0 - t,
+            Better::Lower => 1.0 + t,
+        }
     }
 
     #[test]
     fn parses_the_committed_baseline() {
-        // The real committed file must stay parseable, or the CI gate
-        // goes blind silently.
-        let committed = include_str!("../../../BENCH_ternary.json");
-        let d = parse_bench_json(committed).unwrap();
-        assert_eq!(d.simulators.len(), 4);
-        assert!(d.simulators.iter().any(|r| r.workload == "dhrystone"));
-        // The committed baseline carries the threaded metric, so the
-        // gate actually exercises it on every CI run.
-        assert!(d.simulators.iter().all(|r| r.threaded_ips.is_some()));
-        // Likewise the measured-energy section: all four paper kernels,
-        // DMIPS/W pinned on the Dhrystone row.
-        assert_eq!(d.energy.len(), 4);
-        assert!(d.energy.iter().all(|r| r.energy_nj > 0.0));
-        let dhry = d.energy.iter().find(|r| r.workload == "dhrystone").unwrap();
-        assert!(dhry.dmips_per_watt.unwrap() > 0.0);
-        // And the service section, so scheduler throughput is gated on
-        // every CI run from here on.
-        assert!(d.service.as_ref().unwrap().per_worker_ips > 0.0);
-        // And the nn section: the ISSUE 9 acceptance bar (>= 4x SIMD
-        // speedup) is recorded in the committed baseline and gated.
-        let nn = d.nn.as_ref().unwrap();
-        assert!(nn.simd_speedup >= 4.0);
-        assert!(nn.functional_ips > 0.0);
-        // And the wide section: the multi-plane 27/81-trit words and
-        // the tapered reals are pinned from this PR on.
-        assert!(!d.wide.is_empty());
-        assert!(d.wide.iter().any(|r| r.name == "word81_add"));
-        assert!(d.wide.iter().any(|r| r.name == "real_mul"));
-        assert!(d.wide.iter().all(|r| r.ns_per_op > 0.0));
+        // The 32 gated comparisons as (name, direction, tolerance).
+        let mut expected = Vec::new();
+        for w in ["bubble-sort", "gemm", "sobel", "dhrystone"] {
+            for m in ["functional_ips", "threaded_ips", "pipelined_cps"] {
+                expected.push((format!("{w}/{m}"), Better::Higher, 0.25));
+            }
+            expected.push((format!("{w}/energy_nj"), Better::Lower, 0.25));
+        }
+        for name in [
+            "dhrystone/dmips_per_watt",
+            "nn/simd_speedup",
+            "nn/functional_ips",
+        ] {
+            expected.push((name.to_string(), Better::Higher, 0.25));
+        }
+        expected.push(("service/per_worker_ips".into(), Better::Higher, 0.5));
+        let wide = "word27_add word27_mul word81_add word81_mul word81_negate word81_compare \
+                    word81_compress3 word81_to_i128 word81_from_i128_wrapping real_add \
+                    real_mul real_tapered_roundtrip";
+        for op in wide.split_whitespace() {
+            expected.push((format!("wide/{op}/ns_per_op"), Better::Lower, 0.5));
+        }
+        let mut gates: Vec<_> = gated()
+            .into_iter()
+            .map(|r| (r.name, r.better, r.tolerance.unwrap()))
+            .collect();
+        gates.sort_by(|a, b| a.0.cmp(&b.0));
+        expected.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(gates.len(), 32);
+        assert_eq!(gates, expected);
+        // The file is exactly the writer's output.
+        assert_eq!(render(&baseline()), COMMITTED);
+        let r = compare(&baseline(), &baseline());
+        assert!(r.ok() && r.added.is_empty(), "{}", r.render());
+        assert!(r.render().contains("gate: OK (32 gated comparisons)"));
     }
 
     #[test]
-    fn pre_threaded_baselines_still_gate_the_legacy_metrics() {
-        // SAMPLE predates the threaded backend: no threaded_ips field,
-        // so only functional/pipelined are compared and nothing is
-        // reported missing.
-        let base = doc(1.0, 1.0);
-        assert!(base.simulators.iter().all(|r| r.threaded_ips.is_none()));
-        let r = compare(&base, &doc_with_threaded(1.0), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-        assert_eq!(r.deltas.len(), 4);
-    }
-
-    #[test]
-    fn threaded_regression_fails() {
-        let base = doc_with_threaded(1.0);
-        let current = doc_with_threaded(0.5); // threaded halved
-        let r = compare(&base, &current, 0.25);
-        assert!(!r.ok());
-        assert_eq!(r.deltas.len(), 6);
-        assert_eq!(r.regressions.len(), 2);
-        assert!(r
-            .regressions
-            .iter()
-            .all(|d| d.name.ends_with("threaded_ips")));
-    }
-
-    #[test]
-    fn dropping_the_threaded_metric_fails() {
-        let base = doc_with_threaded(1.0);
-        let current = doc(1.0, 1.0); // regenerated without threaded_ips
-        let r = compare(&base, &current, 0.25);
-        assert!(!r.ok());
-        assert!(r.missing.iter().any(|m| m == "bubble-sort/threaded_ips"));
-        assert!(r.render(0.25).contains("MISSING"));
-    }
-
-    #[test]
-    fn parses_an_energy_section() {
-        let text = r#"{
-  "simulators": [
-    {"workload": "gemm", "functional_ips": 6.19e7, "pipelined_cps": 2.12e7}
-  ],
-  "energy": [
-    {"workload": "gemm", "cycles": 120, "instructions": 90, "energy_nj": 1.25e2, "epi_pj": 1.4, "dynamic_uw": 3.0, "total_uw": 4.5},
-    {"workload": "dhrystone", "energy_nj": 5.4e2, "dmips_per_watt": 7.5e6}
-  ]
-}"#;
-        let d = parse_bench_json(text).unwrap();
-        assert_eq!(d.energy.len(), 2);
-        assert!((d.energy[0].energy_nj - 125.0).abs() < 1e-9);
-        assert_eq!(d.energy[0].dmips_per_watt, None);
-        assert!((d.energy[1].dmips_per_watt.unwrap() - 7.5e6).abs() < 1.0);
-        // Pre-energy documents parse to an empty (ungated) section.
-        assert!(parse_bench_json(SAMPLE).unwrap().energy.is_empty());
-        // A present-but-malformed section is rejected, not ignored.
-        let bad = text.replace("\"energy_nj\": 1.25e2, ", "");
-        assert!(parse_bench_json(&bad).is_err());
-    }
-
-    #[test]
-    fn energy_increase_fails_and_decrease_passes() {
-        let base = doc_with_energy(1.0);
-        // 10% more energy (and correspondingly lower DMIPS/W): within
-        // the 25% band, passes.
-        let r = compare(&base, &doc_with_energy(1.1), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-        assert_eq!(r.deltas.len(), 4 + 3); // sims + 2 energy + 1 dpw
-                                           // 50% more energy: both the energy and the DMIPS/W gate trip.
-        let r = compare(&base, &doc_with_energy(1.5), 0.25);
-        assert!(!r.ok());
-        assert!(r
-            .regressions
-            .iter()
-            .any(|d| d.name == "bubble-sort/energy_nj"));
-        assert!(r
-            .regressions
-            .iter()
-            .any(|d| d.name == "dhrystone/dmips_per_watt"));
-        assert!(r.render(0.25).contains("REGRESSION"));
-        // Energy going *down* is an improvement, not a regression.
-        let r = compare(&base, &doc_with_energy(0.5), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-    }
-
-    #[test]
-    fn dropping_the_energy_section_fails_once_pinned() {
-        let base = doc_with_energy(1.0);
-        // Current regenerated without the energy section entirely.
-        let r = compare(&base, &doc(1.0, 1.0), 0.25);
-        assert!(!r.ok());
-        assert!(r.missing.iter().any(|m| m == "bubble-sort/energy"));
-        assert!(r.missing.iter().any(|m| m == "dhrystone/energy"));
-        // Dropping just the DMIPS/W pin fails too.
-        let mut current = doc_with_energy(1.0);
-        current.energy[1].dmips_per_watt = None;
-        let r = compare(&base, &current, 0.25);
-        assert!(!r.ok());
-        assert!(r.missing.iter().any(|m| m == "dhrystone/dmips_per_watt"));
-        // A pre-energy baseline gates nothing against an energy-bearing
-        // current document.
-        let r = compare(&doc(1.0, 1.0), &doc_with_energy(1.0), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-    }
-
-    #[test]
-    fn service_section_parses_and_gates_at_a_doubled_threshold() {
-        let text = r#"{
-  "simulators": [
-    {"workload": "gemm", "functional_ips": 6.19e7, "pipelined_cps": 2.12e7}
-  ],
-  "service": [
-    {"sessions": 512, "workers": 8, "sessions_per_second": 1.3050e2, "per_worker_ips": 4.2000e6, "p99_slice_us": 210.250, "migrations": 97, "steals": 41}
-  ]
-}"#;
-        let d = parse_bench_json(text).unwrap();
-        let row = d.service.as_ref().expect("service section parses");
-        assert!((row.per_worker_ips - 4.2e6).abs() < 1.0);
-        // A present-but-malformed section is rejected, not ignored.
-        assert!(parse_bench_json(&text.replace("per_worker_ips", "nope")).is_err());
-        // Pre-service documents parse to no section at all.
-        assert!(parse_bench_json(SAMPLE).unwrap().service.is_none());
-
-        let base = doc_with_service(1.0);
-        // A 40% drop stays inside the doubled 2 * 25% band.
-        let r = compare(&base, &doc_with_service(0.6), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-        assert!(r.deltas.iter().any(|d| d.name == "service/per_worker_ips"));
-        // A 60% drop trips it.
-        let r = compare(&base, &doc_with_service(0.4), 0.25);
-        assert!(!r.ok());
-        assert!(r
-            .regressions
-            .iter()
-            .any(|d| d.name == "service/per_worker_ips"));
-    }
-
-    #[test]
-    fn dropping_the_service_section_fails_once_pinned() {
-        let r = compare(&doc_with_service(1.0), &doc(1.0, 1.0), 0.25);
-        assert!(!r.ok());
-        assert!(r.missing.iter().any(|m| m == "service/per_worker_ips"));
-        // A pre-service baseline gates nothing against a service-bearing
-        // current document.
-        let r = compare(&doc(1.0, 1.0), &doc_with_service(1.0), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-    }
-
-    #[test]
-    fn nn_section_parses_and_gates() {
-        let text = r#"{
-  "simulators": [
-    {"workload": "gemm", "functional_ips": 6.19e7, "pipelined_cps": 2.12e7}
-  ],
-  "nn": [
-    {"workload": "nn-mlp", "rows": 40, "cols": 40, "scalar_ns_per_matvec": 4200.00, "simd_ns_per_matvec": 860.00, "simd_speedup": 4.88, "instructions": 120000, "cycles": 150000, "functional_ips": 3.1000e7, "threaded_ips": 9.0000e7, "pipelined_cps": 2.0000e7}
-  ]
-}"#;
-        let d = parse_bench_json(text).unwrap();
-        let row = d.nn.as_ref().expect("nn section parses");
-        assert!((row.simd_speedup - 4.88).abs() < 1e-9);
-        assert!((row.functional_ips - 3.1e7).abs() < 1.0);
-        // A present-but-malformed section is rejected, not ignored.
-        assert!(parse_bench_json(&text.replace("simd_speedup", "nope")).is_err());
-        // Pre-nn documents parse to no section at all — and the
-        // "nn-mlp" workload name alone must not look like one.
-        assert!(parse_bench_json(SAMPLE).unwrap().nn.is_none());
-
-        let base = doc_with_nn(1.0);
-        // 10% noise passes; a halved speedup trips the gate.
-        let r = compare(&base, &doc_with_nn(0.9), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-        assert!(r.deltas.iter().any(|d| d.name == "nn/simd_speedup"));
-        let r = compare(&base, &doc_with_nn(0.5), 0.25);
-        assert!(!r.ok());
-        assert!(r.regressions.iter().any(|d| d.name == "nn/simd_speedup"));
-        assert!(r.regressions.iter().any(|d| d.name == "nn/functional_ips"));
-    }
-
-    #[test]
-    fn dropping_the_nn_section_fails_once_pinned() {
-        let r = compare(&doc_with_nn(1.0), &doc(1.0, 1.0), 0.25);
-        assert!(!r.ok());
-        assert!(r.missing.iter().any(|m| m == "nn/simd_speedup"));
-        // A pre-nn baseline gates nothing against an nn-bearing current
-        // document.
-        let r = compare(&doc(1.0, 1.0), &doc_with_nn(1.0), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-    }
-
-    #[test]
-    fn wide_section_parses_and_gates_slowdowns_only() {
-        let text = r#"{
-  "simulators": [
-    {"workload": "gemm", "functional_ips": 6.19e7, "pipelined_cps": 2.12e7}
-  ],
-  "wide": [
-    {"name": "word81_add", "ns_per_op": 7.25},
-    {"name": "real_mul", "ns_per_op": 44.50}
-  ]
-}"#;
-        let d = parse_bench_json(text).unwrap();
-        assert_eq!(d.wide.len(), 2);
-        assert_eq!(d.wide[0].name, "word81_add");
-        assert!((d.wide[1].ns_per_op - 44.5).abs() < 1e-9);
-        // A present-but-malformed section is rejected, not ignored.
-        assert!(parse_bench_json(&text.replace("ns_per_op", "nope")).is_err());
-        // Pre-wide documents parse to an empty (ungated) section.
-        assert!(parse_bench_json(SAMPLE).unwrap().wide.is_empty());
-
-        let base = doc_with_wide(1.0);
-        // 40% slower stays inside the doubled 2 * 25% band.
-        let r = compare(&base, &doc_with_wide(1.4), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-        assert!(r
-            .deltas
-            .iter()
-            .any(|d| d.name == "wide/word81_add/ns_per_op"));
-        // 60% slower trips it.
-        let r = compare(&base, &doc_with_wide(1.6), 0.25);
-        assert!(!r.ok());
-        assert!(r
-            .regressions
-            .iter()
-            .any(|d| d.name == "wide/real_mul/ns_per_op"));
-        // Getting *faster* is an improvement, never a regression.
-        let r = compare(&base, &doc_with_wide(0.3), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-    }
-
-    #[test]
-    fn dropping_the_wide_section_fails_once_pinned() {
-        let r = compare(&doc_with_wide(1.0), &doc(1.0, 1.0), 0.25);
-        assert!(!r.ok());
-        assert!(r.missing.iter().any(|m| m == "wide/word81_add"));
-        assert!(r.missing.iter().any(|m| m == "wide/real_mul"));
-        // A pre-wide baseline gates nothing against a wide-bearing
-        // current document.
-        let r = compare(&doc(1.0, 1.0), &doc_with_wide(1.0), 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-    }
-
-    #[test]
-    fn small_noise_passes() {
-        let base = doc(1.0, 1.0);
-        let current = doc(0.9, 1.1); // ±10% noise
-        let r = compare(&base, &current, 0.25);
-        assert!(r.ok(), "{}", r.render(0.25));
-        assert_eq!(r.deltas.len(), 4);
+    fn parses_the_emitted_schema() {
+        let row = |layer, name: &str, value, better, tolerance| Row {
+            layer,
+            name: name.into(),
+            value,
+            unit: "ns".into(),
+            better,
+            tolerance,
+        };
+        let rows = vec![
+            row(
+                "kernel",
+                "wide/a/ns_per_op",
+                1.0 / 3.0,
+                Better::Lower,
+                Some(0.5),
+            ),
+            row("energy", "gemm/energy_nj", 5.228072e-1, Better::Lower, None),
+            row("service", "service/x", 4.5013e6, Better::Higher, Some(0.25)),
+        ];
+        assert_eq!(parse(&render(&rows)).unwrap(), rows);
     }
 
     #[test]
     fn big_regression_fails() {
-        let base = doc(1.0, 1.0);
-        let current = doc(1.0, 0.5); // pipelined halved
-        let r = compare(&base, &current, 0.25);
+        // Just past its tolerance in the bad direction, every gated row
+        // fails the gate on its own.
+        for row in gated() {
+            let r = compare(&baseline(), &scaled(&row, bad_factor(&row, 0.01)));
+            let regressed: Vec<_> = r.regressions().map(|d| &d.baseline).collect();
+            assert_eq!(regressed, [&row]);
+            assert!(r.render().contains("gate: FAIL (1 regressed, 0 missing)"));
+        }
+    }
+
+    #[test]
+    fn threaded_regression_fails() {
+        // Halving every threaded rate trips exactly the four gated
+        // threaded rows; the reported nn threaded rate is not gated.
+        let r = compare(&baseline(), &scaled_where(is_threaded, 0.5));
         assert!(!r.ok());
-        assert_eq!(r.regressions.len(), 2);
-        assert!(r
-            .regressions
+        assert_eq!(r.deltas.len(), 32);
+        let regressed = regressed_names(&r);
+        assert_eq!(regressed.len(), 4);
+        assert!(regressed.iter().all(|n| n.ends_with("/threaded_ips")));
+        assert!(!regressed.contains(&"nn/threaded_ips"));
+    }
+
+    #[test]
+    fn dropping_the_threaded_metric_fails() {
+        // Regenerated without any threaded rate.
+        let r = compare(&baseline(), &without(is_threaded));
+        assert!(!r.ok());
+        assert_eq!(r.missing.len(), 4);
+        assert!(missing_names(&r).contains(&"bubble-sort/threaded_ips"));
+        assert!(r.render().contains("MISSING"));
+    }
+
+    #[test]
+    fn parses_an_energy_section() {
+        let text = format!(
+            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"rows\": [\n    \
+             {{\"layer\": \"energy\", \"name\": \"gemm/energy_nj\", \"value\": 1.25e2, \
+             \"unit\": \"nJ\", \"better\": \"lower\", \"tolerance\": 0.25}},\n    \
+             {{\"layer\": \"energy\", \"name\": \"gemm/epi_pj\", \"value\": 1.4, \
+             \"unit\": \"pJ\", \"better\": \"lower\", \"tolerance\": null}},\n    \
+             {{\"layer\": \"energy\", \"name\": \"dhrystone/dmips_per_watt\", \"value\": 7.5e6, \
+             \"unit\": \"DMIPS/W\", \"better\": \"higher\", \"tolerance\": 0.25}}\n  ]\n}}\n"
+        );
+        let rows = parse(&text).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(is_energy));
+        assert!((rows[0].value - 125.0).abs() < 1e-9);
+        assert_eq!(rows[0].better, Better::Lower);
+        assert_eq!(rows[1].tolerance, None);
+        assert!((rows[2].value - 7.5e6).abs() < 1.0);
+        assert_eq!(rows[2].better, Better::Higher);
+        // A malformed energy row is rejected, not ignored.
+        let bad = text.replace("\"value\": 1.25e2, ", "");
+        assert!(parse(&bad).is_err());
+        // The committed baseline gates energy for each paper workload
+        // plus Dhrystone's DMIPS/W.
+        let gated_energy: Vec<_> = gated().into_iter().filter(is_energy).collect();
+        assert_eq!(gated_energy.len(), 5);
+        assert!(gated_energy
             .iter()
-            .all(|d| d.name.ends_with("pipelined_cps")));
-        assert!(r.render(0.25).contains("REGRESSION"));
+            .any(|r| r.name == "dhrystone/dmips_per_watt"));
+    }
+
+    #[test]
+    fn dropping_the_energy_section_fails_once_pinned() {
+        // Regenerated without any energy row.
+        let r = compare(&baseline(), &without(is_energy));
+        assert!(!r.ok());
+        let missing = missing_names(&r);
+        assert_eq!(missing.len(), 5);
+        assert!(missing.contains(&"bubble-sort/energy_nj"));
+        assert!(missing.contains(&"dhrystone/dmips_per_watt"));
+        // Dropping just the DMIPS/W pin fails too.
+        let r = compare(
+            &baseline(),
+            &without(|r| r.name == "dhrystone/dmips_per_watt"),
+        );
+        assert_eq!(missing_names(&r), ["dhrystone/dmips_per_watt"]);
+        // A baseline without energy rows gates nothing against an
+        // energy-bearing current document.
+        let r = compare(&without(is_energy), &baseline());
+        assert!(r.ok(), "{}", r.render());
+        assert!(r.added.iter().all(is_energy));
+        assert!(!r.added.is_empty());
+    }
+
+    #[test]
+    fn service_section_parses_and_gates_at_a_doubled_threshold() {
+        let service: Vec<_> = gated().into_iter().filter(is_service).collect();
+        assert_eq!(service.len(), 1);
+        assert_eq!(service[0].name, "service/per_worker_ips");
+        assert_eq!(service[0].tolerance, Some(0.5));
+        // A 40% drop stays inside the doubled 2 * 25% band.
+        let r = compare(&baseline(), &scaled_where(is_service, 0.6));
+        assert!(r.ok(), "{}", r.render());
+        assert!(r
+            .deltas
+            .iter()
+            .any(|d| d.baseline.name == "service/per_worker_ips"));
+        // A 60% drop trips it.
+        let r = compare(&baseline(), &scaled_where(is_service, 0.4));
+        assert_eq!(regressed_names(&r), ["service/per_worker_ips"]);
+    }
+
+    #[test]
+    fn dropping_the_service_section_fails_once_pinned() {
+        let r = compare(&baseline(), &without(is_service));
+        assert!(!r.ok());
+        assert_eq!(missing_names(&r), ["service/per_worker_ips"]);
+        // A baseline without service rows gates nothing against a
+        // service-bearing current document.
+        let r = compare(&without(is_service), &baseline());
+        assert!(r.ok(), "{}", r.render());
+        assert_eq!(r.added.len(), 7);
+    }
+
+    #[test]
+    fn nn_section_parses_and_gates() {
+        let nn: Vec<_> = gated().into_iter().filter(is_nn).collect();
+        let names: Vec<_> = nn.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["nn/simd_speedup", "nn/functional_ips"]);
+        assert!(nn.iter().all(|r| r.better == Better::Higher));
+        // 10% noise passes; halved nn rates trip the gate.
+        let r = compare(&baseline(), &scaled_where(is_nn, 0.9));
+        assert!(r.ok(), "{}", r.render());
+        assert!(r
+            .deltas
+            .iter()
+            .any(|d| d.baseline.name == "nn/simd_speedup"));
+        let r = compare(&baseline(), &scaled_where(is_nn, 0.5));
+        assert_eq!(
+            regressed_names(&r),
+            ["nn/simd_speedup", "nn/functional_ips"]
+        );
+    }
+
+    #[test]
+    fn dropping_the_nn_section_fails_once_pinned() {
+        let r = compare(&baseline(), &without(is_nn));
+        assert!(!r.ok());
+        assert_eq!(missing_names(&r), ["nn/simd_speedup", "nn/functional_ips"]);
+        // A baseline without nn rows gates nothing against an
+        // nn-bearing current document.
+        let r = compare(&without(is_nn), &baseline());
+        assert!(r.ok(), "{}", r.render());
+        assert!(r.added.iter().all(is_nn));
+    }
+
+    #[test]
+    fn wide_section_parses_and_gates_slowdowns_only() {
+        let wide: Vec<_> = gated().into_iter().filter(is_wide).collect();
+        assert_eq!(wide.len(), 12);
+        assert!(wide
+            .iter()
+            .all(|r| r.better == Better::Lower && r.tolerance == Some(0.5)));
+        // 40% slower stays inside the doubled 2 * 25% band.
+        let r = compare(&baseline(), &scaled_where(is_wide, 1.4));
+        assert!(r.ok(), "{}", r.render());
+        assert!(r
+            .deltas
+            .iter()
+            .any(|d| d.baseline.name == "wide/word81_add/ns_per_op"));
+        // 60% slower trips every wide row.
+        let r = compare(&baseline(), &scaled_where(is_wide, 1.6));
+        let regressed = regressed_names(&r);
+        assert_eq!(regressed.len(), 12);
+        assert!(regressed.contains(&"wide/real_mul/ns_per_op"));
+        // Getting *faster* is an improvement, never a regression.
+        let r = compare(&baseline(), &scaled_where(is_wide, 0.3));
+        assert!(r.ok(), "{}", r.render());
+    }
+
+    #[test]
+    fn dropping_the_wide_section_fails_once_pinned() {
+        let r = compare(&baseline(), &without(is_wide));
+        assert!(!r.ok());
+        let missing = missing_names(&r);
+        assert_eq!(missing.len(), 12);
+        assert!(missing.contains(&"wide/word81_add/ns_per_op"));
+        assert!(missing.contains(&"wide/real_mul/ns_per_op"));
+        // A baseline without wide rows gates nothing against a
+        // wide-bearing current document.
+        let r = compare(&without(is_wide), &baseline());
+        assert!(r.ok(), "{}", r.render());
+        assert_eq!(r.added.len(), 12);
+    }
+
+    #[test]
+    fn small_noise_passes() {
+        // Just inside its tolerance in the bad direction, every gated
+        // row passes.
+        for row in gated() {
+            let r = compare(&baseline(), &scaled(&row, bad_factor(&row, -0.01)));
+            assert!(r.ok(), "{}:\n{}", row.name, r.render());
+        }
+    }
+
+    #[test]
+    fn improvements_pass() {
+        for row in gated() {
+            for factor in [1.01, 10.0, 0.99, 0.1] {
+                let improves = (factor > 1.0) == (row.better == Better::Higher);
+                let r = compare(&baseline(), &scaled(&row, factor));
+                assert!(!improves || r.ok(), "{}:\n{}", row.name, r.render());
+            }
+        }
     }
 
     #[test]
     fn dropped_workload_fails() {
-        let base = doc(1.0, 1.0);
-        let mut current = doc(1.0, 1.0);
-        current.simulators.pop();
-        let r = compare(&base, &current, 0.25);
-        assert!(!r.ok());
-        assert_eq!(r.missing, vec!["gemm".to_string()]);
+        // Each gated row dropped on its own fails the gate.
+        for row in gated() {
+            let mut current = baseline();
+            current.retain(|r| !r.same_metric(&row));
+            let r = compare(&baseline(), &current);
+            assert_eq!(r.missing, [row]);
+            assert!(r.render().contains("gate: FAIL (0 regressed, 1 missing)"));
+        }
+        // Dropping a whole workload lists each of its gated rows.
+        let mut current = baseline();
+        current.retain(|r| !r.name.starts_with("gemm/"));
+        let r = compare(&baseline(), &current);
+        let missing: Vec<_> = r.missing.iter().map(|r| r.name.as_str()).collect();
+        let rates = [
+            "functional_ips",
+            "threaded_ips",
+            "pipelined_cps",
+            "energy_nj",
+        ];
+        assert_eq!(missing, rates.map(|m| format!("gemm/{m}")));
+        // A reported row is not pinned: dropping it passes.
+        let mut current = baseline();
+        current.retain(|r| r.name != "gemm/instructions");
+        assert!(compare(&baseline(), &current).ok());
+    }
+
+    #[test]
+    fn new_rows_are_listed_not_gated() {
+        // A baseline without the threaded rows gates only what it
+        // carries; the current threaded rows are new, and not gated
+        // even when far worse.
+        let threaded = |r: &Row| r.name.ends_with("/threaded_ips");
+        let mut base = baseline();
+        base.retain(|r| !threaded(r));
+        let mut current = baseline();
+        for r in current.iter_mut().filter(|r| threaded(r)) {
+            r.value *= 0.1;
+        }
+        let r = compare(&base, &current);
+        assert!(r.ok(), "{}", r.render());
+        assert_eq!(r.deltas.len(), 28);
+        // The four paper workloads' rows plus the reported nn row.
+        assert_eq!(r.added.len(), 5);
+        assert!(r
+            .render()
+            .contains("NEW (not gated): execution gemm/threaded_ips"));
     }
 
     #[test]
     fn malformed_documents_are_rejected() {
-        assert!(parse_bench_json("{}").is_err());
-        assert!(parse_bench_json(r#"{"simulators": []}"#).is_err());
-        assert!(parse_bench_json(r#"{"simulators": [{"workload": "x"}]}"#).is_err());
+        let doc = |rows: &str| format!("{{\"schema\": \"{SCHEMA}\", \"rows\": [{rows}]}}");
+        let good = "{\"layer\": \"execution\", \"name\": \"gemm/functional_ips\", \
+                    \"value\": 6.5e7, \"unit\": \"instr/s\", \"better\": \"higher\", \
+                    \"tolerance\": 0.25}";
+        assert_eq!(parse(&doc(good)).unwrap().len(), 1);
+        for (from, to) in [
+            ("\"layer\": \"execution\", ", ""),
+            ("\"name\": \"gemm/functional_ips\", ", ""),
+            ("\"value\": 6.5e7, ", ""),
+            ("\"unit\": \"instr/s\", ", ""),
+            ("\"better\": \"higher\", ", ""),
+            (", \"tolerance\": 0.25", ""),
+            ("\"execution\"", "\"firmware\""),
+            ("\"higher\"", "\"sideways\""),
+            ("6.5e7", "fast"),
+            ("6.5e7", "0"),
+            ("0.25", "1.5"),
+            ("0.25", "-0.1"),
+            // A document with no gated rows would pass vacuously.
+            ("0.25", "null"),
+        ] {
+            assert!(
+                parse(&doc(&good.replace(from, to))).is_err(),
+                "{from} -> {to}"
+            );
+        }
+        let twice = parse(&doc(&format!("{good}, {good}")));
+        assert!(twice.unwrap_err().contains("duplicate"));
+        assert!(parse("{}").is_err());
+        assert!(parse(&doc("")).is_err());
+        // No v1 reader: the old sectioned layout is refused outright.
+        let v1 = doc(good).replace(SCHEMA, "art9-bench-ternary/v1");
+        assert!(parse(&v1).unwrap_err().contains("schema"));
     }
 }

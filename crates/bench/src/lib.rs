@@ -91,10 +91,12 @@ pub mod perf {
         ("dhrystone", 1.020e7),
     ];
 
-    /// One measured word-operation cost.
+    /// One measured word-operation cost: a `Word9` operation, or a
+    /// multi-plane wide-word or tapered-real one.
     #[derive(Debug, Clone)]
     pub struct WordOp {
-        /// Operation name (matches the `ternary_arith` bench entries).
+        /// Operation name (`Word9` ops match the `ternary_arith` bench
+        /// entries; wide ops are `<type>_<op>`, e.g. `word81_add`).
         pub name: &'static str,
         /// Mean nanoseconds per operation.
         pub ns_per_op: f64,
@@ -245,16 +247,6 @@ pub mod perf {
         p().0
     }
 
-    /// One measured multi-plane wide-word (or tapered-real) operation
-    /// cost — a row of the `wide` section of `BENCH_ternary.json`.
-    #[derive(Debug, Clone)]
-    pub struct WidePerf {
-        /// Operation name, `<type>_<op>` (e.g. `word81_add`).
-        pub name: &'static str,
-        /// Mean nanoseconds per operation.
-        pub ns_per_op: f64,
-    }
-
     /// Rotates through adjacent pairs of a pre-generated operand pool,
     /// so carry-chain lengths and sign mixes are averaged like the
     /// `Word9` suite.
@@ -269,7 +261,7 @@ pub mod perf {
     /// Measures the wide-word suite (`budget` per operation): the
     /// Etiemble-style adder/multiplier rows at 27 and 81 trits, the
     /// 81-trit support ops, and the tapered-precision real arithmetic.
-    pub fn measure_wide(budget: Duration) -> Vec<WidePerf> {
+    pub fn measure_wide(budget: Duration) -> Vec<WordOp> {
         use ternary::{TernaryReal, Word27, Word81};
 
         let mut seed = 0x243F_6A88_85A3_08D3u64;
@@ -289,10 +281,10 @@ pub mod perf {
             .map(|_| TernaryReal::from_scaled(raw() as i64 >> 16, (raw() % 121) as i32 - 60))
             .collect();
 
-        let mut ops: Vec<WidePerf> = Vec::new();
+        let mut ops: Vec<WordOp> = Vec::new();
         {
             let mut p = pair_stream(&w27);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "word27_add",
                 ns_per_op: ns_per_call(budget, move || {
                     let (a, b) = p();
@@ -302,7 +294,7 @@ pub mod perf {
         }
         {
             let mut p = pair_stream(&w27);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "word27_mul",
                 ns_per_op: ns_per_call(budget, move || {
                     let (a, b) = p();
@@ -312,7 +304,7 @@ pub mod perf {
         }
         {
             let mut p = pair_stream(&w81);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "word81_add",
                 ns_per_op: ns_per_call(budget, move || {
                     let (a, b) = p();
@@ -322,7 +314,7 @@ pub mod perf {
         }
         {
             let mut p = pair_stream(&w81);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "word81_mul",
                 ns_per_op: ns_per_call(budget, move || {
                     let (a, b) = p();
@@ -332,14 +324,14 @@ pub mod perf {
         }
         {
             let mut p = pair_stream(&w81);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "word81_negate",
                 ns_per_op: ns_per_call(budget, move || p().0.negate()),
             });
         }
         {
             let mut p = pair_stream(&w81);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "word81_compare",
                 ns_per_op: ns_per_call(budget, move || {
                     let (a, b) = p();
@@ -349,7 +341,7 @@ pub mod perf {
         }
         {
             let mut p = pair_stream(&w81);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "word81_compress3",
                 ns_per_op: ns_per_call(budget, move || {
                     let (a, b) = p();
@@ -359,14 +351,14 @@ pub mod perf {
         }
         {
             let mut p = pair_stream(&w81);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "word81_to_i128",
                 ns_per_op: ns_per_call(budget, move || p().0.try_to_i128()),
             });
         }
         {
             let mut v = 1i128;
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "word81_from_i128_wrapping",
                 ns_per_op: ns_per_call(budget, move || {
                     v = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -376,7 +368,7 @@ pub mod perf {
         }
         {
             let mut p = pair_stream(&reals);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "real_add",
                 ns_per_op: ns_per_call(budget, move || {
                     let (a, b) = p();
@@ -386,7 +378,7 @@ pub mod perf {
         }
         {
             let mut p = pair_stream(&reals);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "real_mul",
                 ns_per_op: ns_per_call(budget, move || {
                     let (a, b) = p();
@@ -396,7 +388,7 @@ pub mod perf {
         }
         {
             let mut p = pair_stream(&reals);
-            ops.push(WidePerf {
+            ops.push(WordOp {
                 name: "real_tapered_roundtrip",
                 ns_per_op: ns_per_call(budget, move || {
                     TernaryReal::from_tapered(p().0.to_tapered())
@@ -477,7 +469,7 @@ pub mod perf {
     }
 
     /// Scheduler throughput of one in-process service load run — the
-    /// `service` section of `BENCH_ternary.json`.
+    /// `service/*` rows of `BENCH_ternary.json`.
     #[derive(Debug, Clone)]
     pub struct ServicePerf {
         /// Concurrent sessions submitted (all completed exactly).
@@ -532,7 +524,7 @@ pub mod perf {
         }
     }
 
-    /// SIMD-vs-scalar ternary-NN measurement — the `nn` section of
+    /// SIMD-vs-scalar ternary-NN measurement — the `nn/*` rows of
     /// `BENCH_ternary.json`.
     #[derive(Debug, Clone)]
     pub struct NnPerf {
@@ -602,159 +594,171 @@ pub mod perf {
         table.iter().find(|(n, _)| *n == workload).map(|(_, v)| *v)
     }
 
-    /// Renders the measurements as the `BENCH_ternary.json` document
-    /// (schema `art9-bench-ternary/v1`, described in
-    /// `docs/PERFORMANCE.md`; the `energy` section in `docs/ENERGY.md`;
-    /// the `service` section in `docs/SERVICE.md`).
+    /// Turns the measurements into the rows of `BENCH_ternary.json` and
+    /// renders the document with [`crate::gate::render`] (schema in
+    /// `docs/PERFORMANCE.md`). Values keep six significant digits.
+    ///
+    /// Gated rows: every paper workload's three backend rates, its
+    /// `energy_nj` and Dhrystone's `dmips_per_watt`, the NN SIMD
+    /// speedup and `nn-mlp` functional rate (all at 25%), the
+    /// scheduler's per-worker rate and the wide-word timings (at 50%:
+    /// a threaded scheduler and per-operation timings are noisier on
+    /// shared runners than a whole-simulator loop). Everything else is
+    /// reported only.
     pub fn bench_json(
         word_ops: &[WordOp],
         sims: &[SimThroughput],
         energy: &[crate::energy::EnergyRow],
-        service: Option<&ServicePerf>,
-        nn: Option<&NnPerf>,
-        wide: &[WidePerf],
+        service: &ServicePerf,
+        nn: &NnPerf,
+        wide: &[WordOp],
     ) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"art9-bench-ternary/v1\",\n");
-        out.push_str("  \"generated_by\": \"cargo run --release -p art9-bench --bin report\",\n");
-        out.push_str(
-            "  \"baseline\": \"PR 1 seed (commit f51d935), same host and methodology\",\n",
-        );
-        out.push_str("  \"word_ops\": [\n");
-        for (i, op) in word_ops.iter().enumerate() {
-            let comma = if i + 1 < word_ops.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"ns_per_op\": {:.2}}}{comma}",
-                op.name, op.ns_per_op
-            );
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"simulators\": [\n");
-        for (i, s) in sims.iter().enumerate() {
-            let comma = if i + 1 < sims.len() { "," } else { "" };
-            let func_seed = seed_rate(&SEED_FUNCTIONAL_IPS, s.workload);
-            let pipe_seed = seed_rate(&SEED_PIPELINED_CPS, s.workload);
-            let _ = write!(
-                out,
-                "    {{\"workload\": \"{}\", \"instructions\": {}, \"cycles\": {}, \
-                 \"functional_ips\": {:.4e}, \"threaded_ips\": {:.4e}, \
-                 \"threaded_speedup_vs_functional\": {:.2}, \"pipelined_cps\": {:.4e}",
-                s.workload,
-                s.instructions,
-                s.cycles,
-                s.functional_ips,
-                s.threaded_ips,
-                s.threaded_ips / s.functional_ips,
-                s.pipelined_cps
-            );
-            if let Some(seed) = func_seed {
-                let _ = write!(
-                    out,
-                    ", \"seed_functional_ips\": {seed:.4e}, \"functional_speedup\": {:.2}",
-                    s.functional_ips / seed
-                );
-            }
-            if let Some(seed) = pipe_seed {
-                let _ = write!(
-                    out,
-                    ", \"seed_pipelined_cps\": {seed:.4e}, \"pipelined_speedup\": {:.2}",
-                    s.pipelined_cps / seed
-                );
-            }
-            let _ = writeln!(out, "}}{comma}");
-        }
-        out.push_str("  ]");
-        if !energy.is_empty() {
-            out.push_str(",\n  \"energy\": [\n");
-            render_energy_rows(&mut out, energy);
-            out.push_str("  ]");
-        }
-        if let Some(s) = service {
-            out.push_str(",\n  \"service\": [\n");
-            let _ = writeln!(
-                out,
-                "    {{\"sessions\": {}, \"workers\": {}, \
-                 \"sessions_per_second\": {:.4e}, \"per_worker_ips\": {:.4e}, \
-                 \"p99_slice_us\": {:.3}, \"migrations\": {}, \"steals\": {}}}",
-                s.sessions,
-                s.workers,
-                s.sessions_per_second,
-                s.per_worker_ips,
-                s.p99_slice_us,
-                s.migrations,
-                s.steals
-            );
-            out.push_str("  ]");
-        }
-        if let Some(n) = nn {
-            out.push_str(",\n  \"nn\": [\n");
-            let _ = writeln!(
-                out,
-                "    {{\"workload\": \"{}\", \"rows\": {}, \"cols\": {}, \
-                 \"scalar_ns_per_matvec\": {:.2}, \"simd_ns_per_matvec\": {:.2}, \
-                 \"simd_speedup\": {:.2}, \"instructions\": {}, \"cycles\": {}, \
-                 \"functional_ips\": {:.4e}, \"threaded_ips\": {:.4e}, \
-                 \"pipelined_cps\": {:.4e}}}",
-                n.sim.workload,
-                n.rows,
-                n.cols,
-                n.scalar_ns_per_matvec,
-                n.simd_ns_per_matvec,
-                n.simd_speedup,
-                n.sim.instructions,
-                n.sim.cycles,
-                n.sim.functional_ips,
-                n.sim.threaded_ips,
-                n.sim.pipelined_cps
-            );
-            out.push_str("  ]");
-        }
-        if !wide.is_empty() {
-            out.push_str(",\n  \"wide\": [\n");
-            for (i, op) in wide.iter().enumerate() {
-                let comma = if i + 1 < wide.len() { "," } else { "" };
-                let _ = writeln!(
-                    out,
-                    "    {{\"name\": \"{}\", \"ns_per_op\": {:.2}}}{comma}",
-                    op.name, op.ns_per_op
-                );
-            }
-            out.push_str("  ]");
-        }
-        out.push_str("\n}\n");
-        out
-    }
+        use crate::gate::Better::{self, Higher, Lower};
+        use crate::gate::{render, Row};
 
-    /// Writes the `energy` array rows of [`bench_json`].
-    fn render_energy_rows(out: &mut String, energy: &[crate::energy::EnergyRow]) {
-        use std::fmt::Write as _;
-        for (i, r) in energy.iter().enumerate() {
-            let comma = if i + 1 < energy.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "    {{\"workload\": \"{}\", \"cycles\": {}, \"instructions\": {}, \
-                 \"energy_nj\": {:.6e}, \"epi_pj\": {:.6e}",
-                r.workload, r.cycles, r.instructions, r.energy_nj, r.epi_pj
-            );
-            for (class, epi) in art9_hw::activity::ALL_CLASSES.iter().zip(r.class_epi_pj) {
-                let _ = write!(out, ", \"epi_{}_pj\": {epi:.6e}", class.name());
+        const GATED: Option<f64> = Some(0.25);
+        const GATED_NOISY: Option<f64> = Some(0.5);
+        let mut rows = Vec::new();
+        // Appends `<subject>/<metric>` rows: (metric, value, unit,
+        // better, tolerance).
+        let mut push = |layer: &'static str,
+                        subject: &str,
+                        metrics: &[(&str, f64, &str, Better, Option<f64>)]| {
+            for &(metric, value, unit, better, tolerance) in metrics {
+                rows.push(Row {
+                    layer,
+                    name: format!("{subject}/{metric}"),
+                    value: format!("{value:.5e}").parse().expect("round-trips"),
+                    unit: unit.into(),
+                    better,
+                    tolerance,
+                });
             }
-            let _ = write!(
-                out,
-                ", \"dynamic_uw\": {:.6e}, \"total_uw\": {:.6e}",
-                r.dynamic_uw, r.total_uw
+        };
+
+        let word9 = word_ops.iter().map(|op| ("word9", op, None));
+        let wide = wide.iter().map(|op| ("wide", op, GATED_NOISY));
+        for (family, op, tolerance) in word9.chain(wide) {
+            let metric = [("ns_per_op", op.ns_per_op, "ns", Lower, tolerance)];
+            push("kernel", &format!("{family}/{}", op.name), &metric);
+        }
+        let (scalar, simd) = (nn.scalar_ns_per_matvec, nn.simd_ns_per_matvec);
+        push(
+            "kernel",
+            "nn",
+            &[
+                ("rows", nn.rows as f64, "count", Higher, None),
+                ("cols", nn.cols as f64, "count", Higher, None),
+                ("scalar_ns_per_matvec", scalar, "ns", Lower, None),
+                ("simd_ns_per_matvec", simd, "ns", Lower, None),
+                ("simd_speedup", nn.simd_speedup, "x", Higher, GATED),
+            ],
+        );
+
+        for s in sims {
+            let w = s.workload;
+            let ratio = s.threaded_ips / s.functional_ips;
+            push(
+                "execution",
+                w,
+                &[
+                    ("instructions", s.instructions as f64, "count", Lower, None),
+                    ("cycles", s.cycles as f64, "count", Lower, None),
+                    ("functional_ips", s.functional_ips, "instr/s", Higher, GATED),
+                    ("threaded_ips", s.threaded_ips, "instr/s", Higher, GATED),
+                    ("threaded_speedup_vs_functional", ratio, "x", Higher, None),
+                    ("pipelined_cps", s.pipelined_cps, "cycles/s", Higher, GATED),
+                ],
             );
-            if let (Some(dmips), Some(dpw)) = (r.dmips, r.dmips_per_watt) {
-                let _ = write!(
-                    out,
-                    ", \"dmips\": {dmips:.4e}, \"dmips_per_watt\": {dpw:.4e}"
+            if let Some(seed) = seed_rate(&SEED_FUNCTIONAL_IPS, w) {
+                let speedup = s.functional_ips / seed;
+                push(
+                    "execution",
+                    w,
+                    &[
+                        ("seed_functional_ips", seed, "instr/s", Higher, None),
+                        ("functional_speedup", speedup, "x", Higher, None),
+                    ],
                 );
             }
-            let _ = writeln!(out, "}}{comma}");
+            if let Some(seed) = seed_rate(&SEED_PIPELINED_CPS, w) {
+                let speedup = s.pipelined_cps / seed;
+                push(
+                    "execution",
+                    w,
+                    &[
+                        ("seed_pipelined_cps", seed, "cycles/s", Higher, None),
+                        ("pipelined_speedup", speedup, "x", Higher, None),
+                    ],
+                );
+            }
         }
+        let n = &nn.sim;
+        push(
+            "execution",
+            "nn",
+            &[
+                ("instructions", n.instructions as f64, "count", Lower, None),
+                ("cycles", n.cycles as f64, "count", Lower, None),
+                ("functional_ips", n.functional_ips, "instr/s", Higher, GATED),
+                ("threaded_ips", n.threaded_ips, "instr/s", Higher, None),
+                ("pipelined_cps", n.pipelined_cps, "cycles/s", Higher, None),
+            ],
+        );
+
+        for e in energy {
+            let w = e.workload;
+            push(
+                "energy",
+                w,
+                &[
+                    ("cycles", e.cycles as f64, "count", Lower, None),
+                    ("instructions", e.instructions as f64, "count", Lower, None),
+                    ("energy_nj", e.energy_nj, "nJ", Lower, GATED),
+                    ("epi_pj", e.epi_pj, "pJ", Lower, None),
+                ],
+            );
+            for (class, epi) in art9_hw::activity::ALL_CLASSES.iter().zip(e.class_epi_pj) {
+                let metric = format!("epi_{}_pj", class.name());
+                push("energy", w, &[(&metric, epi, "pJ", Lower, None)]);
+            }
+            push(
+                "energy",
+                w,
+                &[
+                    ("dynamic_uw", e.dynamic_uw, "uW", Lower, None),
+                    ("total_uw", e.total_uw, "uW", Lower, None),
+                ],
+            );
+            if let (Some(dmips), Some(dpw)) = (e.dmips, e.dmips_per_watt) {
+                push(
+                    "energy",
+                    w,
+                    &[
+                        ("dmips", dmips, "DMIPS", Higher, None),
+                        ("dmips_per_watt", dpw, "DMIPS/W", Higher, GATED),
+                    ],
+                );
+            }
+        }
+
+        let sv = service;
+        let (rate, ipw) = (sv.sessions_per_second, sv.per_worker_ips);
+        push(
+            "service",
+            "service",
+            &[
+                ("sessions", sv.sessions as f64, "count", Higher, None),
+                ("workers", sv.workers as f64, "count", Higher, None),
+                ("sessions_per_second", rate, "1/s", Higher, None),
+                ("per_worker_ips", ipw, "instr/s", Higher, GATED_NOISY),
+                ("p99_slice_us", sv.p99_slice_us, "us", Lower, None),
+                ("migrations", sv.migrations as f64, "count", Lower, None),
+                ("steals", sv.steals as f64, "count", Lower, None),
+            ],
+        );
+
+        render(&rows)
     }
 
     #[cfg(test)]
@@ -837,50 +841,41 @@ pub mod perf {
                 },
             };
             let wide = vec![
-                WidePerf {
+                WordOp {
                     name: "word81_add",
                     ns_per_op: 6.5,
                 },
-                WidePerf {
+                WordOp {
                     name: "real_mul",
                     ns_per_op: 42.75,
                 },
             ];
-            let json = bench_json(&ops, &sims, &energy, Some(&service), Some(&nn), &wide);
-            assert!(json.contains("\"schema\": \"art9-bench-ternary/v1\""));
-            assert!(json.contains("\"functional_speedup\""));
-            assert!(json.contains("\"threaded_ips\""));
-            assert!(json.contains("\"threaded_speedup_vs_functional\": 3.33"));
-            assert!(json.contains("\"energy\""));
-            assert!(json.contains("\"energy_nj\""));
-            assert!(json.contains("\"epi_alu_pj\""));
-            assert!(json.contains("\"epi_control_pj\""));
-            assert!(json.contains("\"dmips_per_watt\": 7.5000e6"));
-            assert!(json.contains("\"service\""));
-            assert!(json.contains("\"per_worker_ips\": 4.2000e6"));
-            assert!(json.contains("\"p99_slice_us\": 210.250"));
-            assert!(json.contains("\"nn\""));
-            assert!(json.contains("\"workload\": \"nn-mlp\""));
-            assert!(json.contains("\"simd_speedup\": 8.00"));
-            assert!(json.contains("\"wide\""));
-            assert!(json.contains("\"name\": \"word81_add\", \"ns_per_op\": 6.50"));
-            assert!(json.contains("\"name\": \"real_mul\", \"ns_per_op\": 42.75"));
+            let json = bench_json(&ops, &sims, &energy, &service, &nn, &wide);
+            assert!(json.contains("\"schema\": \"art9-bench-ternary/v2\""));
             assert_eq!(
                 json.matches('{').count(),
                 json.matches('}').count(),
                 "unbalanced braces:\n{json}"
             );
             assert_eq!(json.matches('[').count(), json.matches(']').count());
-
-            // Without energy rows, a service run, an NN measurement or
-            // wide rows the sections are omitted entirely (the shape
-            // older baselines have).
-            let bare = bench_json(&ops, &sims, &[], None, None, &[]);
-            assert!(!bare.contains("\"energy\""));
-            assert!(!bare.contains("\"service\""));
-            assert!(!bare.contains("\"nn\""));
-            assert!(!bare.contains("\"wide\""));
-            assert_eq!(bare.matches('{').count(), bare.matches('}').count());
+            let rows = crate::gate::parse(&json).expect("the emitted document parses");
+            let value = |name: &str| {
+                rows.iter()
+                    .find(|r| r.name == name)
+                    .unwrap_or_else(|| panic!("no row {name}"))
+                    .value
+            };
+            assert_eq!(value("word9/add/ns_per_op"), 3.25);
+            assert_eq!(value("dhrystone/threaded_speedup_vs_functional"), 3.33333);
+            assert_eq!(value("dhrystone/epi_control_pj"), 0.018);
+            assert_eq!(value("dhrystone/dmips_per_watt"), 7.5e6);
+            assert_eq!(value("service/p99_slice_us"), 210.25);
+            assert_eq!(value("nn/simd_speedup"), 8.0);
+            assert_eq!(value("wide/real_mul/ns_per_op"), 42.75);
+            // One workload: three rates and the energy pair, plus the
+            // two NN rows, the scheduler rate and the two wide rows.
+            let gated = rows.iter().filter(|r| r.tolerance.is_some()).count();
+            assert_eq!(gated, 3 + 2 + 2 + 1 + 2);
         }
 
         #[test]

@@ -149,6 +149,16 @@ fn protocol_errors_are_diagnosed_not_fatal() {
         .unwrap();
     assert!(reply.contains("batch-only"), "{reply}");
 
+    // A size the workload's constructor rejects (gemm accepts 2..=7) is
+    // an ERR reply, not a panic in the connection thread.
+    let reply = client.command("SUBMIT workload=gemm n=8").unwrap();
+    assert!(reply.starts_with("ERR"), "{reply}");
+    assert!(reply.contains("gemm"), "{reply}");
+    assert_eq!(
+        client.command("HELLO").unwrap(),
+        format!("OK {}", art9_service::PROTOCOL)
+    );
+
     // Bad inline assembly: parse error names the line.
     let lines = ["SUBMIT program=inline lines=1", "NOT AN OPCODE"].join("\n");
     let reply = client.command(&lines).unwrap();

@@ -10,10 +10,16 @@
 //! an ordinary scan loop and is verified against the same expected
 //! values at halt.
 
+use std::ops::RangeInclusive;
+
 use ternary::simd::Word9xN;
 use ternary::{Trit, Word9};
 
 use crate::{lcg_values, split_seed, Generator, Workload};
+
+/// Table lengths [`assoc_match`] accepts: table, keys and output must
+/// fit the 256-word TDM.
+pub(crate) const SIZES: RangeInclusive<usize> = 1..=128;
 
 /// Number of search keys every instance of the workload probes.
 pub const ASSOC_KEYS: usize = 4;
@@ -61,7 +67,7 @@ pub fn assoc_match(n: usize) -> Workload {
 /// As [`assoc_match`].
 pub fn assoc_match_seeded(n: usize, seed: u64) -> Workload {
     assert!(
-        (1..=128).contains(&n),
+        SIZES.contains(&n),
         "assoc-match table must fit the default TDM"
     );
     let hay = lcg_values(split_seed(seed, 0), n, -20, 20);

@@ -64,8 +64,7 @@ pub enum Machine {
 
 /// One simulator configuration a batch executes every workload under:
 /// a [`Machine`] plus, for ART-9, the [`Backend`] and its forwarding
-/// setting — plain fields instead of the retired `SimConfig` enum's
-/// `art9_backend() -> Option<(Backend, bool)>` tuple accessor.
+/// setting, as plain named fields.
 ///
 /// `backend` and `forwarding` are carried (and participate in
 /// equality) for every machine but only drive execution on
@@ -82,12 +81,6 @@ pub struct ExecConfig {
     /// [`Backend::Pipelined`]; the paper's design point is `true`).
     pub forwarding: bool,
 }
-
-/// Deprecated name of [`ExecConfig`], kept as an alias for one PR so
-/// downstream code has a deprecation window. The enum variants are
-/// gone; use the [`ExecConfig`] constructors.
-#[deprecated(note = "renamed to ExecConfig; use its constructors instead of enum variants")]
-pub type SimConfig = ExecConfig;
 
 impl ExecConfig {
     /// The full comparison matrix of the paper: every ART-9 simulator

@@ -4,7 +4,13 @@
 //! the classic early-exit-free nested loop (worst-case-shaped input:
 //! reverse-sorted with duplicates sprinkled in by the LCG).
 
+use std::ops::RangeInclusive;
+
 use crate::{lcg_values, Generator, Workload};
+
+/// Array lengths [`bubble_sort`] accepts: the array must fit the ternary
+/// TDM alongside the runtime scratch area.
+pub(crate) const SIZES: RangeInclusive<usize> = 2..=48;
 
 /// Builds the bubble-sort workload over `n` elements with the paper
 /// suite's canonical input seed.
@@ -25,8 +31,8 @@ pub fn bubble_sort(n: usize) -> Workload {
 /// As [`bubble_sort`].
 pub fn bubble_sort_seeded(n: usize, seed: u64) -> Workload {
     assert!(
-        (2..=48).contains(&n),
-        "bubble_sort supports 2..=48 elements"
+        SIZES.contains(&n),
+        "bubble_sort supports {SIZES:?} elements"
     );
     // Reverse-sorted backbone with LCG noise: adversarial but
     // deterministic.

@@ -20,7 +20,12 @@
 //! 6. `Proc_2`: conditional integer update against a char global;
 //! 7. the `Int_2_Loc * Int_1_Loc` / division tail of the original.
 
+use std::ops::RangeInclusive;
+
 use crate::{lcg_values, Generator, Workload};
+
+/// Iteration counts [`dhrystone`] accepts (cycle budget).
+pub(crate) const ITERATIONS: RangeInclusive<usize> = 1..=5000;
 
 /// Dhrystone's DMIPS divisor: VAX 11/780 Dhrystones per second.
 pub const DHRYSTONE_DIVISOR: f64 = 1757.0;
@@ -45,7 +50,10 @@ pub fn dhrystone(iterations: usize) -> Workload {
 ///
 /// As [`dhrystone`].
 pub fn dhrystone_seeded(iterations: usize, seed: u64) -> Workload {
-    assert!((1..=5000).contains(&iterations));
+    assert!(
+        ITERATIONS.contains(&iterations),
+        "dhrystone supports {ITERATIONS:?} iterations"
+    );
 
     // Strings: equal for six words, then diverge (Func_2 comparison
     // runs seven words deep every iteration).

@@ -3,7 +3,15 @@
 //! compiling framework. Both follow the same contract (word-addressed
 //! data, values within ±9841).
 
+use std::ops::RangeInclusive;
+
 use crate::{lcg_values, split_seed, Generator, Workload};
+
+/// Lengths [`fibonacci`] accepts: `fib(20) = 6765` still fits 9 trits.
+pub(crate) const FIBONACCI_SIZES: RangeInclusive<usize> = 2..=20;
+
+/// Lengths [`dot_product`] accepts: the accumulator must stay in range.
+pub(crate) const DOT_PRODUCT_SIZES: RangeInclusive<usize> = 1..=40;
 
 /// Iterative Fibonacci: `fib(0..n)` written to the output buffer.
 /// Pure register arithmetic plus stores — a control-flow-heavy,
@@ -13,7 +21,10 @@ use crate::{lcg_values, split_seed, Generator, Workload};
 ///
 /// Panics if `n < 2` or `n > 20` (`fib(20) = 6765` still fits 9 trits).
 pub fn fibonacci(n: usize) -> Workload {
-    assert!((2..=20).contains(&n), "fib(n) must fit the 9-trit range");
+    assert!(
+        FIBONACCI_SIZES.contains(&n),
+        "fib(n) must fit the 9-trit range"
+    );
     let mut expected = vec![0i64, 1];
     while expected.len() < n {
         let k = expected.len();
@@ -76,7 +87,10 @@ pub fn dot_product_seeded(n: usize, seed: u64) -> Workload {
 }
 
 fn dot_product_streams(n: usize, seed_x: u64, seed_y: u64) -> Workload {
-    assert!((1..=40).contains(&n));
+    assert!(
+        DOT_PRODUCT_SIZES.contains(&n),
+        "dot_product supports {DOT_PRODUCT_SIZES:?} elements"
+    );
     let xs = lcg_values(seed_x, n, -7, 7);
     let ys = lcg_values(seed_y, n, -7, 7);
     let dot: i64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();

@@ -9,7 +9,13 @@
 //! element per `k`, the B pointer by one row per `k` and rewinds by
 //! `4n² − 4` per `j`.
 
+use std::ops::RangeInclusive;
+
 use crate::{lcg_values, split_seed, Generator, Workload};
+
+/// Matrix dimensions [`gemm`] accepts: three `n²` matrices must fit the
+/// TDM and products must stay inside the 9-trit range.
+pub(crate) const SIZES: RangeInclusive<usize> = 2..=7;
 
 /// Builds the `n×n` GEMM workload with the paper suite's canonical
 /// input streams.
@@ -34,8 +40,8 @@ pub fn gemm_seeded(n: usize, seed: u64) -> Workload {
 
 fn gemm_streams(n: usize, seed_a: u64, seed_b: u64) -> Workload {
     assert!(
-        (2..=7).contains(&n),
-        "gemm supports 2..=7 (TDM/range limits)"
+        SIZES.contains(&n),
+        "gemm supports {SIZES:?} (TDM/range limits)"
     );
     let a = lcg_values(seed_a, n * n, 0, 6);
     let b = lcg_values(seed_b, n * n, 0, 6);

@@ -42,6 +42,7 @@ pub use error::WorkloadError;
 
 use std::error::Error;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use art9_sim::CoreState;
 use rv32::{Machine, Rv32Error, Rv32Program};
@@ -258,33 +259,41 @@ pub const WORKLOAD_NAMES: [&str; 8] = [
     "assoc-match",
 ];
 
+/// A sized workload constructor.
+type Constructor = fn(usize) -> Workload;
+
+/// The size-parameterized registry entries: wire name, the paper's
+/// default size, the sizes the constructor accepts (the same `const`
+/// its assert reads) and the constructor.
+const SIZED: [(&str, usize, RangeInclusive<usize>, Constructor); 7] = [
+    ("bubble-sort", 20, bubble::SIZES, bubble_sort),
+    ("gemm", 6, gemm::SIZES, gemm),
+    (
+        "dhrystone",
+        PAPER_DHRYSTONE_ITERATIONS,
+        dhrystone::ITERATIONS,
+        dhrystone,
+    ),
+    ("fibonacci", 12, extras::FIBONACCI_SIZES, fibonacci),
+    ("dot-product", 16, extras::DOT_PRODUCT_SIZES, dot_product),
+    ("nn-mlp", 8, nn::MLP_SIZES, nn_mlp),
+    ("assoc-match", 32, assoc::SIZES, assoc_match),
+];
+
 /// Builds a workload from its wire name — how the `art9-service` job
 /// schema references this library. `n` overrides the size parameter
 /// (array length, matrix dimension, iteration count, …) and is bounded
-/// per workload so a remote job cannot request an image that overflows
-/// the default TDM or the 9-trit word range; `None` picks the paper's
-/// defaults. Returns `None` for unknown names or out-of-range sizes.
+/// by exactly the range the workload's constructor accepts, so a
+/// remote job cannot request an image that overflows the default TDM
+/// or the 9-trit word range; `None` picks the paper's defaults.
+/// Returns `None` for unknown names or out-of-range sizes.
 pub fn by_name(name: &str, n: Option<usize>) -> Option<Workload> {
-    // (default, max) per workload: bubble-sort and dot-product are
-    // bounded by the 256-word TDM, gemm by its three n×n matrices,
-    // fibonacci by fib(n) staying within the ±9841 word range.
-    let sized = |default: usize, max: usize, build: fn(usize) -> Workload| {
-        let n = n.unwrap_or(default);
-        (1..=max).contains(&n).then(|| build(n))
-    };
-    match name {
-        "bubble-sort" => sized(20, 64, bubble_sort),
-        "gemm" => sized(6, 8, gemm),
-        "sobel" => Some(sobel()),
-        "dhrystone" => sized(PAPER_DHRYSTONE_ITERATIONS, 10_000, dhrystone),
-        "fibonacci" => sized(12, 20, fibonacci),
-        "dot-product" => sized(16, 100, dot_product),
-        // nn-mlp: three n-vectors + two n×n ternary matrices in the
-        // 256-word TDM; assoc-match: table + keys + per-key outputs.
-        "nn-mlp" => sized(8, 10, nn_mlp),
-        "assoc-match" => sized(32, 128, assoc_match),
-        _ => None,
+    if name == "sobel" {
+        return Some(sobel());
     }
+    let (_, default, sizes, build) = SIZED.iter().find(|entry| entry.0 == name)?;
+    let n = n.unwrap_or(*default);
+    sizes.contains(&n).then(|| build(n))
 }
 
 /// Derives an independent sub-seed for `lane` under `seed` (a
@@ -344,12 +353,15 @@ mod tests {
             assert_eq!(w.name, name);
         }
         assert!(by_name("quux", None).is_none());
-        // Size overrides apply and are bounded.
-        assert!(by_name("bubble-sort", Some(8)).is_some());
-        assert!(by_name("bubble-sort", Some(0)).is_none());
-        assert!(by_name("bubble-sort", Some(1000)).is_none());
-        // fib(21) would overflow the 9-trit word range.
-        assert!(by_name("fibonacci", Some(21)).is_none());
+        // Every admitted size builds (the constructors would panic on
+        // any other), and one past either end is refused.
+        for (name, _, sizes, _) in &SIZED {
+            for n in sizes.clone() {
+                assert_eq!(by_name(name, Some(n)).expect("admitted").name, *name);
+            }
+            assert!(by_name(name, Some(sizes.start() - 1)).is_none(), "{name}");
+            assert!(by_name(name, Some(sizes.end() + 1)).is_none(), "{name}");
+        }
     }
 
     #[test]

@@ -19,12 +19,18 @@
 //! tests here; the RV32/ART-9 assembly kernel produced by
 //! [`nn_mlp`] is verified against the same expected values at halt on
 //! every simulator backend. `art9-bench` measures the SIMD-vs-scalar
-//! speedup into the `nn` section of BENCH_ternary.json.
+//! speedup into the `nn/*` rows of BENCH_ternary.json.
+
+use std::ops::RangeInclusive;
 
 use ternary::simd::{self, LaneWeights, PackedWeights, Word9xN};
 use ternary::{Trit, Word9};
 
 use crate::{lcg_values, split_seed, Generator, Workload};
+
+/// Layer widths [`nn_mlp`] accepts: three `n`-vectors plus two `n×n`
+/// matrices must fit the 256-word TDM.
+pub(crate) const MLP_SIZES: RangeInclusive<usize> = 1..=10;
 
 /// A row-major ternary weight matrix with its per-column lane masks
 /// precomputed, so the SIMD matvec pays the mask construction once.
@@ -219,7 +225,7 @@ pub fn nn_mlp(n: usize) -> Workload {
 /// As [`nn_mlp`].
 pub fn nn_mlp_seeded(n: usize, seed: u64) -> Workload {
     assert!(
-        (1..=10).contains(&n),
+        MLP_SIZES.contains(&n),
         "nn-mlp data must fit the default TDM"
     );
     let mlp = TernaryMlp::seeded(n, seed);
