@@ -384,6 +384,8 @@ impl Checkpoint {
     /// capture nothing beyond the software-visible machine and the
     /// retirement counters. Pipelined checkpoints restore only into the
     /// pipelined backend, and the pipelined backend accepts only them.
+    /// An architectural checkpoint's PC must address an instruction or
+    /// be the text length (the fell-off-end state).
     pub(crate) fn guard(&self, backend: Backend, text_len: usize) -> Result<(), SimError> {
         let compatible = self.backend == backend
             || (matches!(self.micro, Micro::Architectural) && backend != Backend::Pipelined);
@@ -400,6 +402,14 @@ impl Checkpoint {
                 detail: format!(
                     "checkpoint was taken over a {}-instruction program, this core runs {}",
                     self.text_len, text_len
+                ),
+            });
+        }
+        if matches!(self.micro, Micro::Architectural) && self.state.pc > text_len {
+            return Err(SimError::Checkpoint {
+                detail: format!(
+                    "checkpoint pc {} lies past the end of the {text_len}-instruction program",
+                    self.state.pc
                 ),
             });
         }
@@ -558,6 +568,50 @@ mod tests {
             short.restore(&cp),
             Err(SimError::Checkpoint { .. })
         ));
+    }
+
+    /// The checkpoint text of `core` with its `pc` line set to `pc`.
+    fn with_pc(core: &dyn crate::Core, pc: usize) -> String {
+        core.snapshot()
+            .to_text()
+            .lines()
+            .map(|l| {
+                if l.starts_with("pc ") {
+                    format!("pc {pc}\n")
+                } else {
+                    format!("{l}\n")
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn restore_rejects_a_pc_past_the_end_of_text() {
+        let p = program();
+        let len = p.text().len();
+        for backend in [Backend::Functional, Backend::Threaded, Backend::Reference] {
+            let builder = SimBuilder::new(&p).backend(backend);
+            let mut core = builder.build();
+            core.run_for(Budget::Steps(2)).unwrap();
+
+            let wild = Checkpoint::from_text(&with_pc(&*core, len + 1)).unwrap();
+            assert_eq!(wild.state.pc, len + 1);
+            let mut fresh = builder.build();
+            assert!(
+                matches!(fresh.restore(&wild), Err(SimError::Checkpoint { .. })),
+                "{backend}"
+            );
+
+            // `pc == text_len` is the fell-off-end state: it restores,
+            // and the next step halts cleanly.
+            let end = Checkpoint::from_text(&with_pc(&*core, len)).unwrap();
+            fresh.restore(&end).unwrap();
+            assert_eq!(
+                fresh.step().unwrap(),
+                Some(HaltReason::FellOffEnd),
+                "{backend}"
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! [`FunctionalSim`], the cycle-accurate [`PipelinedSim`], the
 //! per-trit [`ReferenceSim`](crate::ReferenceSim) and the
 //! direct-threaded [`ThreadedSim`](crate::ThreadedSim) — implements
-//! [`Core`], and every consumer (the batch driver, the debugger, the
-//! differential fuzzing oracles, the benches) drives them through it.
+//! [`Core`], and every consumer (the batch driver, the differential
+//! fuzzing oracles, the benches) drives them through it.
 //!
 //! ```
 //! use art9_isa::assemble;

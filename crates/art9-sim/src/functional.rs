@@ -182,15 +182,20 @@ impl CoreState {
 /// assert!(result.instructions > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// [`ThreadedSim`](crate::ThreadedSim) embeds one of these as its
+/// architectural core: the compiled paths update `state`, the retired
+/// count, the halt reason and `mix` in place, and every observed step
+/// runs through [`FunctionalSim::step`].
 #[derive(Debug, Clone)]
 pub struct FunctionalSim {
     text: Arc<[Instruction]>,
     links: Arc<[Word9]>,
-    state: CoreState,
-    instructions: u64,
-    halted: Option<HaltReason>,
-    mix: [u64; Instruction::OPCODE_COUNT],
-    observers: ObserverSet,
+    pub(crate) state: CoreState,
+    pub(crate) instructions: u64,
+    pub(crate) halted: Option<HaltReason>,
+    pub(crate) mix: [u64; Instruction::OPCODE_COUNT],
+    pub(crate) observers: ObserverSet,
 }
 
 impl FunctionalSim {

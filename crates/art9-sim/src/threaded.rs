@@ -35,24 +35,28 @@
 //! `Budget::Steps`/`Budget::Retired` therefore cut at the same
 //! instruction boundaries as the architectural interpreters.
 //!
-//! The backend implements the full [`Core`] contract: observers (the
-//! precise interpreter path runs whenever observers are attached, so
-//! event order is identical to the functional backend), exact
-//! `instruction_mix` accounting across fused ops, and bit-identical
-//! [`Checkpoint`] snapshot/restore at any architectural boundary —
-//! checkpoints cross-restore between the architectural backends.
+//! The backend is a compiled accelerator over the functional core: a
+//! `ThreadedSim` embeds one [`FunctionalSim`](crate::FunctionalSim),
+//! which owns the architectural state, the retired count, the halt
+//! reason, the observers and the only observed interpreter. The
+//! compiled paths update that state in place; with observers attached,
+//! every step *is* `FunctionalSim::step`, so event order is identical
+//! to the functional backend by construction. `instruction_mix` stays
+//! exact across fused ops, and [`Checkpoint`] snapshot/restore is
+//! bit-identical at any architectural boundary — checkpoints
+//! cross-restore between the architectural backends.
 
 use std::sync::Arc;
 
 use art9_isa::{Instruction, TReg};
 use ternary::{TernaryError, Trit, Word9};
 
-use crate::checkpoint::{Checkpoint, Micro};
+use crate::checkpoint::Checkpoint;
 use crate::core::{Backend, Budget, Core, RunSummary};
 use crate::error::SimError;
-use crate::exec::{control_target, shift, talu};
-use crate::functional::{operand_values, CoreState, HaltReason, RunResult};
-use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Writeback};
+use crate::exec::shift;
+use crate::functional::{CoreState, FunctionalSim, HaltReason, RunResult};
+use crate::observer::ObserverSet;
 use crate::predecode::PredecodedProgram;
 
 /// How control leaves a compiled op. Deliberately register-sized: this
@@ -206,8 +210,6 @@ struct Block {
 /// by every [`ThreadedSim`] built from it.
 #[derive(Debug)]
 pub(crate) struct ThreadedCode {
-    text: Arc<[Instruction]>,
-    links: Arc<[Word9]>,
     /// One unfused op per pc — the precise path and the budget tail.
     ops: Vec<Op>,
     blocks: Vec<Block>,
@@ -1246,8 +1248,6 @@ impl ThreadedCode {
         }
 
         ThreadedCode {
-            text,
-            links,
             ops,
             blocks,
             block_idx,
@@ -1288,17 +1288,15 @@ impl ThreadedCode {
 #[derive(Debug)]
 pub struct ThreadedSim {
     code: Arc<ThreadedCode>,
-    state: CoreState,
+    /// The architectural core: state, retired count, halt reason, the
+    /// directly-credited mix (the precise step path and partial blocks)
+    /// and the observers. Observed steps run through `arch.step()`.
+    arch: FunctionalSim,
     icache: Vec<InlineCache>,
-    instructions: u64,
-    halted: Option<HaltReason>,
-    mix: [u64; Instruction::OPCODE_COUNT],
     /// Completed executions per superblock. The hot loop bumps one
     /// counter per block run; the per-opcode mix is materialized
-    /// lazily by `full_mix` (the precise step path and partial blocks
-    /// still credit `mix` directly).
+    /// lazily by `full_mix`.
     block_execs: Vec<u64>,
-    observers: ObserverSet,
 }
 
 impl ThreadedSim {
@@ -1314,13 +1312,9 @@ impl ThreadedSim {
         let block_execs = vec![0; code.blocks.len()];
         Self {
             code,
-            state: CoreState::with_image(image.data(), tdm_words),
+            arch: FunctionalSim::build(image, tdm_words, observers),
             icache,
-            instructions: 0,
-            halted: None,
-            mix: [0; Instruction::OPCODE_COUNT],
             block_execs,
-            observers,
         }
     }
 
@@ -1328,7 +1322,7 @@ impl ThreadedSim {
     /// precise step path and partial blocks) plus each block's sparse
     /// static mix scaled by how many times it ran to completion.
     fn full_mix(&self) -> [u64; Instruction::OPCODE_COUNT] {
-        let mut mix = self.mix;
+        let mut mix = self.arch.mix;
         for (block, &execs) in self.code.blocks.iter().zip(&self.block_execs) {
             if execs == 0 {
                 continue;
@@ -1349,22 +1343,22 @@ impl ThreadedSim {
 
     /// The architectural state (inspectable mid-run).
     pub fn state(&self) -> &CoreState {
-        &self.state
+        self.arch.state()
     }
 
     /// Mutable state access, e.g. to preload registers before a run.
     pub fn state_mut(&mut self) -> &mut CoreState {
-        &mut self.state
+        self.arch.state_mut()
     }
 
     /// Instructions executed so far.
     pub fn instructions(&self) -> u64 {
-        self.instructions
+        self.arch.instructions()
     }
 
     /// Whether (and why) the machine has halted.
     pub fn halted(&self) -> Option<HaltReason> {
-        self.halted
+        self.arch.halted()
     }
 
     /// The superblock spans the compiler formed, as `(start_pc, len)`
@@ -1403,7 +1397,7 @@ impl ThreadedSim {
         let summary = Core::run_for(self, Budget::Steps(max_steps))?;
         match summary.halt {
             Some(halt) => Ok(RunResult {
-                instructions: self.instructions,
+                instructions: self.arch.instructions,
                 halt,
             }),
             None => Err(SimError::Timeout { limit: max_steps }),
@@ -1414,9 +1408,9 @@ impl ThreadedSim {
         match fault {
             Fault::Mem { pc, cause, .. } => SimError::MemoryFault { pc, cause },
             Fault::Wild { target, .. } => SimError::PcOutOfRange {
-                at: self.instructions,
+                at: self.arch.instructions,
                 pc: target,
-                tim_size: self.code.text.len(),
+                tim_size: self.code.ops.len(),
             },
         }
     }
@@ -1425,22 +1419,22 @@ impl ThreadedSim {
     /// ops: the budget tail, mid-block entry (after restore or a wild
     /// landing), and [`Core::step`] when no observers are attached.
     fn step_ops(&mut self) -> Result<Option<HaltReason>, SimError> {
-        if let Some(reason) = self.halted {
+        if let Some(reason) = self.arch.halted {
             return Ok(Some(reason));
         }
         let code = Arc::clone(&self.code);
-        let len = code.text.len();
-        let pc = self.state.pc;
+        let len = code.ops.len();
+        let pc = self.arch.state.pc;
         if pc == len {
-            self.halted = Some(HaltReason::FellOffEnd);
+            self.arch.halted = Some(HaltReason::FellOffEnd);
             return Ok(Some(HaltReason::FellOffEnd));
         }
         let op = &code.ops[pc];
-        self.instructions += 1;
-        self.mix[op.opcode as usize] += 1;
+        self.arch.instructions += 1;
+        self.arch.mix[op.opcode as usize] += 1;
         let (step, fault) = {
             let mut m = Machine {
-                state: &mut self.state,
+                state: &mut self.arch.state,
                 icache: &mut self.icache,
                 text_len: len,
                 fault: None,
@@ -1451,31 +1445,27 @@ impl ThreadedSim {
         match step {
             Step::Next => {
                 let next = pc + 1;
-                self.state.pc = next;
+                self.arch.state.pc = next;
                 if next == len {
-                    self.halted = Some(HaltReason::FellOffEnd);
+                    self.arch.halted = Some(HaltReason::FellOffEnd);
                     Ok(Some(HaltReason::FellOffEnd))
                 } else {
                     Ok(None)
                 }
             }
             Step::Jump(next) => {
-                self.state.pc = next as usize;
+                self.arch.state.pc = next as usize;
                 Ok(None)
             }
             Step::Halt(reason, final_pc) => {
-                self.state.pc = final_pc as usize;
-                self.halted = Some(reason);
+                self.arch.state.pc = final_pc as usize;
+                self.arch.halted = Some(reason);
                 Ok(Some(reason))
             }
             Step::Fault => Err(self.convert_fault(fault.expect("fault parked"))),
         }
     }
 
-    /// Runs one whole superblock through its fused sequence — no
-    /// per-instruction budget/halt checks, counters settled once at the
-    /// end. The caller guarantees `state.pc` is this block's head and
-    /// the remaining budget covers `block.len`.
     /// The block-dispatch hot loop: executes whole superblocks for as
     /// long as the remaining budget covers the next one. The PC, the
     /// budget countdown and the step count live in locals (and the
@@ -1492,14 +1482,14 @@ impl ThreadedSim {
         remaining: &mut u64,
     ) -> Result<Option<HaltReason>, SimError> {
         let code = Arc::clone(&self.code);
-        let text_len = code.text.len();
+        let text_len = code.ops.len();
         let mut retired = 0u64;
         let mut halt = None;
         let mut failed: Option<(u32, usize)> = None;
         let mut fault = None;
         {
             let mut m = Machine {
-                state: &mut self.state,
+                state: &mut self.arch.state,
                 icache: &mut self.icache,
                 text_len,
                 fault: None,
@@ -1544,7 +1534,7 @@ impl ThreadedSim {
                     *steps += executed as u64;
                     *remaining -= executed as u64;
                     for op in &ops[..executed] {
-                        self.mix[op.opcode as usize] += 1;
+                        self.arch.mix[op.opcode as usize] += 1;
                     }
                     if fault.is_some() {
                         break 'blocks;
@@ -1625,7 +1615,7 @@ impl ThreadedSim {
             }
             m.state.pc = pc;
         }
-        self.instructions += retired;
+        self.arch.instructions += retired;
         if let Some(fault) = fault {
             // A fused-block fault needs its partial block settled
             // precisely: every fused op before the fault in full, plus
@@ -1636,10 +1626,10 @@ impl ThreadedSim {
             if let Some((bi, i)) = failed {
                 let block = &code.blocks[bi as usize];
                 for done in &block.fused[..i] {
-                    self.instructions += done.n as u64;
-                    self.mix[done.opcode as usize] += 1;
+                    self.arch.instructions += done.n as u64;
+                    self.arch.mix[done.opcode as usize] += 1;
                     if done.n == 2 {
-                        self.mix[done.opcode2 as usize] += 1;
+                        self.arch.mix[done.opcode2 as usize] += 1;
                     }
                 }
                 let at = &block.fused[i];
@@ -1647,136 +1637,20 @@ impl ThreadedSim {
                     Fault::Mem { retired, .. } => *retired,
                     Fault::Wild { .. } => at.n,
                 };
-                self.instructions += partial as u64;
-                self.mix[at.opcode as usize] += 1;
+                self.arch.instructions += partial as u64;
+                self.arch.mix[at.opcode as usize] += 1;
                 if partial == 2 {
-                    self.mix[at.opcode2 as usize] += 1;
+                    self.arch.mix[at.opcode2 as usize] += 1;
                 }
             }
-            self.state.pc = match &fault {
+            self.arch.state.pc = match &fault {
                 Fault::Mem { pc, .. } => *pc,
                 Fault::Wild { at_pc, .. } => *at_pc as usize,
             };
             return Err(self.convert_fault(fault));
         }
         if let Some(reason) = halt {
-            self.halted = Some(reason);
-        }
-        Ok(halt)
-    }
-
-    /// The observer-visible interpreter: a mirror of
-    /// `FunctionalSim::step` (same event order, same fault points) used
-    /// whenever observers are attached, so the observer contract holds
-    /// bit-for-bit across backends.
-    fn step_interp(&mut self) -> Result<Option<HaltReason>, SimError> {
-        if let Some(reason) = self.halted {
-            return Ok(Some(reason));
-        }
-        let text = Arc::clone(&self.code.text);
-        let links = Arc::clone(&self.code.links);
-        let pc = self.state.pc;
-        if pc == text.len() {
-            self.halted = Some(HaltReason::FellOffEnd);
-            self.observers
-                .halt(HaltReason::FellOffEnd, self.instructions);
-            return Ok(Some(HaltReason::FellOffEnd));
-        }
-        let instr = text[pc];
-        self.instructions += 1;
-        self.mix[instr.opcode()] += 1;
-
-        let (a_val, b_val) = operand_values(&instr, &self.state);
-        let result = talu(&instr, a_val, b_val, links[pc]);
-        let old_reg = instr.writes().map(|dest| self.state.reg(dest));
-        let mut mem_write = None;
-
-        use Instruction::*;
-        match instr {
-            Load { a, .. } => {
-                let v = self
-                    .state
-                    .tdm
-                    .read_word_addr(result)
-                    .map_err(|cause| SimError::MemoryFault { pc, cause })?;
-                self.state.set_reg(a, v);
-                let address = self.state.tdm.resolve(result).expect("read succeeded");
-                self.observers.memory(&MemoryAccess {
-                    pc,
-                    address,
-                    value: v,
-                    is_write: false,
-                });
-            }
-            Store { .. } => {
-                let old_cell = self.state.tdm.read_word_addr(result).ok();
-                self.state
-                    .tdm
-                    .write_word_addr(result, a_val)
-                    .map_err(|cause| SimError::MemoryFault { pc, cause })?;
-                let address = self.state.tdm.resolve(result).expect("write succeeded");
-                self.observers.memory(&MemoryAccess {
-                    pc,
-                    address,
-                    value: a_val,
-                    is_write: true,
-                });
-                mem_write = Some(MemWrite {
-                    address,
-                    old: old_cell.expect("write succeeded"),
-                    new: a_val,
-                });
-            }
-            _ => {
-                if let Some(dest) = instr.writes() {
-                    self.state.set_reg(dest, result);
-                }
-            }
-        }
-
-        let lst = b_val.lst();
-        let (next, taken) = match control_target(&instr, pc, lst, b_val) {
-            Some(target) => {
-                if target < 0 || target as usize > text.len() {
-                    return Err(SimError::PcOutOfRange {
-                        at: self.instructions,
-                        pc: target,
-                        tim_size: text.len(),
-                    });
-                }
-                (target as usize, true)
-            }
-            None => (pc + 1, false),
-        };
-
-        if instr.is_control_flow() {
-            self.observers.control(pc, &instr, taken, next);
-        }
-        self.observers.writeback(&Writeback {
-            pc,
-            instr,
-            reg: instr.writes().map(|dest| RegWrite {
-                reg: dest,
-                old: old_reg.expect("captured above"),
-                new: self.state.reg(dest),
-            }),
-            mem: mem_write,
-            bus: result,
-        });
-        self.observers.retire(pc, &instr, &self.state);
-
-        let halt = if next == pc {
-            Some(HaltReason::JumpToSelf)
-        } else if next == text.len() {
-            self.state.pc = next;
-            Some(HaltReason::FellOffEnd)
-        } else {
-            self.state.pc = next;
-            None
-        };
-        if let Some(reason) = halt {
-            self.halted = Some(reason);
-            self.observers.halt(reason, self.instructions);
+            self.arch.halted = Some(reason);
         }
         Ok(halt)
     }
@@ -1788,69 +1662,63 @@ impl Core for ThreadedSim {
     }
 
     fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
-        if self.observers.is_empty() {
+        if self.arch.observers.is_empty() {
             self.step_ops()
         } else {
-            self.step_interp()
+            self.arch.step()
         }
     }
 
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
+        if !self.arch.observers.is_empty() {
+            return self.arch.run_for(budget);
+        }
         let mut steps = 0u64;
         // Steps and retired instructions advance in lockstep (every
         // architectural instruction is one step), so either budget
         // collapses to a single countdown computed once up front.
         let mut remaining = match budget {
             Budget::Steps(n) => n,
-            Budget::Retired(n) => n.saturating_sub(self.instructions),
+            Budget::Retired(n) => n.saturating_sub(self.arch.instructions),
         };
         loop {
-            if let Some(halt) = self.halted {
+            if let Some(halt) = self.arch.halted {
                 return Ok(RunSummary {
                     steps,
-                    retired: self.instructions,
+                    retired: self.arch.instructions,
                     halt: Some(halt),
                 });
             }
             if remaining == 0 {
                 return Ok(RunSummary {
                     steps,
-                    retired: self.instructions,
+                    retired: self.arch.instructions,
                     halt: None,
                 });
             }
-            let halt = if self.observers.is_empty() {
-                // Whole superblocks — and unfused block tails after a
-                // dynamic mid-block landing — while the budget covers
-                // them (the only budget checks are at those
-                // boundaries)…
-                let halt = self.run_fast(&mut steps, &mut remaining)?;
-                if halt.is_some() {
-                    return Ok(RunSummary {
-                        steps,
-                        retired: self.instructions,
-                        halt,
-                    });
-                }
-                if remaining == 0 {
-                    continue;
-                }
-                // …then one precise step: the budget is smaller than
-                // the next dispatch unit (the budget tail).
-                let halt = self.step_ops()?;
-                steps += 1;
-                remaining -= 1;
-                halt
-            } else {
-                let halt = self.step_interp()?;
-                steps += 1;
-                remaining -= 1;
-                halt
-            };
+            // Whole superblocks — and unfused block tails after a
+            // dynamic mid-block landing — while the budget covers them
+            // (the only budget checks are at those boundaries)…
+            let halt = self.run_fast(&mut steps, &mut remaining)?;
             if halt.is_some() {
                 return Ok(RunSummary {
                     steps,
-                    retired: self.instructions,
+                    retired: self.arch.instructions,
+                    halt,
+                });
+            }
+            if remaining == 0 {
+                continue;
+            }
+            // …then one precise step: the budget is smaller than the
+            // next dispatch unit (the budget tail).
+            let halt = self.step_ops()?;
+            steps += 1;
+            remaining -= 1;
+            if halt.is_some() {
+                return Ok(RunSummary {
+                    steps,
+                    retired: self.arch.instructions,
                     halt,
                 });
             }
@@ -1858,19 +1726,19 @@ impl Core for ThreadedSim {
     }
 
     fn state(&self) -> &CoreState {
-        &self.state
+        self.arch.state()
     }
 
     fn state_mut(&mut self) -> &mut CoreState {
-        &mut self.state
+        self.arch.state_mut()
     }
 
     fn halted(&self) -> Option<HaltReason> {
-        self.halted
+        self.arch.halted()
     }
 
     fn retired(&self) -> u64 {
-        self.instructions
+        self.arch.instructions()
     }
 
     fn instruction_mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
@@ -1880,21 +1748,14 @@ impl Core for ThreadedSim {
     fn snapshot(&self) -> Checkpoint {
         Checkpoint {
             backend: Backend::Threaded,
-            text_len: self.code.text.len(),
-            state: self.state.clone(),
-            retired: self.instructions,
-            halted: self.halted,
             mix: self.full_mix(),
-            micro: Micro::Architectural,
+            ..self.arch.snapshot()
         }
     }
 
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SimError> {
-        checkpoint.guard(Backend::Threaded, self.code.text.len())?;
-        self.state = checkpoint.state.clone();
-        self.instructions = checkpoint.retired;
-        self.halted = checkpoint.halted;
-        self.mix = checkpoint.mix;
+        checkpoint.guard(Backend::Threaded, self.code.ops.len())?;
+        self.arch.restore(checkpoint)?;
         // The restored mix is fully materialized, so the deferred
         // block counters start over from zero.
         self.block_execs.fill(0);

@@ -924,6 +924,20 @@ fn roundtrip_oracle(program: &Program, stats: &mut OracleStats) -> Option<Diverg
     None
 }
 
+/// The adversarial Word9 corners the arithmetic and SIMD oracles share:
+/// saturated words (longest carry chains), zero, ±1, and the ±3^k and
+/// ±(3^k−1)/2 sign boundaries. Draws nothing from the RNG.
+fn word9_corners() -> Vec<Word9> {
+    let mut corners = vec![Word9::ZERO, Word9::MAX, Word9::MIN];
+    for k in 0..9 {
+        let p = ternary::pow3(k);
+        for v in [p, -p, (p - 1) / 2, -(p - 1) / 2] {
+            corners.push(Word9::from_i64(v).expect("3^k fits"));
+        }
+    }
+    corners
+}
+
 /// Cross-checks the packed bitplane kernels against the per-trit
 /// reference algorithms on `pairs` random word pairs (plus a fixed set
 /// of adversarial carry-chain/sign-boundary values every time).
@@ -935,17 +949,7 @@ pub fn check_arith(rng: &mut FuzzRng, pairs: usize, stats: &mut OracleStats) -> 
         })
     };
 
-    // Adversarial corners: saturated words (longest carry chains),
-    // zero, ±1, and the ±3^k sign boundaries.
-    let mut specials = vec![Word9::ZERO, Word9::MAX, Word9::MIN];
-    for k in 0..9 {
-        let p = ternary::pow3(k);
-        for v in [p, -p, (p - 1) / 2, -(p - 1) / 2] {
-            specials.push(Word9::from_i64(v).expect("3^k fits"));
-        }
-    }
-
-    let mut words = specials;
+    let mut words = word9_corners();
     for _ in 0..pairs {
         words.push(random_word(rng));
     }
@@ -1049,15 +1053,7 @@ pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
             .join(",")
     };
 
-    // The same corner pool as the arithmetic oracle: saturated words,
-    // zero, and the ±3^k sign boundaries.
-    let mut specials = vec![Word9::ZERO, Word9::MAX, Word9::MIN];
-    for k in 0..9 {
-        let p = ternary::pow3(k);
-        for v in [p, -p, (p - 1) / 2, -(p - 1) / 2] {
-            specials.push(Word9::from_i64(v).expect("3^k fits"));
-        }
-    }
+    let specials = word9_corners();
     // Lane counts hugging the 6-lanes-per-u64 word boundary.
     const BOUNDARY_LANES: [usize; 6] = [1, 5, 6, 7, 12, 13];
 
