@@ -1,4 +1,5 @@
-//! Regenerates every table and figure of the paper in one run.
+//! Regenerates every table, figure and ablation of the paper in one
+//! run, and writes the host-performance ledger `BENCH_ternary.json`.
 //!
 //! The batch driver executes the paper suite under the full simulator
 //! matrix exactly once; Tables II and III are derived from its records
@@ -10,11 +11,13 @@
 
 use std::time::Duration;
 
-use art9_bench::{dmips_per_mhz, energy, perf, translate};
+use art9_bench::{dmips_per_mhz, energy, perf};
+use art9_compiler::{translate_with_options, TranslateOptions};
 use art9_core::{report, HardwareFramework, SoftwareFramework};
 use art9_hw::analyzer::analyze;
 use art9_hw::datapath::Datapath;
-use art9_hw::tech::cntfet32;
+use art9_hw::fpga::{map_to_fpga, MemoryConfig};
+use art9_hw::tech::{cntfet32, generic_cmos_ternary};
 use ternary::{Trit, ALL_TRITS};
 use workloads::batch::{BatchRunner, ExecConfig};
 use workloads::{dhrystone, paper_suite};
@@ -121,11 +124,15 @@ fn main() {
             dmips_per_mhz(cycles, iterations)
         );
     }
-    let t = translate(&dhrystone(iterations));
+    // Memory cells are the dhrystone row of Fig. 5: instructions plus
+    // initial data, as the paper's Table II counts them.
+    let mem = fig5_rows
+        .iter()
+        .find(|r| r.name == "dhrystone")
+        .expect("paper suite has dhrystone");
     println!(
-        "ART-9 memory: {} instruction trits ({} instructions)",
-        t.report.art9_instruction_cells(),
-        t.report.art9_instructions()
+        "memory cells: ART-9 {} trits vs RV32I {} bits vs ARMv6-M {} bits",
+        mem.art9_cells, mem.rv32_bits, mem.thumb_bits
     );
 
     // ---- Tables IV & V --------------------------------------------------
@@ -166,6 +173,84 @@ fn main() {
         println!("  {name:<20} {gates}");
     }
     println!("  {:<20} {}", "TOTAL", hw.datapath().datapath_gates());
+
+    // ---- Ablations ------------------------------------------------------
+    // The design choices the paper argues for, each switched off or
+    // swept. Forwarding reuses the batch's bubble-sort cells.
+    println!("\n=== Ablations ===");
+    let (fwd, nofwd) = (
+        cell("bubble-sort", PIPELINED),
+        cell("bubble-sort", ExecConfig::art9_pipelined(false)),
+    );
+    let (c1, c2) = (fwd.cycles.expect("timed"), nofwd.cycles.expect("timed"));
+    println!(
+        "forwarding (bubble-sort): {c1} cycles with vs {c2} without ({:+.0}% cycles, CPI {:.2} -> {:.2})",
+        100.0 * (c2 as f64 / c1 as f64 - 1.0),
+        fwd.cpi().expect("instructions retired"),
+        nofwd.cpi().expect("instructions retired")
+    );
+
+    let rv = dhrystone(1).rv32_program().expect("parses");
+    let on = translate_with_options(&rv, TranslateOptions::default()).expect("translates");
+    let off = translate_with_options(
+        &rv,
+        TranslateOptions {
+            redundancy: false,
+            ..Default::default()
+        },
+    )
+    .expect("translates");
+    let (n_on, n_off) = (on.program.text().len(), off.program.text().len());
+    println!(
+        "redundancy checking (dhrystone): {n_on} instrs with vs {n_off} without ({} removed, {:.1}% smaller)",
+        on.report.redundant_removed,
+        100.0 * (1.0 - n_on as f64 / n_off as f64)
+    );
+
+    let slow = analyze(&Datapath::art9(), &generic_cmos_ternary());
+    println!(
+        "technology: CNTFET {:.0} MHz / {:.1} µW  vs  generic CMOS ternary {:.0} MHz / {:.1} µW",
+        analysis.fmax_mhz(),
+        analysis.total_power_uw(),
+        slow.fmax_mhz(),
+        slow.total_power_uw()
+    );
+
+    // The design point Table II rejects.
+    let m = analyze(&Datapath::art9_with_multiplier(), &lib);
+    println!(
+        "hardware multiplier: {} -> {} gates ({:+.0}%), {:.1} -> {:.1} µW, fmax {:.0} -> {:.0} MHz",
+        analysis.gates,
+        m.gates,
+        100.0 * (m.gates as f64 / analysis.gates as f64 - 1.0),
+        analysis.total_power_uw(),
+        m.total_power_uw(),
+        analysis.fmax_mhz(),
+        m.fmax_mhz()
+    );
+
+    let widths: Vec<String> = [3usize, 6, 9, 12, 15]
+        .iter()
+        .map(|&w| format!("{w}t={}", Datapath::art_with_width(w).datapath_gates()))
+        .collect();
+    println!("width sweep (gates @ width): {}", widths.join("  "));
+
+    // Table V's RAM column scales with the TIM/TDM size.
+    let sizes: Vec<String> = [128usize, 256, 512]
+        .iter()
+        .map(|&words| {
+            let config = MemoryConfig {
+                words,
+                trits_per_word: 9,
+            };
+            let r = map_to_fpga(&Datapath::art9(), config, 150.0);
+            format!("{words}w={}b/{:.2}W", r.ram_bits, r.power_w)
+        })
+        .collect();
+    println!(
+        "memory sweep (RAM bits / power @ words): {}",
+        sizes.join("  ")
+    );
 
     // ---- The batch's own aggregate view -------------------------------
     println!("\n=== Batch simulation: paper suite x full simulator matrix ===");

@@ -1,18 +1,14 @@
-//! Shared helpers for the table/figure regeneration benches.
+//! Shared helpers behind the `report` and `gate` binaries.
 //!
-//! Each bench target regenerates one table or figure of the paper
-//! (printed before measurement starts) and then measures the runtime
-//! of the underlying machinery with Criterion. `cargo bench` therefore
-//! both reproduces the evaluation and tracks the simulator's own
-//! performance.
+//! `report` is the one reproduction path: it prints every table,
+//! figure and ablation of the paper and writes the host-performance
+//! ledger `BENCH_ternary.json`, whose timings all come from [`perf`].
+//! `gate` compares two ledgers ([`gate`]).
 
 pub mod energy;
 pub mod gate;
 
 use art9_compiler::Translation;
-use art9_sim::{PipelineStats, SimBuilder};
-use rv32::{CycleReport, PicoRv32Model, VexRiscvModel};
-use workloads::batch::DEFAULT_MAX_STEPS;
 use workloads::Workload;
 
 /// Translates a workload to ART-9 (panicking on failure — workloads
@@ -20,33 +16,6 @@ use workloads::Workload;
 pub fn translate(w: &Workload) -> Translation {
     let rv = w.rv32_program().expect("workload parses");
     art9_compiler::translate(&rv).expect("workload translates")
-}
-
-/// Runs a translated workload on the pipelined ART-9, verifying the
-/// output.
-pub fn run_art9(w: &Workload, t: &Translation) -> PipelineStats {
-    let mut core = SimBuilder::new(&t.program).build_pipelined();
-    let stats = core.run(DEFAULT_MAX_STEPS).expect("ART-9 run completes");
-    w.verify_art9(core.state()).expect("ART-9 output verifies");
-    stats
-}
-
-/// Runs a workload under the PicoRV32 cycle model, verifying the
-/// output on the functional machine.
-pub fn run_picorv32(w: &Workload) -> CycleReport {
-    let rv = w.rv32_program().expect("workload parses");
-    let mut machine = rv32::Machine::new(&rv);
-    machine.run(DEFAULT_MAX_STEPS).expect("rv32 run completes");
-    w.verify_rv32(&machine).expect("rv32 output verifies");
-    rv32::simulate_cycles(&rv, &mut PicoRv32Model::new(), DEFAULT_MAX_STEPS)
-        .expect("cycle model completes")
-}
-
-/// Runs a workload under the VexRiscv cycle model.
-pub fn run_vexriscv(w: &Workload) -> CycleReport {
-    let rv = w.rv32_program().expect("workload parses");
-    rv32::simulate_cycles(&rv, &mut VexRiscvModel::new(), DEFAULT_MAX_STEPS)
-        .expect("cycle model completes")
 }
 
 /// DMIPS/MHz from total cycles over `iterations` Dhrystone iterations.
@@ -95,8 +64,9 @@ pub mod perf {
     /// multi-plane wide-word or tapered-real one.
     #[derive(Debug, Clone)]
     pub struct WordOp {
-        /// Operation name (`Word9` ops match the `ternary_arith` bench
-        /// entries; wide ops are `<type>_<op>`, e.g. `word81_add`).
+        /// Operation name: the `Word9` method (`add_tritwise_ref` is
+        /// the per-trit reference adder); wide ops are `<type>_<op>`,
+        /// e.g. `word81_add`.
         pub name: &'static str,
         /// Mean nanoseconds per operation.
         pub ns_per_op: f64,
@@ -901,16 +871,6 @@ pub mod perf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::bubble_sort;
-
-    #[test]
-    fn helpers_run_and_verify() {
-        let w = bubble_sort(8);
-        let t = translate(&w);
-        let stats = run_art9(&w, &t);
-        let pico = run_picorv32(&w);
-        assert!(stats.cycles > 0 && pico.cycles > 0);
-    }
 
     #[test]
     fn dmips_arithmetic() {

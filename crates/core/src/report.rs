@@ -1,8 +1,6 @@
 //! Human-readable evaluation reports in the shape of the paper's
 //! tables.
 
-use std::fmt;
-
 use crate::hardware::Evaluation;
 use crate::software::MemoryComparison;
 
@@ -46,41 +44,21 @@ pub fn fig5(rows: &[MemoryComparison]) -> String {
     let mut s = String::new();
     s.push_str("Fig. 5 — memory cells for storing benchmark programs\n");
     s.push_str(&format!(
-        "{:<14} {:>14} {:>14} {:>14} {:>10}\n",
-        "benchmark", "ART-9 (trits)", "RV-32I (bits)", "ARMv6-M (bits)", "vs RV32"
+        "{:<14} {:>14} {:>14} {:>14} {:>10} {:>10}\n",
+        "benchmark", "ART-9 (trits)", "RV-32I (bits)", "ARMv6-M (bits)", "vs RV32", "vs ARM"
     ));
     for r in rows {
         s.push_str(&format!(
-            "{:<14} {:>14} {:>14} {:>14} {:>9.0}%\n",
+            "{:<14} {:>14} {:>14} {:>14} {:>9.0}% {:>9.0}%\n",
             r.name,
             r.art9_cells,
             r.rv32_bits,
             r.thumb_bits,
-            100.0 * r.saving_vs_rv32()
+            100.0 * r.saving_vs_rv32(),
+            100.0 * r.saving_vs_thumb()
         ));
     }
     s
-}
-
-/// A minimal wrapper so reports can be `Display`ed together.
-#[derive(Debug, Clone)]
-pub struct FullReport {
-    /// Hardware evaluation (Tables IV and V).
-    pub evaluation: Evaluation,
-    /// Memory comparison rows (Fig. 5).
-    pub memory_rows: Vec<MemoryComparison>,
-}
-
-impl fmt::Display for FullReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}\n{}\n{}",
-            fig5(&self.memory_rows),
-            table4(&self.evaluation),
-            table5(&self.evaluation)
-        )
-    }
 }
 
 #[cfg(test)]
@@ -104,5 +82,6 @@ mod tests {
         }]);
         assert!(f5.contains("dhrystone"));
         assert!(f5.contains("54%"));
+        assert!(f5.contains("51%"));
     }
 }
