@@ -202,7 +202,8 @@ pub struct TranslateOptions {
     /// TDM size in words (data placement + stack convention).
     pub tdm_words: usize,
     /// Run the redundancy-checking pass (Fig. 2's last stage). Turning
-    /// it off quantifies the pass — the ablation benches use this.
+    /// it off quantifies the pass — the `report` binary's Ablations
+    /// section uses this.
     pub redundancy: bool,
 }
 

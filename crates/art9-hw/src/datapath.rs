@@ -50,8 +50,9 @@ impl Datapath {
 
     /// The ART-9 extended with a hardware array multiplier — the design
     /// point the paper deliberately rejected (Table II: "Multiplier ✗").
-    /// Used by the ablation bench to quantify what software
-    /// multiplication saves in gates, power and cycle time.
+    /// Used by the `report` binary's Ablations section to quantify
+    /// what software multiplication saves in gates, power and cycle
+    /// time.
     pub fn art9_with_multiplier() -> Self {
         let mut dp = Self::art9();
         dp.blocks.push(array_multiplier(WIDTH));

@@ -113,7 +113,8 @@ pub fn cntfet32() -> TechLibrary {
 }
 
 /// A deliberately slow/leaky "generic ternary CMOS" library, used by
-/// the ablation benches to show the analyzer separating technologies.
+/// the `report` binary's Ablations section to show the analyzer
+/// separating technologies.
 pub fn generic_cmos_ternary() -> TechLibrary {
     let base = cntfet32();
     let mut cells = BTreeMap::new();

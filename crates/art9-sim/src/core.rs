@@ -8,7 +8,7 @@
 //! per-trit [`ReferenceSim`](crate::ReferenceSim) and the
 //! direct-threaded [`ThreadedSim`](crate::ThreadedSim) — implements
 //! [`Core`], and every consumer (the batch driver, the differential
-//! fuzzing oracles, the benches) drives them through it.
+//! fuzzing oracles, the `report` binary) drives them through it.
 //!
 //! ```
 //! use art9_isa::assemble;
@@ -285,7 +285,7 @@ pub(crate) fn run_loop<C: Core + ?Sized>(
 ///
 /// `build` borrows the builder, so one configured builder can stamp out
 /// any number of cores over the same shared (`Arc`'d) program image —
-/// the pattern the batch driver and the benches use.
+/// the pattern the batch driver and the `report` binary use.
 #[derive(Debug, Clone)]
 pub struct SimBuilder {
     image: PredecodedProgram,

@@ -3,13 +3,13 @@
 //! [`ThreadedSim`] compiles a [`PredecodedProgram`] **once** into
 //! direct-threaded host code and then executes that, instead of
 //! re-interpreting `Instruction` values every step the way
-//! [`FunctionalSim`](crate::FunctionalSim) does. The compiled form is an
-//! array of [`Op`] records, one per instruction (plus fused variants),
-//! each carrying a host function pointer and fully pre-extracted
-//! operands — register indices, pre-resized immediates, precomputed
-//! link words and static branch targets — so the hot loop is an
-//! indirect call per op with no decode, no `match`, and no immediate
-//! conversion work.
+//! [`FunctionalSim`](crate::FunctionalSim) does. Every instruction has
+//! exactly one *kernel*: an always-inlined body that reads its operands
+//! — register indices, pre-resized immediates, precomputed link words,
+//! integer offsets — from a pre-extracted operand record, its *slot*.
+//! The compiled form is an array of ops, each a host function pointer
+//! plus one slot, so the hot loop is an indirect call per op with no
+//! decode, no `match`, and no immediate conversion work.
 //!
 //! Three further techniques stack on top (see `docs/PERFORMANCE.md`):
 //!
@@ -19,9 +19,11 @@
 //!   targets and successors. Inside a block there is no per-instruction
 //!   budget check, halt check or PC update — those happen only at block
 //!   boundaries, which is exactly where control can transfer.
-//! * **Fused op sequences** for common adjacent pairs (logic + compare,
-//!   add + store, the `ADDI`/`MV`/`COMP` loop idiom): one host call
-//!   retires two architectural instructions.
+//! * **Fused pairs** for the adjacent shapes of one pair table (logic +
+//!   compare, address compute + LOAD/STORE, the `ADDI`/`MV`/`COMP` loop
+//!   idiom, …): one host call retires two architectural instructions.
+//!   A pair op carries both components' slots and its body is composed
+//!   from their two kernels, so it cannot drift from unfused execution.
 //! * **Inline-cached TDM bases**: each static LOAD/STORE site caches
 //!   the last base-register word next to its resolved integer value, so
 //!   the common in-loop case skips the balanced-ternary address
@@ -65,7 +67,8 @@ use crate::predecode::PredecodedProgram;
 /// parks it there and returns the bare [`Step::Fault`] tag).
 #[derive(Clone, Copy)]
 enum Step {
-    /// Fall through to the next instruction (non-control ops).
+    /// Fall through to the next instruction (non-control ops, and a
+    /// branch not taken).
     Next,
     /// Transfer to an in-range instruction address.
     Jump(u32),
@@ -108,8 +111,8 @@ struct Machine<'m> {
     fault: Option<Fault>,
 }
 
-/// One inline-cache entry for a static LOAD/STORE site: the last base
-/// word seen there, next to its resolved integer value. Keyed purely on
+/// One inline-cache entry for a static LOAD/STORE/JALR site: the last
+/// base word seen there, next to its resolved integer value. Keyed purely on
 /// the word value, so it never needs invalidation — not even across
 /// [`Core::restore`].
 #[derive(Debug, Clone, Copy)]
@@ -129,65 +132,45 @@ impl Default for InlineCache {
     }
 }
 
-/// One compiled (possibly fused) instruction with pre-extracted
-/// operands. Unused fields are zero; which fields are live is
-/// determined by `exec`.
+/// One instruction's pre-extracted operands: everything its kernel
+/// reads besides the machine. Which fields are live is determined by
+/// the kernel; the rest stay zero.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Pre-resized immediate, link word, LUI constant, or LOAD/STORE
+    /// offset word.
+    imm: Word9,
+    /// The offset of a branch, JAL, JALR, LOAD or STORE as an integer,
+    /// or the resolved count of a constant shift.
+    off: i32,
+    /// Inline-cache site of a LOAD, STORE or JALR.
+    site: u32,
+    /// Address of the instruction.
+    pc: u32,
+    /// `Ta` register index.
+    a: u8,
+    /// `Tb` register index.
+    b: u8,
+    /// Branch condition trit.
+    cond: Trit,
+    /// Dense opcode, for the instruction mix.
+    opcode: u8,
+}
+
+/// One compiled op: a single instruction (`n == 1`, slot 0) or a fused
+/// pair (`n == 2`, slots 0 and 1 in program order).
 #[derive(Debug, Clone, Copy)]
 struct Op {
     exec: ExecFn,
-    /// First component's `Ta` register index.
-    a: u8,
-    /// First component's `Tb` register index.
-    b: u8,
-    /// Second (fused) component's `Ta`, or a constant shift amount.
-    c: u8,
-    /// Second (fused) component's `Tb`.
-    d: u8,
-    /// Branch condition trit.
-    cond: Trit,
-    /// Pre-resized immediate / link word / LUI constant.
-    imm: Word9,
-    /// Second (fused) component's pre-resized immediate.
-    imm2: Word9,
-    /// Static branch/JAL target, or a LOAD/STORE offset as an integer.
-    /// In a fused pair this belongs to the first component if that one
-    /// is a memory op, otherwise to the second.
-    target: i64,
-    /// Inline-cache site for the TDM access (`u32::MAX`: none); same
-    /// first-if-memory convention as `target` in a fused pair.
-    site: u32,
-    /// The second component's LOAD/STORE offset, when both components
-    /// are memory ops.
-    off2: i32,
-    /// The second component's inline-cache site, when both components
-    /// are memory ops.
-    site2: u32,
-    /// Address of the (first) instruction.
-    pc: u32,
-    /// Architectural instructions this op retires (1 or 2).
+    s: [Slot; 2],
+    /// Architectural instructions this op retires.
     n: u8,
-    /// Dense opcode of the first component.
-    opcode: u8,
-    /// Dense opcode of the second component (`n == 2` only).
-    opcode2: u8,
-}
-
-/// Where execution continues after a superblock completes without a
-/// control transfer of its own.
-#[derive(Debug, Clone, Copy)]
-enum BlockExit {
-    /// The block ends in a control-flow op, which produces its own
-    /// [`Ctl`].
-    Terminator,
-    /// Straight-line fall-through into the next block head.
-    Seq(usize),
-    /// The block's last instruction is the last of the program: falling
-    /// through halts ([`HaltReason::FellOffEnd`]).
-    OffEnd,
 }
 
 /// One superblock: a maximal straight-line run of instructions entered
-/// only at its head.
+/// only at its head. Only its last instruction can transfer control;
+/// when none does, execution continues at `start + len` (halting when
+/// that is the end of the text).
 #[derive(Debug)]
 struct Block {
     /// Address of the block head.
@@ -198,8 +181,6 @@ struct Block {
     len: usize,
     /// The fused op sequence the hot path runs.
     fused: Vec<Op>,
-    /// How control leaves when no terminator transfer fires.
-    exit: BlockExit,
     /// Sparse per-opcode retirement counts (sums to `len`), applied in
     /// one shot when the block completes.
     mix: Vec<(u8, u32)>,
@@ -213,131 +194,172 @@ pub(crate) struct ThreadedCode {
     /// One unfused op per pc — the precise path and the budget tail.
     ops: Vec<Op>,
     blocks: Vec<Block>,
-    /// pc → block index when pc is a block head, `u32::MAX` otherwise.
-    block_idx: Vec<u32>,
-    /// pc → index of the covering block, for every pc. Lets a dynamic
-    /// mid-block landing (a JALR target that isn't a static head)
-    /// dispatch the unfused tail of its block instead of falling back
-    /// to per-step execution.
+    /// pc → index of the covering block, for every pc (a head is the
+    /// pc equal to its block's `start`). Lets a dynamic mid-block
+    /// landing (a JALR target that isn't a static head) dispatch the
+    /// unfused tail of its block instead of falling back to per-step
+    /// execution.
     block_of: Vec<u32>,
-    /// Number of inline-cache sites (static LOAD/STORE occurrences).
+    /// Number of inline-cache sites (static LOAD/STORE/JALR
+    /// occurrences).
     sites: usize,
 }
 
-// --- compiled op bodies --------------------------------------------------
+// --- kernels ---------------------------------------------------------------
 //
-// Each body mirrors `talu` + the functional step for exactly one
-// instruction (or one fused pair), with every decode-time quantity
-// pre-extracted into the `Op`. The differential fuzz oracles and the
-// cross-backend property tests hold these to the shared semantics in
-// `exec.rs`.
+// Each kernel mirrors `talu` + the functional step for exactly one
+// instruction, with every decode-time quantity pre-extracted into its
+// `Slot`. Kernels are the only instruction semantics in this backend:
+// `single` turns one into an unfused op body, and `pair` composes two
+// into a fused one. The differential fuzz oracles and the cross-backend
+// property tests hold them to the shared semantics in `exec.rs`.
 
-fn x_mv(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = m.state.trf[op.b as usize];
-    Step::Next
+/// One instruction's compiled semantics. `pos` is the instruction's
+/// position in its op — 1, or 2 for the second component of a pair —
+/// and is how many of the op's instructions a fault in it retires.
+trait Kernel {
+    fn run(m: &mut Machine<'_>, s: &Slot, pos: u8) -> Step;
 }
 
-fn x_pti(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = m.state.trf[op.b as usize].pti();
-    Step::Next
+/// The body of an unfused op.
+fn single<K: Kernel>(m: &mut Machine<'_>, op: &Op) -> Step {
+    K::run(m, &op.s[0], 1)
 }
 
-fn x_nti(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = m.state.trf[op.b as usize].nti();
-    Step::Next
+/// The body of a fused pair: the components run in program order, so
+/// intra-pair register dependencies behave exactly as in sequential
+/// execution, and the second runs only when the first falls through —
+/// a fault in the first retires just that one.
+fn pair<K1: Kernel, K2: Kernel>(m: &mut Machine<'_>, op: &Op) -> Step {
+    match K1::run(m, &op.s[0], 1) {
+        Step::Next => K2::run(m, &op.s[1], 2),
+        step => step,
+    }
 }
 
-fn x_sti(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = m.state.trf[op.b as usize].sti();
-    Step::Next
+/// Defines kernels as unit types. A register kernel `Name(t, s) = expr;`
+/// sets `Ta` to `expr` over the register file `t` and falls through;
+/// any other kernel is `Name(m, s, pos) { body }`.
+macro_rules! kernels {
+    () => {};
+    ($name:ident($t:pat_param, $s:ident) = $e:expr; $($rest:tt)*) => {
+        kernels! {
+            $name(m, $s, _) {
+                let t = &mut m.state.trf;
+                let v = {
+                    let $t = &*t;
+                    $e
+                };
+                t[$s.a as usize] = v;
+                Step::Next
+            }
+            $($rest)*
+        }
+    };
+    ($name:ident($m:ident, $s:ident, $pos:pat_param) $body:block $($rest:tt)*) => {
+        pub(super) struct $name;
+
+        impl Kernel for $name {
+            #[inline(always)]
+            fn run($m: &mut Machine<'_>, $s: &Slot, $pos: u8) -> Step $body
+        }
+
+        kernels! { $($rest)* }
+    };
 }
 
-fn x_and(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].and(t[op.b as usize]);
-    Step::Next
+/// The kernels, named after their instructions; SRI and SLI share the
+/// two constant shifts their direction resolves to at compile time.
+mod kernel {
+    use super::*;
+
+    kernels! {
+        Mv(t, s) = t[s.b as usize];
+        Pti(t, s) = t[s.b as usize].pti();
+        Nti(t, s) = t[s.b as usize].nti();
+        Sti(t, s) = t[s.b as usize].sti();
+        And(t, s) = t[s.a as usize].and(t[s.b as usize]);
+        Or(t, s) = t[s.a as usize].or(t[s.b as usize]);
+        Xor(t, s) = t[s.a as usize].xor(t[s.b as usize]);
+        Add(t, s) = t[s.a as usize].wrapping_add(t[s.b as usize]);
+        Sub(t, s) = t[s.a as usize].wrapping_sub(t[s.b as usize]);
+        Sr(t, s) = shift(t[s.a as usize], false, t[s.b as usize].field::<2>(0));
+        Sl(t, s) = shift(t[s.a as usize], true, t[s.b as usize].field::<2>(0));
+        Comp(t, s) = t[s.a as usize].compare(t[s.b as usize]);
+        Andi(t, s) = t[s.a as usize].and(s.imm);
+        Addi(t, s) = t[s.a as usize].wrapping_add(s.imm);
+        ShlConst(t, s) = t[s.a as usize].shl(s.off as usize);
+        ShrConst(t, s) = t[s.a as usize].shr(s.off as usize);
+        // LUI's whole result is a compile-time constant.
+        Lui(_, s) = s.imm;
+        Li(t, s) = t[s.a as usize].with_field::<5>(0, s.imm.field::<5>(0));
+
+        Beq(m, s, _) {
+            let taken = m.state.trf[s.b as usize].lst() == s.cond;
+            branch(m, s, taken)
+        }
+        Bne(m, s, _) {
+            let taken = m.state.trf[s.b as usize].lst() != s.cond;
+            branch(m, s, taken)
+        }
+        Jal(m, s, _) {
+            m.state.trf[s.a as usize] = s.imm; // link = pc + 1, precomputed
+            resolve_next(m, s.pc as i64 + s.off as i64, s.pc as usize)
+        }
+        Jalr(m, s, _) {
+            // Target reads Tb before the link write lands in Ta (a == b
+            // case). Each JALR site inline-caches its last base word
+            // next to the computed target (return addresses repeat
+            // heavily), skipping the balanced-ternary conversion on a
+            // hit.
+            let w = m.state.trf[s.b as usize];
+            let ic = &mut m.icache[s.site as usize];
+            let target = if ic.base == w {
+                ic.value
+            } else {
+                let t = wrap9(w.to_i64() + s.off as i64);
+                *ic = InlineCache { base: w, value: t };
+                t
+            };
+            m.state.trf[s.a as usize] = s.imm;
+            resolve_next(m, target, s.pc as usize)
+        }
+        Load(m, s, pos) {
+            let Some(i) = tdm_index(m, s, pos) else {
+                return Step::Fault;
+            };
+            match m.state.tdm.read(i) {
+                Ok(v) => {
+                    m.state.trf[s.a as usize] = v;
+                    Step::Next
+                }
+                Err(cause) => mem_fault(m, s, pos, cause),
+            }
+        }
+        Store(m, s, pos) {
+            let v = m.state.trf[s.a as usize];
+            let Some(i) = tdm_index(m, s, pos) else {
+                return Step::Fault;
+            };
+            match m.state.tdm.write(i, v) {
+                Ok(()) => Step::Next,
+                Err(cause) => mem_fault(m, s, pos, cause),
+            }
+        }
+    }
 }
 
-fn x_or(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].or(t[op.b as usize]);
-    Step::Next
-}
-
-fn x_xor(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].xor(t[op.b as usize]);
-    Step::Next
-}
-
-fn x_add(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(t[op.b as usize]);
-    Step::Next
-}
-
-fn x_sub(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_sub(t[op.b as usize]);
-    Step::Next
-}
-
-fn x_sr(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    let amt = t[op.b as usize].field::<2>(0);
-    t[op.a as usize] = shift(t[op.a as usize], false, amt);
-    Step::Next
-}
-
-fn x_sl(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    let amt = t[op.b as usize].field::<2>(0);
-    t[op.a as usize] = shift(t[op.a as usize], true, amt);
-    Step::Next
-}
-
-fn x_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].compare(t[op.b as usize]);
-    Step::Next
-}
-
-fn x_andi(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].and(op.imm);
-    Step::Next
-}
-
-fn x_addi(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(op.imm);
-    Step::Next
-}
-
-// SRI/SLI resolve their balanced shift amount at compile time, so the
-// run-time body is a bare shl/shr by a constant count.
-fn x_shl_k(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].shl(op.c as usize);
-    Step::Next
-}
-
-fn x_shr_k(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].shr(op.c as usize);
-    Step::Next
-}
-
-// LUI's whole result is a compile-time constant.
-fn x_const(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = op.imm;
-    Step::Next
-}
-
-fn x_li(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].with_field::<5>(0, op.imm.field::<5>(0));
-    Step::Next
+/// Wraps the integer sum of two 9-trit values back into the balanced
+/// word range, exactly as `Word9::wrapping_add` does.
+#[inline]
+fn wrap9(v: i64) -> i64 {
+    if v > Word9::MAX_VALUE {
+        v - Word9::MODULUS
+    } else if v < -Word9::MAX_VALUE {
+        v + Word9::MODULUS
+    } else {
+        v
+    }
 }
 
 /// Classifies a computed next-PC exactly like the functional step:
@@ -362,787 +384,214 @@ fn resolve_next(m: &mut Machine, target: i64, pc: usize) -> Step {
     }
 }
 
-fn x_beq(m: &mut Machine, op: &Op) -> Step {
-    let pc = op.pc as usize;
-    let next = if m.state.trf[op.b as usize].lst() == op.cond {
-        op.target
+/// A conditional branch: to `pc + offset` when taken, else on to
+/// `pc + 1` like any fall-through. (Kept a host branch on purpose: the
+/// dispatcher's next PC is then predicted instead of waiting on the
+/// compared register, as a branchless select of the target would.)
+#[inline(always)]
+fn branch(m: &mut Machine, s: &Slot, taken: bool) -> Step {
+    if taken {
+        resolve_next(m, s.pc as i64 + s.off as i64, s.pc as usize)
     } else {
-        pc as i64 + 1
-    };
-    resolve_next(m, next, pc)
-}
-
-fn x_bne(m: &mut Machine, op: &Op) -> Step {
-    let pc = op.pc as usize;
-    let next = if m.state.trf[op.b as usize].lst() != op.cond {
-        op.target
-    } else {
-        pc as i64 + 1
-    };
-    resolve_next(m, next, pc)
-}
-
-fn x_jal(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = op.imm; // link = pc + 1, precomputed
-    resolve_next(m, op.target, op.pc as usize)
-}
-
-fn x_jalr(m: &mut Machine, op: &Op) -> Step {
-    // Target reads Tb before the link write lands in Ta (a == b case).
-    // Each JALR site inline-caches its last base word next to the
-    // computed target (return addresses repeat heavily), skipping the
-    // balanced-ternary conversion on a hit.
-    let w = m.state.trf[op.b as usize];
-    let ic = &mut m.icache[op.site as usize];
-    let target = if ic.base == w {
-        ic.value
-    } else {
-        let t = w.wrapping_add(op.imm2).to_i64();
-        *ic = InlineCache { base: w, value: t };
-        t
-    };
-    m.state.trf[op.a as usize] = op.imm;
-    resolve_next(m, target, op.pc as usize)
+        Step::Next
+    }
 }
 
 /// Resolves a LOAD/STORE effective address through the site's inline
 /// cache: on a base-word hit the address is an integer add with one
 /// conditional balanced wrap (matching `wrapping_add` exactly); on a
 /// miss, the full ternary resolve runs and refills the cache. `None`
-/// parks the fault on the machine.
+/// parks the fault on the machine. (An `Option` rather than a
+/// `Result`: it comes back in registers on the hot path.)
 #[inline]
-fn tdm_index(
-    m: &mut Machine,
-    base_reg: u8,
-    off_word: Word9,
-    off: i64,
-    site: u32,
-    pc: usize,
-    retired: u8,
-) -> Option<usize> {
-    let base = m.state.trf[base_reg as usize];
-    let ic = &mut m.icache[site as usize];
+fn tdm_index(m: &mut Machine, s: &Slot, pos: u8) -> Option<usize> {
+    let base = m.state.trf[s.b as usize];
+    let off = s.off as i64;
+    let ic = &mut m.icache[s.site as usize];
     if ic.base == base {
-        let mut v = ic.value + off;
-        if v > Word9::MAX_VALUE {
-            v -= Word9::MODULUS;
-        } else if v < -Word9::MAX_VALUE {
-            v += Word9::MODULUS;
-        }
-        if v < 0 || v as usize >= m.state.tdm.size() {
-            m.fault = Some(Fault::Mem {
-                pc,
-                cause: TernaryError::AddressRange {
-                    address: v,
-                    size: m.state.tdm.size(),
-                },
-                retired,
-            });
+        let v = wrap9(ic.value + off);
+        let size = m.state.tdm.size();
+        if v < 0 || v as usize >= size {
+            mem_fault(m, s, pos, TernaryError::AddressRange { address: v, size });
             return None;
         }
         Some(v as usize)
     } else {
-        let addr = base.wrapping_add(off_word);
-        match m.state.tdm.resolve(addr) {
+        match m.state.tdm.resolve(base.wrapping_add(s.imm)) {
             Ok(idx) => {
                 // The base's integer value is derived from the resolved
                 // index arithmetically (undoing the offset modulo the
                 // balanced word range) instead of a second ternary
                 // conversion.
-                let mut v = idx as i64 - off;
-                if v > Word9::MAX_VALUE {
-                    v -= Word9::MODULUS;
-                } else if v < -Word9::MAX_VALUE {
-                    v += Word9::MODULUS;
-                }
-                *ic = InlineCache { base, value: v };
+                *ic = InlineCache {
+                    base,
+                    value: wrap9(idx as i64 - off),
+                };
                 Some(idx)
             }
             Err(cause) => {
-                m.fault = Some(Fault::Mem { pc, cause, retired });
+                mem_fault(m, s, pos, cause);
                 None
             }
         }
     }
 }
 
-/// The load body shared by the unfused op and the fused pairs.
-/// `false` parks the fault on the machine. (The argument list is the
-/// point: every value arrives pre-extracted in registers, no struct
-/// indirection on the hot path.)
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn do_load(
-    m: &mut Machine,
-    dst_reg: u8,
-    base_reg: u8,
-    off_word: Word9,
-    off: i64,
-    site: u32,
-    pc: usize,
-    retired: u8,
-) -> bool {
-    let Some(idx) = tdm_index(m, base_reg, off_word, off, site, pc, retired) else {
-        return false;
-    };
-    match m.state.tdm.read(idx) {
-        Ok(v) => {
-            m.state.trf[dst_reg as usize] = v;
-            true
-        }
-        Err(cause) => {
-            m.fault = Some(Fault::Mem { pc, cause, retired });
-            false
-        }
-    }
+/// Parks a TDM fault raised by the instruction in `s`.
+#[cold]
+fn mem_fault(m: &mut Machine, s: &Slot, pos: u8, cause: TernaryError) -> Step {
+    m.fault = Some(Fault::Mem {
+        pc: s.pc as usize,
+        cause,
+        retired: pos,
+    });
+    Step::Fault
 }
 
-fn x_load(m: &mut Machine, op: &Op) -> Step {
-    if do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-/// The store body shared by the unfused op and the fused pairs.
-/// `false` parks the fault on the machine. (Same flat-argument
-/// convention as `do_load`.)
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn do_store(
-    m: &mut Machine,
-    val_reg: u8,
-    base_reg: u8,
-    off_word: Word9,
-    off: i64,
-    site: u32,
-    pc: usize,
-    retired: u8,
-) -> bool {
-    let v = m.state.trf[val_reg as usize];
-    let Some(idx) = tdm_index(m, base_reg, off_word, off, site, pc, retired) else {
-        return false;
-    };
-    match m.state.tdm.write(idx, v) {
-        Ok(()) => true,
-        Err(cause) => {
-            m.fault = Some(Fault::Mem { pc, cause, retired });
-            false
-        }
-    }
-}
-
-fn x_store(m: &mut Machine, op: &Op) -> Step {
-    if do_store(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-// --- fused pair bodies ---------------------------------------------------
-//
-// Each fused body applies its two components in program order, so
-// intra-pair register dependencies behave exactly as in sequential
-// execution. Faultable components (LOAD/STORE) may sit in either
-// position: a fault parks how many of the pair's instructions retired
-// (the faulting one included, per the architectural convention), so
-// the engine settles partial pairs exactly.
-
-fn x_and_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].and(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_or_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].or(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_xor_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].xor(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_mv_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.b as usize];
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_addi_mv(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(op.imm);
-    t[op.c as usize] = t[op.d as usize];
-    Step::Next
-}
-
-fn x_add_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_sub_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_sub(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_mv_mv(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.b as usize];
-    t[op.c as usize] = t[op.d as usize];
-    Step::Next
-}
-
-fn x_mv_addi(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.b as usize];
-    t[op.c as usize] = t[op.c as usize].wrapping_add(op.imm2);
-    Step::Next
-}
-
-fn x_addi_addi(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(op.imm);
-    t[op.c as usize] = t[op.c as usize].wrapping_add(op.imm2);
-    Step::Next
-}
-
-// Fused compare-and-branch terminators: the COMP result lands in the
-// register file exactly as unfused, then the branch resolves against
-// it. The branch's own address is `op.pc + 1`.
-
-fn x_comp_beq(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].compare(t[op.b as usize]);
-    let pc = op.pc as usize + 1;
-    let next = if m.state.trf[op.d as usize].lst() == op.cond {
-        op.target
-    } else {
-        pc as i64 + 1
-    };
-    resolve_next(m, next, pc)
-}
-
-fn x_comp_bne(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].compare(t[op.b as usize]);
-    let pc = op.pc as usize + 1;
-    let next = if m.state.trf[op.d as usize].lst() != op.cond {
-        op.target
-    } else {
-        pc as i64 + 1
-    };
-    resolve_next(m, next, pc)
-}
-
-fn x_add_store(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(t[op.b as usize]);
-    if do_store(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-fn x_addi_store(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(op.imm);
-    if do_store(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-fn x_mv_store(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.b as usize];
-    if do_store(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-fn x_add_load(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(t[op.b as usize]);
-    if do_load(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-fn x_addi_load(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(op.imm);
-    if do_load(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-fn x_mv_load(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.b as usize];
-    if do_load(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-// Memory-first pairs: the first component's site/offset live in
-// `site`/`target`, the second's in `site2`/`off2`.
-
-fn x_load_load(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    if !do_load(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.off2 as i64,
-        op.site2,
-        op.pc as usize + 1,
-        2,
-    ) {
-        return Step::Fault;
-    }
-    Step::Next
-}
-
-fn x_load_store(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    if !do_store(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.off2 as i64,
-        op.site2,
-        op.pc as usize + 1,
-        2,
-    ) {
-        return Step::Fault;
-    }
-    Step::Next
-}
-
-fn x_store_load(m: &mut Machine, op: &Op) -> Step {
-    if !do_store(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    if !do_load(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.off2 as i64,
-        op.site2,
-        op.pc as usize + 1,
-        2,
-    ) {
-        return Step::Fault;
-    }
-    Step::Next
-}
-
-fn x_store_store(m: &mut Machine, op: &Op) -> Step {
-    if !do_store(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    if !do_store(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.off2 as i64,
-        op.site2,
-        op.pc as usize + 1,
-        2,
-    ) {
-        return Step::Fault;
-    }
-    Step::Next
-}
-
-fn x_load_mv(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    let t = &mut m.state.trf;
-    t[op.c as usize] = t[op.d as usize];
-    Step::Next
-}
-
-fn x_store_mv(m: &mut Machine, op: &Op) -> Step {
-    if !do_store(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    let t = &mut m.state.trf;
-    t[op.c as usize] = t[op.d as usize];
-    Step::Next
-}
-
-fn x_load_comp(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    let t = &mut m.state.trf;
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_load_add(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    let t = &mut m.state.trf;
-    t[op.c as usize] = t[op.c as usize].wrapping_add(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_load_addi(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    let t = &mut m.state.trf;
-    t[op.c as usize] = t[op.c as usize].wrapping_add(op.imm2);
-    Step::Next
-}
-
-fn x_add_add(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].wrapping_add(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_sub_li(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_sub(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].with_field::<5>(0, op.imm2.field::<5>(0));
-    Step::Next
-}
-
-fn x_li_sub(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].with_field::<5>(0, op.imm.field::<5>(0));
-    t[op.c as usize] = t[op.c as usize].wrapping_sub(t[op.d as usize]);
-    Step::Next
-}
-
-// --- compilation ---------------------------------------------------------
+// --- compilation -----------------------------------------------------------
 
 /// Compiles one instruction into its unfused op, pre-extracting every
-/// decode-time quantity.
+/// decode-time quantity into slot 0.
 fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> Op {
     use Instruction::*;
-    let r = |t: &TReg| t.index() as u8;
+    let r = |t: TReg| t.index() as u8;
     let mut site = || {
         let s = *sites;
         *sites += 1;
         s
     };
-    let mut op = Op {
-        exec: x_mv,
-        a: 0,
-        b: 0,
-        c: 0,
-        d: 0,
-        cond: Trit::Z,
-        imm: Word9::ZERO,
-        imm2: Word9::ZERO,
-        target: 0,
-        site: u32::MAX,
-        off2: 0,
-        site2: u32::MAX,
+    let mut s = Slot {
         pc: pc as u32,
-        n: 1,
         opcode: instr.opcode() as u8,
-        opcode2: 0,
+        ..Slot::default()
     };
-    match instr {
-        Mv { a, b } => {
-            op.exec = x_mv;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Pti { a, b } => {
-            op.exec = x_pti;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Nti { a, b } => {
-            op.exec = x_nti;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Sti { a, b } => {
-            op.exec = x_sti;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        And { a, b } => {
-            op.exec = x_and;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Or { a, b } => {
-            op.exec = x_or;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Xor { a, b } => {
-            op.exec = x_xor;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Add { a, b } => {
-            op.exec = x_add;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Sub { a, b } => {
-            op.exec = x_sub;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Sr { a, b } => {
-            op.exec = x_sr;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Sl { a, b } => {
-            op.exec = x_sl;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Comp { a, b } => {
-            op.exec = x_comp;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Andi { a, imm } => {
-            op.exec = x_andi;
-            op.a = r(a);
-            op.imm = imm.resize::<9>();
-        }
-        Addi { a, imm } => {
-            op.exec = x_addi;
-            op.a = r(a);
-            op.imm = imm.resize::<9>();
-        }
+    match *instr {
+        Mv { a, b }
+        | Pti { a, b }
+        | Nti { a, b }
+        | Sti { a, b }
+        | And { a, b }
+        | Or { a, b }
+        | Xor { a, b }
+        | Add { a, b }
+        | Sub { a, b }
+        | Sr { a, b }
+        | Sl { a, b }
+        | Comp { a, b } => (s.a, s.b) = (r(a), r(b)),
+        Andi { a, imm } | Addi { a, imm } => (s.a, s.imm) = (r(a), imm.resize::<9>()),
         // Balanced shift amounts resolve at compile time: a negative
-        // amount reverses the direction (DESIGN.md §3.2).
-        Sri { a, imm } => {
-            let v = imm.to_i64();
-            op.exec = if v >= 0 { x_shr_k } else { x_shl_k };
-            op.a = r(a);
-            op.c = v.unsigned_abs() as u8;
+        // amount reverses the direction (DESIGN.md §3.2), which picks
+        // the kernel below; the slot keeps the magnitude.
+        Sri { a, imm } | Sli { a, imm } => (s.a, s.off) = (r(a), imm.to_i64().abs() as i32),
+        Lui { a, imm } => (s.a, s.imm) = (r(a), Word9::ZERO.with_field::<4>(5, imm)),
+        Li { a, imm } => (s.a, s.imm) = (r(a), Word9::ZERO.with_field::<5>(0, imm)),
+        Beq { b, cond, offset } | Bne { b, cond, offset } => {
+            (s.b, s.cond, s.off) = (r(b), cond, offset.to_i64() as i32)
         }
-        Sli { a, imm } => {
-            let v = imm.to_i64();
-            op.exec = if v >= 0 { x_shl_k } else { x_shr_k };
-            op.a = r(a);
-            op.c = v.unsigned_abs() as u8;
-        }
-        Lui { a, imm } => {
-            op.exec = x_const;
-            op.a = r(a);
-            op.imm = Word9::ZERO.with_field::<4>(5, *imm);
-        }
-        Li { a, imm } => {
-            op.exec = x_li;
-            op.a = r(a);
-            op.imm = Word9::ZERO.with_field::<5>(0, *imm);
-        }
-        Beq { b, cond, offset } => {
-            op.exec = x_beq;
-            op.b = r(b);
-            op.cond = *cond;
-            op.target = pc as i64 + offset.to_i64();
-        }
-        Bne { b, cond, offset } => {
-            op.exec = x_bne;
-            op.b = r(b);
-            op.cond = *cond;
-            op.target = pc as i64 + offset.to_i64();
-        }
-        Jal { a, offset } => {
-            op.exec = x_jal;
-            op.a = r(a);
-            op.imm = link;
-            op.target = pc as i64 + offset.to_i64();
-        }
+        Jal { a, offset } => (s.a, s.imm, s.off) = (r(a), link, offset.to_i64() as i32),
         Jalr { a, b, offset } => {
-            op.exec = x_jalr;
-            op.a = r(a);
-            op.b = r(b);
-            op.imm = link;
-            op.imm2 = offset.resize::<9>();
-            op.site = site();
+            (s.a, s.b, s.imm, s.off) = (r(a), r(b), link, offset.to_i64() as i32);
+            s.site = site();
         }
-        Load { a, b, offset } => {
-            op.exec = x_load;
-            op.a = r(a);
-            op.b = r(b);
-            op.imm = offset.resize::<9>();
-            op.target = offset.to_i64();
-            op.site = site();
-        }
-        Store { a, b, offset } => {
-            op.exec = x_store;
-            op.a = r(a);
-            op.b = r(b);
-            op.imm = offset.resize::<9>();
-            op.target = offset.to_i64();
-            op.site = site();
+        Load { a, b, offset } | Store { a, b, offset } => {
+            (s.a, s.b, s.imm, s.off) = (r(a), r(b), offset.resize::<9>(), offset.to_i64() as i32);
+            s.site = site();
         }
     }
-    op
+    let exec: ExecFn = match *instr {
+        Mv { .. } => single::<kernel::Mv>,
+        Pti { .. } => single::<kernel::Pti>,
+        Nti { .. } => single::<kernel::Nti>,
+        Sti { .. } => single::<kernel::Sti>,
+        And { .. } => single::<kernel::And>,
+        Or { .. } => single::<kernel::Or>,
+        Xor { .. } => single::<kernel::Xor>,
+        Add { .. } => single::<kernel::Add>,
+        Sub { .. } => single::<kernel::Sub>,
+        Sr { .. } => single::<kernel::Sr>,
+        Sl { .. } => single::<kernel::Sl>,
+        Comp { .. } => single::<kernel::Comp>,
+        Andi { .. } => single::<kernel::Andi>,
+        Addi { .. } => single::<kernel::Addi>,
+        Sri { imm, .. } if imm.to_i64() < 0 => single::<kernel::ShlConst>,
+        Sli { imm, .. } if imm.to_i64() >= 0 => single::<kernel::ShlConst>,
+        Sri { .. } | Sli { .. } => single::<kernel::ShrConst>,
+        Lui { .. } => single::<kernel::Lui>,
+        Li { .. } => single::<kernel::Li>,
+        Beq { .. } => single::<kernel::Beq>,
+        Bne { .. } => single::<kernel::Bne>,
+        Jal { .. } => single::<kernel::Jal>,
+        Jalr { .. } => single::<kernel::Jalr>,
+        Load { .. } => single::<kernel::Load>,
+        Store { .. } => single::<kernel::Store>,
+    };
+    Op {
+        exec,
+        s: [s, Slot::default()],
+        n: 1,
+    }
 }
 
-/// Fuses two adjacent unfused ops into one, when the pair matches a
-/// known-hot shape. Components keep program order inside the fused
-/// body, so `None` is only about profitability, never correctness.
-fn fuse(first: &Op, second: &Op, i1: &Instruction, i2: &Instruction) -> Option<Op> {
-    use Instruction::*;
-    let exec: ExecFn = match (i1, i2) {
-        (And { .. }, Comp { .. }) => x_and_comp,
-        (Or { .. }, Comp { .. }) => x_or_comp,
-        (Xor { .. }, Comp { .. }) => x_xor_comp,
-        (Mv { .. }, Comp { .. }) => x_mv_comp,
-        (Add { .. }, Comp { .. }) => x_add_comp,
-        (Sub { .. }, Comp { .. }) => x_sub_comp,
-        (Mv { .. }, Mv { .. }) => x_mv_mv,
-        (Mv { .. }, Addi { .. }) => x_mv_addi,
-        (Addi { .. }, Mv { .. }) => x_addi_mv,
-        (Addi { .. }, Addi { .. }) => x_addi_addi,
-        (Add { .. }, Add { .. }) => x_add_add,
-        (Sub { .. }, Li { .. }) => x_sub_li,
-        (Li { .. }, Sub { .. }) => x_li_sub,
-        (Add { .. }, Store { .. }) => x_add_store,
-        (Addi { .. }, Store { .. }) => x_addi_store,
-        (Mv { .. }, Store { .. }) => x_mv_store,
-        (Add { .. }, Load { .. }) => x_add_load,
-        (Addi { .. }, Load { .. }) => x_addi_load,
-        (Mv { .. }, Load { .. }) => x_mv_load,
-        (Load { .. }, Load { .. }) => x_load_load,
-        (Load { .. }, Store { .. }) => x_load_store,
-        (Store { .. }, Load { .. }) => x_store_load,
-        (Store { .. }, Store { .. }) => x_store_store,
-        (Load { .. }, Mv { .. }) => x_load_mv,
-        (Store { .. }, Mv { .. }) => x_store_mv,
-        (Load { .. }, Comp { .. }) => x_load_comp,
-        (Load { .. }, Add { .. }) => x_load_add,
-        (Load { .. }, Addi { .. }) => x_load_addi,
-        (Comp { .. }, Beq { .. }) => x_comp_beq,
-        (Comp { .. }, Bne { .. }) => x_comp_bne,
-        _ => return None,
+/// Expands the pair table into [`fuse`] (and, for the tests, the list
+/// of its shapes): each row `First + Second` fuses that adjacent pair
+/// into one op running `pair::<kernel::First, kernel::Second>`.
+macro_rules! pair_table {
+    ($($first:ident + $second:ident),* $(,)?) => {
+        /// Fuses two adjacent unfused ops into one when their
+        /// instructions form a shape of the pair table. Components keep
+        /// program order inside the fused body, so `None` is only about
+        /// profitability, never correctness.
+        fn fuse(first: &Op, second: &Op, i1: &Instruction, i2: &Instruction) -> Option<Op> {
+            let exec: ExecFn = match (i1, i2) {
+                $(
+                    (Instruction::$first { .. }, Instruction::$second { .. }) => {
+                        pair::<kernel::$first, kernel::$second>
+                    }
+                )*
+                _ => return None,
+            };
+            Some(Op {
+                exec,
+                s: [first.s[0], second.s[0]],
+                n: 2,
+            })
+        }
+
+        /// Every shape of the pair table, as `(first, second)`
+        /// instruction names.
+        #[cfg(test)]
+        const PAIR_SHAPES: &[(&str, &str)] = &[$((stringify!($first), stringify!($second))),*];
     };
-    // `site`/`target` carry the first component's memory-access data
-    // when the first component is a memory op, otherwise the second's
-    // (the second's then also lands in `site2`/`off2`, which only the
-    // memory-first pair bodies read).
-    let mem_first = matches!(i1, Load { .. } | Store { .. });
-    Some(Op {
-        exec,
-        a: first.a,
-        b: first.b,
-        c: second.a,
-        d: second.b,
-        cond: second.cond,
-        imm: first.imm,
-        imm2: second.imm,
-        target: if mem_first {
-            first.target
-        } else {
-            second.target
-        },
-        site: if mem_first { first.site } else { second.site },
-        off2: second.target as i32,
-        site2: second.site,
-        pc: first.pc,
-        n: 2,
-        opcode: first.opcode,
-        opcode2: second.opcode,
-    })
+}
+
+// The pair table: the adjacent shapes that occur in compiled programs
+// (docs/PERFORMANCE.md §8 has their traffic). Fusion is greedy in
+// program order within a superblock.
+pair_table! {
+    Mv + Comp,
+    Mv + Addi,
+    Addi + Mv,
+    Addi + Addi,
+    Add + Add,
+    Sub + Li,
+    Li + Sub,
+    Add + Store,
+    Addi + Store,
+    Mv + Store,
+    Add + Load,
+    Addi + Load,
+    Mv + Load,
+    Load + Load,
+    Load + Store,
+    Store + Load,
+    Store + Store,
+    Load + Mv,
+    Store + Mv,
+    Load + Comp,
+    Load + Add,
+    Load + Addi,
+    Comp + Beq,
+    Comp + Bne,
 }
 
 impl ThreadedCode {
@@ -1161,8 +610,8 @@ impl ThreadedCode {
 
         // Block heads: the entry point, every static in-range control
         // target, and every successor of a control transfer (JALR
-        // targets are dynamic; landing mid-block falls back to precise
-        // stepping until the next head).
+        // targets are dynamic; landing mid-block runs the unfused tail
+        // of the covering block up to the next head).
         let mut head = vec![false; len];
         if len > 0 {
             head[0] = true;
@@ -1189,7 +638,6 @@ impl ThreadedCode {
         }
 
         let mut blocks = Vec::new();
-        let mut block_idx = vec![u32::MAX; len];
         let mut block_of = vec![u32::MAX; len];
         let mut start = 0usize;
         while start < len {
@@ -1200,14 +648,6 @@ impl ThreadedCode {
             while !text[end].is_control_flow() && end + 1 < len && !head[end + 1] {
                 end += 1;
             }
-            let exit = if text[end].is_control_flow() {
-                BlockExit::Terminator
-            } else if end + 1 == len {
-                BlockExit::OffEnd
-            } else {
-                BlockExit::Seq(end + 1)
-            };
-
             let mut fused = Vec::new();
             let mut i = start;
             while i <= end {
@@ -1233,7 +673,6 @@ impl ThreadedCode {
                 .map(|(o, &c)| (o as u8, c))
                 .collect();
 
-            block_idx[start] = blocks.len() as u32;
             for slot in block_of.iter_mut().take(end + 1).skip(start) {
                 *slot = blocks.len() as u32;
             }
@@ -1241,7 +680,6 @@ impl ThreadedCode {
                 start,
                 len: end - start + 1,
                 fused,
-                exit,
                 mix,
             });
             start = end + 1;
@@ -1250,7 +688,6 @@ impl ThreadedCode {
         ThreadedCode {
             ops,
             blocks,
-            block_idx,
             block_of,
             sites: sites as usize,
         }
@@ -1381,8 +818,9 @@ impl ThreadedSim {
             .count()
     }
 
-    /// Number of inline-cached TDM base sites (one per static
-    /// LOAD/STORE occurrence).
+    /// Number of inline-cache sites: one per static LOAD/STORE
+    /// occurrence (a TDM base) and one per static JALR (a return
+    /// target).
     pub fn inline_cache_sites(&self) -> usize {
         self.code.sites
     }
@@ -1431,39 +869,22 @@ impl ThreadedSim {
         }
         let op = &code.ops[pc];
         self.arch.instructions += 1;
-        self.arch.mix[op.opcode as usize] += 1;
-        let (step, fault) = {
-            let mut m = Machine {
-                state: &mut self.arch.state,
-                icache: &mut self.icache,
-                text_len: len,
-                fault: None,
-            };
-            let s = (op.exec)(&mut m, op);
-            (s, m.fault)
+        self.arch.mix[op.s[0].opcode as usize] += 1;
+        let mut m = Machine {
+            state: &mut self.arch.state,
+            icache: &mut self.icache,
+            text_len: len,
+            fault: None,
         };
-        match step {
-            Step::Next => {
-                let next = pc + 1;
-                self.arch.state.pc = next;
-                if next == len {
-                    self.arch.halted = Some(HaltReason::FellOffEnd);
-                    Ok(Some(HaltReason::FellOffEnd))
-                } else {
-                    Ok(None)
-                }
-            }
-            Step::Jump(next) => {
-                self.arch.state.pc = next as usize;
-                Ok(None)
-            }
-            Step::Halt(reason, final_pc) => {
-                self.arch.state.pc = final_pc as usize;
-                self.arch.halted = Some(reason);
-                Ok(Some(reason))
-            }
-            Step::Fault => Err(self.convert_fault(fault.expect("fault parked"))),
+        let step = (op.exec)(&mut m, op);
+        if let Step::Fault = step {
+            let fault = m.fault.take().expect("a faulting op parks its fault");
+            return Err(self.convert_fault(fault));
         }
+        let (next, halt) = next_pc(step, pc + 1, len);
+        self.arch.state.pc = next;
+        self.arch.halted = halt;
+        Ok(halt)
     }
 
     /// The block-dispatch hot loop: executes whole superblocks for as
@@ -1473,9 +894,9 @@ impl ThreadedSim {
     /// cost no memory round-trips through `self`.
     ///
     /// Returns the halt reason if the machine halted, or `None` when it
-    /// stopped because the fast path cannot continue — a mid-block PC
-    /// (e.g. a dynamic JALR landing) or a budget smaller than the next
-    /// block — in which case the caller falls back to precise stepping.
+    /// stopped because the fast path cannot continue — a budget smaller
+    /// than the next block (or block tail) — in which case the caller
+    /// falls back to precise stepping.
     fn run_fast(
         &mut self,
         steps: &mut u64,
@@ -1485,8 +906,7 @@ impl ThreadedSim {
         let text_len = code.ops.len();
         let mut retired = 0u64;
         let mut halt = None;
-        let mut failed: Option<(u32, usize)> = None;
-        let mut fault = None;
+        let mut failed = None;
         {
             let mut m = Machine {
                 state: &mut self.arch.state,
@@ -1495,153 +915,74 @@ impl ThreadedSim {
                 fault: None,
             };
             let mut pc = m.state.pc;
-            'blocks: while pc < code.block_idx.len() {
-                let bi = code.block_idx[pc];
-                if bi == u32::MAX {
-                    // Mid-block landing (a dynamic JALR target that
-                    // isn't a static head): dispatch the unfused tail
-                    // of the covering block, then rejoin fused block
-                    // dispatch at the next head. Accounting is per-op
-                    // here — the deferred block counters only describe
-                    // whole-block executions.
-                    let block = &code.blocks[code.block_of[pc] as usize];
-                    let end = block.start + block.len;
-                    if (end - pc) as u64 > *remaining {
-                        break;
-                    }
-                    let ops = &code.ops[pc..end];
-                    let mut taken = Step::Next;
-                    let mut executed = ops.len();
-                    for (k, op) in ops.iter().enumerate() {
-                        match (op.exec)(&mut m, op) {
-                            Step::Next => {}
-                            Step::Fault => {
-                                executed = k + 1;
-                                fault = m.fault.take();
-                                break;
-                            }
-                            s => {
-                                executed = k + 1;
-                                taken = s;
-                                break;
-                            }
-                        }
-                    }
-                    // Accounting settles once per tail run (the op
-                    // slice is still cache-hot); a faulting op counts
-                    // as retired, matching the functional backend.
-                    retired += executed as u64;
-                    *steps += executed as u64;
-                    *remaining -= executed as u64;
-                    for op in &ops[..executed] {
-                        self.arch.mix[op.opcode as usize] += 1;
-                    }
-                    if fault.is_some() {
-                        break 'blocks;
-                    }
-                    match taken {
-                        Step::Next => match block.exit {
-                            BlockExit::Seq(next) => pc = next,
-                            BlockExit::OffEnd => {
-                                pc = text_len;
-                                halt = Some(HaltReason::FellOffEnd);
-                                break;
-                            }
-                            BlockExit::Terminator => {
-                                unreachable!("terminator fell through")
-                            }
-                        },
-                        Step::Jump(next) => pc = next as usize,
-                        Step::Halt(reason, final_pc) => {
-                            pc = final_pc as usize;
-                            halt = Some(reason);
-                            break;
-                        }
-                        Step::Fault => unreachable!("fault breaks the block loop"),
-                    }
-                    continue;
-                }
-                let block = &code.blocks[bi as usize];
-                let blen = block.len as u64;
-                if blen > *remaining {
+            while pc < text_len {
+                // A block head runs its block's fused ops. A mid-block
+                // landing (a dynamic JALR target that isn't a static
+                // head) runs the unfused tail of the covering block,
+                // then rejoins fused block dispatch at the next head.
+                let bi = code.block_of[pc] as usize;
+                let block = &code.blocks[bi];
+                let head = pc == block.start;
+                let fall = block.start + block.len;
+                let ops = if head {
+                    &block.fused[..]
+                } else {
+                    &code.ops[pc..fall]
+                };
+                let n = (fall - pc) as u64;
+                if n > *remaining {
                     break;
                 }
-                let mut taken = Step::Next;
-                for op in &block.fused {
-                    match (op.exec)(&mut m, op) {
-                        Step::Next => {}
-                        Step::Fault => {
-                            // The op's index is recovered from the
-                            // reference offset — only this cold path
-                            // pays for it, not the hot loop.
-                            let base = block.fused.as_ptr() as usize;
-                            let i = (op as *const Op as usize - base) / std::mem::size_of::<Op>();
-                            failed = Some((bi, i));
-                            fault = m.fault.take();
-                            break 'blocks;
-                        }
-                        s => {
-                            taken = s;
-                            break; // only the terminator transfers
-                        }
-                    }
-                }
-                // Mix accounting is deferred: one counter bump per
-                // block, the sparse per-opcode counts are folded in
-                // lazily by `full_mix`.
-                retired += blen;
-                *steps += blen;
-                *remaining -= blen;
-                self.block_execs[bi as usize] += 1;
-                match taken {
-                    Step::Next => match block.exit {
-                        BlockExit::Seq(next) => pc = next,
-                        BlockExit::OffEnd => {
-                            pc = text_len;
-                            halt = Some(HaltReason::FellOffEnd);
-                            break;
-                        }
-                        // A terminator op always yields Jump or Halt.
-                        BlockExit::Terminator => unreachable!("terminator fell through"),
-                    },
-                    Step::Jump(next) => pc = next as usize,
-                    Step::Halt(reason, final_pc) => {
-                        pc = final_pc as usize;
-                        halt = Some(reason);
+                let step = match run_ops(&mut m, ops) {
+                    Ok(step) => step,
+                    Err(i) => {
+                        let fault = m.fault.take().expect("a faulting op parks its fault");
+                        failed = Some((ops, i, fault));
                         break;
                     }
-                    Step::Fault => unreachable!("fault breaks the block loop"),
+                };
+                retired += n;
+                *steps += n;
+                *remaining -= n;
+                if head {
+                    // Mix accounting is deferred: one counter bump per
+                    // block, the sparse per-opcode counts are folded in
+                    // lazily by `full_mix`.
+                    self.block_execs[bi] += 1;
+                } else {
+                    // The deferred block counters only describe
+                    // whole-block executions, so a tail counts per op.
+                    for op in ops {
+                        self.arch.mix[op.s[0].opcode as usize] += 1;
+                    }
+                }
+                let (next, h) = next_pc(step, fall, text_len);
+                pc = next;
+                if h.is_some() {
+                    halt = h;
+                    break;
                 }
             }
             m.state.pc = pc;
         }
         self.arch.instructions += retired;
-        if let Some(fault) = fault {
-            // A fused-block fault needs its partial block settled
-            // precisely: every fused op before the fault in full, plus
-            // however many of the faulting op's components retired
-            // (the faulting instruction counts as retired, matching
-            // the functional backend). A tail fault was already
-            // accounted per-op.
-            if let Some((bi, i)) = failed {
-                let block = &code.blocks[bi as usize];
-                for done in &block.fused[..i] {
-                    self.arch.instructions += done.n as u64;
-                    self.arch.mix[done.opcode as usize] += 1;
-                    if done.n == 2 {
-                        self.arch.mix[done.opcode2 as usize] += 1;
-                    }
-                }
-                let at = &block.fused[i];
-                let partial = match &fault {
-                    Fault::Mem { retired, .. } => *retired,
-                    Fault::Wild { .. } => at.n,
-                };
-                self.arch.instructions += partial as u64;
-                self.arch.mix[at.opcode as usize] += 1;
-                if partial == 2 {
-                    self.arch.mix[at.opcode2 as usize] += 1;
-                }
+        if let Some((ops, i, fault)) = failed {
+            // A fault settles its partial run precisely: every op
+            // before the faulting one in full, plus however many of the
+            // faulting op's components retired (the faulting
+            // instruction counts as retired, matching the functional
+            // backend).
+            let partial = match &fault {
+                Fault::Mem { retired, .. } => *retired,
+                Fault::Wild { .. } => ops[i].n,
+            };
+            let done = ops[..i]
+                .iter()
+                .flat_map(|op| &op.s[..op.n as usize])
+                .chain(&ops[i].s[..partial as usize]);
+            for s in done {
+                self.arch.instructions += 1;
+                self.arch.mix[s.opcode as usize] += 1;
             }
             self.arch.state.pc = match &fault {
                 Fault::Mem { pc, .. } => *pc,
@@ -1653,6 +994,41 @@ impl ThreadedSim {
             self.arch.halted = Some(reason);
         }
         Ok(halt)
+    }
+}
+
+/// Runs a straight-line op sequence (a block's fused ops, or the
+/// unfused tail of a block). Only its last op can transfer control, so
+/// any step but a fault means every op ran; a fault returns the index
+/// of the faulting op.
+#[inline(always)]
+fn run_ops(m: &mut Machine<'_>, ops: &[Op]) -> Result<Step, usize> {
+    for op in ops {
+        match (op.exec)(m, op) {
+            Step::Next => {}
+            // The index is recovered from the reference offset — only
+            // this cold path pays for it, not the hot loop.
+            Step::Fault => {
+                let offset = op as *const Op as usize - ops.as_ptr() as usize;
+                return Err(offset / std::mem::size_of::<Op>());
+            }
+            step => return Ok(step),
+        }
+    }
+    Ok(Step::Next)
+}
+
+/// Where control goes after an op, a block or a block tail that ended
+/// in `step` (never [`Step::Fault`]): `fall` is the address just past
+/// it, where a fall-through continues — or halts, at the end of the
+/// text. Returns the next PC and the halt reason, if any.
+#[inline(always)]
+fn next_pc(step: Step, fall: usize, text_len: usize) -> (usize, Option<HaltReason>) {
+    match step {
+        Step::Next => (fall, (fall == text_len).then_some(HaltReason::FellOffEnd)),
+        Step::Jump(pc) => (pc as usize, None),
+        Step::Halt(reason, pc) => (pc as usize, Some(reason)),
+        Step::Fault => unreachable!("a fault is settled before control resolves"),
     }
 }
 
@@ -1929,6 +1305,87 @@ mod tests {
             next = start + len;
         }
         assert_eq!(next, p.text().len());
+    }
+
+    /// Address of the pair's first component in [`shape_program`].
+    const PAIR_PC: usize = 6;
+
+    /// One component of a pair shape as assembly. Where it can, the
+    /// second component reads what the first wrote, so out-of-order
+    /// application shows.
+    /// Memory components use the in-range base `t2`, or `t1` (9841,
+    /// past the end of the TDM) when `fault` is set.
+    fn component(mnemonic: &str, pos: u8, fault: bool) -> String {
+        let m = mnemonic.to_uppercase();
+        let base = if fault { "t1" } else { "t2" };
+        match (m.as_str(), pos) {
+            ("LOAD", 1) => format!("LOAD t3, {base}, 1"),
+            ("LOAD", _) => format!("LOAD t4, {base}, 0"),
+            ("STORE", 1) => format!("STORE t4, {base}, 2"),
+            ("STORE", _) => format!("STORE t3, {base}, 0"),
+            ("ADDI", 1) => "ADDI t3, -2".into(),
+            ("ADDI", _) => "ADDI t3, 4".into(),
+            ("LI", 1) => "LI t3, 7".into(),
+            ("LI", _) => "LI t3, -7".into(),
+            ("BEQ" | "BNE", _) => format!("{m} t3, +, 2"),
+            (_, 1) => format!("{m} t3, t4"),
+            _ => format!("{m} t4, t3"),
+        }
+    }
+
+    /// A program whose only fusable pair is `first`+`second`, placed at
+    /// a block head by the preceding `JAL t0, 1`. A taken branch skips
+    /// the `LI t6, 1`.
+    fn shape_program(first: &str, second: &str, fault_at: Option<u8>) -> String {
+        format!(
+            ".data\nv: .word 41, 7, -5\n.text\n\
+             LI t2, 1\nLI t1, 121\nLUI t1, 40\nLI t3, 5\nLI t4, 3\nJAL t0, 1\n\
+             {}\n{}\nLI t6, 1\nJAL t0, 0\n",
+            component(first, 1, fault_at == Some(1)),
+            component(second, 2, fault_at == Some(2)),
+        )
+    }
+
+    #[test]
+    fn every_pair_shape_matches_functional_fused_and_stepped() {
+        let is_mem = |m: &str| matches!(m, "Load" | "Store");
+        for &(first, second) in PAIR_SHAPES {
+            let faults = [(1, first), (2, second)]
+                .into_iter()
+                .filter(|&(_, m)| is_mem(m))
+                .map(|(k, _)| Some(k));
+            for fault_at in std::iter::once(None).chain(faults) {
+                let ctx = format!("{first}+{second}, fault at {fault_at:?}");
+                let p = assemble(&shape_program(first, second, fault_at)).unwrap();
+                let b = SimBuilder::new(&p);
+                let mut f = b.build_functional();
+                let want = f.run(1_000);
+                match (&want, fault_at) {
+                    (Err(SimError::MemoryFault { pc, .. }), Some(k)) => {
+                        assert_eq!(*pc, PAIR_PC + k as usize - 1, "{ctx}")
+                    }
+                    (Ok(_), None) => {}
+                    _ => panic!("{ctx}: unexpected functional outcome {want:?}"),
+                }
+                let mut free = b.build_threaded();
+                assert_eq!(free.fused_pairs(), 1, "{ctx}");
+                assert_eq!(free.run(1_000), want, "{ctx}");
+                let mut stepped = b.build_threaded();
+                let stepped_err = loop {
+                    match Core::step(&mut stepped) {
+                        Ok(None) => {}
+                        done => break done.err(),
+                    }
+                };
+                assert_eq!(stepped_err, want.clone().err(), "{ctx}");
+                for t in [&free, &stepped] {
+                    assert_eq!(f.state().first_difference(t.state()), None, "{ctx}");
+                    assert_eq!(f.state().pc, t.state().pc, "{ctx}");
+                    assert_eq!(f.instructions(), t.instructions(), "{ctx}");
+                    assert_eq!(f.instruction_mix(), t.instruction_mix(), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]
