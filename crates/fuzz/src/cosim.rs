@@ -39,10 +39,10 @@ use std::collections::BTreeSet;
 
 use art9_compiler::analysis::{analyze, Action, Analysis, DATA_WORD_BASE};
 use art9_compiler::{translate_with_tdm, Origin, Translation};
-use art9_sim::{Backend, Budget, Core, SimBuilder};
+use art9_sim::{Backend, Core, SimBuilder};
 use rv32::{parse_program, Instr, Machine, Reg, Rv32Program, DATA_BASE};
 
-use crate::oracle::{Divergence, Oracle, OracleStats};
+use crate::oracle::{run_to_halt, Divergence, Oracle, OracleStats};
 
 /// TDM size the oracle translates and simulates with.
 pub const COSIM_TDM_WORDS: usize = 256;
@@ -200,7 +200,7 @@ impl Plan {
         m: &Machine,
         mem: &MemTracker,
         just_executed: Option<usize>,
-    ) -> Option<String> {
+    ) -> Result<(), String> {
         // A split `la` (lui+addi AddressPair) holds the full word
         // address on the ART-9 side after the lui half alone — skip its
         // destination until the absorbed addi completes the pair.
@@ -223,13 +223,13 @@ impl Plan {
             match self.expected(*class, rv_val, t) {
                 Some(expected) if expected == art_val => {}
                 Some(expected) => {
-                    return Some(format!(
+                    return Err(format!(
                         "{reg} ({class:?}) = {art_val} (art9) vs {} (rv32, expects {expected})",
                         rv_val as i32
                     ));
                 }
                 None => {
-                    return Some(format!(
+                    return Err(format!(
                         "{reg} ({class:?}) holds untranslatable rv32 value {}",
                         rv_val as i32
                     ));
@@ -238,11 +238,9 @@ impl Plan {
         }
 
         for &word in &mem.dirty {
-            if let Some(d) = self.compare_word(word, mem.class_of(word), t, core, m) {
-                return Some(d);
-            }
+            self.compare_word(word, mem.class_of(word), t, core, m)?;
         }
-        None
+        Ok(())
     }
 
     /// Compares one TDM word against its RV32 memory image, in the
@@ -255,45 +253,30 @@ impl Plan {
         t: &Translation,
         core: &dyn Core,
         m: &Machine,
-    ) -> Option<String> {
+    ) -> Result<(), String> {
         let byte = DATA_BASE as usize + 4 * (word - DATA_WORD_BASE as usize);
-        let rv_val = match m.load_word(byte as u32) {
-            Ok(v) => v,
-            Err(e) => return Some(format!("rv32 memory read at {byte:#x} failed: {e}")),
-        };
-        let art_val = match core.state().tdm.read(word) {
-            Ok(w) => w.to_i64(),
-            Err(e) => return Some(format!("art9 TDM read at word {word} failed: {e}")),
-        };
+        let rv_val = m
+            .load_word(byte as u32)
+            .map_err(|e| format!("rv32 memory read at {byte:#x} failed: {e}"))?;
+        let art_val = core
+            .state()
+            .tdm
+            .read(word)
+            .map_err(|e| format!("art9 TDM read at word {word} failed: {e}"))?
+            .to_i64();
         match self.expected(class, rv_val, t) {
-            Some(expected) if expected == art_val => None,
-            Some(expected) => Some(format!(
+            Some(expected) if expected == art_val => Ok(()),
+            Some(expected) => Err(format!(
                 "mem word {word} (byte {byte:#x}, {class:?}) = {art_val} (art9) vs {} \
                  (rv32, expects {expected})",
                 rv_val as i32
             )),
-            None => Some(format!(
+            None => Err(format!(
                 "mem word {word} (byte {byte:#x}, {class:?}) holds untranslatable rv32 \
                  value {}",
                 rv_val as i32
             )),
         }
-    }
-
-    /// Compares the whole RV32-visible memory window (at halt).
-    fn compare_memory_window(
-        &self,
-        t: &Translation,
-        mem: &MemTracker,
-        core: &dyn Core,
-        m: &Machine,
-    ) -> Option<String> {
-        for word in DATA_WORD_BASE as usize..self.tdm_words {
-            if let Some(d) = self.compare_word(word, mem.class_of(word), t, core, m) {
-                return Some(d);
-            }
-        }
-        None
     }
 }
 
@@ -358,14 +341,13 @@ impl<'a> CoSim<'a> {
     /// Runs the lockstep comparison on an architectural core
     /// (functional or reference backend). Returns the first divergence.
     pub fn run(&self, core: &mut dyn Core, stats: &mut OracleStats) -> Option<Divergence> {
-        let fail = |detail: String| {
-            Some(Divergence {
-                oracle: Oracle::CompilerLockstep,
-                detail,
-            })
-        };
+        Oracle::CompilerLockstep.verdict(self.stepwise(core, stats))
+    }
+
+    /// [`CoSim::run`]'s comparison; `Err` is the divergence detail.
+    fn stepwise(&self, core: &mut dyn Core, stats: &mut OracleStats) -> Result<(), String> {
         if core.backend() == Backend::Pipelined {
-            return fail(format!(
+            return Err(format!(
                 "{HARNESS_MARKER} the pipelined backend cannot step at instruction \
                  granularity; use run_pipelined"
             ));
@@ -375,22 +357,17 @@ impl<'a> CoSim<'a> {
 
         // Run the translator prologue (sp init) up to the first
         // boundary, then compare the reset states.
-        if let Some(d) = self.advance(core, |o| o == Origin::Prologue) {
-            return fail(d);
-        }
+        self.advance(core, |o| o == Origin::Prologue)?;
         stats.cosim_sync_points += 1;
-        if let Some(d) = self
-            .plan
+        self.plan
             .compare(self.t, self.rv.text(), core, &m, &mem, None)
-        {
-            return fail(format!("at reset: {d}"));
-        }
+            .map_err(|d| format!("at reset: {d}"))?;
 
         for _ in 0..self.budget {
             let k = (m.pc() / 4) as usize;
             let store_word = self.dirty_word_of(&m, k);
             match m.step() {
-                Err(e) => return fail(format!("{HARNESS_MARKER} rv32 machine faulted: {e}")),
+                Err(e) => return Err(format!("{HARNESS_MARKER} rv32 machine faulted: {e}")),
                 Ok(Err(_halt)) => return self.finish(core, &m, &mem, stats),
                 Ok(Ok(_retire)) => {
                     stats.cosim_rv32_instructions += 1;
@@ -400,11 +377,10 @@ impl<'a> CoSim<'a> {
                     // Advance the ART-9 core through everything the
                     // compiler attributes to source instruction k.
                     let inside = |o: Origin| matches!(o, Origin::Builtin(_)) || o == Origin::Rv(k);
-                    if let Some(d) = self.advance(core, inside) {
-                        return fail(format!("during rv32 #{k} ({}): {d}", self.rv.text()[k]));
-                    }
+                    self.advance(core, inside)
+                        .map_err(|d| format!("during rv32 #{k} ({}): {d}", self.rv.text()[k]))?;
                     if core.halted().is_some() {
-                        return fail(format!(
+                        return Err(format!(
                             "art9 halted after rv32 #{k} while the rv32 machine continues"
                         ));
                     }
@@ -413,7 +389,7 @@ impl<'a> CoSim<'a> {
                     let next_k = (m.pc() / 4) as usize;
                     let expected = self.t.address_of_rv(next_k);
                     if expected != Some(core.state().pc) {
-                        return fail(format!(
+                        return Err(format!(
                             "after rv32 #{k} ({}): art9 pc {} is not the boundary of rv32 \
                              #{next_k} ({expected:?})",
                             self.rv.text()[k],
@@ -421,12 +397,9 @@ impl<'a> CoSim<'a> {
                         ));
                     }
                     stats.cosim_sync_points += 1;
-                    if let Some(d) =
-                        self.plan
-                            .compare(self.t, self.rv.text(), core, &m, &mem, Some(k))
-                    {
-                        return fail(format!("after rv32 #{k} ({}): {d}", self.rv.text()[k]));
-                    }
+                    self.plan
+                        .compare(self.t, self.rv.text(), core, &m, &mem, Some(k))
+                        .map_err(|d| format!("after rv32 #{k} ({}): {d}", self.rv.text()[k]))?;
                     if m.halted().is_some() {
                         // FellOffEnd is detected eagerly after a retire.
                         return self.finish(core, &m, &mem, stats);
@@ -434,7 +407,7 @@ impl<'a> CoSim<'a> {
                 }
             }
         }
-        fail(format!(
+        Err(format!(
             "rv32 program {} {} steps",
             Divergence::BUDGET_MARKER,
             self.budget
@@ -444,22 +417,20 @@ impl<'a> CoSim<'a> {
     /// Steps the core while the instruction at its PC satisfies
     /// `inside` (and it has not halted). Returns a description on fault
     /// or budget exhaustion.
-    fn advance(&self, core: &mut dyn Core, inside: impl Fn(Origin) -> bool) -> Option<String> {
+    fn advance(&self, core: &mut dyn Core, inside: impl Fn(Origin) -> bool) -> Result<(), String> {
         let prov = self.t.provenance();
         for _ in 0..PER_SYNC_BUDGET {
             if core.halted().is_some() {
-                return None; // callers decide whether halting is legal
+                return Ok(()); // callers decide whether halting is legal
             }
             let pc = core.state().pc;
             match prov.get(pc) {
                 Some(o) if inside(*o) => {}
-                _ => return None, // reached foreign territory: a boundary
+                _ => return Ok(()), // reached foreign territory: a boundary
             }
-            if let Err(e) = core.step() {
-                return Some(format!("art9 core faulted: {e}"));
-            }
+            core.step().map_err(|e| format!("art9 core faulted: {e}"))?;
         }
-        Some(format!(
+        Err(format!(
             "art9 sequence {} {PER_SYNC_BUDGET} steps",
             Divergence::BUDGET_MARKER
         ))
@@ -473,37 +444,29 @@ impl<'a> CoSim<'a> {
         m: &Machine,
         mem: &MemTracker,
         stats: &mut OracleStats,
-    ) -> Option<Divergence> {
-        let fail = |detail: String| {
-            Some(Divergence {
-                oracle: Oracle::CompilerLockstep,
-                detail,
-            })
-        };
-        if core.halted().is_none() {
-            match core.run_for(Budget::Steps(PER_SYNC_BUDGET)) {
-                Ok(summary) if summary.halt.is_some() => {}
-                Ok(_) => {
-                    return fail(format!(
-                        "art9 {} {PER_SYNC_BUDGET} steps after the rv32 machine halted ({:?})",
-                        Divergence::BUDGET_MARKER,
-                        m.halted()
-                    ));
-                }
-                Err(e) => return fail(format!("art9 core faulted while halting: {e}")),
-            }
-        }
+    ) -> Result<(), String> {
+        let side = format!("art9 core after the rv32 machine halted ({:?})", m.halted());
+        run_to_halt(core, PER_SYNC_BUDGET, &side)?;
         stats.cosim_art9_instructions += core.retired();
-        if let Some(d) = self
-            .plan
-            .compare(self.t, self.rv.text(), core, m, mem, None)
-        {
-            return fail(format!("at halt ({:?}): {d}", m.halted()));
+        self.compare_at_halt(core, m, mem)
+            .map_err(|d| format!("at halt ({:?}): {d}", m.halted()))
+    }
+
+    /// The complete final-state comparison: every planned register and
+    /// the whole RV32-visible memory window.
+    fn compare_at_halt(
+        &self,
+        core: &dyn Core,
+        m: &Machine,
+        mem: &MemTracker,
+    ) -> Result<(), String> {
+        self.plan
+            .compare(self.t, self.rv.text(), core, m, mem, None)?;
+        for word in DATA_WORD_BASE as usize..self.plan.tdm_words {
+            self.plan
+                .compare_word(word, mem.class_of(word), self.t, core, m)?;
         }
-        if let Some(d) = self.plan.compare_memory_window(self.t, mem, core, m) {
-            return fail(format!("at halt ({:?}): {d}", m.halted()));
-        }
-        None
+        Ok(())
     }
 
     /// The pipelined variant: runs the RV32 machine to halt to predict
@@ -512,14 +475,14 @@ impl<'a> CoSim<'a> {
     /// [`SyncPoints`](art9_sim::observers::SyncPoints) observer and
     /// compares the crossing trace plus the full final state.
     pub fn run_pipelined(&self, stats: &mut OracleStats) -> Option<Divergence> {
+        Oracle::CompilerLockstep.verdict(self.pipelined_trace(stats))
+    }
+
+    /// [`CoSim::run_pipelined`]'s comparison; `Err` is the divergence
+    /// detail.
+    fn pipelined_trace(&self, stats: &mut OracleStats) -> Result<(), String> {
         use std::sync::{Arc, Mutex};
 
-        let fail = |detail: String| {
-            Some(Divergence {
-                oracle: Oracle::CompilerLockstep,
-                detail,
-            })
-        };
         let len = self.rv.text().len();
         let b = |k: usize| self.t.address_of_rv(k).expect("boundary in range");
         // Watch every distinct boundary except the halt sequence's own
@@ -542,7 +505,7 @@ impl<'a> CoSim<'a> {
                 mem.record(w, class);
             }
             match m.step() {
-                Err(e) => return fail(format!("{HARNESS_MARKER} rv32 machine faulted: {e}")),
+                Err(e) => return Err(format!("{HARNESS_MARKER} rv32 machine faulted: {e}")),
                 Ok(Err(reason)) => {
                     // ebreak maps to a jump-to-self at its own boundary:
                     // that retirement re-enters b(k).
@@ -571,7 +534,7 @@ impl<'a> CoSim<'a> {
             }
         }
         if halt.is_none() {
-            return fail(format!(
+            return Err(format!(
                 "rv32 program {} {} steps",
                 Divergence::BUDGET_MARKER,
                 self.budget
@@ -586,18 +549,8 @@ impl<'a> CoSim<'a> {
             .backend(Backend::Pipelined)
             .observer(sync.clone())
             .build();
-        match core.run_for(Budget::Steps(
-            PER_SYNC_BUDGET.saturating_mul(4).max(1 << 20),
-        )) {
-            Ok(summary) if summary.halt.is_some() => {}
-            Ok(_) => {
-                return fail(format!(
-                    "pipelined art9 {} its cycle budget",
-                    Divergence::BUDGET_MARKER
-                ))
-            }
-            Err(e) => return fail(format!("pipelined art9 faulted: {e}")),
-        }
+        let cycle_budget = PER_SYNC_BUDGET.saturating_mul(4).max(1 << 20);
+        run_to_halt(&mut *core, cycle_budget, "pipelined art9")?;
         stats.cosim_art9_instructions += core.retired();
 
         let crossings = sync.lock().unwrap().crossings().to_vec();
@@ -607,7 +560,7 @@ impl<'a> CoSim<'a> {
                 .zip(expected.iter())
                 .position(|(a, b)| a != b)
                 .unwrap_or_else(|| crossings.len().min(expected.len()));
-            return fail(format!(
+            return Err(format!(
                 "boundary-crossing trace diverges at entry {first}: pipelined {:?} vs rv32 \
                  path {:?} ({} vs {} crossings)",
                 crossings.get(first),
@@ -617,17 +570,8 @@ impl<'a> CoSim<'a> {
             ));
         }
         stats.cosim_sync_points += crossings.len() as u64;
-
-        if let Some(d) = self
-            .plan
-            .compare(self.t, self.rv.text(), &*core, &m, &mem, None)
-        {
-            return fail(format!("at halt: {d}"));
-        }
-        if let Some(d) = self.plan.compare_memory_window(self.t, &mem, &*core, &m) {
-            return fail(format!("at halt: {d}"));
-        }
-        None
+        self.compare_at_halt(&*core, &m, &mem)
+            .map_err(|d| format!("at halt: {d}"))
     }
 }
 
@@ -641,37 +585,25 @@ pub fn check_compiler_lockstep(
     rv32_budget: u64,
     stats: &mut OracleStats,
 ) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::CompilerLockstep,
-            detail,
-        })
-    };
-    let rv = match parse_program(src) {
-        Ok(p) => p,
-        Err(e) => return fail(format!("{HARNESS_MARKER} source failed to parse: {e}")),
-    };
-    let t = match translate_with_tdm(&rv, COSIM_TDM_WORDS) {
-        Ok(t) => t,
-        Err(e) => return fail(format!("{HARNESS_MARKER} translation failed: {e}")),
-    };
-    let cosim = match CoSim::new(&rv, &t, rv32_budget) {
-        Ok(c) => c,
-        Err(e) => return fail(format!("{HARNESS_MARKER} {e}")),
-    };
+    Oracle::CompilerLockstep.verdict(compiler_lockstep(src, rv32_budget, stats))
+}
+
+/// [`check_compiler_lockstep`]'s comparison; `Err` is the divergence
+/// detail.
+fn compiler_lockstep(src: &str, rv32_budget: u64, stats: &mut OracleStats) -> Result<(), String> {
+    let rv =
+        parse_program(src).map_err(|e| format!("{HARNESS_MARKER} source failed to parse: {e}"))?;
+    let t = translate_with_tdm(&rv, COSIM_TDM_WORDS)
+        .map_err(|e| format!("{HARNESS_MARKER} translation failed: {e}"))?;
+    let cosim = CoSim::new(&rv, &t, rv32_budget).map_err(|e| format!("{HARNESS_MARKER} {e}"))?;
     let builder = SimBuilder::new(&t.program).tdm_words(cosim.tdm_words());
-    let mut core = builder.build_functional();
-    if let Some(d) = cosim.run(&mut core, stats) {
-        return Some(d);
-    }
+    cosim.stepwise(&mut builder.build_functional(), stats)?;
     // Second pass with the threaded backend: translation validation at
     // RV32-instruction granularity doubles as a conformance check of
     // its compiled-op stepping path on real (non-random) control flow.
-    let mut threaded = builder.build_threaded();
-    cosim.run(&mut threaded, stats).map(|d| Divergence {
-        oracle: d.oracle,
-        detail: format!("threaded backend: {}", d.detail),
-    })
+    cosim
+        .stepwise(&mut builder.build_threaded(), stats)
+        .map_err(|d| format!("threaded backend: {d}"))
 }
 
 #[cfg(test)]

@@ -6,12 +6,15 @@
 //! claim) the RV32 source a translation came from. This crate turns
 //! those claims into generative checks: a seeded random
 //! [ART-9 program generator](generate) over the full 24-instruction
-//! ISA, co-simulated in lockstep through five
+//! ISA, co-simulated through seven program-level
 //! [oracles](check_program) (functional vs a per-trit
-//! [`ReferenceSim`], functional vs the direct-threaded
-//! [`art9_sim::ThreadedSim`], pipelined with forwarding on and off,
-//! and the encode/decode/disassemble/reassemble toolchain), a direct
-//! packed-vs-tritwise [arithmetic oracle](check_arith), and a seeded
+//! [`ReferenceSim`] and vs the direct-threaded
+//! [`art9_sim::ThreadedSim`] in lockstep, differential energy
+//! accounting, sliced-and-migrated execution, pipelined with
+//! forwarding on and off, and the encode/decode/disassemble/reassemble
+//! toolchain), one table of [value-level](Oracle::is_value_level)
+//! oracles checking the packed arithmetic, SIMD-lane and wide-word
+//! kernels against their per-trit references, and a seeded
 //! [RV32 generator](generate_rv32) whose output runs on the
 //! `rv32::Machine` and — translated by `art9-compiler` — on an ART-9
 //! core, compared at every RV32 instruction boundary by the
@@ -55,8 +58,8 @@ pub use cosim::{check_compiler_lockstep, cosim_mem_bytes, CoSim, COSIM_TDM_WORDS
 pub use gen::{generate, step_budget, GenConfig, Mix, MIN_TDM_WORDS};
 pub use minimize::{minimize, minimize_rv32, Minimized, MinimizedRv32};
 pub use oracle::{
-    check_arith, check_program, check_program_filtered, check_simd, check_wide, lockstep,
-    random_word, Divergence, LockstepOutcome, Oracle, OracleStats, ORACLE_TDM_WORDS,
+    check_program, check_program_filtered, lockstep, random_word, Divergence, LockstepOutcome,
+    Oracle, OracleStats, ORACLE_TDM_WORDS,
 };
 pub use replay::{
     is_rv32_replay, parse_replay, parse_replay_header, render_replay, render_replay_rv32,
@@ -80,15 +83,6 @@ pub struct FuzzConfig {
     pub gen: GenConfig,
     /// Random word pairs per iteration for the arithmetic oracle.
     pub arith_pairs: usize,
-    /// Random lane configurations per iteration for the SIMD oracle
-    /// (each configuration cross-checks every `Word9xN` lane op
-    /// against its tritwise lanewise reference).
-    pub simd_sets: usize,
-    /// Random operand sets per iteration for the wide-width oracle
-    /// (each set cross-checks the `Trits<40>`/`Trits<63>` band, the
-    /// multi-plane `Word27`/`Word81` words and the tapered reals
-    /// against their trit-serial references).
-    pub wide_sets: usize,
     /// RV32 generator tuning for the compiler-lockstep oracle.
     pub rv_gen: Rv32GenConfig,
     /// Rotate through every named [`Mix`] (and [`Rv32Mix`]) by
@@ -112,8 +106,6 @@ impl Default for FuzzConfig {
             gen: GenConfig::default(),
             rv_gen: Rv32GenConfig::default(),
             arith_pairs: 32,
-            simd_sets: 8,
-            wide_sets: 8,
             sweep_mixes: false,
             fail_dir: None,
             oracle: None,
@@ -137,8 +129,6 @@ impl FuzzConfig {
                 ..Rv32GenConfig::default()
             },
             arith_pairs: 16,
-            simd_sets: 4,
-            wide_sets: 4,
             sweep_mixes: true,
             ..Self::default()
         }
@@ -304,16 +294,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                 digest = program_digest(&program);
                 let (s, d) = check_program_filtered(&program, budget, cfg.oracle);
                 stats = s;
-                divergence = d;
-                if divergence.is_none() && cfg.oracle.is_none_or(|o| o == Oracle::Arithmetic) {
-                    divergence = check_arith(&mut rng, cfg.arith_pairs, &mut stats);
-                }
-                if divergence.is_none() && cfg.oracle.is_none_or(|o| o == Oracle::Simd) {
-                    divergence = check_simd(&mut rng, cfg.simd_sets, &mut stats);
-                }
-                if divergence.is_none() && cfg.oracle.is_none_or(|o| o == Oracle::Wide) {
-                    divergence = check_wide(&mut rng, cfg.wide_sets, &mut stats);
-                }
+                divergence = d.or_else(|| oracle::check_values(&mut rng, cfg, &mut stats));
                 if divergence.is_some() {
                     artifact = Some(CaseArtifact::Art9(program));
                 }
@@ -353,16 +334,9 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         let Some((iteration, divergence, artifact)) = o.failure else {
             continue;
         };
-        // Arithmetic and SIMD findings are value-level, not
-        // program-level: the failing operands are in the divergence
-        // detail and the case reproduces from `--seed`/`--iterations`
-        // alone. Writing the (unrelated) generated program as a replay
-        // file would record a "repro" that passes — so no replay is
-        // produced.
-        if matches!(
-            divergence.oracle,
-            Oracle::Arithmetic | Oracle::Simd | Oracle::Wide
-        ) {
+        // Writing the (unrelated) generated program as the replay of a
+        // value-level finding would record a "repro" that passes.
+        if divergence.oracle.is_value_level() {
             divergences.push(Failure {
                 iteration,
                 replay_text: format!(
@@ -485,6 +459,57 @@ mod tests {
         cfg.seed = 43;
         let b = run_fuzz(&cfg);
         assert_ne!(a.digest, b.digest);
+    }
+
+    #[test]
+    fn filtered_runs_do_the_same_work_as_the_full_run() {
+        // Every program-level oracle, run alone, reports the counter it
+        // contributes to the full campaign: one dispatch list serves
+        // both.
+        let cfg = FuzzConfig {
+            sweep_mixes: true,
+            ..tiny()
+        };
+        let full = run_fuzz(&cfg).stats;
+        let only = |o: Oracle| {
+            let r = run_fuzz(&FuzzConfig {
+                oracle: Some(o),
+                ..cfg.clone()
+            });
+            assert!(r.divergences.is_empty(), "{}", r.render());
+            r.stats
+        };
+        assert!(full.functional_instructions > 0);
+        let reference = only(Oracle::FunctionalVsReference);
+        assert_eq!(
+            reference.functional_instructions,
+            full.functional_instructions
+        );
+        let threaded = only(Oracle::FunctionalVsThreaded);
+        assert_eq!(threaded.threaded_instructions, full.threaded_instructions);
+        assert_eq!(only(Oracle::Energy).energy_flips, full.energy_flips);
+        let sliced = only(Oracle::SliceMigrate);
+        assert_eq!(sliced.slice_migrate_slices, full.slice_migrate_slices);
+        assert_eq!(
+            sliced.slice_migrate_migrations,
+            full.slice_migrate_migrations
+        );
+        let (fwd, nofwd) = (
+            only(Oracle::PipelinedForwarding),
+            only(Oracle::PipelinedNoForwarding),
+        );
+        for pipelined in [fwd, nofwd] {
+            assert_eq!(
+                pipelined.functional_instructions,
+                full.functional_instructions
+            );
+        }
+        assert_eq!(
+            fwd.pipelined_cycles + nofwd.pipelined_cycles,
+            full.pipelined_cycles
+        );
+        let roundtrip = only(Oracle::ToolchainRoundtrip);
+        assert_eq!(roundtrip.roundtrip_checks, full.roundtrip_checks);
     }
 
     #[test]

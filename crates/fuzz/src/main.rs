@@ -76,14 +76,13 @@ enum Cmd {
 }
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut cfg = FuzzConfig {
-        fail_dir: Some(PathBuf::from("fuzz-failures")),
-        ..FuzzConfig::default()
-    };
     let mut smoke = false;
     let mut replay = None;
-    // Explicit flags always win over the smoke profile, whatever the
+    let mut oracle = None;
+    let mut fail_dir = Some(PathBuf::from("fuzz-failures"));
+    // Explicit flags always win over the chosen profile, whatever the
     // flag order.
+    let mut explicit_seed = None;
     let mut explicit_iterations = None;
     let mut explicit_max_len = None;
     let mut explicit_mix = None;
@@ -94,7 +93,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
         match arg.as_str() {
             "--help" | "-h" => return Ok(Cmd::Help),
             "--smoke" => smoke = true,
-            "--seed" => cfg.seed = parse_num(&value("--seed")?)?,
+            "--seed" => explicit_seed = Some(parse_num(&value("--seed")?)?),
             "--iterations" => explicit_iterations = Some(parse_num(&value("--iterations")?)?),
             "--max-len" => {
                 let n = parse_num(&value("--max-len")?)? as usize;
@@ -121,28 +120,25 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
                     }
                 }
             }
-            "--oracle" => cfg.oracle = Some(value("--oracle")?.parse::<Oracle>()?),
-            "--fail-dir" => cfg.fail_dir = Some(PathBuf::from(value("--fail-dir")?)),
-            "--no-fail-dir" => cfg.fail_dir = None,
+            "--oracle" => oracle = Some(value("--oracle")?.parse::<Oracle>()?),
+            "--fail-dir" => fail_dir = Some(PathBuf::from(value("--fail-dir")?)),
+            "--no-fail-dir" => fail_dir = None,
             "--replay" => replay = Some(PathBuf::from(value("--replay")?)),
             other => return Err(format!("unknown option {other:?}")),
         }
     }
     if let Some(path) = replay {
-        return Ok(Cmd::Replay {
-            path,
-            oracle: cfg.oracle,
-        });
+        return Ok(Cmd::Replay { path, oracle });
     }
-    if smoke {
-        let smoke_cfg = FuzzConfig::smoke();
-        cfg.iterations = smoke_cfg.iterations;
-        cfg.gen = smoke_cfg.gen;
-        cfg.arith_pairs = smoke_cfg.arith_pairs;
-        cfg.rv_gen = smoke_cfg.rv_gen;
-        // The smoke profile rotates through every mix unless the user
-        // pinned one explicitly.
-        cfg.sweep_mixes = explicit_mix.is_none() && explicit_rv_mix.is_none();
+    let mut cfg = if smoke {
+        FuzzConfig::smoke()
+    } else {
+        FuzzConfig::default()
+    };
+    cfg.oracle = oracle;
+    cfg.fail_dir = fail_dir;
+    if let Some(seed) = explicit_seed {
+        cfg.seed = seed;
     }
     if let Some(n) = explicit_iterations {
         cfg.iterations = n;
@@ -150,6 +146,10 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
     if let Some(n) = explicit_max_len {
         cfg.gen.max_len = n;
         cfg.rv_gen.max_len = n;
+    }
+    // A pinned mix replaces the smoke profile's rotation.
+    if explicit_mix.is_some() || explicit_rv_mix.is_some() {
+        cfg.sweep_mixes = false;
     }
     if let Some(mix) = explicit_mix {
         cfg.gen.mix = mix;
@@ -224,7 +224,7 @@ fn triage(text: &str, divergence: &art9_fuzz::Divergence) {
 }
 
 fn replay_one(path: &std::path::Path, oracle: Option<Oracle>) -> ExitCode {
-    if let Some(o @ (Oracle::Arithmetic | Oracle::Simd | Oracle::Wide)) = oracle {
+    if let Some(o) = oracle.filter(|o| o.is_value_level()) {
         eprintln!(
             "error: the {} oracle is value-level and has no program replay; \
              reproduce it with --seed/--iterations instead",
@@ -314,5 +314,44 @@ fn replay_one(path: &std::path::Path, oracle: Option<Oracle>) -> ExitCode {
             triage(&text, &d);
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run_cfg(args: &[&str]) -> FuzzConfig {
+        match parse_args(args.iter().map(|a| a.to_string())) {
+            Ok(Cmd::Run(cfg)) => *cfg,
+            _ => panic!("{args:?} is not a campaign"),
+        }
+    }
+
+    #[test]
+    fn smoke_flag_runs_the_smoke_profile_under_explicit_flags() {
+        // `--smoke` is `FuzzConfig::smoke()` as a whole, apart from the
+        // replay directory, which is a command-line default.
+        let cli = run_cfg(&["--smoke"]);
+        let profile = FuzzConfig {
+            fail_dir: Some(PathBuf::from("fuzz-failures")),
+            ..FuzzConfig::smoke()
+        };
+        assert_eq!(format!("{cli:?}"), format!("{profile:?}"));
+
+        // Explicit flags win, before or after `--smoke`.
+        let cli = run_cfg(&[
+            "--iterations",
+            "7",
+            "--smoke",
+            "--seed",
+            "3",
+            "--mix",
+            "alu",
+        ]);
+        assert_eq!((cli.iterations, cli.seed), (7, 3));
+        assert_eq!(cli.gen.mix, Mix::ALU);
+        assert!(!cli.sweep_mixes);
+        assert_eq!(cli.arith_pairs, FuzzConfig::smoke().arith_pairs);
     }
 }

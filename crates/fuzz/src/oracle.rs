@@ -1,15 +1,16 @@
 //! Lockstep co-simulation oracles.
 //!
-//! Every generated program runs through five independent executions —
-//! the functional simulator, the per-trit
-//! [`ReferenceSim`](art9_sim::ReferenceSim), the direct-threaded
-//! [`ThreadedSim`](art9_sim::ThreadedSim), and the pipelined simulator
-//! with forwarding on and off — plus the toolchain roundtrip
-//! (encode → decode → disassemble → reassemble). A further oracle
-//! exercises the packed-vs-tritwise arithmetic layer directly on
-//! random words. Any disagreement is reported as a [`Divergence`]
-//! naming the oracle, the step, and the first differing piece of
-//! state.
+//! Every generated program runs through seven program-level oracles:
+//! the functional simulator against the per-trit
+//! [`ReferenceSim`](art9_sim::ReferenceSim) and against the
+//! direct-threaded [`ThreadedSim`](art9_sim::ThreadedSim), differential
+//! energy accounting, sliced-and-migrated execution, the pipelined
+//! simulator with forwarding on and off, and the toolchain roundtrip
+//! (encode → decode → disassemble → reassemble). The value-level
+//! oracles (arithmetic, SIMD lanes, wide words) are one table of
+//! `(op, packed, reference)` cases checked on random operands. Any
+//! disagreement is reported as a [`Divergence`] naming the oracle, the
+//! step, and the first differing piece of state.
 //!
 //! The functional/reference and functional/threaded pairs run **step
 //! for step** through the generic [`lockstep`] entry point — any two
@@ -17,27 +18,31 @@
 //! compared after every instruction, TDM and retirement counts at
 //! halt. The threaded oracle then re-runs the program free-running, so
 //! its fused superblock dispatch path gets the same differential
-//! coverage as its per-instruction stepping path. The pipelined runs
-//! are compared at halt (registers, TDM, halt reason,
-//! retired-instruction count) because the pipeline only exposes
+//! coverage as its per-instruction stepping path. The fused run, the
+//! sliced run and the pipelined runs are compared at halt by one
+//! final-state comparison (halt reason, retired-instruction count,
+//! instruction mix, registers and TDM); the pipeline only exposes
 //! architectural state at retirement.
 //!
 //! Every simulator here is built through
 //! [`SimBuilder`](art9_sim::SimBuilder) — the oracles contain no
 //! backend-specific construction.
 
+use std::fmt::Debug;
 use std::sync::{Arc, Mutex};
 
 use art9_isa::{assemble, decode, disassemble_word, encode, Instruction, Program, ALL_REGS};
 use art9_sim::observers::EnergyAccounting;
 use art9_sim::{
-    Backend, Budget, Checkpoint, Core, CoreState, HaltReason, PredecodedProgram, SimBuilder,
+    Backend, Budget, Checkpoint, Core, CoreState, FunctionalSim, HaltReason, PredecodedProgram,
+    SimBuilder,
 };
 use ternary::simd::{self, LaneWeights, PackedWeights, Word9xN};
-use ternary::{arith, Trit, Trits, Word9};
+use ternary::{arith, TernaryReal, Trit, Trits, WideTrits, Word27, Word81, Word9};
 
 use crate::gen::MIN_TDM_WORDS;
 use crate::rng::FuzzRng;
+use crate::FuzzConfig;
 
 /// TDM size every oracle runs with: covers the generator's base window
 /// and matches the default simulator configuration.
@@ -133,6 +138,22 @@ impl Oracle {
             Oracle::CompilerLockstep => "compiler-lockstep",
         }
     }
+
+    /// `true` for the rows of the value-oracle table. They check random
+    /// operands, not the generated program, so their findings have no
+    /// program replay: the failing operands are in the divergence
+    /// detail and the case reproduces from `--seed`/`--iterations`.
+    pub fn is_value_level(self) -> bool {
+        VALUE_ORACLES.iter().any(|row| row.oracle() == self)
+    }
+
+    /// The divergence this oracle reports when `result` failed.
+    pub(crate) fn verdict(self, result: Result<(), String>) -> Option<Divergence> {
+        result.err().map(|detail| Divergence {
+            oracle: self,
+            detail,
+        })
+    }
 }
 
 impl std::str::FromStr for Oracle {
@@ -162,9 +183,9 @@ pub struct Divergence {
 }
 
 impl Divergence {
-    /// Marker phrase shared by the two budget-exhaustion reports (kept
-    /// in one place so [`Divergence::is_budget_exhaustion`] cannot
-    /// drift from the messages).
+    /// Marker phrase shared by every budget-exhaustion report (kept in
+    /// one place so [`Divergence::is_budget_exhaustion`] cannot drift
+    /// from the messages).
     pub(crate) const BUDGET_MARKER: &'static str = "exceeded the budget of";
 
     /// `true` when this divergence reports budget exhaustion (a
@@ -248,6 +269,24 @@ pub enum LockstepOutcome {
     /// A backend that cannot step architecturally (the pipeline) was
     /// passed; no steps were executed.
     Unsupported(String),
+}
+
+impl LockstepOutcome {
+    /// The halt reason both cores agreed on, or the divergence detail
+    /// (a budget overrun carries [`Divergence::BUDGET_MARKER`]).
+    fn into_halt(self, max_steps: u64) -> Result<HaltReason, String> {
+        match self {
+            LockstepOutcome::Agreed(halt) => Ok(halt),
+            LockstepOutcome::Diverged(detail) => Err(detail),
+            LockstepOutcome::BudgetExhausted => Err(format!(
+                "program {} {max_steps} steps",
+                Divergence::BUDGET_MARKER
+            )),
+            LockstepOutcome::Unsupported(why) => {
+                unreachable!("architectural backends rejected by lockstep: {why}")
+            }
+        }
+    }
 }
 
 /// Runs two **architectural** [`Core`] backends in lockstep for up to
@@ -349,15 +388,69 @@ fn step_difference(a: &CoreState, b: &CoreState, an: &str, bn: &str) -> Option<S
     None
 }
 
+/// Runs `core` to halt within `budget` steps (clock cycles on the
+/// pipelined backend). A fault, or a budget overrun carrying
+/// [`Divergence::BUDGET_MARKER`], becomes a message naming `side`.
+pub(crate) fn run_to_halt<C: Core + ?Sized>(
+    core: &mut C,
+    budget: u64,
+    side: &str,
+) -> Result<HaltReason, String> {
+    match core.run_for(Budget::Steps(budget)) {
+        Ok(summary) => summary.halt.ok_or_else(|| {
+            let unit = if core.backend() == Backend::Pipelined {
+                "cycles"
+            } else {
+                "steps"
+            };
+            format!("{side} {} {budget} {unit}", Divergence::BUDGET_MARKER)
+        }),
+        Err(e) => Err(format!("{side} faulted: {e}")),
+    }
+}
+
+/// The one comparator behind every value-level case and final-state
+/// field: `Err` names `what` and both values, labelled by `sides`.
+fn compare<T: PartialEq + Debug>(what: &str, x: T, y: T, sides: [&str; 2]) -> Result<(), String> {
+    if x == y {
+        return Ok(());
+    }
+    let [a, b] = sides;
+    Err(format!("{what}: {x:?} ({a}) vs {y:?} ({b})"))
+}
+
+/// One value-level case: the packed kernel's result against its
+/// per-trit or exact reference.
+fn case<T: PartialEq + Debug>(op: &str, packed: T, reference: T) -> Result<(), String> {
+    compare(op, packed, reference, ["packed", "reference"])
+}
+
+/// Compares two cores that ran the same program to halt: halt reason,
+/// retired-instruction count, instruction mix, then registers and TDM.
+fn final_difference(x: &dyn Core, y: &dyn Core, sides: [&str; 2]) -> Result<(), String> {
+    compare("halt reason", x.halted(), y.halted(), sides)?;
+    compare("retired instructions", x.retired(), y.retired(), sides)?;
+    compare(
+        "instruction mix",
+        x.instruction_mix(),
+        y.instruction_mix(),
+        sides,
+    )?;
+    match x.state().first_difference(y.state()) {
+        Some(d) => Err(format!("final state ({} vs {}): {d}", sides[0], sides[1])),
+        None => Ok(()),
+    }
+}
+
 /// Runs every program-level oracle on `program`; see
 /// [`check_program_filtered`] for running a single oracle.
 pub fn check_program(program: &Program, step_budget: u64) -> (OracleStats, Option<Divergence>) {
     check_program_filtered(program, step_budget, None)
 }
 
-/// Runs the program-level oracles on `program`, restricted to `only`
-/// when set (the `--oracle` triage filter; the pipelined oracles still
-/// execute the functional simulator once as their comparison baseline).
+/// Runs the program-level oracles on `program` in campaign order
+/// ([`Oracle::ALL`]), restricted to `only` when set (the `--oracle`
+/// triage filter).
 ///
 /// Returns the first divergence found (checking stops there — the
 /// minimizer will re-run the same check on reduced programs) plus the
@@ -371,470 +464,224 @@ pub fn check_program_filtered(
     step_budget: u64,
     only: Option<Oracle>,
 ) -> (OracleStats, Option<Divergence>) {
-    let mut stats = OracleStats::default();
-    let enabled = |o: Oracle| only.is_none() || only == Some(o);
-
-    if enabled(Oracle::ToolchainRoundtrip) {
-        if let Some(d) = roundtrip_oracle(program, &mut stats) {
-            return (stats, Some(d));
-        }
-    }
-
-    let run_fwd = enabled(Oracle::PipelinedForwarding);
-    let run_nofwd = enabled(Oracle::PipelinedNoForwarding);
-    let run_lockstep = enabled(Oracle::FunctionalVsReference);
-    let run_threaded = enabled(Oracle::FunctionalVsThreaded);
-    let run_energy = enabled(Oracle::Energy);
-    let run_slice_migrate = enabled(Oracle::SliceMigrate);
-    if !(run_lockstep || run_fwd || run_nofwd || run_threaded || run_energy || run_slice_migrate) {
-        return (stats, None);
-    }
-
     let image = PredecodedProgram::new(program);
-    let image_hash = image.content_hash();
-    let builder = SimBuilder::new(&image).tdm_words(ORACLE_TDM_WORDS);
-
-    // The threaded, energy and slice-migrate oracles are self-contained
-    // (each runs its own set of simulators), so a filter selecting only
-    // them skips everything else.
-    if !(run_lockstep || run_fwd || run_nofwd) {
-        if run_threaded {
-            if let Some(d) = threaded_oracle(&builder, step_budget, &mut stats) {
-                return (stats, Some(d));
-            }
-        }
-        if run_energy {
-            if let Some(d) = energy_oracle(&builder, step_budget, &mut stats) {
-                return (stats, Some(d));
-            }
-        }
-        if run_slice_migrate {
-            if let Some(d) = slice_migrate_oracle(&builder, image_hash, step_budget, &mut stats) {
-                return (stats, Some(d));
-            }
-        }
-        return (stats, None);
-    }
-
-    // --- Functional vs per-trit reference, in lockstep ---------------
-    // (When filtered to a pipelined oracle, the functional simulator
-    // still runs — alone — as that oracle's baseline.)
-    let mut func = builder.build_functional();
-    let func_halt = if run_lockstep {
-        let mut reference = builder.build_reference();
-        let outcome = lockstep(&mut func, &mut reference, step_budget);
-        stats.functional_instructions = func.instructions();
-        match outcome {
-            LockstepOutcome::Diverged(detail) => {
-                return (
-                    stats,
-                    Some(Divergence {
-                        oracle: Oracle::FunctionalVsReference,
-                        detail,
-                    }),
-                );
-            }
-            LockstepOutcome::BudgetExhausted => {
-                return (
-                    stats,
-                    Some(Divergence {
-                        oracle: Oracle::FunctionalVsReference,
-                        detail: format!(
-                            "program {} {step_budget} steps",
-                            Divergence::BUDGET_MARKER
-                        ),
-                    }),
-                );
-            }
-            LockstepOutcome::Unsupported(why) => {
-                unreachable!("architectural backends rejected by lockstep: {why}")
-            }
-            LockstepOutcome::Agreed(halt) => halt,
-        }
-    } else {
-        let baseline_oracle = if run_fwd {
-            Oracle::PipelinedForwarding
-        } else {
-            Oracle::PipelinedNoForwarding
-        };
-        match func.run(step_budget) {
-            Ok(result) => {
-                stats.functional_instructions = func.instructions();
-                result.halt
-            }
-            Err(e) => {
-                stats.functional_instructions = func.instructions();
-                let detail = if matches!(e, art9_sim::SimError::Timeout { .. }) {
-                    format!("program {} {step_budget} steps", Divergence::BUDGET_MARKER)
-                } else {
-                    format!("functional baseline faulted: {e}")
-                };
-                return (
-                    stats,
-                    Some(Divergence {
-                        oracle: baseline_oracle,
-                        detail,
-                    }),
-                );
-            }
-        }
+    let mut run = ProgramRun {
+        program,
+        builder: SimBuilder::new(&image).tdm_words(ORACLE_TDM_WORDS),
+        seed: image.content_hash(),
+        step_budget,
+        baseline: None,
+        stats: OracleStats::default(),
     };
-
-    // --- Functional vs direct-threaded, in campaign order ------------
-    if run_threaded {
-        if let Some(d) = threaded_oracle(&builder, step_budget, &mut stats) {
-            return (stats, Some(d));
-        }
-    }
-
-    // --- Differential energy accounting ------------------------------
-    if run_energy {
-        if let Some(d) = energy_oracle(&builder, step_budget, &mut stats) {
-            return (stats, Some(d));
-        }
-    }
-
-    // --- Budget-sliced, migrated execution vs straight-line ----------
-    if run_slice_migrate {
-        if let Some(d) = slice_migrate_oracle(&builder, image_hash, step_budget, &mut stats) {
-            return (stats, Some(d));
-        }
-    }
-
-    // --- Pipelined (both forwarding settings) vs functional ----------
-    for (oracle, forwarding) in [
-        (Oracle::PipelinedForwarding, true),
-        (Oracle::PipelinedNoForwarding, false),
-    ] {
-        if !enabled(oracle) {
-            continue;
-        }
-        let mut pipe = builder.clone().forwarding(forwarding).build_pipelined();
-        let cycle_budget = step_budget.saturating_mul(16).max(1024);
-        let halt = loop {
-            if pipe.stats().cycles > cycle_budget {
-                break None;
-            }
-            match pipe.cycle() {
-                Ok(Some(h)) => break Some(h),
-                Ok(None) => {}
-                Err(e) => {
-                    stats.pipelined_cycles += pipe.stats().cycles;
-                    return (
-                        stats,
-                        Some(Divergence {
-                            oracle,
-                            detail: format!("pipelined simulator faulted: {e}"),
-                        }),
-                    );
-                }
-            }
-        };
-        stats.pipelined_cycles += pipe.stats().cycles;
-        let Some(halt) = halt else {
-            return (
-                stats,
-                Some(Divergence {
-                    oracle,
-                    detail: format!(
-                        "pipeline {} {cycle_budget} cycles",
-                        Divergence::BUDGET_MARKER
-                    ),
-                }),
-            );
-        };
-        if halt != func_halt {
-            return (
-                stats,
-                Some(Divergence {
-                    oracle,
-                    detail: format!("halt reason {halt:?} vs functional {func_halt:?}"),
-                }),
-            );
-        }
-        if pipe.stats().instructions != func.instructions() {
-            return (
-                stats,
-                Some(Divergence {
-                    oracle,
-                    detail: format!(
-                        "retired {} instructions vs functional {}",
-                        pipe.stats().instructions,
-                        func.instructions()
-                    ),
-                }),
-            );
-        }
-        if let Some(d) = func.state().first_difference(pipe.state()) {
-            return (stats, Some(Divergence { oracle, detail: d }));
-        }
-    }
-
-    (stats, None)
+    let divergence = Oracle::ALL
+        .into_iter()
+        .filter(|o| only.is_none_or(|only| only == *o))
+        .find_map(|oracle| oracle.verdict(run.check(oracle)));
+    (run.stats, divergence)
 }
 
-/// The functional-vs-threaded oracle: one per-instruction [`lockstep`]
-/// run (exercising the threaded backend's precise stepping path), then
-/// a fresh threaded core free-running to halt through the fused
-/// superblock dispatch path, compared against the functional final
-/// state, retirement count and instruction mix. Fusion must be
-/// architecturally invisible — both runs land on the same point.
-fn threaded_oracle(
-    builder: &SimBuilder,
-    step_budget: u64,
-    stats: &mut OracleStats,
-) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::FunctionalVsThreaded,
-            detail,
-        })
-    };
-    let mut func = builder.build_functional();
-    let mut threaded = builder.build_threaded();
-    let halt = match lockstep(&mut func, &mut threaded, step_budget) {
-        LockstepOutcome::Diverged(detail) => return fail(detail),
-        LockstepOutcome::BudgetExhausted => {
-            return fail(format!(
-                "program {} {step_budget} steps",
-                Divergence::BUDGET_MARKER
-            ));
-        }
-        LockstepOutcome::Unsupported(why) => {
-            unreachable!("architectural backends rejected by lockstep: {why}")
-        }
-        LockstepOutcome::Agreed(halt) => halt,
-    };
-    stats.threaded_instructions += threaded.retired();
-
-    // Same program, fresh core, free-running this time: `run_for`
-    // dispatches whole fused superblocks instead of single ops, so the
-    // hot path gets differential coverage too. (The lockstep run above
-    // halted within the budget; +2 covers the zero-retire halt step.)
-    let mut hot = builder.build_threaded();
-    match hot.run_for(Budget::Steps(step_budget.saturating_add(2))) {
-        Ok(summary) if summary.halt == Some(halt) => {}
-        Ok(summary) => {
-            return fail(format!(
-                "fused run halted {:?} vs {halt:?} when stepped",
-                summary.halt
-            ));
-        }
-        Err(e) => return fail(format!("fused run faulted: {e}")),
-    }
-    stats.threaded_instructions += hot.retired();
-    if hot.retired() != func.retired() {
-        return fail(format!(
-            "fused run retired {} instructions vs {} stepped",
-            hot.retired(),
-            func.retired()
-        ));
-    }
-    if hot.instruction_mix() != func.instruction_mix() {
-        return fail(format!(
-            "fused run's instruction mix {:?} differs from the functional mix {:?}",
-            hot.instruction_mix(),
-            func.instruction_mix()
-        ));
-    }
-    if let Some(d) = func.state().first_difference(hot.state()) {
-        return fail(format!("fused run final state: {d}"));
-    }
-    None
-}
-
-/// The differential energy oracle: the same program runs on the
-/// functional simulator with an [`EnergyAccounting`] observer using
-/// the packed `flips_from` kernel, and on the per-trit reference
-/// simulator with an observer using the tritwise flip reference
-/// ([`arith::flips_tritwise`]). Both the flip *counting* and the
-/// write-back event stream feeding it are thereby cross-checked — a
-/// backend that mis-reports a write-back value, or a packed XOR that
-/// miscounts flips, shows up as a per-opcode counter mismatch.
-fn energy_oracle(
-    builder: &SimBuilder,
-    step_budget: u64,
-    stats: &mut OracleStats,
-) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::Energy,
-            detail,
-        })
-    };
-    let packed = Arc::new(Mutex::new(EnergyAccounting::new()));
-    let tritwise = Arc::new(Mutex::new(EnergyAccounting::with_flip_fn(|next, prev| {
-        arith::flips_tritwise(next, prev)
-    })));
-    let mut func = builder.clone().observer(packed.clone()).build_functional();
-    let mut reference = builder.clone().observer(tritwise.clone()).build_reference();
-
-    // The energy comparison is meaningful only over identical
-    // executions; architectural divergence is the functional-vs-
-    // reference oracle's finding, but it would cascade here, so report
-    // it under this oracle too rather than comparing garbage.
-    let run = |core: &mut dyn Core, side: &str| match core.run_for(Budget::Steps(step_budget)) {
-        Ok(summary) => match summary.halt {
-            Some(h) => Ok(h),
-            None => Err(fail(format!(
-                "{side} run {} {step_budget} steps",
-                Divergence::BUDGET_MARKER
-            ))),
-        },
-        Err(e) => Err(fail(format!("{side} run faulted: {e}"))),
-    };
-    let halt_f = match run(&mut func, "functional") {
-        Ok(h) => h,
-        Err(d) => return d,
-    };
-    let halt_r = match run(&mut reference, "reference") {
-        Ok(h) => h,
-        Err(d) => return d,
-    };
-    if halt_f != halt_r {
-        return fail(format!(
-            "halt reason {halt_f:?} (functional) vs {halt_r:?} (reference)"
-        ));
-    }
-
-    let packed = packed.lock().expect("observer lock");
-    let tritwise = tritwise.lock().expect("observer lock");
-    if let Some(d) = activity_difference(&packed, &tritwise) {
-        return fail(d);
-    }
-    let t = packed.totals();
-    stats.energy_flips += t.regfile + t.tdm + t.fetch + t.alu;
-    None
-}
-
-/// The slice-migrate oracle: the service scheduler's execution model,
-/// checked differentially. A straight-line functional run (with energy
-/// accounting) is compared against the same program executed the way
-/// the scheduler executes sessions — sliced on random
-/// [`Budget::Retired`] quanta, and at ~40% of slice boundaries
-/// *migrated* through an `art9-checkpoint v1` text roundtrip into the
-/// next architectural backend (threaded → reference → functional), the
-/// energy observer `Arc` carried across every rebuild exactly as the
-/// scheduler carries a session's observers across workers. Slicing and
-/// migration must be architecturally invisible: halt reason, retired
-/// count, instruction mix, final state and per-opcode energy counters
-/// all bit-identical.
-///
-/// Slice lengths and migration points derive from `seed` (the
-/// program's content hash), so campaigns reproduce bit-for-bit.
-fn slice_migrate_oracle(
-    builder: &SimBuilder,
+/// One program's pass through the program-level oracles.
+struct ProgramRun<'a> {
+    program: &'a Program,
+    builder: SimBuilder,
+    /// The image's content hash: seeds the slice-migrate oracle's
+    /// slice lengths and migration points, so campaigns reproduce
+    /// bit-for-bit.
     seed: u64,
     step_budget: u64,
-    stats: &mut OracleStats,
-) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::SliceMigrate,
-            detail,
-        })
-    };
+    /// The functional run the pipelined oracles compare against: the
+    /// functional-vs-reference lockstep run, or a plain run when that
+    /// oracle is filtered out.
+    baseline: Option<FunctionalSim>,
+    stats: OracleStats,
+}
 
-    // Straight-line baseline.
-    let straight_energy = Arc::new(Mutex::new(EnergyAccounting::new()));
-    let mut straight = builder
-        .clone()
-        .observer(straight_energy.clone())
-        .build_functional();
-    let halt = match straight.run_for(Budget::Steps(step_budget)) {
-        Ok(summary) => match summary.halt {
-            Some(h) => h,
-            None => {
-                return fail(format!(
-                    "straight-line run {} {step_budget} steps",
+impl ProgramRun<'_> {
+    /// Runs one oracle; `Err` is its divergence detail. The oracles
+    /// that do not run the ART-9 program have nothing to check here.
+    fn check(&mut self, oracle: Oracle) -> Result<(), String> {
+        match oracle {
+            Oracle::FunctionalVsReference => {
+                let mut func = self.builder.build_functional();
+                let mut reference = self.builder.build_reference();
+                let outcome = lockstep(&mut func, &mut reference, self.step_budget);
+                self.stats.functional_instructions = func.instructions();
+                self.baseline = Some(func);
+                outcome.into_halt(self.step_budget).map(|_| ())
+            }
+            Oracle::FunctionalVsThreaded => self.threaded(),
+            Oracle::Energy => self.energy(),
+            Oracle::SliceMigrate => self.slice_migrate(),
+            Oracle::PipelinedForwarding => self.pipelined(true),
+            Oracle::PipelinedNoForwarding => self.pipelined(false),
+            Oracle::ToolchainRoundtrip => roundtrip(self.program, &mut self.stats),
+            Oracle::Arithmetic | Oracle::Simd | Oracle::Wide | Oracle::CompilerLockstep => Ok(()),
+        }
+    }
+
+    /// The functional-vs-threaded oracle: one per-instruction
+    /// [`lockstep`] run (exercising the threaded backend's precise
+    /// stepping path), then a fresh threaded core free-running to halt
+    /// through the fused superblock dispatch path, compared against the
+    /// functional final state. Fusion must be architecturally
+    /// invisible — both runs land on the same point.
+    fn threaded(&mut self) -> Result<(), String> {
+        let mut func = self.builder.build_functional();
+        let mut stepped = self.builder.build_threaded();
+        lockstep(&mut func, &mut stepped, self.step_budget).into_halt(self.step_budget)?;
+        self.stats.threaded_instructions += stepped.retired();
+
+        // The lockstep run above halted within the budget; +2 covers
+        // the zero-retire halt step.
+        let mut fused = self.builder.build_threaded();
+        let halt = run_to_halt(&mut fused, self.step_budget.saturating_add(2), "fused run");
+        self.stats.threaded_instructions += fused.retired();
+        halt?;
+        final_difference(&func, &fused, ["functional", "fused"])
+    }
+
+    /// The differential energy oracle: the same program runs on the
+    /// functional simulator with an [`EnergyAccounting`] observer using
+    /// the packed `flips_from` kernel, and on the per-trit reference
+    /// simulator with an observer using the tritwise flip reference
+    /// ([`arith::flips_tritwise`]). Both the flip *counting* and the
+    /// write-back event stream feeding it are thereby cross-checked — a
+    /// backend that mis-reports a write-back value, or a packed XOR that
+    /// miscounts flips, shows up as a per-opcode counter mismatch.
+    fn energy(&mut self) -> Result<(), String> {
+        let packed = Arc::new(Mutex::new(EnergyAccounting::new()));
+        let tritwise = Arc::new(Mutex::new(EnergyAccounting::with_flip_fn(|next, prev| {
+            arith::flips_tritwise(next, prev)
+        })));
+        let mut func = self
+            .builder
+            .clone()
+            .observer(packed.clone())
+            .build_functional();
+        let mut reference = self
+            .builder
+            .clone()
+            .observer(tritwise.clone())
+            .build_reference();
+
+        // The energy comparison is meaningful only over identical
+        // executions; architectural divergence is the functional-vs-
+        // reference oracle's finding, but it would cascade here, so report
+        // it under this oracle too rather than comparing garbage.
+        run_to_halt(&mut func, self.step_budget, "functional run")?;
+        run_to_halt(&mut reference, self.step_budget, "reference run")?;
+        final_difference(&func, &reference, ["functional", "reference"])?;
+
+        let packed = packed.lock().expect("observer lock");
+        if let Some(d) = activity_difference(&packed, &tritwise.lock().expect("observer lock")) {
+            return Err(d);
+        }
+        let t = packed.totals();
+        self.stats.energy_flips += t.regfile + t.tdm + t.fetch + t.alu;
+        Ok(())
+    }
+
+    /// The slice-migrate oracle: the service scheduler's execution
+    /// model, checked differentially. A straight-line functional run
+    /// (with energy accounting) is compared against the same program
+    /// executed the way the scheduler executes sessions — sliced on
+    /// random [`Budget::Retired`] quanta, and at ~40% of slice
+    /// boundaries *migrated* through an `art9-checkpoint v1` text
+    /// roundtrip into the next architectural backend (threaded →
+    /// reference → functional), the energy observer `Arc` carried across
+    /// every rebuild exactly as the scheduler carries a session's
+    /// observers across workers. Slicing and migration must be
+    /// architecturally invisible: halt reason, retired count,
+    /// instruction mix, final state and per-opcode energy counters all
+    /// bit-identical.
+    fn slice_migrate(&mut self) -> Result<(), String> {
+        let step_budget = self.step_budget;
+        let straight_energy = Arc::new(Mutex::new(EnergyAccounting::new()));
+        let mut straight = self
+            .builder
+            .clone()
+            .observer(straight_energy.clone())
+            .build_functional();
+        let halt = run_to_halt(&mut straight, step_budget, "straight-line run")?;
+
+        // Sliced, migrated run.
+        let mut rng = FuzzRng::new(self.seed ^ 0x511c_e513_9a7e_0001);
+        let rotation = [Backend::Threaded, Backend::Reference, Backend::Functional];
+        let sliced_energy = Arc::new(Mutex::new(EnergyAccounting::new()));
+        let sliced_builder = self.builder.clone().observer(sliced_energy.clone());
+        let mut core: Box<dyn Core> = sliced_builder.clone().build();
+        let mut rotation_index = 0usize;
+        let (mut slices, mut migrations) = (0u64, 0u64);
+        loop {
+            // Every slice retires at least one instruction, so the slice
+            // count bounds total work by the same budget as the baseline.
+            if slices > step_budget {
+                return Err(format!(
+                    "sliced run {} {step_budget} slices",
                     Divergence::BUDGET_MARKER
                 ));
             }
-        },
-        Err(e) => return fail(format!("straight-line run faulted: {e}")),
-    };
-
-    // Sliced, migrated run.
-    let mut rng = FuzzRng::new(seed ^ 0x511c_e513_9a7e_0001);
-    let rotation = [Backend::Threaded, Backend::Reference, Backend::Functional];
-    let sliced_energy = Arc::new(Mutex::new(EnergyAccounting::new()));
-    let sliced_builder = builder.clone().observer(sliced_energy.clone());
-    let mut core: Box<dyn Core> = sliced_builder.clone().build();
-    let mut rotation_index = 0usize;
-    let (mut slices, mut migrations) = (0u64, 0u64);
-    let halt_sliced = loop {
-        // Every slice retires at least one instruction, so the slice
-        // count bounds total work by the same budget as the baseline.
-        if slices > step_budget {
-            return fail(format!(
-                "sliced run {} {step_budget} slices",
-                Divergence::BUDGET_MARKER
-            ));
-        }
-        slices += 1;
-        let target = core.retired() + 1 + rng.below(41);
-        let summary = match core.run_for(Budget::Retired(target)) {
-            Ok(s) => s,
-            Err(e) => {
-                return fail(format!(
+            slices += 1;
+            let target = core.retired() + 1 + rng.below(41);
+            let summary = core.run_for(Budget::Retired(target)).map_err(|e| {
+                format!(
                     "sliced run faulted after {} instructions: {e} \
                      (straight-line run halted {halt:?})",
                     core.retired()
-                ));
+                )
+            })?;
+            if summary.halt.is_some() {
+                break;
             }
-        };
-        if let Some(h) = summary.halt {
-            break h;
-        }
-        if rng.chance(2, 5) {
-            let text = core.snapshot().to_text();
-            let checkpoint = match Checkpoint::from_text(&text) {
-                Ok(c) => c,
-                Err(e) => return fail(format!("checkpoint text did not roundtrip: {e}")),
-            };
-            let backend = rotation[rotation_index % rotation.len()];
-            rotation_index += 1;
-            let mut fresh = sliced_builder.clone().backend(backend).build();
-            if let Err(e) = fresh.restore(&checkpoint) {
-                return fail(format!("restore into {backend} failed: {e}"));
+            if rng.chance(2, 5) {
+                let checkpoint = Checkpoint::from_text(&core.snapshot().to_text())
+                    .map_err(|e| format!("checkpoint text did not roundtrip: {e}"))?;
+                let backend = rotation[rotation_index % rotation.len()];
+                rotation_index += 1;
+                let mut fresh = sliced_builder.clone().backend(backend).build();
+                fresh
+                    .restore(&checkpoint)
+                    .map_err(|e| format!("restore into {backend} failed: {e}"))?;
+                core = fresh;
+                migrations += 1;
             }
-            core = fresh;
-            migrations += 1;
         }
-    };
-    stats.slice_migrate_slices += slices;
-    stats.slice_migrate_migrations += migrations;
+        self.stats.slice_migrate_slices += slices;
+        self.stats.slice_migrate_migrations += migrations;
 
-    if halt_sliced != halt {
-        return fail(format!(
-            "halt reason {halt_sliced:?} (sliced) vs {halt:?} (straight-line)"
-        ));
+        final_difference(&straight, &*core, ["straight-line", "sliced"])?;
+        let straight_acc = straight_energy.lock().expect("observer lock");
+        let sliced_acc = sliced_energy.lock().expect("observer lock");
+        match activity_difference(&straight_acc, &sliced_acc) {
+            Some(d) => Err(format!(
+                "energy accounting diverged across slicing/migration: {d}"
+            )),
+            None => Ok(()),
+        }
     }
-    if core.retired() != straight.instructions() {
-        return fail(format!(
-            "retired {} instructions (sliced) vs {} (straight-line)",
-            core.retired(),
-            straight.instructions()
-        ));
+
+    /// A pipelined oracle: the pipeline (forwarding on or off) against
+    /// the functional baseline, at halt.
+    fn pipelined(&mut self, forwarding: bool) -> Result<(), String> {
+        if self.baseline.is_none() {
+            let mut func = self.builder.build_functional();
+            let halt = run_to_halt(&mut func, self.step_budget, "functional baseline");
+            self.stats.functional_instructions = func.instructions();
+            halt?;
+            self.baseline = Some(func);
+        }
+        let mut pipe = self
+            .builder
+            .clone()
+            .forwarding(forwarding)
+            .build_pipelined();
+        let cycle_budget = self.step_budget.saturating_mul(16).max(1024);
+        let halt = run_to_halt(&mut pipe, cycle_budget, "pipeline");
+        self.stats.pipelined_cycles += pipe.stats().cycles;
+        halt?;
+        let func = self.baseline.as_ref().expect("baseline ran above");
+        final_difference(func, &pipe, ["functional", "pipelined"])
     }
-    if core.instruction_mix() != straight.instruction_mix() {
-        return fail(format!(
-            "instruction mix {:?} (sliced) vs {:?} (straight-line)",
-            core.instruction_mix(),
-            straight.instruction_mix()
-        ));
-    }
-    if let Some(d) = straight.state().first_difference(core.state()) {
-        return fail(format!("final state: {d}"));
-    }
-    let straight_acc = straight_energy.lock().expect("observer lock");
-    let sliced_acc = sliced_energy.lock().expect("observer lock");
-    if let Some(d) = activity_difference(&straight_acc, &sliced_acc) {
-        return fail(format!(
-            "energy accounting diverged across slicing/migration: {d}"
-        ));
-    }
-    None
 }
 
 /// The first per-opcode, per-structure difference between two energy
@@ -872,56 +719,384 @@ fn activity_difference(packed: &EnergyAccounting, tritwise: &EnergyAccounting) -
 }
 
 /// The encode → decode → disassemble → reassemble oracle.
-fn roundtrip_oracle(program: &Program, stats: &mut OracleStats) -> Option<Divergence> {
+fn roundtrip(program: &Program, stats: &mut OracleStats) -> Result<(), String> {
     for (pc, instr) in program.text().iter().enumerate() {
         let word = encode(instr);
         stats.roundtrip_checks += 1;
-        match decode(word) {
-            Ok(back) if back == *instr => {}
-            Ok(back) => {
-                return Some(Divergence {
-                    oracle: Oracle::ToolchainRoundtrip,
-                    detail: format!("pc {pc}: {instr} encoded to {word}, decoded as {back}"),
-                });
-            }
-            Err(e) => {
-                return Some(Divergence {
-                    oracle: Oracle::ToolchainRoundtrip,
-                    detail: format!(
-                        "pc {pc}: {instr} encoded to {word}, which failed to decode: {e}"
-                    ),
-                });
-            }
+        let back = decode(word).map_err(|e| {
+            format!("pc {pc}: {instr} encoded to {word}, which failed to decode: {e}")
+        })?;
+        if back != *instr {
+            return Err(format!(
+                "pc {pc}: {instr} encoded to {word}, decoded as {back}"
+            ));
         }
-        let text = match disassemble_word(word) {
-            Ok(t) => t,
-            Err(e) => {
-                return Some(Divergence {
-                    oracle: Oracle::ToolchainRoundtrip,
-                    detail: format!("pc {pc}: {instr} failed to disassemble: {e}"),
-                });
-            }
-        };
-        match assemble(&text) {
-            Ok(p) if p.text() == [*instr] => {}
-            Ok(p) => {
-                return Some(Divergence {
-                    oracle: Oracle::ToolchainRoundtrip,
-                    detail: format!(
-                        "pc {pc}: {instr} disassembled to {text:?}, reassembled as {:?}",
-                        p.text()
-                    ),
-                });
-            }
-            Err(e) => {
-                return Some(Divergence {
-                    oracle: Oracle::ToolchainRoundtrip,
-                    detail: format!("pc {pc}: listing {text:?} failed to reassemble: {e}"),
-                });
-            }
+        let text = disassemble_word(word)
+            .map_err(|e| format!("pc {pc}: {instr} failed to disassemble: {e}"))?;
+        let p = assemble(&text)
+            .map_err(|e| format!("pc {pc}: listing {text:?} failed to reassemble: {e}"))?;
+        if p.text() != [*instr] {
+            return Err(format!(
+                "pc {pc}: {instr} disassembled to {text:?}, reassembled as {:?}",
+                p.text()
+            ));
         }
     }
-    None
+    Ok(())
+}
+
+/// One row of the value-oracle table: the oracle, its operand
+/// generator, and the `(op, packed, reference)` [cases](case) each
+/// operand set checks.
+struct ValueRow<S> {
+    oracle: Oracle,
+    /// Random draws one campaign iteration makes (`draw`'s `n`).
+    draws: fn(&FuzzConfig) -> usize,
+    /// Draws one iteration's operand sets from the campaign RNG.
+    draw: fn(&mut FuzzRng, usize) -> Vec<S>,
+    /// Checks every case of one operand set.
+    cases: fn(&S) -> Result<(), String>,
+    /// The row's counter, and what one clean operand set adds to it.
+    counter: fn(&mut OracleStats) -> &mut u64,
+    checks_per_set: u64,
+}
+
+impl<S: Debug> ValueRow<S> {
+    /// Draws operand sets from `n` random draws and checks each; the
+    /// first failing case becomes a divergence naming the op, both
+    /// results and the operands.
+    fn check(&self, rng: &mut FuzzRng, n: usize, stats: &mut OracleStats) -> Option<Divergence> {
+        for set in (self.draw)(rng, n) {
+            if let Err(mismatch) = (self.cases)(&set) {
+                return Some(Divergence {
+                    oracle: self.oracle,
+                    detail: format!("{mismatch} for {set:?}"),
+                });
+            }
+            *(self.counter)(stats) += self.checks_per_set;
+        }
+        None
+    }
+}
+
+/// A [`ValueRow`] with its operand-set type erased, so rows of
+/// different operand types share one table.
+trait ValueOracle {
+    fn oracle(&self) -> Oracle;
+    fn run(
+        &self,
+        rng: &mut FuzzRng,
+        cfg: &FuzzConfig,
+        stats: &mut OracleStats,
+    ) -> Option<Divergence>;
+}
+
+impl<S: Debug> ValueOracle for ValueRow<S> {
+    fn oracle(&self) -> Oracle {
+        self.oracle
+    }
+
+    fn run(
+        &self,
+        rng: &mut FuzzRng,
+        cfg: &FuzzConfig,
+        stats: &mut OracleStats,
+    ) -> Option<Divergence> {
+        self.check(rng, (self.draws)(cfg), stats)
+    }
+}
+
+/// The value-oracle table, in campaign order.
+const VALUE_ORACLES: [&dyn ValueOracle; 3] = [&ARITH, &SIMD, &WIDE];
+
+/// Operand sets per iteration for the SIMD and wide rows.
+const VALUE_SETS: usize = 8;
+
+/// Runs the value-oracle table (only `cfg.oracle`'s row when the
+/// campaign is filtered), drawing operands from `rng`. Returns the
+/// first divergence.
+pub(crate) fn check_values(
+    rng: &mut FuzzRng,
+    cfg: &FuzzConfig,
+    stats: &mut OracleStats,
+) -> Option<Divergence> {
+    VALUE_ORACLES
+        .iter()
+        .filter(|row| cfg.oracle.is_none_or(|o| o == row.oracle()))
+        .find_map(|row| row.run(rng, cfg, stats))
+}
+
+/// Packed `Word9` kernels vs the tritwise references, one check per
+/// word pair: `FuzzConfig::arith_pairs` random words plus the
+/// adversarial corners, each paired with a pseudo-random partner.
+const ARITH: ValueRow<(Word9, Word9)> = ValueRow {
+    oracle: Oracle::Arithmetic,
+    draws: |cfg| cfg.arith_pairs,
+    draw: |rng, n| {
+        let mut words = word9_corners();
+        words.extend((0..n).map(|_| random_word(rng)));
+        (0..words.len())
+            .map(|i| (words[i], words[(i * 7 + 13) % words.len()]))
+            .collect()
+    },
+    cases: |&(a, b)| {
+        case("add", a.carrying_add(b), arith::add_tritwise(a, b))?;
+        case("mul", a.wrapping_mul(b), arith::mul_tritwise(a, b))?;
+        case("div", a.div_rem(b), arith::div_rem_tritwise(a, b))?;
+        case("negate", a.negate(), arith::negate_tritwise(a))?;
+        let (pos, neg) = a.bitplanes();
+        case("bitplane roundtrip", Word9::from_bitplanes(pos, neg), Ok(a))
+    },
+    counter: |stats| &mut stats.arith_checks,
+    checks_per_set: 1,
+};
+
+/// One SIMD-lane operand set: two lane vectors, MAC weights, and the
+/// columns of a short matvec.
+#[derive(Debug)]
+struct LaneSet {
+    a: Vec<Word9>,
+    b: Vec<Word9>,
+    weights: Vec<Trit>,
+    cols: Vec<(Word9, Vec<Trit>)>,
+}
+
+/// The bitplane-SIMD lane subsystem ([`Word9xN`]) vs the per-trit
+/// lanewise references, 13 cases per set: pack/unpack, add, sub,
+/// negate, and/or/xor, compare, MAC (mask and fused splat paths),
+/// reduce, splat, and the carry-save matvec kernel against a chain of
+/// lanewise MACs.
+///
+/// Every set draws lane counts straddling the 6-lanes-per-u64 word
+/// boundary, lane values from the ±3^k sign boundaries and saturated
+/// words (longest carry chains), all-zero weight vectors (the MAC
+/// identity) and mixed-sign weights.
+const SIMD: ValueRow<LaneSet> = ValueRow {
+    oracle: Oracle::Simd,
+    draws: |_| VALUE_SETS,
+    draw: |rng, n| {
+        let specials = word9_corners();
+        // Lane counts hugging the 6-lanes-per-u64 word boundary.
+        const BOUNDARY_LANES: [usize; 6] = [1, 5, 6, 7, 12, 13];
+        (0..n)
+            .map(|_| {
+                let lanes = if rng.chance(1, 2) {
+                    BOUNDARY_LANES[rng.index(BOUNDARY_LANES.len())]
+                } else {
+                    1 + rng.below(16) as usize
+                };
+                let lane_words = |rng: &mut FuzzRng| -> Vec<Word9> {
+                    (0..lanes)
+                        .map(|_| {
+                            if rng.chance(1, 3) {
+                                specials[rng.index(specials.len())]
+                            } else {
+                                random_word(rng)
+                            }
+                        })
+                        .collect()
+                };
+                let a = lane_words(rng);
+                let b = lane_words(rng);
+                // One set in five exercises the all-zero weight vector;
+                // the rest mix all three signs.
+                let weights = if rng.chance(1, 5) {
+                    vec![Trit::Z; lanes]
+                } else {
+                    (0..lanes).map(|_| random_trit(rng)).collect()
+                };
+                // A random short column count, so matvec pass shapes
+                // (3-, 4-, 2- and 1-word tails) all occur across sets.
+                let x: Vec<Word9> = (0..1 + rng.below(6)).map(|_| random_word(rng)).collect();
+                let cols = x
+                    .into_iter()
+                    .map(|x| (x, (0..lanes).map(|_| random_trit(rng)).collect()))
+                    .collect();
+                LaneSet {
+                    a,
+                    b,
+                    weights,
+                    cols,
+                }
+            })
+            .collect()
+    },
+    cases: |s| {
+        let (a, b, lanes) = (&s.a, &s.b, s.a.len());
+        let (va, vb) = (Word9xN::from_words(a), Word9xN::from_words(b));
+        case("pack/unpack", &va.to_words(), a)?;
+        case(
+            "add",
+            va.wrapping_add(&vb).to_words(),
+            arith::add_lanewise(a, b),
+        )?;
+        let minus_b = arith::negate_lanewise(b);
+        let sub_ref = arith::add_lanewise(a, &minus_b);
+        case("sub", va.wrapping_sub(&vb).to_words(), sub_ref)?;
+        case("negate", va.negate().to_words(), arith::negate_lanewise(a))?;
+        case(
+            "and",
+            va.and(&vb).to_words(),
+            arith::logic_lanewise(a, b, Trit::and),
+        )?;
+        case(
+            "or",
+            va.or(&vb).to_words(),
+            arith::logic_lanewise(a, b, Trit::or),
+        )?;
+        case(
+            "xor",
+            va.xor(&vb).to_words(),
+            arith::logic_lanewise(a, b, Trit::xor),
+        )?;
+        case(
+            "compare",
+            va.compare(&vb).lane_lsts(),
+            arith::compare_lanewise(a, b),
+        )?;
+        let masks = LaneWeights::new(&s.weights);
+        let mac_ref = arith::mac_lanewise(a, b, &s.weights);
+        case("mac", va.mac(&vb, &masks).to_words(), mac_ref)?;
+        // The fused broadcast path: every lane accumulates the same x.
+        let mut splat_acc = va.clone();
+        splat_acc.mac_splat(b[0], &masks);
+        let splat_ref = arith::mac_lanewise(a, &vec![b[0]; lanes], &s.weights);
+        case("mac_splat", splat_acc.to_words(), splat_ref)?;
+        case("reduce", va.reduce_add(), arith::reduce_add_lanewise(a))?;
+        let splat = Word9xN::splat(a[0], lanes).to_words();
+        case("splat", splat, vec![a[0]; lanes])?;
+        let weights: Vec<LaneWeights> = s.cols.iter().map(|(_, w)| LaneWeights::new(w)).collect();
+        let x: Vec<Word9> = s.cols.iter().map(|(x, _)| *x).collect();
+        let matvec = simd::matvec(&x, &PackedWeights::from_columns(&weights)).to_words();
+        let chained = s.cols.iter().fold(vec![Word9::ZERO; lanes], |acc, (x, w)| {
+            arith::mac_lanewise(&acc, &vec![*x; lanes], w)
+        });
+        case("matvec", matvec, chained)
+    },
+    counter: |stats| &mut stats.simd_checks,
+    checks_per_set: 13,
+};
+
+/// One wide-width operand set: two `i128` operands, the left shift that
+/// carries the 81-trit pair past the `i128` range, and the exponents of
+/// the tapered-real pair.
+#[derive(Debug)]
+struct WideSet {
+    a: i128,
+    b: i128,
+    shift: usize,
+    exponents: (i32, i32),
+}
+
+/// The wide-width layer vs its trit-serial and exact-integer
+/// references, 27 cases per set: round-trip, add, mul, negate, flips
+/// and div on single-plane `Trits<40>`/`Trits<63>`; add, mul, negate,
+/// compare, flips and `compress3` on the multi-plane `Word27`/`Word81`
+/// words; and `TernaryReal` add, mul and taper idempotence.
+///
+/// Operands mix random `i128`s with the ±3^k carry corners up to 3^80
+/// and the `i128` extremes; the 81-trit pair is shifted past the
+/// `i128` range, where only the 81-trit word (and its per-trit
+/// reference) can represent the values at all.
+const WIDE: ValueRow<WideSet> = ValueRow {
+    oracle: Oracle::Wide,
+    draws: |_| VALUE_SETS,
+    draw: |rng, n| {
+        let mut corners = vec![0i128, 1, -1, i128::MAX, i128::MIN];
+        for k in (4..=80usize).step_by(4) {
+            let p = ternary::pow3_i128(k);
+            corners.extend([p, -p, p - 1, -p + 1, p + 1, -p - 1]);
+        }
+        let operand = |rng: &mut FuzzRng| -> i128 {
+            if rng.chance(1, 3) {
+                corners[rng.index(corners.len())]
+            } else {
+                (((rng.next_u64() as u128) << 64) | rng.next_u64() as u128) as i128
+            }
+        };
+        let exponent = |rng: &mut FuzzRng| rng.below(121) as i32 - 60;
+        (0..n)
+            .map(|_| WideSet {
+                a: operand(rng),
+                b: operand(rng),
+                shift: rng.index(40),
+                exponents: (exponent(rng), exponent(rng)),
+            })
+            .collect()
+    },
+    cases: |s| {
+        trits_cases::<40>(s.a, s.b)?;
+        trits_cases::<63>(s.a, s.b)?;
+        plane_cases(
+            Word27::from_i128_wrapping(s.a),
+            Word27::from_i128_wrapping(s.b),
+        )?;
+        plane_cases(
+            Word81::from_i128_wrapping(s.a).shl(s.shift),
+            Word81::from_i128_wrapping(s.b).shl(s.shift / 2),
+        )?;
+        // Tapered reals: packed 55-trit-intermediate rounding vs the
+        // exact-integer rounding reference.
+        let ra = TernaryReal::from_scaled(s.a as i64 >> 16, s.exponents.0);
+        let rb = TernaryReal::from_scaled(s.b as i64 >> 16, s.exponents.1);
+        let sum = ra.add(&rb);
+        case(
+            "real add",
+            arith::real_parts(&sum),
+            arith::real_add_ref(&ra, &rb),
+        )?;
+        let product = ra.mul(&rb);
+        case(
+            "real mul",
+            arith::real_parts(&product),
+            arith::real_mul_ref(&ra, &rb),
+        )?;
+        let tapered = TernaryReal::from_tapered(sum.to_tapered());
+        case(
+            "taper",
+            TernaryReal::from_tapered(tapered.to_tapered()),
+            tapered,
+        )
+    },
+    counter: |stats| &mut stats.wide_checks,
+    checks_per_set: 27,
+};
+
+/// The single-plane wide-width cases at `N` trits.
+fn trits_cases<const N: usize>(a: i128, b: i128) -> Result<(), String> {
+    let (wa, wb) = (
+        Trits::<N>::from_i128_wrapping(a),
+        Trits::<N>::from_i128_wrapping(b),
+    );
+    case(
+        "i128 roundtrip",
+        Trits::<N>::from_i128_wrapping(wa.to_i128()),
+        wa,
+    )?;
+    case("add", wa.carrying_add(wb), arith::add_tritwise(wa, wb))?;
+    case("mul", wa.wrapping_mul(wb), arith::mul_tritwise(wa, wb))?;
+    case("negate", wa.negate(), arith::negate_tritwise(wa))?;
+    case("flips", wa.flips_from(&wb), arith::flips_tritwise(wa, wb))?;
+    case("div", wa.div_rem(wb), arith::div_rem_tritwise(wa, wb))
+}
+
+/// The multi-plane wide-width cases.
+fn plane_cases<const N: usize, const W: usize>(
+    wa: WideTrits<N, W>,
+    wb: WideTrits<N, W>,
+) -> Result<(), String> {
+    case("add", wa.carrying_add(wb), arith::wide_add_tritwise(wa, wb))?;
+    case("mul", wa.wrapping_mul(wb), arith::wide_mul_tritwise(wa, wb))?;
+    case("negate", wa.negate(), arith::wide_negate_tritwise(wa))?;
+    case("compare", wa.cmp(&wb), arith::wide_compare_tritwise(wa, wb))?;
+    case(
+        "flips",
+        wa.flips_from(&wb),
+        arith::wide_flips_tritwise(wa, wb),
+    )?;
+    let (s, c) = WideTrits::<N, W>::compress3(wa, wb, wa.negate());
+    let sum = wa.wrapping_add(wb).wrapping_add(wa.negate());
+    case("compress3", s.wrapping_add(c), sum)
 }
 
 /// The adversarial Word9 corners the arithmetic and SIMD oracles share:
@@ -938,440 +1113,19 @@ fn word9_corners() -> Vec<Word9> {
     corners
 }
 
-/// Cross-checks the packed bitplane kernels against the per-trit
-/// reference algorithms on `pairs` random word pairs (plus a fixed set
-/// of adversarial carry-chain/sign-boundary values every time).
-pub fn check_arith(rng: &mut FuzzRng, pairs: usize, stats: &mut OracleStats) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::Arithmetic,
-            detail,
-        })
-    };
-
-    let mut words = word9_corners();
-    for _ in 0..pairs {
-        words.push(random_word(rng));
+/// A uniformly random trit.
+fn random_trit(rng: &mut FuzzRng) -> Trit {
+    match rng.below(3) {
+        0 => Trit::N,
+        1 => Trit::Z,
+        _ => Trit::P,
     }
-
-    for i in 0..words.len() {
-        // Pair each word with a pseudo-random partner (and itself, for
-        // the doubling/negation identities).
-        let a = words[i];
-        let b = words[(i * 7 + 13) % words.len()];
-        stats.arith_checks += 1;
-
-        let (packed_sum, packed_carry) = a.carrying_add(b);
-        let (ref_sum, ref_carry) = arith::add_tritwise(a, b);
-        if (packed_sum, packed_carry) != (ref_sum, ref_carry) {
-            return fail(format!(
-                "add: {} + {} = {} carry {packed_carry} (packed) vs {} carry {ref_carry} (tritwise)",
-                a.to_i64(),
-                b.to_i64(),
-                packed_sum.to_i64(),
-                ref_sum.to_i64()
-            ));
-        }
-
-        let packed_mul = a.wrapping_mul(b);
-        let ref_mul = arith::mul_tritwise(a, b);
-        if packed_mul != ref_mul {
-            return fail(format!(
-                "mul: {} * {} = {} (packed) vs {} (tritwise)",
-                a.to_i64(),
-                b.to_i64(),
-                packed_mul.to_i64(),
-                ref_mul.to_i64()
-            ));
-        }
-
-        if !b.is_zero() {
-            let packed = a.div_rem(b).expect("nonzero divisor");
-            let reference = arith::div_rem_tritwise(a, b).expect("nonzero divisor");
-            if packed != reference {
-                return fail(format!(
-                    "div: {} / {} = ({}, {}) (packed) vs ({}, {}) (tritwise)",
-                    a.to_i64(),
-                    b.to_i64(),
-                    packed.0.to_i64(),
-                    packed.1.to_i64(),
-                    reference.0.to_i64(),
-                    reference.1.to_i64()
-                ));
-            }
-        }
-
-        let packed_neg = a.negate();
-        let ref_neg = arith::negate_tritwise(a);
-        if packed_neg != ref_neg {
-            return fail(format!(
-                "negate: -({}) = {} (packed) vs {} (tritwise)",
-                a.to_i64(),
-                packed_neg.to_i64(),
-                ref_neg.to_i64()
-            ));
-        }
-
-        // Bitplane pack/unpack roundtrip.
-        let (pos, neg) = a.bitplanes();
-        match Word9::from_bitplanes(pos, neg) {
-            Ok(back) if back == a => {}
-            other => {
-                return fail(format!(
-                    "bitplane roundtrip of {} produced {other:?}",
-                    a.to_i64()
-                ));
-            }
-        }
-    }
-    None
-}
-
-/// Cross-checks the bitplane-SIMD lane subsystem ([`Word9xN`]) against
-/// the per-trit lanewise references in `ternary::arith` on `sets`
-/// random lane configurations.
-///
-/// Adversarial structure every set draws from: lane counts straddling
-/// the 6-lanes-per-u64 word boundary (1, 5, 6, 7, 12, 13), lane values
-/// from the ±3^k sign boundaries and the saturated words (longest
-/// carry chains), all-zero weight vectors (the MAC identity) and
-/// mixed-sign weights. Checked per set: pack/unpack roundtrip, splat,
-/// lane-parallel add/sub/negate, the three trit-logic ops, compare,
-/// ternary-weight MAC (both the mask path and the fused splat path)
-/// and the horizontal reduce.
-pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::Simd,
-            detail,
-        })
-    };
-    let fmt = |v: &[Word9]| {
-        v.iter()
-            .map(|w| w.to_i64().to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-
-    let specials = word9_corners();
-    // Lane counts hugging the 6-lanes-per-u64 word boundary.
-    const BOUNDARY_LANES: [usize; 6] = [1, 5, 6, 7, 12, 13];
-
-    for _ in 0..sets {
-        let lanes = if rng.chance(1, 2) {
-            BOUNDARY_LANES[rng.index(BOUNDARY_LANES.len())]
-        } else {
-            1 + rng.below(16) as usize
-        };
-        let draw = |rng: &mut FuzzRng| -> Vec<Word9> {
-            (0..lanes)
-                .map(|_| {
-                    if rng.chance(1, 3) {
-                        specials[rng.index(specials.len())]
-                    } else {
-                        random_word(rng)
-                    }
-                })
-                .collect()
-        };
-        let a = draw(rng);
-        let b = draw(rng);
-        // One set in five exercises the all-zero weight vector (the MAC
-        // identity); the rest mix all three signs.
-        let weights: Vec<Trit> = if rng.chance(1, 5) {
-            vec![Trit::Z; lanes]
-        } else {
-            (0..lanes)
-                .map(|_| match rng.below(3) {
-                    0 => Trit::N,
-                    1 => Trit::Z,
-                    _ => Trit::P,
-                })
-                .collect()
-        };
-        let va = Word9xN::from_words(&a);
-        let vb = Word9xN::from_words(&b);
-
-        let check = |name: &str, packed: &[Word9], reference: &[Word9]| {
-            if packed == reference {
-                return None;
-            }
-            fail(format!(
-                "{name} over {lanes} lanes: [{}] (packed) vs [{}] (lanewise) \
-                 for a=[{}] b=[{}]",
-                fmt(packed),
-                fmt(reference),
-                fmt(&a),
-                fmt(&b)
-            ))
-        };
-
-        if let Some(d) = check("pack/unpack", &va.to_words(), &a) {
-            return Some(d);
-        }
-        if let Some(d) = check(
-            "add",
-            &va.wrapping_add(&vb).to_words(),
-            &arith::add_lanewise(&a, &b),
-        ) {
-            return Some(d);
-        }
-        if let Some(d) = check(
-            "sub",
-            &va.wrapping_sub(&vb).to_words(),
-            &arith::add_lanewise(&a, &arith::negate_lanewise(&b)),
-        ) {
-            return Some(d);
-        }
-        if let Some(d) = check(
-            "negate",
-            &va.negate().to_words(),
-            &arith::negate_lanewise(&a),
-        ) {
-            return Some(d);
-        }
-        for (name, packed, f) in [
-            ("and", va.and(&vb), Trit::and as fn(Trit, Trit) -> Trit),
-            ("or", va.or(&vb), Trit::or),
-            ("xor", va.xor(&vb), Trit::xor),
-        ] {
-            if let Some(d) = check(name, &packed.to_words(), &arith::logic_lanewise(&a, &b, f)) {
-                return Some(d);
-            }
-        }
-
-        let verdicts = va.compare(&vb).lane_lsts();
-        let reference = arith::compare_lanewise(&a, &b);
-        if verdicts != reference {
-            return fail(format!(
-                "compare over {lanes} lanes: {verdicts:?} (packed) vs {reference:?} \
-                 (lanewise) for a=[{}] b=[{}]",
-                fmt(&a),
-                fmt(&b)
-            ));
-        }
-
-        let masks = LaneWeights::new(&weights);
-        let mac_ref = arith::mac_lanewise(&a, &b, &weights);
-        if let Some(d) = check("mac", &va.mac(&vb, &masks).to_words(), &mac_ref) {
-            return Some(d);
-        }
-        // The fused broadcast path: every lane accumulates the same x.
-        let x = b[0];
-        let mut splat_acc = va.clone();
-        splat_acc.mac_splat(x, &masks);
-        let splat_ref = arith::mac_lanewise(&a, &vec![x; lanes], &weights);
-        if let Some(d) = check("mac_splat", &splat_acc.to_words(), &splat_ref) {
-            return Some(d);
-        }
-
-        let reduced = va.reduce_add();
-        let reduce_ref = arith::reduce_add_lanewise(&a);
-        if reduced != reduce_ref {
-            return fail(format!(
-                "reduce over {lanes} lanes: {} (packed) vs {} (lanewise) for a=[{}]",
-                reduced.to_i64(),
-                reduce_ref.to_i64(),
-                fmt(&a)
-            ));
-        }
-
-        let splat = Word9xN::splat(a[0], lanes);
-        if splat.to_words() != vec![a[0]; lanes] {
-            return fail(format!(
-                "splat of {} over {lanes} lanes did not replicate: [{}]",
-                a[0].to_i64(),
-                fmt(&splat.to_words())
-            ));
-        }
-
-        // The word-major carry-save matvec kernel against a chain of
-        // per-trit lanewise MACs: a random short column count so pass
-        // shapes (3-, 4-, 2- and 1-word tails) all occur across sets.
-        let cols = 1 + rng.below(6) as usize;
-        let cvals: Vec<Word9> = (0..cols).map(|_| random_word(rng)).collect();
-        let cweights: Vec<Vec<Trit>> = (0..cols)
-            .map(|_| {
-                (0..lanes)
-                    .map(|_| match rng.below(3) {
-                        0 => Trit::N,
-                        1 => Trit::Z,
-                        _ => Trit::P,
-                    })
-                    .collect()
-            })
-            .collect();
-        let packed = PackedWeights::from_columns(
-            &cweights
-                .iter()
-                .map(|w| LaneWeights::new(w))
-                .collect::<Vec<_>>(),
-        );
-        let got = simd::matvec(&cvals, &packed).to_words();
-        let mut want = vec![Word9::ZERO; lanes];
-        for (xc, wc) in cvals.iter().zip(&cweights) {
-            want = arith::mac_lanewise(&want, &vec![*xc; lanes], wc);
-        }
-        if let Some(d) = check("matvec", &got, &want) {
-            return Some(d);
-        }
-
-        // Thirteen comparisons per set: pack/unpack, add, sub, negate,
-        // and/or/xor, compare, mac, mac_splat, reduce, splat, matvec.
-        stats.simd_checks += 13;
-    }
-    None
-}
-
-/// Cross-checks the wide-width arithmetic subsystem on `sets` random
-/// operand sets: single-plane `Trits<40>`/`Trits<63>` words (the band
-/// the pre-fix constants made uninstantiable), the multi-plane
-/// `Word27`/`Word81` words, and `TernaryReal` tapered-precision
-/// add/mul. Every packed kernel is pinned against its trit-serial (or
-/// exact-integer) reference in `ternary::arith`.
-///
-/// Adversarial structure every set draws from: the ±3^k carry corners
-/// up to 3^80 and the `i128` extremes, plus operands shifted past the
-/// `i128` range where only the 81-trit word (and its per-trit oracle)
-/// can represent the values at all.
-pub fn check_wide(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Option<Divergence> {
-    use ternary::{TernaryReal, Trits, WideTrits, Word27, Word81};
-
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::Wide,
-            detail,
-        })
-    };
-
-    // Corner pool: zero/±1, the i128 extremes and the ±3^k sign
-    // boundaries (and neighbours) across the whole wide range.
-    let mut corners = vec![0i128, 1, -1, i128::MAX, i128::MIN];
-    for k in (4..=80usize).step_by(4) {
-        let p = ternary::pow3_i128(k);
-        corners.extend([p, -p, p - 1, -p + 1, p + 1, -p - 1]);
-    }
-    let draw = |rng: &mut FuzzRng| -> i128 {
-        if rng.chance(1, 3) {
-            corners[rng.index(corners.len())]
-        } else {
-            (((rng.next_u64() as u128) << 64) | rng.next_u64() as u128) as i128
-        }
-    };
-
-    for _ in 0..sets {
-        let (a, b) = (draw(rng), draw(rng));
-
-        // Single-plane wide widths: packed vs trit-serial references.
-        macro_rules! check_trits {
-            ($n:literal) => {{
-                let wa = Trits::<$n>::from_i128_wrapping(a);
-                let wb = Trits::<$n>::from_i128_wrapping(b);
-                if Trits::<$n>::from_i128_wrapping(wa.to_i128()) != wa {
-                    return fail(format!("Trits<{}>: {} does not roundtrip via i128", $n, wa));
-                }
-                if wa.carrying_add(wb) != arith::add_tritwise(wa, wb) {
-                    return fail(format!("Trits<{}> add: {} + {} diverged", $n, wa, wb));
-                }
-                if wa.wrapping_mul(wb) != arith::mul_tritwise(wa, wb) {
-                    return fail(format!("Trits<{}> mul: {} * {} diverged", $n, wa, wb));
-                }
-                if wa.negate() != arith::negate_tritwise(wa) {
-                    return fail(format!("Trits<{}> negate of {} diverged", $n, wa));
-                }
-                if wa.flips_from(&wb) != arith::flips_tritwise(wa, wb) {
-                    return fail(format!("Trits<{}> flips: {} vs {} diverged", $n, wa, wb));
-                }
-                if !wb.is_zero() && wa.div_rem(wb).ok() != arith::div_rem_tritwise(wa, wb).ok() {
-                    return fail(format!("Trits<{}> div: {} / {} diverged", $n, wa, wb));
-                }
-                stats.wide_checks += 6;
-            }};
-        }
-        check_trits!(40);
-        check_trits!(63);
-
-        // Multi-plane words, including the beyond-i128 region at 81
-        // trits (reached by shifting left past the i128 ceiling).
-        fn check_planes<const N: usize, const W: usize>(
-            wa: WideTrits<N, W>,
-            wb: WideTrits<N, W>,
-        ) -> Option<String> {
-            if wa.carrying_add(wb) != arith::wide_add_tritwise(wa, wb) {
-                return Some(format!("WideTrits<{N},{W}> add: {wa} + {wb} diverged"));
-            }
-            if wa.wrapping_mul(wb) != arith::wide_mul_tritwise(wa, wb) {
-                return Some(format!("WideTrits<{N},{W}> mul: {wa} * {wb} diverged"));
-            }
-            if wa.negate() != arith::wide_negate_tritwise(wa) {
-                return Some(format!("WideTrits<{N},{W}> negate of {wa} diverged"));
-            }
-            if wa.cmp(&wb) != arith::wide_compare_tritwise(wa, wb) {
-                return Some(format!("WideTrits<{N},{W}> compare: {wa} vs {wb} diverged"));
-            }
-            if wa.flips_from(&wb) != arith::wide_flips_tritwise(wa, wb) {
-                return Some(format!("WideTrits<{N},{W}> flips: {wa} vs {wb} diverged"));
-            }
-            let (s, c) = WideTrits::<N, W>::compress3(wa, wb, wa.negate());
-            if s.wrapping_add(c) != wa.wrapping_add(wb).wrapping_add(wa.negate()) {
-                return Some(format!(
-                    "WideTrits<{N},{W}> compress3 over {wa}, {wb} diverged"
-                ));
-            }
-            None
-        }
-        if let Some(d) = check_planes(Word27::from_i128_wrapping(a), Word27::from_i128_wrapping(b))
-        {
-            return fail(d);
-        }
-        stats.wide_checks += 6;
-        let shift = rng.index(40);
-        if let Some(d) = check_planes(
-            Word81::from_i128_wrapping(a).shl(shift),
-            Word81::from_i128_wrapping(b).shl(shift / 2),
-        ) {
-            return fail(d);
-        }
-        stats.wide_checks += 6;
-
-        // Tapered reals: packed 55-trit-intermediate rounding vs the
-        // exact-integer rounding reference.
-        let ra = TernaryReal::from_scaled(a as i64 >> 16, (rng.below(121) as i32) - 60);
-        let rb = TernaryReal::from_scaled(b as i64 >> 16, (rng.below(121) as i32) - 60);
-        let sum = ra.add(&rb);
-        if arith::real_parts(&sum) != arith::real_add_ref(&ra, &rb) {
-            return fail(format!(
-                "TernaryReal add: {ra} + {rb} diverged from reference"
-            ));
-        }
-        let product = ra.mul(&rb);
-        if arith::real_parts(&product) != arith::real_mul_ref(&ra, &rb) {
-            return fail(format!(
-                "TernaryReal mul: {ra} * {rb} diverged from reference"
-            ));
-        }
-        if TernaryReal::from_tapered(TernaryReal::from_tapered(sum.to_tapered()).to_tapered())
-            != TernaryReal::from_tapered(sum.to_tapered())
-        {
-            return fail(format!("TernaryReal taper of {sum} is not idempotent"));
-        }
-        stats.wide_checks += 3;
-    }
-    None
 }
 
 /// A uniformly random trit pattern (covers all 3⁹ words, not just the
 /// value range of any integer conversion path).
 pub fn random_word(rng: &mut FuzzRng) -> Word9 {
-    let mut out = [Trit::Z; 9];
-    for slot in &mut out {
-        *slot = match rng.below(3) {
-            0 => Trit::N,
-            1 => Trit::Z,
-            _ => Trit::P,
-        };
-    }
-    Trits::from_trits(out)
+    Trits::from_trits(std::array::from_fn(|_| random_trit(rng)))
 }
 
 #[cfg(test)]
@@ -1517,7 +1271,7 @@ mod tests {
     fn arith_oracle_is_clean_and_counts() {
         let mut rng = FuzzRng::new(9);
         let mut stats = OracleStats::default();
-        let d = check_arith(&mut rng, 64, &mut stats);
+        let d = ARITH.check(&mut rng, 64, &mut stats);
         assert!(d.is_none(), "{}", d.unwrap());
         assert!(stats.arith_checks >= 64);
     }
@@ -1526,9 +1280,9 @@ mod tests {
     fn simd_oracle_is_clean_and_counts() {
         let mut rng = FuzzRng::new(11);
         let mut stats = OracleStats::default();
-        let d = check_simd(&mut rng, 32, &mut stats);
+        let d = SIMD.check(&mut rng, 32, &mut stats);
         assert!(d.is_none(), "{}", d.unwrap());
-        // Each clean set performs exactly the twelve fixed comparisons.
+        // Each clean set performs exactly the thirteen fixed comparisons.
         assert_eq!(stats.simd_checks, 32 * 13);
     }
 
@@ -1536,7 +1290,7 @@ mod tests {
     fn wide_oracle_is_clean_and_counts() {
         let mut rng = FuzzRng::new(13);
         let mut stats = OracleStats::default();
-        let d = check_wide(&mut rng, 32, &mut stats);
+        let d = WIDE.check(&mut rng, 32, &mut stats);
         assert!(d.is_none(), "{}", d.unwrap());
         // Each clean set performs exactly 27 fixed comparisons:
         // 6 per Trits width (40, 63), 6 per plane geometry (27/1,
@@ -1548,7 +1302,7 @@ mod tests {
     fn wide_oracle_is_deterministic() {
         let run = |seed| {
             let mut stats = OracleStats::default();
-            let d = check_wide(&mut FuzzRng::new(seed), 8, &mut stats);
+            let d = WIDE.check(&mut FuzzRng::new(seed), 8, &mut stats);
             (stats.wide_checks, d.is_none())
         };
         assert_eq!(run(42), run(42));
@@ -1559,11 +1313,73 @@ mod tests {
     fn simd_oracle_is_deterministic() {
         let run = |seed| {
             let mut stats = OracleStats::default();
-            let d = check_simd(&mut FuzzRng::new(seed), 8, &mut stats);
+            let d = SIMD.check(&mut FuzzRng::new(seed), 8, &mut stats);
             (stats.simd_checks, d.is_none())
         };
         assert_eq!(run(42), run(42));
         assert!(run(42).1 && run(7).1);
+    }
+
+    /// Runs `row` with a planted wrong reference and checks the first
+    /// operand set is reported under the row's oracle, naming the op
+    /// and the operands.
+    fn assert_planted_add_is_caught<S: Debug>(row: ValueRow<S>) {
+        let d = row
+            .check(&mut FuzzRng::new(3), 4, &mut OracleStats::default())
+            .expect("planted wrong reference caught");
+        assert_eq!(d.oracle, row.oracle);
+        let first = &(row.draw)(&mut FuzzRng::new(3), 4)[0];
+        assert!(d.detail.starts_with("add: "), "{d}");
+        assert!(d.detail.contains("(packed) vs"), "{d}");
+        assert!(d.detail.ends_with(&format!(" for {first:?}")), "{d}");
+    }
+
+    #[test]
+    fn value_oracles_report_a_planted_wrong_reference() {
+        // Each row's add case with an off-by-one reference: a
+        // comparator that always agreed would pass the clean tests
+        // above but not this one.
+        assert_planted_add_is_caught(ValueRow {
+            cases: |&(a, b)| {
+                let (sum, carry) = arith::add_tritwise(a, b);
+                let one = Word9::from_i64(1).unwrap();
+                case("add", a.carrying_add(b), (sum.wrapping_add(one), carry))
+            },
+            ..ARITH
+        });
+        assert_planted_add_is_caught(ValueRow {
+            cases: |s: &LaneSet| {
+                let one = vec![Word9::from_i64(1).unwrap(); s.a.len()];
+                let packed = Word9xN::from_words(&s.a).wrapping_add(&Word9xN::from_words(&s.b));
+                let reference = arith::add_lanewise(&arith::add_lanewise(&s.a, &s.b), &one);
+                case("add", packed.to_words(), reference)
+            },
+            ..SIMD
+        });
+        assert_planted_add_is_caught(ValueRow {
+            cases: |s: &WideSet| {
+                let (a, b) = (
+                    Word27::from_i128_wrapping(s.a),
+                    Word27::from_i128_wrapping(s.b),
+                );
+                let (sum, carry) = arith::wide_add_tritwise(a, b);
+                let off = (sum.wrapping_add(Word27::from_i128_wrapping(1)), carry);
+                case("add", a.carrying_add(b), off)
+            },
+            ..WIDE
+        });
+    }
+
+    #[test]
+    fn value_level_is_a_property_of_the_table() {
+        let value_level: Vec<Oracle> = Oracle::ALL
+            .into_iter()
+            .filter(|o| o.is_value_level())
+            .collect();
+        assert_eq!(
+            value_level,
+            [Oracle::Arithmetic, Oracle::Simd, Oracle::Wide]
+        );
     }
 
     #[test]
