@@ -18,7 +18,7 @@
 //!
 //! ```
 //! use art9_compiler::translate;
-//! use art9_sim::SimBuilder;
+//! use art9_sim::{Core, SimBuilder};
 //! use rv32::parse_program;
 //!
 //! let rv = parse_program("
@@ -310,7 +310,7 @@ pub fn translate_with_options(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use art9_sim::SimBuilder;
+    use art9_sim::{Core, SimBuilder};
     use rv32::parse_program;
 
     fn run_translated(src: &str) -> (Translation, art9_sim::FunctionalSim) {

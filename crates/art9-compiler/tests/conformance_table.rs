@@ -18,7 +18,7 @@
 //!   [`CompileError`] — never silently miscompile.
 
 use art9_compiler::{translate, CompileError, Translation, WarningKind};
-use art9_sim::{FunctionalSim, SimBuilder};
+use art9_sim::{Core, FunctionalSim, SimBuilder};
 use rv32::{parse_program, Machine};
 
 /// Corner operands: zero, ±1, the imm3/imm4/imm5 edges, and the

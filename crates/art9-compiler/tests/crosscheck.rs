@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use art9_compiler::translate;
-use art9_sim::SimBuilder;
+use art9_sim::{Core, SimBuilder};
 use rv32::{parse_program, Machine};
 
 #[derive(Debug, Clone)]

@@ -5,7 +5,7 @@
 //! translation by exactly the instructions the pass reports removing.
 
 use art9_compiler::{translate_with_options, TranslateOptions};
-use art9_sim::SimBuilder;
+use art9_sim::{Core, SimBuilder};
 use workloads::batch::DEFAULT_MAX_STEPS;
 use workloads::paper_suite;
 

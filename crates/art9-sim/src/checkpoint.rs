@@ -384,8 +384,10 @@ impl Checkpoint {
     /// capture nothing beyond the software-visible machine and the
     /// retirement counters. Pipelined checkpoints restore only into the
     /// pipelined backend, and the pipelined backend accepts only them.
-    /// An architectural checkpoint's PC must address an instruction or
-    /// be the text length (the fell-off-end state).
+    /// An architectural checkpoint's PC, and a pipelined checkpoint's
+    /// fetch PC, must address an instruction or be the text length (the
+    /// fell-off-end state); every occupied pipeline latch must hold an
+    /// instruction address.
     pub(crate) fn guard(&self, backend: Backend, text_len: usize) -> Result<(), SimError> {
         let compatible = self.backend == backend
             || (matches!(self.micro, Micro::Architectural) && backend != Backend::Pipelined);
@@ -405,15 +407,34 @@ impl Checkpoint {
                 ),
             });
         }
-        if matches!(self.micro, Micro::Architectural) && self.state.pc > text_len {
-            return Err(SimError::Checkpoint {
-                detail: format!(
-                    "checkpoint pc {} lies past the end of the {text_len}-instruction program",
-                    self.state.pc
-                ),
-            });
+        let past_end = |what: &str, pc: usize| SimError::Checkpoint {
+            detail: format!(
+                "checkpoint {what} {pc} lies past the end of the {text_len}-instruction program"
+            ),
+        };
+        match &self.micro {
+            Micro::Architectural if self.state.pc > text_len => Err(past_end("pc", self.state.pc)),
+            Micro::Architectural => Ok(()),
+            Micro::Pipelined(m) => {
+                if m.fetch_pc > text_len {
+                    return Err(past_end("fetch pc", m.fetch_pc));
+                }
+                let latches = [
+                    m.if_id.map(|f| ("if-id", f.pc)),
+                    m.id_ex.map(|e| ("id-ex", e.pc)),
+                    m.ex_mem.map(|x| ("ex-mem", x.pc)),
+                    m.mem_wb.map(|w| ("mem-wb", w.pc)),
+                ];
+                match latches
+                    .into_iter()
+                    .flatten()
+                    .find(|&(_, pc)| pc >= text_len)
+                {
+                    Some((latch, pc)) => Err(past_end(&format!("{latch} latch pc"), pc)),
+                    None => Ok(()),
+                }
+            }
         }
-        Ok(())
     }
 }
 
@@ -570,17 +591,19 @@ mod tests {
         ));
     }
 
-    /// The checkpoint text of `core` with its `pc` line set to `pc`.
-    fn with_pc(core: &dyn crate::Core, pc: usize) -> String {
+    /// The checkpoint text of `core` with the first value of its `key`
+    /// line (`pc`, `fetch-pc` or a latch) set to `pc`.
+    fn with_pc(core: &dyn crate::Core, key: &str, pc: usize) -> String {
+        let prefix = format!("{key} ");
         core.snapshot()
             .to_text()
             .lines()
-            .map(|l| {
-                if l.starts_with("pc ") {
-                    format!("pc {pc}\n")
-                } else {
-                    format!("{l}\n")
+            .map(|l| match l.strip_prefix(&prefix) {
+                Some(rest) => {
+                    let tail = rest.split_once(' ').map_or("", |(_, tail)| tail);
+                    format!("{key} {pc} {tail}").trim_end().to_string() + "\n"
                 }
+                None => format!("{l}\n"),
             })
             .collect()
     }
@@ -594,7 +617,7 @@ mod tests {
             let mut core = builder.build();
             core.run_for(Budget::Steps(2)).unwrap();
 
-            let wild = Checkpoint::from_text(&with_pc(&*core, len + 1)).unwrap();
+            let wild = Checkpoint::from_text(&with_pc(&*core, "pc", len + 1)).unwrap();
             assert_eq!(wild.state.pc, len + 1);
             let mut fresh = builder.build();
             assert!(
@@ -604,7 +627,7 @@ mod tests {
 
             // `pc == text_len` is the fell-off-end state: it restores,
             // and the next step halts cleanly.
-            let end = Checkpoint::from_text(&with_pc(&*core, len)).unwrap();
+            let end = Checkpoint::from_text(&with_pc(&*core, "pc", len)).unwrap();
             fresh.restore(&end).unwrap();
             assert_eq!(
                 fresh.step().unwrap(),
@@ -612,6 +635,30 @@ mod tests {
                 "{backend}"
             );
         }
+
+        // Pipelined: the fetch PC may sit at the end of the text, but
+        // not past it, and no latch may hold a PC outside the text.
+        // After three cycles IF/ID, ID/EX and EX/MEM are occupied.
+        let builder = SimBuilder::new(&p).backend(Backend::Pipelined);
+        let mut core = builder.build();
+        core.run_for(Budget::Steps(3)).unwrap();
+        for (key, pc) in [
+            ("fetch-pc", len + 1),
+            ("if-id", len),
+            ("id-ex", len),
+            ("ex-mem", len),
+        ] {
+            let wild = Checkpoint::from_text(&with_pc(&*core, key, pc)).unwrap();
+            let mut fresh = builder.build();
+            assert!(
+                matches!(fresh.restore(&wild), Err(SimError::Checkpoint { .. })),
+                "{key} {pc}"
+            );
+        }
+        let end = Checkpoint::from_text(&with_pc(&*core, "fetch-pc", len)).unwrap();
+        let mut fresh = builder.build();
+        fresh.restore(&end).unwrap();
+        assert!(fresh.run_for(Budget::Steps(100)).unwrap().halt.is_some());
     }
 
     #[test]

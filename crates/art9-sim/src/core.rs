@@ -132,8 +132,11 @@ pub struct RunSummary {
 
 /// One ART-9 execution backend behind a uniform interface.
 ///
-/// Implemented by [`FunctionalSim`], [`PipelinedSim`] and
-/// [`ReferenceSim`](crate::ReferenceSim); built by [`SimBuilder`].
+/// Implemented by [`FunctionalSim`], [`PipelinedSim`],
+/// [`ReferenceSim`](crate::ReferenceSim) and
+/// [`ThreadedSim`](crate::ThreadedSim); built by [`SimBuilder`]. The
+/// trait is the only way to drive or read a backend.
+///
 /// The contract every backend upholds:
 ///
 /// * [`step`](Core::step) advances by the backend's natural quantum
@@ -167,6 +170,21 @@ pub trait Core: std::fmt::Debug + Send {
     ///
     /// Propagates faults from [`Core::step`].
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError>;
+
+    /// Runs to halt within `max_steps` steps: [`run_for`](Core::run_for)
+    /// with [`Budget::Steps`], where running out of budget is an error.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Timeout`] when the machine has not halted after
+    /// `max_steps` steps, plus any fault from [`Core::step`].
+    fn run(&mut self, max_steps: u64) -> Result<RunSummary, SimError> {
+        let summary = self.run_for(Budget::Steps(max_steps))?;
+        match summary.halt {
+            Some(_) => Ok(summary),
+            None => Err(SimError::Timeout { limit: max_steps }),
+        }
+    }
 
     /// The software-visible machine state.
     fn state(&self) -> &CoreState;

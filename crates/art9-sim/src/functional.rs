@@ -36,15 +36,6 @@ pub enum HaltReason {
     FellOffEnd,
 }
 
-/// Result of a completed functional run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunResult {
-    /// Instructions executed (the branch/jump that halted is counted).
-    pub instructions: u64,
-    /// Why the machine stopped.
-    pub halt: HaltReason,
-}
-
 /// The architectural state of an ART-9 core: PC, the nine-register TRF
 /// and the data memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,7 +150,7 @@ impl CoreState {
 ///
 /// ```
 /// use art9_isa::assemble;
-/// use art9_sim::SimBuilder;
+/// use art9_sim::{Core, SimBuilder};
 ///
 /// // Branches test only the least-significant trit, so loops use the
 /// // paper's COMP idiom: copy, compare against zero, branch on sign.
@@ -177,16 +168,16 @@ impl CoreState {
 /// ")?;
 ///
 /// let mut sim = SimBuilder::new(&program).build_functional();
-/// let result = sim.run(10_000)?;
+/// let summary = sim.run(10_000)?;
 /// assert_eq!(sim.state().reg("t4".parse()?).to_i64(), 55); // 10+9+...+1
-/// assert!(result.instructions > 0);
+/// assert!(summary.retired > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 ///
 /// [`ThreadedSim`](crate::ThreadedSim) embeds one of these as its
 /// architectural core: the compiled paths update `state`, the retired
 /// count, the halt reason and `mix` in place, and every observed step
-/// runs through [`FunctionalSim::step`].
+/// runs through its [`Core::step`].
 #[derive(Debug, Clone)]
 pub struct FunctionalSim {
     text: Arc<[Instruction]>,
@@ -216,47 +207,14 @@ impl FunctionalSim {
             observers,
         }
     }
+}
 
-    /// Dynamic instruction mix: executed count per mnemonic. The
-    /// operation-mix view behind Dhrystone-style workload analysis.
-    ///
-    /// Internally counts through a flat per-opcode array (the map is
-    /// assembled here, off the hot path); mnemonics that never executed
-    /// are absent.
-    pub fn instruction_mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
-        crate::core::mix_map(&self.mix)
+impl Core for FunctionalSim {
+    fn backend(&self) -> Backend {
+        Backend::Functional
     }
 
-    /// The architectural state (inspectable mid-run).
-    pub fn state(&self) -> &CoreState {
-        &self.state
-    }
-
-    /// Mutable state access, e.g. to preload registers before a run.
-    pub fn state_mut(&mut self) -> &mut CoreState {
-        &mut self.state
-    }
-
-    /// Instructions executed so far.
-    pub fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
-    /// Whether (and why) the machine has halted.
-    pub fn halted(&self) -> Option<HaltReason> {
-        self.halted
-    }
-
-    /// Executes a single instruction.
-    ///
-    /// Returns `Ok(Some(reason))` when this step halted the machine,
-    /// `Ok(None)` otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::PcOutOfRange`] on wild control transfers and
-    /// [`SimError::MemoryFault`] on TDM access violations.
-    pub fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
+    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
         if let Some(reason) = self.halted {
             return Ok(Some(reason));
         }
@@ -390,40 +348,6 @@ impl FunctionalSim {
         Ok(halt)
     }
 
-    /// Runs until halt or until `max_steps` instructions have executed.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Timeout`] if the budget is exhausted, plus any fault
-    /// from [`FunctionalSim::step`].
-    pub fn run(&mut self, max_steps: u64) -> Result<RunResult, SimError> {
-        for _ in 0..max_steps {
-            if let Some(halt) = self.step()? {
-                return Ok(RunResult {
-                    instructions: self.instructions,
-                    halt,
-                });
-            }
-        }
-        if let Some(halt) = self.halted {
-            return Ok(RunResult {
-                instructions: self.instructions,
-                halt,
-            });
-        }
-        Err(SimError::Timeout { limit: max_steps })
-    }
-}
-
-impl Core for FunctionalSim {
-    fn backend(&self) -> Backend {
-        Backend::Functional
-    }
-
-    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
-        FunctionalSim::step(self)
-    }
-
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
         run_loop(self, budget)
     }
@@ -445,7 +369,7 @@ impl Core for FunctionalSim {
     }
 
     fn instruction_mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
-        FunctionalSim::instruction_mix(self)
+        crate::core::mix_map(&self.mix)
     }
 
     fn snapshot(&self) -> Checkpoint {
@@ -650,7 +574,7 @@ mod tests {
         assert_eq!(mix["BEQ"], 3);
         assert_eq!(mix["JAL"], 1);
         let total: u64 = mix.values().sum();
-        assert_eq!(total, sim.instructions());
+        assert_eq!(total, sim.retired());
     }
 
     #[test]

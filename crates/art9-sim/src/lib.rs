@@ -88,7 +88,7 @@ pub use crate::core::{Backend, Budget, Core, RunSummary, SimBuilder};
 pub use checkpoint::Checkpoint;
 pub use error::SimError;
 pub use exec::{branch_taken, control_target, shift, talu};
-pub use functional::{CoreState, FunctionalSim, HaltReason, RunResult, DEFAULT_TDM_WORDS};
+pub use functional::{CoreState, FunctionalSim, HaltReason, DEFAULT_TDM_WORDS};
 pub use observer::{
     observers, MemWrite, MemoryAccess, Observer, RegWrite, SharedObserver, Writeback,
 };

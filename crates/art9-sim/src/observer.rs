@@ -201,58 +201,11 @@ impl ObserverSet {
     }
 }
 
-/// Ready-made observers: the instruction-mix and trace machinery
-/// reformulated on the hook API, plus a store watchpoint.
+/// Ready-made observers: a store watchpoint, the sync-point detector
+/// behind cross-ISA lockstep checking, and the switching-activity
+/// accounting behind the dynamic energy model.
 pub mod observers {
     use super::*;
-
-    /// Per-mnemonic retirement counts, as an observer — the same view
-    /// [`Core::instruction_mix`](crate::Core::instruction_mix) keeps
-    /// built in, demonstrated over the hook API.
-    #[derive(Debug, Clone, Default)]
-    pub struct InstructionMix {
-        counts: [u64; Instruction::OPCODE_COUNT],
-    }
-
-    impl InstructionMix {
-        /// A fresh, all-zero mix.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Retired count per mnemonic (absent when zero), matching the
-        /// shape of [`Core::instruction_mix`](crate::Core::instruction_mix).
-        pub fn mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
-            crate::core::mix_map(&self.counts)
-        }
-    }
-
-    impl Observer for InstructionMix {
-        fn on_retire(&mut self, _pc: usize, instr: &Instruction, _state: &CoreState) {
-            self.counts[instr.opcode()] += 1;
-        }
-    }
-
-    /// A retirement log: `(pc, instruction)` in retirement order — the
-    /// cross-backend counterpart of the pipelined per-cycle trace.
-    #[derive(Debug, Clone, Default)]
-    pub struct RetireLog {
-        /// Retired instructions, in order.
-        pub log: Vec<(usize, Instruction)>,
-    }
-
-    impl RetireLog {
-        /// An empty log.
-        pub fn new() -> Self {
-            Self::default()
-        }
-    }
-
-    impl Observer for RetireLog {
-        fn on_retire(&mut self, pc: usize, instr: &Instruction, _state: &CoreState) {
-            self.log.push((pc, *instr));
-        }
-    }
 
     /// One recorded hit of a [`Watchpoint`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -517,6 +470,18 @@ mod tests {
     use crate::core::{Backend, Budget, SimBuilder};
     use art9_isa::assemble;
 
+    /// `(pc, instruction)` in retirement order.
+    #[derive(Default)]
+    struct Retirements {
+        log: Vec<(usize, Instruction)>,
+    }
+
+    impl Observer for Retirements {
+        fn on_retire(&mut self, pc: usize, instr: &Instruction, _state: &CoreState) {
+            self.log.push((pc, *instr));
+        }
+    }
+
     fn looped() -> art9_isa::Program {
         assemble(
             "LI t2, 5\nLI t3, 3\nloop:\nSTORE t3, t2, 0\nADDI t3, -1\n\
@@ -528,17 +493,17 @@ mod tests {
     #[test]
     fn mix_observer_matches_builtin_mix_on_every_backend() {
         for backend in Backend::ALL {
-            let handle = Arc::new(Mutex::new(InstructionMix::new()));
+            let handle = Arc::new(Mutex::new(Retirements::default()));
             let mut core = SimBuilder::new(&looped())
                 .backend(backend)
                 .observer(handle.clone())
                 .build();
             core.run_for(Budget::Steps(100_000)).unwrap();
-            assert_eq!(
-                handle.lock().unwrap().mix(),
-                core.instruction_mix(),
-                "{backend:?}"
-            );
+            let mut mix = std::collections::BTreeMap::new();
+            for (_, instr) in &handle.lock().unwrap().log {
+                *mix.entry(instr.mnemonic()).or_insert(0) += 1;
+            }
+            assert_eq!(mix, core.instruction_mix(), "{backend:?}");
         }
     }
 
@@ -558,7 +523,7 @@ mod tests {
     #[test]
     fn retire_log_and_halt_agree_across_backends() {
         let run = |backend| {
-            let log = Arc::new(Mutex::new(RetireLog::new()));
+            let log = Arc::new(Mutex::new(Retirements::default()));
             let mut core = SimBuilder::new(&looped())
                 .backend(backend)
                 .observer(log.clone())
@@ -583,8 +548,8 @@ mod tests {
         // particular on the threaded backend, whose precise-interpreter
         // fallback carries the whole observer set.
         for backend in Backend::ALL {
-            let first = Arc::new(Mutex::new(RetireLog::new()));
-            let second = Arc::new(Mutex::new(RetireLog::new()));
+            let first = Arc::new(Mutex::new(Retirements::default()));
+            let second = Arc::new(Mutex::new(Retirements::default()));
             let energy = Arc::new(Mutex::new(EnergyAccounting::new()));
             let mut core = SimBuilder::new(&looped())
                 .backend(backend)

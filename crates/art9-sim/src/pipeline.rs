@@ -93,7 +93,7 @@ struct WbCarry {
 ///
 /// ```
 /// use art9_isa::assemble;
-/// use art9_sim::SimBuilder;
+/// use art9_sim::{Core, SimBuilder};
 ///
 /// let program = assemble("
 ///     LI   t3, 4
@@ -106,8 +106,9 @@ struct WbCarry {
 /// ")?;
 ///
 /// let mut core = SimBuilder::new(&program).build_pipelined();
-/// let stats = core.run(10_000)?;
+/// core.run(10_000)?;
 /// assert_eq!(core.state().reg("t3".parse()?).to_i64(), 0);
+/// let stats = core.pipeline_stats().expect("pipelined backend");
 /// // Taken branches cost one bubble each; CPI stays close to 1.
 /// assert!(stats.cpi() < 2.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -162,49 +163,52 @@ impl PipelinedSim {
         }
     }
 
-    /// Dynamic instruction mix: retired count per mnemonic.
-    ///
-    /// Counted through a flat per-opcode array in the WB stage; the map
-    /// is assembled here, off the hot path.
-    pub fn instruction_mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
-        crate::core::mix_map(&self.mix)
+    /// Moves a decoded instruction into the ID/EX register.
+    fn issue(&mut self, fetched: Fetched, a_val: Word9, b_val: Word9) {
+        self.id_ex = Some(IdEx {
+            instr: fetched.instr,
+            pc: fetched.pc,
+            a_val,
+            b_val,
+        });
+        self.if_id = None;
     }
 
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&[CycleTrace]> {
-        self.trace.as_deref()
+    fn record_trace(&mut self) {
+        let snapshot = CycleTrace {
+            cycle: self.stats.cycles,
+            if_stage: self.if_id.map(|f| StageSnapshot {
+                pc: f.pc,
+                instr: f.instr,
+            }),
+            ex_stage: self.id_ex.map(|e| StageSnapshot {
+                pc: e.pc,
+                instr: e.instr,
+            }),
+            mem_stage: self.ex_mem.map(|m| StageSnapshot {
+                pc: m.pc,
+                instr: m.instr,
+            }),
+            wb_stage: self.mem_wb.map(|w| StageSnapshot {
+                pc: w.pc,
+                instr: w.instr,
+            }),
+        };
+        if let Some(t) = &mut self.trace {
+            t.push(snapshot);
+        }
+    }
+}
+
+impl Core for PipelinedSim {
+    fn backend(&self) -> Backend {
+        Backend::Pipelined
     }
 
-    /// Architectural state (TRF, TDM).
-    pub fn state(&self) -> &CoreState {
-        &self.state
-    }
-
-    /// Mutable architectural state, e.g. to preload registers.
-    pub fn state_mut(&mut self) -> &mut CoreState {
-        &mut self.state
-    }
-
-    /// Statistics collected so far.
-    pub fn stats(&self) -> PipelineStats {
-        self.stats
-    }
-
-    /// Whether (and why) the core has halted and drained.
-    pub fn halted(&self) -> Option<HaltReason> {
-        self.halted
-    }
-
-    /// Advances the core by one clock cycle.
-    ///
-    /// Returns `Ok(Some(reason))` once the pipeline has fully drained
-    /// after a halt condition.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::MemoryFault`] from the MEM stage and
-    /// [`SimError::PcOutOfRange`] from wild control transfers in ID.
-    pub fn cycle(&mut self) -> Result<Option<HaltReason>, SimError> {
+    /// One step of the pipelined backend is one **clock cycle**;
+    /// `Some(reason)` once the pipeline has fully drained after a halt
+    /// condition.
+    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
         if let Some(reason) = self.halted {
             return Ok(Some(reason));
         }
@@ -561,68 +565,6 @@ impl PipelinedSim {
         Ok(None)
     }
 
-    /// Moves a decoded instruction into the ID/EX register.
-    fn issue(&mut self, fetched: Fetched, a_val: Word9, b_val: Word9) {
-        self.id_ex = Some(IdEx {
-            instr: fetched.instr,
-            pc: fetched.pc,
-            a_val,
-            b_val,
-        });
-        self.if_id = None;
-    }
-
-    fn record_trace(&mut self) {
-        let snapshot = CycleTrace {
-            cycle: self.stats.cycles,
-            if_stage: self.if_id.map(|f| StageSnapshot {
-                pc: f.pc,
-                instr: f.instr,
-            }),
-            ex_stage: self.id_ex.map(|e| StageSnapshot {
-                pc: e.pc,
-                instr: e.instr,
-            }),
-            mem_stage: self.ex_mem.map(|m| StageSnapshot {
-                pc: m.pc,
-                instr: m.instr,
-            }),
-            wb_stage: self.mem_wb.map(|w| StageSnapshot {
-                pc: w.pc,
-                instr: w.instr,
-            }),
-        };
-        if let Some(t) = &mut self.trace {
-            t.push(snapshot);
-        }
-    }
-
-    /// Runs until the pipeline halts and drains, or `max_cycles` elapse.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Timeout`] when the cycle budget is exhausted, plus
-    /// any fault from [`PipelinedSim::cycle`].
-    pub fn run(&mut self, max_cycles: u64) -> Result<PipelineStats, SimError> {
-        while self.stats.cycles < max_cycles {
-            if self.cycle()?.is_some() {
-                return Ok(self.stats);
-            }
-        }
-        Err(SimError::Timeout { limit: max_cycles })
-    }
-}
-
-impl Core for PipelinedSim {
-    fn backend(&self) -> Backend {
-        Backend::Pipelined
-    }
-
-    /// One step of the pipelined backend is one **clock cycle**.
-    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
-        self.cycle()
-    }
-
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
         run_loop(self, budget)
     }
@@ -644,7 +586,7 @@ impl Core for PipelinedSim {
     }
 
     fn instruction_mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
-        PipelinedSim::instruction_mix(self)
+        crate::core::mix_map(&self.mix)
     }
 
     fn snapshot(&self) -> Checkpoint {
@@ -701,7 +643,7 @@ impl Core for PipelinedSim {
     }
 
     fn trace(&self) -> Option<&[CycleTrace]> {
-        PipelinedSim::trace(self)
+        self.trace.as_deref()
     }
 }
 
@@ -736,7 +678,8 @@ mod tests {
     fn run_pipe(src: &str) -> (PipelinedSim, PipelineStats) {
         let p = assemble(src).unwrap();
         let mut sim = SimBuilder::new(&p).build_pipelined();
-        let stats = sim.run(1_000_000).unwrap();
+        sim.run(1_000_000).unwrap();
+        let stats = sim.stats;
         (sim, stats)
     }
 
@@ -868,9 +811,9 @@ mod tests {
         let mut f = SimBuilder::new(&p).build_functional();
         f.run(100_000).unwrap();
         let mut pipe = SimBuilder::new(&p).build_pipelined();
-        let stats = pipe.run(100_000).unwrap();
+        pipe.run(100_000).unwrap();
         assert_eq!(pipe.state().trf, f.state().trf);
-        assert_eq!(stats.instructions, f.instructions());
+        assert_eq!(pipe.retired(), f.retired());
     }
 
     #[test]
@@ -926,9 +869,11 @@ mod tests {
         ";
         let p = assemble(src).unwrap();
         let mut fast = SimBuilder::new(&p).build_pipelined();
-        let s_fast = fast.run(10_000).unwrap();
+        fast.run(10_000).unwrap();
+        let s_fast = fast.stats;
         let mut slow = SimBuilder::new(&p).forwarding(false).build_pipelined();
-        let s_slow = slow.run(10_000).unwrap();
+        slow.run(10_000).unwrap();
+        let s_slow = slow.stats;
         assert_eq!(fast.state().trf, slow.state().trf, "same architecture");
         assert!(
             s_slow.cycles > s_fast.cycles,

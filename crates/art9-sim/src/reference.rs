@@ -20,7 +20,7 @@
 //! it can implement the unified [`Core`](crate::Core) API and be driven
 //! by any consumer — most importantly the generic fuzz lockstep oracle.
 
-use art9_isa::{Instruction, TReg};
+use art9_isa::Instruction;
 use ternary::{arith, TernaryError, Trit, Trits, Word9};
 
 use crate::checkpoint::{Checkpoint, Micro};
@@ -72,31 +72,6 @@ impl ReferenceSim {
         }
     }
 
-    /// Reads a register.
-    pub fn reg(&self, r: TReg) -> Word9 {
-        self.state.reg(r)
-    }
-
-    /// The architectural state (inspectable mid-run).
-    pub fn state(&self) -> &CoreState {
-        &self.state
-    }
-
-    /// Mutable state access, e.g. to preload registers before a run.
-    pub fn state_mut(&mut self) -> &mut CoreState {
-        &mut self.state
-    }
-
-    /// Instructions executed so far.
-    pub fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
-    /// Whether (and why) the machine halted.
-    pub fn halted(&self) -> Option<HaltReason> {
-        self.halted
-    }
-
     /// Resolves a signed address value to a TDM index.
     fn resolve(&self, addr: i64, pc: usize) -> Result<usize, SimError> {
         if addr < 0 || addr as usize >= self.state.tdm.size() {
@@ -110,15 +85,17 @@ impl ReferenceSim {
         }
         Ok(addr as usize)
     }
+}
+
+impl Core for ReferenceSim {
+    fn backend(&self) -> Backend {
+        Backend::Reference
+    }
 
     /// Executes one instruction; mirrors the architectural contract of
-    /// `FunctionalSim::step` (halt detection order included) while
-    /// computing every result per trit.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError`] on wild control transfers or TDM violations.
-    pub fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
+    /// the functional backend's step (halt detection order included)
+    /// while computing every result per trit.
+    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
         if let Some(r) = self.halted {
             return Ok(Some(r));
         }
@@ -324,16 +301,6 @@ impl ReferenceSim {
             }
         }
         Ok(halt)
-    }
-}
-
-impl Core for ReferenceSim {
-    fn backend(&self) -> Backend {
-        Backend::Reference
-    }
-
-    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
-        ReferenceSim::step(self)
     }
 
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
@@ -567,23 +534,20 @@ mod tests {
     use super::*;
     use crate::core::SimBuilder;
     use art9_isa::assemble;
+    use art9_isa::TReg;
 
     fn run(src: &str) -> ReferenceSim {
         let p = assemble(src).unwrap();
         let mut r = SimBuilder::new(&p).build_reference();
-        for _ in 0..100_000 {
-            if r.step().unwrap().is_some() {
-                return r;
-            }
-        }
-        panic!("did not halt");
+        r.run(100_000).unwrap();
+        r
     }
 
     #[test]
     fn countdown_loop_matches_functional_semantics() {
         let r = run("LI t3, 10\nLI t4, 0\nloop:\nADD t4, t3\nADDI t3, -1\n\
              MV t7, t3\nCOMP t7, t0\nBEQ t7, +, loop\nJAL t0, 0\n");
-        assert_eq!(r.reg(TReg::T4).to_i64(), 55);
+        assert_eq!(r.state().reg(TReg::T4).to_i64(), 55);
         assert_eq!(r.halted(), Some(HaltReason::JumpToSelf));
     }
 
@@ -593,7 +557,7 @@ mod tests {
             ".data\nv: .word 41, 0\n.text\nLI t2, 0\nLOAD t3, t2, 0\nADDI t3, 1\n\
              STORE t3, t2, 1\nLOAD t4, t2, 1\nJAL t0, 0\n",
         );
-        assert_eq!(r.reg(TReg::T4).to_i64(), 42);
+        assert_eq!(r.state().reg(TReg::T4).to_i64(), 42);
         assert_eq!(r.state().tdm.read(1).unwrap().to_i64(), 42);
     }
 
@@ -601,18 +565,10 @@ mod tests {
     fn memory_fault_detected() {
         let p = assemble("LI t2, 121\nLUI t2, 40\nLOAD t3, t2, 0\n").unwrap();
         let mut r = SimBuilder::new(&p).build_reference();
-        let mut fault = None;
-        for _ in 0..10 {
-            match r.step() {
-                Err(e) => {
-                    fault = Some(e);
-                    break;
-                }
-                Ok(Some(_)) => break,
-                Ok(None) => {}
-            }
-        }
-        assert!(matches!(fault, Some(SimError::MemoryFault { pc: 2, .. })));
+        assert!(matches!(
+            r.run(10),
+            Err(SimError::MemoryFault { pc: 2, .. })
+        ));
     }
 
     #[test]

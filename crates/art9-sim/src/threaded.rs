@@ -42,7 +42,7 @@
 //! which owns the architectural state, the retired count, the halt
 //! reason, the observers and the only observed interpreter. The
 //! compiled paths update that state in place; with observers attached,
-//! every step *is* `FunctionalSim::step`, so event order is identical
+//! every step *is* the functional core's `step`, so event order is identical
 //! to the functional backend by construction. `instruction_mix` stays
 //! exact across fused ops, and [`Checkpoint`] snapshot/restore is
 //! bit-identical at any architectural boundary — checkpoints
@@ -57,7 +57,7 @@ use crate::checkpoint::Checkpoint;
 use crate::core::{Backend, Budget, Core, RunSummary};
 use crate::error::SimError;
 use crate::exec::shift;
-use crate::functional::{CoreState, FunctionalSim, HaltReason, RunResult};
+use crate::functional::{CoreState, FunctionalSim, HaltReason};
 use crate::observer::ObserverSet;
 use crate::predecode::PredecodedProgram;
 
@@ -771,33 +771,6 @@ impl ThreadedSim {
         mix
     }
 
-    /// Dynamic instruction mix: executed count per mnemonic. Fused ops
-    /// contribute one count per architectural component, so this always
-    /// matches unfused execution exactly.
-    pub fn instruction_mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
-        crate::core::mix_map(&self.full_mix())
-    }
-
-    /// The architectural state (inspectable mid-run).
-    pub fn state(&self) -> &CoreState {
-        self.arch.state()
-    }
-
-    /// Mutable state access, e.g. to preload registers before a run.
-    pub fn state_mut(&mut self) -> &mut CoreState {
-        self.arch.state_mut()
-    }
-
-    /// Instructions executed so far.
-    pub fn instructions(&self) -> u64 {
-        self.arch.instructions()
-    }
-
-    /// Whether (and why) the machine has halted.
-    pub fn halted(&self) -> Option<HaltReason> {
-        self.arch.halted()
-    }
-
     /// The superblock spans the compiler formed, as `(start_pc, len)`
     /// pairs in address order. Block boundaries are the static
     /// control-flow targets and successors; every instruction belongs
@@ -823,23 +796,6 @@ impl ThreadedSim {
     /// target).
     pub fn inline_cache_sites(&self) -> usize {
         self.code.sites
-    }
-
-    /// Runs until halt or until `max_steps` instructions have executed.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Timeout`] if the budget is exhausted, plus any fault
-    /// from stepping.
-    pub fn run(&mut self, max_steps: u64) -> Result<RunResult, SimError> {
-        let summary = Core::run_for(self, Budget::Steps(max_steps))?;
-        match summary.halt {
-            Some(halt) => Ok(RunResult {
-                instructions: self.arch.instructions,
-                halt,
-            }),
-            None => Err(SimError::Timeout { limit: max_steps }),
-        }
     }
 
     fn convert_fault(&self, fault: Fault) -> SimError {
@@ -1102,23 +1058,25 @@ impl Core for ThreadedSim {
     }
 
     fn state(&self) -> &CoreState {
-        self.arch.state()
+        &self.arch.state
     }
 
     fn state_mut(&mut self) -> &mut CoreState {
-        self.arch.state_mut()
+        &mut self.arch.state
     }
 
     fn halted(&self) -> Option<HaltReason> {
-        self.arch.halted()
+        self.arch.halted
     }
 
     fn retired(&self) -> u64 {
-        self.arch.instructions()
+        self.arch.instructions
     }
 
+    /// Fused ops contribute one count per architectural component, so
+    /// the mix always matches unfused execution exactly.
     fn instruction_mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
-        ThreadedSim::instruction_mix(self)
+        crate::core::mix_map(&self.full_mix())
     }
 
     fn snapshot(&self) -> Checkpoint {
@@ -1165,7 +1123,7 @@ mod tests {
         assert_eq!(t.halted(), Some(HaltReason::JumpToSelf));
         assert_eq!(f.state().first_difference(t.state()), None);
         assert_eq!(f.state().pc, t.state().pc);
-        assert_eq!(f.instructions(), t.instructions());
+        assert_eq!(f.retired(), t.retired());
         assert_eq!(f.instruction_mix(), t.instruction_mix());
     }
 
@@ -1181,7 +1139,7 @@ mod tests {
         while Core::step(&mut precise).unwrap().is_none() {}
         assert_eq!(hot.state().first_difference(precise.state()), None);
         assert_eq!(hot.state().pc, precise.state().pc);
-        assert_eq!(hot.instructions(), precise.instructions());
+        assert_eq!(hot.retired(), precise.retired());
         assert_eq!(hot.instruction_mix(), precise.instruction_mix());
         assert!(hot.fused_pairs() > 0, "countdown loop has fusable pairs");
     }
@@ -1194,13 +1152,13 @@ mod tests {
             let mut sim = b.build_threaded();
             let summary = Core::run_for(&mut sim, Budget::Steps(cut)).unwrap();
             if summary.halt.is_none() {
-                assert_eq!(sim.instructions(), cut, "steps budget is exact");
+                assert_eq!(sim.retired(), cut, "steps budget is exact");
                 assert_eq!(summary.steps, cut);
             }
             let mut sim = b.build_threaded();
             let summary = Core::run_for(&mut sim, Budget::Retired(cut)).unwrap();
             if summary.halt.is_none() {
-                assert_eq!(sim.instructions(), cut, "retired budget is exact");
+                assert_eq!(sim.retired(), cut, "retired budget is exact");
             }
             // Resuming after any cut still finishes identically.
             let mut rest = b.build_functional();
@@ -1209,7 +1167,7 @@ mod tests {
             Core::run_for(&mut sliced, Budget::Steps(cut)).unwrap();
             Core::run_for(&mut sliced, Budget::Steps(1_000_000)).unwrap();
             assert_eq!(rest.state().first_difference(sliced.state()), None);
-            assert_eq!(rest.instructions(), sliced.instructions());
+            assert_eq!(rest.retired(), sliced.retired());
         }
     }
 
@@ -1241,7 +1199,7 @@ mod tests {
         let fe = f.run(100).unwrap_err();
         let te = t.run(100).unwrap_err();
         assert_eq!(fe, te);
-        assert_eq!(f.instructions(), t.instructions());
+        assert_eq!(f.retired(), t.retired());
         assert_eq!(f.state().pc, t.state().pc);
     }
 
@@ -1252,7 +1210,7 @@ mod tests {
         let fe = f.run(100).unwrap_err();
         let te = t.run(100).unwrap_err();
         assert_eq!(fe, te);
-        assert_eq!(f.instructions(), t.instructions());
+        assert_eq!(f.retired(), t.retired());
     }
 
     #[test]
@@ -1287,7 +1245,7 @@ mod tests {
         let image = PredecodedProgram::from_tim_image(&[], &[]).unwrap();
         let mut sim = SimBuilder::new(&image).build_threaded();
         assert_eq!(Core::step(&mut sim).unwrap(), Some(HaltReason::FellOffEnd));
-        assert_eq!(sim.instructions(), 0);
+        assert_eq!(sim.retired(), 0);
         let summary = Core::run_for(&mut sim, Budget::Steps(10)).unwrap();
         assert_eq!(summary.halt, Some(HaltReason::FellOffEnd));
     }
@@ -1381,7 +1339,7 @@ mod tests {
                 for t in [&free, &stepped] {
                     assert_eq!(f.state().first_difference(t.state()), None, "{ctx}");
                     assert_eq!(f.state().pc, t.state().pc, "{ctx}");
-                    assert_eq!(f.instructions(), t.instructions(), "{ctx}");
+                    assert_eq!(f.retired(), t.retired(), "{ctx}");
                     assert_eq!(f.instruction_mix(), t.instruction_mix(), "{ctx}");
                 }
             }

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use art9_isa::{Instruction, Program, TReg};
-use art9_sim::SimBuilder;
+use art9_sim::{Core, SimBuilder};
 use ternary::{Trit, Trits};
 
 /// Base register kept stable for memory addressing.
@@ -210,10 +210,11 @@ proptest! {
         let mut f = builder.build_functional();
         let fr = f.run(1_000_000).expect("functional run completes");
         let mut pipe = builder.build_pipelined();
-        let stats = pipe.run(1_000_000).expect("pipelined run completes");
+        pipe.run(1_000_000).expect("pipelined run completes");
+        let stats = pipe.pipeline_stats().expect("pipelined backend");
         prop_assert_eq!(pipe.state().trf, f.state().trf, "register files diverge");
         prop_assert!(pipe.state().tdm.iter().eq(f.state().tdm.iter()));
-        prop_assert_eq!(stats.instructions, fr.instructions);
+        prop_assert_eq!(stats.instructions, fr.retired);
     }
 
     #[test]
@@ -222,7 +223,8 @@ proptest! {
         let mut f = builder.build_functional();
         f.run(1_000_000).expect("functional run completes");
         let mut pipe = builder.clone().forwarding(false).build_pipelined();
-        let stats = pipe.run(2_000_000).expect("no-forwarding run completes");
+        pipe.run(2_000_000).expect("no-forwarding run completes");
+        let stats = pipe.pipeline_stats().expect("pipelined backend");
         prop_assert_eq!(pipe.state().trf, f.state().trf, "no-fwd diverges");
         prop_assert!(stats.cycles >= stats.instructions + 4);
     }
@@ -234,14 +236,15 @@ proptest! {
         let fr = f.run(1_000_000).expect("functional run completes");
 
         let mut pipe = builder.build_pipelined();
-        let stats = pipe.run(1_000_000).expect("pipelined run completes");
+        pipe.run(1_000_000).expect("pipelined run completes");
+        let stats = pipe.pipeline_stats().expect("pipelined backend");
 
         prop_assert_eq!(pipe.state().trf, f.state().trf, "register files diverge");
         prop_assert!(
             pipe.state().tdm.iter().eq(f.state().tdm.iter()),
             "data memories diverge"
         );
-        prop_assert_eq!(stats.instructions, fr.instructions, "retirement counts diverge");
+        prop_assert_eq!(stats.instructions, fr.retired, "retirement counts diverge");
         // Timing sanity: a 5-stage pipe needs at least instret + 4 cycles,
         // and every cycle is either a retirement, a fill slot, or an
         // accounted stall/bubble.

@@ -37,7 +37,7 @@ pub mod perf {
     use std::hint::black_box;
     use std::time::{Duration, Instant};
 
-    use art9_sim::{PredecodedProgram, SimBuilder};
+    use art9_sim::{Core, PredecodedProgram, SimBuilder};
     use ternary::{arith, Word9};
     use workloads::batch::DEFAULT_MAX_STEPS;
     use workloads::Workload;
@@ -381,24 +381,19 @@ pub mod perf {
 
         let builder = SimBuilder::new(&image);
         let mut probe = builder.build_functional();
-        let instructions = probe
-            .run(DEFAULT_MAX_STEPS)
-            .expect("completes")
-            .instructions;
+        let instructions = probe.run(DEFAULT_MAX_STEPS).expect("completes").retired;
         // The threaded backend must retire exactly what the functional
         // one does — measured on the same shared image, construction
         // (compilation included) inside the timed call like the others.
         let mut probe = builder.build_threaded();
-        let threaded_instructions = probe
-            .run(DEFAULT_MAX_STEPS)
-            .expect("completes")
-            .instructions;
+        let threaded_instructions = probe.run(DEFAULT_MAX_STEPS).expect("completes").retired;
         assert_eq!(
             threaded_instructions, instructions,
             "threaded and functional retirement counts diverged"
         );
         let mut probe = builder.build_pipelined();
-        let cycles = probe.run(DEFAULT_MAX_STEPS).expect("completes").cycles;
+        probe.run(DEFAULT_MAX_STEPS).expect("completes");
+        let cycles = probe.pipeline_stats().expect("pipelined backend").cycles;
 
         // The three backends are measured in interleaved rounds (each
         // keeping its fastest round) rather than one contiguous window

@@ -10,7 +10,7 @@ use art9_hw::estimator::{
 use art9_hw::fpga::{map_to_fpga, MemoryConfig};
 use art9_hw::tech::{cntfet32, TechLibrary};
 use art9_isa::Program;
-use art9_sim::{PipelineStats, SimBuilder, SimError};
+use art9_sim::{Core, PipelineStats, SimBuilder, SimError};
 
 /// Front door of the hardware-level framework.
 ///
@@ -86,7 +86,8 @@ impl HardwareFramework {
         max_cycles: u64,
     ) -> Result<PipelineStats, SimError> {
         let mut core = SimBuilder::new(program).build_pipelined();
-        core.run(max_cycles)
+        core.run(max_cycles)?;
+        Ok(core.pipeline_stats().expect("pipelined backend"))
     }
 
     /// The complete Fig. 3 flow, given Dhrystone cycles-per-iteration

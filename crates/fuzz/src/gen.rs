@@ -640,7 +640,7 @@ mod tests {
             let p = generate(&mut FuzzRng::for_iteration(99, i), &cfg);
             let mut sim = art9_sim::SimBuilder::new(&p)
                 .tdm_words(MIN_TDM_WORDS.max(256))
-                .build_functional();
+                .build();
             sim.run(budget)
                 .unwrap_or_else(|e| panic!("iteration {i} failed: {e}\n{p}"));
         }

@@ -231,7 +231,7 @@ mod tests {
     use super::*;
     use crate::oracle::Oracle;
     use art9_isa::assemble;
-    use art9_sim::SimBuilder;
+    use art9_sim::{Core, SimBuilder};
     use ternary::Word9;
 
     /// A synthetic oracle: "diverges" whenever the program leaves 42 in

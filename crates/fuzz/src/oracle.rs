@@ -505,7 +505,7 @@ impl ProgramRun<'_> {
                 let mut func = self.builder.build_functional();
                 let mut reference = self.builder.build_reference();
                 let outcome = lockstep(&mut func, &mut reference, self.step_budget);
-                self.stats.functional_instructions = func.instructions();
+                self.stats.functional_instructions = func.retired();
                 self.baseline = Some(func);
                 outcome.into_halt(self.step_budget).map(|_| ())
             }
@@ -573,9 +573,7 @@ impl ProgramRun<'_> {
         final_difference(&func, &reference, ["functional", "reference"])?;
 
         let packed = packed.lock().expect("observer lock");
-        if let Some(d) = activity_difference(&packed, &tritwise.lock().expect("observer lock")) {
-            return Err(d);
-        }
+        activity_difference(&packed, &tritwise.lock().expect("observer lock"))?;
         let t = packed.totals();
         self.stats.energy_flips += t.regfile + t.tdm + t.fetch + t.alu;
         Ok(())
@@ -652,12 +650,8 @@ impl ProgramRun<'_> {
         final_difference(&straight, &*core, ["straight-line", "sliced"])?;
         let straight_acc = straight_energy.lock().expect("observer lock");
         let sliced_acc = sliced_energy.lock().expect("observer lock");
-        match activity_difference(&straight_acc, &sliced_acc) {
-            Some(d) => Err(format!(
-                "energy accounting diverged across slicing/migration: {d}"
-            )),
-            None => Ok(()),
-        }
+        activity_difference(&straight_acc, &sliced_acc)
+            .map_err(|d| format!("energy accounting diverged across slicing/migration: {d}"))
     }
 
     /// A pipelined oracle: the pipeline (forwarding on or off) against
@@ -666,7 +660,7 @@ impl ProgramRun<'_> {
         if self.baseline.is_none() {
             let mut func = self.builder.build_functional();
             let halt = run_to_halt(&mut func, self.step_budget, "functional baseline");
-            self.stats.functional_instructions = func.instructions();
+            self.stats.functional_instructions = func.retired();
             halt?;
             self.baseline = Some(func);
         }
@@ -677,7 +671,7 @@ impl ProgramRun<'_> {
             .build_pipelined();
         let cycle_budget = self.step_budget.saturating_mul(16).max(1024);
         let halt = run_to_halt(&mut pipe, cycle_budget, "pipeline");
-        self.stats.pipelined_cycles += pipe.stats().cycles;
+        self.stats.pipelined_cycles += pipe.pipeline_stats().expect("pipelined backend").cycles;
         halt?;
         let func = self.baseline.as_ref().expect("baseline ran above");
         final_difference(func, &pipe, ["functional", "pipelined"])
@@ -685,10 +679,13 @@ impl ProgramRun<'_> {
 }
 
 /// The first per-opcode, per-structure difference between two energy
-/// accountings, named (`None` when bit-identical). The first operand
+/// accountings, named (`Ok` when bit-identical). The first operand
 /// is labelled `packed`, the second `tritwise` (the energy oracle's
 /// sides; for other callers read them as baseline vs candidate).
-fn activity_difference(packed: &EnergyAccounting, tritwise: &EnergyAccounting) -> Option<String> {
+fn activity_difference(
+    packed: &EnergyAccounting,
+    tritwise: &EnergyAccounting,
+) -> Result<(), String> {
     for (opcode, (p, t)) in packed
         .per_opcode()
         .iter()
@@ -707,15 +704,15 @@ fn activity_difference(packed: &EnergyAccounting, tritwise: &EnergyAccounting) -
             ("alu", p.alu, t.alu),
         ];
         for (name, a, b) in structures {
-            if a != b {
-                return Some(format!(
-                    "{mnemonic}: {name} flips {a} (packed) vs {b} (tritwise)"
-                ));
-            }
+            compare(
+                &format!("{mnemonic}: {name} flips"),
+                a,
+                b,
+                ["packed", "tritwise"],
+            )?;
         }
-        unreachable!("unequal OpcodeActivity with equal fields");
     }
-    None
+    Ok(())
 }
 
 /// The encode → decode → disassemble → reassemble oracle.
@@ -1261,8 +1258,8 @@ mod tests {
         };
         let good = run(|next, prev| next.flips_from(&prev));
         let bad = run(off_by_one);
-        assert_eq!(activity_difference(&good, &good), None);
-        let d = activity_difference(&good, &bad).expect("difference detected");
+        assert_eq!(activity_difference(&good, &good), Ok(()));
+        let d = activity_difference(&good, &bad).expect_err("difference detected");
         assert!(d.contains("LI") || d.contains("JAL"), "{d}");
         assert!(d.contains("packed") && d.contains("tritwise"), "{d}");
     }
@@ -1433,7 +1430,11 @@ mod tests {
             lockstep(&mut func, &mut pipe, 100),
             LockstepOutcome::Unsupported(_)
         ));
-        assert_eq!(pipe.stats().cycles, 0, "no steps executed");
+        assert_eq!(
+            pipe.pipeline_stats().unwrap().cycles,
+            0,
+            "no steps executed"
+        );
     }
 
     #[test]

@@ -146,8 +146,6 @@ no_match:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use art9_compiler::translate;
-    use art9_sim::SimBuilder;
     use rv32::Machine;
 
     #[test]
@@ -177,24 +175,6 @@ mod tests {
         assert!(w.expected[0] >= 0 && w.expected[1] >= 1);
         assert!(w.expected[2] >= 0 && w.expected[3] >= 1);
         assert_eq!(&w.expected[4..], &[-1, 0, -1, 0]);
-    }
-
-    #[test]
-    fn assoc_match_on_both_machines() {
-        let w = assoc_match(24);
-        let rv = w.rv32_program().unwrap();
-        let mut m = Machine::new(&rv);
-        m.run(10_000_000).unwrap();
-        w.verify_rv32(&m).unwrap();
-
-        let t = translate(&rv).unwrap();
-        let mut f = SimBuilder::new(&t.program).build_functional();
-        f.run(10_000_000).unwrap();
-        w.verify_art9(f.state()).unwrap();
-
-        let mut p = SimBuilder::new(&t.program).build_pipelined();
-        p.run(20_000_000).unwrap();
-        w.verify_art9(p.state()).unwrap();
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use art9_compiler::Translation;
 use art9_sim::observers::EnergyAccounting;
-use art9_sim::{Backend, Budget, PipelineStats, PredecodedProgram, SimBuilder, SimError};
+use art9_sim::{Backend, PipelineStats, PredecodedProgram, SimBuilder, SimError};
 use rayon::prelude::*;
 use rv32::{PicoRv32Model, Rv32Program, VexRiscvModel};
 
@@ -641,7 +641,7 @@ fn execute(p: &Prepared, config: ExecConfig, max_steps: u64, measure_energy: boo
             // The prepare stage decoded the program once; all ART-9
             // configs fetch from that shared image. One backend-generic
             // code path serves every ART-9 configuration: construction
-            // through SimBuilder, execution through `Core::run_for`,
+            // through SimBuilder, execution through `Core::run`,
             // timing through `Core::pipeline_stats`.
             let image = match (&p.predecoded, p.translation.as_ref()) {
                 (Some(image), _) => image,
@@ -672,16 +672,10 @@ fn execute(p: &Prepared, config: ExecConfig, max_steps: u64, measure_energy: boo
                 builder = builder.observer(e.clone());
             }
             let mut core = builder.build();
-            let summary = match core.run_for(Budget::Steps(max_steps)) {
+            let summary = match core.run(max_steps) {
                 Ok(s) => s,
                 Err(e) => return fail(sim_error(e), start.elapsed()),
             };
-            if summary.halt.is_none() {
-                return fail(
-                    sim_error(SimError::Timeout { limit: max_steps }),
-                    start.elapsed(),
-                );
-            }
             let host_time = start.elapsed();
             let outcome = verify_outcome(name, p.workload.verify_art9(core.state()));
             let stats = core.pipeline_stats();
@@ -751,6 +745,7 @@ fn execute(p: &Prepared, config: ExecConfig, max_steps: u64, measure_energy: boo
 mod tests {
     use super::*;
     use crate::{bubble_sort, dot_product};
+    use art9_sim::Core;
 
     fn small_batch() -> BatchReport {
         BatchRunner::new()
@@ -804,7 +799,8 @@ mod tests {
         let w = bubble_sort(8);
         let t = art9_compiler::translate(&w.rv32_program().unwrap()).unwrap();
         let mut core = SimBuilder::new(&t.program).build_pipelined();
-        let stats = core.run(10_000_000).unwrap();
+        core.run(10_000_000).unwrap();
+        let stats = core.pipeline_stats().expect("pipelined backend");
         let r = &report.runs[0];
         assert_eq!(r.cycles, Some(stats.cycles));
         assert_eq!(r.instructions, stats.instructions);

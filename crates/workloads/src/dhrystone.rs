@@ -289,8 +289,6 @@ p1_loop:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use art9_compiler::translate;
-    use art9_sim::SimBuilder;
     use rv32::Machine;
 
     #[test]
@@ -299,15 +297,6 @@ mod tests {
         let mut m = Machine::new(&w.rv32_program().unwrap());
         m.run(10_000_000).unwrap();
         w.verify_rv32(&m).unwrap();
-    }
-
-    #[test]
-    fn runs_on_art9() {
-        let w = dhrystone(3);
-        let t = translate(&w.rv32_program().unwrap()).unwrap();
-        let mut sim = SimBuilder::new(&t.program).build_functional();
-        sim.run(10_000_000).unwrap();
-        w.verify_art9(sim.state()).unwrap();
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::error::Error;
 use std::sync::{Arc, Mutex};
 
 use art9_sim::observers::EnergyAccounting;
-use art9_sim::{Backend, Budget, SimBuilder, SimError};
+use art9_sim::{Backend, SimBuilder};
 
 use crate::batch::DEFAULT_MAX_STEPS;
 use crate::Workload;
@@ -64,10 +64,7 @@ pub fn measure_activity_with(
         .backend(Backend::Pipelined)
         .observer(energy.clone())
         .build();
-    let summary = core.run_for(Budget::Steps(max_cycles))?;
-    if summary.halt.is_none() {
-        return Err(Box::new(SimError::Timeout { limit: max_cycles }));
-    }
+    let summary = core.run(max_cycles)?;
     w.verify_art9(core.state())?;
     let stats = core.pipeline_stats().expect("pipelined backend is timed");
     let accounting = energy.lock().expect("observer lock").clone();

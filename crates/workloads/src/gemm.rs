@@ -115,8 +115,6 @@ k_loop:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use art9_compiler::translate;
-    use art9_sim::SimBuilder;
     use rv32::Machine;
 
     #[test]
@@ -125,16 +123,6 @@ mod tests {
         let mut m = Machine::new(&w.rv32_program().unwrap());
         m.run(1_000_000).unwrap();
         w.verify_rv32(&m).unwrap();
-    }
-
-    #[test]
-    fn multiplies_on_art9() {
-        let w = gemm(4);
-        let t = translate(&w.rv32_program().unwrap()).unwrap();
-        assert!(t.report.art9_builtin_instructions > 0, "links __mul");
-        let mut sim = SimBuilder::new(&t.program).build_functional();
-        sim.run(4_000_000).unwrap();
-        w.verify_art9(sim.state()).unwrap();
     }
 
     #[test]

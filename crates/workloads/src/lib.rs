@@ -17,7 +17,7 @@
 //! w.verify_rv32(&machine)?;   // sorted output in data memory
 //!
 //! let t = art9_compiler::translate(&w.rv32_program()?)?;
-//! let mut sim = art9_sim::SimBuilder::new(&t.program).build_functional();
+//! let mut sim = art9_sim::SimBuilder::new(&t.program).build();
 //! sim.run(1_000_000)?;
 //! w.verify_art9(sim.state())?; // same values, word-addressed TDM
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -340,8 +340,6 @@ l2_col:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use art9_compiler::translate;
-    use art9_sim::SimBuilder;
     use rv32::Machine;
 
     fn words(v: &[i64]) -> Vec<Word9> {
@@ -392,24 +390,6 @@ mod tests {
         let scalar: Vec<i64> = mlp.infer_scalar(&x).iter().map(Word9::to_i64).collect();
         assert_eq!(simd, w.expected);
         assert_eq!(scalar, w.expected);
-    }
-
-    #[test]
-    fn nn_mlp_on_both_machines() {
-        let w = nn_mlp(6);
-        let rv = w.rv32_program().unwrap();
-        let mut m = Machine::new(&rv);
-        m.run(10_000_000).unwrap();
-        w.verify_rv32(&m).unwrap();
-
-        let t = translate(&rv).unwrap();
-        let mut f = SimBuilder::new(&t.program).build_functional();
-        f.run(10_000_000).unwrap();
-        w.verify_art9(f.state()).unwrap();
-
-        let mut p = SimBuilder::new(&t.program).build_pipelined();
-        p.run(20_000_000).unwrap();
-        w.verify_art9(p.state()).unwrap();
     }
 
     #[test]

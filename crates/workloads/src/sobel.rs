@@ -120,8 +120,6 @@ gy_done:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use art9_compiler::translate;
-    use art9_sim::SimBuilder;
     use rv32::Machine;
 
     #[test]
@@ -130,17 +128,6 @@ mod tests {
         let mut m = Machine::new(&w.rv32_program().unwrap());
         m.run(1_000_000).unwrap();
         w.verify_rv32(&m).unwrap();
-    }
-
-    #[test]
-    fn filters_on_art9() {
-        let w = sobel();
-        let t = translate(&w.rv32_program().unwrap()).unwrap();
-        // No multiplies: the runtime must not be linked.
-        assert_eq!(t.report.art9_builtin_instructions, 0);
-        let mut sim = SimBuilder::new(&t.program).build_functional();
-        sim.run(4_000_000).unwrap();
-        w.verify_art9(sim.state()).unwrap();
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Batch-driver and energy-accounting integration for the NN /
-//! associative workload family: `nn-mlp` and `assoc-match` must verify
-//! under every ART-9 backend, and the architectural activity counters
+//! associative workload family: the architectural activity counters
 //! must be bit-identical between the functional and direct-threaded
 //! backends (the counts are derived from the retirement stream, so any
 //! divergence is a backend bug, not a measurement artifact).
@@ -8,28 +7,6 @@
 use art9_sim::Backend;
 use workloads::batch::{BatchRunner, ExecConfig};
 use workloads::{assoc_match, nn_mlp};
-
-const ART9_BACKENDS: [ExecConfig; 4] = [
-    ExecConfig::art9(Backend::Functional),
-    ExecConfig::art9_pipelined(true),
-    ExecConfig::art9(Backend::Reference),
-    ExecConfig::art9(Backend::Threaded),
-];
-
-#[test]
-fn nn_and_assoc_verify_on_all_art9_backends() {
-    let report = BatchRunner::new()
-        .workload(nn_mlp(8))
-        .workload(assoc_match(32))
-        .configs(ART9_BACKENDS)
-        .max_steps(20_000_000)
-        .measure_energy(true)
-        .try_run()
-        .expect("every backend must verify both workloads");
-
-    assert_eq!(report.runs.len(), 8);
-    assert_eq!(report.failures(), 0);
-}
 
 #[test]
 fn energy_counters_are_bit_identical_functional_vs_threaded() {

@@ -3,7 +3,7 @@
 //! software-multiply case) — the paper's headline comparison.
 
 use art9_compiler::translate;
-use art9_sim::SimBuilder;
+use art9_sim::{Core, SimBuilder};
 use rv32::{simulate_cycles, PicoRv32Model};
 use workloads::paper_suite;
 
@@ -16,8 +16,9 @@ fn art9_vs_picorv32_shape() {
 
         let t = translate(&rv).unwrap();
         let mut pipe = SimBuilder::new(&t.program).build_pipelined();
-        let stats = pipe.run(200_000_000).unwrap();
+        pipe.run(200_000_000).unwrap();
         w.verify_art9(pipe.state()).unwrap();
+        let stats = pipe.pipeline_stats().expect("pipelined backend");
 
         println!(
             "{:<12} ART-9 {:>9} cycles (CPI {:.2})   PicoRV32 {:>9} cycles (CPI {:.2})   ratio {:.2}",

@@ -7,7 +7,7 @@
 //! ```
 
 use art9_core::SoftwareFramework;
-use art9_sim::SimBuilder;
+use art9_sim::{Core, SimBuilder};
 use workloads::bubble_sort;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -7,7 +7,7 @@
 //! ```
 
 use art9_compiler::translate;
-use art9_sim::SimBuilder;
+use art9_sim::{Core, SimBuilder};
 use rv32::{simulate_cycles, PicoRv32Model, VexRiscvModel};
 use workloads::{dhrystone, DHRYSTONE_DIVISOR};
 
@@ -19,8 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ART-9: translate, then run cycle-accurately.
     let t = translate(&rv)?;
     let mut art9 = SimBuilder::new(&t.program).build_pipelined();
-    let stats = art9.run(100_000_000)?;
+    art9.run(100_000_000)?;
     w.verify_art9(art9.state())?;
+    let stats = art9.pipeline_stats().expect("pipelined backend");
 
     // Binary baselines: cycle models over the same source.
     let vex = simulate_cycles(&rv, &mut VexRiscvModel::new(), 100_000_000)?;

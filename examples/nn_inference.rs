@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use art9_compiler::translate;
 use art9_sim::observers::EnergyAccounting;
-use art9_sim::{Backend, Budget, SimBuilder};
+use art9_sim::{Backend, SimBuilder};
 use ternary::Word9;
 use workloads::nn::TernaryMlp;
 use workloads::nn_mlp;
@@ -58,8 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .backend(Backend::Pipelined)
         .observer(energy.clone())
         .build();
-    let summary = core.run_for(Budget::Steps(10_000_000))?;
-    assert!(summary.halt.is_some(), "inference kernel must halt");
+    let summary = core.run(10_000_000)?;
     w.verify_art9(core.state())?;
 
     let stats = core.pipeline_stats().expect("pipelined backend is timed");

@@ -6,7 +6,7 @@
 //! ```
 
 use art9_compiler::translate;
-use art9_sim::SimBuilder;
+use art9_sim::{Core, SimBuilder};
 use workloads::bubble_sort;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -14,8 +14,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = translate(&w.rv32_program()?)?;
 
     let mut core = SimBuilder::new(&t.program).trace(true).build_pipelined();
-    let stats = core.run(1_000_000)?;
+    core.run(1_000_000)?;
     w.verify_art9(core.state())?;
+    let stats = core.pipeline_stats().expect("pipelined backend");
 
     println!("first 25 cycles of the 5-stage pipeline:");
     for cycle in core.trace().expect("tracing enabled").iter().take(25) {

@@ -5,7 +5,7 @@
 //! cycle models.
 
 use art9_core::{HardwareFramework, SoftwareFramework};
-use art9_sim::SimBuilder;
+use art9_sim::{Core, SimBuilder};
 use rv32::{simulate_cycles, Machine, PicoRv32Model, VexRiscvModel};
 use workloads::{bubble_sort, dhrystone, gemm, paper_suite, sobel};
 
@@ -28,8 +28,9 @@ fn all_workloads_agree_across_isas_and_simulators() {
             .expect("functional output");
 
         let mut pipelined = SimBuilder::new(&t.program).build_pipelined();
-        let stats = pipelined.run(500_000_000).expect("pipelined completes");
+        pipelined.run(500_000_000).expect("pipelined completes");
         w.verify_art9(pipelined.state()).expect("pipelined output");
+        let stats = pipelined.pipeline_stats().expect("pipelined backend");
 
         assert_eq!(
             functional.state().trf,
@@ -55,7 +56,8 @@ fn table2_dmips_ordering() {
 
     let t = SoftwareFramework::new().compile(&rv).expect("translates");
     let mut art9 = SimBuilder::new(&t.program).build_pipelined();
-    let art9_stats = art9.run(500_000_000).expect("completes");
+    art9.run(500_000_000).expect("completes");
+    let art9_stats = art9.pipeline_stats().expect("pipelined backend");
 
     let vex = simulate_cycles(&rv, &mut VexRiscvModel::new(), 500_000_000).expect("completes");
     let pico = simulate_cycles(&rv, &mut PicoRv32Model::new(), 500_000_000).expect("completes");

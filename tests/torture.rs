@@ -6,7 +6,7 @@
 //! self-checking binary.
 
 use art9_isa::assemble;
-use art9_sim::SimBuilder;
+use art9_sim::{Core, SimBuilder};
 use ternary::Word9;
 
 /// The torture program. Register roles: t3 = checksum accumulator,
