@@ -32,7 +32,7 @@ use art9_isa::{Instruction, Program};
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
 use crate::functional::{CoreState, FunctionalSim, HaltReason, DEFAULT_TDM_WORDS};
-use crate::observer::{ObserverSet, SharedObserver};
+use crate::observer::{Held, NoSink, ObserverSet, SharedObserver, Sink};
 use crate::pipeline::PipelinedSim;
 use crate::predecode::PredecodedProgram;
 use crate::reference::ReferenceSim;
@@ -241,13 +241,58 @@ pub(crate) fn mix_map(counts: &[u64; Instruction::OPCODE_COUNT]) -> BTreeMap<&'s
         .collect()
 }
 
-/// The shared `run_for` loop. Each backend's [`Core::run_for`] calls
-/// this with `C = Self`, so the per-step dispatch is static (and
-/// inlinable) even when the core itself is driven as `dyn Core` — the
-/// virtual call happens once per `run_for`, not once per step.
-pub(crate) fn run_loop<C: Core + ?Sized>(
+/// A backend with one step body, generic over where its events go —
+/// functional, pipelined and reference. Their [`Core::step`] and
+/// [`Core::run_for`] are [`step`] and [`run_for`] below.
+pub(crate) trait SinkStep: Core + Sized {
+    /// The attached observers.
+    fn observers(&mut self) -> &mut ObserverSet;
+
+    /// One step, reporting its events to `sink`.
+    fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError>;
+}
+
+/// Runs `body` with the core's observers locked. The set is moved out
+/// of the core for the call, so the sink can borrow it while `body`
+/// mutates the core; a panic in `body` leaves the core without
+/// observers.
+fn held<C: SinkStep, T>(core: &mut C, body: impl FnOnce(&mut C, &mut Held<'_>) -> T) -> T {
+    let observers = std::mem::take(core.observers());
+    let out = body(core, &mut observers.hold());
+    *core.observers() = observers;
+    out
+}
+
+/// [`Core::step`] of a [`SinkStep`] backend: the observers stay locked
+/// for the one step.
+pub(crate) fn step<C: SinkStep>(core: &mut C) -> Result<Option<HaltReason>, SimError> {
+    if core.observers().is_empty() {
+        core.step_with(&mut NoSink)
+    } else {
+        held(core, |core, sink| core.step_with(sink))
+    }
+}
+
+/// [`Core::run_for`] of a [`SinkStep`] backend: the observers stay
+/// locked for the whole call.
+pub(crate) fn run_for<C: SinkStep>(core: &mut C, budget: Budget) -> Result<RunSummary, SimError> {
+    if core.observers().is_empty() {
+        run_loop(core, budget, |core| core.step_with(&mut NoSink))
+    } else {
+        held(core, |core, sink| {
+            run_loop(core, budget, |core| core.step_with(sink))
+        })
+    }
+}
+
+/// The shared `run_for` loop over `step`, a backend's statically
+/// dispatched (and inlinable) step body: the virtual call happens once
+/// per `run_for`, not once per step, even when the core itself is
+/// driven as `dyn Core`.
+fn run_loop<C: Core>(
     core: &mut C,
     budget: Budget,
+    mut step: impl FnMut(&mut C) -> Result<Option<HaltReason>, SimError>,
 ) -> Result<RunSummary, SimError> {
     let mut steps = 0u64;
     loop {
@@ -269,7 +314,7 @@ pub(crate) fn run_loop<C: Core + ?Sized>(
                 halt: None,
             });
         }
-        let halt = core.step()?;
+        let halt = step(core)?;
         steps += 1;
         if halt.is_some() {
             return Ok(RunSummary {

@@ -17,10 +17,10 @@ use art9_isa::{Instruction, Program, TReg};
 use ternary::{TernaryMemory, Word9};
 
 use crate::checkpoint::{Checkpoint, Micro};
-use crate::core::{run_loop, Backend, Budget, Core, RunSummary};
+use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::exec::{control_target, talu};
-use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Writeback};
+use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 
 /// Default TDM size in words (matches the 256-word memories behind
@@ -209,22 +209,19 @@ impl FunctionalSim {
     }
 }
 
-impl Core for FunctionalSim {
-    fn backend(&self) -> Backend {
-        Backend::Functional
+impl SinkStep for FunctionalSim {
+    fn observers(&mut self) -> &mut ObserverSet {
+        &mut self.observers
     }
 
-    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
+    fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
         if let Some(reason) = self.halted {
             return Ok(Some(reason));
         }
         let pc = self.state.pc;
         if pc == self.text.len() {
             self.halted = Some(HaltReason::FellOffEnd);
-            if !self.observers.is_empty() {
-                self.observers
-                    .halt(HaltReason::FellOffEnd, self.instructions);
-            }
+            sink.halt(HaltReason::FellOffEnd, self.instructions);
             return Ok(Some(HaltReason::FellOffEnd));
         }
         let instr = self.text[pc];
@@ -237,8 +234,7 @@ impl Core for FunctionalSim {
 
         // Old destination value, captured before any write so the
         // write-back event can report the overwritten contents.
-        let observing = !self.observers.is_empty();
-        let old_reg = if observing {
+        let old_reg = if E::ON {
             instr.writes().map(|dest| self.state.reg(dest))
         } else {
             None
@@ -254,9 +250,9 @@ impl Core for FunctionalSim {
                     .read_word_addr(result)
                     .map_err(|cause| SimError::MemoryFault { pc, cause })?;
                 self.state.set_reg(a, v);
-                if observing {
+                if E::ON {
                     let address = self.state.tdm.resolve(result).expect("read succeeded");
-                    self.observers.memory(&MemoryAccess {
+                    sink.memory(&MemoryAccess {
                         pc,
                         address,
                         value: v,
@@ -265,7 +261,7 @@ impl Core for FunctionalSim {
                 }
             }
             Store { .. } => {
-                let old_cell = if observing {
+                let old_cell = if E::ON {
                     self.state.tdm.read_word_addr(result).ok()
                 } else {
                     None
@@ -274,9 +270,9 @@ impl Core for FunctionalSim {
                     .tdm
                     .write_word_addr(result, a_val)
                     .map_err(|cause| SimError::MemoryFault { pc, cause })?;
-                if observing {
+                if E::ON {
                     let address = self.state.tdm.resolve(result).expect("write succeeded");
-                    self.observers.memory(&MemoryAccess {
+                    sink.memory(&MemoryAccess {
                         pc,
                         address,
                         value: a_val,
@@ -312,11 +308,11 @@ impl Core for FunctionalSim {
             None => (pc + 1, false),
         };
 
-        if observing {
+        if E::ON {
             if instr.is_control_flow() {
-                self.observers.control(pc, &instr, taken, next);
+                sink.control(pc, &instr, taken, next);
             }
-            self.observers.writeback(&Writeback {
+            sink.writeback(&Writeback {
                 pc,
                 instr,
                 reg: instr.writes().map(|dest| RegWrite {
@@ -327,7 +323,7 @@ impl Core for FunctionalSim {
                 mem: mem_write,
                 bus: result,
             });
-            self.observers.retire(pc, &instr, &self.state);
+            sink.retire(pc, &instr, &self.state);
         }
 
         let halt = if next == pc {
@@ -341,15 +337,23 @@ impl Core for FunctionalSim {
         };
         if let Some(reason) = halt {
             self.halted = Some(reason);
-            if !self.observers.is_empty() {
-                self.observers.halt(reason, self.instructions);
-            }
+            sink.halt(reason, self.instructions);
         }
         Ok(halt)
     }
+}
+
+impl Core for FunctionalSim {
+    fn backend(&self) -> Backend {
+        Backend::Functional
+    }
+
+    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
+        crate::core::step(self)
+    }
 
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
-        run_loop(self, budget)
+        crate::core::run_for(self, budget)
     }
 
     fn state(&self) -> &CoreState {

@@ -7,8 +7,8 @@
 //! attached to via
 //! [`SimBuilder::observer`](crate::SimBuilder::observer). Observers are
 //! shared handles ([`SharedObserver`] is `Arc<Mutex<…>>`), so the caller
-//! keeps a clone and inspects the accumulated data after (or during) the
-//! run:
+//! keeps a clone and inspects the accumulated data between calls that
+//! drive the core:
 //!
 //! ```
 //! use std::sync::{Arc, Mutex};
@@ -26,11 +26,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The no-observer hot path pays only one branch per event site (an
-//! emptiness check on the observer list); callbacks, locking and
-//! allocation happen only when at least one observer is attached.
+//! A backend locks each attached handle once per call that drives it:
+//! for one [`Core::step`](crate::Core::step), or for a whole
+//! [`Core::run_for`](crate::Core::run_for). An event then costs one
+//! dynamic call per attachment and no lock. With no observer attached,
+//! the event sites are compiled out of the step body altogether.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use art9_isa::{Instruction, TReg};
 use ternary::Word9;
@@ -122,6 +124,13 @@ pub struct Writeback {
 /// attached to the functional and pipelined backends sees the same
 /// retirement/write-back/memory/halt event sequence for the same
 /// program.
+///
+/// A handle is locked for the duration of each
+/// [`step`](crate::Core::step) or [`run_for`](crate::Core::run_for)
+/// call on a core it is attached to, so read it between calls. Another
+/// thread that locks it meanwhile waits for the call to return. A
+/// handle attached twice sees every event twice; attachments are
+/// called in the order they were made.
 #[allow(unused_variables)]
 pub trait Observer {
     /// An instruction retired; `state` already reflects it.
@@ -151,53 +160,125 @@ pub type SharedObserver = Arc<Mutex<dyn Observer + Send>>;
 /// observers (the handles are `Arc`s).
 #[derive(Clone, Default)]
 pub(crate) struct ObserverSet {
-    list: Vec<SharedObserver>,
+    /// Each distinct handle once, sorted by address: the fixed order
+    /// [`ObserverSet::hold`] locks them in, so two cores sharing
+    /// handles cannot deadlock however each attached them.
+    handles: Vec<SharedObserver>,
+    /// The attachments in attachment order, as indices into `handles`
+    /// (a handle attached twice appears twice).
+    order: Vec<usize>,
 }
 
 impl std::fmt::Debug for ObserverSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ObserverSet({})", self.list.len())
+        write!(f, "ObserverSet({})", self.order.len())
     }
+}
+
+/// A handle's address, with the vtable dropped.
+fn address(obs: &SharedObserver) -> usize {
+    Arc::as_ptr(obs) as *const () as usize
 }
 
 impl ObserverSet {
     pub(crate) fn push(&mut self, obs: SharedObserver) {
-        self.list.push(obs);
+        let index = match self.handles.binary_search_by_key(&address(&obs), address) {
+            Ok(index) => index,
+            Err(index) => {
+                for slot in self.order.iter_mut().filter(|slot| **slot >= index) {
+                    *slot += 1;
+                }
+                self.handles.insert(index, obs);
+                index
+            }
+        };
+        self.order.push(index);
     }
 
-    /// The hot-path guard: event sites fire only when this is `false`.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.list.is_empty()
+        self.order.is_empty()
     }
 
-    fn each(&self, mut f: impl FnMut(&mut (dyn Observer + Send))) {
-        for obs in &self.list {
+    /// Locks every distinct handle once, for as long as the returned
+    /// sink lives.
+    pub(crate) fn hold(&self) -> Held<'_> {
+        Held {
             // A poisoned lock (an observer panicked earlier) still
             // yields the data; observation must not take the run down.
-            let mut guard = obs.lock().unwrap_or_else(|p| p.into_inner());
-            f(&mut *guard);
+            guards: self
+                .handles
+                .iter()
+                .map(|obs| obs.lock().unwrap_or_else(PoisonError::into_inner))
+                .collect(),
+            order: &self.order,
         }
     }
+}
 
-    pub(crate) fn retire(&self, pc: usize, instr: &Instruction, state: &CoreState) {
+/// Where a backend's step body sends its events. Each step body is
+/// generic over the sink, so with no observer attached ([`NoSink`])
+/// every event site, and every value captured only to report it,
+/// compiles away.
+pub(crate) trait Sink {
+    /// Whether events reach anyone; `false` only for [`NoSink`].
+    const ON: bool;
+
+    /// Calls `f` on every attached observer, in attachment order.
+    fn each(&mut self, f: impl FnMut(&mut (dyn Observer + Send)));
+
+    #[inline]
+    fn retire(&mut self, pc: usize, instr: &Instruction, state: &CoreState) {
         self.each(|o| o.on_retire(pc, instr, state));
     }
 
-    pub(crate) fn control(&self, pc: usize, instr: &Instruction, taken: bool, target: usize) {
+    #[inline]
+    fn control(&mut self, pc: usize, instr: &Instruction, taken: bool, target: usize) {
         self.each(|o| o.on_control(pc, instr, taken, target));
     }
 
-    pub(crate) fn memory(&self, access: &MemoryAccess) {
+    #[inline]
+    fn memory(&mut self, access: &MemoryAccess) {
         self.each(|o| o.on_memory(access));
     }
 
-    pub(crate) fn writeback(&self, wb: &Writeback) {
+    #[inline]
+    fn writeback(&mut self, wb: &Writeback) {
         self.each(|o| o.on_writeback(wb));
     }
 
-    pub(crate) fn halt(&self, reason: HaltReason, retired: u64) {
+    #[inline]
+    fn halt(&mut self, reason: HaltReason, retired: u64) {
         self.each(|o| o.on_halt(reason, retired));
+    }
+}
+
+/// The sink of a core with no observer attached.
+pub(crate) struct NoSink;
+
+impl Sink for NoSink {
+    const ON: bool = false;
+
+    #[inline(always)]
+    fn each(&mut self, _f: impl FnMut(&mut (dyn Observer + Send))) {}
+}
+
+/// The sink of a core with observers attached: every distinct handle
+/// locked once ([`ObserverSet::hold`]), so an event costs a dynamic
+/// call per attachment and no lock.
+pub(crate) struct Held<'a> {
+    guards: Vec<MutexGuard<'a, dyn Observer + Send + 'static>>,
+    order: &'a [usize],
+}
+
+impl Sink for Held<'_> {
+    const ON: bool = true;
+
+    #[inline]
+    fn each(&mut self, mut f: impl FnMut(&mut (dyn Observer + Send))) {
+        for &index in self.order {
+            f(&mut *self.guards[index]);
+        }
     }
 }
 
@@ -347,7 +428,9 @@ pub mod observers {
     /// stream), so every backend produces identical totals for the same
     /// program — a property the `energy` fuzz oracle checks against a
     /// per-trit reference ([`EnergyAccounting::with_flip_fn`] +
-    /// `ternary::arith::flips_tritwise`).
+    /// `ternary::arith::flips_tritwise`). A halt resets the fetch and
+    /// result-bus history, so one accumulator reused over several runs
+    /// to halt sums exactly what a fresh one per run would.
     ///
     /// ```
     /// use std::sync::{Arc, Mutex};
@@ -373,6 +456,12 @@ pub mod observers {
         prev_pc: Word9,
         prev_bus: Word9,
         per_opcode: [OpcodeActivity; Instruction::OPCODE_COUNT],
+        /// Per pc: the instruction last retired there, its encoded
+        /// word and the pc as a 9-trit word. Both words are static per
+        /// instruction, so a hit skips re-encoding; the instruction is
+        /// compared on every hit, so an accumulator reused across
+        /// programs stays exact.
+        fetch_words: Vec<Option<(Instruction, Word9, Word9)>>,
     }
 
     impl Default for EnergyAccounting {
@@ -399,6 +488,24 @@ pub mod observers {
                 prev_pc: Word9::ZERO,
                 prev_bus: Word9::ZERO,
                 per_opcode: [OpcodeActivity::default(); Instruction::OPCODE_COUNT],
+                fetch_words: Vec::new(),
+            }
+        }
+
+        /// The encoded instruction word and the pc word of a
+        /// retirement, cached per pc.
+        fn fetch_words(&mut self, pc: usize, instr: Instruction) -> (Word9, Word9) {
+            if pc >= self.fetch_words.len() {
+                self.fetch_words.resize(pc + 1, None);
+            }
+            match self.fetch_words[pc] {
+                Some((cached, encoded, pc_word)) if cached == instr => (encoded, pc_word),
+                _ => {
+                    let encoded = art9_isa::encode(&instr);
+                    let pc_word = Word9::from_i64_wrapping(pc as i64);
+                    self.fetch_words[pc] = Some((instr, encoded, pc_word));
+                    (encoded, pc_word)
+                }
             }
         }
 
@@ -421,6 +528,7 @@ pub mod observers {
     impl Observer for EnergyAccounting {
         fn on_writeback(&mut self, wb: &Writeback) {
             let flip = self.flip_fn;
+            let (encoded, pc_word) = self.fetch_words(wb.pc, wb.instr);
             let acc = &mut self.per_opcode[wb.instr.opcode()];
             acc.retired += 1;
             if let Some(r) = wb.reg {
@@ -429,14 +537,20 @@ pub mod observers {
             if let Some(m) = wb.mem {
                 acc.tdm += u64::from(flip(m.new, m.old));
             }
-            let encoded = art9_isa::encode(&wb.instr);
-            let pc_word = Word9::from_i64_wrapping(wb.pc as i64);
             acc.fetch += u64::from(flip(encoded, self.prev_instr));
             acc.fetch += u64::from(flip(pc_word, self.prev_pc));
             acc.alu += u64::from(flip(wb.bus, self.prev_bus));
             self.prev_instr = encoded;
             self.prev_pc = pc_word;
             self.prev_bus = wb.bus;
+        }
+
+        fn on_halt(&mut self, _reason: HaltReason, _retired: u64) {
+            // The next retirement starts another run, from the reset
+            // datapath a fresh accumulator assumes.
+            self.prev_instr = Word9::ZERO;
+            self.prev_pc = Word9::ZERO;
+            self.prev_bus = Word9::ZERO;
         }
     }
 
@@ -468,6 +582,7 @@ mod tests {
     use super::observers::*;
     use super::*;
     use crate::core::{Backend, Budget, SimBuilder};
+    use crate::error::SimError;
     use art9_isa::assemble;
 
     /// `(pc, instruction)` in retirement order.
@@ -488,6 +603,143 @@ mod tests {
              MV t7, t3\nCOMP t7, t0\nBEQ t7, +, loop\nJAL t0, 0\n",
         )
         .unwrap()
+    }
+
+    /// Every event, verbatim, in arrival order.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Event {
+        Retire(usize),
+        Control(usize, bool, usize),
+        Memory(MemoryAccess),
+        Writeback(Writeback),
+        Halt(HaltReason, u64),
+    }
+
+    #[derive(Default)]
+    struct EventLog {
+        log: Vec<Event>,
+    }
+
+    impl Observer for EventLog {
+        fn on_retire(&mut self, pc: usize, _instr: &Instruction, _state: &CoreState) {
+            self.log.push(Event::Retire(pc));
+        }
+        fn on_control(&mut self, pc: usize, _instr: &Instruction, taken: bool, target: usize) {
+            self.log.push(Event::Control(pc, taken, target));
+        }
+        fn on_memory(&mut self, access: &MemoryAccess) {
+            self.log.push(Event::Memory(*access));
+        }
+        fn on_writeback(&mut self, wb: &Writeback) {
+            self.log.push(Event::Writeback(*wb));
+        }
+        fn on_halt(&mut self, reason: HaltReason, retired: u64) {
+            self.log.push(Event::Halt(reason, retired));
+        }
+    }
+
+    #[test]
+    fn a_handle_attached_twice_sees_every_event_twice_in_order() {
+        for backend in Backend::ALL {
+            let twice = Arc::new(Mutex::new(EventLog::default()));
+            let once = Arc::new(Mutex::new(EventLog::default()));
+            let mut core = SimBuilder::new(&looped())
+                .backend(backend)
+                .observer(twice.clone())
+                .observer(once.clone())
+                .observer(twice.clone())
+                .build();
+            core.run_for(Budget::Steps(100_000)).unwrap();
+            let once = once.lock().unwrap().log.clone();
+            assert!(once.len() > 20, "{backend:?}: {} events", once.len());
+            let doubled: Vec<Event> = once.iter().flat_map(|e| [e.clone(), e.clone()]).collect();
+            assert_eq!(twice.lock().unwrap().log, doubled, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn run_for_unlocks_its_handles_after_ok_and_after_a_fault() {
+        // t2 is preset to an address outside the TDM, so the LOAD at
+        // pc 2 faults after two instructions have retired.
+        let p = assemble("LI t4, 1\nADDI t4, 1\nLOAD t3, t2, 0\nADDI t3, 1\nJAL t0, 0\n").unwrap();
+        for backend in Backend::ALL {
+            let handle = Arc::new(Mutex::new(Retirements::default()));
+            let mut core = SimBuilder::new(&p)
+                .backend(backend)
+                .observer(handle.clone())
+                .build();
+            let start = core.snapshot();
+            core.state_mut()
+                .set_reg(TReg::T2, Word9::from_i64(-100).unwrap());
+
+            assert_eq!(core.run_for(Budget::Steps(1)).unwrap().halt, None);
+            assert!(handle.try_lock().is_ok(), "{backend:?}: locked after Ok");
+            let err = core.run_for(Budget::Steps(100)).unwrap_err();
+            assert!(
+                matches!(err, SimError::MemoryFault { pc: 2, .. }),
+                "{backend:?}: {err}"
+            );
+            assert!(
+                handle.try_lock().is_ok(),
+                "{backend:?}: locked after a fault"
+            );
+            assert_eq!(handle.lock().unwrap().log.len(), 2, "{backend:?}");
+
+            // Rewound to the start, with t2 = 0, the same core runs to
+            // halt and still reports to the handle.
+            core.restore(&start).unwrap();
+            let summary = core.run_for(Budget::Steps(100)).unwrap();
+            assert!(summary.halt.is_some(), "{backend:?}");
+            assert!(handle.try_lock().is_ok(), "{backend:?}: locked after Ok");
+            assert_eq!(handle.lock().unwrap().log.len(), 2 + 5, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn one_energy_accumulator_reused_over_two_programs_sums_two_fresh_ones() {
+        // Different instructions at the same pcs: the reused
+        // accumulator must not serve one program's cached fetch words
+        // to the other.
+        let first = looped();
+        let second = assemble(
+            "LI t3, 100\nLI t2, 7\nSTORE t3, t2, 1\nSUB t3, t2\nLOAD t4, t2, 1\n\
+             XOR t4, t3\nJAL t0, 0\n",
+        )
+        .unwrap();
+        let energy = |acc: &Arc<Mutex<EnergyAccounting>>, p: &art9_isa::Program, backend| {
+            let mut core = SimBuilder::new(p)
+                .backend(backend)
+                .observer(acc.clone())
+                .build();
+            core.run_for(Budget::Steps(100_000)).unwrap();
+        };
+        for backend in Backend::ALL {
+            let reused = Arc::new(Mutex::new(EnergyAccounting::new()));
+            energy(&reused, &first, backend);
+            energy(&reused, &second, backend);
+            let fresh = [&first, &second].map(|p| {
+                let acc = Arc::new(Mutex::new(EnergyAccounting::new()));
+                energy(&acc, p, backend);
+                let per_opcode = *acc.lock().unwrap().per_opcode();
+                per_opcode
+            });
+            let summed: Vec<OpcodeActivity> = fresh[0]
+                .iter()
+                .zip(&fresh[1])
+                .map(|(a, b)| OpcodeActivity {
+                    retired: a.retired + b.retired,
+                    regfile: a.regfile + b.regfile,
+                    tdm: a.tdm + b.tdm,
+                    fetch: a.fetch + b.fetch,
+                    alu: a.alu + b.alu,
+                })
+                .collect();
+            assert_eq!(
+                reused.lock().unwrap().per_opcode().to_vec(),
+                summed,
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]

@@ -30,11 +30,11 @@ use art9_isa::{Instruction, TReg};
 use ternary::Word9;
 
 use crate::checkpoint::{Checkpoint, Micro, PipelineMicro};
-use crate::core::{run_loop, Backend, Budget, Core, RunSummary};
+use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::exec::{control_target, talu};
 use crate::functional::{CoreState, HaltReason};
-use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Writeback};
+use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 use crate::stats::PipelineStats;
 use crate::trace::{CycleTrace, StageSnapshot};
@@ -200,15 +200,15 @@ impl PipelinedSim {
     }
 }
 
-impl Core for PipelinedSim {
-    fn backend(&self) -> Backend {
-        Backend::Pipelined
+impl SinkStep for PipelinedSim {
+    fn observers(&mut self) -> &mut ObserverSet {
+        &mut self.observers
     }
 
     /// One step of the pipelined backend is one **clock cycle**;
     /// `Some(reason)` once the pipeline has fully drained after a halt
     /// condition.
-    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
+    fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
         if let Some(reason) = self.halted {
             return Ok(Some(reason));
         }
@@ -222,13 +222,12 @@ impl Core for PipelinedSim {
         // ---- WB ------------------------------------------------------
         // Synchronous TRF write; write-through makes the value visible
         // to ID in this same cycle.
-        let observing = !self.observers.is_empty();
         let carry = self.wb_carry.take();
         let wb_done: Option<(TReg, Word9)> = if let Some(wb) = old_mem_wb {
             self.stats.instructions += 1;
             self.mix[wb.instr.opcode()] += 1;
             let dest = wb.instr.writes();
-            let old_reg = if observing {
+            let old_reg = if E::ON {
                 dest.map(|d| self.state.reg(d))
             } else {
                 None
@@ -236,14 +235,14 @@ impl Core for PipelinedSim {
             if let Some(d) = dest {
                 self.state.set_reg(d, wb.value);
             }
-            if observing {
+            if E::ON {
                 // A restore mid-flight clears the carry; fall back to the
                 // WB value as the bus for that one instruction.
                 let carry = carry.unwrap_or(WbCarry {
                     bus: wb.value,
                     mem: None,
                 });
-                self.observers.writeback(&Writeback {
+                sink.writeback(&Writeback {
                     pc: wb.pc,
                     instr: wb.instr,
                     reg: dest.map(|d| RegWrite {
@@ -254,7 +253,7 @@ impl Core for PipelinedSim {
                     mem: carry.mem,
                     bus: carry.bus,
                 });
-                self.observers.retire(wb.pc, &wb.instr, &self.state);
+                sink.retire(wb.pc, &wb.instr, &self.state);
             }
             dest.map(|d| (d, wb.value))
         } else {
@@ -272,9 +271,9 @@ impl Core for PipelinedSim {
                         .tdm
                         .read_word_addr(mem.result)
                         .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
-                    if observing {
+                    if E::ON {
                         let address = self.state.tdm.resolve(mem.result).expect("read succeeded");
-                        self.observers.memory(&MemoryAccess {
+                        sink.memory(&MemoryAccess {
                             pc: mem.pc,
                             address,
                             value: v,
@@ -286,7 +285,7 @@ impl Core for PipelinedSim {
                 Instruction::Store { .. } => {
                     // Old cell value, read before the write so the write
                     // itself still produces the canonical fault.
-                    let old_cell = if observing {
+                    let old_cell = if E::ON {
                         self.state.tdm.read_word_addr(mem.result).ok()
                     } else {
                         None
@@ -295,9 +294,9 @@ impl Core for PipelinedSim {
                         .tdm
                         .write_word_addr(mem.result, mem.store_val)
                         .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
-                    if observing {
+                    if E::ON {
                         let address = self.state.tdm.resolve(mem.result).expect("write succeeded");
-                        self.observers.memory(&MemoryAccess {
+                        sink.memory(&MemoryAccess {
                             pc: mem.pc,
                             address,
                             value: mem.store_val,
@@ -318,7 +317,7 @@ impl Core for PipelinedSim {
                 pc: mem.pc,
                 value,
             });
-            if observing {
+            if E::ON {
                 self.wb_carry = Some(WbCarry {
                     bus: mem.result,
                     mem: mem_write,
@@ -441,14 +440,7 @@ impl Core for PipelinedSim {
                                     });
                                 }
                                 self.stats.taken_transfers += 1;
-                                if !self.observers.is_empty() {
-                                    self.observers.control(
-                                        fetched.pc,
-                                        &instr,
-                                        true,
-                                        target as usize,
-                                    );
-                                }
+                                sink.control(fetched.pc, &instr, true, target as usize);
                                 if target as usize == fetched.pc {
                                     // Jump-to-self: halt request.
                                     self.halting = Some(HaltReason::JumpToSelf);
@@ -460,14 +452,7 @@ impl Core for PipelinedSim {
                             }
                             None => {
                                 self.stats.untaken_branches += 1;
-                                if !self.observers.is_empty() {
-                                    self.observers.control(
-                                        fetched.pc,
-                                        &instr,
-                                        false,
-                                        fetched.pc + 1,
-                                    );
-                                }
+                                sink.control(fetched.pc, &instr, false, fetched.pc + 1);
                                 self.issue(fetched, b_val, b_val);
                             }
                         }
@@ -556,17 +541,25 @@ impl Core for PipelinedSim {
         {
             self.halted = self.halting;
             if let Some(reason) = self.halted {
-                if !self.observers.is_empty() {
-                    self.observers.halt(reason, self.stats.instructions);
-                }
+                sink.halt(reason, self.stats.instructions);
             }
             return Ok(self.halted);
         }
         Ok(None)
     }
+}
+
+impl Core for PipelinedSim {
+    fn backend(&self) -> Backend {
+        Backend::Pipelined
+    }
+
+    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
+        crate::core::step(self)
+    }
 
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
-        run_loop(self, budget)
+        crate::core::run_for(self, budget)
     }
 
     fn state(&self) -> &CoreState {

@@ -24,10 +24,10 @@ use art9_isa::Instruction;
 use ternary::{arith, TernaryError, Trit, Trits, Word9};
 
 use crate::checkpoint::{Checkpoint, Micro};
-use crate::core::{run_loop, Backend, Budget, Core, RunSummary};
+use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::functional::{CoreState, HaltReason};
-use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Writeback};
+use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 
 /// The per-trit reference interpreter.
@@ -87,25 +87,22 @@ impl ReferenceSim {
     }
 }
 
-impl Core for ReferenceSim {
-    fn backend(&self) -> Backend {
-        Backend::Reference
+impl SinkStep for ReferenceSim {
+    fn observers(&mut self) -> &mut ObserverSet {
+        &mut self.observers
     }
 
     /// Executes one instruction; mirrors the architectural contract of
     /// the functional backend's step (halt detection order included)
     /// while computing every result per trit.
-    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
+    fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
         if let Some(r) = self.halted {
             return Ok(Some(r));
         }
         let pc = self.state.pc;
         if pc == self.text.len() {
             self.halted = Some(HaltReason::FellOffEnd);
-            if !self.observers.is_empty() {
-                self.observers
-                    .halt(HaltReason::FellOffEnd, self.instructions);
-            }
+            sink.halt(HaltReason::FellOffEnd, self.instructions);
             return Ok(Some(HaltReason::FellOffEnd));
         }
         let instr = self.text[pc];
@@ -118,13 +115,12 @@ impl Core for ReferenceSim {
         // Write-back observation inputs, captured before execution:
         // the old destination value and the per-trit result-bus value
         // (the execute arms below mutate the register file in place).
-        let observing = !self.observers.is_empty();
-        let old_reg = if observing {
+        let old_reg = if E::ON {
             instr.writes().map(|dest| self.state.reg(dest))
         } else {
             None
         };
-        let bus = if observing {
+        let bus = if E::ON {
             Some(bus_tritwise(&instr, &self.state.trf, pc))
         } else {
             None
@@ -197,8 +193,8 @@ impl Core for ReferenceSim {
                 let idx = self.resolve(addr, pc)?;
                 let v = self.state.tdm.read(idx).expect("resolved in range");
                 self.state.trf[a.index()] = v;
-                if !self.observers.is_empty() {
-                    self.observers.memory(&MemoryAccess {
+                if E::ON {
+                    sink.memory(&MemoryAccess {
                         pc,
                         address: idx,
                         value: v,
@@ -212,8 +208,8 @@ impl Core for ReferenceSim {
                 let v = self.state.trf[a.index()];
                 let old_cell = self.state.tdm.read(idx).expect("resolved in range");
                 self.state.tdm.write(idx, v).expect("resolved in range");
-                if !self.observers.is_empty() {
-                    self.observers.memory(&MemoryAccess {
+                if E::ON {
+                    sink.memory(&MemoryAccess {
                         pc,
                         address: idx,
                         value: v,
@@ -267,11 +263,11 @@ impl Core for ReferenceSim {
                 tim_size: self.text.len(),
             });
         }
-        if observing {
+        if E::ON {
             if instr.is_control_flow() {
-                self.observers.control(pc, &instr, taken, next as usize);
+                sink.control(pc, &instr, taken, next as usize);
             }
-            self.observers.writeback(&Writeback {
+            sink.writeback(&Writeback {
                 pc,
                 instr,
                 reg: instr.writes().map(|dest| RegWrite {
@@ -282,7 +278,7 @@ impl Core for ReferenceSim {
                 mem: mem_write,
                 bus: bus.expect("captured above"),
             });
-            self.observers.retire(pc, &instr, &self.state);
+            sink.retire(pc, &instr, &self.state);
         }
         let next = next as usize;
         let halt = if next == pc {
@@ -296,15 +292,23 @@ impl Core for ReferenceSim {
         };
         if let Some(reason) = halt {
             self.halted = Some(reason);
-            if !self.observers.is_empty() {
-                self.observers.halt(reason, self.instructions);
-            }
+            sink.halt(reason, self.instructions);
         }
         Ok(halt)
     }
+}
+
+impl Core for ReferenceSim {
+    fn backend(&self) -> Backend {
+        Backend::Reference
+    }
+
+    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
+        crate::core::step(self)
+    }
 
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
-        run_loop(self, budget)
+        crate::core::run_for(self, budget)
     }
 
     fn state(&self) -> &CoreState {

@@ -269,8 +269,8 @@ fn main() {
         .map(|w| perf::measure_sim_throughput(w, Duration::from_millis(150)))
         .collect();
     println!(
-        "  {:<14} {:>14} {:>14} {:>14} {:>10} {:>10}",
-        "workload", "functional", "threaded", "pipelined", "thr/fun", "speedup"
+        "  {:<14} {:>14} {:>14} {:>14} {:>10} {:>10} {:>10}",
+        "workload", "functional", "threaded", "pipelined", "thr/fun", "speedup", "energy"
     );
     for s in &sims {
         let speedup = perf::seed_rate(&perf::SEED_FUNCTIONAL_IPS, s.workload).map_or_else(
@@ -278,13 +278,14 @@ fn main() {
             |seed| format!("{:.2}x", s.functional_ips / seed),
         );
         println!(
-            "  {:<14} {:>10.3e} i/s {:>10.3e} i/s {:>10.3e} c/s {:>9.2}x {:>10}",
+            "  {:<14} {:>10.3e} i/s {:>10.3e} i/s {:>10.3e} c/s {:>9.2}x {:>10} {:>9.2}x",
             s.workload,
             s.functional_ips,
             s.threaded_ips,
             s.pipelined_cps,
             s.threaded_ips / s.functional_ips,
-            speedup
+            speedup,
+            s.threaded_ips / s.energy_ips
         );
     }
     // ---- Service scheduler throughput ---------------------------------

@@ -397,13 +397,15 @@ mod tests {
 
     #[test]
     fn parses_the_committed_baseline() {
-        // The 32 gated comparisons as (name, direction, tolerance).
+        // The 36 gated comparisons as (name, direction, tolerance).
         let mut expected = Vec::new();
         for w in ["bubble-sort", "gemm", "sobel", "dhrystone"] {
             for m in ["functional_ips", "threaded_ips", "pipelined_cps"] {
                 expected.push((format!("{w}/{m}"), Better::Higher, 0.25));
             }
-            expected.push((format!("{w}/energy_nj"), Better::Lower, 0.25));
+            for m in ["energy_overhead_x", "energy_nj"] {
+                expected.push((format!("{w}/{m}"), Better::Lower, 0.25));
+            }
         }
         for name in [
             "dhrystone/dmips_per_watt",
@@ -425,13 +427,13 @@ mod tests {
             .collect();
         gates.sort_by(|a, b| a.0.cmp(&b.0));
         expected.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(gates.len(), 32);
+        assert_eq!(gates.len(), 36);
         assert_eq!(gates, expected);
         // The file is exactly the writer's output.
         assert_eq!(render(&baseline()), COMMITTED);
         let r = compare(&baseline(), &baseline());
         assert!(r.ok() && r.added.is_empty(), "{}", r.render());
-        assert!(r.render().contains("gate: OK (32 gated comparisons)"));
+        assert!(r.render().contains("gate: OK (36 gated comparisons)"));
     }
 
     #[test]
@@ -476,7 +478,7 @@ mod tests {
         // threaded rows; the reported nn threaded rate is not gated.
         let r = compare(&baseline(), &scaled_where(is_threaded, 0.5));
         assert!(!r.ok());
-        assert_eq!(r.deltas.len(), 32);
+        assert_eq!(r.deltas.len(), 36);
         let regressed = regressed_names(&r);
         assert_eq!(regressed.len(), 4);
         assert!(regressed.iter().all(|n| n.ends_with("/threaded_ips")));
@@ -688,6 +690,7 @@ mod tests {
             "functional_ips",
             "threaded_ips",
             "pipelined_cps",
+            "energy_overhead_x",
             "energy_nj",
         ];
         assert_eq!(missing, rates.map(|m| format!("gemm/{m}")));
@@ -711,7 +714,7 @@ mod tests {
         }
         let r = compare(&base, &current);
         assert!(r.ok(), "{}", r.render());
-        assert_eq!(r.deltas.len(), 28);
+        assert_eq!(r.deltas.len(), 32);
         // The four paper workloads' rows plus the reported nn row.
         assert_eq!(r.added.len(), 5);
         assert!(r

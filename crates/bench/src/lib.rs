@@ -35,8 +35,10 @@ pub mod perf {
     //! in `docs/PERFORMANCE.md`.
 
     use std::hint::black_box;
+    use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
+    use art9_sim::observers::EnergyAccounting;
     use art9_sim::{Core, PredecodedProgram, SimBuilder};
     use ternary::{arith, Word9};
     use workloads::batch::DEFAULT_MAX_STEPS;
@@ -87,6 +89,9 @@ pub mod perf {
         pub threaded_ips: f64,
         /// Pipelined simulator cycles per host second.
         pub pipelined_cps: f64,
+        /// Direct-threaded simulator instructions per host second with
+        /// an `observers::EnergyAccounting` attached.
+        pub energy_ips: f64,
     }
 
     /// Mean ns per call of `f`, measured over roughly `budget`.
@@ -368,8 +373,9 @@ pub mod perf {
         ops
     }
 
-    /// Measures functional and pipelined throughput of one workload on
-    /// its shared predecoded image (`budget` per simulator).
+    /// Measures functional, threaded, pipelined and threaded-with-energy
+    /// throughput of one workload on its shared predecoded image
+    /// (`budget` in all).
     ///
     /// # Panics
     ///
@@ -395,16 +401,17 @@ pub mod perf {
         probe.run(DEFAULT_MAX_STEPS).expect("completes");
         let cycles = probe.pipeline_stats().expect("pipelined backend").cycles;
 
-        // The three backends are measured in interleaved rounds (each
-        // keeping its fastest round) rather than one contiguous window
-        // apiece: a host-frequency excursion then degrades all three
-        // equally instead of silently skewing the cross-backend
+        // The four configurations are measured in interleaved rounds
+        // (each keeping its fastest round) rather than one contiguous
+        // window apiece: a host-frequency excursion then degrades all
+        // four equally instead of silently skewing the cross-backend
         // ratios the report exists to track.
         let rounds = 3u32;
-        let slice = budget / (3 * rounds);
+        let slice = budget / (4 * rounds);
         let mut functional_ns = f64::INFINITY;
         let mut threaded_ns = f64::INFINITY;
         let mut pipelined_ns = f64::INFINITY;
+        let mut energy_ns = f64::INFINITY;
         for _ in 0..rounds {
             functional_ns = functional_ns.min(ns_per_call(slice, || {
                 let mut sim = builder.build_functional();
@@ -418,10 +425,17 @@ pub mod perf {
                 let mut core = builder.build_pipelined();
                 core.run(DEFAULT_MAX_STEPS).expect("completes")
             }));
+            energy_ns = energy_ns.min(ns_per_call(slice, || {
+                let energy = Arc::new(Mutex::new(EnergyAccounting::new()));
+                let mut sim = builder.clone().observer(energy.clone()).build_threaded();
+                sim.run(DEFAULT_MAX_STEPS).expect("completes");
+                energy
+            }));
         }
         let functional_ips = instructions as f64 * 1e9 / functional_ns;
         let threaded_ips = instructions as f64 * 1e9 / threaded_ns;
         let pipelined_cps = cycles as f64 * 1e9 / pipelined_ns;
+        let energy_ips = instructions as f64 * 1e9 / energy_ns;
 
         SimThroughput {
             workload: w.name,
@@ -430,6 +444,7 @@ pub mod perf {
             functional_ips,
             threaded_ips,
             pipelined_cps,
+            energy_ips,
         }
     }
 
@@ -564,7 +579,8 @@ pub mod perf {
     /// `docs/PERFORMANCE.md`). Values keep six significant digits.
     ///
     /// Gated rows: every paper workload's three backend rates, its
-    /// `energy_nj` and Dhrystone's `dmips_per_watt`, the NN SIMD
+    /// `energy_overhead_x` (threaded-with-energy time over threaded
+    /// time), its `energy_nj` and Dhrystone's `dmips_per_watt`, the NN SIMD
     /// speedup and `nn-mlp` functional rate (all at 25%), the
     /// scheduler's per-worker rate and the wide-word timings (at 50%:
     /// a threaded scheduler and per-operation timings are noisier on
@@ -623,6 +639,7 @@ pub mod perf {
         for s in sims {
             let w = s.workload;
             let ratio = s.threaded_ips / s.functional_ips;
+            let overhead = s.threaded_ips / s.energy_ips;
             push(
                 "execution",
                 w,
@@ -633,6 +650,7 @@ pub mod perf {
                     ("threaded_ips", s.threaded_ips, "instr/s", Higher, GATED),
                     ("threaded_speedup_vs_functional", ratio, "x", Higher, None),
                     ("pipelined_cps", s.pipelined_cps, "cycles/s", Higher, GATED),
+                    ("energy_overhead_x", overhead, "x", Lower, GATED),
                 ],
             );
             if let Some(seed) = seed_rate(&SEED_FUNCTIONAL_IPS, w) {
@@ -751,7 +769,7 @@ pub mod perf {
             let w = workloads::dot_product(4);
             let s = measure_sim_throughput(&w, Duration::from_millis(5));
             assert!(s.functional_ips > 0.0 && s.pipelined_cps > 0.0);
-            assert!(s.threaded_ips > 0.0);
+            assert!(s.threaded_ips > 0.0 && s.energy_ips > 0.0);
             assert!(s.instructions > 0 && s.cycles >= s.instructions);
         }
 
@@ -768,6 +786,7 @@ pub mod perf {
                 functional_ips: 6.6e7,
                 threaded_ips: 2.2e8,
                 pipelined_cps: 2.1e7,
+                energy_ips: 2.0e7,
             }];
             let energy = vec![crate::energy::EnergyRow {
                 workload: "dhrystone",
@@ -803,6 +822,7 @@ pub mod perf {
                     functional_ips: 5.5e7,
                     threaded_ips: 1.8e8,
                     pipelined_cps: 1.9e7,
+                    energy_ips: 1.5e7,
                 },
             };
             let wide = vec![
@@ -832,15 +852,17 @@ pub mod perf {
             };
             assert_eq!(value("word9/add/ns_per_op"), 3.25);
             assert_eq!(value("dhrystone/threaded_speedup_vs_functional"), 3.33333);
+            assert_eq!(value("dhrystone/energy_overhead_x"), 11.0);
             assert_eq!(value("dhrystone/epi_control_pj"), 0.018);
             assert_eq!(value("dhrystone/dmips_per_watt"), 7.5e6);
             assert_eq!(value("service/p99_slice_us"), 210.25);
             assert_eq!(value("nn/simd_speedup"), 8.0);
             assert_eq!(value("wide/real_mul/ns_per_op"), 42.75);
-            // One workload: three rates and the energy pair, plus the
-            // two NN rows, the scheduler rate and the two wide rows.
+            // One workload: three rates, the energy overhead and the
+            // energy pair, plus the two NN rows, the scheduler rate and
+            // the two wide rows.
             let gated = rows.iter().filter(|r| r.tolerance.is_some()).count();
-            assert_eq!(gated, 3 + 2 + 2 + 1 + 2);
+            assert_eq!(gated, 4 + 2 + 2 + 1 + 2);
         }
 
         #[test]

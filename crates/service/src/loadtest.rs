@@ -99,7 +99,7 @@ impl LoadReport {
 /// 60k retired instructions, three reach into the millions. `variant`
 /// perturbs the loop bodies (without changing the count) so the cache
 /// sees several distinct images.
-fn spin_program(mega: u64, outer: u64, inner: u64, variant: usize) -> String {
+pub(crate) fn spin_program(mega: u64, outer: u64, inner: u64, variant: usize) -> String {
     // Distinct scratch register per variant => distinct encoded text.
     let scratch = ["t5", "t6", "t7", "t8"][variant % 4];
     format!(
@@ -129,7 +129,7 @@ fn spin_program(mega: u64, outer: u64, inner: u64, variant: usize) -> String {
 /// the final jump-to-self `JAL` (which does retire), plus, per mega
 /// iteration, its own `LI`+tail and `5 + 4 * inner` per outer
 /// iteration.
-fn spin_retired(mega: u64, outer: u64, inner: u64) -> u64 {
+pub(crate) fn spin_retired(mega: u64, outer: u64, inner: u64) -> u64 {
     2 + mega * (5 + outer * (5 + 4 * inner))
 }
 

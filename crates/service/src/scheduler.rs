@@ -3,13 +3,20 @@
 //! N worker threads share the session population through per-worker
 //! FIFO run queues plus a global injector. A worker repeatedly:
 //!
-//! 1. pops its own queue (front), falling back to the injector, then
-//!    to **stealing** from the back of another worker's queue;
+//! 1. admits a new session from the injector (front), falling back to
+//!    its own queue (front), then to **stealing** from the back of
+//!    another worker's queue;
 //! 2. runs the session for one quantum —
 //!    `run_for(Budget::Retired(retired + quantum))`, the
 //!    backend-independent way to cut a run at an instruction boundary;
 //! 3. re-queues the session (its own queue) or finalizes it (halt,
 //!    fault, budget exhaustion, cancellation).
+//!
+//! Admission comes first, so a new session waits for at most one
+//! quantum of each running session, not for a running session to
+//! finish. The sessions on one worker's queue take turns one quantum
+//! at a time; they make progress only while the injector is empty, so
+//! a steady stream of submissions delays them.
 //!
 //! A session that changes workers **migrates by checkpoint transfer**:
 //! the new worker snapshots the core, rebuilds a fresh one from the
@@ -316,13 +323,13 @@ fn worker_loop(shared: &Shared, me: usize) {
     }
 }
 
-/// Own queue (front) → injector (front) → steal (back of another
-/// worker's queue, scanning round-robin from `me + 1`).
+/// Injector (front) → own queue (front) → steal (back of another
+/// worker's queue, scanning from `me + 1`).
 fn pop_work(shared: &Shared, me: usize) -> Option<Runnable> {
-    if let Some(job) = shared.queues[me].lock().expect("queue lock").pop_front() {
+    if let Some(job) = shared.injector.lock().expect("injector lock").pop_front() {
         return Some(job);
     }
-    if let Some(job) = shared.injector.lock().expect("injector lock").pop_front() {
+    if let Some(job) = shared.queues[me].lock().expect("queue lock").pop_front() {
         return Some(job);
     }
     let n = shared.queues.len();
@@ -553,6 +560,35 @@ mod tests {
             "energy observer survived slicing"
         );
         assert_eq!(result.mix.values().sum::<u64>(), result.retired);
+        scheduler.shutdown();
+    }
+
+    #[test]
+    fn a_new_session_waits_one_quantum_not_a_whole_running_session() {
+        let scheduler = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            quantum: 1_000,
+        });
+        let cache = ImageCache::new();
+        let prepare = |assembly: String| {
+            let mut args = HashMap::new();
+            args.insert("program".to_string(), "inline".to_string());
+            let spec = JobSpec::from_args(&args, Some(assembly)).unwrap();
+            spec.prepare(&cache).unwrap()
+        };
+        let long = crate::loadtest::spin_program(17, 121, 121, 0);
+        let (long, short) = (prepare(long), prepare(spin(6, 9)));
+        let long = scheduler.submit(long);
+        let short = scheduler.submit(short);
+        assert_eq!(short.wait(), SessionStatus::Done);
+        assert_eq!(short.result().unwrap().retired, 248);
+        assert!(
+            !long.view().status.is_terminal(),
+            "the 1M-instruction session finished before the 248-instruction one"
+        );
+        assert_eq!(long.wait(), SessionStatus::Done);
+        let retired = crate::loadtest::spin_retired(17, 121, 121);
+        assert_eq!(long.result().unwrap().retired, retired);
         scheduler.shutdown();
     }
 
