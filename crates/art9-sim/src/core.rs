@@ -256,7 +256,10 @@ pub(crate) trait SinkStep: Core + Sized {
 /// of the core for the call, so the sink can borrow it while `body`
 /// mutates the core; a panic in `body` leaves the core without
 /// observers.
-fn held<C: SinkStep, T>(core: &mut C, body: impl FnOnce(&mut C, &mut Held<'_>) -> T) -> T {
+pub(crate) fn held<C: SinkStep, T>(
+    core: &mut C,
+    body: impl FnOnce(&mut C, &mut Held<'_>) -> T,
+) -> T {
     let observers = std::mem::take(core.observers());
     let out = body(core, &mut observers.hold());
     *core.observers() = observers;
@@ -289,7 +292,7 @@ pub(crate) fn run_for<C: SinkStep>(core: &mut C, budget: Budget) -> Result<RunSu
 /// dispatched (and inlinable) step body: the virtual call happens once
 /// per `run_for`, not once per step, even when the core itself is
 /// driven as `dyn Core`.
-fn run_loop<C: Core>(
+pub(crate) fn run_loop<C: Core>(
     core: &mut C,
     budget: Budget,
     mut step: impl FnMut(&mut C) -> Result<Option<HaltReason>, SimError>,

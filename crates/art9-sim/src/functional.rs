@@ -177,7 +177,7 @@ impl CoreState {
 /// [`ThreadedSim`](crate::ThreadedSim) embeds one of these as its
 /// architectural core: the compiled paths update `state`, the retired
 /// count, the halt reason and `mix` in place, and every observed step
-/// runs through its [`Core::step`].
+/// runs through its step body.
 #[derive(Debug, Clone)]
 pub struct FunctionalSim {
     text: Arc<[Instruction]>,

@@ -31,6 +31,13 @@
 //! [`Core::run_for`](crate::Core::run_for). An event then costs one
 //! dynamic call per attachment and no lock. With no observer attached,
 //! the event sites are compiled out of the step body altogether.
+//!
+//! The threaded backend runs its compiled code only with no observer
+//! attached, or with a single packed
+//! [`EnergyAccounting`](observers::EnergyAccounting) (found through
+//! [`Observer::energy_counters`]), whose flips it then counts inside
+//! that code. Any other observer set moves it onto the functional
+//! core's observed step, which reports every event.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -131,6 +138,12 @@ pub struct Writeback {
 /// thread that locks it meanwhile waits for the call to return. A
 /// handle attached twice sees every event twice; attachments are
 /// called in the order they were made.
+///
+/// One exception to the event stream: an observer whose
+/// [`energy_counters`](Observer::energy_counters) returns `Some`, when
+/// it is the only attachment, is not told of every retirement by a
+/// threaded core's `run_for`. The core adds the same counts to those
+/// counters directly; `on_halt` still fires.
 #[allow(unused_variables)]
 pub trait Observer {
     /// An instruction retired; `state` already reflects it.
@@ -149,6 +162,18 @@ pub trait Observer {
 
     /// The machine halted after retiring `retired` instructions.
     fn on_halt(&mut self, reason: HaltReason, retired: u64) {}
+
+    /// The counters of an [`observers::EnergyAccounting`] built with
+    /// the packed flip kernel ([`observers::EnergyAccounting::new`]);
+    /// `None` for every other observer.
+    ///
+    /// When such an accountant is the only attachment, the threaded
+    /// backend counts the flips inside its compiled code and adds them
+    /// to these counters directly, instead of reporting write-back
+    /// events. The totals are the same either way.
+    fn energy_counters(&mut self) -> Option<&mut observers::EnergyAccounting> {
+        None
+    }
 }
 
 /// A shareable observer handle: keep a typed `Arc<Mutex<T>>` clone for
@@ -278,6 +303,18 @@ impl Sink for Held<'_> {
     fn each(&mut self, mut f: impl FnMut(&mut (dyn Observer + Send))) {
         for &index in self.order {
             f(&mut *self.guards[index]);
+        }
+    }
+}
+
+impl Held<'_> {
+    /// The packed energy counters of the only attachment
+    /// ([`Observer::energy_counters`]); `None` when anything else is
+    /// attached, or the same accountant more than once.
+    pub(crate) fn sole_energy(&mut self) -> Option<&mut observers::EnergyAccounting> {
+        match self.order {
+            [only] => self.guards[*only].energy_counters(),
+            _ => None,
         }
     }
 }
@@ -452,16 +489,26 @@ pub mod observers {
     #[derive(Debug, Clone)]
     pub struct EnergyAccounting {
         flip_fn: fn(Word9, Word9) -> u32,
-        prev_instr: Word9,
-        prev_pc: Word9,
-        prev_bus: Word9,
-        per_opcode: [OpcodeActivity; Instruction::OPCODE_COUNT],
+        /// Whether `flip_fn` is the packed kernel of
+        /// [`EnergyAccounting::new`].
+        packed: bool,
+        pub(crate) prev_instr: Word9,
+        pub(crate) prev_pc: Word9,
+        pub(crate) prev_bus: Word9,
+        pub(crate) per_opcode: [OpcodeActivity; Instruction::OPCODE_COUNT],
         /// Per pc: the instruction last retired there, its encoded
         /// word and the pc as a 9-trit word. Both words are static per
         /// instruction, so a hit skips re-encoding; the instruction is
         /// compared on every hit, so an accumulator reused across
         /// programs stays exact.
         fetch_words: Vec<Option<(Instruction, Word9, Word9)>>,
+    }
+
+    /// What the fetch path holds while `instr` at `pc` retires: its
+    /// encoded word (the instruction register) and the pc wrapped to a
+    /// 9-trit word (the PC register).
+    pub(crate) fn fetch_words(pc: usize, instr: &Instruction) -> (Word9, Word9) {
+        (art9_isa::encode(instr), Word9::from_i64_wrapping(pc as i64))
     }
 
     impl Default for EnergyAccounting {
@@ -474,7 +521,10 @@ pub mod observers {
         /// An accumulator using the packed bitplane flip kernel
         /// ([`Word9::flips_from`]).
         pub fn new() -> Self {
-            Self::with_flip_fn(|next, prev| next.flips_from(&prev))
+            Self {
+                packed: true,
+                ..Self::with_flip_fn(|next, prev| next.flips_from(&prev))
+            }
         }
 
         /// An accumulator with a substitute flip function — the
@@ -484,6 +534,7 @@ pub mod observers {
         pub fn with_flip_fn(flip_fn: fn(Word9, Word9) -> u32) -> Self {
             Self {
                 flip_fn,
+                packed: false,
                 prev_instr: Word9::ZERO,
                 prev_pc: Word9::ZERO,
                 prev_bus: Word9::ZERO,
@@ -501,8 +552,7 @@ pub mod observers {
             match self.fetch_words[pc] {
                 Some((cached, encoded, pc_word)) if cached == instr => (encoded, pc_word),
                 _ => {
-                    let encoded = art9_isa::encode(&instr);
-                    let pc_word = Word9::from_i64_wrapping(pc as i64);
+                    let (encoded, pc_word) = fetch_words(pc, &instr);
                     self.fetch_words[pc] = Some((instr, encoded, pc_word));
                     (encoded, pc_word)
                 }
@@ -551,6 +601,13 @@ pub mod observers {
             self.prev_instr = Word9::ZERO;
             self.prev_pc = Word9::ZERO;
             self.prev_bus = Word9::ZERO;
+        }
+
+        /// `Some` only for [`EnergyAccounting::new`]: a substitute
+        /// flip function keeps this accountant on the event path,
+        /// where every flip goes through it.
+        fn energy_counters(&mut self) -> Option<&mut EnergyAccounting> {
+            self.packed.then_some(self)
         }
     }
 

@@ -42,23 +42,37 @@
 //! which owns the architectural state, the retired count, the halt
 //! reason, the observers and the only observed interpreter. The
 //! compiled paths update that state in place; with observers attached,
-//! every step *is* the functional core's `step`, so event order is identical
-//! to the functional backend by construction. `instruction_mix` stays
-//! exact across fused ops, and [`Checkpoint`] snapshot/restore is
-//! bit-identical at any architectural boundary — checkpoints
-//! cross-restore between the architectural backends.
+//! every step *is* the functional core's observed step, so event order
+//! is identical to the functional backend by construction.
+//! `instruction_mix` stays exact across fused ops, and [`Checkpoint`]
+//! snapshot/restore is bit-identical at any architectural boundary —
+//! checkpoints cross-restore between the architectural backends.
+//!
+//! One observer set keeps the compiled path: a packed
+//! `observers::EnergyAccounting` attached once and alone (see
+//! [`Observer::energy_counters`](crate::Observer::energy_counters)).
+//! Its `run_for` runs whole superblocks on a *counted twin* of the
+//! compiled code, built lazily once per image from the same kernels and
+//! the same pair table, each kernel wrapped to add its instruction's
+//! register, TDM and result-bus flips to the accountant. The fetch
+//! flips between consecutive instructions of a block are static, so
+//! they are precomputed per block and added per execution like the
+//! mix; only the entry transition of each block (or mid-block tail) is
+//! computed as it runs. Only the budget tail takes the observed step.
 
-use std::sync::Arc;
+use std::marker::PhantomData;
+use std::sync::{Arc, OnceLock};
 
 use art9_isa::{Instruction, TReg};
 use ternary::{TernaryError, Trit, Word9};
 
 use crate::checkpoint::Checkpoint;
-use crate::core::{Backend, Budget, Core, RunSummary};
+use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::exec::shift;
 use crate::functional::{CoreState, FunctionalSim, HaltReason};
-use crate::observer::ObserverSet;
+use crate::observer::observers::{fetch_words, OpcodeActivity};
+use crate::observer::{Held, ObserverSet, Sink};
 use crate::predecode::PredecodedProgram;
 
 /// How control leaves a compiled op. Deliberately register-sized: this
@@ -100,15 +114,27 @@ enum Fault {
 }
 
 /// The host code behind one compiled op.
-type ExecFn = fn(&mut Machine<'_>, &Op) -> Step;
+type ExecFn<T = ()> = fn(&mut Machine<'_, T>, &Op<T>) -> Step;
 
 /// The mutable execution context handed to every [`ExecFn`].
-struct Machine<'m> {
+struct Machine<'m, T = ()> {
     state: &'m mut CoreState,
     icache: &'m mut [InlineCache],
     text_len: usize,
     /// Fault payload parked by an op that returned [`Step::Fault`].
     fault: Option<Fault>,
+    /// The flip counters of the counted twin ([`Flips`]); nothing for
+    /// the plain code.
+    tally: T,
+}
+
+/// The energy counters a counted op adds to: the attached
+/// `EnergyAccounting`'s per-opcode activity and result-bus history,
+/// copied in for one run of the counted fast path and back out after it.
+#[derive(Debug)]
+struct Flips {
+    per_opcode: [OpcodeActivity; Instruction::OPCODE_COUNT],
+    prev_bus: Word9,
 }
 
 /// One inline-cache entry for a static LOAD/STORE/JALR site: the last
@@ -159,13 +185,22 @@ struct Slot {
 
 /// One compiled op: a single instruction (`n == 1`, slot 0) or a fused
 /// pair (`n == 2`, slots 0 and 1 in program order).
-#[derive(Debug, Clone, Copy)]
-struct Op {
-    exec: ExecFn,
+#[derive(Debug)]
+struct Op<T = ()> {
+    exec: ExecFn<T>,
     s: [Slot; 2],
     /// Architectural instructions this op retires.
     n: u8,
 }
+
+// Copyable whatever the tally: an op only names its machine type.
+impl<T> Clone for Op<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Op<T> {}
 
 /// One superblock: a maximal straight-line run of instructions entered
 /// only at its head. Only its last instruction can transfer control;
@@ -191,6 +226,8 @@ struct Block {
 /// by every [`ThreadedSim`] built from it.
 #[derive(Debug)]
 pub(crate) struct ThreadedCode {
+    text: Arc<[Instruction]>,
+    links: Arc<[Word9]>,
     /// One unfused op per pc — the precise path and the budget tail.
     ops: Vec<Op>,
     blocks: Vec<Block>,
@@ -203,6 +240,44 @@ pub(crate) struct ThreadedCode {
     /// Number of inline-cache sites (static LOAD/STORE/JALR
     /// occurrences).
     sites: usize,
+    /// The counted twin, compiled on first use.
+    counted: OnceLock<CountedCode>,
+}
+
+/// The counted twin of a [`ThreadedCode`]: the same ops and
+/// superblocks with every kernel wrapped in [`Counted`], plus the
+/// static fetch activity. Only a core whose sole observer is a packed
+/// `EnergyAccounting` runs it.
+#[derive(Debug)]
+struct CountedCode {
+    /// One counted unfused op per pc, for mid-block tails.
+    ops: Vec<Op<Flips>>,
+    /// Per pc.
+    fetch: Vec<Fetch>,
+    /// Indexed like [`ThreadedCode::blocks`].
+    blocks: Vec<CountedBlock>,
+}
+
+/// What the fetch path switches at one pc.
+#[derive(Debug, Clone, Copy)]
+struct Fetch {
+    /// The instruction and pc words ([`fetch_words`]).
+    words: (Word9, Word9),
+    /// Their flips against the previous pc's words when both lie in
+    /// one superblock, zero at a head. Inside a block the predecessor
+    /// is static, so only a dispatch unit's entry transition depends on
+    /// the path taken.
+    inner: u32,
+}
+
+/// One superblock of the counted twin.
+#[derive(Debug)]
+struct CountedBlock {
+    /// The same fusion as [`Block::fused`], over counted kernels.
+    fused: Vec<Op<Flips>>,
+    /// Sparse per-opcode sums of [`Fetch::inner`] over the block. Like
+    /// [`Block::mix`], applied per completed execution.
+    fetch: Vec<(u8, u32)>,
 }
 
 // --- kernels ---------------------------------------------------------------
@@ -214,15 +289,35 @@ pub(crate) struct ThreadedCode {
 // into a fused one. The differential fuzz oracles and the cross-backend
 // property tests hold them to the shared semantics in `exec.rs`.
 
-/// One instruction's compiled semantics. `pos` is the instruction's
-/// position in its op — 1, or 2 for the second component of a pair —
-/// and is how many of the op's instructions a fault in it retires.
-trait Kernel {
-    fn run(m: &mut Machine<'_>, s: &Slot, pos: u8) -> Step;
+/// One instruction's compiled semantics, on a machine with tally `T`.
+/// `pos` is the instruction's position in its op — 1, or 2 for the
+/// second component of a pair — and is how many of the op's
+/// instructions a fault in it retires.
+trait Kernel<T = ()> {
+    /// What the instruction writes, which fixes the flips [`Counted`]
+    /// adds for it.
+    const EFFECT: Effect;
+
+    fn run(m: &mut Machine<'_, T>, s: &Slot, pos: u8) -> Step;
+}
+
+/// The architectural writes of one instruction, as the energy model
+/// sees them (the functional step's write-back event).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Effect {
+    /// Writes `Ta` and drives its new value onto the result bus: every
+    /// register kernel, and JAL/JALR, whose link is both.
+    Reg,
+    /// LOAD: writes `Ta`; the bus carries the effective address.
+    Load,
+    /// STORE: writes a TDM cell; the bus carries the effective address.
+    Store,
+    /// BEQ/BNE: no write; the bus carries zero.
+    Branch,
 }
 
 /// The body of an unfused op.
-fn single<K: Kernel>(m: &mut Machine<'_>, op: &Op) -> Step {
+fn single<T, K: Kernel<T>>(m: &mut Machine<'_, T>, op: &Op<T>) -> Step {
     K::run(m, &op.s[0], 1)
 }
 
@@ -230,21 +325,92 @@ fn single<K: Kernel>(m: &mut Machine<'_>, op: &Op) -> Step {
 /// intra-pair register dependencies behave exactly as in sequential
 /// execution, and the second runs only when the first falls through —
 /// a fault in the first retires just that one.
-fn pair<K1: Kernel, K2: Kernel>(m: &mut Machine<'_>, op: &Op) -> Step {
+fn pair<T, K1: Kernel<T>, K2: Kernel<T>>(m: &mut Machine<'_, T>, op: &Op<T>) -> Step {
     match K1::run(m, &op.s[0], 1) {
         Step::Next => K2::run(m, &op.s[1], 2),
         step => step,
     }
 }
 
+/// A machine's tally type, and what compiling for it makes of each
+/// kernel: the plain code runs kernels bare, the counted twin runs
+/// them [`Counted`].
+trait Tally: Sized {
+    type Of<K: Kernel<Self>>: Kernel<Self>;
+}
+
+impl Tally for () {
+    type Of<K: Kernel<()>> = K;
+}
+
+impl Tally for Flips {
+    type Of<K: Kernel<Flips>> = Counted<K>;
+}
+
+/// Kernel `K` plus the trit flips of its instruction, added to the
+/// machine's [`Flips`] after `K` succeeds: the destination register,
+/// the overwritten TDM cell and the result bus, exactly as the energy
+/// accountant counts them from the functional step's write-back
+/// event. A faulting instruction has no write-back, so it adds
+/// nothing. (Its fetch flips and retirement are the block's, added by
+/// the engine.)
+struct Counted<K>(PhantomData<K>);
+
+impl<K: Kernel<Flips>> Kernel<Flips> for Counted<K> {
+    const EFFECT: Effect = K::EFFECT;
+
+    #[inline(always)]
+    fn run(m: &mut Machine<'_, Flips>, s: &Slot, pos: u8) -> Step {
+        let old = m.state.trf[s.a as usize];
+        let base = m.state.trf[s.b as usize];
+        // A STORE resolves its address first, to read the cell it
+        // overwrites; the kernel then hits the refreshed inline cache.
+        let cell = if K::EFFECT == Effect::Store {
+            let Some(i) = tdm_index(m, s, pos) else {
+                return Step::Fault;
+            };
+            m.state
+                .tdm
+                .read(i)
+                .expect("tdm_index yields an in-range index")
+        } else {
+            Word9::ZERO
+        };
+        let step = K::run(m, s, pos);
+        if let Step::Fault = step {
+            return step;
+        }
+        let new = m.state.trf[s.a as usize];
+        let acc = &mut m.tally.per_opcode[s.opcode as usize];
+        let bus = match K::EFFECT {
+            Effect::Reg => {
+                acc.regfile += u64::from(new.flips_from(&old));
+                new
+            }
+            Effect::Load => {
+                acc.regfile += u64::from(new.flips_from(&old));
+                base.wrapping_add(s.imm)
+            }
+            Effect::Store => {
+                acc.tdm += u64::from(new.flips_from(&cell));
+                base.wrapping_add(s.imm)
+            }
+            Effect::Branch => Word9::ZERO,
+        };
+        acc.alu += u64::from(bus.flips_from(&m.tally.prev_bus));
+        m.tally.prev_bus = bus;
+        step
+    }
+}
+
 /// Defines kernels as unit types. A register kernel `Name(t, s) = expr;`
 /// sets `Ta` to `expr` over the register file `t` and falls through;
-/// any other kernel is `Name(m, s, pos) { body }`.
+/// any other kernel is `Name(m, s, pos) -> Effect { body }`.
 macro_rules! kernels {
     () => {};
     ($name:ident($t:pat_param, $s:ident) = $e:expr; $($rest:tt)*) => {
         kernels! {
-            $name(m, $s, _) {
+            $name(m, $s, _) -> Reg {
                 let t = &mut m.state.trf;
                 let v = {
                     let $t = &*t;
@@ -256,12 +422,14 @@ macro_rules! kernels {
             $($rest)*
         }
     };
-    ($name:ident($m:ident, $s:ident, $pos:pat_param) $body:block $($rest:tt)*) => {
+    ($name:ident($m:ident, $s:ident, $pos:pat_param) -> $effect:ident $body:block $($rest:tt)*) => {
         pub(super) struct $name;
 
-        impl Kernel for $name {
+        impl<T> Kernel<T> for $name {
+            const EFFECT: Effect = Effect::$effect;
+
             #[inline(always)]
-            fn run($m: &mut Machine<'_>, $s: &Slot, $pos: u8) -> Step $body
+            fn run($m: &mut Machine<'_, T>, $s: &Slot, $pos: u8) -> Step $body
         }
 
         kernels! { $($rest)* }
@@ -294,19 +462,19 @@ mod kernel {
         Lui(_, s) = s.imm;
         Li(t, s) = t[s.a as usize].with_field::<5>(0, s.imm.field::<5>(0));
 
-        Beq(m, s, _) {
+        Beq(m, s, _) -> Branch {
             let taken = m.state.trf[s.b as usize].lst() == s.cond;
             branch(m, s, taken)
         }
-        Bne(m, s, _) {
+        Bne(m, s, _) -> Branch {
             let taken = m.state.trf[s.b as usize].lst() != s.cond;
             branch(m, s, taken)
         }
-        Jal(m, s, _) {
+        Jal(m, s, _) -> Reg {
             m.state.trf[s.a as usize] = s.imm; // link = pc + 1, precomputed
             resolve_next(m, s.pc as i64 + s.off as i64, s.pc as usize)
         }
-        Jalr(m, s, _) {
+        Jalr(m, s, _) -> Reg {
             // Target reads Tb before the link write lands in Ta (a == b
             // case). Each JALR site inline-caches its last base word
             // next to the computed target (return addresses repeat
@@ -324,7 +492,7 @@ mod kernel {
             m.state.trf[s.a as usize] = s.imm;
             resolve_next(m, target, s.pc as usize)
         }
-        Load(m, s, pos) {
+        Load(m, s, pos) -> Load {
             let Some(i) = tdm_index(m, s, pos) else {
                 return Step::Fault;
             };
@@ -336,7 +504,7 @@ mod kernel {
                 Err(cause) => mem_fault(m, s, pos, cause),
             }
         }
-        Store(m, s, pos) {
+        Store(m, s, pos) -> Store {
             let v = m.state.trf[s.a as usize];
             let Some(i) = tdm_index(m, s, pos) else {
                 return Step::Fault;
@@ -366,7 +534,7 @@ fn wrap9(v: i64) -> i64 {
 /// in-range → jump, own address → jump-to-self halt, text length →
 /// fell-off-end halt, anything else → wild-transfer fault.
 #[inline]
-fn resolve_next(m: &mut Machine, target: i64, pc: usize) -> Step {
+fn resolve_next<T>(m: &mut Machine<'_, T>, target: i64, pc: usize) -> Step {
     if target < 0 || target as usize > m.text_len {
         m.fault = Some(Fault::Wild {
             target,
@@ -389,7 +557,7 @@ fn resolve_next(m: &mut Machine, target: i64, pc: usize) -> Step {
 /// dispatcher's next PC is then predicted instead of waiting on the
 /// compared register, as a branchless select of the target would.)
 #[inline(always)]
-fn branch(m: &mut Machine, s: &Slot, taken: bool) -> Step {
+fn branch<T>(m: &mut Machine<'_, T>, s: &Slot, taken: bool) -> Step {
     if taken {
         resolve_next(m, s.pc as i64 + s.off as i64, s.pc as usize)
     } else {
@@ -404,7 +572,7 @@ fn branch(m: &mut Machine, s: &Slot, taken: bool) -> Step {
 /// parks the fault on the machine. (An `Option` rather than a
 /// `Result`: it comes back in registers on the hot path.)
 #[inline]
-fn tdm_index(m: &mut Machine, s: &Slot, pos: u8) -> Option<usize> {
+fn tdm_index<T>(m: &mut Machine<'_, T>, s: &Slot, pos: u8) -> Option<usize> {
     let base = m.state.trf[s.b as usize];
     let off = s.off as i64;
     let ic = &mut m.icache[s.site as usize];
@@ -439,7 +607,7 @@ fn tdm_index(m: &mut Machine, s: &Slot, pos: u8) -> Option<usize> {
 
 /// Parks a TDM fault raised by the instruction in `s`.
 #[cold]
-fn mem_fault(m: &mut Machine, s: &Slot, pos: u8, cause: TernaryError) -> Step {
+fn mem_fault<T>(m: &mut Machine<'_, T>, s: &Slot, pos: u8, cause: TernaryError) -> Step {
     m.fault = Some(Fault::Mem {
         pc: s.pc as usize,
         cause,
@@ -452,7 +620,7 @@ fn mem_fault(m: &mut Machine, s: &Slot, pos: u8, cause: TernaryError) -> Step {
 
 /// Compiles one instruction into its unfused op, pre-extracting every
 /// decode-time quantity into slot 0.
-fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> Op {
+fn compile_op<T: Tally>(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> Op<T> {
     use Instruction::*;
     let r = |t: TReg| t.index() as u8;
     let mut site = || {
@@ -498,32 +666,32 @@ fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> O
             s.site = site();
         }
     }
-    let exec: ExecFn = match *instr {
-        Mv { .. } => single::<kernel::Mv>,
-        Pti { .. } => single::<kernel::Pti>,
-        Nti { .. } => single::<kernel::Nti>,
-        Sti { .. } => single::<kernel::Sti>,
-        And { .. } => single::<kernel::And>,
-        Or { .. } => single::<kernel::Or>,
-        Xor { .. } => single::<kernel::Xor>,
-        Add { .. } => single::<kernel::Add>,
-        Sub { .. } => single::<kernel::Sub>,
-        Sr { .. } => single::<kernel::Sr>,
-        Sl { .. } => single::<kernel::Sl>,
-        Comp { .. } => single::<kernel::Comp>,
-        Andi { .. } => single::<kernel::Andi>,
-        Addi { .. } => single::<kernel::Addi>,
-        Sri { imm, .. } if imm.to_i64() < 0 => single::<kernel::ShlConst>,
-        Sli { imm, .. } if imm.to_i64() >= 0 => single::<kernel::ShlConst>,
-        Sri { .. } | Sli { .. } => single::<kernel::ShrConst>,
-        Lui { .. } => single::<kernel::Lui>,
-        Li { .. } => single::<kernel::Li>,
-        Beq { .. } => single::<kernel::Beq>,
-        Bne { .. } => single::<kernel::Bne>,
-        Jal { .. } => single::<kernel::Jal>,
-        Jalr { .. } => single::<kernel::Jalr>,
-        Load { .. } => single::<kernel::Load>,
-        Store { .. } => single::<kernel::Store>,
+    let exec: ExecFn<T> = match *instr {
+        Mv { .. } => single::<T, T::Of<kernel::Mv>>,
+        Pti { .. } => single::<T, T::Of<kernel::Pti>>,
+        Nti { .. } => single::<T, T::Of<kernel::Nti>>,
+        Sti { .. } => single::<T, T::Of<kernel::Sti>>,
+        And { .. } => single::<T, T::Of<kernel::And>>,
+        Or { .. } => single::<T, T::Of<kernel::Or>>,
+        Xor { .. } => single::<T, T::Of<kernel::Xor>>,
+        Add { .. } => single::<T, T::Of<kernel::Add>>,
+        Sub { .. } => single::<T, T::Of<kernel::Sub>>,
+        Sr { .. } => single::<T, T::Of<kernel::Sr>>,
+        Sl { .. } => single::<T, T::Of<kernel::Sl>>,
+        Comp { .. } => single::<T, T::Of<kernel::Comp>>,
+        Andi { .. } => single::<T, T::Of<kernel::Andi>>,
+        Addi { .. } => single::<T, T::Of<kernel::Addi>>,
+        Sri { imm, .. } if imm.to_i64() < 0 => single::<T, T::Of<kernel::ShlConst>>,
+        Sli { imm, .. } if imm.to_i64() >= 0 => single::<T, T::Of<kernel::ShlConst>>,
+        Sri { .. } | Sli { .. } => single::<T, T::Of<kernel::ShrConst>>,
+        Lui { .. } => single::<T, T::Of<kernel::Lui>>,
+        Li { .. } => single::<T, T::Of<kernel::Li>>,
+        Beq { .. } => single::<T, T::Of<kernel::Beq>>,
+        Bne { .. } => single::<T, T::Of<kernel::Bne>>,
+        Jal { .. } => single::<T, T::Of<kernel::Jal>>,
+        Jalr { .. } => single::<T, T::Of<kernel::Jalr>>,
+        Load { .. } => single::<T, T::Of<kernel::Load>>,
+        Store { .. } => single::<T, T::Of<kernel::Store>>,
     };
     Op {
         exec,
@@ -534,18 +702,24 @@ fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> O
 
 /// Expands the pair table into [`fuse`] (and, for the tests, the list
 /// of its shapes): each row `First + Second` fuses that adjacent pair
-/// into one op running `pair::<kernel::First, kernel::Second>`.
+/// into one op running [`pair`] over `kernel::First` and
+/// `kernel::Second`, as the tally type wraps them.
 macro_rules! pair_table {
     ($($first:ident + $second:ident),* $(,)?) => {
         /// Fuses two adjacent unfused ops into one when their
         /// instructions form a shape of the pair table. Components keep
         /// program order inside the fused body, so `None` is only about
         /// profitability, never correctness.
-        fn fuse(first: &Op, second: &Op, i1: &Instruction, i2: &Instruction) -> Option<Op> {
-            let exec: ExecFn = match (i1, i2) {
+        fn fuse<T: Tally>(
+            first: &Op<T>,
+            second: &Op<T>,
+            i1: &Instruction,
+            i2: &Instruction,
+        ) -> Option<Op<T>> {
+            let exec: ExecFn<T> = match (i1, i2) {
                 $(
                     (Instruction::$first { .. }, Instruction::$second { .. }) => {
-                        pair::<kernel::$first, kernel::$second>
+                        pair::<T, T::Of<kernel::$first>, T::Of<kernel::$second>>
                     }
                 )*
                 _ => return None,
@@ -594,6 +768,54 @@ pair_table! {
     Comp + Bne,
 }
 
+/// Compiles every instruction into its unfused op, numbering the
+/// inline-cache sites in address order; returns the ops and the site
+/// count.
+fn compile_ops<T: Tally>(text: &[Instruction], links: &[Word9]) -> (Vec<Op<T>>, u32) {
+    let mut sites: u32 = 0;
+    let ops = text
+        .iter()
+        .enumerate()
+        .map(|(pc, i)| compile_op(i, pc, links[pc], &mut sites))
+        .collect();
+    (ops, sites)
+}
+
+/// The fused op sequence of the block `start..=end`: greedy fusion in
+/// program order.
+fn fuse_block<T: Tally>(
+    ops: &[Op<T>],
+    text: &[Instruction],
+    start: usize,
+    end: usize,
+) -> Vec<Op<T>> {
+    let mut fused = Vec::new();
+    let mut i = start;
+    while i <= end {
+        if i < end {
+            if let Some(f) = fuse(&ops[i], &ops[i + 1], &text[i], &text[i + 1]) {
+                fused.push(f);
+                i += 2;
+                continue;
+            }
+        }
+        fused.push(ops[i]);
+        i += 1;
+    }
+    fused
+}
+
+/// The nonzero entries of a per-opcode count table, as
+/// `(opcode, count)`.
+fn sparse(counts: &[u32; Instruction::OPCODE_COUNT]) -> Vec<(u8, u32)> {
+    counts
+        .iter()
+        .enumerate()
+        .filter(|(_, &c)| c > 0)
+        .map(|(o, &c)| (o as u8, c))
+        .collect()
+}
+
 impl ThreadedCode {
     /// Compiles the whole image: unfused ops, block heads over the link
     /// table, superblocks, and the fused hot sequences.
@@ -601,12 +823,7 @@ impl ThreadedCode {
         let text = image.text_arc();
         let links = image.links_arc();
         let len = text.len();
-        let mut sites: u32 = 0;
-        let ops: Vec<Op> = text
-            .iter()
-            .enumerate()
-            .map(|(pc, i)| compile_op(i, pc, links[pc], &mut sites))
-            .collect();
+        let (ops, sites) = compile_ops(&text, &links);
 
         // Block heads: the entry point, every static in-range control
         // target, and every successor of a control transfer (JALR
@@ -648,30 +865,10 @@ impl ThreadedCode {
             while !text[end].is_control_flow() && end + 1 < len && !head[end + 1] {
                 end += 1;
             }
-            let mut fused = Vec::new();
-            let mut i = start;
-            while i <= end {
-                if i < end {
-                    if let Some(f) = fuse(&ops[i], &ops[i + 1], &text[i], &text[i + 1]) {
-                        fused.push(f);
-                        i += 2;
-                        continue;
-                    }
-                }
-                fused.push(ops[i]);
-                i += 1;
-            }
-
             let mut counts = [0u32; Instruction::OPCODE_COUNT];
             for instr in text[start..=end].iter() {
                 counts[instr.opcode()] += 1;
             }
-            let mix: Vec<(u8, u32)> = counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(o, &c)| (o as u8, c))
-                .collect();
 
             for slot in block_of.iter_mut().take(end + 1).skip(start) {
                 *slot = blocks.len() as u32;
@@ -679,18 +876,63 @@ impl ThreadedCode {
             blocks.push(Block {
                 start,
                 len: end - start + 1,
-                fused,
-                mix,
+                fused: fuse_block(&ops, &text, start, end),
+                mix: sparse(&counts),
             });
             start = end + 1;
         }
 
         ThreadedCode {
+            text,
+            links,
             ops,
             blocks,
             block_of,
             sites: sites as usize,
+            counted: OnceLock::new(),
         }
+    }
+
+    /// The counted twin, compiled on first use and then shared by every
+    /// core built from this image.
+    fn counted(&self) -> &CountedCode {
+        self.counted.get_or_init(|| CountedCode::compile(self))
+    }
+}
+
+impl CountedCode {
+    /// Recompiles `code` over counted kernels. The inline-cache sites
+    /// number the same, so both compilations share a core's caches.
+    fn compile(code: &ThreadedCode) -> Self {
+        let text = &code.text;
+        let (ops, _) = compile_ops::<Flips>(text, &code.links);
+        let mut fetch: Vec<Fetch> = Vec::with_capacity(text.len());
+        for (pc, instr) in text.iter().enumerate() {
+            let words = fetch_words(pc, instr);
+            let inner = match fetch.last() {
+                Some(prev) if code.blocks[code.block_of[pc] as usize].start != pc => {
+                    words.0.flips_from(&prev.words.0) + words.1.flips_from(&prev.words.1)
+                }
+                _ => 0,
+            };
+            fetch.push(Fetch { words, inner });
+        }
+        let blocks = code
+            .blocks
+            .iter()
+            .map(|b| {
+                let end = b.start + b.len - 1;
+                let mut inner = [0u32; Instruction::OPCODE_COUNT];
+                for pc in b.start..=end {
+                    inner[text[pc].opcode()] += fetch[pc].inner;
+                }
+                CountedBlock {
+                    fused: fuse_block(&ops, text, b.start, end),
+                    fetch: sparse(&inner),
+                }
+            })
+            .collect();
+        CountedCode { ops, fetch, blocks }
     }
 }
 
@@ -734,6 +976,10 @@ pub struct ThreadedSim {
     /// counter per block run; the per-opcode mix is materialized
     /// lazily by `full_mix`.
     block_execs: Vec<u64>,
+    /// Completed executions per superblock of the counted twin within
+    /// one `run_for`, folded into `block_execs` and the energy
+    /// counters when it returns. Empty until the twin first runs.
+    counted_execs: Vec<u64>,
 }
 
 impl ThreadedSim {
@@ -752,6 +998,7 @@ impl ThreadedSim {
             arch: FunctionalSim::build(image, tdm_words, observers),
             icache,
             block_execs,
+            counted_execs: Vec::new(),
         }
     }
 
@@ -831,6 +1078,7 @@ impl ThreadedSim {
             icache: &mut self.icache,
             text_len: len,
             fault: None,
+            tally: (),
         };
         let step = (op.exec)(&mut m, op);
         if let Step::Fault = step {
@@ -869,6 +1117,7 @@ impl ThreadedSim {
                 icache: &mut self.icache,
                 text_len,
                 fault: None,
+                tally: (),
             };
             let mut pc = m.state.pc;
             while pc < text_len {
@@ -923,88 +1172,46 @@ impl ThreadedSim {
         }
         self.arch.instructions += retired;
         if let Some((ops, i, fault)) = failed {
-            // A fault settles its partial run precisely: every op
-            // before the faulting one in full, plus however many of the
-            // faulting op's components retired (the faulting
-            // instruction counts as retired, matching the functional
-            // backend).
-            let partial = match &fault {
-                Fault::Mem { retired, .. } => *retired,
-                Fault::Wild { .. } => ops[i].n,
-            };
-            let done = ops[..i]
-                .iter()
-                .flat_map(|op| &op.s[..op.n as usize])
-                .chain(&ops[i].s[..partial as usize]);
-            for s in done {
-                self.arch.instructions += 1;
-                self.arch.mix[s.opcode as usize] += 1;
-            }
-            self.arch.state.pc = match &fault {
-                Fault::Mem { pc, .. } => *pc,
-                Fault::Wild { at_pc, .. } => *at_pc as usize,
-            };
-            return Err(self.convert_fault(fault));
+            return Err(self.settle(ops, i, fault));
         }
         if let Some(reason) = halt {
             self.arch.halted = Some(reason);
         }
         Ok(halt)
     }
-}
 
-/// Runs a straight-line op sequence (a block's fused ops, or the
-/// unfused tail of a block). Only its last op can transfer control, so
-/// any step but a fault means every op ran; a fault returns the index
-/// of the faulting op.
-#[inline(always)]
-fn run_ops(m: &mut Machine<'_>, ops: &[Op]) -> Result<Step, usize> {
-    for op in ops {
-        match (op.exec)(m, op) {
-            Step::Next => {}
-            // The index is recovered from the reference offset — only
-            // this cold path pays for it, not the hot loop.
-            Step::Fault => {
-                let offset = op as *const Op as usize - ops.as_ptr() as usize;
-                return Err(offset / std::mem::size_of::<Op>());
-            }
-            step => return Ok(step),
+    /// Settles a fault raised by op `i` of the straight-line run `ops`
+    /// precisely: every instruction [`retired_slots`] names counts as
+    /// retired, and the pc rests on the faulting instruction.
+    fn settle<T>(&mut self, ops: &[Op<T>], i: usize, fault: Fault) -> SimError {
+        for s in retired_slots(ops, i, &fault) {
+            self.arch.instructions += 1;
+            self.arch.mix[s.opcode as usize] += 1;
         }
-    }
-    Ok(Step::Next)
-}
-
-/// Where control goes after an op, a block or a block tail that ended
-/// in `step` (never [`Step::Fault`]): `fall` is the address just past
-/// it, where a fall-through continues — or halts, at the end of the
-/// text. Returns the next PC and the halt reason, if any.
-#[inline(always)]
-fn next_pc(step: Step, fall: usize, text_len: usize) -> (usize, Option<HaltReason>) {
-    match step {
-        Step::Next => (fall, (fall == text_len).then_some(HaltReason::FellOffEnd)),
-        Step::Jump(pc) => (pc as usize, None),
-        Step::Halt(reason, pc) => (pc as usize, Some(reason)),
-        Step::Fault => unreachable!("a fault is settled before control resolves"),
-    }
-}
-
-impl Core for ThreadedSim {
-    fn backend(&self) -> Backend {
-        Backend::Threaded
+        self.arch.state.pc = match &fault {
+            Fault::Mem { pc, .. } => *pc,
+            Fault::Wild { at_pc, .. } => *at_pc as usize,
+        };
+        self.convert_fault(fault)
     }
 
-    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
-        if self.arch.observers.is_empty() {
-            self.step_ops()
-        } else {
-            self.arch.step()
-        }
-    }
-
-    fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
-        if !self.arch.observers.is_empty() {
-            return self.arch.run_for(budget);
-        }
+    /// The `run_for` loop of both compiled paths. `fast` runs whole
+    /// dispatch units for as long as the budget covers them; `precise`
+    /// steps one instruction where it stops (the budget tail, or an
+    /// entry `fast` does not take). `x` is what both need besides the
+    /// core: the held observers, on the counted path.
+    fn drive<X>(
+        &mut self,
+        budget: Budget,
+        x: &mut X,
+        mut fast: impl FnMut(
+            &mut Self,
+            &mut X,
+            &mut u64,
+            &mut u64,
+        ) -> Result<Option<HaltReason>, SimError>,
+        mut precise: impl FnMut(&mut Self, &mut X) -> Result<Option<HaltReason>, SimError>,
+    ) -> Result<RunSummary, SimError> {
         let mut steps = 0u64;
         // Steps and retired instructions advance in lockstep (every
         // architectural instruction is one step), so either budget
@@ -1028,10 +1235,9 @@ impl Core for ThreadedSim {
                     halt: None,
                 });
             }
-            // Whole superblocks — and unfused block tails after a
-            // dynamic mid-block landing — while the budget covers them
-            // (the only budget checks are at those boundaries)…
-            let halt = self.run_fast(&mut steps, &mut remaining)?;
+            // Whole dispatch units while the budget covers them (the
+            // only budget checks are at their boundaries)…
+            let halt = fast(self, x, &mut steps, &mut remaining)?;
             if halt.is_some() {
                 return Ok(RunSummary {
                     steps,
@@ -1042,9 +1248,8 @@ impl Core for ThreadedSim {
             if remaining == 0 {
                 continue;
             }
-            // …then one precise step: the budget is smaller than the
-            // next dispatch unit (the budget tail).
-            let halt = self.step_ops()?;
+            // …then one precise step.
+            let halt = precise(self, x)?;
             steps += 1;
             remaining -= 1;
             if halt.is_some() {
@@ -1055,6 +1260,253 @@ impl Core for ThreadedSim {
                 });
             }
         }
+    }
+
+    /// `run_for` with a packed `EnergyAccounting` as the only observer:
+    /// superblocks and block tails run on the counted twin, and the
+    /// budget tail takes the functional core's observed step. Whole
+    /// blocks' retirements and static fetch flips are added to the
+    /// accountant once, on the way out.
+    fn run_counted(&mut self, budget: Budget, sink: &mut Held<'_>) -> Result<RunSummary, SimError> {
+        let code = Arc::clone(&self.code);
+        let counted = code.counted();
+        self.counted_execs.resize(code.blocks.len(), 0);
+        let out = self.drive(
+            budget,
+            sink,
+            |sim, sink, steps, remaining| sim.run_fast_counted(counted, steps, remaining, sink),
+            |sim, sink| sim.step_with(sink),
+        );
+        let acc = sink.sole_energy().expect("run_for checked the observers");
+        let blocks = code.blocks.iter().zip(&counted.blocks);
+        for ((execs, total), (block, cb)) in self
+            .counted_execs
+            .iter_mut()
+            .zip(&mut self.block_execs)
+            .zip(blocks)
+        {
+            if *execs == 0 {
+                continue;
+            }
+            for &(opcode, count) in &block.mix {
+                acc.per_opcode[opcode as usize].retired += count as u64 * *execs;
+            }
+            for &(opcode, flips) in &cb.fetch {
+                acc.per_opcode[opcode as usize].fetch += flips as u64 * *execs;
+            }
+            *total += *execs;
+            *execs = 0;
+        }
+        out
+    }
+
+    /// The counted twin's hot loop: [`ThreadedSim::run_fast`] over the
+    /// counted ops. The kernels count the register, TDM and result-bus
+    /// flips. The loop adds each dispatch unit's entry fetch flips, the
+    /// one fetch transition that depends on the path, and a tail's
+    /// retirements and static fetch flips; a whole block's are folded
+    /// in by [`ThreadedSim::run_counted`].
+    fn run_fast_counted(
+        &mut self,
+        counted: &CountedCode,
+        steps: &mut u64,
+        remaining: &mut u64,
+        sink: &mut Held<'_>,
+    ) -> Result<Option<HaltReason>, SimError> {
+        let code = Arc::clone(&self.code);
+        let text_len = code.ops.len();
+        let acc = sink.sole_energy().expect("run_for checked the observers");
+        let mut prev = (acc.prev_instr, acc.prev_pc);
+        let mut retired = 0u64;
+        let mut halt = None;
+        let mut failed = None;
+        let mut m = Machine {
+            state: &mut self.arch.state,
+            icache: &mut self.icache,
+            text_len,
+            fault: None,
+            tally: Flips {
+                per_opcode: acc.per_opcode,
+                prev_bus: acc.prev_bus,
+            },
+        };
+        let mut pc = m.state.pc;
+        while pc < text_len {
+            let bi = code.block_of[pc] as usize;
+            let block = &code.blocks[bi];
+            let head = pc == block.start;
+            let fall = block.start + block.len;
+            let ops = if head {
+                &counted.blocks[bi].fused[..]
+            } else {
+                &counted.ops[pc..fall]
+            };
+            let n = (fall - pc) as u64;
+            if n > *remaining {
+                break;
+            }
+            let step = match run_ops(&mut m, ops) {
+                Ok(step) => step,
+                Err(i) => {
+                    let fault = m.fault.take().expect("a faulting op parks its fault");
+                    failed = Some((ops, i, fault));
+                    break;
+                }
+            };
+            let (i1, p1) = counted.fetch[pc].words;
+            m.tally.per_opcode[ops[0].s[0].opcode as usize].fetch +=
+                u64::from(i1.flips_from(&prev.0) + p1.flips_from(&prev.1));
+            prev = counted.fetch[fall - 1].words;
+            if head {
+                self.counted_execs[bi] += 1;
+            } else {
+                for (k, op) in ops.iter().enumerate() {
+                    let opcode = op.s[0].opcode as usize;
+                    self.arch.mix[opcode] += 1;
+                    let activity = &mut m.tally.per_opcode[opcode];
+                    activity.retired += 1;
+                    if k > 0 {
+                        activity.fetch += u64::from(counted.fetch[pc + k].inner);
+                    }
+                }
+            }
+            retired += n;
+            *steps += n;
+            *remaining -= n;
+            let (next, h) = next_pc(step, fall, text_len);
+            pc = next;
+            if h.is_some() {
+                halt = h;
+                break;
+            }
+        }
+        m.state.pc = pc;
+        let tally = m.tally;
+        acc.per_opcode = tally.per_opcode;
+        acc.prev_bus = tally.prev_bus;
+        self.arch.instructions += retired;
+        if let Some((ops, i, fault)) = failed {
+            // The instructions before the faulting one retired with a
+            // write-back; the faulting one has none.
+            let wrote = retired_slots(ops, i, &fault).count() - 1;
+            for s in retired_slots(ops, i, &fault).take(wrote) {
+                let (i1, p1) = counted.fetch[s.pc as usize].words;
+                let activity = &mut acc.per_opcode[s.opcode as usize];
+                activity.retired += 1;
+                activity.fetch += u64::from(i1.flips_from(&prev.0) + p1.flips_from(&prev.1));
+                prev = (i1, p1);
+            }
+            (acc.prev_instr, acc.prev_pc) = prev;
+            return Err(self.settle(ops, i, fault));
+        }
+        (acc.prev_instr, acc.prev_pc) = prev;
+        if let Some(reason) = halt {
+            self.arch.halted = Some(reason);
+            // The accountant resets its history on halt, as on every
+            // other path.
+            sink.halt(reason, self.arch.instructions);
+        }
+        Ok(halt)
+    }
+}
+
+/// The instructions that count as retired when op `i` of the
+/// straight-line run `ops` faults: every op before it in full, plus the
+/// faulting op's components up to and including the faulting one (the
+/// functional backend counts a faulting instruction as retired).
+fn retired_slots<'o, T>(
+    ops: &'o [Op<T>],
+    i: usize,
+    fault: &Fault,
+) -> impl Iterator<Item = &'o Slot> {
+    let partial = match fault {
+        Fault::Mem { retired, .. } => *retired,
+        Fault::Wild { .. } => ops[i].n,
+    };
+    ops[..i]
+        .iter()
+        .flat_map(|op| &op.s[..op.n as usize])
+        .chain(&ops[i].s[..partial as usize])
+}
+
+/// Runs a straight-line op sequence (a block's fused ops, or the
+/// unfused tail of a block). Only its last op can transfer control, so
+/// any step but a fault means every op ran; a fault returns the index
+/// of the faulting op.
+#[inline(always)]
+fn run_ops<T>(m: &mut Machine<'_, T>, ops: &[Op<T>]) -> Result<Step, usize> {
+    for op in ops {
+        match (op.exec)(m, op) {
+            Step::Next => {}
+            // The index is recovered from the reference offset — only
+            // this cold path pays for it, not the hot loop.
+            Step::Fault => {
+                let offset = op as *const Op<T> as usize - ops.as_ptr() as usize;
+                return Err(offset / std::mem::size_of::<Op<T>>());
+            }
+            step => return Ok(step),
+        }
+    }
+    Ok(Step::Next)
+}
+
+/// Where control goes after an op, a block or a block tail that ended
+/// in `step` (never [`Step::Fault`]): `fall` is the address just past
+/// it, where a fall-through continues — or halts, at the end of the
+/// text. Returns the next PC and the halt reason, if any.
+#[inline(always)]
+fn next_pc(step: Step, fall: usize, text_len: usize) -> (usize, Option<HaltReason>) {
+    match step {
+        Step::Next => (fall, (fall == text_len).then_some(HaltReason::FellOffEnd)),
+        Step::Jump(pc) => (pc as usize, None),
+        Step::Halt(reason, pc) => (pc as usize, Some(reason)),
+        Step::Fault => unreachable!("a fault is settled before control resolves"),
+    }
+}
+
+impl SinkStep for ThreadedSim {
+    fn observers(&mut self) -> &mut ObserverSet {
+        &mut self.arch.observers
+    }
+
+    fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
+        self.arch.step_with(sink)
+    }
+}
+
+impl Core for ThreadedSim {
+    fn backend(&self) -> Backend {
+        Backend::Threaded
+    }
+
+    fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
+        if self.arch.observers.is_empty() {
+            self.step_ops()
+        } else {
+            self.arch.step()
+        }
+    }
+
+    /// With no observer: superblocks and unfused block tails, then
+    /// precise compiled steps. With a packed `EnergyAccounting` as the
+    /// only observer: the counted twin. With any other observers: the
+    /// functional core's observed step throughout.
+    fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
+        if self.arch.observers.is_empty() {
+            return self.drive(
+                budget,
+                &mut (),
+                |sim, _, steps, remaining| sim.run_fast(steps, remaining),
+                |sim, _| sim.step_ops(),
+            );
+        }
+        crate::core::held(self, |sim, sink| {
+            if sink.sole_energy().is_some() {
+                sim.run_counted(budget, sink)
+            } else {
+                crate::core::run_loop(sim, budget, |sim| sim.step_with(sink))
+            }
+        })
     }
 
     fn state(&self) -> &CoreState {
@@ -1101,14 +1553,45 @@ impl Core for ThreadedSim {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
     use crate::core::SimBuilder;
+    use crate::observer::observers::{EnergyAccounting, Watchpoint};
     use art9_isa::assemble;
 
     fn pair(src: &str) -> (crate::FunctionalSim, ThreadedSim) {
         let p = assemble(src).unwrap();
         let b = SimBuilder::new(&p);
         (b.build_functional(), b.build_threaded())
+    }
+
+    type Activity = [OpcodeActivity; Instruction::OPCODE_COUNT];
+
+    /// A fresh accountant on the packed flip kernel.
+    fn packed() -> Arc<Mutex<EnergyAccounting>> {
+        Arc::new(Mutex::new(EnergyAccounting::new()))
+    }
+
+    fn activity(energy: &Mutex<EnergyAccounting>) -> Activity {
+        *energy.lock().unwrap().per_opcode()
+    }
+
+    /// The reference: `b`'s program on the functional core with a
+    /// packed accountant, run to halt (or fault).
+    fn functional_activity(b: &SimBuilder) -> Activity {
+        let energy = packed();
+        let _ = b
+            .clone()
+            .observer(energy.clone())
+            .build_functional()
+            .run(100_000);
+        activity(&energy)
+    }
+
+    /// Whether the core's image has compiled its counted twin.
+    fn counted(sim: &ThreadedSim) -> bool {
+        sim.code.counted.get().is_some()
     }
 
     const COUNTDOWN: &str = "LI t3, 10\nLI t4, 0\nloop:\nADD t4, t3\nADDI t3, -1\n\
@@ -1272,7 +1755,8 @@ mod tests {
     /// second component reads what the first wrote, so out-of-order
     /// application shows.
     /// Memory components use the in-range base `t2`, or `t1` (9841,
-    /// past the end of the TDM) when `fault` is set.
+    /// past the end of the TDM) when `fault` is set; a faulting branch
+    /// jumps out of the text.
     fn component(mnemonic: &str, pos: u8, fault: bool) -> String {
         let m = mnemonic.to_uppercase();
         let base = if fault { "t1" } else { "t2" };
@@ -1285,6 +1769,10 @@ mod tests {
             ("ADDI", _) => "ADDI t3, 4".into(),
             ("LI", 1) => "LI t3, 7".into(),
             ("LI", _) => "LI t3, -7".into(),
+            // Wild: taken (the preceding COMP leaves LST + in t3) to
+            // pc 7 - 40, before the text.
+            ("BEQ", _) if fault => "BEQ t3, +, -40".into(),
+            ("BNE", _) if fault => "BNE t3, -, -40".into(),
             ("BEQ" | "BNE", _) => format!("{m} t3, +, 2"),
             (_, 1) => format!("{m} t3, t4"),
             _ => format!("{m} t4, t3"),
@@ -1306,11 +1794,15 @@ mod tests {
 
     #[test]
     fn every_pair_shape_matches_functional_fused_and_stepped() {
-        let is_mem = |m: &str| matches!(m, "Load" | "Store");
+        // Memory components fault on a bad address; a branch, always
+        // second, on a wild target.
+        let can_fault = |k: u8, m: &str| {
+            matches!(m, "Load" | "Store") || (k == 2 && matches!(m, "Beq" | "Bne"))
+        };
         for &(first, second) in PAIR_SHAPES {
             let faults = [(1, first), (2, second)]
                 .into_iter()
-                .filter(|&(_, m)| is_mem(m))
+                .filter(|&(k, m)| can_fault(k, m))
                 .map(|(k, _)| Some(k));
             for fault_at in std::iter::once(None).chain(faults) {
                 let ctx = format!("{first}+{second}, fault at {fault_at:?}");
@@ -1322,6 +1814,7 @@ mod tests {
                     (Err(SimError::MemoryFault { pc, .. }), Some(k)) => {
                         assert_eq!(*pc, PAIR_PC + k as usize - 1, "{ctx}")
                     }
+                    (Err(SimError::PcOutOfRange { pc: -33, .. }), Some(2)) => {}
                     (Ok(_), None) => {}
                     _ => panic!("{ctx}: unexpected functional outcome {want:?}"),
                 }
@@ -1336,7 +1829,14 @@ mod tests {
                     }
                 };
                 assert_eq!(stepped_err, want.clone().err(), "{ctx}");
-                for t in [&free, &stepped] {
+                // Counted: the same run, and the accountant's counters
+                // bit-identical to the functional core's.
+                let energy = packed();
+                let mut counting = b.clone().observer(energy.clone()).build_threaded();
+                assert_eq!(counting.run(1_000), want, "{ctx}");
+                assert!(counted(&counting), "{ctx}: ran the counted twin");
+                assert_eq!(activity(&energy), functional_activity(&b), "{ctx}");
+                for t in [&free, &stepped, &counting] {
                     assert_eq!(f.state().first_difference(t.state()), None, "{ctx}");
                     assert_eq!(f.state().pc, t.state().pc, "{ctx}");
                     assert_eq!(f.retired(), t.retired(), "{ctx}");
@@ -1344,6 +1844,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn counted_energy_is_exact_under_every_retired_slicing() {
+        let p = assemble(COUNTDOWN).unwrap();
+        let b = SimBuilder::new(&p);
+        let want = functional_activity(&b);
+        // Slices of every length up to past the whole run (53
+        // instructions).
+        for cut in 1..=60u64 {
+            let energy = packed();
+            let mut sim = b.clone().observer(energy.clone()).build_threaded();
+            loop {
+                let target = sim.retired() + cut;
+                let summary = Core::run_for(&mut sim, Budget::Retired(target)).unwrap();
+                if summary.halt.is_some() {
+                    break;
+                }
+                assert_eq!(sim.retired(), target, "slices of {cut}");
+            }
+            assert_eq!(activity(&energy), want, "slices of {cut}");
+        }
+    }
+
+    #[test]
+    fn counted_energy_is_exact_after_a_mid_block_jalr_landing() {
+        // JALR jumps to pc 5 each iteration, the middle of the block
+        // 3..=9, whose counted tail then runs up to the loop's branch.
+        let src = "LI t3, 3
+LI t1, 5
+loop:
+JALR t2, t1, 0
+ADDI t4, 1
+ADDI t4, 1
+                   ADDI t4, 2
+ADDI t3, -1
+MV t7, t3
+COMP t7, t0
+BEQ t7, +, loop
+JAL t0, 0
+";
+        let p = assemble(src).unwrap();
+        let b = SimBuilder::new(&p);
+        let energy = packed();
+        let mut sim = b.clone().observer(energy.clone()).build_threaded();
+        assert!(
+            sim.superblocks().contains(&(3, 7)),
+            "{:?}",
+            sim.superblocks()
+        );
+        sim.run(1_000).unwrap();
+        assert!(counted(&sim));
+        assert_eq!(sim.state().reg(TReg::T4).to_i64(), 6);
+        assert_eq!(activity(&energy), functional_activity(&b));
+    }
+
+    #[test]
+    fn other_observer_sets_take_the_functional_fallback() {
+        let p = assemble(COUNTDOWN).unwrap();
+        // Fresh images, so a compiled twin can only come from this run.
+        let want = functional_activity(&SimBuilder::new(&p));
+
+        // One accountant attached twice sees every event twice, as on
+        // the functional core.
+        let twice = |b: SimBuilder| {
+            let energy = packed();
+            let b = b.observer(energy.clone()).observer(energy.clone());
+            (b, energy)
+        };
+        let (b, reference) = twice(SimBuilder::new(&p));
+        b.build_functional().run(1_000).unwrap();
+        let (b, energy) = twice(SimBuilder::new(&p));
+        let mut sim = b.build_threaded();
+        sim.run(1_000).unwrap();
+        assert!(!counted(&sim));
+        assert_eq!(activity(&energy), activity(&reference));
+        assert_eq!(energy.lock().unwrap().totals().retired, 2 * sim.retired());
+
+        // A substitute flip function must see every flip.
+        let tritwise = Arc::new(Mutex::new(EnergyAccounting::with_flip_fn(|a, b| {
+            ternary::arith::flips_tritwise(a, b)
+        })));
+        let mut sim = SimBuilder::new(&p)
+            .observer(tritwise.clone())
+            .build_threaded();
+        sim.run(1_000).unwrap();
+        assert!(!counted(&sim));
+        assert_eq!(activity(&tritwise), want);
+
+        // Energy beside another observer.
+        let energy = packed();
+        let mut sim = SimBuilder::new(&p)
+            .observer(energy.clone())
+            .observer(Arc::new(Mutex::new(Watchpoint::new(0))))
+            .build_threaded();
+        sim.run(1_000).unwrap();
+        assert!(!counted(&sim));
+        assert_eq!(activity(&energy), want);
     }
 
     #[test]

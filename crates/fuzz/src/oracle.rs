@@ -548,6 +548,11 @@ impl ProgramRun<'_> {
     /// write-back event stream feeding it are thereby cross-checked — a
     /// backend that mis-reports a write-back value, or a packed XOR that
     /// miscounts flips, shows up as a per-opcode counter mismatch.
+    ///
+    /// A third leg runs the threaded backend with a packed accountant
+    /// as its only observer, which it counts inside its compiled code
+    /// rather than through write-back events; its counters must equal
+    /// the functional run's.
     fn energy(&mut self) -> Result<(), String> {
         let packed = Arc::new(Mutex::new(EnergyAccounting::new()));
         let tritwise = Arc::new(Mutex::new(EnergyAccounting::with_flip_fn(|next, prev| {
@@ -576,7 +581,18 @@ impl ProgramRun<'_> {
         activity_difference(&packed, &tritwise.lock().expect("observer lock"))?;
         let t = packed.totals();
         self.stats.energy_flips += t.regfile + t.tdm + t.fetch + t.alu;
-        Ok(())
+
+        let counted = Arc::new(Mutex::new(EnergyAccounting::new()));
+        let mut threaded = self
+            .builder
+            .clone()
+            .observer(counted.clone())
+            .build_threaded();
+        run_to_halt(&mut threaded, self.step_budget, "threaded run")?;
+        final_difference(&func, &threaded, ["functional", "threaded"])?;
+        let counted = counted.lock().expect("observer lock");
+        activity_difference(&packed, &counted)
+            .map_err(|d| format!("threaded counted energy vs functional: {d}"))
     }
 
     /// The slice-migrate oracle: the service scheduler's execution
