@@ -125,11 +125,6 @@ impl Translation {
         &self.provenance
     }
 
-    /// Provenance of the instruction at ART-9 address `addr`.
-    pub fn origin_of(&self, addr: usize) -> Option<Origin> {
-        self.provenance.get(addr).copied()
-    }
-
     /// Renders a side-by-side listing: each RV32 instruction followed
     /// by the ternary sequence it mapped to — the inspectable artifact
     /// of the paper's Fig. 2 flow.
@@ -299,7 +294,7 @@ pub fn translate_with_options(
         .collect();
 
     Ok(Translation {
-        program: Program::new(resolved.text, data, Default::default(), Vec::new()),
+        program: Program::new(resolved.text, data, Default::default()),
         allocation: alloc,
         report,
         rv_boundaries,
@@ -478,9 +473,6 @@ mod tests {
                 .any(|o| matches!(o, Origin::Builtin(items::BuiltinId::Mul))),
             "mul links __mul"
         );
-        // origin_of agrees with the slice view.
-        assert_eq!(t.origin_of(0), Some(prov[0]));
-        assert_eq!(t.origin_of(prov.len()), None);
     }
 
     #[test]

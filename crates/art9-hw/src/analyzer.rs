@@ -2,7 +2,6 @@
 //! and power of a datapath under a technology library.
 
 use crate::datapath::Datapath;
-use crate::netlist::Netlist;
 use crate::tech::TechLibrary;
 
 /// Analysis results for one design/technology pairing.
@@ -74,12 +73,6 @@ pub fn analyze(datapath: &Datapath, lib: &TechLibrary) -> GateAnalysis {
     }
 }
 
-/// Analyzes a single block (for per-block reports and ablations).
-pub fn analyze_block(block: &Netlist, lib: &TechLibrary) -> (usize, f64) {
-    let params = lib.params();
-    (block.gate_count(), block.critical_path_ps(&params))
-}
-
 /// The block that limits the clock: name and its path delay. This is
 /// the first thing a designer asks the analyzer ("what do I pipeline
 /// next?").
@@ -91,18 +84,6 @@ pub fn critical_block<'a>(datapath: &'a Datapath, lib: &TechLibrary) -> (&'a str
         .map(|b| (b.name(), b.critical_path_ps(&params)))
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("datapath has blocks")
-}
-
-/// Per-block timing report, slowest first.
-pub fn timing_report(datapath: &Datapath, lib: &TechLibrary) -> Vec<(String, f64)> {
-    let params = lib.params();
-    let mut rows: Vec<(String, f64)> = datapath
-        .blocks()
-        .iter()
-        .map(|b| (b.name().to_string(), b.critical_path_ps(&params)))
-        .collect();
-    rows.sort_by(|a, b| b.1.total_cmp(&a.1));
-    rows
 }
 
 #[cfg(test)]
@@ -134,8 +115,7 @@ mod tests {
     #[test]
     fn block_analysis_is_consistent() {
         let d = Datapath::art9();
-        let lib = cntfet32();
-        let total: usize = d.blocks().iter().map(|b| analyze_block(b, &lib).0).sum();
+        let total: usize = d.blocks().iter().map(|b| b.gate_count()).sum();
         assert_eq!(total, d.datapath_gates());
     }
 
@@ -151,10 +131,5 @@ mod tests {
             name == "adder-subtractor" || name == "branch-unit" || name == "array-multiplier",
             "unexpected critical block {name}"
         );
-        // The report is sorted and complete.
-        let report = timing_report(&d, &lib);
-        assert_eq!(report.len(), d.blocks().len());
-        assert!(report.windows(2).all(|w| w[0].1 >= w[1].1));
-        assert_eq!(report[0].0, name);
     }
 }

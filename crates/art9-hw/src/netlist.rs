@@ -166,48 +166,6 @@ impl Netlist {
             .sum()
     }
 
-    /// Renders the netlist as structural HDL-like text — the
-    /// "synthesizable RTL description" artifact of the paper's Fig. 3
-    /// flow. One line per gate: `n<id> = KIND(n<fanin>, …);` with
-    /// primary inputs declared first and outputs marked at the end.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use art9_hw::netlist::NetlistBuilder;
-    /// use art9_hw::gate::GateKind;
-    ///
-    /// let mut b = NetlistBuilder::new("demo");
-    /// let a = b.input();
-    /// let x = b.gate(GateKind::Sti, &[a]);
-    /// b.output(x);
-    /// let text = b.build().to_structural_text();
-    /// assert!(text.contains("module demo"));
-    /// assert!(text.contains("STI"));
-    /// ```
-    pub fn to_structural_text(&self) -> String {
-        let mut out = format!("module {} ;\n", self.name);
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node.kind {
-                None => out.push_str(&format!("  input  n{i} ;\n")),
-                Some(kind) => {
-                    let fanins: Vec<String> =
-                        node.fanins.iter().map(|f| format!("n{}", f.0)).collect();
-                    out.push_str(&format!(
-                        "  n{i} = {}({}) ;\n",
-                        kind.name(),
-                        fanins.join(", ")
-                    ));
-                }
-            }
-        }
-        for o in &self.outputs {
-            out.push_str(&format!("  output n{} ;\n", o.0));
-        }
-        out.push_str("endmodule\n");
-        out
-    }
-
     /// Merges several netlists into one (for whole-datapath totals).
     pub fn merged(name: impl Into<String>, parts: &[&Netlist]) -> Netlist {
         let mut merged = Netlist {
@@ -328,36 +286,5 @@ mod tests {
         let mut b = NetlistBuilder::new("bad");
         let ghost = NodeId(99);
         b.gate(GateKind::Sti, &[ghost]);
-    }
-
-    #[test]
-    fn structural_text_lists_every_gate_once() {
-        let mut b = NetlistBuilder::new("adder_bit");
-        let a = b.input();
-        let c = b.input();
-        let s = b.gate(GateKind::Tsum, &[a, c]);
-        let k = b.gate(GateKind::Tcarry, &[a, c]);
-        b.output(s);
-        b.output(k);
-        let n = b.build();
-        let text = n.to_structural_text();
-        assert!(text.starts_with("module adder_bit"));
-        assert!(text.ends_with("endmodule\n"));
-        assert_eq!(text.matches("TSUM").count(), 1);
-        assert_eq!(text.matches("TCARRY").count(), 1);
-        assert_eq!(text.matches("input").count(), 2);
-        assert_eq!(text.matches("output").count(), 2);
-        // Gate lines equal the gate count.
-        let gate_lines = text.lines().filter(|l| l.contains(" = ")).count();
-        assert_eq!(gate_lines, n.gate_count());
-    }
-
-    #[test]
-    fn whole_datapath_dumps() {
-        use crate::datapath::Datapath;
-        let merged = Datapath::art9().merged();
-        let text = merged.to_structural_text();
-        let gate_lines = text.lines().filter(|l| l.contains(" = ")).count();
-        assert_eq!(gate_lines, merged.gate_count());
     }
 }

@@ -392,7 +392,6 @@ fn expect_operands(
 
 fn lower(items: &[RawItem], symbols: &BTreeMap<String, Symbol>) -> Result<Program, IsaError> {
     let mut text = Vec::new();
-    let mut lines = Vec::new();
     let mut data = Vec::new();
 
     for item in items {
@@ -420,12 +419,11 @@ fn lower(items: &[RawItem], symbols: &BTreeMap<String, Symbol>) -> Result<Progra
                 };
                 let instr = lower_instr(&ctx, mnemonic, operands)?;
                 text.push(instr);
-                lines.push(item.line);
             }
         }
     }
 
-    Ok(Program::new(text, data, symbols.clone(), lines))
+    Ok(Program::new(text, data, symbols.clone()))
 }
 
 fn lower_instr(ctx: &Ctx<'_>, mnemonic: &str, ops: &[String]) -> Result<Instruction, IsaError> {

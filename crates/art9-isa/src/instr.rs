@@ -347,11 +347,6 @@ impl Instruction {
         matches!(self, Instruction::Beq { .. } | Instruction::Bne { .. })
     }
 
-    /// `true` when this is a NOP encoding (`ADDI` with zero immediate).
-    pub fn is_nop(&self) -> bool {
-        matches!(self, Instruction::Addi { imm, .. } if imm.is_zero())
-    }
-
     /// The register this instruction writes, if any. (Used by the hazard
     /// detection unit and the compiler's liveness analysis.)
     pub const fn writes(&self) -> Option<TReg> {
@@ -577,13 +572,7 @@ mod tests {
 
     #[test]
     fn nop_is_addi_zero() {
-        assert!(NOP.is_nop());
         assert_eq!(NOP.to_string(), "ADDI t0, 0");
-        let not_nop = Instruction::Addi {
-            a: TReg::T0,
-            imm: Imm3::from_i64(1).unwrap(),
-        };
-        assert!(!not_nop.is_nop());
     }
 
     #[test]

@@ -44,7 +44,6 @@ mod disasm;
 mod encode;
 mod error;
 mod instr;
-pub mod mif;
 mod program;
 mod reg;
 

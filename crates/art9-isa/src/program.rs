@@ -47,8 +47,6 @@ pub struct Program {
     text: Vec<Instruction>,
     data: Vec<Word9>,
     symbols: BTreeMap<String, Symbol>,
-    /// Source line of each instruction (empty when built programmatically).
-    lines: Vec<usize>,
 }
 
 impl Program {
@@ -58,13 +56,11 @@ impl Program {
         text: Vec<Instruction>,
         data: Vec<Word9>,
         symbols: BTreeMap<String, Symbol>,
-        lines: Vec<usize>,
     ) -> Self {
         Self {
             text,
             data,
             symbols,
-            lines,
         }
     }
 
@@ -75,7 +71,6 @@ impl Program {
             text,
             data: Vec::new(),
             symbols: BTreeMap::new(),
-            lines: Vec::new(),
         }
     }
 
@@ -99,34 +94,14 @@ impl Program {
         &self.symbols
     }
 
-    /// Source line of instruction `index`, when known.
-    pub fn line_of(&self, index: usize) -> Option<usize> {
-        self.lines.get(index).copied()
-    }
-
     /// Encodes the text section into 9-trit TIM words.
     pub fn tim_image(&self) -> Vec<Word9> {
         self.text.iter().map(encode).collect()
     }
 
-    /// The initial TDM image (alias of [`Program::data`], cloned).
-    pub fn tdm_image(&self) -> Vec<Word9> {
-        self.data.clone()
-    }
-
     /// TIM storage in ternary memory cells (trits): 9 per instruction.
     pub fn instruction_cells(&self) -> usize {
         self.text.len() * 9
-    }
-
-    /// TDM storage in ternary memory cells (trits): 9 per data word.
-    pub fn data_cells(&self) -> usize {
-        self.data.len() * 9
-    }
-
-    /// Total program storage in ternary memory cells — Fig. 5's metric.
-    pub fn memory_cells(&self) -> usize {
-        self.instruction_cells() + self.data_cells()
     }
 }
 
@@ -175,8 +150,7 @@ mod tests {
     fn cell_accounting() {
         let p = assemble(".data\n.word 1, 2, 3\n.text\nNOP\nNOP\n").unwrap();
         assert_eq!(p.instruction_cells(), 18);
-        assert_eq!(p.data_cells(), 27);
-        assert_eq!(p.memory_cells(), 45);
+        assert_eq!(p.data().len(), 3);
     }
 
     #[test]
@@ -215,6 +189,6 @@ mod tests {
         }]);
         assert_eq!(p.text().len(), 1);
         assert!(p.data().is_empty());
-        assert_eq!(p.memory_cells(), 9);
+        assert_eq!(p.instruction_cells(), 9);
     }
 }

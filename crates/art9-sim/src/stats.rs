@@ -40,16 +40,6 @@ impl PipelineStats {
         self.cycles as f64 / self.instructions as f64
     }
 
-    /// Instructions per cycle.
-    ///
-    /// Returns `0.0` before the first cycle (never `NaN`).
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.instructions as f64 / self.cycles as f64
-    }
-
     /// Total stall/bubble cycles of all causes.
     pub fn lost_cycles(&self) -> u64 {
         self.load_use_stalls + self.id_use_stalls + self.control_flush_bubbles
@@ -85,7 +75,6 @@ mod tests {
             untaken_branches: 2,
         };
         assert!((s.cpi() - 1.2).abs() < 1e-9);
-        assert!((s.ipc() - 100.0 / 120.0).abs() < 1e-9);
         assert_eq!(s.lost_cycles(), 16);
         let text = s.to_string();
         assert!(text.contains("CPI"));
@@ -96,7 +85,6 @@ mod tests {
     fn zero_counters_yield_finite_metrics() {
         let s = PipelineStats::default();
         assert_eq!(s.cpi(), 0.0);
-        assert_eq!(s.ipc(), 0.0);
-        assert!(s.cpi().is_finite() && s.ipc().is_finite());
+        assert!(s.cpi().is_finite());
     }
 }

@@ -1038,13 +1038,6 @@ impl ThreadedSim {
             .count()
     }
 
-    /// Number of inline-cache sites: one per static LOAD/STORE
-    /// occurrence (a TDM base) and one per static JALR (a return
-    /// target).
-    pub fn inline_cache_sites(&self) -> usize {
-        self.code.sites
-    }
-
     fn convert_fault(&self, fault: Fault) -> SimError {
         match fault {
             Fault::Mem { pc, cause, .. } => SimError::MemoryFault { pc, cause },
@@ -1671,7 +1664,7 @@ mod tests {
         f.run(1_000).unwrap();
         t.run(1_000).unwrap();
         assert_eq!(t.state().reg(TReg::T4).to_i64(), 42);
-        assert_eq!(t.inline_cache_sites(), 3);
+        assert_eq!(t.code.sites, 3);
         assert_eq!(f.state().first_difference(t.state()), None);
     }
 

@@ -11,9 +11,8 @@
 
 use std::time::Duration;
 
-use art9_bench::{dmips_per_mhz, energy, perf};
+use art9_bench::{dmips_per_mhz, energy, perf, report};
 use art9_compiler::{translate_with_options, TranslateOptions};
-use art9_core::{report, HardwareFramework, SoftwareFramework};
 use art9_hw::analyzer::analyze;
 use art9_hw::datapath::Datapath;
 use art9_hw::fpga::{map_to_fpga, MemoryConfig};
@@ -73,7 +72,6 @@ fn main() {
         "{:<14} {:>12} {:>12} {:>8}",
         "benchmark", "ART-9", "PicoRV32", "ratio"
     );
-    let fw = SoftwareFramework::new();
     let mut fig5_rows = Vec::new();
     for w in paper_suite() {
         let art9 = cell(w.name, PIPELINED)
@@ -90,7 +88,7 @@ fn main() {
             pico as f64 / art9 as f64
         );
         let rv = w.rv32_program().expect("parses");
-        fig5_rows.push(fw.memory_comparison(w.name, &rv).expect("translates"));
+        fig5_rows.push(report::memory_comparison(w.name, &rv).expect("translates"));
     }
 
     println!("\n=== Fig. 5: memory cells ===");
@@ -138,8 +136,7 @@ fn main() {
     // ---- Tables IV & V --------------------------------------------------
     let dhrystone_cycles_per_iter =
         cell("dhrystone", PIPELINED).cycles.expect("timed") as f64 / iterations as f64;
-    let hw = HardwareFramework::new();
-    let e = hw.evaluate(dhrystone_cycles_per_iter);
+    let e = report::evaluate(dhrystone_cycles_per_iter);
     println!("\n=== Table IV ===\n{}", report::table4(&e));
     println!("=== Table V ===\n{}", report::table5(&e));
 
@@ -149,30 +146,24 @@ fn main() {
     // re-simulation. The measured trit flips go through the same
     // cntfet-32nm table as the static estimate above (model and schema
     // in docs/ENERGY.md).
-    let analysis = analyze(&Datapath::art9(), &cntfet32());
+    let analysis = &e.gate_analysis;
     let lib = cntfet32();
     let energy_rows: Vec<energy::EnergyRow> = paper_suite()
         .iter()
         .map(|w| {
-            let r = cell(w.name, PIPELINED);
-            let m = workloads::energy::MeasuredActivity {
-                workload: w.name,
-                cycles: r.cycles.expect("pipelined run is timed"),
-                instructions: r.instructions,
-                accounting: r.energy.clone().expect("batch ran with energy measurement"),
-            };
             let iters = (w.name == "dhrystone").then_some(iterations as u64);
-            energy::energy_row(&m, &analysis, &lib, iters)
+            energy::energy_row(cell(w.name, PIPELINED), analysis, &lib, iters)
         })
         .collect();
     println!("\n=== Measured Table IV: dynamic energy from execution ===");
     print!("{}", energy::render(&energy_rows));
 
     println!("per-block gate counts:");
-    for (name, gates) in hw.datapath().block_summary() {
+    let datapath = Datapath::art9();
+    for (name, gates) in datapath.block_summary() {
         println!("  {name:<20} {gates}");
     }
-    println!("  {:<20} {}", "TOTAL", hw.datapath().datapath_gates());
+    println!("  {:<20} {}", "TOTAL", datapath.datapath_gates());
 
     // ---- Ablations ------------------------------------------------------
     // The design choices the paper argues for, each switched off or
@@ -269,22 +260,17 @@ fn main() {
         .map(|w| perf::measure_sim_throughput(w, Duration::from_millis(150)))
         .collect();
     println!(
-        "  {:<14} {:>14} {:>14} {:>14} {:>10} {:>10} {:>10}",
-        "workload", "functional", "threaded", "pipelined", "thr/fun", "speedup", "energy"
+        "  {:<14} {:>14} {:>14} {:>14} {:>10} {:>10}",
+        "workload", "functional", "threaded", "pipelined", "thr/fun", "energy"
     );
     for s in &sims {
-        let speedup = perf::seed_rate(&perf::SEED_FUNCTIONAL_IPS, s.workload).map_or_else(
-            || "-".into(),
-            |seed| format!("{:.2}x", s.functional_ips / seed),
-        );
         println!(
-            "  {:<14} {:>10.3e} i/s {:>10.3e} i/s {:>10.3e} c/s {:>9.2}x {:>10} {:>9.2}x",
+            "  {:<14} {:>10.3e} i/s {:>10.3e} i/s {:>10.3e} c/s {:>9.2}x {:>9.2}x",
             s.workload,
             s.functional_ips,
             s.threaded_ips,
             s.pipelined_cps,
             s.threaded_ips / s.functional_ips,
-            speedup,
             s.threaded_ips / s.energy_ips
         );
     }

@@ -1,11 +1,12 @@
 //! The measured Table IV: switching activity → energy, per workload
 //! and per instruction class.
 //!
-//! `workloads::energy` measures trit flips and cycles on the pipelined
-//! core; this module converts them through `art9_hw::activity` (the
-//! same cntfet-32nm technology table the static Table IV uses) into
-//! energy-per-workload, per-class EPI, average power and — for the
-//! Dhrystone kernel — the measured DMIPS/W. Schema and model are
+//! A pipelined [`RunRecord`] from a `BatchRunner` built with
+//! `measure_energy(true)` carries the trit flips and cycles of one
+//! verified run; this module converts them through `art9_hw::activity`
+//! (the same cntfet-32nm technology table the static Table IV uses)
+//! into energy-per-workload, per-class EPI, average power and — for
+//! the Dhrystone kernel — the measured DMIPS/W. Schema and model are
 //! documented in `docs/ENERGY.md`.
 
 use art9_hw::activity::{
@@ -15,7 +16,8 @@ use art9_hw::activity::{
 use art9_hw::analyzer::GateAnalysis;
 use art9_hw::tech::TechLibrary;
 use art9_isa::Instruction;
-use workloads::energy::MeasuredActivity;
+use art9_sim::observers::EnergyAccounting;
+use workloads::batch::RunRecord;
 
 /// One workload's measured-energy report row.
 #[derive(Debug, Clone)]
@@ -44,9 +46,9 @@ pub struct EnergyRow {
 
 /// Folds the per-opcode flip accumulators into per-class
 /// [`ActivityCounts`], in [`ALL_CLASSES`] order.
-pub fn class_counts(m: &MeasuredActivity) -> [ActivityCounts; 5] {
+pub fn class_counts(accounting: &EnergyAccounting) -> [ActivityCounts; 5] {
     let mut per_class = [ActivityCounts::default(); 5];
-    for (opcode, acc) in m.accounting.per_opcode().iter().enumerate() {
+    for (opcode, acc) in accounting.per_opcode().iter().enumerate() {
         if acc.retired == 0 {
             continue;
         }
@@ -68,36 +70,48 @@ pub fn class_counts(m: &MeasuredActivity) -> [ActivityCounts; 5] {
     per_class
 }
 
-/// Builds the energy row for one measured workload. Pass the Dhrystone
-/// iteration count to get the measured DMIPS/W on that row.
+/// Builds the energy row for one pipelined run measured with energy
+/// on. Pass the Dhrystone iteration count to get the measured DMIPS/W
+/// on that row.
+///
+/// # Panics
+///
+/// Panics if the record has no cycle count or no energy accounting
+/// (a run on an untimed backend, or a batch without energy
+/// measurement).
 pub fn energy_row(
-    m: &MeasuredActivity,
+    r: &RunRecord,
     analysis: &GateAnalysis,
     lib: &TechLibrary,
     dhrystone_iterations: Option<u64>,
 ) -> EnergyRow {
-    let per_class = class_counts(m);
+    let cycles = r.cycles.expect("energy rows come from timed runs");
+    let accounting = r
+        .energy
+        .as_ref()
+        .expect("batch ran with energy measurement");
+    let per_class = class_counts(accounting);
     let mut total = ActivityCounts::default();
     for c in &per_class {
         total.add(c);
     }
-    debug_assert_eq!(total.retired, m.instructions, "classes must partition");
+    debug_assert_eq!(total.retired, r.instructions, "classes must partition");
 
     let e = dynamic_energy(&total, lib);
-    let power = measured_power(analysis, &e, m.cycles);
+    let power = measured_power(analysis, &e, cycles);
     let mut class_epi_pj = [0.0; 5];
     for (slot, counts) in per_class.iter().enumerate() {
         class_epi_pj[slot] = dynamic_energy(counts, lib).per_instruction_pj(counts.retired);
     }
     let dhrystone =
-        dhrystone_iterations.map(|iters| measured_dmips_per_watt(analysis, &e, m.cycles, iters));
+        dhrystone_iterations.map(|iters| measured_dmips_per_watt(analysis, &e, cycles, iters));
 
     EnergyRow {
-        workload: m.workload,
-        cycles: m.cycles,
-        instructions: m.instructions,
+        workload: r.workload,
+        cycles,
+        instructions: r.instructions,
         energy_nj: e.total_nj(),
-        epi_pj: e.per_instruction_pj(m.instructions),
+        epi_pj: e.per_instruction_pj(r.instructions),
         class_epi_pj,
         dynamic_uw: power.dynamic_uw,
         total_uw: power.total_uw,
@@ -147,28 +161,78 @@ mod tests {
     use art9_hw::analyzer::analyze;
     use art9_hw::datapath::Datapath;
     use art9_hw::tech::cntfet32;
-    use workloads::energy::measure_activity_with;
+    use workloads::batch::{BatchRunner, ExecConfig};
+    use workloads::Workload;
 
-    fn measured_dot() -> MeasuredActivity {
-        measure_activity_with(&workloads::dot_product(6), 10_000_000).unwrap()
+    /// One verified pipelined run with energy measurement on, as
+    /// `report` measures every paper workload.
+    fn measured(w: Workload) -> RunRecord {
+        BatchRunner::new()
+            .workload(w)
+            .config(ExecConfig::art9_pipelined(true))
+            .measure_energy(true)
+            .try_run()
+            .unwrap()
+            .runs
+            .remove(0)
+    }
+
+    fn totals(r: &RunRecord) -> art9_sim::observers::OpcodeActivity {
+        r.energy.as_ref().unwrap().totals()
+    }
+
+    #[test]
+    fn measured_run_is_verified_and_consistent() {
+        let r = measured(workloads::dot_product(6));
+        assert_eq!(r.workload, "dot-product");
+        assert!(
+            r.cycles.unwrap() >= r.instructions,
+            "pipeline cannot beat 1 CPI"
+        );
+        let totals = totals(&r);
+        assert_eq!(totals.retired, r.instructions);
+        assert!(totals.regfile > 0, "a real run flips register trits");
+        assert!(totals.fetch > 0);
+    }
+
+    #[test]
+    fn measurement_is_deterministic() {
+        let (a, b) = (
+            measured(workloads::bubble_sort(8)),
+            measured(workloads::bubble_sort(8)),
+        );
+        assert_eq!(a.cycles, b.cycles);
+        assert_eq!(a.instructions, b.instructions);
+        assert_eq!(
+            a.energy.unwrap().per_opcode(),
+            b.energy.unwrap().per_opcode()
+        );
+    }
+
+    #[test]
+    fn activity_tracks_workload_size() {
+        let small = totals(&measured(workloads::bubble_sort(6)));
+        let large = totals(&measured(workloads::bubble_sort(12)));
+        assert!(large.regfile > small.regfile);
+        assert!(large.tdm > small.tdm);
     }
 
     #[test]
     fn classes_partition_the_retired_instructions() {
-        let m = measured_dot();
-        let per_class = class_counts(&m);
+        let r = measured(workloads::dot_product(6));
+        let per_class = class_counts(r.energy.as_ref().unwrap());
         let retired: u64 = per_class.iter().map(|c| c.retired).sum();
-        assert_eq!(retired, m.instructions);
+        assert_eq!(retired, r.instructions);
         let flips: u64 = per_class.iter().map(ActivityCounts::total_flips).sum();
         assert_eq!(flips, {
-            let t = m.accounting.totals();
+            let t = totals(&r);
             t.regfile + t.tdm + t.fetch + t.alu
         });
     }
 
     #[test]
     fn energy_row_is_positive_and_consistent() {
-        let m = measured_dot();
+        let m = measured(workloads::dot_product(6));
         let a = analyze(&Datapath::art9(), &cntfet32());
         let r = energy_row(&m, &a, &cntfet32(), None);
         assert!(r.energy_nj > 0.0);
@@ -177,10 +241,11 @@ mod tests {
         assert_eq!(r.dmips, None);
         // The overall EPI is a retirement-weighted mean of the class
         // EPIs, so it lies within their span.
+        let per_class = class_counts(m.energy.as_ref().unwrap());
         let populated: Vec<f64> = ALL_CLASSES
             .iter()
             .enumerate()
-            .filter(|(i, _)| class_counts(&m)[*i].retired > 0)
+            .filter(|(i, _)| per_class[*i].retired > 0)
             .map(|(i, _)| r.class_epi_pj[i])
             .collect();
         let lo = populated.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -195,7 +260,7 @@ mod tests {
     #[test]
     fn dhrystone_row_carries_measured_dmips_per_watt() {
         let iters = 5u64;
-        let m = measure_activity_with(&workloads::dhrystone(iters as usize), 10_000_000).unwrap();
+        let m = measured(workloads::dhrystone(iters as usize));
         let a = analyze(&Datapath::art9(), &cntfet32());
         let r = energy_row(&m, &a, &cntfet32(), Some(iters));
         let dmips = r.dmips.unwrap();

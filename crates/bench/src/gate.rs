@@ -220,7 +220,7 @@ impl MetricDelta {
 
     /// `true` when the value moved the wrong way by more than the
     /// tolerance.
-    pub fn regressed(&self) -> bool {
+    fn regressed(&self) -> bool {
         let wrong_way = match self.baseline.better {
             Better::Higher => -self.ratio(),
             Better::Lower => self.ratio(),

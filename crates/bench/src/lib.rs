@@ -3,10 +3,13 @@
 //! `report` is the one reproduction path: it prints every table,
 //! figure and ablation of the paper and writes the host-performance
 //! ledger `BENCH_ternary.json`, whose timings all come from [`perf`].
-//! `gate` compares two ledgers ([`gate`]).
+//! `gate` compares two ledgers ([`gate`]). [`report`] holds the paper
+//! results that compose the compiler, the simulators and the hardware
+//! models: the Fig. 3 evaluation flow and the Fig. 5 comparison.
 
 pub mod energy;
 pub mod gate;
+pub mod report;
 
 use art9_compiler::Translation;
 use workloads::Workload;
@@ -43,24 +46,6 @@ pub mod perf {
     use ternary::{arith, Word9};
     use workloads::batch::DEFAULT_MAX_STEPS;
     use workloads::Workload;
-
-    /// Functional-simulator instructions/second per workload measured at
-    /// the PR 1 seed (commit `f51d935`, pre-packed-BCT, same methodology)
-    /// — the denominators of the `functional_speedup` fields.
-    pub const SEED_FUNCTIONAL_IPS: [(&str, f64); 4] = [
-        ("bubble-sort", 1.450e7),
-        ("gemm", 1.411e7),
-        ("sobel", 1.533e7),
-        ("dhrystone", 1.455e7),
-    ];
-
-    /// Pipelined-simulator cycles/second per workload at the PR 1 seed.
-    pub const SEED_PIPELINED_CPS: [(&str, f64); 4] = [
-        ("bubble-sort", 1.134e7),
-        ("gemm", 1.108e7),
-        ("sobel", 1.220e7),
-        ("dhrystone", 1.020e7),
-    ];
 
     /// One measured word-operation cost: a `Word9` operation, or a
     /// multi-plane wide-word or tapered-real one.
@@ -568,12 +553,6 @@ pub mod perf {
         }
     }
 
-    /// Looks up a workload's frozen seed rate in [`SEED_FUNCTIONAL_IPS`]
-    /// or [`SEED_PIPELINED_CPS`].
-    pub fn seed_rate(table: &[(&str, f64)], workload: &str) -> Option<f64> {
-        table.iter().find(|(n, _)| *n == workload).map(|(_, v)| *v)
-    }
-
     /// Turns the measurements into the rows of `BENCH_ternary.json` and
     /// renders the document with [`crate::gate::render`] (schema in
     /// `docs/PERFORMANCE.md`). Values keep six significant digits.
@@ -653,28 +632,6 @@ pub mod perf {
                     ("energy_overhead_x", overhead, "x", Lower, GATED),
                 ],
             );
-            if let Some(seed) = seed_rate(&SEED_FUNCTIONAL_IPS, w) {
-                let speedup = s.functional_ips / seed;
-                push(
-                    "execution",
-                    w,
-                    &[
-                        ("seed_functional_ips", seed, "instr/s", Higher, None),
-                        ("functional_speedup", speedup, "x", Higher, None),
-                    ],
-                );
-            }
-            if let Some(seed) = seed_rate(&SEED_PIPELINED_CPS, w) {
-                let speedup = s.pipelined_cps / seed;
-                push(
-                    "execution",
-                    w,
-                    &[
-                        ("seed_pipelined_cps", seed, "cycles/s", Higher, None),
-                        ("pipelined_speedup", speedup, "x", Higher, None),
-                    ],
-                );
-            }
         }
         let n = &nn.sim;
         push(

@@ -473,13 +473,17 @@ impl<'a> CoSim<'a> {
     /// the sequence of boundary addresses the translated program must
     /// enter, then runs the pipelined core to halt under a
     /// [`SyncPoints`](art9_sim::observers::SyncPoints) observer and
-    /// compares the crossing trace plus the full final state.
-    pub fn run_pipelined(&self, stats: &mut OracleStats) -> Option<Divergence> {
+    /// compares the crossing trace plus the full final state. Only the
+    /// tests below run it; the campaign's oracle steps architectural
+    /// backends ([`CoSim::run`]).
+    #[cfg(test)]
+    fn run_pipelined(&self, stats: &mut OracleStats) -> Option<Divergence> {
         Oracle::CompilerLockstep.verdict(self.pipelined_trace(stats))
     }
 
     /// [`CoSim::run_pipelined`]'s comparison; `Err` is the divergence
     /// detail.
+    #[cfg(test)]
     fn pipelined_trace(&self, stats: &mut OracleStats) -> Result<(), String> {
         use std::sync::{Arc, Mutex};
 
@@ -694,12 +698,7 @@ mod tests {
             .position(|i| pick(i).is_some())
             .expect("mutable instruction present");
         text[at] = pick(&text[at]).unwrap();
-        t.program = Program::new(
-            text,
-            t.program.data().to_vec(),
-            Default::default(),
-            Vec::new(),
-        );
+        t.program = Program::new(text, t.program.data().to_vec(), Default::default());
         t
     }
 

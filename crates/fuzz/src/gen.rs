@@ -523,7 +523,7 @@ pub fn generate(rng: &mut FuzzRng, cfg: &GenConfig) -> Program {
         .collect();
 
     let text = g.text;
-    Program::new(text, data, std::collections::BTreeMap::new(), Vec::new())
+    Program::new(text, data, std::collections::BTreeMap::new())
 }
 
 #[cfg(test)]

@@ -222,7 +222,6 @@ fn rebuild(text: &[Instruction], data: &[Word9]) -> Program {
         text.to_vec(),
         data.to_vec(),
         std::collections::BTreeMap::new(),
-        Vec::new(),
     )
 }
 

@@ -136,12 +136,6 @@ impl Machine {
         &self.regs
     }
 
-    /// Data-memory size in bytes (the value passed to
-    /// [`Machine::with_mem_size`], or [`DEFAULT_MEM_BYTES`]).
-    pub fn mem_size(&self) -> usize {
-        self.mem.len()
-    }
-
     /// The first architectural difference between two machines, as a
     /// human-readable description — PC, then the 31 writable registers,
     /// then memory word by word. `None` when the states agree.
@@ -597,7 +591,6 @@ mod tests {
         let p = parse_program("li a0, 5\nebreak\n").unwrap();
         let mut a = Machine::new(&p);
         let mut b = Machine::new(&p);
-        assert_eq!(a.mem_size(), DEFAULT_MEM_BYTES);
         assert_eq!(a.regs()[Reg::SP.index()], DEFAULT_MEM_BYTES as u32);
         a.run(10).unwrap();
         b.run(10).unwrap();

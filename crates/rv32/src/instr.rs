@@ -305,11 +305,6 @@ impl Instr {
         }
     }
 
-    /// `true` for conditional branches.
-    pub fn is_branch(&self) -> bool {
-        matches!(self, Instr::Branch { .. })
-    }
-
     /// `true` for any control-flow instruction.
     pub fn is_control_flow(&self) -> bool {
         matches!(
@@ -381,7 +376,7 @@ mod tests {
             offset: -8,
         };
         assert_eq!(b.reads(), vec![Reg::A0, Reg::A1]);
-        assert!(b.is_branch() && b.is_control_flow());
+        assert!(b.is_control_flow());
     }
 
     #[test]

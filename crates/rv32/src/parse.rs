@@ -71,7 +71,7 @@ impl Rv32Program {
     }
 
     /// Data storage in bits (32 per word).
-    pub fn data_bits(&self) -> usize {
+    fn data_bits(&self) -> usize {
         self.data.len() * 32
     }
 

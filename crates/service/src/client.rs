@@ -8,8 +8,6 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::session::SessionStatus;
-
 /// One connection to a running service.
 #[derive(Debug)]
 pub struct Client {
@@ -337,16 +335,6 @@ fn parse_session_row(line: &str) -> io::Result<SessionRow> {
     })
 }
 
-/// Maps a wire state token back to a comparable [`SessionStatus`]
-/// shape (errors and worker indices are not reconstructed).
-pub fn token_is_terminal(token: &str) -> bool {
-    !matches!(
-        token,
-        t if t == SessionStatus::Queued.token()
-            || t == SessionStatus::Running { worker: 0 }.token()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,14 +373,5 @@ mod tests {
         assert_eq!(row.state, "queued");
         assert_eq!(row.retired, 512);
         assert!(parse_session_row("nonsense").is_err());
-    }
-
-    #[test]
-    fn terminal_tokens() {
-        assert!(!token_is_terminal("queued"));
-        assert!(!token_is_terminal("running"));
-        assert!(token_is_terminal("done"));
-        assert!(token_is_terminal("failed"));
-        assert!(token_is_terminal("cancelled"));
     }
 }

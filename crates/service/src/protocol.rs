@@ -111,7 +111,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// # Errors
 ///
 /// A diagnostic string for tokens without `=` or repeated keys.
-pub fn parse_kv(tokens: &[&str]) -> Result<HashMap<String, String>, String> {
+fn parse_kv(tokens: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
     for token in tokens {
         let (key, value) = token

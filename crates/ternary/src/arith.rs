@@ -75,18 +75,7 @@ pub fn negate_tritwise<const N: usize>(a: Trits<N>) -> Trits<N> {
 /// Trit-serial subtraction: `a − b = a + STI(b)` chained through the
 /// ripple adder — the per-trit reference for
 /// [`Trits::wrapping_sub`](crate::Trits::wrapping_sub).
-///
-/// # Examples
-///
-/// ```
-/// use ternary::{arith, Word9};
-///
-/// let a = Word9::from_i64(100)?;
-/// let b = Word9::from_i64(-30)?;
-/// assert_eq!(arith::sub_tritwise(a, b), a.wrapping_sub(b));
-/// # Ok::<(), ternary::TernaryError>(())
-/// ```
-pub fn sub_tritwise<const N: usize>(a: Trits<N>, b: Trits<N>) -> Trits<N> {
+fn sub_tritwise<const N: usize>(a: Trits<N>, b: Trits<N>) -> Trits<N> {
     add_tritwise(a, negate_tritwise(b)).0
 }
 

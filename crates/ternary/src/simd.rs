@@ -369,7 +369,7 @@ impl Word9xN {
     ///
     /// Panics if `weights` was built for a different lane count.
     #[must_use]
-    pub fn weight_select(&self, weights: &LaneWeights) -> Self {
+    fn weight_select(&self, weights: &LaneWeights) -> Self {
         assert_eq!(
             self.lanes, weights.lanes,
             "weight mask built for {} lanes, vector has {}",
@@ -384,8 +384,8 @@ impl Word9xN {
     }
 
     /// Ternary-weight multiply-accumulate: `self + w ⊙ x` with
-    /// `w ∈ {−1, 0, +1}` per lane — a [`Word9xN::weight_select`]
-    /// followed by one lane-parallel add. This is the inner loop of the
+    /// `w ∈ {−1, 0, +1}` per lane — a per-lane weight select (a plane
+    /// swap or clear) followed by one lane-parallel add. This is the inner loop of the
     /// ternary-NN matmul: one call per input activation updates every
     /// output lane.
     ///
@@ -518,7 +518,7 @@ fn tail_mask(lanes: usize) -> Option<u64> {
 ///
 /// let w = LaneWeights::new(&[Trit::P, Trit::Z, Trit::N]);
 /// let x = Word9xN::splat(Word9::from_i64(7)?, 3);
-/// let y = x.weight_select(&w);
+/// let y = Word9xN::zero(3).mac(&x, &w);
 /// assert_eq!(
 ///     y.to_words().iter().map(Word9::to_i64).collect::<Vec<_>>(),
 ///     vec![7, 0, -7],

@@ -2,18 +2,12 @@
 //! processor line (Hout et al., arXiv:2110.09643).
 //!
 //! An associative processor answers "which rows match this key?" by
-//! comparing the key against every memory row in parallel. The host
-//! golden path here does exactly that on the bitplane-SIMD lanes: the
-//! haystack lives in [`Word9xN`] lanes, the key is broadcast, and one
-//! lane-parallel [`compare`](Word9xN::compare) yields every row's
-//! verdict at once. The RV32/ART-9 kernel performs the same search as
-//! an ordinary scan loop and is verified against the same expected
-//! values at halt.
+//! comparing the key against every memory row in parallel. The
+//! RV32/ART-9 kernel performs the same search as an ordinary scan loop
+//! and is verified at halt against golden values computed the same
+//! way on the host.
 
 use std::ops::RangeInclusive;
-
-use ternary::simd::Word9xN;
-use ternary::{Trit, Word9};
 
 use crate::{lcg_values, split_seed, Generator, Workload};
 
@@ -23,29 +17,6 @@ pub(crate) const SIZES: RangeInclusive<usize> = 1..=128;
 
 /// Number of search keys every instance of the workload probes.
 pub const ASSOC_KEYS: usize = 4;
-
-/// Lane-parallel associative search: the index of the first haystack
-/// entry equal to `key` and the total number of matching entries.
-///
-/// The haystack is packed into SIMD lanes once by the caller; each key
-/// costs one broadcast, one lane-parallel compare and a scan of the
-/// per-lane verdicts — the host mirror of an associative memory's
-/// one-cycle parallel tag match.
-pub fn assoc_search_simd(haystack: &Word9xN, key: Word9) -> (Option<usize>, usize) {
-    let verdicts = haystack
-        .compare(&Word9xN::splat(key, haystack.lanes()))
-        .lane_lsts();
-    let first = verdicts.iter().position(|t| *t == Trit::Z);
-    let count = verdicts.iter().filter(|t| **t == Trit::Z).count();
-    (first, count)
-}
-
-/// Scalar reference for [`assoc_search_simd`]: the plain linear scan.
-pub fn assoc_search_scalar(haystack: &[Word9], key: Word9) -> (Option<usize>, usize) {
-    let first = haystack.iter().position(|w| *w == key);
-    let count = haystack.iter().filter(|w| **w == key).count();
-    (first, count)
-}
 
 /// Associative search over an `n`-entry table: [`ASSOC_KEYS`] keys are
 /// each searched for their first match index (−1 when absent) and
@@ -147,25 +118,6 @@ no_match:
 mod tests {
     use super::*;
     use rv32::Machine;
-
-    #[test]
-    fn simd_search_matches_scalar_reference() {
-        for seed in 0..25u64 {
-            let hay: Vec<Word9> = lcg_values(seed, 37, -20, 20)
-                .into_iter()
-                .map(Word9::from_i64_wrapping)
-                .collect();
-            let packed = Word9xN::from_words(&hay);
-            for probe in -25..=25 {
-                let key = Word9::from_i64_wrapping(probe);
-                assert_eq!(
-                    assoc_search_simd(&packed, key),
-                    assoc_search_scalar(&hay, key),
-                    "seed {seed} probe {probe}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn expected_has_hits_and_misses() {

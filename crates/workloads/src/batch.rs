@@ -282,12 +282,12 @@ impl BatchReport {
     /// The first non-verified run's typed error, in workload-major
     /// order ([`None`] when every run verified). This is what
     /// [`BatchRunner::try_run`] surfaces.
-    pub fn first_error(&self) -> Option<WorkloadError> {
+    fn first_error(&self) -> Option<WorkloadError> {
         self.runs.iter().find_map(|r| r.outcome.error())
     }
 
     /// Sum of simulated cycles over all timed runs.
-    pub fn total_cycles(&self) -> u64 {
+    fn total_cycles(&self) -> u64 {
         self.runs.iter().filter_map(|r| r.cycles).sum()
     }
 
@@ -297,7 +297,7 @@ impl BatchReport {
     }
 
     /// Sum of per-run host simulation time (excluding preparation).
-    pub fn total_host_time(&self) -> Duration {
+    fn total_host_time(&self) -> Duration {
         self.runs.iter().map(|r| r.host_time).sum()
     }
 
@@ -307,7 +307,7 @@ impl BatchReport {
     ///
     /// Returns `0.0` for an empty report or a zero-duration batch
     /// (a ratio would be meaningless) — never `NaN` or `inf`.
-    pub fn parallel_speedup(&self) -> f64 {
+    fn parallel_speedup(&self) -> f64 {
         let wall = self.wall_time.as_secs_f64();
         if self.runs.is_empty() || wall <= 0.0 {
             return 0.0;
@@ -319,7 +319,7 @@ impl BatchReport {
     ///
     /// Returns `0.0` for an empty report or a zero-duration batch —
     /// never `NaN` or `inf`.
-    pub fn cycles_per_second(&self) -> f64 {
+    fn cycles_per_second(&self) -> f64 {
         let wall = self.wall_time.as_secs_f64();
         if self.runs.is_empty() || wall <= 0.0 {
             return 0.0;

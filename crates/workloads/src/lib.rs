@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod energy;
 mod error;
 
 pub mod assoc;

@@ -6,7 +6,7 @@
 //! cargo run --example compile_rv32
 //! ```
 
-use art9_core::SoftwareFramework;
+use art9_bench::report::memory_comparison;
 use art9_sim::{Core, SimBuilder};
 use workloads::bubble_sort;
 
@@ -15,8 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== RV32 source ==\n{}", workload.source);
 
     let rv = workload.rv32_program()?;
-    let framework = SoftwareFramework::new();
-    let translation = framework.compile(&rv)?;
+    let translation = art9_compiler::translate(&rv)?;
 
     println!("== translation report ==\n{}", translation.report);
     println!("== register renaming (operand conversion) ==");
@@ -36,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("verification: sorted output confirmed on the ternary machine");
 
     // Fig. 5-style comparison for this program.
-    let row = framework.memory_comparison(workload.name, &rv)?;
+    let row = memory_comparison(workload.name, &rv)?;
     println!(
         "\nmemory cells: ART-9 {} trits | RV-32I {} bits | ARMv6-M {} bits ({:.0}% saving vs RV32)",
         row.art9_cells,

@@ -1,7 +1,8 @@
 //! Dynamic energy accounting end to end: run a paper workload on the
-//! cycle-accurate pipelined core with the trit-flip observer attached,
-//! convert the measured switching activity through the CNTFET library,
-//! and print the measured Table IV row (model in docs/ENERGY.md).
+//! cycle-accurate pipelined core through the batch driver with energy
+//! measurement on (as `report` does), convert the measured switching
+//! activity through the CNTFET library, and print the measured
+//! Table IV row (model in docs/ENERGY.md).
 //!
 //! ```sh
 //! cargo run --release --example energy
@@ -12,20 +13,26 @@ use art9_hw::activity::ALL_CLASSES;
 use art9_hw::analyzer::analyze;
 use art9_hw::datapath::Datapath;
 use art9_hw::tech::cntfet32;
+use workloads::batch::{BatchRunner, ExecConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let iterations = 20;
-    let w = workloads::dhrystone(iterations);
 
     // One verified pipelined run measures flips and cycles together.
-    let m = workloads::energy::measure_activity(&w)?;
-    let totals = m.accounting.totals();
+    let batch = BatchRunner::new()
+        .workload(workloads::dhrystone(iterations))
+        .config(ExecConfig::art9_pipelined(true))
+        .measure_energy(true)
+        .try_run()?;
+    let run = &batch.runs[0];
+    let accounting = run.energy.as_ref().expect("energy measurement is on");
+    let totals = accounting.totals();
     println!(
         "{}: {} instructions in {} cycles (CPI {:.2})",
-        m.workload,
-        m.instructions,
-        m.cycles,
-        m.cycles as f64 / m.instructions as f64
+        run.workload,
+        run.instructions,
+        run.cycles.expect("pipelined run is timed"),
+        run.cpi().expect("instructions retired")
     );
     println!(
         "switching activity: {} regfile + {} tdm + {} fetch + {} alu trit flips\n",
@@ -33,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("== flips by instruction class ==");
-    for (class, counts) in ALL_CLASSES.iter().zip(class_counts(&m)) {
+    for (class, counts) in ALL_CLASSES.iter().zip(class_counts(accounting)) {
         println!(
             "  {class:<8} {:>8} retired  {:>10} flips",
             counts.retired,
@@ -43,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The same cntfet-32nm table the static Table IV estimate uses.
     let analysis = analyze(&Datapath::art9(), &cntfet32());
-    let row = energy_row(&m, &analysis, &cntfet32(), Some(iterations as u64));
+    let row = energy_row(run, &analysis, &cntfet32(), Some(iterations as u64));
     println!("\n== measured Table IV row ==");
     print!("{}", render(std::slice::from_ref(&row)));
     Ok(())

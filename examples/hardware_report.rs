@@ -6,7 +6,9 @@
 //! cargo run --release --example hardware_report
 //! ```
 
-use art9_core::{report, HardwareFramework, SoftwareFramework};
+use art9_bench::report;
+use art9_hw::datapath::Datapath;
+use art9_sim::{Core, SimBuilder};
 use workloads::dhrystone;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -14,11 +16,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = dhrystone(iterations);
     let rv = w.rv32_program()?;
 
-    let sw = SoftwareFramework::new();
-    let translation = sw.compile(&rv)?;
+    let translation = art9_compiler::translate(&rv)?;
 
-    let hw = HardwareFramework::new();
-    let stats = hw.run_cycles(&translation.program, 50_000_000)?;
+    let mut core = SimBuilder::new(&translation.program).build_pipelined();
+    core.run(50_000_000)?;
+    let stats = core.pipeline_stats().expect("pipelined backend");
     let cycles_per_iteration = stats.cycles as f64 / iterations as f64;
     println!(
         "dhrystone: {} cycles for {iterations} iterations ({cycles_per_iteration:.0} cycles/iter, CPI {:.2})",
@@ -30,16 +32,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1.0e6 / (cycles_per_iteration * workloads::DHRYSTONE_DIVISOR)
     );
 
-    let evaluation = hw.evaluate(cycles_per_iteration);
+    let evaluation = report::evaluate(cycles_per_iteration);
 
     println!("== per-block gate counts (datapath) ==");
-    for (name, gates) in hw.datapath().block_summary() {
+    let datapath = Datapath::art9();
+    for (name, gates) in datapath.block_summary() {
         println!("  {name:<20} {gates}");
     }
-    println!("  {:<20} {}\n", "TOTAL", hw.datapath().datapath_gates());
+    println!("  {:<20} {}\n", "TOTAL", datapath.datapath_gates());
 
     let lib = art9_hw::tech::cntfet32();
-    let (slowest, delay) = art9_hw::analyzer::critical_block(hw.datapath(), &lib);
+    let (slowest, delay) = art9_hw::analyzer::critical_block(&datapath, &lib);
     println!("critical block: {slowest} ({delay:.0} ps) — the fmax limiter\n");
 
     println!("{}", report::table4(&evaluation));

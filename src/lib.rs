@@ -12,8 +12,13 @@
 //! * [`art9_compiler`] — the software-level compiling framework;
 //! * [`art9_hw`] — the gate-level analyzer, technology libraries and
 //!   FPGA model;
-//! * [`workloads`] — the paper's benchmark programs;
-//! * [`art9_core`] — the two frameworks tied together.
+//! * [`workloads`] — the paper's benchmark programs.
+//!
+//! The paper's two frameworks are [`art9_compiler`] (software level,
+//! Fig. 2) and [`art9_hw`] with [`art9_sim`] (hardware level, Fig. 3).
+//! The `art9-bench` crate composes them into the paper's tables: its
+//! `report` module holds the Fig. 3 evaluation flow and the Fig. 5
+//! comparison, and its `report` binary prints every table and figure.
 //!
 //! See `examples/quickstart.rs` for a three-minute tour, and
 //! EXPERIMENTS.md for the paper-vs-measured record of every table and
@@ -22,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 pub use art9_compiler;
-pub use art9_core;
 pub use art9_hw;
 pub use art9_isa;
 pub use art9_sim;
