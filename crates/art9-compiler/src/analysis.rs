@@ -176,7 +176,7 @@ pub fn analyze(program: &Rv32Program) -> Result<Analysis, CompileError> {
     let mut analysis = Analysis {
         pointers: pointers.clone(),
         actions: BTreeMap::new(),
-        uses_sp: text.iter().any(|i| i.reads().contains(&Reg::SP)),
+        uses_sp: text.iter().any(|i| i.reads().contains(&Some(Reg::SP))),
     };
 
     let mut skip_next_absorbed: Option<usize> = None;

@@ -109,7 +109,7 @@ pub fn allocate(program: &Rv32Program) -> Result<Allocation, CompileError> {
                 *usage.entry(r).or_insert(0) += 1;
             }
         };
-        for r in i.reads() {
+        for r in i.reads().into_iter().flatten() {
             bump(r);
         }
         if let Some(r) = instr_dest(i) {

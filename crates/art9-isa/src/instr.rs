@@ -377,15 +377,27 @@ impl Instruction {
         }
     }
 
-    /// The registers this instruction reads, in operand order.
+    /// The registers this instruction reads, by operand slot:
+    /// `[Ta, Tb]`, `None` where the slot is not a source. (Used by the
+    /// hazard detection unit and the forwarding multiplexers; does not
+    /// allocate.)
     ///
     /// Note the paper's asymmetries: `LI` *reads* its destination (the
     /// upper trits survive), `STORE` reads both `Ta` (data) and `Tb`
     /// (address), and the branches read only `Tb`.
-    pub fn reads(&self) -> Vec<TReg> {
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use art9_isa::{Instruction, TReg};
+    ///
+    /// let mv = Instruction::Mv { a: TReg::T3, b: TReg::T4 };
+    /// assert_eq!(mv.sources(), [None, Some(TReg::T4)]);
+    /// ```
+    pub const fn sources(&self) -> [Option<TReg>; 2] {
         use Instruction::*;
-        match self {
-            Mv { b, .. } | Pti { b, .. } | Nti { b, .. } | Sti { b, .. } => vec![*b],
+        match *self {
+            Mv { b, .. } | Pti { b, .. } | Nti { b, .. } | Sti { b, .. } => [None, Some(b)],
             And { a, b }
             | Or { a, b }
             | Xor { a, b }
@@ -393,14 +405,13 @@ impl Instruction {
             | Sub { a, b }
             | Sr { a, b }
             | Sl { a, b }
-            | Comp { a, b } => vec![*a, *b],
+            | Comp { a, b } => [Some(a), Some(b)],
             Andi { a, .. } | Addi { a, .. } | Sri { a, .. } | Sli { a, .. } | Li { a, .. } => {
-                vec![*a]
+                [Some(a), None]
             }
-            Lui { .. } | Jal { .. } => vec![],
-            Beq { b, .. } | Bne { b, .. } => vec![*b],
-            Jalr { b, .. } | Load { b, .. } => vec![*b],
-            Store { a, b, .. } => vec![*a, *b],
+            Lui { .. } | Jal { .. } => [None, None],
+            Beq { b, .. } | Bne { b, .. } | Jalr { b, .. } | Load { b, .. } => [None, Some(b)],
+            Store { a, b, .. } => [Some(a), Some(b)],
         }
     }
 }
@@ -578,34 +589,62 @@ mod tests {
     #[test]
     fn reads_writes_asymmetries() {
         use Instruction::*;
-        // LI reads its destination (upper trits preserved).
-        let li = Li {
-            a: TReg::T4,
-            imm: Imm5::ZERO,
-        };
-        assert_eq!(li.reads(), vec![TReg::T4]);
-        // LUI does not.
-        let lui = Lui {
-            a: TReg::T4,
-            imm: Imm4::ZERO,
-        };
-        assert!(lui.reads().is_empty());
-        // STORE reads both and writes nothing.
-        let st = Store {
-            a: TReg::T5,
-            b: TReg::T2,
-            offset: Imm3::ZERO,
-        };
-        assert_eq!(st.reads(), vec![TReg::T5, TReg::T2]);
-        assert_eq!(st.writes(), None);
-        // Branches read only the condition register.
-        let beq = Beq {
-            b: TReg::T3,
-            cond: Trit::Z,
-            offset: Imm4::ZERO,
-        };
-        assert_eq!(beq.reads(), vec![TReg::T3]);
-        assert_eq!(beq.writes(), None);
+        // Every opcode with Ta = t3 and Tb = t4, so each slot of the
+        // expected `sources()` row names the field it must come from.
+        let (a, b) = (TReg::T3, TReg::T4);
+        let (i2, i3, i4, i5) = (Imm2::ZERO, Imm3::ZERO, Imm4::ZERO, Imm5::ZERO);
+        let cond = Trit::Z;
+        let table: [(Instruction, [Option<TReg>; 2], Option<TReg>); 24] = [
+            (Mv { a, b }, [None, Some(b)], Some(a)),
+            (Pti { a, b }, [None, Some(b)], Some(a)),
+            (Nti { a, b }, [None, Some(b)], Some(a)),
+            (Sti { a, b }, [None, Some(b)], Some(a)),
+            (And { a, b }, [Some(a), Some(b)], Some(a)),
+            (Or { a, b }, [Some(a), Some(b)], Some(a)),
+            (Xor { a, b }, [Some(a), Some(b)], Some(a)),
+            (Add { a, b }, [Some(a), Some(b)], Some(a)),
+            (Sub { a, b }, [Some(a), Some(b)], Some(a)),
+            (Sr { a, b }, [Some(a), Some(b)], Some(a)),
+            (Sl { a, b }, [Some(a), Some(b)], Some(a)),
+            (Comp { a, b }, [Some(a), Some(b)], Some(a)),
+            (Andi { a, imm: i3 }, [Some(a), None], Some(a)),
+            (Addi { a, imm: i3 }, [Some(a), None], Some(a)),
+            (Sri { a, imm: i2 }, [Some(a), None], Some(a)),
+            (Sli { a, imm: i2 }, [Some(a), None], Some(a)),
+            // LUI overwrites every trit: it reads nothing.
+            (Lui { a, imm: i4 }, [None, None], Some(a)),
+            // LI reads its destination (upper trits preserved).
+            (Li { a, imm: i5 }, [Some(a), None], Some(a)),
+            // Branches read only the condition register, in the Tb slot.
+            (
+                Beq {
+                    b,
+                    cond,
+                    offset: i4,
+                },
+                [None, Some(b)],
+                None,
+            ),
+            (
+                Bne {
+                    b,
+                    cond,
+                    offset: i4,
+                },
+                [None, Some(b)],
+                None,
+            ),
+            (Jal { a, offset: i5 }, [None, None], Some(a)),
+            (Jalr { a, b, offset: i3 }, [None, Some(b)], Some(a)),
+            (Load { a, b, offset: i3 }, [None, Some(b)], Some(a)),
+            // STORE reads its datum (Ta) and base (Tb), writes nothing.
+            (Store { a, b, offset: i3 }, [Some(a), Some(b)], None),
+        ];
+        for (k, (instr, sources, writes)) in table.into_iter().enumerate() {
+            assert_eq!(instr.opcode(), k, "{instr}: table is in opcode order");
+            assert_eq!(instr.sources(), sources, "{instr}");
+            assert_eq!(instr.writes(), writes, "{instr}");
+        }
     }
 
     #[test]

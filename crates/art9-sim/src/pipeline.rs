@@ -174,8 +174,13 @@ impl PipelinedSim {
         self.if_id = None;
     }
 
+    /// Appends this cycle's stage occupancy to the trace buffer; a
+    /// no-op (no snapshot is built) when tracing is off.
     fn record_trace(&mut self) {
-        let snapshot = CycleTrace {
+        let Some(trace) = &mut self.trace else {
+            return;
+        };
+        trace.push(CycleTrace {
             cycle: self.stats.cycles,
             if_stage: self.if_id.map(|f| StageSnapshot {
                 pc: f.pc,
@@ -193,10 +198,7 @@ impl PipelinedSim {
                 pc: w.pc,
                 instr: w.instr,
             }),
-        };
-        if let Some(t) = &mut self.trace {
-            t.push(snapshot);
-        }
+        });
     }
 }
 
@@ -352,7 +354,7 @@ impl SinkStep for PipelinedSim {
                 }
                 captured
             };
-            let (a_reg, b_reg) = source_regs(&ex.instr);
+            let [a_reg, b_reg] = ex.instr.sources();
             let a_val = a_reg.map_or(ex.a_val, |r| fwd(r, ex.a_val));
             let b_val = b_reg.map_or(ex.b_val, |r| fwd(r, ex.b_val));
             let link = self.links[ex.pc]; // PC + 1, precomputed at decode time
@@ -414,16 +416,10 @@ impl SinkStep for PipelinedSim {
             };
 
             if instr.is_control_flow() {
-                // B-type needs its source register already in ID.
-                let needed = instr.reads();
-                let mut operand: Option<Word9> = Some(Word9::ZERO);
-                for r in &needed {
-                    operand = id_value(*r);
-                    if operand.is_none() {
-                        break;
-                    }
-                }
-                match operand {
+                // B-type needs its source register (Tb, its only source
+                // slot) already in ID.
+                let [_, b_reg] = instr.sources();
+                match b_reg.map_or(Some(Word9::ZERO), id_value) {
                     None => {
                         stall = true;
                         self.stats.id_use_stalls += 1;
@@ -466,7 +462,7 @@ impl SinkStep for PipelinedSim {
                     let hazard = matches!(ex.instr, Instruction::Load { .. }) || !self.forwarding;
                     if hazard {
                         if let Some(dest) = ex.instr.writes() {
-                            if instr.reads().contains(&dest) {
+                            if instr.sources().contains(&Some(dest)) {
                                 load_use = true;
                             }
                         }
@@ -475,7 +471,7 @@ impl SinkStep for PipelinedSim {
                 if !self.forwarding {
                     if let Some(m) = &old_ex_mem {
                         if let Some(dest) = m.instr.writes() {
-                            if instr.reads().contains(&dest) {
+                            if instr.sources().contains(&Some(dest)) {
                                 load_use = true;
                             }
                         }
@@ -487,7 +483,7 @@ impl SinkStep for PipelinedSim {
                 } else {
                     // TRF read with write-through; stale in-flight values
                     // are fine — the EX forwarding mux overrides them.
-                    let (a_reg, b_reg) = source_regs(&instr);
+                    let [a_reg, b_reg] = instr.sources();
                     let wt = |reg: TReg| -> Word9 {
                         if let Some((d, v)) = wb_done {
                             if d == reg {
@@ -640,28 +636,6 @@ impl Core for PipelinedSim {
     }
 }
 
-/// The `(Ta, Tb)` source registers an instruction reads, by operand slot.
-fn source_regs(instr: &Instruction) -> (Option<TReg>, Option<TReg>) {
-    use Instruction::*;
-    match instr {
-        Mv { b, .. } | Pti { b, .. } | Nti { b, .. } | Sti { b, .. } => (None, Some(*b)),
-        And { a, b }
-        | Or { a, b }
-        | Xor { a, b }
-        | Add { a, b }
-        | Sub { a, b }
-        | Sr { a, b }
-        | Sl { a, b }
-        | Comp { a, b } => (Some(*a), Some(*b)),
-        Andi { a, .. } | Addi { a, .. } | Sri { a, .. } | Sli { a, .. } | Li { a, .. } => {
-            (Some(*a), None)
-        }
-        Lui { .. } | Jal { .. } => (None, None),
-        Beq { b, .. } | Bne { b, .. } | Jalr { b, .. } | Load { b, .. } => (None, Some(*b)),
-        Store { a, b, .. } => (Some(*a), Some(*b)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,6 +751,65 @@ mod tests {
         assert_eq!(sim.state().reg(TReg::T5).to_i64(), 9);
         // Branch waits in ID while the load walks EX->MEM: 2 stalls.
         assert_eq!(stats.id_use_stalls, 2);
+    }
+
+    // The next five pin the source-slot table where a wrong slot would
+    // change the cycle count.
+
+    #[test]
+    fn load_then_jalr_base_stalls_twice() {
+        let (sim, stats) = run_pipe(
+            ".data\nv: .word 4\n.text\nLI t2, 0\nLOAD t3, t2, 0\nJALR t1, t3, 0\n\
+             LI t4, -1\nLI t5, 9\nJAL t0, 0\n",
+        );
+        assert_eq!(sim.state().reg(TReg::T4).to_i64(), 0, "skipped");
+        assert_eq!(sim.state().reg(TReg::T5).to_i64(), 9);
+        // JALR reads its base (Tb) in ID, like a branch condition.
+        assert_eq!((stats.id_use_stalls, stats.load_use_stalls), (2, 0));
+    }
+
+    #[test]
+    fn load_then_store_datum_stalls_once() {
+        let (sim, stats) = run_pipe(
+            ".data\nv: .word 41\n.text\nLI t2, 0\nLOAD t3, t2, 0\nSTORE t3, t2, 1\n\
+             LOAD t4, t2, 1\nJAL t0, 0\n",
+        );
+        // The STORE datum travels in the Ta slot.
+        assert_eq!(sim.state().reg(TReg::T4).to_i64(), 41);
+        assert_eq!((stats.load_use_stalls, stats.id_use_stalls), (1, 0));
+    }
+
+    #[test]
+    fn load_then_li_on_it_stalls_once() {
+        // 1000 = 972 (upper trits) + 28 (low 5 trits).
+        let (sim, stats) = run_pipe(
+            ".data\nv: .word 1000\n.text\nLI t2, 0\nLOAD t3, t2, 0\nLI t3, 5\nJAL t0, 0\n",
+        );
+        // LI splices the low trits into the loaded value: it reads Ta.
+        assert_eq!(sim.state().reg(TReg::T3).to_i64(), 977);
+        assert_eq!((stats.load_use_stalls, stats.id_use_stalls), (1, 0));
+    }
+
+    #[test]
+    fn load_then_lui_on_it_does_not_stall() {
+        let (sim, stats) = run_pipe(
+            ".data\nv: .word 1000\n.text\nLI t2, 0\nLOAD t3, t2, 0\nLUI t3, 1\nJAL t0, 0\n",
+        );
+        // LUI overwrites every trit: it reads nothing.
+        assert_eq!(sim.state().reg(TReg::T3).to_i64(), 243);
+        assert_eq!(stats.lost_cycles(), 0);
+    }
+
+    #[test]
+    fn no_forwarding_ta_consumer_waits_for_writeback() {
+        let p = assemble("LI t3, 1\nADDI t3, 1\nJAL t0, 0\n").unwrap();
+        let mut sim = SimBuilder::new(&p).forwarding(false).build_pipelined();
+        sim.run(1000).unwrap();
+        assert_eq!(sim.state().reg(TReg::T3).to_i64(), 2);
+        // ADDI reads only Ta: it waits in ID while LI sits in EX, then
+        // in MEM, and reads the value through WB write-through.
+        assert_eq!((sim.stats.load_use_stalls, sim.stats.id_use_stalls), (2, 0));
+        assert_eq!(sim.stats.cycles, 3 + 4 + 2);
     }
 
     #[test]

@@ -429,6 +429,16 @@ mod tests {
         expected.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(gates.len(), 36);
         assert_eq!(gates, expected);
+        // Each paper workload's pipelined-over-functional cost ratio is
+        // reported, never gated.
+        let ratios: Vec<_> = baseline()
+            .into_iter()
+            .filter(|r| r.name.ends_with("/pipelined_vs_functional_x"))
+            .collect();
+        assert_eq!(ratios.len(), 4);
+        assert!(ratios
+            .iter()
+            .all(|r| r.tolerance.is_none() && r.better == Better::Lower));
         // The file is exactly the writer's output.
         assert_eq!(render(&baseline()), COMMITTED);
         let r = compare(&baseline(), &baseline());

@@ -349,7 +349,7 @@ impl<'a> CoSim<'a> {
         if core.backend() == Backend::Pipelined {
             return Err(format!(
                 "{HARNESS_MARKER} the pipelined backend cannot step at instruction \
-                 granularity; use run_pipelined"
+                 granularity; use pipelined_trace"
             ));
         }
         let mut m = self.machine();
@@ -469,21 +469,12 @@ impl<'a> CoSim<'a> {
         Ok(())
     }
 
-    /// The pipelined variant: runs the RV32 machine to halt to predict
-    /// the sequence of boundary addresses the translated program must
-    /// enter, then runs the pipelined core to halt under a
-    /// [`SyncPoints`](art9_sim::observers::SyncPoints) observer and
-    /// compares the crossing trace plus the full final state. Only the
-    /// tests below run it; the campaign's oracle steps architectural
-    /// backends ([`CoSim::run`]).
-    #[cfg(test)]
-    fn run_pipelined(&self, stats: &mut OracleStats) -> Option<Divergence> {
-        Oracle::CompilerLockstep.verdict(self.pipelined_trace(stats))
-    }
-
-    /// [`CoSim::run_pipelined`]'s comparison; `Err` is the divergence
-    /// detail.
-    #[cfg(test)]
+    /// The pipelined variant of [`CoSim::run`]: runs the RV32 machine
+    /// to halt to predict the sequence of boundary addresses the
+    /// translated program must enter, then runs the pipelined core to
+    /// halt under a [`SyncPoints`](art9_sim::observers::SyncPoints)
+    /// observer and compares the crossing trace plus the full final
+    /// state. `Err` is the divergence detail.
     fn pipelined_trace(&self, stats: &mut OracleStats) -> Result<(), String> {
         use std::sync::{Arc, Mutex};
 
@@ -580,8 +571,9 @@ impl<'a> CoSim<'a> {
 }
 
 /// Translates `src` and runs the compiler-lockstep oracle on the
-/// functional backend, then again with the direct-threaded backend as
-/// the architectural core — the campaign entry point. Parse/translate
+/// functional backend, again with the direct-threaded backend as the
+/// architectural core, then on the pipelined backend's
+/// boundary-crossing trace — the campaign entry point. Parse/translate
 /// failures are reported as harness-marked divergences (the generator
 /// is supposed to make them impossible).
 pub fn check_compiler_lockstep(
@@ -607,7 +599,11 @@ fn compiler_lockstep(src: &str, rv32_budget: u64, stats: &mut OracleStats) -> Re
     // its compiled-op stepping path on real (non-random) control flow.
     cosim
         .stepwise(&mut builder.build_threaded(), stats)
-        .map_err(|d| format!("threaded backend: {d}"))
+        .map_err(|d| format!("threaded backend: {d}"))?;
+    // Third pass: the cycle model, checked at the boundaries it crosses.
+    cosim
+        .pipelined_trace(stats)
+        .map_err(|d| format!("pipelined backend: {d}"))
 }
 
 #[cfg(test)]
@@ -622,6 +618,35 @@ mod tests {
         let d = check_compiler_lockstep(src, 100_000, &mut stats);
         assert!(d.is_none(), "{}\n{src}", d.unwrap());
         assert!(stats.cosim_sync_points > 0);
+    }
+
+    #[test]
+    fn campaign_entry_checks_functional_threaded_and_pipelined() {
+        let src = "li a0, 10\nli a1, 0\nloop:\nadd a1, a1, a0\naddi a0, a0, -1\n\
+                   bnez a0, loop\nebreak\n";
+        let mut all = OracleStats::default();
+        assert!(check_compiler_lockstep(src, 100_000, &mut all).is_none());
+        let rv = parse_program(src).unwrap();
+        let t = translate_with_tdm(&rv, COSIM_TDM_WORDS).unwrap();
+        let cosim = CoSim::new(&rv, &t, 100_000).unwrap();
+        let mut stepwise = OracleStats::default();
+        let builder = SimBuilder::new(&t.program).tdm_words(cosim.tdm_words());
+        cosim
+            .stepwise(&mut builder.build_functional(), &mut stepwise)
+            .unwrap();
+        let mut pipelined = OracleStats::default();
+        cosim.pipelined_trace(&mut pipelined).unwrap();
+        // Two stepwise passes (functional, threaded) plus the pipelined one.
+        let (s, p) = (&stepwise, &pipelined);
+        assert_eq!(
+            all.cosim_art9_instructions,
+            2 * s.cosim_art9_instructions + p.cosim_art9_instructions
+        );
+        assert_eq!(
+            all.cosim_sync_points,
+            2 * s.cosim_sync_points + p.cosim_sync_points
+        );
+        assert!(p.cosim_sync_points > 0);
     }
 
     #[test]
@@ -675,7 +700,7 @@ mod tests {
                     );
                 }
                 let mut stats = OracleStats::default();
-                let d = cosim.run_pipelined(&mut stats);
+                let d = Oracle::CompilerLockstep.verdict(cosim.pipelined_trace(&mut stats));
                 assert!(
                     d.is_none(),
                     "{} iter {i} pipelined: {}\n{src}",
@@ -776,7 +801,9 @@ mod tests {
         });
         let cosim = CoSim::new(&rv, &bad, 10_000).unwrap();
         let mut stats = OracleStats::default();
-        let d = cosim.run_pipelined(&mut stats).expect("bug must be caught");
+        let d = Oracle::CompilerLockstep
+            .verdict(cosim.pipelined_trace(&mut stats))
+            .expect("bug must be caught");
         assert!(
             d.detail.contains("trace") || d.detail.contains("crossings") || d.detail.contains("a1"),
             "{d}"

@@ -188,7 +188,7 @@ impl CycleModel for VexRiscvModel {
         // destination this instruction reads.
         if let Some(p) = prev {
             if let Load { rd, .. } = p.instr {
-                if current.instr.reads().contains(&rd) {
+                if current.instr.reads().contains(&Some(rd)) {
                     cycles += 1;
                 }
             }

@@ -294,14 +294,17 @@ impl Instr {
         (!rd.is_zero()).then_some(rd)
     }
 
-    /// The registers the instruction reads.
-    pub fn reads(&self) -> Vec<Reg> {
+    /// The registers the instruction reads, as `[rs1, rs2]` (`None`
+    /// for a field the format lacks). Does not allocate.
+    pub fn reads(&self) -> [Option<Reg>; 2] {
         use Instr::*;
-        match self {
-            Lui { .. } | Auipc { .. } | Jal { .. } | Fence | Ecall | Ebreak => vec![],
-            Jalr { rs1, .. } | Load { rs1, .. } | AluImm { rs1, .. } => vec![*rs1],
-            Branch { rs1, rs2, .. } | Store { rs2, rs1, .. } => vec![*rs1, *rs2],
-            Alu { rs1, rs2, .. } | MulDiv { rs1, rs2, .. } => vec![*rs1, *rs2],
+        match *self {
+            Lui { .. } | Auipc { .. } | Jal { .. } | Fence | Ecall | Ebreak => [None, None],
+            Jalr { rs1, .. } | Load { rs1, .. } | AluImm { rs1, .. } => [Some(rs1), None],
+            Branch { rs1, rs2, .. }
+            | Store { rs2, rs1, .. }
+            | Alu { rs1, rs2, .. }
+            | MulDiv { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
         }
     }
 
@@ -368,14 +371,14 @@ mod tests {
             rs1: Reg::SP,
             offset: 4,
         };
-        assert_eq!(s.reads(), vec![Reg::SP, Reg::A0]);
+        assert_eq!(s.reads(), [Some(Reg::SP), Some(Reg::A0)]);
         let b = Instr::Branch {
             op: BranchOp::Lt,
             rs1: Reg::A0,
             rs2: Reg::A1,
             offset: -8,
         };
-        assert_eq!(b.reads(), vec![Reg::A0, Reg::A1]);
+        assert_eq!(b.reads(), [Some(Reg::A0), Some(Reg::A1)]);
         assert!(b.is_control_flow());
     }
 
