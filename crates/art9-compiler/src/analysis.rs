@@ -20,8 +20,6 @@
 //! [`CompileError::MixedPointerUse`] — translations are refused, never
 //! silently wrong.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use rv32::{AluOp, Instr, Reg, Rv32Program, DATA_BASE};
 
 use crate::error::CompileError;
@@ -52,12 +50,29 @@ pub enum Action {
 /// Result of the classification pass.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
-    /// Pointer-typed registers.
-    pub pointers: BTreeSet<Reg>,
-    /// Per-instruction re-scaling actions.
-    pub actions: BTreeMap<usize, Action>,
+    /// Pointer-typed registers: bit `i` is set when `x<i>` is one.
+    pub pointers: u32,
+    /// `actions[k]` is the re-scaling action of RV32 instruction `k`
+    /// (one entry per instruction).
+    pub actions: Vec<Option<Action>>,
     /// Whether the program reads `sp` (the prologue must initialize it).
     pub uses_sp: bool,
+}
+
+impl Analysis {
+    /// Whether `reg` is pointer-typed.
+    pub fn is_pointer(&self, reg: Reg) -> bool {
+        has(self.pointers, reg)
+    }
+}
+
+/// The bit of `reg` in a register mask.
+fn bit(reg: Reg) -> u32 {
+    1 << reg.index()
+}
+
+fn has(mask: u32, reg: Reg) -> bool {
+    mask & bit(reg) != 0
 }
 
 /// Classifies registers and derives re-scaling actions.
@@ -71,15 +86,14 @@ pub struct Analysis {
 pub fn analyze(program: &Rv32Program) -> Result<Analysis, CompileError> {
     let text = program.text();
     let data_bytes = 4 * program.data().len() as i64;
+    let slli2 = slli2_defined(text);
+    let is_slli2 = |reg: Reg| has(slli2, reg);
 
     // --- seed: pointer evidence ---------------------------------------
-    let mut pointers: BTreeSet<Reg> = BTreeSet::new();
-    pointers.insert(Reg::SP);
+    let mut pointers = bit(Reg::SP);
     for i in text {
         match i {
-            Instr::Load { rs1, .. } | Instr::Store { rs1, .. } => {
-                pointers.insert(*rs1);
-            }
+            Instr::Load { rs1, .. } | Instr::Store { rs1, .. } => pointers |= bit(*rs1),
             Instr::Jalr { rs1, .. } if *rs1 != Reg::RA => {
                 // Indirect jumps through computed addresses are code
                 // pointers; they stay in the instruction-index domain
@@ -94,24 +108,17 @@ pub fn analyze(program: &Rv32Program) -> Result<Analysis, CompileError> {
     // pointer was derived from is a pointer (e.g. `add a3, a0, idx`
     // where a3 is a load base means a0 carries the address).
     loop {
-        let mut changed = false;
+        let before = pointers;
         for i in text {
-            match i {
+            match *i {
                 // addi rd, rs, k (covers mv): pointer flows both ways.
                 Instr::AluImm {
                     op: AluOp::Add,
                     rd,
                     rs1,
                     ..
-                } if !rs1.is_zero() => {
-                    if pointers.contains(rs1) && !pointers.contains(rd) {
-                        pointers.insert(*rd);
-                        changed = true;
-                    }
-                    if pointers.contains(rd) && !pointers.contains(rs1) {
-                        pointers.insert(*rs1);
-                        changed = true;
-                    }
+                } if !rs1.is_zero() && (has(pointers, rs1) || has(pointers, rd)) => {
+                    pointers |= bit(rd) | bit(rs1);
                 }
                 Instr::Alu {
                     op: AluOp::Add,
@@ -120,47 +127,42 @@ pub fn analyze(program: &Rv32Program) -> Result<Analysis, CompileError> {
                     rs2,
                 } => {
                     // Forward.
-                    if (pointers.contains(rs1) || pointers.contains(rs2)) && !pointers.contains(rd)
-                    {
-                        pointers.insert(*rd);
-                        changed = true;
+                    if has(pointers, rs1) || has(pointers, rs2) {
+                        pointers |= bit(rd);
                     }
                     // Backward: the addend that is not a scaled index
                     // must be the pointer.
-                    if pointers.contains(rd) && !pointers.contains(rs1) && !pointers.contains(rs2) {
-                        if defs_are_all_slli2(text, *rs2) && !defs_are_all_slli2(text, *rs1) {
-                            pointers.insert(*rs1);
-                            changed = true;
-                        } else if defs_are_all_slli2(text, *rs1) && !defs_are_all_slli2(text, *rs2)
-                        {
-                            pointers.insert(*rs2);
-                            changed = true;
+                    if has(pointers, rd) && !has(pointers, rs1) && !has(pointers, rs2) {
+                        if is_slli2(rs2) && !is_slli2(rs1) {
+                            pointers |= bit(rs1);
+                        } else if is_slli2(rs1) && !is_slli2(rs2) {
+                            pointers |= bit(rs2);
                         }
                     }
                 }
                 _ => {}
             }
         }
-        if !changed {
+        if pointers == before {
             break;
         }
     }
 
     // --- find scaled indices: slli rd, rs, 2 feeding pointer adds ------
-    let mut index4: BTreeSet<Reg> = BTreeSet::new();
+    let mut index4 = 0u32;
     for (k, i) in text.iter().enumerate() {
         if let Instr::Alu {
             op: AluOp::Add,
             rs1,
             rs2,
             ..
-        } = i
+        } = *i
         {
             for (p, idx) in [(rs1, rs2), (rs2, rs1)] {
-                if pointers.contains(p) && !pointers.contains(idx) {
+                if has(pointers, p) && !has(pointers, idx) {
                     // The non-pointer addend must be a scaled index.
-                    if defs_are_all_slli2(text, *idx) {
-                        index4.insert(*idx);
+                    if is_slli2(idx) {
+                        index4 |= bit(idx);
                     } else {
                         return Err(CompileError::UnalignedAddress {
                             at: k,
@@ -173,20 +175,12 @@ pub fn analyze(program: &Rv32Program) -> Result<Analysis, CompileError> {
     }
 
     // --- derive actions -------------------------------------------------
-    let mut analysis = Analysis {
-        pointers: pointers.clone(),
-        actions: BTreeMap::new(),
-        uses_sp: text.iter().any(|i| i.reads().contains(&Some(Reg::SP))),
-    };
-
-    let mut skip_next_absorbed: Option<usize> = None;
-    for (k, i) in text.iter().enumerate() {
-        if skip_next_absorbed == Some(k) {
-            continue;
-        }
-        match i {
+    let mut actions = vec![None; text.len()];
+    let mut k = 0;
+    while k < text.len() {
+        match text[k] {
             // la expansion: lui rd, H; addi rd, rd, L with a data address.
-            Instr::Lui { rd, imm20 } if pointers.contains(rd) => {
+            Instr::Lui { rd, imm20 } if has(pointers, rd) => {
                 if let Some(Instr::AluImm {
                     op: AluOp::Add,
                     rd: rd2,
@@ -194,10 +188,10 @@ pub fn analyze(program: &Rv32Program) -> Result<Analysis, CompileError> {
                     imm,
                 }) = text.get(k + 1)
                 {
-                    let value = ((*imm20 as i64) << 12) + *imm as i64;
+                    let value = ((imm20 as i64) << 12) + *imm as i64;
                     let in_data =
                         value >= DATA_BASE as i64 && value <= DATA_BASE as i64 + data_bytes;
-                    if rd2 == rd && rs1 == rd && in_data {
+                    if *rd2 == rd && *rs1 == rd && in_data {
                         let byte_off = value - DATA_BASE as i64;
                         if byte_off % 4 != 0 {
                             return Err(CompileError::UnalignedAddress {
@@ -205,14 +199,11 @@ pub fn analyze(program: &Rv32Program) -> Result<Analysis, CompileError> {
                                 offset: byte_off,
                             });
                         }
-                        analysis.actions.insert(
-                            k,
-                            Action::AddressPair {
-                                word_addr: DATA_WORD_BASE + byte_off / 4,
-                            },
-                        );
-                        analysis.actions.insert(k + 1, Action::Absorbed);
-                        skip_next_absorbed = Some(k + 1);
+                        actions[k] = Some(Action::AddressPair {
+                            word_addr: DATA_WORD_BASE + byte_off / 4,
+                        });
+                        actions[k + 1] = Some(Action::Absorbed);
+                        k += 2;
                         continue;
                     }
                 }
@@ -224,27 +215,27 @@ pub fn analyze(program: &Rv32Program) -> Result<Analysis, CompileError> {
             }
             Instr::AluImm {
                 op: AluOp::Add,
-                rd: _,
                 rs1,
                 imm,
-            } if pointers.contains(rs1) && *imm != 0 => {
-                if *imm % 4 != 0 {
+                ..
+            } if has(pointers, rs1) && imm != 0 => {
+                if imm % 4 != 0 {
                     return Err(CompileError::UnalignedAddress {
                         at: k,
-                        offset: *imm as i64,
+                        offset: imm as i64,
                     });
                 }
-                analysis.actions.insert(k, Action::ScaleStride);
+                actions[k] = Some(Action::ScaleStride);
             }
             Instr::Load { offset, .. } | Instr::Store { offset, .. } => {
-                if *offset % 4 != 0 {
+                if offset % 4 != 0 {
                     return Err(CompileError::UnalignedAddress {
                         at: k,
-                        offset: *offset as i64,
+                        offset: offset as i64,
                     });
                 }
-                if *offset != 0 {
-                    analysis.actions.insert(k, Action::ScaleOffset);
+                if offset != 0 {
+                    actions[k] = Some(Action::ScaleOffset);
                 }
             }
             Instr::AluImm {
@@ -252,28 +243,27 @@ pub fn analyze(program: &Rv32Program) -> Result<Analysis, CompileError> {
                 rd,
                 imm: 2,
                 ..
-            } if index4.contains(rd) => {
-                analysis.actions.insert(k, Action::IndexToMove);
+            } if has(index4, rd) => {
+                actions[k] = Some(Action::IndexToMove);
             }
             _ => {}
         }
+        k += 1;
     }
 
     // --- consistency: pointers must not be produced by scalar ops ------
     for (k, i) in text.iter().enumerate() {
         if let Some(rd) = i.writes() {
-            if pointers.contains(&rd) {
-                let ok = match i {
+            if has(pointers, rd) {
+                let ok = match *i {
                     Instr::AluImm { op: AluOp::Add, .. } => true,
                     Instr::Alu {
                         op: AluOp::Add,
                         rs1,
                         rs2,
                         ..
-                    } => pointers.contains(rs1) || pointers.contains(rs2),
-                    Instr::Lui { .. } => {
-                        matches!(analysis.actions.get(&k), Some(Action::AddressPair { .. }))
-                    }
+                    } => has(pointers, rs1) || has(pointers, rs2),
+                    Instr::Lui { .. } => matches!(actions[k], Some(Action::AddressPair { .. })),
                     Instr::Load { .. } => false, // loading a pointer from memory: untyped
                     _ => false,
                 };
@@ -286,25 +276,30 @@ pub fn analyze(program: &Rv32Program) -> Result<Analysis, CompileError> {
         }
     }
 
-    Ok(analysis)
+    Ok(Analysis {
+        pointers,
+        actions,
+        uses_sp: text.iter().any(|i| i.reads().contains(&Some(Reg::SP))),
+    })
 }
 
-/// True when every definition of `reg` in the program is `slli reg, _, 2`.
-fn defs_are_all_slli2(text: &[Instr], reg: Reg) -> bool {
-    let mut any = false;
+/// The registers every definition of which is `slli reg, _, 2` (and
+/// that have at least one definition), as a mask.
+fn slli2_defined(text: &[Instr]) -> u32 {
+    let (mut slli2, mut other) = (0u32, 0u32);
     for i in text {
-        if i.writes() == Some(reg) {
+        if let Some(rd) = i.writes() {
             match i {
                 Instr::AluImm {
                     op: AluOp::Sll,
                     imm: 2,
                     ..
-                } => any = true,
-                _ => return false,
+                } => slli2 |= bit(rd),
+                _ => other |= bit(rd),
             }
         }
     }
-    any
+    slli2 & !other
 }
 
 #[cfg(test)]
@@ -328,15 +323,15 @@ mod tests {
         )
         .unwrap();
         let a = analyze(&p).unwrap();
-        assert!(a.pointers.contains(&"a0".parse().unwrap()));
+        assert!(a.is_pointer("a0".parse().unwrap()));
         // la = lui(0) + addi(1); lw at 2 scales; addi at 3 scales.
         assert!(matches!(
-            a.actions.get(&0),
+            a.actions[0],
             Some(Action::AddressPair { word_addr: 16 })
         ));
-        assert_eq!(a.actions.get(&1), Some(&Action::Absorbed));
-        assert_eq!(a.actions.get(&2), Some(&Action::ScaleOffset));
-        assert_eq!(a.actions.get(&3), Some(&Action::ScaleStride));
+        assert_eq!(a.actions[1], Some(Action::Absorbed));
+        assert_eq!(a.actions[2], Some(Action::ScaleOffset));
+        assert_eq!(a.actions[3], Some(Action::ScaleStride));
     }
 
     #[test]
@@ -356,8 +351,8 @@ mod tests {
         )
         .unwrap();
         let a = analyze(&p).unwrap();
-        assert_eq!(a.actions.get(&3), Some(&Action::IndexToMove));
-        assert!(a.pointers.contains(&"a3".parse().unwrap()));
+        assert_eq!(a.actions[3], Some(Action::IndexToMove));
+        assert!(a.is_pointer("a3".parse().unwrap()));
     }
 
     #[test]
@@ -394,8 +389,8 @@ mod tests {
         // 0x2004 looks like an address but is never pointer-used.
         let p = parse_program("li a0, 0x2004\nadd a1, a0, a0\nebreak\n").unwrap();
         let a = analyze(&p).unwrap();
-        assert!(!a.pointers.contains(&"a0".parse().unwrap()));
-        assert!(a.actions.is_empty());
+        assert!(!a.is_pointer("a0".parse().unwrap()));
+        assert!(a.actions.iter().all(Option::is_none));
     }
 
     #[test]
@@ -419,9 +414,9 @@ mod tests {
         .unwrap();
         let a = analyze(&p).unwrap();
         for r in ["a0", "a1", "a2"] {
-            assert!(a.pointers.contains(&r.parse().unwrap()), "{r} is a pointer");
+            assert!(a.is_pointer(r.parse().unwrap()), "{r} is a pointer");
         }
-        assert_eq!(a.actions.get(&4), Some(&Action::ScaleOffset));
+        assert_eq!(a.actions[4], Some(Action::ScaleOffset));
     }
 
     #[test]
@@ -431,8 +426,8 @@ mod tests {
         )
         .unwrap();
         let a = analyze(&p).unwrap();
-        assert_eq!(a.actions.get(&2), Some(&Action::ScaleStride));
-        assert_eq!(a.actions.get(&4), Some(&Action::ScaleStride));
+        assert_eq!(a.actions[2], Some(Action::ScaleStride));
+        assert_eq!(a.actions[4], Some(Action::ScaleStride));
     }
 
     #[test]
@@ -441,7 +436,7 @@ mod tests {
             .unwrap();
         let a = analyze(&p).unwrap();
         assert!(a.uses_sp);
-        assert_eq!(a.actions.get(&0), Some(&Action::ScaleStride));
-        assert_eq!(a.actions.get(&1), Some(&Action::ScaleOffset));
+        assert_eq!(a.actions[0], Some(Action::ScaleStride));
+        assert_eq!(a.actions[1], Some(Action::ScaleOffset));
     }
 }

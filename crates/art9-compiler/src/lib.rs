@@ -231,7 +231,7 @@ pub fn translate_with_options(
     // Link the runtime builtins the program needs, each body tagged
     // with its builtin origin.
     let body_items = out.items.len();
-    for id in out.used_builtins.iter().copied().collect::<Vec<_>>() {
+    for id in std::mem::take(&mut out.used_builtins) {
         out.items.extend(
             builtin_items(id, &mut out.labels)
                 .into_iter()
@@ -251,7 +251,8 @@ pub fn translate_with_options(
     let resolved = resolve(&out.items)?;
 
     // Data image: runtime scratch + converted data words.
-    let mut data = vec![Word9::ZERO; DATA_WORD_BASE as usize];
+    let mut data = Vec::with_capacity(DATA_WORD_BASE as usize + program.data().len());
+    data.resize(DATA_WORD_BASE as usize, Word9::ZERO);
     for (i, w) in program.data().iter().enumerate() {
         let v = *w as i32 as i64;
         let word =
@@ -279,7 +280,7 @@ pub fn translate_with_options(
         art9_builtin_instructions: builtin_instructions,
         redundant_removed: removed,
         data_words: program.data().len(),
-        warnings: out.warnings.clone(),
+        warnings: std::mem::take(&mut out.warnings),
     };
 
     // RV32-index → ART-9-address boundaries (for listings/breakpoints).
@@ -287,8 +288,7 @@ pub fn translate_with_options(
         .map(|k| {
             resolved
                 .addresses
-                .get(&crate::items::Label::Rv(k))
-                .copied()
+                .get(crate::items::Label::Rv(k))
                 .unwrap_or(resolved.text.len())
         })
         .collect();

@@ -77,7 +77,7 @@ impl<'a> Mapper<'a> {
         for (k, instr) in text.iter().enumerate() {
             self.origin = Origin::Rv(k);
             self.emit(Item::Mark(Label::Rv(k)));
-            if self.analysis.actions.get(&k) == Some(&Action::Absorbed) {
+            if self.analysis.actions[k] == Some(Action::Absorbed) {
                 continue;
             }
             self.map_one(k, instr)?;
@@ -246,9 +246,9 @@ impl<'a> Mapper<'a> {
         use Instr::*;
         match instr {
             Lui { rd, imm20 } => {
-                if let Some(Action::AddressPair { word_addr }) = self.analysis.actions.get(&k) {
+                if let Some(Action::AddressPair { word_addr }) = self.analysis.actions[k] {
                     let w = self.dest_phys(*rd);
-                    self.emit_const(w, *word_addr);
+                    self.emit_const(w, word_addr);
                     self.write_from(*rd, w);
                     return Ok(());
                 }
@@ -460,7 +460,7 @@ impl<'a> Mapper<'a> {
     }
 
     fn scaled_offset(&mut self, k: usize, offset: i32) -> Result<i64, CompileError> {
-        match self.analysis.actions.get(&k) {
+        match self.analysis.actions[k] {
             Some(Action::ScaleOffset) => Ok(offset as i64 / 4),
             _ if offset == 0 => Ok(0),
             _ => Err(CompileError::UnalignedAddress {
@@ -504,7 +504,7 @@ impl<'a> Mapper<'a> {
                     self.write_from(rd, w);
                     return Ok(());
                 }
-                let imm = if self.analysis.actions.get(&k) == Some(&Action::ScaleStride) {
+                let imm = if self.analysis.actions[k] == Some(Action::ScaleStride) {
                     imm / 4
                 } else {
                     imm
@@ -544,7 +544,7 @@ impl<'a> Mapper<'a> {
                 self.write_from(rd, w);
             }
             AluOp::Sll => {
-                if self.analysis.actions.get(&k) == Some(&Action::IndexToMove) {
+                if self.analysis.actions[k] == Some(Action::IndexToMove) {
                     // Scaled index: ×4 in bytes is ×1 in words.
                     let w = self.dest_phys(rd);
                     self.read_to(w, rs1);

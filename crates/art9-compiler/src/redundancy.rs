@@ -28,62 +28,58 @@ use crate::items::{Item, Sourced};
 /// between the paired instructions (a label is a potential join point).
 pub fn eliminate(items: &mut Vec<Sourced>) -> usize {
     let before = items.len();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let mut out: Vec<Sourced> = Vec::with_capacity(items.len());
-        for sourced in items.drain(..) {
-            // Pattern 1 & 2: locally dead single instructions.
-            if let Item::Ins(i) = &sourced.item {
-                match i {
-                    Instruction::Mv { a, b } if a == b => {
-                        changed = true;
-                        continue;
-                    }
-                    Instruction::Addi { imm, a } if imm.is_zero() && *a != art9_isa::TReg::T0 => {
-                        // Keep canonical NOPs (ADDI t0, 0) — drop only
-                        // accidental vacuous adds on other registers.
-                        changed = true;
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            // Pairwise patterns against the previous *instruction*
-            // (skip if a mark separates them).
-            if let (Some(Item::Ins(prev)), Item::Ins(cur)) =
-                (out.last().map(|s| &s.item), &sourced.item)
-            {
-                let redundant = match (prev, cur) {
-                    // store r -> slot ; load r <- slot
-                    (
-                        Instruction::Store {
-                            a: sa,
-                            b: sb,
-                            offset: so,
-                        },
-                        Instruction::Load {
-                            a: la,
-                            b: lb,
-                            offset: lo,
-                        },
-                    ) => sa == la && sb == lb && so == lo,
-                    // mv a,b ; mv a,b   /   mv a,b ; mv b,a
-                    (Instruction::Mv { a: pa, b: pb }, Instruction::Mv { a: ca, b: cb }) => {
-                        (pa == ca && pb == cb) || (pa == cb && pb == ca)
-                    }
-                    _ => false,
-                };
-                if redundant {
-                    changed = true;
-                    continue;
-                }
-            }
-            out.push(sourced);
+    // The last kept item, when it is a plain instruction. Each item is
+    // checked against its kept predecessor, so one pass leaves no
+    // redundant pair behind.
+    let mut prev: Option<Instruction> = None;
+    items.retain(|sourced| {
+        let Item::Ins(cur) = sourced.item else {
+            prev = None;
+            return true;
+        };
+        if redundant_alone(&cur) || prev.is_some_and(|p| redundant_after(&p, &cur)) {
+            return false;
         }
-        *items = out;
-    }
+        prev = Some(cur);
+        true
+    });
     before - items.len()
+}
+
+/// Pattern 1 & 2: locally dead single instructions.
+fn redundant_alone(i: &Instruction) -> bool {
+    match i {
+        Instruction::Mv { a, b } => a == b,
+        // Keep canonical NOPs (ADDI t0, 0) — drop only accidental
+        // vacuous adds on other registers.
+        Instruction::Addi { imm, a } => imm.is_zero() && *a != art9_isa::TReg::T0,
+        _ => false,
+    }
+}
+
+/// Patterns 3–5: `cur` undoes or repeats the instruction kept just
+/// before it.
+fn redundant_after(prev: &Instruction, cur: &Instruction) -> bool {
+    match (prev, cur) {
+        // store r -> slot ; load r <- slot
+        (
+            Instruction::Store {
+                a: sa,
+                b: sb,
+                offset: so,
+            },
+            Instruction::Load {
+                a: la,
+                b: lb,
+                offset: lo,
+            },
+        ) => sa == la && sb == lb && so == lo,
+        // mv a,b ; mv a,b   /   mv a,b ; mv b,a
+        (Instruction::Mv { a: pa, b: pb }, Instruction::Mv { a: ca, b: cb }) => {
+            (pa == ca && pb == cb) || (pa == cb && pb == ca)
+        }
+        _ => false,
+    }
 }
 
 #[cfg(test)]
@@ -173,7 +169,8 @@ mod tests {
 
     #[test]
     fn iterates_to_fixpoint() {
-        // mv t3,t3 ; store/load pair around it collapses in two waves.
+        // mv t3,t3 ; store/load pair around it: the load meets the
+        // store once the self-move is gone, in the same pass.
         let mut items = vec![
             store(TReg::T5, 7),
             mv(TReg::T3, TReg::T3),

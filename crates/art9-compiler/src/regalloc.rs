@@ -18,7 +18,7 @@
 //! allocated. Programs needing more than 12 renameable registers are
 //! rejected — loudly, per the framework's no-silent-miscompile rule.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
 
 use art9_isa::TReg;
 use rv32::{Instr, Reg, Rv32Program};
@@ -51,7 +51,8 @@ pub enum Loc {
 /// The renaming decided for one program.
 #[derive(Debug, Clone, Default)]
 pub struct Allocation {
-    map: BTreeMap<Reg, Loc>,
+    /// `map[i]` is where `x<i>` lives, when it appeared in the program.
+    map: [Option<Loc>; 32],
 }
 
 impl Allocation {
@@ -65,30 +66,29 @@ impl Allocation {
         if reg.is_zero() {
             return Loc::Zero;
         }
-        *self
-            .map
-            .get(&reg)
-            .unwrap_or_else(|| panic!("register {reg} was not allocated"))
+        self.map[reg.index()].unwrap_or_else(|| panic!("register {reg} was not allocated"))
     }
 
-    /// Iterates over the decided placements (for reports and tests).
-    pub fn iter(&self) -> impl Iterator<Item = (&Reg, &Loc)> {
-        self.map.iter()
+    /// Iterates over the decided placements in ascending register
+    /// order (for reports and tests).
+    pub fn iter(&self) -> impl Iterator<Item = (Reg, Loc)> + '_ {
+        self.map
+            .iter()
+            .enumerate()
+            .filter_map(|(i, loc)| loc.map(|l| (Reg::from_index(i).expect("32 registers"), l)))
     }
 
     /// Number of directly mapped registers.
     pub fn direct_count(&self) -> usize {
-        self.map
-            .values()
-            .filter(|l| matches!(l, Loc::Direct(_)))
+        self.iter()
+            .filter(|(_, l)| matches!(l, Loc::Direct(_)))
             .count()
     }
 
     /// Number of spilled registers.
     pub fn spill_count(&self) -> usize {
-        self.map
-            .values()
-            .filter(|l| matches!(l, Loc::Spill(_)))
+        self.iter()
+            .filter(|(_, l)| matches!(l, Loc::Spill(_)))
             .count()
     }
 }
@@ -102,37 +102,34 @@ impl Allocation {
 pub fn allocate(program: &Rv32Program) -> Result<Allocation, CompileError> {
     // Usage frequency per register (reads + writes), excluding the
     // fixed-mapping registers.
-    let mut usage: BTreeMap<Reg, usize> = BTreeMap::new();
+    let mut usage = [0usize; 32];
     for i in program.text() {
-        let mut bump = |r: Reg| {
+        for r in i.reads().into_iter().flatten().chain(instr_dest(i)) {
             if !r.is_zero() && r != Reg::RA && r != Reg::SP {
-                *usage.entry(r).or_insert(0) += 1;
+                usage[r.index()] += 1;
             }
-        };
-        for r in i.reads().into_iter().flatten() {
-            bump(r);
-        }
-        if let Some(r) = instr_dest(i) {
-            bump(r);
         }
     }
 
-    let mut by_heat: Vec<(Reg, usize)> = usage.into_iter().collect();
     // Hottest first; ties broken by register number for determinism.
-    by_heat.sort_by_key(|(r, n)| (std::cmp::Reverse(*n), r.index()));
+    let mut by_heat: [(Reverse<usize>, usize); 32] =
+        std::array::from_fn(|i| (Reverse(usage[i]), i));
+    by_heat.sort_unstable();
+    let used = by_heat.iter().take_while(|(Reverse(n), _)| *n > 0);
 
     let direct: [TReg; 4] = [TReg::T3, TReg::T4, TReg::T5, TReg::T6];
-    let mut map = BTreeMap::new();
-    map.insert(Reg::RA, Loc::Direct(TReg::T1));
-    map.insert(Reg::SP, Loc::Direct(TReg::T2));
+    let mut map = [None; 32];
+    map[Reg::RA.index()] = Some(Loc::Direct(TReg::T1));
+    map[Reg::SP.index()] = Some(Loc::Direct(TReg::T2));
 
     let mut overflow = Vec::new();
-    for (k, (reg, _)) in by_heat.iter().enumerate() {
+    for (k, &(_, reg)) in used.enumerate() {
         if k < direct.len() {
-            map.insert(*reg, Loc::Direct(direct[k]));
+            map[reg] = Some(Loc::Direct(direct[k]));
         } else if k < direct.len() + SPILL_SLOTS {
-            map.insert(*reg, Loc::Spill(SPILL_BASE + (k - direct.len()) as i64));
+            map[reg] = Some(Loc::Spill(SPILL_BASE + (k - direct.len()) as i64));
         } else {
+            let reg = Reg::from_index(reg).expect("32 registers");
             overflow.push(reg.abi_name().to_string());
         }
     }
@@ -250,7 +247,7 @@ mod tests {
         let a = allocate(&p).unwrap();
         for (_, loc) in a.iter() {
             if let Loc::Spill(s) = loc {
-                assert!((0..=13).contains(s), "slot {s} reachable via imm3");
+                assert!((0..=13).contains(&s), "slot {s} reachable via imm3");
             }
         }
     }

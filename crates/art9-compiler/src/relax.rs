@@ -12,8 +12,6 @@
 //! Promotion is monotone, so the fixpoint exists and is reached in at
 //! most `items` iterations.
 
-use std::collections::BTreeMap;
-
 use art9_isa::{Instruction, TReg};
 use ternary::{Trits, Word9};
 
@@ -30,11 +28,66 @@ pub struct Resolved {
     /// The final instruction stream.
     pub text: Vec<Instruction>,
     /// Address of every label.
-    pub addresses: BTreeMap<Label, usize>,
+    pub addresses: LabelAddresses,
     /// `origins[a]` is the provenance of `text[a]` — every instruction
     /// a relaxed item expands to inherits that item's origin, so the
     /// map stays exact through short/long form selection.
     pub origins: Vec<Origin>,
+}
+
+/// Label addresses in dense tables: [`Label::Rv`] and [`Label::Local`]
+/// by index, the builtins by id.
+#[derive(Debug, Clone)]
+pub struct LabelAddresses {
+    rv: Vec<Option<usize>>,
+    local: Vec<Option<usize>>,
+    builtin: [Option<usize>; 3],
+}
+
+impl LabelAddresses {
+    /// Tables sized for every label marked in `items`, all unplaced.
+    fn for_items(items: &[Sourced]) -> Self {
+        let (mut rv, mut local) = (0, 0);
+        for sourced in items {
+            match sourced.item {
+                Item::Mark(Label::Rv(k)) => rv = rv.max(k + 1),
+                Item::Mark(Label::Local(n)) => local = local.max(n as usize + 1),
+                _ => {}
+            }
+        }
+        LabelAddresses {
+            rv: vec![None; rv],
+            local: vec![None; local],
+            builtin: [None; 3],
+        }
+    }
+
+    fn slot(&mut self, label: Label) -> &mut Option<usize> {
+        match label {
+            Label::Rv(k) => &mut self.rv[k],
+            Label::Local(n) => &mut self.local[n as usize],
+            Label::Builtin(id) => &mut self.builtin[id as usize],
+        }
+    }
+
+    /// The address of `label`, if it is marked.
+    pub fn get(&self, label: Label) -> Option<usize> {
+        match label {
+            Label::Rv(k) => self.rv.get(k).copied().flatten(),
+            Label::Local(n) => self.local.get(n as usize).copied().flatten(),
+            Label::Builtin(id) => self.builtin[id as usize],
+        }
+    }
+
+    /// The address of a branch or jump target.
+    ///
+    /// # Panics
+    ///
+    /// When no mark places `label` (a mapper bug).
+    fn target(&self, label: Label) -> i64 {
+        self.get(label)
+            .unwrap_or_else(|| panic!("unresolved label {label:?}")) as i64
+    }
 }
 
 /// Lengths chosen for each item in the current relaxation state.
@@ -68,16 +121,16 @@ fn item_len(item: &Item, long: bool) -> usize {
 /// (cannot happen with monotone promotion; kept as a defensive bound).
 pub fn resolve(items: &[Sourced]) -> Result<Resolved, CompileError> {
     let mut long = vec![false; items.len()];
+    let mut addresses = LabelAddresses::for_items(items);
+    let mut item_addr = vec![0; items.len()];
 
     for _round in 0..items.len().max(4) {
         // Lay out under the current length assignment.
         let mut addr = 0usize;
-        let mut addresses: BTreeMap<Label, usize> = BTreeMap::new();
-        let mut item_addr = Vec::with_capacity(items.len());
         for (i, sourced) in items.iter().enumerate() {
-            item_addr.push(addr);
-            if let Item::Mark(l) = &sourced.item {
-                addresses.insert(*l, addr);
+            item_addr[i] = addr;
+            if let Item::Mark(l) = sourced.item {
+                *addresses.slot(l) = Some(addr);
             }
             addr += item_len(&sourced.item, long[i]);
         }
@@ -88,15 +141,12 @@ pub fn resolve(items: &[Sourced]) -> Result<Resolved, CompileError> {
             if long[i] {
                 continue;
             }
-            let (target, reach): (&Label, i64) = match &sourced.item {
+            let (target, reach): (Label, i64) = match sourced.item {
                 Item::Branch { target, .. } => (target, 40),
                 Item::Jump { target, .. } => (target, 121),
                 _ => continue,
             };
-            let t = *addresses
-                .get(target)
-                .unwrap_or_else(|| panic!("unresolved label {target:?}"));
-            let delta = t as i64 - item_addr[i] as i64;
+            let delta = addresses.target(target) - item_addr[i] as i64;
             if delta < -reach || delta > reach {
                 long[i] = true;
                 changed = true;
@@ -105,27 +155,34 @@ pub fn resolve(items: &[Sourced]) -> Result<Resolved, CompileError> {
 
         if !changed {
             // Stable: emit.
-            return Ok(emit(items, &long, &addresses, &item_addr));
+            let (text, origins) = emit(items, &long, &addresses, &item_addr, addr);
+            return Ok(Resolved {
+                text,
+                addresses,
+                origins,
+            });
         }
     }
     Err(CompileError::RelaxationDiverged)
 }
 
+/// Emits the `len` instructions of the final layout and their origins.
 fn emit(
     items: &[Sourced],
     long: &[bool],
-    addresses: &BTreeMap<Label, usize>,
+    addresses: &LabelAddresses,
     item_addr: &[usize],
-) -> Resolved {
-    let mut text = Vec::new();
-    let mut origins = Vec::new();
+    len: usize,
+) -> (Vec<Instruction>, Vec<Origin>) {
+    let mut text = Vec::with_capacity(len);
+    let mut origins = Vec::with_capacity(len);
     for (i, sourced) in items.iter().enumerate() {
         let here = item_addr[i] as i64;
         match &sourced.item {
             Item::Mark(_) => {}
             Item::Ins(ins) => text.push(*ins),
             Item::LabelConst { reg, target } => {
-                let addr = addresses[target] as i64;
+                let addr = addresses.target(*target);
                 let (hi, lo) = art9_isa::asm::split_hi_lo(addr);
                 text.push(Instruction::Lui {
                     a: *reg,
@@ -137,7 +194,7 @@ fn emit(
                 });
             }
             Item::Jump { link, target } => {
-                let t = addresses[target] as i64;
+                let t = addresses.target(*target);
                 if long[i] {
                     emit_long_jump(&mut text, *link, t);
                 } else {
@@ -153,7 +210,7 @@ fn emit(
                 cond,
                 target,
             } => {
-                let t = addresses[target] as i64;
+                let t = addresses.target(*target);
                 if long[i] {
                     // Inverted branch skips the 3-instruction long jump.
                     let skip = Trits::<4>::from_i64(4).expect("4 fits imm4");
@@ -194,11 +251,7 @@ fn emit(
         // Every instruction the item expanded to inherits its origin.
         origins.resize(text.len(), sourced.origin);
     }
-    Resolved {
-        text,
-        addresses: addresses.clone(),
-        origins,
-    }
+    (text, origins)
 }
 
 fn emit_long_jump(text: &mut Vec<Instruction>, link: TReg, target: i64) {
@@ -320,7 +373,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(r.addresses[&Label::Rv(9)], 4);
+        assert_eq!(r.addresses.get(Label::Rv(9)), Some(4));
     }
 
     #[test]

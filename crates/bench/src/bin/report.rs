@@ -255,6 +255,20 @@ fn main() {
     for op in &word_ops {
         println!("  word9/{:<18} {:>8.2} ns/op", op.name, op.ns_per_op);
     }
+    let prep: Vec<perf::PrepTimes> = paper_suite()
+        .iter()
+        .map(|w| perf::measure_prep(w, Duration::from_millis(100)))
+        .collect();
+    println!(
+        "  {:<14} {:>10} {:>10} {:>10} {:>10}  (us per pass)",
+        "workload", "parse", "translate", "predecode", "threaded"
+    );
+    for p in &prep {
+        println!(
+            "  {:<14} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
+            p.workload, p.parse_us, p.translate_us, p.predecode_us, p.threaded_compile_us
+        );
+    }
     let sims: Vec<perf::SimThroughput> = paper_suite()
         .iter()
         .map(|w| perf::measure_sim_throughput(w, Duration::from_millis(150)))
@@ -312,7 +326,7 @@ fn main() {
         println!("  wide/{:<26} {:>8.2} ns/op", op.name, op.ns_per_op);
     }
 
-    let json = perf::bench_json(&word_ops, &sims, &energy_rows, &service, &nn, &wide);
+    let json = perf::bench_json(&word_ops, &prep, &sims, &energy_rows, &service, &nn, &wide);
     std::fs::write("BENCH_ternary.json", &json).expect("write BENCH_ternary.json");
     println!("wrote BENCH_ternary.json");
 }

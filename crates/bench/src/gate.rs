@@ -21,8 +21,9 @@ use std::fmt::Write as _;
 pub const SCHEMA: &str = "art9-bench-ternary/v2";
 
 /// The measurement layers a row may belong to: ternary kernels,
-/// simulator execution, measured energy, the service scheduler.
-pub const LAYERS: [&str; 4] = ["kernel", "execution", "energy", "service"];
+/// program preparation, simulator execution, measured energy, the
+/// service scheduler.
+pub const LAYERS: [&str; 5] = ["kernel", "prep", "execution", "energy", "service"];
 
 /// Which direction of change is an improvement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,6 +440,23 @@ mod tests {
         assert!(ratios
             .iter()
             .all(|r| r.tolerance.is_none() && r.better == Better::Lower));
+        // Four preparation passes per paper workload, reported only.
+        let prep: Vec<_> = baseline()
+            .into_iter()
+            .filter(|r| r.layer == "prep")
+            .collect();
+        let mut names: Vec<&str> = prep.iter().map(|r| r.name.as_str()).collect();
+        names.sort_unstable();
+        let mut expected_prep = Vec::new();
+        for w in ["bubble-sort", "dhrystone", "gemm", "sobel"] {
+            for pass in ["parse", "predecode", "threaded_compile", "translate"] {
+                expected_prep.push(format!("prep/{w}/{pass}_us"));
+            }
+        }
+        assert_eq!(names, expected_prep);
+        assert!(prep
+            .iter()
+            .all(|r| r.tolerance.is_none() && r.better == Better::Lower && r.unit == "us"));
         // The file is exactly the writer's output.
         assert_eq!(render(&baseline()), COMMITTED);
         let r = compare(&baseline(), &baseline());

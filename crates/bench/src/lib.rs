@@ -433,6 +433,65 @@ pub mod perf {
         }
     }
 
+    /// Per-pass program-preparation times for one workload — the
+    /// `prep/*` rows of `BENCH_ternary.json`, named like perfbench's
+    /// per-layer metrics.
+    #[derive(Debug, Clone)]
+    pub struct PrepTimes {
+        /// Workload name.
+        pub workload: &'static str,
+        /// Median µs of `rv32::parse_program` on the workload source.
+        pub parse_us: f64,
+        /// Median µs of `art9_compiler::translate`.
+        pub translate_us: f64,
+        /// Median µs of `PredecodedProgram::new`.
+        pub predecode_us: f64,
+        /// Median µs of the first `build_threaded` on a fresh image
+        /// (which compiles the threaded code).
+        pub threaded_compile_us: f64,
+    }
+
+    /// Measures the four preparation passes of one workload, each timed
+    /// on its own in a chain repeated for roughly `budget`, so every
+    /// pass sees the caches the others leave, as in a real preparation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the workload does not parse or translate.
+    pub fn measure_prep(w: &Workload, budget: Duration) -> PrepTimes {
+        let mut samples: [Vec<f64>; 4] = Default::default();
+        let start = Instant::now();
+        while samples[0].len() < 3 || start.elapsed() < budget {
+            let t0 = Instant::now();
+            let rv = w.rv32_program().expect("workload parses");
+            let t1 = Instant::now();
+            let t = art9_compiler::translate(&rv).expect("workload translates");
+            let t2 = Instant::now();
+            let image = PredecodedProgram::new(&t.program);
+            let t3 = Instant::now();
+            let core = SimBuilder::new(&image).build_threaded();
+            let t4 = Instant::now();
+            black_box(core);
+            for (s, (a, b)) in samples
+                .iter_mut()
+                .zip([(t0, t1), (t1, t2), (t2, t3), (t3, t4)])
+            {
+                s.push((b - a).as_secs_f64() * 1e6);
+            }
+        }
+        let [parse_us, translate_us, predecode_us, threaded_compile_us] = samples.map(|mut s| {
+            s.sort_by(f64::total_cmp);
+            s[s.len() / 2]
+        });
+        PrepTimes {
+            workload: w.name,
+            parse_us,
+            translate_us,
+            predecode_us,
+            threaded_compile_us,
+        }
+    }
+
     /// Scheduler throughput of one in-process service load run — the
     /// `service/*` rows of `BENCH_ternary.json`.
     #[derive(Debug, Clone)]
@@ -563,10 +622,11 @@ pub mod perf {
     /// speedup and `nn-mlp` functional rate (all at 25%), the
     /// scheduler's per-worker rate and the wide-word timings (at 50%:
     /// a threaded scheduler and per-operation timings are noisier on
-    /// shared runners than a whole-simulator loop). Everything else is
-    /// reported only.
+    /// shared runners than a whole-simulator loop). Everything else,
+    /// the per-pass preparation times included, is reported only.
     pub fn bench_json(
         word_ops: &[WordOp],
+        prep: &[PrepTimes],
         sims: &[SimThroughput],
         energy: &[crate::energy::EnergyRow],
         service: &ServicePerf,
@@ -614,6 +674,25 @@ pub mod perf {
                 ("simd_speedup", nn.simd_speedup, "x", Higher, GATED),
             ],
         );
+
+        for p in prep {
+            push(
+                "prep",
+                &format!("prep/{}", p.workload),
+                &[
+                    ("parse_us", p.parse_us, "us", Lower, None),
+                    ("translate_us", p.translate_us, "us", Lower, None),
+                    ("predecode_us", p.predecode_us, "us", Lower, None),
+                    (
+                        "threaded_compile_us",
+                        p.threaded_compile_us,
+                        "us",
+                        Lower,
+                        None,
+                    ),
+                ],
+            );
+        }
 
         for s in sims {
             let w = s.workload;
@@ -796,7 +875,14 @@ pub mod perf {
                     ns_per_op: 42.75,
                 },
             ];
-            let json = bench_json(&ops, &sims, &energy, &service, &nn, &wide);
+            let prep = vec![PrepTimes {
+                workload: "dhrystone",
+                parse_us: 30.5,
+                translate_us: 40.25,
+                predecode_us: 4.5,
+                threaded_compile_us: 9.75,
+            }];
+            let json = bench_json(&ops, &prep, &sims, &energy, &service, &nn, &wide);
             assert!(json.contains("\"schema\": \"art9-bench-ternary/v2\""));
             assert_eq!(
                 json.matches('{').count(),
@@ -820,12 +906,34 @@ pub mod perf {
             assert_eq!(value("service/p99_slice_us"), 210.25);
             assert_eq!(value("nn/simd_speedup"), 8.0);
             assert_eq!(value("wide/real_mul/ns_per_op"), 42.75);
+            assert_eq!(value("prep/dhrystone/parse_us"), 30.5);
+            assert_eq!(value("prep/dhrystone/translate_us"), 40.25);
+            assert_eq!(value("prep/dhrystone/predecode_us"), 4.5);
+            assert_eq!(value("prep/dhrystone/threaded_compile_us"), 9.75);
+            assert!(rows
+                .iter()
+                .filter(|r| r.layer == "prep")
+                .all(|r| r.tolerance.is_none() && r.better == crate::gate::Better::Lower));
             // One workload: three rates, the energy overhead and the
             // energy pair (its two cross-backend ratios are reported
             // only), plus the two NN rows, the scheduler rate and the
             // two wide rows.
             let gated = rows.iter().filter(|r| r.tolerance.is_some()).count();
             assert_eq!(gated, 4 + 2 + 2 + 1 + 2);
+        }
+
+        #[test]
+        fn prep_times_are_positive() {
+            let p = measure_prep(&workloads::dot_product(4), Duration::from_millis(5));
+            assert_eq!(p.workload, "dot-product");
+            for us in [
+                p.parse_us,
+                p.translate_us,
+                p.predecode_us,
+                p.threaded_compile_us,
+            ] {
+                assert!(us > 0.0);
+            }
         }
 
         #[test]

@@ -198,7 +198,8 @@ impl FuzzReport {
         if self.stats.cosim_sync_points > 0 {
             let _ = writeln!(
                 out,
-                "compiler lockstep: {} rv32 instructions, {} art9 instructions, {} sync points",
+                "compiler lockstep: {} rv32 instructions; summed over the functional, threaded \
+                 and pipelined passes: {} art9 instructions, {} sync points",
                 self.stats.cosim_rv32_instructions,
                 self.stats.cosim_art9_instructions,
                 self.stats.cosim_sync_points

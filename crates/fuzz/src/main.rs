@@ -259,7 +259,8 @@ fn replay_one(path: &std::path::Path, oracle: Option<Oracle>) -> ExitCode {
         // fixed budget rather than the campaign's computed bound.
         let divergence = check_compiler_lockstep(&text, 2_000_000, &mut stats);
         println!(
-            "{} rv32 instructions, {} art9 instructions, {} sync points",
+            "{} rv32 instructions; summed over the functional, threaded and pipelined \
+             passes: {} art9 instructions, {} sync points",
             stats.cosim_rv32_instructions, stats.cosim_art9_instructions, stats.cosim_sync_points
         );
         return match divergence {

@@ -230,11 +230,14 @@ pub struct OracleStats {
     /// Cross-backend checkpoint migrations the slice-migrate oracle
     /// performed.
     pub slice_migrate_migrations: u64,
-    /// RV32 instructions the compiler-lockstep oracle retired.
+    /// RV32 instructions the compiler-lockstep oracle retired, once per
+    /// program (its backend passes replay the same RV32 path).
     pub cosim_rv32_instructions: u64,
-    /// ART-9 instructions the compiler-lockstep oracle retired.
+    /// ART-9 instructions the compiler-lockstep oracle retired, summed
+    /// over its functional, threaded and pipelined passes.
     pub cosim_art9_instructions: u64,
-    /// Sync points (RV32-instruction boundaries) compared in full.
+    /// Sync points (RV32-instruction boundaries) compared, summed over
+    /// the same passes.
     pub cosim_sync_points: u64,
 }
 

@@ -93,7 +93,7 @@ proptest! {
             .allocation
             .iter()
             .filter(|(_, loc)| matches!(loc, RegisterLocation::Spill(_)))
-            .map(|(r, _)| *r)
+            .map(|(r, _)| r)
             .collect();
         prop_assert_eq!(spilled.len(), 7);
 

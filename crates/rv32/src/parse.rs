@@ -12,6 +12,7 @@
 //! The memory map is fixed (DESIGN.md §3.3): text at byte 0, data at
 //! [`DATA_BASE`]; `la` materializes absolute data addresses.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::error::Rv32Error;
@@ -83,14 +84,38 @@ impl Rv32Program {
 
 struct Line<'a> {
     number: usize,
-    mnemonic: String,
-    operands: Vec<&'a str>,
+    /// Lowercased; borrowed from the source unless it had uppercase.
+    mnemonic: Cow<'a, str>,
+    /// The operand list as written, split when the line is lowered.
+    operands: &'a str,
     addr: u32,
 }
 
 enum Item<'a> {
     Text(Line<'a>),
-    DataWords(usize, Vec<&'a str>),
+    /// A symbolic `.word` value: (line, index into the data words,
+    /// symbol name), resolved once every label is known.
+    DataSymbol(usize, usize, &'a str),
+}
+
+/// The most operands any mnemonic takes.
+const MAX_OPERANDS: usize = 3;
+
+/// Splits a comma-separated operand list: the first [`MAX_OPERANDS`]
+/// operands (trimmed) and the total count.
+fn split_operands(ops: &str) -> ([&str; MAX_OPERANDS], usize) {
+    let mut out = [""; MAX_OPERANDS];
+    if ops.is_empty() {
+        return (out, 0);
+    }
+    let mut n = 0;
+    for op in ops.split(',') {
+        if let Some(slot) = out.get_mut(n) {
+            *slot = trim(op);
+        }
+        n += 1;
+    }
+    (out, n)
 }
 
 fn err(line: usize, message: impl Into<String>) -> Rv32Error {
@@ -100,26 +125,55 @@ fn err(line: usize, message: impl Into<String>) -> Rv32Error {
     }
 }
 
+/// `str::trim` with a fast path: ASCII whitespace goes byte by byte,
+/// and only an end that is not plainly ASCII (a vertical tab or a
+/// multi-byte character, which may be Unicode whitespace) takes the
+/// general path.
+fn trim(s: &str) -> &str {
+    let t = s.trim_ascii();
+    let plain = |b: Option<&u8>| b.is_none_or(|&b| b.is_ascii() && b != 0x0b);
+    if plain(t.as_bytes().first()) && plain(t.as_bytes().last()) {
+        t
+    } else {
+        t.trim()
+    }
+}
+
+/// `s.find(char::is_whitespace)`, scanning bytes until a possible
+/// multi-byte character.
+fn find_whitespace(s: &str) -> Option<usize> {
+    let i = s
+        .bytes()
+        .position(|b| b.is_ascii_whitespace() || b == 0x0b || !b.is_ascii())?;
+    if s.as_bytes()[i].is_ascii() {
+        Some(i)
+    } else {
+        s[i..].find(char::is_whitespace).map(|j| i + j)
+    }
+}
+
+/// The line up to its first comment marker (`#`, `;` or `//`).
 fn strip_comment(line: &str) -> &str {
-    let mut end = line.len();
-    for marker in ["#", ";", "//"] {
-        if let Some(pos) = line.find(marker) {
-            end = end.min(pos);
+    let bytes = line.as_bytes();
+    for (i, &b) in bytes.iter().enumerate() {
+        if b == b'#' || b == b';' || (b == b'/' && bytes.get(i + 1) == Some(&b'/')) {
+            return &line[..i];
         }
     }
-    &line[..end]
+    line
 }
 
 /// How many instructions a (possibly pseudo) mnemonic expands to.
 ///
 /// `li` is 1 when the constant fits 12 bits signed, otherwise 2
 /// (`lui`+`addi`); `la` is always 2; `call` is 1 (`jal ra`).
-fn expansion_len(mnemonic: &str, operands: &[&str]) -> usize {
+fn expansion_len(mnemonic: &str, operands: &str) -> usize {
     match mnemonic {
         "li" => {
             let v = operands
-                .get(1)
-                .and_then(|s| parse_int(s))
+                .split(',')
+                .nth(1)
+                .and_then(parse_int)
                 .unwrap_or(i64::MAX);
             if (-2048..=2047).contains(&v) {
                 1
@@ -133,7 +187,7 @@ fn expansion_len(mnemonic: &str, operands: &[&str]) -> usize {
 }
 
 fn parse_int(s: &str) -> Option<i64> {
-    let s = s.trim();
+    let s = trim(s);
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         return i64::from_str_radix(hex, 16).ok();
     }
@@ -152,81 +206,88 @@ fn parse_int(s: &str) -> Option<i64> {
 pub fn parse_program(source: &str) -> Result<Rv32Program, Rv32Error> {
     // Pass 1: collect items, assign addresses, build symbol table.
     let mut symbols = BTreeMap::new();
-    let mut items: Vec<Item<'_>> = Vec::new();
+    // Capacity hints: at most one text item per line, and no more data
+    // words than values in `.word` lists, unless `.zero` adds some.
+    let (mut lines, mut commas) = (1, 0);
+    for b in source.bytes() {
+        lines += usize::from(b == b'\n');
+        commas += usize::from(b == b',');
+    }
+    let mut items: Vec<Item<'_>> = Vec::with_capacity(lines);
+    let mut data: Vec<u32> = Vec::with_capacity(lines + commas);
     let mut in_data = false;
     let mut text_addr = 0u32;
-    let mut data_addr = 0u32; // byte offset within the data section
 
     for (lineno, raw) in source.lines().enumerate() {
         let number = lineno + 1;
-        let mut rest = strip_comment(raw).trim();
+        let mut rest = trim(strip_comment(raw));
 
         while let Some(colon) = rest.find(':') {
             let (head, tail) = rest.split_at(colon);
-            let label = head.trim();
+            let label = trim(head);
             if label.is_empty()
                 || !label
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
+                    .bytes()
+                    .all(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'.')
             {
                 break;
             }
             let value = if in_data {
-                DATA_BASE + data_addr
+                DATA_BASE + 4 * data.len() as u32
             } else {
                 text_addr
             };
             if symbols.insert(label.to_string(), value).is_some() {
                 return Err(err(number, format!("label {label:?} defined twice")));
             }
-            rest = tail[1..].trim();
+            rest = trim(&tail[1..]);
         }
         if rest.is_empty() {
             continue;
         }
 
         if let Some(directive) = rest.strip_prefix('.') {
-            let (name, args) = match directive.find(char::is_whitespace) {
-                Some(p) => (&directive[..p], directive[p..].trim()),
+            let (name, args) = match find_whitespace(directive) {
+                Some(p) => (&directive[..p], trim(&directive[p..])),
                 None => (directive, ""),
             };
             match name {
                 "text" => in_data = false,
                 "data" => in_data = true,
                 "word" => {
-                    let vals: Vec<&str> = args.split(',').map(str::trim).collect();
-                    if vals.iter().any(|v| v.is_empty()) {
-                        return Err(err(number, "malformed .word"));
+                    for v in args.split(',').map(trim) {
+                        if v.is_empty() {
+                            return Err(err(number, "malformed .word"));
+                        }
+                        // Numbers land now, symbols once every label is
+                        // known.
+                        let value = parse_int(v).unwrap_or_else(|| {
+                            items.push(Item::DataSymbol(number, data.len(), v));
+                            0
+                        });
+                        data.push(value as u32);
                     }
-                    data_addr += 4 * vals.len() as u32;
-                    items.push(Item::DataWords(number, vals));
                 }
                 "zero" | "space" => {
                     let n: u32 = args.parse().map_err(|_| err(number, "malformed .zero"))?;
                     // .zero counts bytes in GNU as; round up to words.
-                    let words = n.div_ceil(4);
-                    data_addr += 4 * words;
-                    items.push(Item::DataWords(
-                        number,
-                        std::iter::repeat_n("0", words as usize).collect(),
-                    ));
+                    data.resize(data.len() + n.div_ceil(4) as usize, 0);
                 }
                 other => return Err(err(number, format!("unsupported directive .{other}"))),
             }
             continue;
         }
 
-        let (mnemonic, ops_str) = match rest.find(char::is_whitespace) {
-            Some(p) => (&rest[..p], rest[p..].trim()),
+        let (mnemonic, operands) = match find_whitespace(rest) {
+            Some(p) => (&rest[..p], trim(&rest[p..])),
             None => (rest, ""),
         };
-        let operands: Vec<&str> = if ops_str.is_empty() {
-            Vec::new()
+        let mnemonic = if mnemonic.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(mnemonic.to_ascii_lowercase())
         } else {
-            ops_str.split(',').map(str::trim).collect()
+            Cow::Borrowed(mnemonic)
         };
-        let mnemonic = mnemonic.to_ascii_lowercase();
-        let len = expansion_len(&mnemonic, &operands) as u32;
+        let len = expansion_len(&mnemonic, operands) as u32;
         items.push(Item::Text(Line {
             number,
             mnemonic,
@@ -237,17 +298,14 @@ pub fn parse_program(source: &str) -> Result<Rv32Program, Rv32Error> {
     }
 
     // Pass 2: lower.
-    let mut text = Vec::new();
-    let mut data = Vec::new();
+    let mut text = Vec::with_capacity(text_addr as usize / 4);
     for item in items {
         match item {
-            Item::DataWords(line, vals) => {
-                for v in vals {
-                    let value = parse_int(v)
-                        .or_else(|| symbols.get(v).map(|a| *a as i64))
-                        .ok_or_else(|| err(line, format!("bad data value {v:?}")))?;
-                    data.push(value as u32);
-                }
+            Item::DataSymbol(line, index, name) => {
+                let value = symbols
+                    .get(name)
+                    .ok_or_else(|| err(line, format!("bad data value {name:?}")))?;
+                data[index] = *value;
             }
             Item::Text(l) => lower(&l, &symbols, &mut text)?,
         }
@@ -300,13 +358,13 @@ impl Ctx<'_> {
         let close = s
             .rfind(')')
             .ok_or_else(|| err(self.line, format!("expected off(base), got {s:?}")))?;
-        let off_str = s[..open].trim();
+        let off_str = trim(&s[..open]);
         let off = if off_str.is_empty() {
             0
         } else {
             self.value(off_str)? as i32
         };
-        let base = self.reg(s[open + 1..close].trim())?;
+        let base = self.reg(trim(&s[open + 1..close]))?;
         Ok((off, base))
     }
 }
@@ -322,8 +380,7 @@ fn lower(
         symbols,
         addr: l.addr,
     };
-    let ops = &l.operands;
-    let n = ops.len();
+    let (ops, n) = split_operands(l.operands);
     let need = |k: usize| -> Result<(), Rv32Error> {
         if n != k {
             return Err(err(
@@ -403,7 +460,7 @@ fn lower(
         })
     };
 
-    let instr = match l.mnemonic.as_str() {
+    let instr = match &*l.mnemonic {
         // --- real instructions ---------------------------------------
         "lui" => {
             need(2)?;

@@ -94,24 +94,53 @@ impl FromStr for Reg {
     /// Accepts `x<N>` numeric names and all ABI names (plus `fp` for
     /// `s0`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
-        if lower == "fp" {
-            return Ok(Reg(8));
-        }
-        if let Some(rest) = lower.strip_prefix('x') {
+        let bytes = s.as_bytes();
+        if let (Some(b'x' | b'X'), Some(rest)) = (bytes.first(), s.get(1..)) {
             if let Ok(i) = rest.parse::<usize>() {
                 return Reg::from_index(i);
             }
         }
-        ABI_NAMES
-            .iter()
-            .position(|n| *n == lower)
+        let key = name_key(bytes);
+        let index = if key == name_key(b"fp") {
+            Some(8)
+        } else {
+            ABI_KEYS.iter().position(|k| *k == key)
+        };
+        index
             .map(|i| Reg(i as u8))
             .ok_or_else(|| Rv32Error::UnknownRegister {
                 name: s.to_string(),
             })
     }
 }
+
+/// A register name folded to lowercase and packed into one integer:
+/// the length above the (at most four) bytes, so that names compare
+/// with one `==` and no allocation. Longer names get a key no ABI name
+/// has.
+const fn name_key(name: &[u8]) -> u64 {
+    if name.len() > 4 {
+        return u64::MAX;
+    }
+    let mut key = (name.len() as u64) << 32;
+    let mut i = 0;
+    while i < name.len() {
+        key |= (name[i].to_ascii_lowercase() as u64) << (8 * i);
+        i += 1;
+    }
+    key
+}
+
+/// [`name_key`] of every ABI name, by register number.
+const ABI_KEYS: [u64; 32] = {
+    let mut keys = [0; 32];
+    let mut i = 0;
+    while i < 32 {
+        keys[i] = name_key(ABI_NAMES[i].as_bytes());
+        i += 1;
+    }
+    keys
+};
 
 #[cfg(test)]
 mod tests {
