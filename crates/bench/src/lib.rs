@@ -440,20 +440,22 @@ pub mod perf {
     pub struct PrepTimes {
         /// Workload name.
         pub workload: &'static str,
-        /// Median µs of `rv32::parse_program` on the workload source.
+        /// µs of `rv32::parse_program` on the workload source.
         pub parse_us: f64,
-        /// Median µs of `art9_compiler::translate`.
+        /// µs of `art9_compiler::translate`.
         pub translate_us: f64,
-        /// Median µs of `PredecodedProgram::new`.
+        /// µs of `PredecodedProgram::new`.
         pub predecode_us: f64,
-        /// Median µs of the first `build_threaded` on a fresh image
-        /// (which compiles the threaded code).
+        /// µs of the first `build_threaded` on a fresh image (which
+        /// compiles the threaded code).
         pub threaded_compile_us: f64,
     }
 
     /// Measures the four preparation passes of one workload, each timed
     /// on its own in a chain repeated for roughly `budget`, so every
     /// pass sees the caches the others leave, as in a real preparation.
+    /// Each pass reports its fastest chain: host noise only ever slows
+    /// a chain down (the same estimator as the other ledger timings).
     ///
     /// # Panics
     ///
@@ -479,10 +481,8 @@ pub mod perf {
                 s.push((b - a).as_secs_f64() * 1e6);
             }
         }
-        let [parse_us, translate_us, predecode_us, threaded_compile_us] = samples.map(|mut s| {
-            s.sort_by(f64::total_cmp);
-            s[s.len() / 2]
-        });
+        let [parse_us, translate_us, predecode_us, threaded_compile_us] =
+            samples.map(|s| s.into_iter().fold(f64::INFINITY, f64::min));
         PrepTimes {
             workload: w.name,
             parse_us,
