@@ -152,15 +152,18 @@ fn find_whitespace(s: &str) -> Option<usize> {
     }
 }
 
-/// The line up to its first comment marker (`#`, `;` or `//`).
-fn strip_comment(line: &str) -> &str {
+/// The line up to its first comment marker (`#`, `;` or `//`), and
+/// whether that part has a `:` (so may start with labels).
+fn strip_comment(line: &str) -> (&str, bool) {
     let bytes = line.as_bytes();
+    let mut colon = false;
     for (i, &b) in bytes.iter().enumerate() {
         if b == b'#' || b == b';' || (b == b'/' && bytes.get(i + 1) == Some(&b'/')) {
-            return &line[..i];
+            return (&line[..i], colon);
         }
+        colon |= b == b':';
     }
-    line
+    (line, colon)
 }
 
 /// How many instructions a (possibly pseudo) mnemonic expands to.
@@ -220,9 +223,10 @@ pub fn parse_program(source: &str) -> Result<Rv32Program, Rv32Error> {
 
     for (lineno, raw) in source.lines().enumerate() {
         let number = lineno + 1;
-        let mut rest = trim(strip_comment(raw));
+        let (code, has_colon) = strip_comment(raw);
+        let mut rest = trim(code);
 
-        while let Some(colon) = rest.find(':') {
+        while let Some(colon) = has_colon.then(|| rest.find(':')).flatten() {
             let (head, tail) = rest.split_at(colon);
             let label = trim(head);
             if label.is_empty()
