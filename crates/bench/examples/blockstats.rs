@@ -8,8 +8,7 @@
 
 use std::time::Instant;
 
-use art9_bench::translate;
-use art9_sim::{Backend, Budget, Core, PredecodedProgram, SimBuilder};
+use art9_sim::{Backend, Budget, Core, SimBuilder};
 use workloads::paper_suite;
 
 fn time_ns_per_instr(b: &SimBuilder, backend: Backend, instrs: u64) -> f64 {
@@ -53,8 +52,10 @@ fn fusible(a: &str, b: &str) -> bool {
 
 fn main() {
     for w in paper_suite() {
-        let t = translate(&w);
-        let image = PredecodedProgram::new(&t.program);
+        let image = workloads::prepare(&w)
+            .expect("workload parses")
+            .image
+            .expect("workload translates");
         let b = SimBuilder::new(&image);
         let mut sim = b.build_threaded();
         sim.run_for(Budget::Steps(100_000_000)).unwrap();
@@ -63,7 +64,7 @@ fn main() {
 
         // Greedy-fuse each block by mnemonic and count the leftover
         // adjacent pairs — fusion candidates the compiler passes on.
-        let mn: Vec<&str> = t.program.text().iter().map(|i| i.mnemonic()).collect();
+        let mn: Vec<&str> = image.text().iter().map(|i| i.mnemonic()).collect();
         let mut leftovers: std::collections::BTreeMap<(String, String), usize> =
             std::collections::BTreeMap::new();
         for &(start, len) in &blocks {

@@ -11,16 +11,6 @@ pub mod energy;
 pub mod gate;
 pub mod report;
 
-use art9_compiler::Translation;
-use workloads::Workload;
-
-/// Translates a workload to ART-9 (panicking on failure — workloads
-/// are translatable by construction).
-pub fn translate(w: &Workload) -> Translation {
-    let rv = w.rv32_program().expect("workload parses");
-    art9_compiler::translate(&rv).expect("workload translates")
-}
-
 /// DMIPS/MHz from total cycles over `iterations` Dhrystone iterations.
 pub fn dmips_per_mhz(cycles: u64, iterations: usize) -> f64 {
     1.0e6 / (cycles as f64 / iterations as f64 * workloads::DHRYSTONE_DIVISOR)
@@ -42,7 +32,7 @@ pub mod perf {
     use std::time::{Duration, Instant};
 
     use art9_sim::observers::EnergyAccounting;
-    use art9_sim::{Core, PredecodedProgram, SimBuilder};
+    use art9_sim::{Core, SimBuilder};
     use ternary::{arith, Word9};
     use workloads::batch::DEFAULT_MAX_STEPS;
     use workloads::Workload;
@@ -367,8 +357,10 @@ pub mod perf {
     /// Panics when the workload does not translate or a run faults —
     /// the paper workloads are correct by construction.
     pub fn measure_sim_throughput(w: &Workload, budget: Duration) -> SimThroughput {
-        let t = crate::translate(w);
-        let image = PredecodedProgram::new(&t.program);
+        let image = workloads::prepare(w)
+            .expect("workload parses")
+            .image
+            .expect("workload translates");
 
         let builder = SimBuilder::new(&image);
         let mut probe = builder.build_functional();
@@ -435,7 +427,8 @@ pub mod perf {
 
     /// Per-pass program-preparation times for one workload — the
     /// `prep/*` rows of `BENCH_ternary.json`, named like perfbench's
-    /// per-layer metrics.
+    /// per-layer metrics. The first three are the pass times
+    /// [`workloads::prepare`] records.
     #[derive(Debug, Clone)]
     pub struct PrepTimes {
         /// Workload name.
@@ -451,11 +444,13 @@ pub mod perf {
         pub threaded_compile_us: f64,
     }
 
-    /// Measures the four preparation passes of one workload, each timed
-    /// on its own in a chain repeated for roughly `budget`, so every
-    /// pass sees the caches the others leave, as in a real preparation.
-    /// Each pass reports its fastest chain: host noise only ever slows
-    /// a chain down (the same estimator as the other ledger timings).
+    /// Measures the four preparation passes of one workload in a chain
+    /// repeated for roughly `budget`: [`workloads::prepare`] times
+    /// parse, translate and predecode, and the first `build_threaded`
+    /// on its image is timed here. Every pass sees the caches the others
+    /// leave, as in a real preparation. Each pass reports its fastest
+    /// chain: host noise only ever slows a chain down (the same
+    /// estimator as the other ledger timings).
     ///
     /// # Panics
     ///
@@ -464,21 +459,15 @@ pub mod perf {
         let mut samples: [Vec<f64>; 4] = Default::default();
         let start = Instant::now();
         while samples[0].len() < 3 || start.elapsed() < budget {
+            let p = workloads::prepare(w).expect("workload parses");
+            let image = p.image.expect("workload translates");
             let t0 = Instant::now();
-            let rv = w.rv32_program().expect("workload parses");
-            let t1 = Instant::now();
-            let t = art9_compiler::translate(&rv).expect("workload translates");
-            let t2 = Instant::now();
-            let image = PredecodedProgram::new(&t.program);
-            let t3 = Instant::now();
             let core = SimBuilder::new(&image).build_threaded();
-            let t4 = Instant::now();
+            let threaded_compile = t0.elapsed();
             black_box(core);
-            for (s, (a, b)) in samples
-                .iter_mut()
-                .zip([(t0, t1), (t1, t2), (t2, t3), (t3, t4)])
-            {
-                s.push((b - a).as_secs_f64() * 1e6);
+            let passes = [p.parse, p.translate, p.predecode, threaded_compile];
+            for (s, d) in samples.iter_mut().zip(passes) {
+                s.push(d.as_secs_f64() * 1e6);
             }
         }
         let [parse_us, translate_us, predecode_us, threaded_compile_us] =

@@ -163,15 +163,15 @@ impl JobSpec {
         })
     }
 
-    /// Resolves the spec into a shared program image: builds or
-    /// assembles the program, translates workload sources through the
-    /// compiling framework, predecodes once and interns the image in
-    /// `cache`.
+    /// Resolves the spec into a shared program image and interns it in
+    /// `cache`: workloads go through [`workloads::prepare`], the same
+    /// path as a batch; inline sources are assembled and predecoded.
     ///
     /// # Errors
     ///
     /// [`WorkloadError`] exactly as the batch prepare stage would
-    /// report it (unknown names surface as [`WorkloadError::Unavailable`]).
+    /// report it (unknown names and out-of-range sizes surface as
+    /// [`WorkloadError::Unavailable`]).
     pub fn prepare(&self, cache: &ImageCache) -> Result<PreparedJob, WorkloadError> {
         match &self.source {
             JobSource::Workload { name, n, seed } => {
@@ -187,16 +187,7 @@ impl JobSpec {
                     Some(seed) => workload.with_input_seed(*seed),
                     None => workload,
                 };
-                let rv = workload.rv32_program().map_err(|e| WorkloadError::Parse {
-                    workload: name.clone(),
-                    detail: e.to_string(),
-                })?;
-                let translation =
-                    art9_compiler::translate(&rv).map_err(|e| WorkloadError::Translate {
-                        workload: name.clone(),
-                        detail: e.to_string(),
-                    })?;
-                let image = cache.intern(PredecodedProgram::new(&translation.program));
+                let image = cache.intern(workloads::prepare(&workload)?.image?);
                 Ok(PreparedJob {
                     name: workload.name.to_string(),
                     image,

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use art9_sim::observers::EnergyAccounting;
 use art9_sim::{Budget, Core, SimBuilder, SimError};
 use workloads::batch::ExecConfig;
-use workloads::{VerifyError, Workload, WorkloadError};
+use workloads::{Workload, WorkloadError};
 
 use crate::job::PreparedJob;
 use crate::session::{SessionHandle, SessionResult};
@@ -389,14 +389,7 @@ fn run_slice(shared: &Shared, me: usize, mut runnable: Runnable) {
             // inline programs have none.
             if let Some(w) = &runnable.workload {
                 if let Err(e) = w.verify_art9(runnable.core.state()) {
-                    let error = match e.downcast::<VerifyError>() {
-                        Ok(ve) => WorkloadError::Verify(*ve),
-                        Err(e) => WorkloadError::Unavailable {
-                            workload: handle.name.clone(),
-                            detail: format!("verify: {e}"),
-                        },
-                    };
-                    handle.finish_failed(error);
+                    handle.finish_failed(e);
                     return;
                 }
             }

@@ -4,8 +4,8 @@
 //! service: run **many programs × many simulator configurations** in
 //! parallel and fold the per-run statistics into one aggregate report.
 //!
-//! A batch is a cross product: every [`Workload`] is prepared once
-//! (parsed, for ART-9 substrates translated and **predecoded into one
+//! A batch is a cross product: every [`Workload`] is prepared once by
+//! [`crate::prepare`] (parsed, translated and **predecoded into one
 //! shared [`art9_sim::PredecodedProgram`] image**) and then executed
 //! under every [`ExecConfig`] — the simulators of all ART-9 configs
 //! fetch from the same `Arc`'d instruction image instead of copying or
@@ -38,13 +38,12 @@ use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use art9_compiler::Translation;
 use art9_sim::observers::EnergyAccounting;
-use art9_sim::{Backend, PipelineStats, PredecodedProgram, SimBuilder, SimError};
+use art9_sim::{Backend, PipelineStats, SimBuilder, SimError};
 use rayon::prelude::*;
-use rv32::{PicoRv32Model, Rv32Program, VexRiscvModel};
+use rv32::{PicoRv32Model, VexRiscvModel};
 
-use crate::{VerifyError, Workload, WorkloadError};
+use crate::{Prepared, Workload, WorkloadError};
 
 /// Default per-run step/cycle budget (the bench helpers in
 /// `art9-bench` use this same constant).
@@ -153,10 +152,6 @@ impl ExecConfig {
     pub fn is_art9(&self) -> bool {
         self.machine == Machine::Art9
     }
-
-    fn needs_translation(&self) -> bool {
-        self.is_art9()
-    }
 }
 
 impl fmt::Display for ExecConfig {
@@ -188,29 +183,6 @@ impl FromStr for ExecConfig {
     }
 }
 
-/// How one (workload, config) execution ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// Simulation completed and the output region verified.
-    Verified,
-    /// Simulation completed but the output did not match the golden
-    /// reference.
-    VerifyFailed(VerifyError),
-    /// The simulator or the preparation stage reported an error.
-    Error(WorkloadError),
-}
-
-impl RunOutcome {
-    /// The typed error behind a non-verified outcome, if any.
-    pub fn error(&self) -> Option<WorkloadError> {
-        match self {
-            RunOutcome::Verified => None,
-            RunOutcome::VerifyFailed(e) => Some(WorkloadError::Verify(e.clone())),
-            RunOutcome::Error(e) => Some(e.clone()),
-        }
-    }
-}
-
 /// The result of one workload under one configuration.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
@@ -231,8 +203,9 @@ pub struct RunRecord {
     pub energy: Option<EnergyAccounting>,
     /// Host wall-clock time spent simulating (excludes preparation).
     pub host_time: Duration,
-    /// Outcome of the run.
-    pub outcome: RunOutcome,
+    /// `Ok` when the run completed and its output region verified;
+    /// otherwise why not ([`WorkloadError::Verify`] for a mismatch).
+    pub outcome: Result<(), WorkloadError>,
 }
 
 impl RunRecord {
@@ -271,19 +244,16 @@ impl BatchReport {
             .find(|r| r.workload == workload && r.config == config)
     }
 
-    /// Number of runs that did not end in [`RunOutcome::Verified`].
+    /// Number of runs that did not verify.
     pub fn failures(&self) -> usize {
-        self.runs
-            .iter()
-            .filter(|r| r.outcome != RunOutcome::Verified)
-            .count()
+        self.runs.iter().filter(|r| r.outcome.is_err()).count()
     }
 
     /// The first non-verified run's typed error, in workload-major
     /// order ([`None`] when every run verified). This is what
     /// [`BatchRunner::try_run`] surfaces.
     fn first_error(&self) -> Option<WorkloadError> {
-        self.runs.iter().find_map(|r| r.outcome.error())
+        self.runs.iter().find_map(|r| r.outcome.clone().err())
     }
 
     /// Sum of simulated cycles over all timed runs.
@@ -342,9 +312,9 @@ impl BatchReport {
                 .cpi()
                 .map_or_else(|| "-".to_string(), |v| format!("{v:.2}"));
             let outcome = match &r.outcome {
-                RunOutcome::Verified => "ok".to_string(),
-                RunOutcome::VerifyFailed(e) => format!("VERIFY: {e}"),
-                RunOutcome::Error(e) => format!("ERROR: {e}"),
+                Ok(()) => "ok".to_string(),
+                Err(WorkloadError::Verify(e)) => format!("VERIFY: {e}"),
+                Err(e) => format!("ERROR: {e}"),
             };
             let _ = writeln!(
                 out,
@@ -381,36 +351,17 @@ impl BatchReport {
     }
 }
 
-/// A prepared workload: parsed once, translated once, predecoded once,
-/// functionally checked once, shared by every configuration that runs it.
-struct Prepared {
+/// One workload after stage 1: prepared once (every ART-9 config of
+/// the matrix fetches from the same `Arc`'d predecoded image instead of
+/// copying or re-decoding per run) and functionally checked once on
+/// RV32, shared by every configuration that runs it.
+struct Entry {
     workload: Workload,
-    rv: Result<Rv32Program, WorkloadError>,
-    translation: Option<Result<Translation, WorkloadError>>,
-    /// The ART-9 program decoded once into the shared simulator image;
-    /// every ART-9 config of the matrix fetches from this same `Arc`'d
-    /// text instead of copying or re-decoding per run (`None` when no
-    /// ART-9 config is requested or translation failed).
-    predecoded: Option<PredecodedProgram>,
+    prepared: Result<Prepared, WorkloadError>,
     /// Outcome of the single functional RV32 run + verification shared
     /// by every RV32 timing config (`None` when the batch has no RV32
     /// config or the source did not parse).
-    rv_functional: Option<RunOutcome>,
-}
-
-/// Converts a boxed verifier error (either a [`VerifyError`] or an
-/// address fault while reading the output region) into an outcome.
-fn verify_outcome(workload: &str, result: Result<(), Box<dyn std::error::Error>>) -> RunOutcome {
-    match result {
-        Ok(()) => RunOutcome::Verified,
-        Err(e) => match e.downcast::<VerifyError>() {
-            Ok(ve) => RunOutcome::VerifyFailed(*ve),
-            Err(e) => RunOutcome::Error(WorkloadError::Unavailable {
-                workload: workload.to_string(),
-                detail: format!("verify: {e}"),
-            }),
-        },
-    }
+    rv_functional: Option<Result<(), WorkloadError>>,
 }
 
 /// Executes many workloads under many simulator configurations in
@@ -474,8 +425,10 @@ impl BatchRunner {
 
     /// Attaches an [`EnergyAccounting`] observer to every ART-9 run,
     /// so each record carries the measured trit-flip activity of its
-    /// execution (`RunRecord::energy`). Off by default — the observer
-    /// costs one mutex round-trip per retired instruction.
+    /// execution (`RunRecord::energy`). Off by default: counting the
+    /// flips of every retired instruction slows each ART-9 run, although
+    /// the shared handle is locked only once per run, not once per
+    /// instruction.
     pub fn measure_energy(mut self, on: bool) -> Self {
         self.measure_energy = on;
         self
@@ -496,11 +449,10 @@ impl BatchRunner {
     /// Runs the whole workload × config matrix in parallel.
     ///
     /// Never panics on a failing run: errors are captured per record
-    /// as [`RunOutcome::Error`] / [`RunOutcome::VerifyFailed`] so one
-    /// bad program cannot take down a batch.
+    /// as [`RunRecord::outcome`] so one bad program cannot take down a
+    /// batch.
     pub fn run(&self) -> BatchReport {
         let start = Instant::now();
-        let needs_translation = self.configs.iter().any(ExecConfig::needs_translation);
         let needs_rv32 = self.configs.iter().any(|c| !c.is_art9());
         let max_steps = self.max_steps;
 
@@ -516,68 +468,49 @@ impl BatchRunner {
         };
 
         // Stage 1: prepare every workload once, in parallel.
-        let prepared: Vec<(Arc<Prepared>, Duration)> = workloads
+        let entries: Vec<(Arc<Entry>, Duration)> = workloads
             .into_par_iter()
             .map(|w| {
                 let t0 = Instant::now();
-                let rv = w.rv32_program().map_err(|e| WorkloadError::Parse {
-                    workload: w.name.to_string(),
-                    detail: e.to_string(),
-                });
-                let translation =
-                    match (&rv, needs_translation) {
-                        (Ok(p), true) => Some(art9_compiler::translate(p).map_err(|e| {
-                            WorkloadError::Translate {
-                                workload: w.name.to_string(),
-                                detail: e.to_string(),
-                            }
-                        })),
-                        _ => None,
-                    };
-                let predecoded = match &translation {
-                    Some(Ok(t)) => Some(PredecodedProgram::new(&t.program)),
-                    _ => None,
-                };
-                let rv_functional = match (&rv, needs_rv32) {
+                let prepared = crate::prepare(&w);
+                let rv_functional = match (&prepared, needs_rv32) {
                     (Ok(p), true) => {
-                        let mut machine = rv32::Machine::new(p);
+                        let mut machine = rv32::Machine::new(&p.rv32);
                         Some(match machine.run(max_steps) {
-                            Err(e) => RunOutcome::Error(WorkloadError::Rv32 {
+                            Err(e) => Err(WorkloadError::Rv32 {
                                 workload: w.name.to_string(),
                                 detail: e.to_string(),
                             }),
-                            Ok(_) => verify_outcome(w.name, w.verify_rv32(&machine)),
+                            Ok(_) => w.verify_rv32(&machine),
                         })
                     }
                     _ => None,
                 };
-                let p = Arc::new(Prepared {
+                let entry = Arc::new(Entry {
                     workload: w,
-                    rv,
-                    translation,
-                    predecoded,
+                    prepared,
                     rv_functional,
                 });
-                (p, t0.elapsed())
+                (entry, t0.elapsed())
             })
             .collect();
-        let prepare_host_time: Duration = prepared.iter().map(|(_, d)| *d).sum();
-        let prepared: Vec<Arc<Prepared>> = prepared.into_iter().map(|(p, _)| p).collect();
+        let prepare_host_time: Duration = entries.iter().map(|(_, d)| *d).sum();
+        let entries: Vec<Arc<Entry>> = entries.into_iter().map(|(e, _)| e).collect();
 
         // Stage 2: the cross product, in parallel. Records come back in
         // workload-major order, but work is *submitted* config-major so
         // that one heavy workload's runs spread across the contiguous
         // per-thread chunks instead of piling onto a single worker.
         let n_cfg = self.configs.len();
-        let pairs: Vec<(usize, Arc<Prepared>, ExecConfig)> = self
+        let pairs: Vec<(usize, Arc<Entry>, ExecConfig)> = self
             .configs
             .iter()
             .enumerate()
             .flat_map(|(ci, c)| {
-                prepared
+                entries
                     .iter()
                     .enumerate()
-                    .map(move |(wi, p)| (wi * n_cfg + ci, Arc::clone(p), *c))
+                    .map(move |(wi, e)| (wi * n_cfg + ci, Arc::clone(e), *c))
             })
             .collect();
         let measure_energy = self.measure_energy;
@@ -605,7 +538,7 @@ impl BatchRunner {
     ///
     /// # Errors
     ///
-    /// The first run whose outcome was not [`RunOutcome::Verified`].
+    /// The first run whose outcome was not `Ok`.
     pub fn try_run(&self) -> Result<BatchReport, WorkloadError> {
         let report = self.run();
         match report.first_error() {
@@ -616,11 +549,11 @@ impl BatchRunner {
 }
 
 /// Runs one prepared workload under one configuration.
-fn execute(p: &Prepared, config: ExecConfig, max_steps: u64, measure_energy: bool) -> RunRecord {
+fn execute(p: &Entry, config: ExecConfig, max_steps: u64, measure_energy: bool) -> RunRecord {
     let name = p.workload.name;
     // Failure record; `host_time` is whatever the simulator burned
     // before erroring (zero when it never ran).
-    let fail = |outcome: RunOutcome, host_time: Duration| RunRecord {
+    let fail = |error: WorkloadError, host_time: Duration| RunRecord {
         workload: name,
         config,
         cycles: None,
@@ -628,12 +561,12 @@ fn execute(p: &Prepared, config: ExecConfig, max_steps: u64, measure_energy: boo
         pipeline: None,
         energy: None,
         host_time,
-        outcome,
+        outcome: Err(error),
     };
 
-    let rv = match &p.rv {
-        Ok(rv) => rv,
-        Err(e) => return fail(RunOutcome::Error(e.clone()), Duration::ZERO),
+    let prepared = match &p.prepared {
+        Ok(prepared) => prepared,
+        Err(e) => return fail(e.clone(), Duration::ZERO),
     };
 
     match config.machine {
@@ -643,25 +576,14 @@ fn execute(p: &Prepared, config: ExecConfig, max_steps: u64, measure_energy: boo
             // code path serves every ART-9 configuration: construction
             // through SimBuilder, execution through `Core::run`,
             // timing through `Core::pipeline_stats`.
-            let image = match (&p.predecoded, p.translation.as_ref()) {
-                (Some(image), _) => image,
-                (None, Some(Err(e))) => return fail(RunOutcome::Error(e.clone()), Duration::ZERO),
-                _ => {
-                    return fail(
-                        RunOutcome::Error(WorkloadError::Unavailable {
-                            workload: name.to_string(),
-                            detail: "translation unavailable".into(),
-                        }),
-                        Duration::ZERO,
-                    )
-                }
+            let image = match &prepared.image {
+                Ok(image) => image,
+                Err(e) => return fail(e.clone(), Duration::ZERO),
             };
-            let sim_error = |source: SimError| {
-                RunOutcome::Error(WorkloadError::Sim {
-                    workload: name.to_string(),
-                    config: config.name(),
-                    source,
-                })
+            let sim_error = |source: SimError| WorkloadError::Sim {
+                workload: name.to_string(),
+                config: config.name(),
+                source,
             };
             let start = Instant::now();
             let mut builder = SimBuilder::new(image)
@@ -677,7 +599,7 @@ fn execute(p: &Prepared, config: ExecConfig, max_steps: u64, measure_energy: boo
                 Err(e) => return fail(sim_error(e), start.elapsed()),
             };
             let host_time = start.elapsed();
-            let outcome = verify_outcome(name, p.workload.verify_art9(core.state()));
+            let outcome = p.workload.verify_art9(core.state());
             let stats = core.pipeline_stats();
             RunRecord {
                 workload: name,
@@ -693,21 +615,19 @@ fn execute(p: &Prepared, config: ExecConfig, max_steps: u64, measure_energy: boo
         Machine::Rv32PicoRv32 | Machine::Rv32VexRiscv => {
             // The functional run + verification happened once in the
             // prepare stage; here only the requested cycle model runs.
-            let outcome = match &p.rv_functional {
-                Some(o) => o.clone(),
-                None => {
-                    return fail(
-                        RunOutcome::Error(WorkloadError::Unavailable {
-                            workload: name.to_string(),
-                            detail: "rv32 functional check unavailable".into(),
-                        }),
-                        Duration::ZERO,
-                    )
+            // A mismatch still gets its cycle count; any other failure
+            // has none.
+            let functional = p
+                .rv_functional
+                .as_ref()
+                .expect("stage 1 runs the RV32 check when the batch has an RV32 config");
+            let outcome = match functional {
+                Err(e) if !matches!(e, WorkloadError::Verify(_)) => {
+                    return fail(e.clone(), Duration::ZERO)
                 }
+                o => o.clone(),
             };
-            if matches!(outcome, RunOutcome::Error(_)) {
-                return fail(outcome, Duration::ZERO);
-            }
+            let rv = &prepared.rv32;
             let start = Instant::now();
             let timing = match config.machine {
                 Machine::Rv32PicoRv32 => {
@@ -719,10 +639,10 @@ fn execute(p: &Prepared, config: ExecConfig, max_steps: u64, measure_energy: boo
                 Ok(r) => r,
                 Err(e) => {
                     return fail(
-                        RunOutcome::Error(WorkloadError::Rv32 {
+                        WorkloadError::Rv32 {
                             workload: name.to_string(),
                             detail: e.to_string(),
-                        }),
+                        },
                         start.elapsed(),
                     )
                 }
@@ -891,9 +811,9 @@ mod tests {
         assert_eq!(report.failures(), 1);
         assert!(matches!(
             report.runs[0].outcome,
-            RunOutcome::Error(WorkloadError::Parse { .. })
+            Err(WorkloadError::Parse { .. })
         ));
-        assert_eq!(report.runs[1].outcome, RunOutcome::Verified);
+        assert_eq!(report.runs[1].outcome, Ok(()));
     }
 
     #[test]
@@ -999,7 +919,7 @@ mod tests {
             pipeline: None,
             energy: None,
             host_time: Duration::ZERO,
-            outcome: RunOutcome::Verified,
+            outcome: Ok(()),
         };
         assert_eq!(r.cpi(), None);
     }

@@ -22,6 +22,10 @@
 //! w.verify_art9(sim.state())?; // same values, word-addressed TDM
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+//!
+//! [`prepare`] is the one path from a workload to a runnable ART-9
+//! image, and [`WorkloadError`] the one type for every way a workload
+//! fails, from parsing to verification.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,8 +46,9 @@ pub use error::WorkloadError;
 use std::error::Error;
 use std::fmt;
 use std::ops::RangeInclusive;
+use std::time::{Duration, Instant};
 
-use art9_sim::CoreState;
+use art9_sim::{CoreState, PredecodedProgram};
 use rv32::{Machine, Rv32Error, Rv32Program};
 
 pub use assoc::{assoc_match, assoc_match_seeded};
@@ -159,22 +164,13 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// [`VerifyError`] on the first mismatching word; [`Rv32Error`] on
-    /// an unreadable address.
-    pub fn verify_rv32(&self, machine: &Machine) -> Result<(), Box<dyn Error>> {
-        for (i, expected) in self.expected.iter().enumerate() {
+    /// [`WorkloadError::Verify`] on the first mismatching word;
+    /// [`WorkloadError::Unavailable`] on an unreadable address.
+    pub fn verify_rv32(&self, machine: &Machine) -> Result<(), WorkloadError> {
+        self.verify(|i| {
             let addr = rv32::DATA_BASE + (self.output_offset + 4 * i) as u32;
-            let found = machine.load_word(addr)? as i32 as i64;
-            if found != *expected {
-                return Err(Box::new(VerifyError {
-                    workload: self.name,
-                    index: i,
-                    expected: *expected,
-                    found,
-                }));
-            }
-        }
-        Ok(())
+            machine.load_word(addr).map(|w| w as i32 as i64)
+        })
     }
 
     /// Checks the output region in ART-9 data memory (word-addressed,
@@ -182,17 +178,31 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// [`VerifyError`] on the first mismatching word.
-    pub fn verify_art9(&self, state: &CoreState) -> Result<(), Box<dyn Error>> {
-        for (i, expected) in self.expected.iter().enumerate() {
+    /// [`WorkloadError::Verify`] on the first mismatching word;
+    /// [`WorkloadError::Unavailable`] on an unreadable address.
+    pub fn verify_art9(&self, state: &CoreState) -> Result<(), WorkloadError> {
+        self.verify(|i| {
             let word =
                 art9_compiler::analysis::DATA_WORD_BASE as usize + self.output_offset / 4 + i;
-            let found = state.tdm.read(word)?.to_i64();
-            if found != *expected {
-                return Err(Box::new(VerifyError {
+            state.tdm.read(word).map(|w| w.to_i64())
+        })
+    }
+
+    /// Compares each expected output word with `read(index)`.
+    fn verify<E: fmt::Display>(
+        &self,
+        read: impl Fn(usize) -> Result<i64, E>,
+    ) -> Result<(), WorkloadError> {
+        for (index, &expected) in self.expected.iter().enumerate() {
+            let found = read(index).map_err(|e| WorkloadError::Unavailable {
+                workload: self.name.to_string(),
+                detail: format!("verify: {e}"),
+            })?;
+            if found != expected {
+                return Err(WorkloadError::Verify(VerifyError {
                     workload: self.name,
-                    index: i,
-                    expected: *expected,
+                    index,
+                    expected,
                     found,
                 }));
             }
@@ -228,6 +238,61 @@ impl Workload {
             Some(Generator::Fibonacci { .. }) | None => self.clone(),
         }
     }
+}
+
+/// A workload made runnable by [`prepare`]: the parsed RV32 program,
+/// the predecoded ART-9 image, and the host time of each pass.
+#[derive(Debug)]
+pub struct Prepared {
+    /// The parsed RV32 program, for `rv32::Machine` and its cycle models.
+    pub rv32: Rv32Program,
+    /// The translated program predecoded into the shared simulator
+    /// image, or the [`WorkloadError::Translate`] that stopped it
+    /// (which leaves [`Prepared::rv32`] usable).
+    pub image: Result<PredecodedProgram, WorkloadError>,
+    /// Host time of `rv32::parse_program`.
+    pub parse: Duration,
+    /// Host time of `art9_compiler::translate`, failed or not.
+    pub translate: Duration,
+    /// Host time of `PredecodedProgram::new` (zero when translation
+    /// failed).
+    pub predecode: Duration,
+}
+
+/// Parses, translates and predecodes `w`: the one path from a workload
+/// to a runnable image, shared by the batch driver, the `art9-service`
+/// job schema and the preparation timings of the host ledger. The
+/// threaded code is compiled later, by the image's first
+/// `build_threaded`.
+///
+/// # Errors
+///
+/// [`WorkloadError::Parse`] when the source does not parse. A
+/// translation failure is not an error here: it is the image's.
+pub fn prepare(w: &Workload) -> Result<Prepared, WorkloadError> {
+    let t0 = Instant::now();
+    let rv32 = w.rv32_program().map_err(|e| WorkloadError::Parse {
+        workload: w.name.to_string(),
+        detail: e.to_string(),
+    })?;
+    let t1 = Instant::now();
+    let translation = art9_compiler::translate(&rv32);
+    let t2 = Instant::now();
+    let image = translation
+        .as_ref()
+        .map(|t| PredecodedProgram::new(&t.program));
+    let t3 = Instant::now();
+    let image = image.map_err(|e| WorkloadError::Translate {
+        workload: w.name.to_string(),
+        detail: e.to_string(),
+    });
+    Ok(Prepared {
+        rv32,
+        image,
+        parse: t1 - t0,
+        translate: t2 - t1,
+        predecode: t3 - t2,
+    })
 }
 
 /// Dhrystone iteration count the paper suite runs (Tables II/III);
@@ -285,10 +350,11 @@ const SIZED: [(&str, usize, RangeInclusive<usize>, Constructor); 7] = [
 /// by exactly the range the workload's constructor accepts, so a
 /// remote job cannot request an image that overflows the default TDM
 /// or the 9-trit word range; `None` picks the paper's defaults.
-/// Returns `None` for unknown names or out-of-range sizes.
+/// Returns `None` for unknown names or out-of-range sizes (`sobel` has
+/// a fixed image, so it admits no size at all).
 pub fn by_name(name: &str, n: Option<usize>) -> Option<Workload> {
     if name == "sobel" {
-        return Some(sobel());
+        return n.is_none().then(sobel);
     }
     let (_, default, sizes, build) = SIZED.iter().find(|entry| entry.0 == name)?;
     let n = n.unwrap_or(*default);
@@ -361,6 +427,9 @@ mod tests {
             assert!(by_name(name, Some(sizes.start() - 1)).is_none(), "{name}");
             assert!(by_name(name, Some(sizes.end() + 1)).is_none(), "{name}");
         }
+        // Sobel's image is fixed: any size is refused.
+        assert!(by_name("sobel", Some(8)).is_none());
+        assert!(by_name("sobel", Some(999)).is_none());
     }
 
     #[test]
