@@ -54,7 +54,7 @@ use ternary::{TernaryMemory, Word9};
 use crate::core::Backend;
 use crate::error::SimError;
 use crate::functional::{CoreState, HaltReason};
-use crate::pipeline::{ExMem, Fetched, IdEx, MemWb};
+use crate::pipeline::{ExMem, IdEx, MemWb};
 use crate::stats::PipelineStats;
 
 /// First line of the text serialization (version-gated).
@@ -71,17 +71,35 @@ pub(crate) enum Micro {
     Pipelined(Box<PipelineMicro>),
 }
 
-/// The pipelined backend's complete microarchitectural state.
+/// The pipelined backend's complete microarchitectural state. Each
+/// occupied latch is stored with the instruction it carries (the core
+/// itself keeps only the PC), so the text format can write it and a
+/// restore can check it against the program.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PipelineMicro {
     pub fetch_pc: usize,
     pub halting: Option<HaltReason>,
     pub forwarding: bool,
     pub stats: PipelineStats,
-    pub if_id: Option<Fetched>,
-    pub id_ex: Option<IdEx>,
-    pub ex_mem: Option<ExMem>,
-    pub mem_wb: Option<MemWb>,
+    /// IF/ID: the fetched instruction and its PC.
+    pub if_id: Option<(Instruction, usize)>,
+    pub id_ex: Option<(Instruction, IdEx)>,
+    pub ex_mem: Option<(Instruction, ExMem)>,
+    pub mem_wb: Option<(Instruction, MemWb)>,
+}
+
+impl PipelineMicro {
+    /// Every occupied latch: its name, PC and instruction.
+    pub(crate) fn latches(&self) -> impl Iterator<Item = (&'static str, usize, Instruction)> {
+        [
+            self.if_id.map(|(i, pc)| ("if-id", pc, i)),
+            self.id_ex.map(|(i, e)| ("id-ex", e.pc, i)),
+            self.ex_mem.map(|(i, x)| ("ex-mem", x.pc, i)),
+            self.mem_wb.map(|(i, w)| ("mem-wb", w.pc, i)),
+        ]
+        .into_iter()
+        .flatten()
+    }
 }
 
 /// A complete, serializable execution checkpoint capturing the
@@ -171,20 +189,20 @@ impl Checkpoint {
                     None => {
                         let _ = writeln!(out, "if-id none");
                     }
-                    Some(f) => {
-                        let _ = writeln!(out, "if-id {} {}", f.pc, instr_word(&f.instr));
+                    Some((instr, pc)) => {
+                        let _ = writeln!(out, "if-id {pc} {}", instr_word(instr));
                     }
                 }
                 match &m.id_ex {
                     None => {
                         let _ = writeln!(out, "id-ex none");
                     }
-                    Some(e) => {
+                    Some((instr, e)) => {
                         let _ = writeln!(
                             out,
                             "id-ex {} {} {} {}",
                             e.pc,
-                            instr_word(&e.instr),
+                            instr_word(instr),
                             e.a_val.to_i64(),
                             e.b_val.to_i64()
                         );
@@ -194,12 +212,12 @@ impl Checkpoint {
                     None => {
                         let _ = writeln!(out, "ex-mem none");
                     }
-                    Some(x) => {
+                    Some((instr, x)) => {
                         let _ = writeln!(
                             out,
                             "ex-mem {} {} {} {}",
                             x.pc,
-                            instr_word(&x.instr),
+                            instr_word(instr),
                             x.result.to_i64(),
                             x.store_val.to_i64()
                         );
@@ -209,12 +227,12 @@ impl Checkpoint {
                     None => {
                         let _ = writeln!(out, "mem-wb none");
                     }
-                    Some(w) => {
+                    Some((instr, w)) => {
                         let _ = writeln!(
                             out,
                             "mem-wb {} {} {}",
                             w.pc,
-                            instr_word(&w.instr),
+                            instr_word(instr),
                             w.value.to_i64()
                         );
                     }
@@ -299,34 +317,31 @@ impl Checkpoint {
                     taken_transfers: parse_num(&sv[5])?,
                     untaken_branches: parse_num(&sv[6])?,
                 };
-                let if_id = fields.latch("if-id", 2)?.map(|v| {
-                    Ok::<_, SimError>(Fetched {
-                        pc: parse_num(&v[0])?,
-                        instr: parse_instr(&v[1])?,
-                    })
-                });
+                let if_id = fields
+                    .latch("if-id", 2)?
+                    .map(|v| Ok::<_, SimError>((parse_instr(&v[1])?, parse_num(&v[0])?)));
                 let id_ex = fields.latch("id-ex", 4)?.map(|v| {
-                    Ok::<_, SimError>(IdEx {
+                    let latch = IdEx {
                         pc: parse_num(&v[0])?,
-                        instr: parse_instr(&v[1])?,
                         a_val: parse_word(&v[2])?,
                         b_val: parse_word(&v[3])?,
-                    })
+                    };
+                    Ok::<_, SimError>((parse_instr(&v[1])?, latch))
                 });
                 let ex_mem = fields.latch("ex-mem", 4)?.map(|v| {
-                    Ok::<_, SimError>(ExMem {
+                    let latch = ExMem {
                         pc: parse_num(&v[0])?,
-                        instr: parse_instr(&v[1])?,
                         result: parse_word(&v[2])?,
                         store_val: parse_word(&v[3])?,
-                    })
+                    };
+                    Ok::<_, SimError>((parse_instr(&v[1])?, latch))
                 });
                 let mem_wb = fields.latch("mem-wb", 3)?.map(|v| {
-                    Ok::<_, SimError>(MemWb {
+                    let latch = MemWb {
                         pc: parse_num(&v[0])?,
-                        instr: parse_instr(&v[1])?,
                         value: parse_word(&v[2])?,
-                    })
+                    };
+                    Ok::<_, SimError>((parse_instr(&v[1])?, latch))
                 });
                 Micro::Pipelined(Box::new(PipelineMicro {
                     fetch_pc,
@@ -419,18 +434,8 @@ impl Checkpoint {
                 if m.fetch_pc > text_len {
                     return Err(past_end("fetch pc", m.fetch_pc));
                 }
-                let latches = [
-                    m.if_id.map(|f| ("if-id", f.pc)),
-                    m.id_ex.map(|e| ("id-ex", e.pc)),
-                    m.ex_mem.map(|x| ("ex-mem", x.pc)),
-                    m.mem_wb.map(|w| ("mem-wb", w.pc)),
-                ];
-                match latches
-                    .into_iter()
-                    .flatten()
-                    .find(|&(_, pc)| pc >= text_len)
-                {
-                    Some((latch, pc)) => Err(past_end(&format!("{latch} latch pc"), pc)),
+                match m.latches().find(|&(_, pc, _)| pc >= text_len) {
+                    Some((latch, pc, _)) => Err(past_end(&format!("{latch} latch pc"), pc)),
                     None => Ok(()),
                 }
             }
@@ -659,6 +664,43 @@ mod tests {
         let mut fresh = builder.build();
         fresh.restore(&end).unwrap();
         assert!(fresh.run_for(Budget::Steps(100)).unwrap().halt.is_some());
+    }
+
+    #[test]
+    fn restore_rejects_a_latch_word_the_program_does_not_hold() {
+        let p = assemble("LI t3, 1\nADDI t3, 1\nADDI t3, 1\nADDI t3, 1\nJAL t0, 0\n").unwrap();
+        let builder = SimBuilder::new(&p).backend(Backend::Pipelined);
+        let mut core = builder.build();
+        core.run_for(Budget::Steps(3)).unwrap();
+        let text = core.snapshot().to_text();
+
+        // Swap the ID/EX word (pc 1, `ADDI t3, 1`) for `LUI t3, 13`.
+        let lui = encode(&assemble("LUI t3, 13").unwrap().text()[0]).to_i64();
+        let forged: String = text
+            .lines()
+            .map(|l| match l.strip_prefix("id-ex ") {
+                Some(rest) => {
+                    let v: Vec<&str> = rest.split(' ').collect();
+                    assert_eq!(v[0], "1", "ADDI sits in ID/EX after 3 cycles");
+                    format!("id-ex {} {lui} {} {}\n", v[0], v[2], v[3])
+                }
+                None => format!("{l}\n"),
+            })
+            .collect();
+        assert_ne!(forged, text);
+        let forged = Checkpoint::from_text(&forged).expect("well-formed text");
+        let mut fresh = builder.build();
+        let err = fresh.restore(&forged).expect_err("forged latch word");
+        assert!(matches!(err, SimError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("id-ex"), "{err}");
+
+        // The genuine checkpoint restores and finishes the program.
+        let mut resumed = builder.build();
+        resumed
+            .restore(&Checkpoint::from_text(&text).unwrap())
+            .unwrap();
+        resumed.run_for(Budget::Steps(100)).unwrap();
+        assert_eq!(resumed.state().reg(art9_isa::TReg::T3).to_i64(), 4);
     }
 
     #[test]

@@ -39,17 +39,49 @@ use crate::predecode::PredecodedProgram;
 use crate::stats::PipelineStats;
 use crate::trace::{CycleTrace, StageSnapshot};
 
-/// An instruction in flight, with the address it was fetched from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Fetched {
-    pub(crate) instr: Instruction,
-    pub(crate) pc: usize,
+/// [`Hazard::dest`] of an instruction that writes no register.
+const NO_DEST: u8 = 9;
+/// [`Hazard::src`] of an unused source slot. It differs from
+/// [`NO_DEST`], so an empty slot never matches an empty destination
+/// and every comparison below needs no `Option`.
+const NO_SRC: u8 = 10;
+
+/// What the hazard detection unit and the forwarding muxes need to
+/// know about one TIM word. [`PredecodedProgram`] holds one row per
+/// PC, so the pipeline latches carry PCs, not instructions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Hazard {
+    /// Index of the register written, or [`NO_DEST`].
+    dest: u8,
+    /// `[Ta, Tb]` source slots ([`Instruction::sources`]): register
+    /// indices, or [`NO_SRC`].
+    src: [u8; 2],
+    /// [`Instruction::opcode`], for the instruction mix.
+    opcode: u8,
+    load: bool,
+    store: bool,
+    control: bool,
+}
+
+impl Hazard {
+    /// The hazard row of `instr`.
+    pub(crate) fn of(instr: &Instruction) -> Self {
+        let index = |reg: Option<TReg>, none| reg.map_or(none, |r| r.index() as u8);
+        let [a, b] = instr.sources();
+        Self {
+            dest: index(instr.writes(), NO_DEST),
+            src: [index(a, NO_SRC), index(b, NO_SRC)],
+            opcode: instr.opcode() as u8,
+            load: matches!(instr, Instruction::Load { .. }),
+            store: matches!(instr, Instruction::Store { .. }),
+            control: instr.is_control_flow(),
+        }
+    }
 }
 
 /// ID/EX pipeline register payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct IdEx {
-    pub(crate) instr: Instruction,
     pub(crate) pc: usize,
     pub(crate) a_val: Word9,
     pub(crate) b_val: Word9,
@@ -58,7 +90,6 @@ pub(crate) struct IdEx {
 /// EX/MEM pipeline register payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ExMem {
-    pub(crate) instr: Instruction,
     pub(crate) pc: usize,
     /// ALU result, spliced immediate, link value, or effective address.
     pub(crate) result: Word9,
@@ -69,7 +100,6 @@ pub(crate) struct ExMem {
 /// MEM/WB pipeline register payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct MemWb {
-    pub(crate) instr: Instruction,
     pub(crate) pc: usize,
     pub(crate) value: Word9,
 }
@@ -117,9 +147,11 @@ struct WbCarry {
 pub struct PipelinedSim {
     text: Arc<[Instruction]>,
     links: Arc<[Word9]>,
+    hazards: Arc<[Hazard]>,
     state: CoreState,
     fetch_pc: usize,
-    if_id: Option<Fetched>,
+    /// IF/ID: the PC of the fetched word awaiting decode.
+    if_id: Option<usize>,
     id_ex: Option<IdEx>,
     ex_mem: Option<ExMem>,
     mem_wb: Option<MemWb>,
@@ -146,6 +178,7 @@ impl PipelinedSim {
         Self {
             text: image.text_arc(),
             links: image.links_arc(),
+            hazards: image.hazards(),
             state: CoreState::with_image(image.data(), tdm_words),
             fetch_pc: 0,
             if_id: None,
@@ -163,42 +196,24 @@ impl PipelinedSim {
         }
     }
 
-    /// Moves a decoded instruction into the ID/EX register.
-    fn issue(&mut self, fetched: Fetched, a_val: Word9, b_val: Word9) {
-        self.id_ex = Some(IdEx {
-            instr: fetched.instr,
-            pc: fetched.pc,
-            a_val,
-            b_val,
-        });
-        self.if_id = None;
-    }
-
-    /// Appends this cycle's stage occupancy to the trace buffer; a
-    /// no-op (no snapshot is built) when tracing is off.
-    fn record_trace(&mut self) {
-        let Some(trace) = &mut self.trace else {
-            return;
+    /// Appends this cycle's stage occupancy to the trace buffer (the
+    /// step body calls it only when tracing is on).
+    #[cold]
+    fn push_trace(&mut self) {
+        let snap = |pc: usize| StageSnapshot {
+            pc,
+            instr: self.text[pc],
         };
-        trace.push(CycleTrace {
+        let cycle = CycleTrace {
             cycle: self.stats.cycles,
-            if_stage: self.if_id.map(|f| StageSnapshot {
-                pc: f.pc,
-                instr: f.instr,
-            }),
-            ex_stage: self.id_ex.map(|e| StageSnapshot {
-                pc: e.pc,
-                instr: e.instr,
-            }),
-            mem_stage: self.ex_mem.map(|m| StageSnapshot {
-                pc: m.pc,
-                instr: m.instr,
-            }),
-            wb_stage: self.mem_wb.map(|w| StageSnapshot {
-                pc: w.pc,
-                instr: w.instr,
-            }),
-        });
+            if_stage: self.if_id.map(snap),
+            ex_stage: self.id_ex.map(|e| snap(e.pc)),
+            mem_stage: self.ex_mem.map(|m| snap(m.pc)),
+            wb_stage: self.mem_wb.map(|w| snap(w.pc)),
+        };
+        if let Some(trace) = &mut self.trace {
+            trace.push(cycle);
+        }
     }
 }
 
@@ -210,6 +225,10 @@ impl SinkStep for PipelinedSim {
     /// One step of the pipelined backend is one **clock cycle**;
     /// `Some(reason)` once the pipeline has fully drained after a halt
     /// condition.
+    ///
+    /// Hazards and forwarding read the per-PC [`Hazard`] rows; the
+    /// instruction itself is read only where its semantics are needed
+    /// (the TALU in EX, the branch target in ID, observer events).
     fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
         if let Some(reason) = self.halted {
             return Ok(Some(reason));
@@ -220,22 +239,25 @@ impl SinkStep for PipelinedSim {
         let old_id_ex = self.id_ex;
         let old_ex_mem = self.ex_mem;
         let old_mem_wb = self.mem_wb;
+        let forwarding = self.forwarding;
+        let hazards = &*self.hazards;
 
         // ---- WB ------------------------------------------------------
         // Synchronous TRF write; write-through makes the value visible
         // to ID in this same cycle.
         let carry = self.wb_carry.take();
-        let wb_done: Option<(TReg, Word9)> = if let Some(wb) = old_mem_wb {
+        let (wb_dest, wb_value) = if let Some(wb) = old_mem_wb {
+            let h = hazards[wb.pc];
             self.stats.instructions += 1;
-            self.mix[wb.instr.opcode()] += 1;
-            let dest = wb.instr.writes();
-            let old_reg = if E::ON {
-                dest.map(|d| self.state.reg(d))
+            self.mix[h.opcode as usize] += 1;
+            let dest = usize::from(h.dest);
+            let old_reg = if E::ON && h.dest != NO_DEST {
+                self.state.trf[dest]
             } else {
-                None
+                Word9::ZERO
             };
-            if let Some(d) = dest {
-                self.state.set_reg(d, wb.value);
+            if h.dest != NO_DEST {
+                self.state.trf[dest] = wb.value;
             }
             if E::ON {
                 // A restore mid-flight clears the carry; fall back to the
@@ -244,81 +266,77 @@ impl SinkStep for PipelinedSim {
                     bus: wb.value,
                     mem: None,
                 });
+                let instr = self.text[wb.pc];
                 sink.writeback(&Writeback {
                     pc: wb.pc,
-                    instr: wb.instr,
-                    reg: dest.map(|d| RegWrite {
-                        reg: d,
-                        old: old_reg.expect("captured above"),
-                        new: self.state.reg(d),
+                    instr,
+                    reg: instr.writes().map(|reg| RegWrite {
+                        reg,
+                        old: old_reg,
+                        new: wb.value,
                     }),
                     mem: carry.mem,
                     bus: carry.bus,
                 });
-                sink.retire(wb.pc, &wb.instr, &self.state);
+                sink.retire(wb.pc, &instr, &self.state);
             }
-            dest.map(|d| (d, wb.value))
+            (h.dest, wb.value)
         } else {
-            None
+            (NO_DEST, Word9::ZERO)
         };
         self.mem_wb = None;
 
         // ---- MEM -----------------------------------------------------
         if let Some(mem) = old_ex_mem {
+            let h = hazards[mem.pc];
             let mut mem_write = None;
-            let value = match mem.instr {
-                Instruction::Load { .. } => {
-                    let v = self
-                        .state
-                        .tdm
-                        .read_word_addr(mem.result)
-                        .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
-                    if E::ON {
-                        let address = self.state.tdm.resolve(mem.result).expect("read succeeded");
-                        sink.memory(&MemoryAccess {
-                            pc: mem.pc,
-                            address,
-                            value: v,
-                            is_write: false,
-                        });
-                    }
-                    v
+            let value = if h.load {
+                let v = self
+                    .state
+                    .tdm
+                    .read_word_addr(mem.result)
+                    .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
+                if E::ON {
+                    let address = self.state.tdm.resolve(mem.result).expect("read succeeded");
+                    sink.memory(&MemoryAccess {
+                        pc: mem.pc,
+                        address,
+                        value: v,
+                        is_write: false,
+                    });
                 }
-                Instruction::Store { .. } => {
-                    // Old cell value, read before the write so the write
-                    // itself still produces the canonical fault.
-                    let old_cell = if E::ON {
-                        self.state.tdm.read_word_addr(mem.result).ok()
-                    } else {
-                        None
-                    };
-                    self.state
-                        .tdm
-                        .write_word_addr(mem.result, mem.store_val)
-                        .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
-                    if E::ON {
-                        let address = self.state.tdm.resolve(mem.result).expect("write succeeded");
-                        sink.memory(&MemoryAccess {
-                            pc: mem.pc,
-                            address,
-                            value: mem.store_val,
-                            is_write: true,
-                        });
-                        mem_write = Some(MemWrite {
-                            address,
-                            old: old_cell.expect("write succeeded"),
-                            new: mem.store_val,
-                        });
-                    }
-                    Word9::ZERO
+                v
+            } else if h.store {
+                // Old cell value, read before the write so the write
+                // itself still produces the canonical fault.
+                let old_cell = if E::ON {
+                    self.state.tdm.read_word_addr(mem.result).ok()
+                } else {
+                    None
+                };
+                self.state
+                    .tdm
+                    .write_word_addr(mem.result, mem.store_val)
+                    .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
+                if E::ON {
+                    let address = self.state.tdm.resolve(mem.result).expect("write succeeded");
+                    sink.memory(&MemoryAccess {
+                        pc: mem.pc,
+                        address,
+                        value: mem.store_val,
+                        is_write: true,
+                    });
+                    mem_write = Some(MemWrite {
+                        address,
+                        old: old_cell.expect("write succeeded"),
+                        new: mem.store_val,
+                    });
                 }
-                _ => mem.result,
+                Word9::ZERO
+            } else {
+                mem.result
             };
-            self.mem_wb = Some(MemWb {
-                instr: mem.instr,
-                pc: mem.pc,
-                value,
-            });
+            self.mem_wb = Some(MemWb { pc: mem.pc, value });
             if E::ON {
                 self.wb_carry = Some(WbCarry {
                     bus: mem.result,
@@ -330,43 +348,37 @@ impl SinkStep for PipelinedSim {
 
         // ---- EX ------------------------------------------------------
         // Forwarding mux: EX/MEM (non-load) then MEM/WB then RF value
-        // captured at ID.
-        let mut ex_result: Option<(Instruction, Word9)> = None;
+        // captured at ID. An empty source slot matches no producer.
+        let mut ex_result: Option<Word9> = None;
         if let Some(ex) = old_id_ex {
-            let forwarding = self.forwarding;
-            let fwd = |reg: TReg, captured: Word9| -> Word9 {
+            let fwd = |reg: u8, captured: Word9| -> Word9 {
                 if !forwarding {
                     return captured;
                 }
                 if let Some(m) = &old_ex_mem {
-                    if !matches!(
-                        m.instr,
-                        Instruction::Load { .. } | Instruction::Store { .. }
-                    ) && m.instr.writes() == Some(reg)
-                    {
+                    let h = hazards[m.pc];
+                    if !h.load && h.dest == reg {
                         return m.result;
                     }
                 }
                 if let Some(w) = &old_mem_wb {
-                    if w.instr.writes() == Some(reg) {
+                    if hazards[w.pc].dest == reg {
                         return w.value;
                     }
                 }
                 captured
             };
-            let [a_reg, b_reg] = ex.instr.sources();
-            let a_val = a_reg.map_or(ex.a_val, |r| fwd(r, ex.a_val));
-            let b_val = b_reg.map_or(ex.b_val, |r| fwd(r, ex.b_val));
+            let [a_reg, b_reg] = hazards[ex.pc].src;
+            let a_val = fwd(a_reg, ex.a_val);
+            let b_val = fwd(b_reg, ex.b_val);
             let link = self.links[ex.pc]; // PC + 1, precomputed at decode time
-            let result = talu(&ex.instr, a_val, b_val, link);
-            let store_val = a_val; // STORE datum travels in the Ta path
+            let result = talu(&self.text[ex.pc], a_val, b_val, link);
             self.ex_mem = Some(ExMem {
-                instr: ex.instr,
                 pc: ex.pc,
                 result,
-                store_val,
+                store_val: a_val, // STORE datum travels in the Ta path
             });
-            ex_result = Some((ex.instr, result));
+            ex_result = Some(result);
         }
         self.id_ex = None;
 
@@ -375,58 +387,58 @@ impl SinkStep for PipelinedSim {
         // resolution.
         let mut stall = false;
         let mut redirect: Option<usize> = None;
-        if let Some(fetched) = self.if_id {
-            let instr = fetched.instr;
+        if let Some(pc) = self.if_id {
+            let h = hazards[pc];
 
             // Value of a register as visible to ID this cycle:
             // EX output (this cycle) > EX/MEM > WB write-through > TRF.
             // Returns None when the value is still in flight (producer
             // is a LOAD that has not reached WB, or any producer when
             // forwarding is disabled).
-            let forwarding = self.forwarding;
-            let id_value = |reg: TReg| -> Option<Word9> {
+            let id_value = |reg: u8| -> Option<Word9> {
                 if let Some(ex) = &old_id_ex {
-                    if ex.instr.writes() == Some(reg) {
-                        if !forwarding {
-                            return None;
-                        }
-                        return match ex.instr {
-                            Instruction::Load { .. } => None,
-                            _ => ex_result.map(|(_, v)| v),
+                    let p = hazards[ex.pc];
+                    if p.dest == reg {
+                        return if !forwarding || p.load {
+                            None
+                        } else {
+                            ex_result
                         };
                     }
                 }
                 if let Some(m) = &old_ex_mem {
-                    if m.instr.writes() == Some(reg) {
-                        if !forwarding {
-                            return None;
-                        }
-                        return match m.instr {
-                            Instruction::Load { .. } => None,
-                            _ => Some(m.result),
+                    let p = hazards[m.pc];
+                    if p.dest == reg {
+                        return if !forwarding || p.load {
+                            None
+                        } else {
+                            Some(m.result)
                         };
                     }
                 }
-                if let Some((d, v)) = wb_done {
-                    if d == reg {
-                        return Some(v);
-                    }
+                if wb_dest == reg {
+                    return Some(wb_value);
                 }
-                Some(self.state.reg(reg))
+                Some(self.state.trf[usize::from(reg)])
             };
 
-            if instr.is_control_flow() {
+            if h.control {
                 // B-type needs its source register (Tb, its only source
                 // slot) already in ID.
-                let [_, b_reg] = instr.sources();
-                match b_reg.map_or(Some(Word9::ZERO), id_value) {
+                let b_reg = h.src[1];
+                let b_val = if b_reg == NO_SRC {
+                    Some(Word9::ZERO)
+                } else {
+                    id_value(b_reg)
+                };
+                match b_val {
                     None => {
                         stall = true;
                         self.stats.id_use_stalls += 1;
                     }
                     Some(b_val) => {
-                        let lst = b_val.lst();
-                        match control_target(&instr, fetched.pc, lst, b_val) {
+                        let instr = self.text[pc];
+                        match control_target(&instr, pc, b_val.lst(), b_val) {
                             Some(target) => {
                                 if target < 0 || target as usize > self.text.len() {
                                     return Err(SimError::PcOutOfRange {
@@ -436,22 +448,25 @@ impl SinkStep for PipelinedSim {
                                     });
                                 }
                                 self.stats.taken_transfers += 1;
-                                sink.control(fetched.pc, &instr, true, target as usize);
-                                if target as usize == fetched.pc {
+                                sink.control(pc, &instr, true, target as usize);
+                                if target as usize == pc {
                                     // Jump-to-self: halt request.
                                     self.halting = Some(HaltReason::JumpToSelf);
                                 } else {
                                     redirect = Some(target as usize);
                                     self.stats.control_flush_bubbles += 1;
                                 }
-                                self.issue(fetched, b_val, b_val);
                             }
                             None => {
                                 self.stats.untaken_branches += 1;
-                                sink.control(fetched.pc, &instr, false, fetched.pc + 1);
-                                self.issue(fetched, b_val, b_val);
+                                sink.control(pc, &instr, false, pc + 1);
                             }
                         }
+                        self.id_ex = Some(IdEx {
+                            pc,
+                            a_val: b_val,
+                            b_val,
+                        });
                     }
                 }
             } else {
@@ -459,21 +474,15 @@ impl SinkStep for PipelinedSim {
                 // (or, with forwarding disabled, any in-flight producer).
                 let mut load_use = false;
                 if let Some(ex) = &old_id_ex {
-                    let hazard = matches!(ex.instr, Instruction::Load { .. }) || !self.forwarding;
-                    if hazard {
-                        if let Some(dest) = ex.instr.writes() {
-                            if instr.sources().contains(&Some(dest)) {
-                                load_use = true;
-                            }
-                        }
+                    let p = hazards[ex.pc];
+                    if (p.load || !forwarding) && h.src.contains(&p.dest) {
+                        load_use = true;
                     }
                 }
-                if !self.forwarding {
+                if !forwarding {
                     if let Some(m) = &old_ex_mem {
-                        if let Some(dest) = m.instr.writes() {
-                            if instr.sources().contains(&Some(dest)) {
-                                load_use = true;
-                            }
+                        if h.src.contains(&hazards[m.pc].dest) {
+                            load_use = true;
                         }
                     }
                 }
@@ -483,18 +492,20 @@ impl SinkStep for PipelinedSim {
                 } else {
                     // TRF read with write-through; stale in-flight values
                     // are fine — the EX forwarding mux overrides them.
-                    let [a_reg, b_reg] = instr.sources();
-                    let wt = |reg: TReg| -> Word9 {
-                        if let Some((d, v)) = wb_done {
-                            if d == reg {
-                                return v;
-                            }
+                    let read = |reg: u8| -> Word9 {
+                        if reg == NO_SRC {
+                            Word9::ZERO
+                        } else if reg == wb_dest {
+                            wb_value
+                        } else {
+                            self.state.trf[usize::from(reg)]
                         }
-                        self.state.reg(reg)
                     };
-                    let a_val = a_reg.map_or(Word9::ZERO, wt);
-                    let b_val = b_reg.map_or(Word9::ZERO, wt);
-                    self.issue(fetched, a_val, b_val);
+                    self.id_ex = Some(IdEx {
+                        pc,
+                        a_val: read(h.src[0]),
+                        b_val: read(h.src[1]),
+                    });
                 }
             }
         }
@@ -514,10 +525,7 @@ impl SinkStep for PipelinedSim {
                 }
             } else if self.halting.is_none() {
                 if self.fetch_pc < self.text.len() {
-                    self.if_id = Some(Fetched {
-                        instr: self.text[self.fetch_pc],
-                        pc: self.fetch_pc,
-                    });
+                    self.if_id = Some(self.fetch_pc);
                     self.fetch_pc += 1;
                 } else {
                     // Fetch ran off the end; halt once the pipe drains.
@@ -526,7 +534,9 @@ impl SinkStep for PipelinedSim {
             }
         }
 
-        self.record_trace();
+        if self.trace.is_some() {
+            self.push_trace();
+        }
 
         // Drained after a halt condition?
         if self.halting.is_some()
@@ -591,10 +601,10 @@ impl Core for PipelinedSim {
                 halting: self.halting,
                 forwarding: self.forwarding,
                 stats: self.stats,
-                if_id: self.if_id,
-                id_ex: self.id_ex,
-                ex_mem: self.ex_mem,
-                mem_wb: self.mem_wb,
+                if_id: self.if_id.map(|pc| (self.text[pc], pc)),
+                id_ex: self.id_ex.map(|e| (self.text[e.pc], e)),
+                ex_mem: self.ex_mem.map(|m| (self.text[m.pc], m)),
+                mem_wb: self.mem_wb.map(|w| (self.text[w.pc], w)),
             })),
         }
     }
@@ -605,6 +615,10 @@ impl Core for PipelinedSim {
     /// cycle-for-cycle identical to the snapshotted one. The trace
     /// buffer (if tracing is enabled) is not rewound: it records this
     /// core's own cycles only.
+    ///
+    /// Every occupied latch must carry the instruction this core's
+    /// program holds at the latch's PC: a checkpoint of another program
+    /// (or an edited one) is refused rather than run.
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SimError> {
         checkpoint.guard(Backend::Pipelined, self.text.len())?;
         let Micro::Pipelined(m) = &checkpoint.micro else {
@@ -612,6 +626,15 @@ impl Core for PipelinedSim {
                 detail: "pipelined checkpoint lacks its micro section".into(),
             });
         };
+        if let Some((latch, pc, instr)) = m.latches().find(|&(_, pc, instr)| self.text[pc] != instr)
+        {
+            return Err(SimError::Checkpoint {
+                detail: format!(
+                    "checkpoint {latch} latch holds `{instr}`, but this program holds `{}` at pc {pc}",
+                    self.text[pc]
+                ),
+            });
+        }
         self.state = checkpoint.state.clone();
         self.mix = checkpoint.mix;
         self.halted = checkpoint.halted;
@@ -619,10 +642,10 @@ impl Core for PipelinedSim {
         self.halting = m.halting;
         self.forwarding = m.forwarding;
         self.stats = m.stats;
-        self.if_id = m.if_id;
-        self.id_ex = m.id_ex;
-        self.ex_mem = m.ex_mem;
-        self.mem_wb = m.mem_wb;
+        self.if_id = m.if_id.map(|(_, pc)| pc);
+        self.id_ex = m.id_ex.map(|(_, e)| e);
+        self.ex_mem = m.ex_mem.map(|(_, x)| x);
+        self.mem_wb = m.mem_wb.map(|(_, w)| w);
         self.wb_carry = None;
         Ok(())
     }

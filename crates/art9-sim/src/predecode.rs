@@ -19,6 +19,7 @@ use std::sync::{Arc, OnceLock};
 use art9_isa::{decode, Instruction, IsaError, Program};
 use ternary::Word9;
 
+use crate::pipeline::Hazard;
 use crate::threaded::ThreadedCode;
 
 /// An ART-9 program decoded once into simulator-ready form.
@@ -58,6 +59,9 @@ pub struct PredecodedProgram {
     /// `build_threaded` and shared (the cell itself is behind an `Arc`,
     /// so every clone of the image sees one compilation).
     threaded: Arc<OnceLock<Arc<ThreadedCode>>>,
+    /// The pipeline's per-PC hazard rows, filled on the first
+    /// `build_pipelined` and shared the same way.
+    hazards: Arc<OnceLock<Arc<[Hazard]>>>,
 }
 
 impl PredecodedProgram {
@@ -103,6 +107,7 @@ impl PredecodedProgram {
             links: links.into(),
             data: data.into(),
             threaded: Arc::new(OnceLock::new()),
+            hazards: Arc::new(OnceLock::new()),
         }
     }
 
@@ -167,6 +172,16 @@ impl PredecodedProgram {
         Arc::clone(
             self.threaded
                 .get_or_init(|| Arc::new(ThreadedCode::compile(self))),
+        )
+    }
+
+    /// The pipeline's hazard row of every instruction, built exactly
+    /// once per image (so preparing an image that never runs on the
+    /// pipelined backend does not pay for it).
+    pub(crate) fn hazards(&self) -> Arc<[Hazard]> {
+        Arc::clone(
+            self.hazards
+                .get_or_init(|| self.text.iter().map(Hazard::of).collect()),
         )
     }
 }
