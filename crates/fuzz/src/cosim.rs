@@ -42,7 +42,7 @@ use art9_compiler::{translate_with_tdm, Origin, Translation};
 use art9_sim::{Backend, Core, SimBuilder};
 use rv32::{parse_program, Instr, Machine, Reg, Rv32Program, DATA_BASE};
 
-use crate::oracle::{run_to_halt, Divergence, Oracle, OracleStats};
+use crate::oracle::{run_to_halt, Divergence, DivergenceKind, Finding, Oracle, OracleStats};
 
 /// TDM size the oracle translates and simulates with.
 pub const COSIM_TDM_WORDS: usize = 256;
@@ -344,12 +344,15 @@ impl<'a> CoSim<'a> {
         Oracle::CompilerLockstep.verdict(self.stepwise(core, stats))
     }
 
-    /// [`CoSim::run`]'s comparison; `Err` is the divergence detail.
-    fn stepwise(&self, core: &mut dyn Core, stats: &mut OracleStats) -> Result<(), String> {
+    /// [`CoSim::run`]'s comparison; `Err` is the finding.
+    fn stepwise(&self, core: &mut dyn Core, stats: &mut OracleStats) -> Result<(), Finding> {
         if core.backend() == Backend::Pipelined {
-            return Err(format!(
-                "{HARNESS_MARKER} the pipelined backend cannot step at instruction \
-                 granularity; use pipelined_trace"
+            return Err(Finding::new(
+                DivergenceKind::Harness,
+                format!(
+                    "{HARNESS_MARKER} the pipelined backend cannot step at instruction \
+                     granularity; use pipelined_trace"
+                ),
             ));
         }
         let mut m = self.machine();
@@ -367,7 +370,7 @@ impl<'a> CoSim<'a> {
             let k = (m.pc() / 4) as usize;
             let store_word = self.dirty_word_of(&m, k);
             match m.step() {
-                Err(e) => return Err(format!("{HARNESS_MARKER} rv32 machine faulted: {e}")),
+                Err(e) => return Err(rv32_fault(e)),
                 Ok(Err(_halt)) => return self.finish(core, &m, &mem, stats),
                 Ok(Ok(_retire)) => {
                     stats.cosim_rv32_instructions += 1;
@@ -377,12 +380,14 @@ impl<'a> CoSim<'a> {
                     // Advance the ART-9 core through everything the
                     // compiler attributes to source instruction k.
                     let inside = |o: Origin| matches!(o, Origin::Builtin(_)) || o == Origin::Rv(k);
-                    self.advance(core, inside)
-                        .map_err(|d| format!("during rv32 #{k} ({}): {d}", self.rv.text()[k]))?;
+                    self.advance(core, inside).map_err(|f| {
+                        f.context(format!("during rv32 #{k} ({})", self.rv.text()[k]))
+                    })?;
                     if core.halted().is_some() {
                         return Err(format!(
                             "art9 halted after rv32 #{k} while the rv32 machine continues"
-                        ));
+                        )
+                        .into());
                     }
                     // The core must now sit exactly at the boundary of
                     // the next source instruction.
@@ -394,7 +399,8 @@ impl<'a> CoSim<'a> {
                              #{next_k} ({expected:?})",
                             self.rv.text()[k],
                             core.state().pc
-                        ));
+                        )
+                        .into());
                     }
                     stats.cosim_sync_points += 1;
                     self.plan
@@ -407,17 +413,25 @@ impl<'a> CoSim<'a> {
                 }
             }
         }
-        Err(format!(
-            "rv32 program {} {} steps",
-            Divergence::BUDGET_MARKER,
-            self.budget
-        ))
+        Err(self.rv32_budget_exhausted())
+    }
+
+    /// The finding of an RV32 run that did not halt within its budget.
+    fn rv32_budget_exhausted(&self) -> Finding {
+        Finding::new(
+            DivergenceKind::BudgetExhausted,
+            format!(
+                "rv32 program {} {} steps",
+                Divergence::BUDGET_MARKER,
+                self.budget
+            ),
+        )
     }
 
     /// Steps the core while the instruction at its PC satisfies
     /// `inside` (and it has not halted). Returns a description on fault
     /// or budget exhaustion.
-    fn advance(&self, core: &mut dyn Core, inside: impl Fn(Origin) -> bool) -> Result<(), String> {
+    fn advance(&self, core: &mut dyn Core, inside: impl Fn(Origin) -> bool) -> Result<(), Finding> {
         let prov = self.t.provenance();
         for _ in 0..PER_SYNC_BUDGET {
             if core.halted().is_some() {
@@ -428,11 +442,19 @@ impl<'a> CoSim<'a> {
                 Some(o) if inside(*o) => {}
                 _ => return Ok(()), // reached foreign territory: a boundary
             }
-            core.step().map_err(|e| format!("art9 core faulted: {e}"))?;
+            core.step().map_err(|e| {
+                Finding::new(
+                    DivergenceKind::CandidateFault,
+                    format!("art9 core faulted: {e}"),
+                )
+            })?;
         }
-        Err(format!(
-            "art9 sequence {} {PER_SYNC_BUDGET} steps",
-            Divergence::BUDGET_MARKER
+        Err(Finding::new(
+            DivergenceKind::BudgetExhausted,
+            format!(
+                "art9 sequence {} {PER_SYNC_BUDGET} steps",
+                Divergence::BUDGET_MARKER
+            ),
         ))
     }
 
@@ -444,12 +466,13 @@ impl<'a> CoSim<'a> {
         m: &Machine,
         mem: &MemTracker,
         stats: &mut OracleStats,
-    ) -> Result<(), String> {
+    ) -> Result<(), Finding> {
         let side = format!("art9 core after the rv32 machine halted ({:?})", m.halted());
-        run_to_halt(core, PER_SYNC_BUDGET, &side)?;
+        run_to_halt(core, PER_SYNC_BUDGET, &side, DivergenceKind::CandidateFault)?;
         stats.cosim_art9_instructions += core.retired();
-        self.compare_at_halt(core, m, mem)
-            .map_err(|d| format!("at halt ({:?}): {d}", m.halted()))
+        Ok(self
+            .compare_at_halt(core, m, mem)
+            .map_err(|d| format!("at halt ({:?}): {d}", m.halted()))?)
     }
 
     /// The complete final-state comparison: every planned register and
@@ -474,8 +497,8 @@ impl<'a> CoSim<'a> {
     /// translated program must enter, then runs the pipelined core to
     /// halt under a [`SyncPoints`](art9_sim::observers::SyncPoints)
     /// observer and compares the crossing trace plus the full final
-    /// state. `Err` is the divergence detail.
-    fn pipelined_trace(&self, stats: &mut OracleStats) -> Result<(), String> {
+    /// state. `Err` is the finding.
+    fn pipelined_trace(&self, stats: &mut OracleStats) -> Result<(), Finding> {
         use std::sync::{Arc, Mutex};
 
         let len = self.rv.text().len();
@@ -500,7 +523,7 @@ impl<'a> CoSim<'a> {
                 mem.record(w, class);
             }
             match m.step() {
-                Err(e) => return Err(format!("{HARNESS_MARKER} rv32 machine faulted: {e}")),
+                Err(e) => return Err(rv32_fault(e)),
                 Ok(Err(reason)) => {
                     // ebreak maps to a jump-to-self at its own boundary:
                     // that retirement re-enters b(k).
@@ -529,11 +552,7 @@ impl<'a> CoSim<'a> {
             }
         }
         if halt.is_none() {
-            return Err(format!(
-                "rv32 program {} {} steps",
-                Divergence::BUDGET_MARKER,
-                self.budget
-            ));
+            return Err(self.rv32_budget_exhausted());
         }
 
         let sync = Arc::new(Mutex::new(art9_sim::observers::SyncPoints::new(
@@ -545,7 +564,12 @@ impl<'a> CoSim<'a> {
             .observer(sync.clone())
             .build();
         let cycle_budget = PER_SYNC_BUDGET.saturating_mul(4).max(1 << 20);
-        run_to_halt(&mut *core, cycle_budget, "pipelined art9")?;
+        run_to_halt(
+            &mut *core,
+            cycle_budget,
+            "pipelined art9",
+            DivergenceKind::CandidateFault,
+        )?;
         stats.cosim_art9_instructions += core.retired();
 
         let crossings = sync.lock().unwrap().crossings().to_vec();
@@ -562,11 +586,13 @@ impl<'a> CoSim<'a> {
                 expected.get(first),
                 crossings.len(),
                 expected.len()
-            ));
+            )
+            .into());
         }
         stats.cosim_sync_points += crossings.len() as u64;
-        self.compare_at_halt(&*core, &m, &mem)
-            .map_err(|d| format!("at halt: {d}"))
+        Ok(self
+            .compare_at_halt(&*core, &m, &mem)
+            .map_err(|d| format!("at halt: {d}"))?)
     }
 }
 
@@ -584,14 +610,26 @@ pub fn check_compiler_lockstep(
     Oracle::CompilerLockstep.verdict(compiler_lockstep(src, rv32_budget, stats))
 }
 
-/// [`check_compiler_lockstep`]'s comparison; `Err` is the divergence
-/// detail.
-fn compiler_lockstep(src: &str, rv32_budget: u64, stats: &mut OracleStats) -> Result<(), String> {
-    let rv =
-        parse_program(src).map_err(|e| format!("{HARNESS_MARKER} source failed to parse: {e}"))?;
+/// A harness finding: the comparison could not be set up.
+fn harness(detail: impl std::fmt::Display) -> Finding {
+    Finding::new(
+        DivergenceKind::Harness,
+        format!("{HARNESS_MARKER} {detail}"),
+    )
+}
+
+/// The finding of an RV32 machine fault (the reference side of the
+/// comparison, so a harness finding).
+fn rv32_fault(e: impl std::fmt::Display) -> Finding {
+    harness(format!("rv32 machine faulted: {e}"))
+}
+
+/// [`check_compiler_lockstep`]'s comparison; `Err` is the finding.
+fn compiler_lockstep(src: &str, rv32_budget: u64, stats: &mut OracleStats) -> Result<(), Finding> {
+    let rv = parse_program(src).map_err(|e| harness(format!("source failed to parse: {e}")))?;
     let t = translate_with_tdm(&rv, COSIM_TDM_WORDS)
-        .map_err(|e| format!("{HARNESS_MARKER} translation failed: {e}"))?;
-    let cosim = CoSim::new(&rv, &t, rv32_budget).map_err(|e| format!("{HARNESS_MARKER} {e}"))?;
+        .map_err(|e| harness(format!("translation failed: {e}")))?;
+    let cosim = CoSim::new(&rv, &t, rv32_budget).map_err(harness)?;
     let builder = SimBuilder::new(&t.program).tdm_words(cosim.tdm_words());
     cosim.stepwise(&mut builder.build_functional(), stats)?;
     // The later passes replay the RV32 path the first one counted:
@@ -603,13 +641,13 @@ fn compiler_lockstep(src: &str, rv32_budget: u64, stats: &mut OracleStats) -> Re
         // of its compiled-op stepping path on real (non-random) control
         // flow.
         .stepwise(&mut builder.build_threaded(), &mut replay)
-        .map_err(|d| format!("threaded backend: {d}"))
+        .map_err(|f| f.context("threaded backend"))
         // Third pass: the cycle model, checked at the boundaries it
         // crosses.
         .and_then(|()| {
             cosim
                 .pipelined_trace(&mut replay)
-                .map_err(|d| format!("pipelined backend: {d}"))
+                .map_err(|f| f.context("pipelined backend"))
         });
     stats.cosim_art9_instructions += replay.cosim_art9_instructions;
     stats.cosim_sync_points += replay.cosim_sync_points;
@@ -829,9 +867,11 @@ mod tests {
         let mut stats = OracleStats::default();
         let d = check_compiler_lockstep("not rv32 at all\n", 1_000, &mut stats).unwrap();
         assert!(d.detail.starts_with(HARNESS_MARKER), "{d}");
+        assert_eq!(d.kind, DivergenceKind::Harness);
         // auipc parses but cannot translate.
         let d = check_compiler_lockstep("auipc a0, 1\nebreak\n", 1_000, &mut stats).unwrap();
         assert!(d.detail.starts_with(HARNESS_MARKER), "{d}");
+        assert_eq!(d.kind, DivergenceKind::Harness);
         assert!(d.detail.contains("translation failed"), "{d}");
     }
 

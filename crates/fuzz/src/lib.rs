@@ -58,8 +58,8 @@ pub use cosim::{check_compiler_lockstep, cosim_mem_bytes, CoSim, COSIM_TDM_WORDS
 pub use gen::{generate, step_budget, GenConfig, Mix, MIN_TDM_WORDS};
 pub use minimize::{minimize, minimize_rv32, Minimized, MinimizedRv32};
 pub use oracle::{
-    check_program, check_program_filtered, lockstep, random_word, Divergence, LockstepOutcome,
-    Oracle, OracleStats, ORACLE_TDM_WORDS,
+    check_program, check_program_filtered, lockstep, random_word, Divergence, DivergenceKind,
+    LockstepOutcome, Oracle, OracleStats, ORACLE_TDM_WORDS,
 };
 pub use replay::{
     is_rv32_replay, parse_replay, parse_replay_header, render_replay, render_replay_rv32,

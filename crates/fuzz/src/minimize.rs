@@ -12,6 +12,12 @@ use ternary::Word9;
 
 use crate::oracle::Divergence;
 
+/// A candidate edit must reproduce the same failure, not just *a*
+/// failure: the same oracle and the same [`DivergenceKind`](crate::DivergenceKind).
+fn same_kind(d: &Divergence, original: &Divergence) -> bool {
+    d.oracle == original.oracle && d.kind == original.kind
+}
+
 /// Outcome of a minimization run.
 #[derive(Debug, Clone)]
 pub struct Minimized {
@@ -31,12 +37,13 @@ pub struct Minimized {
 /// `check` must be the same oracle that flagged the original program;
 /// it is re-run after every candidate edit, so the reduced program is
 /// guaranteed to still diverge. An edit is only kept when the new
-/// divergence comes from the same oracle as the original *and*
-/// preserves its budget-exhaustion status — otherwise a NOP that, say,
-/// breaks a counted loop's decrement would turn a real pipelined bug
-/// into an unrelated infinite-loop timeout and minimize *that*
-/// instead. Returns `None` when the original program does not diverge
-/// under `check` (nothing to minimize).
+/// divergence comes from the same oracle as the original *and* has
+/// the same kind — otherwise a NOP that, say, breaks a counted loop's
+/// decrement would turn a real pipelined bug into an unrelated
+/// infinite-loop timeout, or one that breaks the generated control
+/// structure would turn it into a functional-baseline fault, and
+/// minimize *that* instead. Returns `None` when the original program
+/// does not diverge under `check` (nothing to minimize).
 pub fn minimize<F>(program: &Program, check: F) -> Option<Minimized>
 where
     F: Fn(&Program) -> Option<Divergence>,
@@ -45,12 +52,6 @@ where
     let original_len = program.text().len();
     let mut text: Vec<Instruction> = program.text().to_vec();
     let mut data: Vec<Word9> = program.data().to_vec();
-
-    // A candidate edit must reproduce the same failure kind, not just
-    // *a* failure.
-    let same_kind = |d: &Divergence, original: &Divergence| {
-        d.oracle == original.oracle && d.is_budget_exhaustion() == original.is_budget_exhaustion()
-    };
 
     // Pass 1: NOP substitution to fixpoint. Scanning back-to-front
     // tends to release dependent chains faster (consumers go first).
@@ -146,10 +147,9 @@ fn is_protected_line(line: &str) -> bool {
 /// The reduction is line-based: instruction lines are replaced with
 /// `nop` (labels stay, so control flow cannot dangle), then trailing
 /// `nop`s are dropped. As with [`minimize`], an edit is kept only when
-/// the divergence keeps its oracle, its budget-exhaustion status *and*
-/// its harness status — a `nop` that breaks a loop's decrement (an
-/// infinite loop) or splits an `la` pair (a translate rejection) must
-/// not replace the real finding.
+/// the divergence keeps its oracle and its kind — a `nop` that breaks
+/// a loop's decrement (budget exhaustion) or splits an `la` pair (a
+/// harness-kind translate rejection) must not replace the real finding.
 pub fn minimize_rv32<F>(source: &str, check: F) -> Option<MinimizedRv32>
 where
     F: Fn(&str) -> Option<Divergence>,
@@ -158,12 +158,6 @@ where
     let mut lines: Vec<String> = source.lines().map(str::to_string).collect();
     let original_instructions = lines.iter().filter(|l| is_instruction_line(l)).count();
 
-    let same_kind = |d: &Divergence, original: &Divergence| {
-        d.oracle == original.oracle
-            && d.is_budget_exhaustion() == original.is_budget_exhaustion()
-            && d.detail.contains(crate::cosim::HARNESS_MARKER)
-                == original.detail.contains(crate::cosim::HARNESS_MARKER)
-    };
     let render = |lines: &[String]| lines.join("\n") + "\n";
 
     // Pass 1: nop substitution to fixpoint, consumers first.
@@ -228,7 +222,7 @@ fn rebuild(text: &[Instruction], data: &[Word9]) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::Oracle;
+    use crate::oracle::{DivergenceKind, Oracle};
     use art9_isa::assemble;
     use art9_sim::{Core, SimBuilder};
     use ternary::Word9;
@@ -242,6 +236,7 @@ mod tests {
         if sim.state().reg(art9_isa::TReg::T3) == Word9::from_i64(42).unwrap() {
             Some(Divergence {
                 oracle: Oracle::FunctionalVsReference,
+                kind: DivergenceKind::Disagreement,
                 detail: "t3 == 42".into(),
             })
         } else {
@@ -277,40 +272,53 @@ mod tests {
 
     #[test]
     fn refuses_to_trade_the_failure_kind_during_reduction() {
-        use art9_isa::TReg;
+        use DivergenceKind::*;
         // Synthetic oracle keyed on which marker instructions survive:
-        // `ADDI t5, 1` present => the "real" state divergence;
-        // otherwise `ADDI t5, 2` present => a budget-exhaustion
-        // divergence (as if the edit made the program non-terminating).
-        fn marker(p: &Program, imm: i64) -> bool {
-            p.text().iter().any(
-                |i| matches!(i, Instruction::Addi { a: TReg::T5, imm: v } if v.to_i64() == imm),
-            )
-        }
-        fn oracle(p: &Program) -> Option<Divergence> {
-            if marker(p, 1) {
-                Some(Divergence {
-                    oracle: Oracle::FunctionalVsReference,
-                    detail: "t5 state mismatch".into(),
+        // `ADDI t5, 1` present => the real finding, of kind `real`;
+        // otherwise `ADDI t5, 2` present => a finding of kind `other`
+        // (as if the edit made the program non-terminating, or made the
+        // other side fault).
+        fn marked(p: &Program, real: DivergenceKind, other: DivergenceKind) -> Option<Divergence> {
+            let marker = |imm: i64| {
+                p.text().iter().any(|i| {
+                    matches!(i, Instruction::Addi { a: art9_isa::TReg::T5, imm: v } if v.to_i64() == imm)
                 })
-            } else if marker(p, 2) {
-                Some(Divergence {
-                    oracle: Oracle::FunctionalVsReference,
-                    detail: format!("program {} 100 steps", Divergence::BUDGET_MARKER),
-                })
+            };
+            let kind = if marker(1) {
+                real
+            } else if marker(2) {
+                other
             } else {
-                None
-            }
+                return None;
+            };
+            Some(Divergence {
+                oracle: Oracle::PipelinedForwarding,
+                kind,
+                detail: format!("{kind:?}"),
+            })
         }
         // Back-to-front scanning tries to NOP `ADDI t5, 1` first; that
-        // edit flips the divergence to budget exhaustion and must be
+        // edit turns the finding into another kind and must be
         // rejected, or the minimizer would happily minimize the wrong
         // failure.
         let p = assemble("ADDI t5, 2\nADDI t5, 1\nJAL t0, 0\n").unwrap();
-        let m = minimize(&p, oracle).expect("diverges");
-        assert!(!m.divergence.is_budget_exhaustion(), "{}", m.divergence);
-        assert!(marker(&m.program, 1), "real-failure marker was lost");
-        assert!(!marker(&m.program, 2), "noise instruction kept");
+        for (real, other) in [
+            (Disagreement, BudgetExhausted),
+            (Disagreement, BaselineFault),
+            (Disagreement, CandidateFault),
+            (Disagreement, Harness),
+            (CandidateFault, BaselineFault),
+            (BaselineFault, CandidateFault),
+        ] {
+            let m = minimize(&p, |p| marked(p, real, other)).expect("diverges");
+            assert_eq!(m.divergence.kind, real, "{real:?} traded for {other:?}");
+            assert_eq!(
+                m.program.text()[1],
+                p.text()[1],
+                "{real:?}: real marker lost"
+            );
+            assert_eq!(m.program.text()[0], NOP, "{real:?}: noise kept");
+        }
     }
 
     #[test]

@@ -148,10 +148,11 @@ impl Oracle {
     }
 
     /// The divergence this oracle reports when `result` failed.
-    pub(crate) fn verdict(self, result: Result<(), String>) -> Option<Divergence> {
-        result.err().map(|detail| Divergence {
+    pub(crate) fn verdict(self, result: Result<(), Finding>) -> Option<Divergence> {
+        result.err().map(|f| Divergence {
             oracle: self,
-            detail,
+            kind: f.kind,
+            detail: f.detail,
         })
     }
 }
@@ -173,26 +174,67 @@ impl std::str::FromStr for Oracle {
     }
 }
 
+/// What went wrong in a [`Divergence`]. The minimizer keeps an edit
+/// only when the reduced program fails with the same oracle *and* the
+/// same kind, so a NOP that breaks the generated control structure
+/// cannot trade a real finding for a fault it caused itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DivergenceKind {
+    /// Both sides ran to the comparison and their results differ.
+    Disagreement,
+    /// A side did not halt within its budget.
+    BudgetExhausted,
+    /// The side the oracle trusts faulted: the functional baseline, or
+    /// the first core of a [`lockstep`] pair.
+    BaselineFault,
+    /// The side under test faulted.
+    CandidateFault,
+    /// The compiler-lockstep comparison could not be set up or its RV32
+    /// machine faulted: a generator or harness defect, not a backend's.
+    Harness,
+}
+
 /// One observed disagreement.
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// The oracle that caught it.
     pub oracle: Oracle,
+    /// What went wrong.
+    pub kind: DivergenceKind,
     /// Human-readable description of the first difference.
     pub detail: String,
 }
 
 impl Divergence {
-    /// Marker phrase shared by every budget-exhaustion report (kept in
-    /// one place so [`Divergence::is_budget_exhaustion`] cannot drift
-    /// from the messages).
+    /// Phrase every budget-exhaustion report carries.
     pub(crate) const BUDGET_MARKER: &'static str = "exceeded the budget of";
+}
 
-    /// `true` when this divergence reports budget exhaustion (a
-    /// non-terminating run) rather than a state disagreement. The
-    /// minimizer refuses to trade one kind for the other.
-    pub fn is_budget_exhaustion(&self) -> bool {
-        self.detail.contains(Self::BUDGET_MARKER)
+/// A failed check before [`Oracle::verdict`] names its oracle. A plain
+/// `String` detail converts into a [`DivergenceKind::Disagreement`].
+#[derive(Debug)]
+pub(crate) struct Finding {
+    pub(crate) kind: DivergenceKind,
+    pub(crate) detail: String,
+}
+
+impl Finding {
+    pub(crate) fn new(kind: DivergenceKind, detail: String) -> Self {
+        Self { kind, detail }
+    }
+
+    /// The same finding, its detail prefixed with `context`.
+    pub(crate) fn context(self, context: impl std::fmt::Display) -> Self {
+        Self {
+            kind: self.kind,
+            detail: format!("{context}: {}", self.detail),
+        }
+    }
+}
+
+impl From<String> for Finding {
+    fn from(detail: String) -> Self {
+        Self::new(DivergenceKind::Disagreement, detail)
     }
 }
 
@@ -265,8 +307,11 @@ impl OracleStats {
 pub enum LockstepOutcome {
     /// Both cores halted identically and agreed at every step.
     Agreed(HaltReason),
-    /// The first disagreement (or a fault on either side), described.
+    /// The first disagreement, described.
     Diverged(String),
+    /// A core faulted: [`DivergenceKind::BaselineFault`] for the first
+    /// core, [`DivergenceKind::CandidateFault`] for the second.
+    Faulted(DivergenceKind, String),
     /// Neither halt nor disagreement within the step budget.
     BudgetExhausted,
     /// A backend that cannot step architecturally (the pipeline) was
@@ -275,15 +320,15 @@ pub enum LockstepOutcome {
 }
 
 impl LockstepOutcome {
-    /// The halt reason both cores agreed on, or the divergence detail
-    /// (a budget overrun carries [`Divergence::BUDGET_MARKER`]).
-    fn into_halt(self, max_steps: u64) -> Result<HaltReason, String> {
+    /// The halt reason both cores agreed on, or the finding.
+    fn into_halt(self, max_steps: u64) -> Result<HaltReason, Finding> {
         match self {
             LockstepOutcome::Agreed(halt) => Ok(halt),
-            LockstepOutcome::Diverged(detail) => Err(detail),
-            LockstepOutcome::BudgetExhausted => Err(format!(
-                "program {} {max_steps} steps",
-                Divergence::BUDGET_MARKER
+            LockstepOutcome::Diverged(detail) => Err(detail.into()),
+            LockstepOutcome::Faulted(kind, detail) => Err(Finding::new(kind, detail)),
+            LockstepOutcome::BudgetExhausted => Err(Finding::new(
+                DivergenceKind::BudgetExhausted,
+                format!("program {} {max_steps} steps", Divergence::BUDGET_MARKER),
             )),
             LockstepOutcome::Unsupported(why) => {
                 unreachable!("architectural backends rejected by lockstep: {why}")
@@ -324,11 +369,21 @@ where
     for _ in 0..=max_steps {
         let ha = match a.step() {
             Ok(h) => h,
-            Err(e) => return LockstepOutcome::Diverged(format!("{an} core faulted: {e}")),
+            Err(e) => {
+                return LockstepOutcome::Faulted(
+                    DivergenceKind::BaselineFault,
+                    format!("{an} core faulted: {e}"),
+                )
+            }
         };
         let hb = match b.step() {
             Ok(h) => h,
-            Err(e) => return LockstepOutcome::Diverged(format!("{bn} core faulted: {e}")),
+            Err(e) => {
+                return LockstepOutcome::Faulted(
+                    DivergenceKind::CandidateFault,
+                    format!("{bn} core faulted: {e}"),
+                )
+            }
         };
         if ha != hb {
             return LockstepOutcome::Diverged(format!(
@@ -392,13 +447,15 @@ fn step_difference(a: &CoreState, b: &CoreState, an: &str, bn: &str) -> Option<S
 }
 
 /// Runs `core` to halt within `budget` steps (clock cycles on the
-/// pipelined backend). A fault, or a budget overrun carrying
-/// [`Divergence::BUDGET_MARKER`], becomes a message naming `side`.
+/// pipelined backend). A budget overrun, or a fault of kind `fault`
+/// (whether `side` is the baseline or the candidate), becomes a
+/// finding naming `side`.
 pub(crate) fn run_to_halt<C: Core + ?Sized>(
     core: &mut C,
     budget: u64,
     side: &str,
-) -> Result<HaltReason, String> {
+    fault: DivergenceKind,
+) -> Result<HaltReason, Finding> {
     match core.run_for(Budget::Steps(budget)) {
         Ok(summary) => summary.halt.ok_or_else(|| {
             let unit = if core.backend() == Backend::Pipelined {
@@ -406,9 +463,12 @@ pub(crate) fn run_to_halt<C: Core + ?Sized>(
             } else {
                 "steps"
             };
-            format!("{side} {} {budget} {unit}", Divergence::BUDGET_MARKER)
+            Finding::new(
+                DivergenceKind::BudgetExhausted,
+                format!("{side} {} {budget} {unit}", Divergence::BUDGET_MARKER),
+            )
         }),
-        Err(e) => Err(format!("{side} faulted: {e}")),
+        Err(e) => Err(Finding::new(fault, format!("{side} faulted: {e}"))),
     }
 }
 
@@ -502,7 +562,7 @@ struct ProgramRun<'a> {
 impl ProgramRun<'_> {
     /// Runs one oracle; `Err` is its divergence detail. The oracles
     /// that do not run the ART-9 program have nothing to check here.
-    fn check(&mut self, oracle: Oracle) -> Result<(), String> {
+    fn check(&mut self, oracle: Oracle) -> Result<(), Finding> {
         match oracle {
             Oracle::FunctionalVsReference => {
                 let mut func = self.builder.build_functional();
@@ -517,7 +577,7 @@ impl ProgramRun<'_> {
             Oracle::SliceMigrate => self.slice_migrate(),
             Oracle::PipelinedForwarding => self.pipelined(true),
             Oracle::PipelinedNoForwarding => self.pipelined(false),
-            Oracle::ToolchainRoundtrip => roundtrip(self.program, &mut self.stats),
+            Oracle::ToolchainRoundtrip => Ok(roundtrip(self.program, &mut self.stats)?),
             Oracle::Arithmetic | Oracle::Simd | Oracle::Wide | Oracle::CompilerLockstep => Ok(()),
         }
     }
@@ -528,7 +588,7 @@ impl ProgramRun<'_> {
     /// through the fused superblock dispatch path, compared against the
     /// functional final state. Fusion must be architecturally
     /// invisible — both runs land on the same point.
-    fn threaded(&mut self) -> Result<(), String> {
+    fn threaded(&mut self) -> Result<(), Finding> {
         let mut func = self.builder.build_functional();
         let mut stepped = self.builder.build_threaded();
         lockstep(&mut func, &mut stepped, self.step_budget).into_halt(self.step_budget)?;
@@ -537,10 +597,15 @@ impl ProgramRun<'_> {
         // The lockstep run above halted within the budget; +2 covers
         // the zero-retire halt step.
         let mut fused = self.builder.build_threaded();
-        let halt = run_to_halt(&mut fused, self.step_budget.saturating_add(2), "fused run");
+        let halt = run_to_halt(
+            &mut fused,
+            self.step_budget.saturating_add(2),
+            "fused run",
+            DivergenceKind::CandidateFault,
+        );
         self.stats.threaded_instructions += fused.retired();
         halt?;
-        final_difference(&func, &fused, ["functional", "fused"])
+        Ok(final_difference(&func, &fused, ["functional", "fused"])?)
     }
 
     /// The differential energy oracle: the same program runs on the
@@ -556,7 +621,7 @@ impl ProgramRun<'_> {
     /// as its only observer, which it counts inside its compiled code
     /// rather than through write-back events; its counters must equal
     /// the functional run's.
-    fn energy(&mut self) -> Result<(), String> {
+    fn energy(&mut self) -> Result<(), Finding> {
         let packed = Arc::new(Mutex::new(EnergyAccounting::new()));
         let tritwise = Arc::new(Mutex::new(EnergyAccounting::with_flip_fn(|next, prev| {
             arith::flips_tritwise(next, prev)
@@ -576,8 +641,18 @@ impl ProgramRun<'_> {
         // executions; architectural divergence is the functional-vs-
         // reference oracle's finding, but it would cascade here, so report
         // it under this oracle too rather than comparing garbage.
-        run_to_halt(&mut func, self.step_budget, "functional run")?;
-        run_to_halt(&mut reference, self.step_budget, "reference run")?;
+        run_to_halt(
+            &mut func,
+            self.step_budget,
+            "functional run",
+            DivergenceKind::BaselineFault,
+        )?;
+        run_to_halt(
+            &mut reference,
+            self.step_budget,
+            "reference run",
+            DivergenceKind::CandidateFault,
+        )?;
         final_difference(&func, &reference, ["functional", "reference"])?;
 
         let packed = packed.lock().expect("observer lock");
@@ -591,11 +666,16 @@ impl ProgramRun<'_> {
             .clone()
             .observer(counted.clone())
             .build_threaded();
-        run_to_halt(&mut threaded, self.step_budget, "threaded run")?;
+        run_to_halt(
+            &mut threaded,
+            self.step_budget,
+            "threaded run",
+            DivergenceKind::CandidateFault,
+        )?;
         final_difference(&func, &threaded, ["functional", "threaded"])?;
         let counted = counted.lock().expect("observer lock");
-        activity_difference(&packed, &counted)
-            .map_err(|d| format!("threaded counted energy vs functional: {d}"))
+        Ok(activity_difference(&packed, &counted)
+            .map_err(|d| format!("threaded counted energy vs functional: {d}"))?)
     }
 
     /// The slice-migrate oracle: the service scheduler's execution
@@ -611,7 +691,7 @@ impl ProgramRun<'_> {
     /// architecturally invisible: halt reason, retired count,
     /// instruction mix, final state and per-opcode energy counters all
     /// bit-identical.
-    fn slice_migrate(&mut self) -> Result<(), String> {
+    fn slice_migrate(&mut self) -> Result<(), Finding> {
         let step_budget = self.step_budget;
         let straight_energy = Arc::new(Mutex::new(EnergyAccounting::new()));
         let mut straight = self
@@ -619,7 +699,12 @@ impl ProgramRun<'_> {
             .clone()
             .observer(straight_energy.clone())
             .build_functional();
-        let halt = run_to_halt(&mut straight, step_budget, "straight-line run")?;
+        let halt = run_to_halt(
+            &mut straight,
+            step_budget,
+            "straight-line run",
+            DivergenceKind::BaselineFault,
+        )?;
 
         // Sliced, migrated run.
         let mut rng = FuzzRng::new(self.seed ^ 0x511c_e513_9a7e_0001);
@@ -633,18 +718,24 @@ impl ProgramRun<'_> {
             // Every slice retires at least one instruction, so the slice
             // count bounds total work by the same budget as the baseline.
             if slices > step_budget {
-                return Err(format!(
-                    "sliced run {} {step_budget} slices",
-                    Divergence::BUDGET_MARKER
+                return Err(Finding::new(
+                    DivergenceKind::BudgetExhausted,
+                    format!(
+                        "sliced run {} {step_budget} slices",
+                        Divergence::BUDGET_MARKER
+                    ),
                 ));
             }
             slices += 1;
             let target = core.retired() + 1 + rng.below(41);
             let summary = core.run_for(Budget::Retired(target)).map_err(|e| {
-                format!(
-                    "sliced run faulted after {} instructions: {e} \
-                     (straight-line run halted {halt:?})",
-                    core.retired()
+                Finding::new(
+                    DivergenceKind::CandidateFault,
+                    format!(
+                        "sliced run faulted after {} instructions: {e} \
+                         (straight-line run halted {halt:?})",
+                        core.retired()
+                    ),
                 )
             })?;
             if summary.halt.is_some() {
@@ -656,9 +747,12 @@ impl ProgramRun<'_> {
                 let backend = rotation[rotation_index % rotation.len()];
                 rotation_index += 1;
                 let mut fresh = sliced_builder.clone().backend(backend).build();
-                fresh
-                    .restore(&checkpoint)
-                    .map_err(|e| format!("restore into {backend} failed: {e}"))?;
+                fresh.restore(&checkpoint).map_err(|e| {
+                    Finding::new(
+                        DivergenceKind::CandidateFault,
+                        format!("restore into {backend} failed: {e}"),
+                    )
+                })?;
                 core = fresh;
                 migrations += 1;
             }
@@ -669,16 +763,21 @@ impl ProgramRun<'_> {
         final_difference(&straight, &*core, ["straight-line", "sliced"])?;
         let straight_acc = straight_energy.lock().expect("observer lock");
         let sliced_acc = sliced_energy.lock().expect("observer lock");
-        activity_difference(&straight_acc, &sliced_acc)
-            .map_err(|d| format!("energy accounting diverged across slicing/migration: {d}"))
+        Ok(activity_difference(&straight_acc, &sliced_acc)
+            .map_err(|d| format!("energy accounting diverged across slicing/migration: {d}"))?)
     }
 
     /// A pipelined oracle: the pipeline (forwarding on or off) against
     /// the functional baseline, at halt.
-    fn pipelined(&mut self, forwarding: bool) -> Result<(), String> {
+    fn pipelined(&mut self, forwarding: bool) -> Result<(), Finding> {
         if self.baseline.is_none() {
             let mut func = self.builder.build_functional();
-            let halt = run_to_halt(&mut func, self.step_budget, "functional baseline");
+            let halt = run_to_halt(
+                &mut func,
+                self.step_budget,
+                "functional baseline",
+                DivergenceKind::BaselineFault,
+            );
             self.stats.functional_instructions = func.retired();
             halt?;
             self.baseline = Some(func);
@@ -689,11 +788,16 @@ impl ProgramRun<'_> {
             .forwarding(forwarding)
             .build_pipelined();
         let cycle_budget = self.step_budget.saturating_mul(16).max(1024);
-        let halt = run_to_halt(&mut pipe, cycle_budget, "pipeline");
+        let halt = run_to_halt(
+            &mut pipe,
+            cycle_budget,
+            "pipeline",
+            DivergenceKind::CandidateFault,
+        );
         self.stats.pipelined_cycles += pipe.pipeline_stats().expect("pipelined backend").cycles;
         halt?;
         let func = self.baseline.as_ref().expect("baseline ran above");
-        final_difference(func, &pipe, ["functional", "pipelined"])
+        Ok(final_difference(func, &pipe, ["functional", "pipelined"])?)
     }
 }
 
@@ -786,6 +890,7 @@ impl<S: Debug> ValueRow<S> {
             if let Err(mismatch) = (self.cases)(&set) {
                 return Some(Divergence {
                     oracle: self.oracle,
+                    kind: DivergenceKind::Disagreement,
                     detail: format!("{mismatch} for {set:?}"),
                 });
             }
@@ -1194,7 +1299,7 @@ mod tests {
         let (_, d) = check_program_filtered(&p, 100, Some(Oracle::FunctionalVsThreaded));
         let d = d.expect("budget divergence");
         assert_eq!(d.oracle, Oracle::FunctionalVsThreaded);
-        assert!(d.is_budget_exhaustion());
+        assert_eq!(d.kind, DivergenceKind::BudgetExhausted);
     }
 
     #[test]
@@ -1247,7 +1352,7 @@ mod tests {
         let (_, d) = check_program_filtered(&p, 100, Some(Oracle::SliceMigrate));
         let d = d.expect("budget divergence");
         assert_eq!(d.oracle, Oracle::SliceMigrate);
-        assert!(d.is_budget_exhaustion());
+        assert_eq!(d.kind, DivergenceKind::BudgetExhausted);
     }
 
     #[test]
@@ -1256,7 +1361,7 @@ mod tests {
         let (_, d) = check_program_filtered(&p, 100, Some(Oracle::Energy));
         let d = d.expect("budget divergence");
         assert_eq!(d.oracle, Oracle::Energy);
-        assert!(d.is_budget_exhaustion());
+        assert_eq!(d.kind, DivergenceKind::BudgetExhausted);
     }
 
     #[test]
@@ -1469,6 +1574,25 @@ mod tests {
     }
 
     #[test]
+    fn a_faulting_program_is_a_baseline_fault_not_a_disagreement() {
+        // Both sides fault on the same load; the oracles that run the
+        // functional side first name that side.
+        let p = art9_isa::assemble("LI t2, 121\nLUI t2, 40\nLOAD t3, t2, 0\nJAL t0, 0\n").unwrap();
+        for oracle in [
+            Oracle::FunctionalVsReference,
+            Oracle::FunctionalVsThreaded,
+            Oracle::Energy,
+            Oracle::SliceMigrate,
+            Oracle::PipelinedForwarding,
+            Oracle::PipelinedNoForwarding,
+        ] {
+            let (_, d) = check_program_filtered(&p, 100, Some(oracle));
+            let d = d.expect("fault divergence");
+            assert_eq!(d.kind, DivergenceKind::BaselineFault, "{d}");
+        }
+    }
+
+    #[test]
     fn final_state_diff_detects_planted_register_and_memory_differences() {
         use art9_isa::TReg;
         let p = art9_isa::assemble("LI t3, 1\nJAL t0, 0\n").unwrap();
@@ -1542,7 +1666,7 @@ mod tests {
         let (_, d) = check_program_filtered(&p, 100, Some(Oracle::PipelinedForwarding));
         let d = d.expect("budget divergence under filter");
         assert_eq!(d.oracle, Oracle::PipelinedForwarding);
-        assert!(d.is_budget_exhaustion());
+        assert_eq!(d.kind, DivergenceKind::BudgetExhausted);
     }
 
     #[test]

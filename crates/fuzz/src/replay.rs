@@ -47,7 +47,7 @@ pub struct ReplayMeta {
 /// # Examples
 ///
 /// ```
-/// use art9_fuzz::{render_replay, parse_replay, ReplayMeta, Divergence, Oracle};
+/// use art9_fuzz::{render_replay, parse_replay, ReplayMeta, Divergence, DivergenceKind, Oracle};
 ///
 /// let program = art9_isa::assemble("LI t3, 7\nJAL t0, 0\n")?;
 /// let meta = ReplayMeta {
@@ -55,6 +55,7 @@ pub struct ReplayMeta {
 ///     iteration: 17,
 ///     divergence: Divergence {
 ///         oracle: Oracle::PipelinedForwarding,
+///         kind: DivergenceKind::Disagreement,
 ///         detail: "t3 = 7 vs 8".into(),
 ///     },
 /// };
@@ -95,13 +96,14 @@ pub fn parse_replay(text: &str) -> Result<Program, IsaError> {
 /// # Examples
 ///
 /// ```
-/// use art9_fuzz::{render_replay_rv32, is_rv32_replay, ReplayMeta, Divergence, Oracle};
+/// use art9_fuzz::{render_replay_rv32, is_rv32_replay, ReplayMeta, Divergence, DivergenceKind, Oracle};
 ///
 /// let meta = ReplayMeta {
 ///     seed: 42,
 ///     iteration: 3,
 ///     divergence: Divergence {
 ///         oracle: Oracle::CompilerLockstep,
+///         kind: DivergenceKind::Disagreement,
 ///         detail: "a0 (Data) = 7 (art9) vs 8 (rv32)".into(),
 ///     },
 /// };
@@ -216,7 +218,7 @@ pub fn parse_replay_header(text: &str) -> RecordedMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::Oracle;
+    use crate::oracle::{DivergenceKind, Oracle};
 
     fn meta() -> ReplayMeta {
         ReplayMeta {
@@ -224,6 +226,7 @@ mod tests {
             iteration: 3,
             divergence: Divergence {
                 oracle: Oracle::FunctionalVsReference,
+                kind: DivergenceKind::Disagreement,
                 detail: "t4 = 1 vs 2\nsecond line".into(),
             },
         }
