@@ -429,7 +429,7 @@ impl<'a> CoSim<'a> {
     }
 
     /// Steps the core while the instruction at its PC satisfies
-    /// `inside` (and it has not halted). Returns a description on fault
+    /// `inside` (and it has not halted). Returns a finding on fault
     /// or budget exhaustion.
     fn advance(&self, core: &mut dyn Core, inside: impl Fn(Origin) -> bool) -> Result<(), Finding> {
         let prov = self.t.provenance();

@@ -560,7 +560,7 @@ struct ProgramRun<'a> {
 }
 
 impl ProgramRun<'_> {
-    /// Runs one oracle; `Err` is its divergence detail. The oracles
+    /// Runs one oracle; `Err` is its finding. The oracles
     /// that do not run the ART-9 program have nothing to check here.
     fn check(&mut self, oracle: Oracle) -> Result<(), Finding> {
         match oracle {
