@@ -317,16 +317,7 @@ fn main() {
         nn.sim.workload, nn.sim.functional_ips, nn.sim.threaded_ips
     );
 
-    // ---- Wide words and tapered reals ---------------------------------
-    // Etiemble-style per-operation costs of the multi-plane 27/81-trit
-    // words and the tapered-precision reals (docs/ARITHMETIC.md).
-    println!("\n=== Wide ternary words (multi-plane, see docs/ARITHMETIC.md) ===");
-    let wide = perf::measure_wide(Duration::from_millis(40));
-    for op in &wide {
-        println!("  wide/{:<26} {:>8.2} ns/op", op.name, op.ns_per_op);
-    }
-
-    let json = perf::bench_json(&word_ops, &prep, &sims, &energy_rows, &service, &nn, &wide);
+    let json = perf::bench_json(&word_ops, &prep, &sims, &energy_rows, &service, &nn);
     std::fs::write("BENCH_ternary.json", &json).expect("write BENCH_ternary.json");
     println!("wrote BENCH_ternary.json");
 }

@@ -24,10 +24,6 @@ use workloads::batch::RunRecord;
 pub struct EnergyRow {
     /// Workload name.
     pub workload: &'static str,
-    /// Pipelined cycles of the measured run.
-    pub cycles: u64,
-    /// Instructions retired.
-    pub instructions: u64,
     /// Total dynamic switching energy, nJ.
     pub energy_nj: f64,
     /// Energy per instruction over the whole run, pJ.
@@ -108,8 +104,6 @@ pub fn energy_row(
 
     EnergyRow {
         workload: r.workload,
-        cycles,
-        instructions: r.instructions,
         energy_nj: e.total_nj(),
         epi_pj: e.per_instruction_pj(r.instructions),
         class_epi_pj,

@@ -50,7 +50,7 @@ pub struct Row {
     /// One of [`LAYERS`].
     pub layer: &'static str,
     /// `<subject>/<metric>` (e.g. `dhrystone/functional_ips`,
-    /// `wide/word81_add/ns_per_op`), unique within its layer.
+    /// `word9/add/ns_per_op`), unique within its layer.
     pub name: String,
     /// The measured value.
     pub value: f64,
@@ -243,7 +243,7 @@ pub struct GateResult {
 
 impl GateResult {
     /// The comparisons that moved the wrong way past their tolerance.
-    pub fn regressions(&self) -> impl Iterator<Item = &MetricDelta> {
+    fn regressions(&self) -> impl Iterator<Item = &MetricDelta> {
         self.deltas.iter().filter(|d| d.regressed())
     }
 
@@ -382,10 +382,6 @@ mod tests {
         r.name.starts_with("nn/")
     }
 
-    fn is_wide(r: &Row) -> bool {
-        r.name.starts_with("wide/")
-    }
-
     /// The factor moving `row` `step` past (positive) or inside
     /// (negative) its tolerance in the bad direction.
     fn bad_factor(row: &Row, step: f64) -> f64 {
@@ -398,7 +394,7 @@ mod tests {
 
     #[test]
     fn parses_the_committed_baseline() {
-        // The 36 gated comparisons as (name, direction, tolerance).
+        // The 24 gated comparisons as (name, direction, tolerance).
         let mut expected = Vec::new();
         for w in ["bubble-sort", "gemm", "sobel", "dhrystone"] {
             for m in ["functional_ips", "threaded_ips", "pipelined_cps"] {
@@ -416,19 +412,13 @@ mod tests {
             expected.push((name.to_string(), Better::Higher, 0.25));
         }
         expected.push(("service/per_worker_ips".into(), Better::Higher, 0.5));
-        let wide = "word27_add word27_mul word81_add word81_mul word81_negate word81_compare \
-                    word81_compress3 word81_to_i128 word81_from_i128_wrapping real_add \
-                    real_mul real_tapered_roundtrip";
-        for op in wide.split_whitespace() {
-            expected.push((format!("wide/{op}/ns_per_op"), Better::Lower, 0.5));
-        }
         let mut gates: Vec<_> = gated()
             .into_iter()
             .map(|r| (r.name, r.better, r.tolerance.unwrap()))
             .collect();
         gates.sort_by(|a, b| a.0.cmp(&b.0));
         expected.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(gates.len(), 36);
+        assert_eq!(gates.len(), 24);
         assert_eq!(gates, expected);
         // Each paper workload's pipelined-over-functional cost ratio is
         // reported, never gated.
@@ -461,7 +451,7 @@ mod tests {
         assert_eq!(render(&baseline()), COMMITTED);
         let r = compare(&baseline(), &baseline());
         assert!(r.ok() && r.added.is_empty(), "{}", r.render());
-        assert!(r.render().contains("gate: OK (36 gated comparisons)"));
+        assert!(r.render().contains("gate: OK (24 gated comparisons)"));
     }
 
     #[test]
@@ -477,7 +467,7 @@ mod tests {
         let rows = vec![
             row(
                 "kernel",
-                "wide/a/ns_per_op",
+                "word9/a/ns_per_op",
                 1.0 / 3.0,
                 Better::Lower,
                 Some(0.5),
@@ -506,7 +496,7 @@ mod tests {
         // threaded rows; the reported nn threaded rate is not gated.
         let r = compare(&baseline(), &scaled_where(is_threaded, 0.5));
         assert!(!r.ok());
-        assert_eq!(r.deltas.len(), 36);
+        assert_eq!(r.deltas.len(), 24);
         let regressed = regressed_names(&r);
         assert_eq!(regressed.len(), 4);
         assert!(regressed.iter().all(|n| n.ends_with("/threaded_ips")));
@@ -640,45 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_section_parses_and_gates_slowdowns_only() {
-        let wide: Vec<_> = gated().into_iter().filter(is_wide).collect();
-        assert_eq!(wide.len(), 12);
-        assert!(wide
-            .iter()
-            .all(|r| r.better == Better::Lower && r.tolerance == Some(0.5)));
-        // 40% slower stays inside the doubled 2 * 25% band.
-        let r = compare(&baseline(), &scaled_where(is_wide, 1.4));
-        assert!(r.ok(), "{}", r.render());
-        assert!(r
-            .deltas
-            .iter()
-            .any(|d| d.baseline.name == "wide/word81_add/ns_per_op"));
-        // 60% slower trips every wide row.
-        let r = compare(&baseline(), &scaled_where(is_wide, 1.6));
-        let regressed = regressed_names(&r);
-        assert_eq!(regressed.len(), 12);
-        assert!(regressed.contains(&"wide/real_mul/ns_per_op"));
-        // Getting *faster* is an improvement, never a regression.
-        let r = compare(&baseline(), &scaled_where(is_wide, 0.3));
-        assert!(r.ok(), "{}", r.render());
-    }
-
-    #[test]
-    fn dropping_the_wide_section_fails_once_pinned() {
-        let r = compare(&baseline(), &without(is_wide));
-        assert!(!r.ok());
-        let missing = missing_names(&r);
-        assert_eq!(missing.len(), 12);
-        assert!(missing.contains(&"wide/word81_add/ns_per_op"));
-        assert!(missing.contains(&"wide/real_mul/ns_per_op"));
-        // A baseline without wide rows gates nothing against a
-        // wide-bearing current document.
-        let r = compare(&without(is_wide), &baseline());
-        assert!(r.ok(), "{}", r.render());
-        assert_eq!(r.added.len(), 12);
-    }
-
-    #[test]
     fn small_noise_passes() {
         // Just inside its tolerance in the bad direction, every gated
         // row passes.
@@ -742,7 +693,7 @@ mod tests {
         }
         let r = compare(&base, &current);
         assert!(r.ok(), "{}", r.render());
-        assert_eq!(r.deltas.len(), 32);
+        assert_eq!(r.deltas.len(), 20);
         // The four paper workloads' rows plus the reported nn row.
         assert_eq!(r.added.len(), 5);
         assert!(r

@@ -37,13 +37,11 @@ pub mod perf {
     use workloads::batch::DEFAULT_MAX_STEPS;
     use workloads::Workload;
 
-    /// One measured word-operation cost: a `Word9` operation, or a
-    /// multi-plane wide-word or tapered-real one.
+    /// One measured `Word9` operation cost.
     #[derive(Debug, Clone)]
     pub struct WordOp {
         /// Operation name: the `Word9` method (`add_tritwise_ref` is
-        /// the per-trit reference adder); wide ops are `<type>_<op>`,
-        /// e.g. `word81_add`.
+        /// the per-trit reference adder).
         pub name: &'static str,
         /// Mean nanoseconds per operation.
         pub ns_per_op: f64,
@@ -195,157 +193,6 @@ pub mod perf {
 
     fn next_tuple_first(p: &mut impl FnMut() -> (Word9, Word9)) -> Word9 {
         p().0
-    }
-
-    /// Rotates through adjacent pairs of a pre-generated operand pool,
-    /// so carry-chain lengths and sign mixes are averaged like the
-    /// `Word9` suite.
-    fn pair_stream<T: Copy>(pool: &[T]) -> impl FnMut() -> (T, T) + '_ {
-        let mut k = 0usize;
-        move || {
-            k = (k + 1) % (pool.len() - 1);
-            (pool[k], pool[k + 1])
-        }
-    }
-
-    /// Measures the wide-word suite (`budget` per operation): the
-    /// Etiemble-style adder/multiplier rows at 27 and 81 trits, the
-    /// 81-trit support ops, and the tapered-precision real arithmetic.
-    pub fn measure_wide(budget: Duration) -> Vec<WordOp> {
-        use ternary::{TernaryReal, Word27, Word81};
-
-        let mut seed = 0x243F_6A88_85A3_08D3u64;
-        let mut raw = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            seed
-        };
-        let w27: Vec<Word27> = (0..64)
-            .map(|_| Word27::from_i128_wrapping(raw() as i64 as i128))
-            .collect();
-        let w81: Vec<Word81> = (0..64)
-            .map(|_| Word81::from_i128_wrapping((((raw() as u128) << 64) | raw() as u128) as i128))
-            .collect();
-        let reals: Vec<TernaryReal> = (0..64)
-            .map(|_| TernaryReal::from_scaled(raw() as i64 >> 16, (raw() % 121) as i32 - 60))
-            .collect();
-
-        let mut ops: Vec<WordOp> = Vec::new();
-        {
-            let mut p = pair_stream(&w27);
-            ops.push(WordOp {
-                name: "word27_add",
-                ns_per_op: ns_per_call(budget, move || {
-                    let (a, b) = p();
-                    a.wrapping_add(b)
-                }),
-            });
-        }
-        {
-            let mut p = pair_stream(&w27);
-            ops.push(WordOp {
-                name: "word27_mul",
-                ns_per_op: ns_per_call(budget, move || {
-                    let (a, b) = p();
-                    a.wrapping_mul(b)
-                }),
-            });
-        }
-        {
-            let mut p = pair_stream(&w81);
-            ops.push(WordOp {
-                name: "word81_add",
-                ns_per_op: ns_per_call(budget, move || {
-                    let (a, b) = p();
-                    a.wrapping_add(b)
-                }),
-            });
-        }
-        {
-            let mut p = pair_stream(&w81);
-            ops.push(WordOp {
-                name: "word81_mul",
-                ns_per_op: ns_per_call(budget, move || {
-                    let (a, b) = p();
-                    a.wrapping_mul(b)
-                }),
-            });
-        }
-        {
-            let mut p = pair_stream(&w81);
-            ops.push(WordOp {
-                name: "word81_negate",
-                ns_per_op: ns_per_call(budget, move || p().0.negate()),
-            });
-        }
-        {
-            let mut p = pair_stream(&w81);
-            ops.push(WordOp {
-                name: "word81_compare",
-                ns_per_op: ns_per_call(budget, move || {
-                    let (a, b) = p();
-                    a.cmp(&b)
-                }),
-            });
-        }
-        {
-            let mut p = pair_stream(&w81);
-            ops.push(WordOp {
-                name: "word81_compress3",
-                ns_per_op: ns_per_call(budget, move || {
-                    let (a, b) = p();
-                    Word81::compress3(a, b, a.negate())
-                }),
-            });
-        }
-        {
-            let mut p = pair_stream(&w81);
-            ops.push(WordOp {
-                name: "word81_to_i128",
-                ns_per_op: ns_per_call(budget, move || p().0.try_to_i128()),
-            });
-        }
-        {
-            let mut v = 1i128;
-            ops.push(WordOp {
-                name: "word81_from_i128_wrapping",
-                ns_per_op: ns_per_call(budget, move || {
-                    v = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    Word81::from_i128_wrapping(v)
-                }),
-            });
-        }
-        {
-            let mut p = pair_stream(&reals);
-            ops.push(WordOp {
-                name: "real_add",
-                ns_per_op: ns_per_call(budget, move || {
-                    let (a, b) = p();
-                    a.add(&b)
-                }),
-            });
-        }
-        {
-            let mut p = pair_stream(&reals);
-            ops.push(WordOp {
-                name: "real_mul",
-                ns_per_op: ns_per_call(budget, move || {
-                    let (a, b) = p();
-                    a.mul(&b)
-                }),
-            });
-        }
-        {
-            let mut p = pair_stream(&reals);
-            ops.push(WordOp {
-                name: "real_tapered_roundtrip",
-                ns_per_op: ns_per_call(budget, move || {
-                    TernaryReal::from_tapered(p().0.to_tapered())
-                }),
-            });
-        }
-        ops
     }
 
     /// Measures functional, threaded, pipelined and threaded-with-energy
@@ -609,9 +456,10 @@ pub mod perf {
     /// `energy_overhead_x` (threaded-with-energy time over threaded
     /// time), its `energy_nj` and Dhrystone's `dmips_per_watt`, the NN SIMD
     /// speedup and `nn-mlp` functional rate (all at 25%), the
-    /// scheduler's per-worker rate and the wide-word timings (at 50%:
-    /// a threaded scheduler and per-operation timings are noisier on
-    /// shared runners than a whole-simulator loop). Everything else,
+    /// scheduler's per-worker rate (at 50%: a threaded scheduler is
+    /// noisier on shared runners than a whole-simulator loop). The
+    /// energy layer does not repeat the execution layer's instruction
+    /// and cycle counts. Everything else,
     /// the per-pass preparation times included, is reported only.
     pub fn bench_json(
         word_ops: &[WordOp],
@@ -620,7 +468,6 @@ pub mod perf {
         energy: &[crate::energy::EnergyRow],
         service: &ServicePerf,
         nn: &NnPerf,
-        wide: &[WordOp],
     ) -> String {
         use crate::gate::Better::{self, Higher, Lower};
         use crate::gate::{render, Row};
@@ -645,11 +492,9 @@ pub mod perf {
             }
         };
 
-        let word9 = word_ops.iter().map(|op| ("word9", op, None));
-        let wide = wide.iter().map(|op| ("wide", op, GATED_NOISY));
-        for (family, op, tolerance) in word9.chain(wide) {
-            let metric = [("ns_per_op", op.ns_per_op, "ns", Lower, tolerance)];
-            push("kernel", &format!("{family}/{}", op.name), &metric);
+        for op in word_ops {
+            let metric = [("ns_per_op", op.ns_per_op, "ns", Lower, None)];
+            push("kernel", &format!("word9/{}", op.name), &metric);
         }
         let (scalar, simd) = (nn.scalar_ns_per_matvec, nn.simd_ns_per_matvec);
         push(
@@ -724,8 +569,6 @@ pub mod perf {
                 "energy",
                 w,
                 &[
-                    ("cycles", e.cycles as f64, "count", Lower, None),
-                    ("instructions", e.instructions as f64, "count", Lower, None),
                     ("energy_nj", e.energy_nj, "nJ", Lower, GATED),
                     ("epi_pj", e.epi_pj, "pJ", Lower, None),
                 ],
@@ -785,15 +628,6 @@ pub mod perf {
         }
 
         #[test]
-        fn wide_ops_measure_quickly_and_positively() {
-            let ops = measure_wide(Duration::from_millis(2));
-            assert!(ops.iter().any(|o| o.name == "word27_add"));
-            assert!(ops.iter().any(|o| o.name == "word81_mul"));
-            assert!(ops.iter().any(|o| o.name == "real_add"));
-            assert!(ops.iter().all(|o| o.ns_per_op > 0.0));
-        }
-
-        #[test]
         fn sim_throughput_counts_match_direct_run() {
             let w = workloads::dot_product(4);
             let s = measure_sim_throughput(&w, Duration::from_millis(5));
@@ -819,8 +653,6 @@ pub mod perf {
             }];
             let energy = vec![crate::energy::EnergyRow {
                 workload: "dhrystone",
-                cycles: 120,
-                instructions: 100,
                 energy_nj: 1.5e-3,
                 epi_pj: 1.5e-2,
                 class_epi_pj: [0.016, 0.014, 0.012, 0.02, 0.018],
@@ -854,16 +686,6 @@ pub mod perf {
                     energy_ips: 1.5e7,
                 },
             };
-            let wide = vec![
-                WordOp {
-                    name: "word81_add",
-                    ns_per_op: 6.5,
-                },
-                WordOp {
-                    name: "real_mul",
-                    ns_per_op: 42.75,
-                },
-            ];
             let prep = vec![PrepTimes {
                 workload: "dhrystone",
                 parse_us: 30.5,
@@ -871,7 +693,7 @@ pub mod perf {
                 predecode_us: 4.5,
                 threaded_compile_us: 9.75,
             }];
-            let json = bench_json(&ops, &prep, &sims, &energy, &service, &nn, &wide);
+            let json = bench_json(&ops, &prep, &sims, &energy, &service, &nn);
             assert!(json.contains("\"schema\": \"art9-bench-ternary/v2\""));
             assert_eq!(
                 json.matches('{').count(),
@@ -894,7 +716,6 @@ pub mod perf {
             assert_eq!(value("dhrystone/dmips_per_watt"), 7.5e6);
             assert_eq!(value("service/p99_slice_us"), 210.25);
             assert_eq!(value("nn/simd_speedup"), 8.0);
-            assert_eq!(value("wide/real_mul/ns_per_op"), 42.75);
             assert_eq!(value("prep/dhrystone/parse_us"), 30.5);
             assert_eq!(value("prep/dhrystone/translate_us"), 40.25);
             assert_eq!(value("prep/dhrystone/predecode_us"), 4.5);
@@ -905,10 +726,15 @@ pub mod perf {
                 .all(|r| r.tolerance.is_none() && r.better == crate::gate::Better::Lower));
             // One workload: three rates, the energy overhead and the
             // energy pair (its two cross-backend ratios are reported
-            // only), plus the two NN rows, the scheduler rate and the
-            // two wide rows.
+            // only), plus the two NN rows and the scheduler rate.
             let gated = rows.iter().filter(|r| r.tolerance.is_some()).count();
-            assert_eq!(gated, 4 + 2 + 2 + 1 + 2);
+            assert_eq!(gated, 4 + 2 + 2 + 1);
+            // Each name is kept once: no layer repeats another's row.
+            let mut names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+            names.sort_unstable();
+            let before = names.len();
+            names.dedup();
+            assert_eq!(names.len(), before, "a row name appears twice");
         }
 
         #[test]

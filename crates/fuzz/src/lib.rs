@@ -13,8 +13,8 @@
 //! accounting, sliced-and-migrated execution, pipelined with
 //! forwarding on and off, and the encode/decode/disassemble/reassemble
 //! toolchain), one table of [value-level](Oracle::is_value_level)
-//! oracles checking the packed arithmetic, SIMD-lane and wide-word
-//! kernels against their per-trit references, and a seeded
+//! oracles checking the packed arithmetic and SIMD-lane kernels
+//! against their per-trit references, and a seeded
 //! [RV32 generator](generate_rv32) whose output runs on the
 //! `rv32::Machine` and — translated by `art9-compiler` — on an ART-9
 //! core, compared at every RV32 instruction boundary by the
@@ -180,11 +180,10 @@ impl FuzzReport {
         let _ = writeln!(
             out,
             "{} roundtrip checks, {} arithmetic checks, {} simd-lane checks, \
-             {} wide-width checks, {} energy flips cross-checked | digest {:016x}",
+             {} energy flips cross-checked | digest {:016x}",
             self.stats.roundtrip_checks,
             self.stats.arith_checks,
             self.stats.simd_checks,
-            self.stats.wide_checks,
             self.stats.energy_flips,
             self.digest
         );
@@ -305,7 +304,10 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                 if cfg.sweep_mixes {
                     rv_cfg.mix = Rv32Mix::ALL[(i % Rv32Mix::ALL.len() as u64) as usize];
                 }
-                let src = generate_rv32(&mut rng, &rv_cfg);
+                // The RV32 program's own stream: the same as a filtered
+                // `--oracle compiler-lockstep` run, whatever the value
+                // oracles drew from `rng` above.
+                let src = generate_rv32(&mut FuzzRng::for_iteration(cfg.seed, i), &rv_cfg);
                 digest ^= source_digest(&src).rotate_left(31);
                 divergence = check_compiler_lockstep(&src, rv_budget, &mut stats);
                 if divergence.is_some() {
@@ -511,6 +513,12 @@ mod tests {
         );
         let roundtrip = only(Oracle::ToolchainRoundtrip);
         assert_eq!(roundtrip.roundtrip_checks, full.roundtrip_checks);
+        // The full campaign runs the filtered run's RV32 programs.
+        let cosim = only(Oracle::CompilerLockstep);
+        assert!(full.cosim_sync_points > 0);
+        assert_eq!(cosim.cosim_rv32_instructions, full.cosim_rv32_instructions);
+        assert_eq!(cosim.cosim_art9_instructions, full.cosim_art9_instructions);
+        assert_eq!(cosim.cosim_sync_points, full.cosim_sync_points);
     }
 
     #[test]

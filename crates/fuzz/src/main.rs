@@ -41,7 +41,7 @@ OPTIONS:
     --oracle NAME     Run only one oracle (functional-vs-reference |
                       functional-vs-threaded | energy | slice-migrate |
                       pipelined-fwd | pipelined-nofwd | toolchain-roundtrip |
-                      arithmetic | simd | wide | compiler-lockstep) —
+                      arithmetic | simd | compiler-lockstep) —
                       for triaging a campaign or a replay file
     --max-len N       Upper bound on generated body length (default 160)
     --smoke           CI budget: 150 small programs across the mixes

@@ -7,7 +7,7 @@
 //! energy accounting, sliced-and-migrated execution, the pipelined
 //! simulator with forwarding on and off, and the toolchain roundtrip
 //! (encode → decode → disassemble → reassemble). The value-level
-//! oracles (arithmetic, SIMD lanes, wide words) are one table of
+//! oracles (arithmetic, SIMD lanes) are one table of
 //! `(op, packed, reference)` cases checked on random operands. Any
 //! disagreement is reported as a [`Divergence`] naming the oracle, the
 //! step, and the first differing piece of state.
@@ -38,7 +38,7 @@ use art9_sim::{
     SimBuilder,
 };
 use ternary::simd::{self, LaneWeights, PackedWeights, Word9xN};
-use ternary::{arith, TernaryReal, Trit, Trits, WideTrits, Word27, Word81, Word9};
+use ternary::{arith, Trit, Trits, Word9};
 
 use crate::gen::MIN_TDM_WORDS;
 use crate::rng::FuzzRng;
@@ -90,15 +90,6 @@ pub enum Oracle {
     /// ±1), ±3^k lane values, all-zero weight vectors and mixed-sign
     /// MACs.
     Simd,
-    /// Wide-width arithmetic: packed kernels vs the trit-serial
-    /// references at every width past the 9-trit machine word —
-    /// single-plane `Trits<40>`/`Trits<63>` (the band the pre-fix
-    /// constants made uninstantiable), the multi-plane
-    /// `Word27`/`Word81` words (cross-plane carry ripple, the 81-trit
-    /// range exceeding `i128`), and the tapered-precision
-    /// `TernaryReal` add/mul against the exact-integer rounding
-    /// reference.
-    Wide,
     /// RV32→ART-9 translation vs the `rv32` machine, in lockstep at
     /// RV32-instruction granularity (see [`crate::CoSim`]). Runs on
     /// generated RV32 programs, not ART-9 ones.
@@ -107,7 +98,7 @@ pub enum Oracle {
 
 impl Oracle {
     /// Every oracle, in campaign order.
-    pub const ALL: [Oracle; 11] = [
+    pub const ALL: [Oracle; 10] = [
         Oracle::FunctionalVsReference,
         Oracle::FunctionalVsThreaded,
         Oracle::Energy,
@@ -117,7 +108,6 @@ impl Oracle {
         Oracle::ToolchainRoundtrip,
         Oracle::Arithmetic,
         Oracle::Simd,
-        Oracle::Wide,
         Oracle::CompilerLockstep,
     ];
 
@@ -134,7 +124,6 @@ impl Oracle {
             Oracle::ToolchainRoundtrip => "toolchain-roundtrip",
             Oracle::Arithmetic => "arithmetic",
             Oracle::Simd => "simd",
-            Oracle::Wide => "wide",
             Oracle::CompilerLockstep => "compiler-lockstep",
         }
     }
@@ -260,9 +249,6 @@ pub struct OracleStats {
     /// Individual SIMD-lane cross-checks performed (one per lane-op
     /// comparison against its tritwise lanewise reference).
     pub simd_checks: u64,
-    /// Individual wide-width cross-checks performed (one per packed-op
-    /// comparison against its trit-serial or exact-integer reference).
-    pub wide_checks: u64,
     /// Trit flips cross-checked by the energy oracle (packed total;
     /// the tritwise side counted the same number when the oracle
     /// passed).
@@ -292,7 +278,6 @@ impl OracleStats {
         self.roundtrip_checks += other.roundtrip_checks;
         self.arith_checks += other.arith_checks;
         self.simd_checks += other.simd_checks;
-        self.wide_checks += other.wide_checks;
         self.energy_flips += other.energy_flips;
         self.slice_migrate_slices += other.slice_migrate_slices;
         self.slice_migrate_migrations += other.slice_migrate_migrations;
@@ -578,7 +563,7 @@ impl ProgramRun<'_> {
             Oracle::PipelinedForwarding => self.pipelined(true),
             Oracle::PipelinedNoForwarding => self.pipelined(false),
             Oracle::ToolchainRoundtrip => Ok(roundtrip(self.program, &mut self.stats)?),
-            Oracle::Arithmetic | Oracle::Simd | Oracle::Wide | Oracle::CompilerLockstep => Ok(()),
+            Oracle::Arithmetic | Oracle::Simd | Oracle::CompilerLockstep => Ok(()),
         }
     }
 
@@ -928,9 +913,9 @@ impl<S: Debug> ValueOracle for ValueRow<S> {
 }
 
 /// The value-oracle table, in campaign order.
-const VALUE_ORACLES: [&dyn ValueOracle; 3] = [&ARITH, &SIMD, &WIDE];
+const VALUE_ORACLES: [&dyn ValueOracle; 2] = [&ARITH, &SIMD];
 
-/// Operand sets per iteration for the SIMD and wide rows.
+/// Operand sets per iteration for the SIMD row.
 const VALUE_SETS: usize = 8;
 
 /// Runs the value-oracle table (only `cfg.oracle`'s row when the
@@ -1097,128 +1082,6 @@ const SIMD: ValueRow<LaneSet> = ValueRow {
     counter: |stats| &mut stats.simd_checks,
     checks_per_set: 13,
 };
-
-/// One wide-width operand set: two `i128` operands, the left shift that
-/// carries the 81-trit pair past the `i128` range, and the exponents of
-/// the tapered-real pair.
-#[derive(Debug)]
-struct WideSet {
-    a: i128,
-    b: i128,
-    shift: usize,
-    exponents: (i32, i32),
-}
-
-/// The wide-width layer vs its trit-serial and exact-integer
-/// references, 27 cases per set: round-trip, add, mul, negate, flips
-/// and div on single-plane `Trits<40>`/`Trits<63>`; add, mul, negate,
-/// compare, flips and `compress3` on the multi-plane `Word27`/`Word81`
-/// words; and `TernaryReal` add, mul and taper idempotence.
-///
-/// Operands mix random `i128`s with the ±3^k carry corners up to 3^80
-/// and the `i128` extremes; the 81-trit pair is shifted past the
-/// `i128` range, where only the 81-trit word (and its per-trit
-/// reference) can represent the values at all.
-const WIDE: ValueRow<WideSet> = ValueRow {
-    oracle: Oracle::Wide,
-    draws: |_| VALUE_SETS,
-    draw: |rng, n| {
-        let mut corners = vec![0i128, 1, -1, i128::MAX, i128::MIN];
-        for k in (4..=80usize).step_by(4) {
-            let p = ternary::pow3_i128(k);
-            corners.extend([p, -p, p - 1, -p + 1, p + 1, -p - 1]);
-        }
-        let operand = |rng: &mut FuzzRng| -> i128 {
-            if rng.chance(1, 3) {
-                corners[rng.index(corners.len())]
-            } else {
-                (((rng.next_u64() as u128) << 64) | rng.next_u64() as u128) as i128
-            }
-        };
-        let exponent = |rng: &mut FuzzRng| rng.below(121) as i32 - 60;
-        (0..n)
-            .map(|_| WideSet {
-                a: operand(rng),
-                b: operand(rng),
-                shift: rng.index(40),
-                exponents: (exponent(rng), exponent(rng)),
-            })
-            .collect()
-    },
-    cases: |s| {
-        trits_cases::<40>(s.a, s.b)?;
-        trits_cases::<63>(s.a, s.b)?;
-        plane_cases(
-            Word27::from_i128_wrapping(s.a),
-            Word27::from_i128_wrapping(s.b),
-        )?;
-        plane_cases(
-            Word81::from_i128_wrapping(s.a).shl(s.shift),
-            Word81::from_i128_wrapping(s.b).shl(s.shift / 2),
-        )?;
-        // Tapered reals: packed 55-trit-intermediate rounding vs the
-        // exact-integer rounding reference.
-        let ra = TernaryReal::from_scaled(s.a as i64 >> 16, s.exponents.0);
-        let rb = TernaryReal::from_scaled(s.b as i64 >> 16, s.exponents.1);
-        let sum = ra.add(&rb);
-        case(
-            "real add",
-            arith::real_parts(&sum),
-            arith::real_add_ref(&ra, &rb),
-        )?;
-        let product = ra.mul(&rb);
-        case(
-            "real mul",
-            arith::real_parts(&product),
-            arith::real_mul_ref(&ra, &rb),
-        )?;
-        let tapered = TernaryReal::from_tapered(sum.to_tapered());
-        case(
-            "taper",
-            TernaryReal::from_tapered(tapered.to_tapered()),
-            tapered,
-        )
-    },
-    counter: |stats| &mut stats.wide_checks,
-    checks_per_set: 27,
-};
-
-/// The single-plane wide-width cases at `N` trits.
-fn trits_cases<const N: usize>(a: i128, b: i128) -> Result<(), String> {
-    let (wa, wb) = (
-        Trits::<N>::from_i128_wrapping(a),
-        Trits::<N>::from_i128_wrapping(b),
-    );
-    case(
-        "i128 roundtrip",
-        Trits::<N>::from_i128_wrapping(wa.to_i128()),
-        wa,
-    )?;
-    case("add", wa.carrying_add(wb), arith::add_tritwise(wa, wb))?;
-    case("mul", wa.wrapping_mul(wb), arith::mul_tritwise(wa, wb))?;
-    case("negate", wa.negate(), arith::negate_tritwise(wa))?;
-    case("flips", wa.flips_from(&wb), arith::flips_tritwise(wa, wb))?;
-    case("div", wa.div_rem(wb), arith::div_rem_tritwise(wa, wb))
-}
-
-/// The multi-plane wide-width cases.
-fn plane_cases<const N: usize, const W: usize>(
-    wa: WideTrits<N, W>,
-    wb: WideTrits<N, W>,
-) -> Result<(), String> {
-    case("add", wa.carrying_add(wb), arith::wide_add_tritwise(wa, wb))?;
-    case("mul", wa.wrapping_mul(wb), arith::wide_mul_tritwise(wa, wb))?;
-    case("negate", wa.negate(), arith::wide_negate_tritwise(wa))?;
-    case("compare", wa.cmp(&wb), arith::wide_compare_tritwise(wa, wb))?;
-    case(
-        "flips",
-        wa.flips_from(&wb),
-        arith::wide_flips_tritwise(wa, wb),
-    )?;
-    let (s, c) = WideTrits::<N, W>::compress3(wa, wb, wa.negate());
-    let sum = wa.wrapping_add(wb).wrapping_add(wa.negate());
-    case("compress3", s.wrapping_add(c), sum)
-}
 
 /// The adversarial Word9 corners the arithmetic and SIMD oracles share:
 /// saturated words (longest carry chains), zero, ±1, and the ±3^k and
@@ -1408,29 +1271,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_oracle_is_clean_and_counts() {
-        let mut rng = FuzzRng::new(13);
-        let mut stats = OracleStats::default();
-        let d = WIDE.check(&mut rng, 32, &mut stats);
-        assert!(d.is_none(), "{}", d.unwrap());
-        // Each clean set performs exactly 27 fixed comparisons:
-        // 6 per Trits width (40, 63), 6 per plane geometry (27/1,
-        // 81/2), 3 for the tapered reals.
-        assert_eq!(stats.wide_checks, 32 * 27);
-    }
-
-    #[test]
-    fn wide_oracle_is_deterministic() {
-        let run = |seed| {
-            let mut stats = OracleStats::default();
-            let d = WIDE.check(&mut FuzzRng::new(seed), 8, &mut stats);
-            (stats.wide_checks, d.is_none())
-        };
-        assert_eq!(run(42), run(42));
-        assert!(run(42).1 && run(7).1);
-    }
-
-    #[test]
     fn simd_oracle_is_deterministic() {
         let run = |seed| {
             let mut stats = OracleStats::default();
@@ -1477,18 +1317,6 @@ mod tests {
             },
             ..SIMD
         });
-        assert_planted_add_is_caught(ValueRow {
-            cases: |s: &WideSet| {
-                let (a, b) = (
-                    Word27::from_i128_wrapping(s.a),
-                    Word27::from_i128_wrapping(s.b),
-                );
-                let (sum, carry) = arith::wide_add_tritwise(a, b);
-                let off = (sum.wrapping_add(Word27::from_i128_wrapping(1)), carry);
-                case("add", a.carrying_add(b), off)
-            },
-            ..WIDE
-        });
     }
 
     #[test]
@@ -1497,10 +1325,7 @@ mod tests {
             .into_iter()
             .filter(|o| o.is_value_level())
             .collect();
-        assert_eq!(
-            value_level,
-            [Oracle::Arithmetic, Oracle::Simd, Oracle::Wide]
-        );
+        assert_eq!(value_level, [Oracle::Arithmetic, Oracle::Simd]);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 
 use crate::error::TernaryError;
 use crate::trit::Trit;
-use crate::wide::WideTrits;
-use crate::word::{pow3_i128, Trits, Word9};
+use crate::word::{Trits, Word9};
 
 /// Trit-serial ripple-carry addition: the per-trit reference for the
 /// packed word-parallel adder behind
@@ -352,205 +351,6 @@ pub fn reduce_add_lanewise(lanes: &[Word9]) -> Word9 {
         .fold(Word9::ZERO, |acc, w| add_tritwise(acc, *w).0)
 }
 
-/// Trit-serial ripple-carry addition on multi-plane words: the
-/// per-trit reference for
-/// [`WideTrits::carrying_add`](crate::WideTrits::carrying_add).
-///
-/// Identical circuit to [`add_tritwise`], chained across however many
-/// plane words the width needs — at 81 trits this is the only oracle
-/// that never leaves the trit domain, since `Word81` values exceed
-/// `i128`.
-///
-/// # Examples
-///
-/// ```
-/// use ternary::{arith, Trit, Word81};
-///
-/// let a = Word81::from_i128(1i128 << 100)?;
-/// let b = Word81::from_i128(-(1i128 << 99))?;
-/// assert_eq!(arith::wide_add_tritwise(a, b), a.carrying_add(b));
-/// let (_, carry) = arith::wide_add_tritwise(Word81::MAX, Word81::MAX);
-/// assert_eq!(carry, Trit::P);
-/// # Ok::<(), ternary::TernaryError>(())
-/// ```
-pub fn wide_add_tritwise<const N: usize, const W: usize>(
-    a: WideTrits<N, W>,
-    b: WideTrits<N, W>,
-) -> (WideTrits<N, W>, Trit) {
-    let mut out = WideTrits::<N, W>::ZERO;
-    let mut carry = Trit::Z;
-    for i in 0..N {
-        let (s, c) = a.trit(i).full_add(b.trit(i), carry);
-        out = out.with_trit(i, s);
-        carry = c;
-    }
-    (out, carry)
-}
-
-/// Trit-serial negation on multi-plane words: STI per trit, the
-/// reference for the plane-array swap behind
-/// [`WideTrits::negate`](crate::WideTrits::negate).
-pub fn wide_negate_tritwise<const N: usize, const W: usize>(a: WideTrits<N, W>) -> WideTrits<N, W> {
-    let mut out = WideTrits::<N, W>::ZERO;
-    for i in 0..N {
-        out = out.with_trit(i, a.trit(i).sti());
-    }
-    out
-}
-
-/// Trit-serial balanced shift-and-add multiplication on multi-plane
-/// words: the reference for
-/// [`WideTrits::wrapping_mul`](crate::WideTrits::wrapping_mul), built
-/// entirely on [`wide_add_tritwise`] so it shares nothing with the
-/// packed carry loop.
-pub fn wide_mul_tritwise<const N: usize, const W: usize>(
-    a: WideTrits<N, W>,
-    b: WideTrits<N, W>,
-) -> WideTrits<N, W> {
-    let mut acc = WideTrits::<N, W>::ZERO;
-    let mut shifted = a;
-    for i in 0..N {
-        match b.trit(i) {
-            Trit::P => acc = wide_add_tritwise(acc, shifted).0,
-            Trit::N => acc = wide_add_tritwise(acc, wide_negate_tritwise(shifted)).0,
-            Trit::Z => {}
-        }
-        shifted = shifted.shl(1);
-    }
-    acc
-}
-
-/// Trit-serial logic on multi-plane words: applies a binary trit
-/// function at every position, the reference for
-/// [`WideTrits::and`](crate::WideTrits::and) /
-/// [`or`](crate::WideTrits::or) / [`xor`](crate::WideTrits::xor).
-pub fn wide_logic_tritwise<const N: usize, const W: usize>(
-    a: WideTrits<N, W>,
-    b: WideTrits<N, W>,
-    f: fn(Trit, Trit) -> Trit,
-) -> WideTrits<N, W> {
-    let mut out = WideTrits::<N, W>::ZERO;
-    for i in 0..N {
-        out = out.with_trit(i, f(a.trit(i), b.trit(i)));
-    }
-    out
-}
-
-/// Trit-serial comparison on multi-plane words: the most significant
-/// differing trit decides, the reference for the plane-scanning `Ord`
-/// of [`WideTrits`].
-pub fn wide_compare_tritwise<const N: usize, const W: usize>(
-    a: WideTrits<N, W>,
-    b: WideTrits<N, W>,
-) -> std::cmp::Ordering {
-    for i in (0..N).rev() {
-        let (da, db) = (a.trit(i).value(), b.trit(i).value());
-        if da != db {
-            return da.cmp(&db);
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// Trit-serial flip count on multi-plane words: the reference for
-/// [`WideTrits::flips_from`](crate::WideTrits::flips_from).
-pub fn wide_flips_tritwise<const N: usize, const W: usize>(
-    next: WideTrits<N, W>,
-    prev: WideTrits<N, W>,
-) -> u32 {
-    (0..N).filter(|&i| next.trit(i) != prev.trit(i)).count() as u32
-}
-
-/// Reference result of a [`TernaryReal`](crate::TernaryReal) operation:
-/// the normalized `(significand, exponent)` pair, with the significand
-/// as its integer value (27 balanced trits always fit an `i64`).
-pub type RealParts = (i64, i32);
-
-/// The `(significand, exponent)` decomposition of a
-/// [`TernaryReal`](crate::TernaryReal), for comparing against the
-/// reference results below.
-pub fn real_parts(x: &crate::TernaryReal) -> RealParts {
-    (x.significand().to_i64(), x.exponent())
-}
-
-/// Reference tapered-real addition: exact integer arithmetic with
-/// explicit round-to-nearest division, sharing no code with the packed
-/// 55-trit intermediate of [`TernaryReal::add`](crate::TernaryReal::add).
-///
-/// When the exponents differ by 28 or more the smaller operand is below
-/// half an ulp of the larger and the correctly rounded sum *is* the
-/// larger operand — the reference encodes that bound independently.
-///
-/// # Examples
-///
-/// ```
-/// use ternary::{arith, TernaryReal};
-///
-/// let a = TernaryReal::from_int(3i64.pow(26));
-/// let b = TernaryReal::from_int(2);
-/// assert_eq!(arith::real_parts(&a.add(&b)), arith::real_add_ref(&a, &b));
-/// ```
-pub fn real_add_ref(a: &crate::TernaryReal, b: &crate::TernaryReal) -> RealParts {
-    if a.is_zero() {
-        return real_parts(b);
-    }
-    if b.is_zero() {
-        return real_parts(a);
-    }
-    let (hi, lo) = if a.exponent() >= b.exponent() {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    let shift = i64::from(hi.exponent()) - i64::from(lo.exponent());
-    if shift >= 28 {
-        return real_parts(hi);
-    }
-    let exact = i128::from(hi.significand().to_i64()) * pow3_i128(shift as usize)
-        + i128::from(lo.significand().to_i64());
-    real_round_ref(exact, lo.exponent() - 26)
-}
-
-/// Reference tapered-real multiplication: the exact double-width
-/// significand product rounded once (see [`real_add_ref`]).
-pub fn real_mul_ref(a: &crate::TernaryReal, b: &crate::TernaryReal) -> RealParts {
-    if a.is_zero() || b.is_zero() {
-        return (0, 0);
-    }
-    let exact = i128::from(a.significand().to_i64()) * i128::from(b.significand().to_i64());
-    real_round_ref(exact, a.exponent() + b.exponent() - 52)
-}
-
-/// Normalizes `m · 3^exp_lsb` to a 27-trit significand by explicit
-/// round-to-nearest integer division — the arithmetic definition the
-/// packed truncating shift must match. Ties cannot occur: the divisor
-/// 3^k is odd, so no remainder equals half of it.
-fn real_round_ref(m: i128, exp_lsb: i32) -> RealParts {
-    if m == 0 {
-        return (0, 0);
-    }
-    // Top balanced-trit position: smallest p with |m| ≤ (3^(p+1) − 1)/2.
-    let mut p = 0usize;
-    while m.unsigned_abs() > (pow3_i128(p + 1) as u128 - 1) / 2 {
-        p += 1;
-    }
-    let sig = if p > 26 {
-        let d = pow3_i128(p - 26);
-        let q = m / d;
-        let r = m - q * d;
-        if 2 * r > d {
-            q + 1
-        } else if 2 * r < -d {
-            q - 1
-        } else {
-            q
-        }
-    } else {
-        m * pow3_i128(26 - p)
-    };
-    (sig as i64, exp_lsb + p as i32)
-}
-
 /// Non-negative comparison helper: `x >= y` for sign-normalized words.
 fn ge<const N: usize>(x: Trits<N>, y: Trits<N>) -> bool {
     x.cmp(&y) != std::cmp::Ordering::Less
@@ -639,83 +439,6 @@ mod tests {
     #[test]
     fn div_by_zero_rejected() {
         assert!(div_rem_tritwise(Word9::from_i64(5).unwrap(), Word9::ZERO).is_err());
-    }
-
-    #[test]
-    fn wide_references_match_packed_at_81_trits() {
-        use crate::wide::Word81;
-        let samples: Vec<Word81> = [
-            -(1i128 << 120),
-            -(3i128.pow(64)),
-            -12345,
-            -1,
-            0,
-            1,
-            54321,
-            3i128.pow(64) + 7,
-            1i128 << 120,
-        ]
-        .iter()
-        .map(|&v| Word81::from_i128(v).unwrap())
-        .chain([Word81::MAX, Word81::MIN])
-        .collect();
-        for &a in &samples {
-            assert_eq!(wide_negate_tritwise(a), a.negate());
-            for &b in &samples {
-                assert_eq!(wide_add_tritwise(a, b), a.carrying_add(b), "{a:?} + {b:?}");
-                assert_eq!(wide_mul_tritwise(a, b), a.wrapping_mul(b), "{a:?} * {b:?}");
-                assert_eq!(wide_compare_tritwise(a, b), a.cmp(&b));
-                assert_eq!(wide_flips_tritwise(a, b), a.flips_from(&b));
-                assert_eq!(wide_logic_tritwise(a, b, Trit::and), a.and(b));
-                assert_eq!(wide_logic_tritwise(a, b, Trit::or), a.or(b));
-                assert_eq!(wide_logic_tritwise(a, b, Trit::xor), a.xor(b));
-            }
-        }
-    }
-
-    #[test]
-    fn real_references_match_packed() {
-        use crate::TernaryReal;
-        let samples: Vec<TernaryReal> = [
-            -(3i64.pow(30)),
-            -1_000_003,
-            -2,
-            -1,
-            0,
-            1,
-            2,
-            5,
-            999_999,
-            3i64.pow(26) + 1,
-            3i64.pow(33),
-        ]
-        .iter()
-        .map(|&v| TernaryReal::from_int(v))
-        .collect();
-        for a in &samples {
-            for b in &samples {
-                assert_eq!(real_parts(&a.add(b)), real_add_ref(a, b), "{a:?} + {b:?}");
-                assert_eq!(real_parts(&a.mul(b)), real_mul_ref(a, b), "{a:?} * {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn real_reference_covers_the_sticky_shortcut() {
-        use crate::TernaryReal;
-        // Exponent gaps straddling the shift-28 cutoff, where the
-        // smaller operand stops affecting the rounded sum.
-        let big = TernaryReal::from_int(3i64.pow(30));
-        for gap in [26u32, 27, 28, 29, 30] {
-            let small = TernaryReal::from_int(3i64.pow(30 - gap) * 2);
-            let sum = big.add(&small);
-            assert_eq!(real_parts(&sum), real_add_ref(&big, &small), "gap {gap}");
-            if gap >= 28 {
-                assert_eq!(sum, big, "gap {gap} must be absorbed");
-            } else {
-                assert_ne!(sum, big, "gap {gap} must contribute");
-            }
-        }
     }
 
     #[test]

@@ -217,74 +217,6 @@ pub fn packed_negate<const N: usize>(bits: u64) -> u64 {
     ((bits & EVEN) << 1) | ((bits >> 1) & EVEN)
 }
 
-/// Even-bit mask over a `u128`: the `lo` bit of every BCT pair in a
-/// wide packed word.
-const EVEN_WIDE: u128 = 0x5555_5555_5555_5555_5555_5555_5555_5555;
-
-/// Spreads the low 64 bits of `x` onto the even bit positions of a
-/// `u128` — the [`spread`] interleave, doubled for wide words.
-const fn spread_wide(x: u64) -> u128 {
-    (spread(x & 0xFFFF_FFFF)) as u128 | ((spread(x >> 32) as u128) << 64)
-}
-
-/// Gathers the even bit positions of a `u128` into a `u64` — the
-/// inverse of [`spread_wide`].
-const fn compress_wide(x: u128) -> u64 {
-    compress(x as u64) | (compress((x >> 64) as u64) << 32)
-}
-
-/// Packs a wide word (up to 63 trits — any width a single-plane
-/// [`Trits`] supports) into the low `2N` bits of a `u128`, trit 0 in
-/// the two least-significant bits. The wide analogue of [`pack`] for
-/// the FPGA platform's double-pumped RAM ports.
-///
-/// # Examples
-///
-/// ```
-/// use ternary::{encoding, Trits};
-///
-/// let w = Trits::<40>::from_i64(8)?; // trits (lsb first): -, 0, +
-/// assert_eq!(encoding::pack_wide(&w), 0b01_00_10);
-/// # Ok::<(), ternary::TernaryError>(())
-/// ```
-pub fn pack_wide<const N: usize>(word: &Trits<N>) -> u128 {
-    let (pos, neg) = word.bitplanes();
-    spread_wide(pos) | (spread_wide(neg) << 1)
-}
-
-/// Unpacks a wide BCT-encoded `u128` (as produced by [`pack_wide`])
-/// into a word. Bits above position `2N − 1` are ignored.
-///
-/// # Errors
-///
-/// Returns [`TernaryError::InvalidBctPair`] (with the offending trit
-/// index) when any 2-bit pair is `11`.
-///
-/// # Examples
-///
-/// ```
-/// use ternary::{encoding, Trits};
-///
-/// let w = Trits::<63>::from_i128(-(1i128 << 90))?;
-/// assert_eq!(encoding::unpack_wide::<63>(encoding::pack_wide(&w))?, w);
-/// # Ok::<(), ternary::TernaryError>(())
-/// ```
-pub fn unpack_wide<const N: usize>(bits: u128) -> Result<Trits<N>, TernaryError> {
-    let window = if 2 * N == 128 {
-        !0
-    } else {
-        (1u128 << (2 * N)) - 1
-    };
-    let bits = bits & window;
-    let invalid = bits & (bits >> 1) & EVEN_WIDE;
-    if invalid != 0 {
-        return Err(TernaryError::InvalidBctPair {
-            index: invalid.trailing_zeros() as usize / 2,
-        });
-    }
-    Trits::from_bitplanes(compress_wide(bits), compress_wide(bits >> 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,50 +295,5 @@ mod tests {
             let n = packed_negate::<9>(pack(&w));
             assert_eq!(unpack::<9>(n).unwrap().to_i64(), -v, "negate({v})");
         }
-    }
-
-    #[test]
-    fn wide_pack_roundtrips_at_40_and_63_trits() {
-        for v in [
-            -Trits::<40>::MAX_VALUE_I128,
-            -123_456_789_012_345,
-            0,
-            42,
-            Trits::<40>::MAX_VALUE_I128,
-        ] {
-            let w = Trits::<40>::from_i128(v).unwrap();
-            assert_eq!(unpack_wide::<40>(pack_wide(&w)).unwrap(), w, "{v}");
-        }
-        for v in [
-            -Trits::<63>::MAX_VALUE_I128,
-            -(1i128 << 90),
-            0,
-            1i128 << 90,
-            Trits::<63>::MAX_VALUE_I128,
-        ] {
-            let w = Trits::<63>::from_i128(v).unwrap();
-            assert_eq!(unpack_wide::<63>(pack_wide(&w)).unwrap(), w, "{v}");
-        }
-    }
-
-    #[test]
-    fn wide_pack_agrees_with_narrow_pack() {
-        // On widths both paths support the encodings are identical.
-        let w = Word9::from_i64(-1234).unwrap();
-        assert_eq!(pack_wide(&w), pack(&w) as u128);
-    }
-
-    #[test]
-    fn wide_unpack_rejects_invalid_pairs_past_bit_64() {
-        // Pair `11` at trit 40 — only reachable in the wide encoding.
-        let bad = 0b11u128 << 80;
-        match unpack_wide::<63>(bad) {
-            Err(TernaryError::InvalidBctPair { index }) => assert_eq!(index, 40),
-            other => panic!("expected InvalidBctPair, got {other:?}"),
-        }
-        // Garbage above 2N is ignored.
-        let w = Trits::<40>::from_i64(77).unwrap();
-        let packed = pack_wide(&w) | (0b11u128 << 80);
-        assert_eq!(unpack_wide::<40>(packed).unwrap(), w);
     }
 }

@@ -26,26 +26,6 @@ pub enum TernaryError {
         /// Largest magnitude representable, (3^width − 1)/2.
         max: i64,
     },
-    /// An integer did not fit the symmetric range of a wide (`> 40`
-    /// trit) word, whose bound exceeds `i64`. The bound itself is
-    /// derivable, `(3^width − 1)/2` — carrying it would double the
-    /// size of every `Result` in the crate for a value `Display`
-    /// recomputes anyway.
-    WordRangeWide {
-        /// The offending value.
-        value: i128,
-        /// Word width in trits.
-        width: usize,
-    },
-    /// A wide word's value did not fit the narrower integer type a
-    /// conversion requested (e.g. [`try_to_i64`](crate::Trits::try_to_i64)
-    /// on a 63-trit word holding more than `i64::MAX`).
-    NarrowingOverflow {
-        /// The word's exact value.
-        value: i128,
-        /// Word width in trits.
-        width: usize,
-    },
     /// A string had the wrong number of trit characters for the word width.
     WordLength {
         /// Characters found.
@@ -81,23 +61,6 @@ impl fmt::Display for TernaryError {
             TernaryError::WordRange { value, width, max } => write!(
                 f,
                 "value {value} does not fit a {width}-trit balanced word (range is -{max}..={max})"
-            ),
-            TernaryError::WordRangeWide { value, width } if *width <= 80 => {
-                let max = (crate::pow3_i128(*width) - 1) / 2;
-                write!(
-                    f,
-                    "value {value} does not fit a {width}-trit balanced word (range is -{max}..={max})"
-                )
-            }
-            // Defensive: conversion paths never construct the variant
-            // past 80 trits (every i128 fits), but the fields are
-            // public and 3^width would overflow the recomputation.
-            TernaryError::WordRangeWide { value, width } => {
-                write!(f, "value {value} does not fit a {width}-trit balanced word")
-            }
-            TernaryError::NarrowingOverflow { value, width } => write!(
-                f,
-                "value {value} of a {width}-trit word does not fit the requested integer type"
             ),
             TernaryError::WordLength { found, expected } => {
                 write!(f, "expected {expected} trit characters, found {found}")

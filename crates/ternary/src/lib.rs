@@ -46,15 +46,11 @@ pub mod encoding;
 mod error;
 mod memory;
 mod planes;
-pub mod real;
 pub mod simd;
 mod trit;
-pub mod wide;
 mod word;
 
 pub use error::TernaryError;
 pub use memory::TernaryMemory;
-pub use real::TernaryReal;
 pub use trit::{Trit, ALL_TRITS};
-pub use wide::{WideTrits, Word27, Word81};
-pub use word::{pow3, pow3_i128, Trits, Word9};
+pub use word::{pow3, Trits, Word9};

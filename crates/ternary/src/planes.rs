@@ -4,18 +4,16 @@
 //! (`pos`, `neg`) with `pos & neg == 0`. Addition of two such vectors
 //! runs in *rounds*: each round forms all digit sums at once with a
 //! handful of boolean operations and emits a carry plane one position
-//! up. These formulas are the common core of three consumers, which
+//! up. These formulas are the common core of two consumers, which
 //! differ only in how they place and clip the carry shift:
 //!
 //! * [`Trits`](crate::Trits) — one `u64` per plane, carries shift
 //!   freely within the word ([`Trits::carrying_add`](crate::Trits::carrying_add)).
 //! * [`crate::simd::Word9xN`] — six 9-trit lanes per `u64`, carries
 //!   clipped at lane boundaries.
-//! * [`crate::wide::WideTrits`] — `[u64; W]` plane arrays, carries
-//!   rippling across word boundaries.
 //!
 //! Keeping the digit-sum algebra here means a fix or optimization in
-//! the formulas lands in all three layers at once, and the per-trit
+//! the formulas lands in both layers at once, and the per-trit
 //! references in [`crate::arith`] pin a single implementation.
 
 /// One digit-sum round: `s + c` rewritten as `sum + 3·carry`, all
@@ -29,8 +27,7 @@
 ///
 /// Returns `(sum_pos, sum_neg, carry_pos, carry_neg)` with the carry
 /// planes **unshifted** — the caller shifts them one digit position up
-/// in whatever geometry it owns (plain `<< 1`, lane-clipped, or across
-/// plane words).
+/// in whatever geometry it owns (plain `<< 1` or lane-clipped).
 #[inline]
 pub(crate) fn digit_sum(sp: u64, sn: u64, cp: u64, cn: u64) -> (u64, u64, u64, u64) {
     let np = ((sp ^ cp) & !(sn | cn)) | (sn & cn);

@@ -38,31 +38,11 @@ use crate::trit::Trit;
 ///
 /// # Panics
 ///
-/// Panics if `n > 39` (3^40 overflows `i64`). Widths past that are
-/// served by [`pow3_i128`].
+/// Panics if `n > 39` (3^40 overflows `i64`).
 #[inline]
 pub const fn pow3(n: usize) -> i64 {
-    assert!(n <= 39, "3^n overflows i64 for n > 39; use pow3_i128");
+    assert!(n <= 39, "3^n overflows i64 for n > 39");
     let mut acc = 1i64;
-    let mut i = 0;
-    while i < n {
-        acc *= 3;
-        i += 1;
-    }
-    acc
-}
-
-/// Returns 3^n as an `i128` — the wide-width companion of [`pow3`],
-/// covering every width the bitplane words support (3^80 still fits an
-/// `i128`; 3^81 does not).
-///
-/// # Panics
-///
-/// Panics if `n > 80`.
-#[inline]
-pub const fn pow3_i128(n: usize) -> i128 {
-    assert!(n <= 80, "3^n overflows i128 for n > 80");
-    let mut acc = 1i128;
     let mut i = 0;
     while i < n {
         acc *= 3;
@@ -78,6 +58,11 @@ pub const fn pow3_i128(n: usize) -> i128 {
 /// assembler and the gate-level analyzer also use narrower widths for
 /// instruction fields (e.g. `Trits<2>` register indices, `Trits<5>`
 /// immediates).
+///
+/// Widths are bounded to `N ≤ 20` at compile time: the product of two
+/// 20-trit values, at most `((3^20 − 1)/2)² ≈ 3.0·10^18`, still fits an
+/// `i64`, so every conversion and [`Trits::wrapping_mul`] computes
+/// exactly in `i64`. The machine word is 9 trits wide.
 ///
 /// # Examples
 ///
@@ -131,12 +116,11 @@ impl<const N: usize> Default for Trits<N> {
 impl<const N: usize> Trits<N> {
     /// Low-`N`-bits mask both bitplanes are kept under.
     const MASK: u64 = {
-        assert!(N <= 63, "bitplane words support at most 63 trits");
-        if N == 0 {
-            0
-        } else {
-            (1u64 << N) - 1
-        }
+        assert!(
+            N <= 20,
+            "Trits<N> supports at most 20 trits (the product of two must fit an i64)"
+        );
+        (1u64 << N) - 1
     };
 
     /// The all-zero word.
@@ -154,37 +138,15 @@ impl<const N: usize> Trits<N> {
         neg: Self::MASK,
     };
 
-    /// Largest magnitude representable: `(3^N − 1) / 2`.
-    ///
-    /// Only available for `N ≤ 40` — the widest bound that still fits
-    /// an `i64`. Wider widths (the ones this const used to break at
-    /// compile time) use [`Trits::MAX_VALUE_I128`].
-    pub const MAX_VALUE: i64 = {
-        assert!(
-            N <= 40,
-            "(3^N - 1)/2 overflows i64 for N > 40; use MAX_VALUE_I128"
-        );
-        (Self::MAX_VALUE_I128) as i64
-    };
-
     /// Number of distinct values, `3^N`.
-    ///
-    /// Only available for `N ≤ 39`; wider widths use
-    /// [`Trits::MODULUS_I128`].
     pub const MODULUS: i64 = {
-        assert!(N <= 39, "3^N overflows i64 for N > 39; use MODULUS_I128");
-        Self::MODULUS_I128 as i64
+        // Naming MASK applies its width bound to every conversion.
+        let _ = Self::MASK;
+        pow3(N)
     };
 
-    /// Largest magnitude representable, `(3^N − 1) / 2`, as an `i128` —
-    /// exact for every width the bitplane representation admits. All
-    /// generic conversion paths route through this and
-    /// [`Trits::MODULUS_I128`] so that every `N ≤ 63` the `MASK` assert
-    /// accepts actually compiles.
-    pub const MAX_VALUE_I128: i128 = (pow3_i128(N) - 1) / 2;
-
-    /// Number of distinct values, `3^N`, as an `i128`.
-    pub const MODULUS_I128: i128 = pow3_i128(N);
+    /// Largest magnitude representable: `(3^N − 1) / 2`.
+    pub const MAX_VALUE: i64 = (Self::MODULUS - 1) / 2;
 
     /// Width of the word in trits.
     pub const WIDTH: usize = N;
@@ -306,15 +268,11 @@ impl<const N: usize> Trits<N> {
     /// # Ok::<(), ternary::TernaryError>(())
     /// ```
     pub fn from_i64(v: i64) -> Result<Self, TernaryError> {
-        // Bounds-check against the i128 constant: valid for every width
-        // (the error's i64 `max` field is only materialized on the
-        // failing branch, where the bound is necessarily below `v` and
-        // therefore fits an i64).
-        if (v as i128) < -Self::MAX_VALUE_I128 || (v as i128) > Self::MAX_VALUE_I128 {
+        if !(-Self::MAX_VALUE..=Self::MAX_VALUE).contains(&v) {
             return Err(TernaryError::WordRange {
                 value: v,
                 width: N,
-                max: Self::MAX_VALUE_I128 as i64,
+                max: Self::MAX_VALUE,
             });
         }
         Ok(Self::from_i64_wrapping(v))
@@ -334,16 +292,8 @@ impl<const N: usize> Trits<N> {
     /// assert_eq!(Word9::from_i64_wrapping(9842).to_i64(), -9841);
     /// ```
     pub fn from_i64_wrapping(v: i64) -> Self {
-        if N > 39 {
-            // The modulus exceeds i64: delegate to the wide path. (For
-            // N ≥ 41 every i64 is already in range, so this reduces to
-            // plain digit extraction.)
-            return Self::from_i128_wrapping(v as i128);
-        }
-        // Narrow fast path in pure i64 arithmetic — the hot conversion
-        // of the 9-trit simulators, kept off the slower i128 div/mod.
-        let m = Self::MODULUS_I128 as i64;
-        let max = Self::MAX_VALUE_I128 as i64;
+        let m = Self::MODULUS;
+        let max = Self::MAX_VALUE;
         // Shift into [0, m), then back to the symmetric range.
         let mut rem = ((v % m) + m) % m; // non-negative residue
         if rem > max {
@@ -368,83 +318,7 @@ impl<const N: usize> Trits<N> {
         Self { pos, neg }
     }
 
-    /// Same as [`Trits::from_i64_wrapping`] for `i128` inputs — the
-    /// primary conversion for widths past 39 trits, and the path
-    /// multiplication takes when intermediate products overflow `i64`.
-    ///
-    /// Reduces modulo the exact wide modulus `3^N` (an `i128` for every
-    /// supported width), then extracts digits through the same biased
-    /// scheme as the narrow path, in `u128`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ternary::Trits;
-    ///
-    /// // One past +MAX_VALUE wraps to −MAX_VALUE, exactly like the
-    /// // 9-trit word — now at 40 trits.
-    /// let max = Trits::<40>::MAX_VALUE_I128;
-    /// assert_eq!(Trits::<40>::from_i128_wrapping(max + 1).to_i128(), -max);
-    /// ```
-    pub fn from_i128_wrapping(v: i128) -> Self {
-        let m = Self::MODULUS_I128;
-        let max = Self::MAX_VALUE_I128;
-        let mut rem = ((v % m) + m) % m;
-        if rem > max {
-            rem -= m;
-        }
-        let mut u = (rem + max) as u128;
-        let mut pos = 0u64;
-        let mut neg = 0u64;
-        for i in 0..N {
-            let d = u % 3;
-            u /= 3;
-            match d {
-                0 => neg |= 1 << i,
-                2 => pos |= 1 << i,
-                _ => {}
-            }
-        }
-        debug_assert_eq!(u, 0, "value fits after wrapping");
-        Self { pos, neg }
-    }
-
-    /// Converts an `i128` that must fit the word exactly — the checked
-    /// companion of [`Trits::from_i128_wrapping`] and the primary
-    /// checked conversion for widths past 40 trits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TernaryError::WordRangeWide`] when `v` is outside
-    /// `[-MAX_VALUE_I128, MAX_VALUE_I128]`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ternary::Trits;
-    ///
-    /// let max = Trits::<63>::MAX_VALUE_I128;
-    /// assert_eq!(Trits::<63>::from_i128(max)?.to_i128(), max);
-    /// assert!(Trits::<63>::from_i128(max + 1).is_err());
-    /// # Ok::<(), ternary::TernaryError>(())
-    /// ```
-    pub fn from_i128(v: i128) -> Result<Self, TernaryError> {
-        if v < -Self::MAX_VALUE_I128 || v > Self::MAX_VALUE_I128 {
-            return Err(TernaryError::WordRangeWide { value: v, width: N });
-        }
-        Ok(Self::from_i128_wrapping(v))
-    }
-
     /// The numeric value of the word.
-    ///
-    /// Exact for `N ≤ 40`, whose whole range fits an `i64`. For wider
-    /// words, prefer [`Trits::to_i128`] (always exact) or
-    /// [`Trits::try_to_i64`] (typed failure) — this method never wraps
-    /// silently.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `N > 40` and the value does not fit an `i64`.
     ///
     /// # Examples
     ///
@@ -455,67 +329,15 @@ impl<const N: usize> Trits<N> {
     /// ```
     #[inline]
     pub fn to_i64(&self) -> i64 {
-        if N <= 40 {
-            // Branch-free Horner walk over the bitplanes; the loop bound
-            // is a const generic, so this fully unrolls.
-            let mut acc = 0i64;
-            let mut i = N;
-            while i > 0 {
-                i -= 1;
-                acc = acc * 3 + ((self.pos >> i) & 1) as i64 - ((self.neg >> i) & 1) as i64;
-            }
-            acc
-        } else {
-            let v = self.to_i128();
-            assert!(
-                i64::try_from(v).is_ok(),
-                "value of a {N}-trit word does not fit an i64; use to_i128"
-            );
-            v as i64
-        }
-    }
-
-    /// The numeric value of the word as an `i128` — exact at every
-    /// supported width (a 63-trit word tops out at `(3^63 − 1)/2`,
-    /// comfortably inside `i128`).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ternary::Trits;
-    /// let w = Trits::<63>::MAX;
-    /// assert_eq!(w.to_i128(), Trits::<63>::MAX_VALUE_I128);
-    /// ```
-    #[inline]
-    pub fn to_i128(&self) -> i128 {
-        let mut acc = 0i128;
+        // Branch-free Horner walk over the bitplanes; the loop bound is
+        // a const generic, so this fully unrolls.
+        let mut acc = 0i64;
         let mut i = N;
         while i > 0 {
             i -= 1;
-            acc = acc * 3 + ((self.pos >> i) & 1) as i128 - ((self.neg >> i) & 1) as i128;
+            acc = acc * 3 + ((self.pos >> i) & 1) as i64 - ((self.neg >> i) & 1) as i64;
         }
         acc
-    }
-
-    /// The numeric value as an `i64`, failing typed instead of panicking
-    /// when a wide word's value exceeds the `i64` range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TernaryError::NarrowingOverflow`] when the value does
-    /// not fit (possible only for `N ≥ 41`).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ternary::Trits;
-    /// assert_eq!(Trits::<63>::from_i128(7)?.try_to_i64()?, 7);
-    /// assert!(Trits::<63>::MAX.try_to_i64().is_err());
-    /// # Ok::<(), ternary::TernaryError>(())
-    /// ```
-    pub fn try_to_i64(&self) -> Result<i64, TernaryError> {
-        let v = self.to_i128();
-        i64::try_from(v).map_err(|_| TernaryError::NarrowingOverflow { value: v, width: N })
     }
 
     /// The trit at position `i` (0 = least significant).
@@ -744,29 +566,11 @@ impl<const N: usize> Trits<N> {
         }
     }
 
-    /// Wrapping multiplication.
-    ///
-    /// Up to 40 trits the product is formed exactly in `i128`
-    /// (`(3^40/2)² = 3^80/4` still fits) and reduced once; wider words
-    /// use packed balanced shift-and-add on the bitplanes, where every
-    /// partial sum wraps natively.
+    /// Wrapping multiplication: the product is formed exactly in `i64`
+    /// (the `N ≤ 20` bound keeps it in range) and reduced once.
     #[must_use]
     pub fn wrapping_mul(&self, rhs: Self) -> Self {
-        if N <= 40 {
-            Self::from_i128_wrapping(self.to_i128() * rhs.to_i128())
-        } else {
-            let mut acc = Self::ZERO;
-            let mut shifted = *self;
-            for i in 0..N {
-                match rhs.trit(i) {
-                    Trit::P => acc = acc.wrapping_add(shifted),
-                    Trit::N => acc = acc.wrapping_sub(shifted),
-                    Trit::Z => {}
-                }
-                shifted = shifted.shl(1);
-            }
-            acc
-        }
+        Self::from_i64_wrapping(self.to_i64() * rhs.to_i64())
     }
 
     /// Quotient and remainder, truncating toward zero (like Rust's `/`
@@ -788,22 +592,12 @@ impl<const N: usize> Trits<N> {
         if rhs.is_zero() {
             return Err(TernaryError::DivisionByZero);
         }
-        if N <= 40 {
-            // Narrow fast path: both operands fit an i64 exactly.
-            let d = rhs.to_i64();
-            let n = self.to_i64();
-            Ok((
-                Self::from_i64_wrapping(n / d),
-                Self::from_i64_wrapping(n % d),
-            ))
-        } else {
-            let d = rhs.to_i128();
-            let n = self.to_i128();
-            Ok((
-                Self::from_i128_wrapping(n / d),
-                Self::from_i128_wrapping(n % d),
-            ))
-        }
+        let d = rhs.to_i64();
+        let n = self.to_i64();
+        Ok((
+            Self::from_i64_wrapping(n / d),
+            Self::from_i64_wrapping(n % d),
+        ))
     }
 
     /// Shift left by `k` trit positions: multiply by 3^k, dropping high
@@ -1040,7 +834,7 @@ impl<const N: usize> fmt::Debug for Trits<N> {
     /// Shows the trit string and the decimal value, e.g.
     /// `Trits<9>("0000000+0-" = 8)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Trits<{N}>(\"{self}\" = {})", self.to_i128())
+        write!(f, "Trits<{N}>(\"{self}\" = {})", self.to_i64())
     }
 }
 
@@ -1404,161 +1198,5 @@ mod tests {
         assert_eq!(pow3(0), 1);
         assert_eq!(pow3(9), 19683);
         assert_eq!(pow3(2), 9);
-    }
-
-    #[test]
-    fn pow3_i128_table() {
-        assert_eq!(pow3_i128(0), 1);
-        assert_eq!(pow3_i128(9), 19683);
-        assert_eq!(pow3_i128(40), 12_157_665_459_056_928_801);
-        // 3^80 is the widest power an i128 holds.
-        assert_eq!(pow3_i128(80), pow3_i128(40) * pow3_i128(40));
-    }
-
-    // ---- Wide-width regressions (ISSUE 10) ---------------------------
-    //
-    // `Trits<40>` and `Trits<63>` used to fail to *compile* the moment
-    // any conversion was instantiated: `MAX_VALUE`/`MODULUS` const-eval
-    // panicked in `pow3` for N > 39. These tests pin the fix by
-    // instantiating both widths and round-tripping the extremes.
-
-    #[test]
-    fn trits40_compiles_and_roundtrips_extremes() {
-        let max = Trits::<40>::MAX_VALUE_I128;
-        assert_eq!(max, (pow3_i128(40) - 1) / 2);
-        // MAX_VALUE (i64) is still available at N = 40 — the widest
-        // width whose bound fits an i64.
-        assert_eq!(Trits::<40>::MAX_VALUE as i128, max);
-        for v in [-max, -1, 0, 1, max] {
-            let w = Trits::<40>::from_i128(v).unwrap();
-            assert_eq!(w.to_i128(), v);
-            assert_eq!(w.to_i64() as i128, v); // whole range fits i64
-        }
-        assert_eq!(Trits::<40>::MAX.to_i128(), max);
-        assert_eq!(Trits::<40>::MIN.to_i128(), -max);
-    }
-
-    #[test]
-    fn trits63_compiles_and_roundtrips_extremes() {
-        let max = Trits::<63>::MAX_VALUE_I128;
-        for v in [-max, -max + 1, -1, 0, 1, max - 1, max] {
-            let w = Trits::<63>::from_i128(v).unwrap();
-            assert_eq!(w.to_i128(), v);
-        }
-        assert_eq!(Trits::<63>::MAX.to_i128(), max);
-        assert_eq!(Trits::<63>::MIN.to_i128(), -max);
-        assert!(Trits::<63>::from_i128(max + 1).is_err());
-        assert!(Trits::<63>::from_i128(-max - 1).is_err());
-    }
-
-    #[test]
-    fn from_i128_wrapping_corner_at_n40() {
-        // The audited bug: the old implementation reduced by the broken
-        // i64 modulus and funneled through `from_i64_wrapping`. Corner
-        // values at ±(3^40 − 1)/2 must wrap symmetrically.
-        let max = Trits::<40>::MAX_VALUE_I128;
-        assert_eq!(Trits::<40>::from_i128_wrapping(max).to_i128(), max);
-        assert_eq!(Trits::<40>::from_i128_wrapping(max + 1).to_i128(), -max);
-        assert_eq!(Trits::<40>::from_i128_wrapping(-max - 1).to_i128(), max);
-        let m = Trits::<40>::MODULUS_I128;
-        assert_eq!(Trits::<40>::from_i128_wrapping(m).to_i128(), 0);
-        assert_eq!(Trits::<40>::from_i128_wrapping(m + 7).to_i128(), 7);
-        assert_eq!(Trits::<40>::from_i128_wrapping(-m - 7).to_i128(), -7);
-    }
-
-    #[test]
-    fn narrow_and_wide_wrapping_agree() {
-        // The i64 fast path and the i128 path implement one function.
-        for v in [-9_000_000i64, -9841, -1, 0, 1, 9841, 123_456_789] {
-            assert_eq!(
-                Word9::from_i64_wrapping(v),
-                Word9::from_i128_wrapping(v as i128),
-                "{v}"
-            );
-            assert_eq!(
-                Trits::<40>::from_i64_wrapping(v),
-                Trits::<40>::from_i128_wrapping(v as i128),
-                "{v}"
-            );
-            assert_eq!(
-                Trits::<63>::from_i64_wrapping(v),
-                Trits::<63>::from_i128_wrapping(v as i128),
-                "{v}"
-            );
-        }
-    }
-
-    #[test]
-    fn try_to_i64_fails_typed_past_the_i64_range() {
-        let big = Trits::<63>::MAX;
-        match big.try_to_i64() {
-            Err(TernaryError::NarrowingOverflow { value, width }) => {
-                assert_eq!(value, Trits::<63>::MAX_VALUE_I128);
-                assert_eq!(width, 63);
-            }
-            other => panic!("expected NarrowingOverflow, got {other:?}"),
-        }
-        assert_eq!(Trits::<63>::from_i128(42).unwrap().try_to_i64(), Ok(42));
-    }
-
-    #[test]
-    fn wide_arithmetic_matches_i128_domain() {
-        // Packed kernels at 63 trits against exact integer arithmetic.
-        let max = Trits::<63>::MAX_VALUE_I128;
-        let samples = [-max, -max / 2, -12_345, -1, 0, 1, 98_765, max / 3, max];
-        for &a in &samples {
-            let wa = Trits::<63>::from_i128(a).unwrap();
-            assert_eq!(wa.negate().to_i128(), -a, "-{a}");
-            for &b in &samples {
-                let wb = Trits::<63>::from_i128(b).unwrap();
-                assert_eq!(
-                    wa.wrapping_add(wb),
-                    Trits::<63>::from_i128_wrapping(a + b),
-                    "{a} + {b}"
-                );
-                assert_eq!(
-                    wa.wrapping_sub(wb),
-                    Trits::<63>::from_i128_wrapping(a - b),
-                    "{a} - {b}"
-                );
-                assert_eq!(wa.cmp(&wb), a.cmp(&b), "{a} cmp {b}");
-                if b != 0 {
-                    let (q, r) = wa.div_rem(wb).unwrap();
-                    assert_eq!((q.to_i128(), r.to_i128()), (a / b, a % b), "{a} / {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_mul_shift_add_matches_integer_path() {
-        // N = 63 multiplication runs the packed shift-and-add branch;
-        // on operands whose exact product fits i128 it must agree with
-        // a single wide reduction.
-        let samples = [
-            -3_037_000_499i128,
-            -123_456,
-            -1,
-            0,
-            1,
-            99_991,
-            2_147_483_647,
-        ];
-        for &a in &samples {
-            for &b in &samples {
-                let wa = Trits::<63>::from_i128(a).unwrap();
-                let wb = Trits::<63>::from_i128(b).unwrap();
-                assert_eq!(
-                    wa.wrapping_mul(wb),
-                    Trits::<63>::from_i128_wrapping(a * b),
-                    "{a} * {b}"
-                );
-            }
-        }
-        // And the carry-out identity still holds at 63 trits.
-        let one = Trits::<63>::from_i128(1).unwrap();
-        let (s, c) = Trits::<63>::MAX.carrying_add(one);
-        assert_eq!(s, Trits::<63>::MIN);
-        assert_eq!(c, Trit::P);
     }
 }
