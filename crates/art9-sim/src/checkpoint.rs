@@ -535,8 +535,11 @@ fn parse_instr(s: &str) -> Result<Instruction, SimError> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::*;
-    use crate::core::{Budget, SimBuilder};
+    use crate::core::{Budget, RunSummary, SimBuilder};
+    use crate::observer::observers::EnergyAccounting;
     use art9_isa::assemble;
 
     fn program() -> art9_isa::Program {
@@ -617,8 +620,18 @@ mod tests {
     fn restore_rejects_a_pc_past_the_end_of_text() {
         let p = program();
         let len = p.text().len();
-        for backend in [Backend::Functional, Backend::Threaded, Backend::Reference] {
-            let builder = SimBuilder::new(&p).backend(backend);
+        // The threaded backend twice: plain, and with one packed
+        // accountant, which it counts on a compiled twin.
+        for (backend, energy) in [
+            (Backend::Functional, false),
+            (Backend::Threaded, false),
+            (Backend::Reference, false),
+            (Backend::Threaded, true),
+        ] {
+            let mut builder = SimBuilder::new(&p).backend(backend);
+            if energy {
+                builder = builder.observer(Arc::new(Mutex::new(EnergyAccounting::new())));
+            }
             let mut core = builder.build();
             core.run_for(Budget::Steps(2)).unwrap();
 
@@ -631,13 +644,24 @@ mod tests {
             );
 
             // `pc == text_len` is the fell-off-end state: it restores,
-            // and the next step halts cleanly.
+            // and the next step halts cleanly, retiring nothing.
             let end = Checkpoint::from_text(&with_pc(&*core, "pc", len)).unwrap();
             fresh.restore(&end).unwrap();
             assert_eq!(
                 fresh.step().unwrap(),
                 Some(HaltReason::FellOffEnd),
                 "{backend}"
+            );
+            let mut fresh = builder.build();
+            fresh.restore(&end).unwrap();
+            assert_eq!(
+                fresh.run_for(Budget::Steps(5)).unwrap(),
+                RunSummary {
+                    steps: 1,
+                    retired: core.retired(),
+                    halt: Some(HaltReason::FellOffEnd),
+                },
+                "{backend}, energy {energy}"
             );
         }
 

@@ -32,7 +32,9 @@
 //! dynamic call per attachment and no lock. With no observer attached,
 //! the event sites are compiled out of the step body altogether.
 //!
-//! The threaded backend runs its compiled code only with no observer
+//! The threaded backend runs its compiled code, for
+//! [`Core::step`](crate::Core::step) and
+//! [`Core::run_for`](crate::Core::run_for) alike, only with no observer
 //! attached, or with a single packed
 //! [`EnergyAccounting`](observers::EnergyAccounting) (found through
 //! [`Observer::energy_counters`]), whose flips it then counts inside
@@ -141,9 +143,9 @@ pub struct Writeback {
 ///
 /// One exception to the event stream: an observer whose
 /// [`energy_counters`](Observer::energy_counters) returns `Some`, when
-/// it is the only attachment, is not told of every retirement by a
-/// threaded core's `run_for`. The core adds the same counts to those
-/// counters directly; `on_halt` still fires.
+/// it is the only attachment, is not told of any retirement by a
+/// threaded core's `step` or `run_for`. The core adds the same counts
+/// to those counters directly; `on_halt` still fires.
 #[allow(unused_variables)]
 pub trait Observer {
     /// An instruction retired; `state` already reflects it.

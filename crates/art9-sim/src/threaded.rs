@@ -29,38 +29,43 @@
 //!   the common in-loop case skips the balanced-ternary address
 //!   conversion entirely.
 //!
-//! Budget checks run only at superblock boundaries, but
-//! [`Core::run_for`] stays *exact*: a block is entered through the fast
-//! path only when the remaining budget covers the whole block, and the
-//! tail (or any entry at a non-head PC, e.g. right after a mid-block
-//! [`Checkpoint`] restore) falls back to precise single-op stepping.
-//! `Budget::Steps`/`Budget::Retired` therefore cut at the same
-//! instruction boundaries as the architectural interpreters.
+//! One dispatch loop runs all compiled code. A *dispatch unit* runs
+//! from the current PC to the end of its superblock: the block's fused
+//! ops when the PC is the block head and the remaining budget covers
+//! the whole block, else the unfused ops up to the block end or the
+//! budget, whichever comes first. Budget checks therefore run only
+//! between units, yet [`Core::run_for`] stays *exact*: a budget tail,
+//! an entry at a non-head PC (a mid-block JALR landing, or a
+//! [`Checkpoint`] restored mid-block) and [`Core::step`] are all
+//! shorter units of unfused ops, and `Budget::Steps`/`Budget::Retired`
+//! cut at the same instruction boundaries as the architectural
+//! interpreters.
 //!
 //! The backend is a compiled accelerator over the functional core: a
 //! `ThreadedSim` embeds one [`FunctionalSim`](crate::FunctionalSim),
 //! which owns the architectural state, the retired count, the halt
 //! reason, the observers and the only observed interpreter. The
-//! compiled paths update that state in place; with observers attached,
+//! compiled code updates that state in place; with observers attached,
 //! every step *is* the functional core's observed step, so event order
 //! is identical to the functional backend by construction.
 //! `instruction_mix` stays exact across fused ops, and [`Checkpoint`]
 //! snapshot/restore is bit-identical at any architectural boundary —
 //! checkpoints cross-restore between the architectural backends.
 //!
-//! One observer set keeps the compiled path: a packed
+//! One observer set keeps the compiled code: a packed
 //! `observers::EnergyAccounting` attached once and alone (see
 //! [`Observer::energy_counters`](crate::Observer::energy_counters)).
-//! Its `run_for` runs whole superblocks on a *counted twin* of the
-//! compiled code, built lazily once per image from the same kernels and
-//! the same pair table, each kernel wrapped to add its instruction's
-//! register, TDM and result-bus flips to the accountant. The fetch
-//! flips between consecutive instructions of a block are static, so
-//! they are precomputed per block and added per execution like the
-//! mix; only the entry transition of each block (or mid-block tail) is
-//! computed as it runs. Only the budget tail takes the observed step.
+//! Its `run_for` and `step` run the same dispatch loop over a *counted
+//! twin* of the compiled code, built lazily once per image by the same
+//! constructor from the same kernels and pair table, each kernel
+//! wrapped to add its instruction's register, TDM and result-bus flips
+//! to the accountant. The fetch flips between consecutive instructions
+//! of a block are static, so they are precomputed per block and added
+//! per execution like the mix; only the entry transition of each
+//! dispatch unit is computed as it runs.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use art9_isa::{Instruction, TReg};
@@ -94,8 +99,8 @@ enum Step {
     Fault,
 }
 
-/// A fault raised by a compiled op, converted to [`SimError`] by the
-/// engine once the retirement counters are settled.
+/// A fault raised by a compiled op, converted to [`SimError`] by
+/// [`settle`] along with the retirement counters.
 enum Fault {
     /// TDM access violation at instruction address `pc`. `retired` is
     /// how many architectural instructions of the faulting (possibly
@@ -128,13 +133,19 @@ struct Machine<'m, T = ()> {
     tally: T,
 }
 
-/// The energy counters a counted op adds to: the attached
-/// `EnergyAccounting`'s per-opcode activity and result-bus history,
-/// copied in for one run of the counted fast path and back out after it.
-#[derive(Debug)]
+/// The energy counters the counted twin adds to: the attached
+/// `EnergyAccounting`'s per-opcode activity and datapath history, moved
+/// in for one `run_for` and back out after it, plus that run's
+/// whole-block executions.
+#[derive(Debug, Default)]
 struct Flips {
     per_opcode: [OpcodeActivity; Instruction::OPCODE_COUNT],
     prev_bus: Word9,
+    /// The instruction and pc words of the last instruction fetched.
+    prev_fetch: (Word9, Word9),
+    /// Completed executions per superblock in this run; their
+    /// retirements and static fetch flips are folded in on the way out.
+    execs: Vec<u64>,
 }
 
 /// One inline-cache entry for a static LOAD/STORE/JALR site: the last
@@ -214,8 +225,6 @@ struct Block {
     /// time it executes — the terminator retires whether or not it
     /// takes its transfer).
     len: usize,
-    /// The fused op sequence the hot path runs.
-    fused: Vec<Op>,
     /// Sparse per-opcode retirement counts (sums to `len`), applied in
     /// one shot when the block completes.
     mix: Vec<(u8, u32)>,
@@ -228,34 +237,43 @@ struct Block {
 pub(crate) struct ThreadedCode {
     text: Arc<[Instruction]>,
     links: Arc<[Word9]>,
-    /// One unfused op per pc — the precise path and the budget tail.
-    ops: Vec<Op>,
     blocks: Vec<Block>,
     /// pc → index of the covering block, for every pc (a head is the
-    /// pc equal to its block's `start`). Lets a dynamic mid-block
-    /// landing (a JALR target that isn't a static head) dispatch the
-    /// unfused tail of its block instead of falling back to per-step
-    /// execution.
+    /// pc equal to its block's `start`).
     block_of: Vec<u32>,
     /// Number of inline-cache sites (static LOAD/STORE/JALR
     /// occurrences).
     sites: usize,
-    /// The counted twin, compiled on first use.
-    counted: OnceLock<CountedCode>,
+    /// The plain code.
+    plain: Compiled<()>,
+    /// The counted twin, compiled on first use. Only a core whose sole
+    /// observer is a packed `EnergyAccounting` runs it.
+    counted: OnceLock<Compiled<Flips>>,
 }
 
-/// The counted twin of a [`ThreadedCode`]: the same ops and
-/// superblocks with every kernel wrapped in [`Counted`], plus the
-/// static fetch activity. Only a core whose sole observer is a packed
-/// `EnergyAccounting` runs it.
+/// The image compiled for tally `T`: the plain code, or its counted
+/// twin. Both come from one constructor, so they number the
+/// inline-cache sites alike and fuse the same pairs.
 #[derive(Debug)]
-struct CountedCode {
-    /// One counted unfused op per pc, for mid-block tails.
-    ops: Vec<Op<Flips>>,
+struct Compiled<T: Tally> {
+    /// One unfused op per pc, for dispatch units that are not a whole
+    /// block.
+    ops: Vec<Op<T>>,
+    /// Per superblock, indexed like [`ThreadedCode::blocks`]: the fused
+    /// op sequence a whole execution runs.
+    fused: Vec<Vec<Op<T>>>,
+    /// What the tally's hooks read.
+    tables: T::Tables,
+}
+
+/// The counted twin's static fetch activity.
+#[derive(Debug)]
+struct FetchTables {
     /// Per pc.
     fetch: Vec<Fetch>,
-    /// Indexed like [`ThreadedCode::blocks`].
-    blocks: Vec<CountedBlock>,
+    /// Per superblock: sparse per-opcode sums of [`Fetch::inner`]. Like
+    /// [`Block::mix`], applied per completed execution.
+    blocks: Vec<Vec<(u8, u32)>>,
 }
 
 /// What the fetch path switches at one pc.
@@ -268,16 +286,6 @@ struct Fetch {
     /// is static, so only a dispatch unit's entry transition depends on
     /// the path taken.
     inner: u32,
-}
-
-/// One superblock of the counted twin.
-#[derive(Debug)]
-struct CountedBlock {
-    /// The same fusion as [`Block::fused`], over counted kernels.
-    fused: Vec<Op<Flips>>,
-    /// Sparse per-opcode sums of [`Fetch::inner`] over the block. Like
-    /// [`Block::mix`], applied per completed execution.
-    fetch: Vec<(u8, u32)>,
 }
 
 // --- kernels ---------------------------------------------------------------
@@ -332,19 +340,124 @@ fn pair<T, K1: Kernel<T>, K2: Kernel<T>>(m: &mut Machine<'_, T>, op: &Op<T>) -> 
     }
 }
 
-/// A machine's tally type, and what compiling for it makes of each
-/// kernel: the plain code runs kernels bare, the counted twin runs
-/// them [`Counted`].
-trait Tally: Sized {
+/// A machine's tally type: what compiling for it makes of each kernel,
+/// and what the dispatch loop counts besides the kernels. The plain
+/// code runs kernels bare and counts nothing; the counted twin runs
+/// them [`Counted`] and adds the fetch activity and retirements here.
+trait Tally: Default {
     type Of<K: Kernel<Self>>: Kernel<Self>;
+
+    /// Static tables the hooks read, built with the compiled code.
+    type Tables: std::fmt::Debug;
+
+    fn tables(text: &[Instruction], blocks: &[Block]) -> Self::Tables;
+
+    /// The image's code compiled for this tally.
+    fn compiled(code: &ThreadedCode) -> &Compiled<Self>;
+
+    /// The dispatch unit `span` ran to its end as `ops`: the fused ops
+    /// of the whole block `whole`, or unfused ops.
+    #[inline(always)]
+    fn ran(
+        &mut self,
+        _: &Self::Tables,
+        _ops: &[Op<Self>],
+        _span: Range<usize>,
+        _whole: Option<usize>,
+    ) {
+    }
+
+    /// A dispatch unit faulted; `wrote` are the instructions before the
+    /// faulting one, which retired with a write-back.
+    #[inline(always)]
+    fn faulted<'s>(&mut self, _: &Self::Tables, _wrote: impl Iterator<Item = &'s Slot>) {}
 }
 
 impl Tally for () {
     type Of<K: Kernel<()>> = K;
+    type Tables = ();
+
+    fn tables(_: &[Instruction], _: &[Block]) {}
+
+    fn compiled(code: &ThreadedCode) -> &Compiled<()> {
+        &code.plain
+    }
 }
 
 impl Tally for Flips {
     type Of<K: Kernel<Flips>> = Counted<K>;
+    type Tables = FetchTables;
+
+    fn tables(text: &[Instruction], blocks: &[Block]) -> FetchTables {
+        let mut fetch: Vec<Fetch> = Vec::with_capacity(text.len());
+        // The blocks tile the text in address order, so this visits
+        // every pc in turn.
+        let blocks = blocks
+            .iter()
+            .map(|b| {
+                let mut sums = [0u32; Instruction::OPCODE_COUNT];
+                for pc in b.start..b.start + b.len {
+                    let words = fetch_words(pc, &text[pc]);
+                    let inner = match fetch.last() {
+                        Some(prev) if pc > b.start => {
+                            words.0.flips_from(&prev.words.0) + words.1.flips_from(&prev.words.1)
+                        }
+                        _ => 0,
+                    };
+                    sums[text[pc].opcode()] += inner;
+                    fetch.push(Fetch { words, inner });
+                }
+                sparse(&sums)
+            })
+            .collect();
+        FetchTables { fetch, blocks }
+    }
+
+    fn compiled(code: &ThreadedCode) -> &Compiled<Flips> {
+        code.counted()
+    }
+
+    /// Adds the unit's entry fetch flips, the one fetch transition that
+    /// depends on the path taken. A whole block's retirements and
+    /// static fetch flips wait for `run_counted`; a partial unit's are
+    /// added here.
+    #[inline(always)]
+    fn ran(
+        &mut self,
+        t: &FetchTables,
+        ops: &[Op<Flips>],
+        span: Range<usize>,
+        whole: Option<usize>,
+    ) {
+        let (i1, p1) = t.fetch[span.start].words;
+        self.per_opcode[ops[0].s[0].opcode as usize].fetch +=
+            u64::from(i1.flips_from(&self.prev_fetch.0) + p1.flips_from(&self.prev_fetch.1));
+        self.prev_fetch = t.fetch[span.end - 1].words;
+        match whole {
+            Some(block) => self.execs[block] += 1,
+            None => {
+                for (k, op) in ops.iter().enumerate() {
+                    let activity = &mut self.per_opcode[op.s[0].opcode as usize];
+                    activity.retired += 1;
+                    if k > 0 {
+                        activity.fetch += u64::from(t.fetch[span.start + k].inner);
+                    }
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn faulted<'s>(&mut self, t: &FetchTables, wrote: impl Iterator<Item = &'s Slot>) {
+        for s in wrote {
+            let (i1, p1) = t.fetch[s.pc as usize].words;
+            let activity = &mut self.per_opcode[s.opcode as usize];
+            activity.retired += 1;
+            activity.fetch +=
+                u64::from(i1.flips_from(&self.prev_fetch.0) + p1.flips_from(&self.prev_fetch.1));
+            self.prev_fetch = (i1, p1);
+        }
+    }
 }
 
 /// Kernel `K` plus the trit flips of its instruction, added to the
@@ -352,8 +465,8 @@ impl Tally for Flips {
 /// the overwritten TDM cell and the result bus, exactly as the energy
 /// accountant counts them from the functional step's write-back
 /// event. A faulting instruction has no write-back, so it adds
-/// nothing. (Its fetch flips and retirement are the block's, added by
-/// the engine.)
+/// nothing. (Fetch flips and retirements are counted per dispatch
+/// unit, by the [`Tally`] hooks.)
 struct Counted<K>(PhantomData<K>);
 
 impl<K: Kernel<Flips>> Kernel<Flips> for Counted<K> {
@@ -768,43 +881,6 @@ pair_table! {
     Comp + Bne,
 }
 
-/// Compiles every instruction into its unfused op, numbering the
-/// inline-cache sites in address order; returns the ops and the site
-/// count.
-fn compile_ops<T: Tally>(text: &[Instruction], links: &[Word9]) -> (Vec<Op<T>>, u32) {
-    let mut sites: u32 = 0;
-    let ops = text
-        .iter()
-        .enumerate()
-        .map(|(pc, i)| compile_op(i, pc, links[pc], &mut sites))
-        .collect();
-    (ops, sites)
-}
-
-/// The fused op sequence of the block `start..=end`: greedy fusion in
-/// program order.
-fn fuse_block<T: Tally>(
-    ops: &[Op<T>],
-    text: &[Instruction],
-    start: usize,
-    end: usize,
-) -> Vec<Op<T>> {
-    let mut fused = Vec::new();
-    let mut i = start;
-    while i <= end {
-        if i < end {
-            if let Some(f) = fuse(&ops[i], &ops[i + 1], &text[i], &text[i + 1]) {
-                fused.push(f);
-                i += 2;
-                continue;
-            }
-        }
-        fused.push(ops[i]);
-        i += 1;
-    }
-    fused
-}
-
 /// The nonzero entries of a per-opcode count table, as
 /// `(opcode, count)`.
 fn sparse(counts: &[u32; Instruction::OPCODE_COUNT]) -> Vec<(u8, u32)> {
@@ -816,14 +892,48 @@ fn sparse(counts: &[u32; Instruction::OPCODE_COUNT]) -> Vec<(u8, u32)> {
         .collect()
 }
 
+impl<T: Tally> Compiled<T> {
+    /// Compiles `text` for tally `T`: one unfused op per instruction,
+    /// numbering the inline-cache sites in address order, then greedy
+    /// fusion in program order within each block. Returns the code and
+    /// the site count.
+    fn new(text: &[Instruction], links: &[Word9], blocks: &[Block]) -> (Self, usize) {
+        let mut sites: u32 = 0;
+        let ops: Vec<Op<T>> = text
+            .iter()
+            .enumerate()
+            .map(|(pc, i)| compile_op(i, pc, links[pc], &mut sites))
+            .collect();
+        let fused = blocks
+            .iter()
+            .map(|b| {
+                let end = b.start + b.len;
+                let mut fused = Vec::new();
+                let mut pc = b.start;
+                while pc < end {
+                    let pair = (pc + 1 < end)
+                        .then(|| fuse(&ops[pc], &ops[pc + 1], &text[pc], &text[pc + 1]))
+                        .flatten();
+                    let op = pair.unwrap_or(ops[pc]);
+                    pc += op.n as usize;
+                    fused.push(op);
+                }
+                fused
+            })
+            .collect();
+        let tables = T::tables(text, blocks);
+        let code = Compiled { ops, fused, tables };
+        (code, sites as usize)
+    }
+}
+
 impl ThreadedCode {
-    /// Compiles the whole image: unfused ops, block heads over the link
-    /// table, superblocks, and the fused hot sequences.
+    /// Compiles the whole image: block heads over the link table,
+    /// superblocks, and the plain code.
     pub(crate) fn compile(image: &PredecodedProgram) -> Self {
         let text = image.text_arc();
         let links = image.links_arc();
         let len = text.len();
-        let (ops, sites) = compile_ops(&text, &links);
 
         // Block heads: the entry point, every static in-range control
         // target, and every successor of a control transfer (JALR
@@ -876,63 +986,28 @@ impl ThreadedCode {
             blocks.push(Block {
                 start,
                 len: end - start + 1,
-                fused: fuse_block(&ops, &text, start, end),
                 mix: sparse(&counts),
             });
             start = end + 1;
         }
 
+        let (plain, sites) = Compiled::new(&text, &links, &blocks);
         ThreadedCode {
             text,
             links,
-            ops,
             blocks,
             block_of,
-            sites: sites as usize,
+            sites,
+            plain,
             counted: OnceLock::new(),
         }
     }
 
     /// The counted twin, compiled on first use and then shared by every
     /// core built from this image.
-    fn counted(&self) -> &CountedCode {
-        self.counted.get_or_init(|| CountedCode::compile(self))
-    }
-}
-
-impl CountedCode {
-    /// Recompiles `code` over counted kernels. The inline-cache sites
-    /// number the same, so both compilations share a core's caches.
-    fn compile(code: &ThreadedCode) -> Self {
-        let text = &code.text;
-        let (ops, _) = compile_ops::<Flips>(text, &code.links);
-        let mut fetch: Vec<Fetch> = Vec::with_capacity(text.len());
-        for (pc, instr) in text.iter().enumerate() {
-            let words = fetch_words(pc, instr);
-            let inner = match fetch.last() {
-                Some(prev) if code.blocks[code.block_of[pc] as usize].start != pc => {
-                    words.0.flips_from(&prev.words.0) + words.1.flips_from(&prev.words.1)
-                }
-                _ => 0,
-            };
-            fetch.push(Fetch { words, inner });
-        }
-        let blocks = code
-            .blocks
-            .iter()
-            .map(|b| {
-                let end = b.start + b.len - 1;
-                let mut inner = [0u32; Instruction::OPCODE_COUNT];
-                for pc in b.start..=end {
-                    inner[text[pc].opcode()] += fetch[pc].inner;
-                }
-                CountedBlock {
-                    fused: fuse_block(&ops, text, b.start, end),
-                    fetch: sparse(&inner),
-                }
-            })
-            .collect();
-        CountedCode { ops, fetch, blocks }
+    fn counted(&self) -> &Compiled<Flips> {
+        self.counted
+            .get_or_init(|| Compiled::new(&self.text, &self.links, &self.blocks).0)
     }
 }
 
@@ -968,18 +1043,14 @@ impl CountedCode {
 pub struct ThreadedSim {
     code: Arc<ThreadedCode>,
     /// The architectural core: state, retired count, halt reason, the
-    /// directly-credited mix (the precise step path and partial blocks)
-    /// and the observers. Observed steps run through `arch.step()`.
+    /// directly-credited mix (partial dispatch units and faults) and
+    /// the observers. Observed steps run through `arch.step_with`.
     arch: FunctionalSim,
     icache: Vec<InlineCache>,
     /// Completed executions per superblock. The hot loop bumps one
     /// counter per block run; the per-opcode mix is materialized
     /// lazily by `full_mix`.
     block_execs: Vec<u64>,
-    /// Completed executions per superblock of the counted twin within
-    /// one `run_for`, folded into `block_execs` and the energy
-    /// counters when it returns. Empty until the twin first runs.
-    counted_execs: Vec<u64>,
 }
 
 impl ThreadedSim {
@@ -998,12 +1069,11 @@ impl ThreadedSim {
             arch: FunctionalSim::build(image, tdm_words, observers),
             icache,
             block_execs,
-            counted_execs: Vec::new(),
         }
     }
 
-    /// Materializes the dynamic mix: the directly-counted portion (the
-    /// precise step path and partial blocks) plus each block's sparse
+    /// Materializes the dynamic mix: the directly-counted portion
+    /// (partial dispatch units and faults) plus each block's sparse
     /// static mix scaled by how many times it ran to completion.
     fn full_mix(&self) -> [u64; Instruction::OPCODE_COUNT] {
         let mut mix = self.arch.mix;
@@ -1031,181 +1101,31 @@ impl ThreadedSim {
     /// execution).
     pub fn fused_pairs(&self) -> usize {
         self.code
-            .blocks
+            .plain
+            .fused
             .iter()
-            .flat_map(|b| b.fused.iter())
+            .flatten()
             .filter(|op| op.n == 2)
             .count()
     }
 
-    fn convert_fault(&self, fault: Fault) -> SimError {
-        match fault {
-            Fault::Mem { pc, cause, .. } => SimError::MemoryFault { pc, cause },
-            Fault::Wild { target, .. } => SimError::PcOutOfRange {
-                at: self.arch.instructions,
-                pc: target,
-                tim_size: self.code.ops.len(),
-            },
-        }
-    }
-
-    /// Precise single-instruction step through the unfused compiled
-    /// ops: the budget tail, mid-block entry (after restore or a wild
-    /// landing), and [`Core::step`] when no observers are attached.
-    fn step_ops(&mut self) -> Result<Option<HaltReason>, SimError> {
-        if let Some(reason) = self.arch.halted {
-            return Ok(Some(reason));
-        }
-        let code = Arc::clone(&self.code);
-        let len = code.ops.len();
-        let pc = self.arch.state.pc;
-        if pc == len {
-            self.arch.halted = Some(HaltReason::FellOffEnd);
-            return Ok(Some(HaltReason::FellOffEnd));
-        }
-        let op = &code.ops[pc];
-        self.arch.instructions += 1;
-        self.arch.mix[op.s[0].opcode as usize] += 1;
-        let mut m = Machine {
-            state: &mut self.arch.state,
-            icache: &mut self.icache,
-            text_len: len,
-            fault: None,
-            tally: (),
-        };
-        let step = (op.exec)(&mut m, op);
-        if let Step::Fault = step {
-            let fault = m.fault.take().expect("a faulting op parks its fault");
-            return Err(self.convert_fault(fault));
-        }
-        let (next, halt) = next_pc(step, pc + 1, len);
-        self.arch.state.pc = next;
-        self.arch.halted = halt;
-        Ok(halt)
-    }
-
-    /// The block-dispatch hot loop: executes whole superblocks for as
-    /// long as the remaining budget covers the next one. The PC, the
-    /// budget countdown and the step count live in locals (and the
-    /// [`Machine`] is constructed once), so block-to-block transfers
-    /// cost no memory round-trips through `self`.
-    ///
-    /// Returns the halt reason if the machine halted, or `None` when it
-    /// stopped because the fast path cannot continue — a budget smaller
-    /// than the next block (or block tail) — in which case the caller
-    /// falls back to precise stepping.
-    fn run_fast(
+    /// The dispatch loop, over the plain code or its counted twin. A
+    /// dispatch unit runs from `pc` to the end of its superblock: the
+    /// block's fused ops when `pc` is the head and the budget covers
+    /// the whole block, else the unfused ops `pc..min(block end, pc +
+    /// remaining)`. Budget, halt and PC checks happen only between
+    /// units, where control can transfer; the PC, the budget countdown
+    /// and the step count live in locals, and the [`Machine`] is built
+    /// once, so unit-to-unit transfers cost no memory round-trips
+    /// through `self`.
+    fn dispatch<T: Tally>(
         &mut self,
-        steps: &mut u64,
-        remaining: &mut u64,
-    ) -> Result<Option<HaltReason>, SimError> {
-        let code = Arc::clone(&self.code);
-        let text_len = code.ops.len();
-        let mut retired = 0u64;
-        let mut halt = None;
-        let mut failed = None;
-        {
-            let mut m = Machine {
-                state: &mut self.arch.state,
-                icache: &mut self.icache,
-                text_len,
-                fault: None,
-                tally: (),
-            };
-            let mut pc = m.state.pc;
-            while pc < text_len {
-                // A block head runs its block's fused ops. A mid-block
-                // landing (a dynamic JALR target that isn't a static
-                // head) runs the unfused tail of the covering block,
-                // then rejoins fused block dispatch at the next head.
-                let bi = code.block_of[pc] as usize;
-                let block = &code.blocks[bi];
-                let head = pc == block.start;
-                let fall = block.start + block.len;
-                let ops = if head {
-                    &block.fused[..]
-                } else {
-                    &code.ops[pc..fall]
-                };
-                let n = (fall - pc) as u64;
-                if n > *remaining {
-                    break;
-                }
-                let step = match run_ops(&mut m, ops) {
-                    Ok(step) => step,
-                    Err(i) => {
-                        let fault = m.fault.take().expect("a faulting op parks its fault");
-                        failed = Some((ops, i, fault));
-                        break;
-                    }
-                };
-                retired += n;
-                *steps += n;
-                *remaining -= n;
-                if head {
-                    // Mix accounting is deferred: one counter bump per
-                    // block, the sparse per-opcode counts are folded in
-                    // lazily by `full_mix`.
-                    self.block_execs[bi] += 1;
-                } else {
-                    // The deferred block counters only describe
-                    // whole-block executions, so a tail counts per op.
-                    for op in ops {
-                        self.arch.mix[op.s[0].opcode as usize] += 1;
-                    }
-                }
-                let (next, h) = next_pc(step, fall, text_len);
-                pc = next;
-                if h.is_some() {
-                    halt = h;
-                    break;
-                }
-            }
-            m.state.pc = pc;
-        }
-        self.arch.instructions += retired;
-        if let Some((ops, i, fault)) = failed {
-            return Err(self.settle(ops, i, fault));
-        }
-        if let Some(reason) = halt {
-            self.arch.halted = Some(reason);
-        }
-        Ok(halt)
-    }
-
-    /// Settles a fault raised by op `i` of the straight-line run `ops`
-    /// precisely: every instruction [`retired_slots`] names counts as
-    /// retired, and the pc rests on the faulting instruction.
-    fn settle<T>(&mut self, ops: &[Op<T>], i: usize, fault: Fault) -> SimError {
-        for s in retired_slots(ops, i, &fault) {
-            self.arch.instructions += 1;
-            self.arch.mix[s.opcode as usize] += 1;
-        }
-        self.arch.state.pc = match &fault {
-            Fault::Mem { pc, .. } => *pc,
-            Fault::Wild { at_pc, .. } => *at_pc as usize,
-        };
-        self.convert_fault(fault)
-    }
-
-    /// The `run_for` loop of both compiled paths. `fast` runs whole
-    /// dispatch units for as long as the budget covers them; `precise`
-    /// steps one instruction where it stops (the budget tail, or an
-    /// entry `fast` does not take). `x` is what both need besides the
-    /// core: the held observers, on the counted path.
-    fn drive<X>(
-        &mut self,
+        tally: &mut T,
         budget: Budget,
-        x: &mut X,
-        mut fast: impl FnMut(
-            &mut Self,
-            &mut X,
-            &mut u64,
-            &mut u64,
-        ) -> Result<Option<HaltReason>, SimError>,
-        mut precise: impl FnMut(&mut Self, &mut X) -> Result<Option<HaltReason>, SimError>,
     ) -> Result<RunSummary, SimError> {
-        let mut steps = 0u64;
+        let code = &*self.code;
+        let compiled = T::compiled(code);
+        let text_len = code.text.len();
         // Steps and retired instructions advance in lockstep (every
         // architectural instruction is one step), so either budget
         // collapses to a single countdown computed once up front.
@@ -1213,193 +1133,149 @@ impl ThreadedSim {
             Budget::Steps(n) => n,
             Budget::Retired(n) => n.saturating_sub(self.arch.instructions),
         };
-        loop {
-            if let Some(halt) = self.arch.halted {
-                return Ok(RunSummary {
-                    steps,
-                    retired: self.arch.instructions,
-                    halt: Some(halt),
-                });
-            }
-            if remaining == 0 {
-                return Ok(RunSummary {
-                    steps,
-                    retired: self.arch.instructions,
-                    halt: None,
-                });
-            }
-            // Whole dispatch units while the budget covers them (the
-            // only budget checks are at their boundaries)…
-            let halt = fast(self, x, &mut steps, &mut remaining)?;
-            if halt.is_some() {
-                return Ok(RunSummary {
-                    steps,
-                    retired: self.arch.instructions,
-                    halt,
-                });
-            }
-            if remaining == 0 {
-                continue;
-            }
-            // …then one precise step.
-            let halt = precise(self, x)?;
-            steps += 1;
-            remaining -= 1;
-            if halt.is_some() {
-                return Ok(RunSummary {
-                    steps,
-                    retired: self.arch.instructions,
-                    halt,
-                });
-            }
-        }
-    }
-
-    /// `run_for` with a packed `EnergyAccounting` as the only observer:
-    /// superblocks and block tails run on the counted twin, and the
-    /// budget tail takes the functional core's observed step. Whole
-    /// blocks' retirements and static fetch flips are added to the
-    /// accountant once, on the way out.
-    fn run_counted(&mut self, budget: Budget, sink: &mut Held<'_>) -> Result<RunSummary, SimError> {
-        let code = Arc::clone(&self.code);
-        let counted = code.counted();
-        self.counted_execs.resize(code.blocks.len(), 0);
-        let out = self.drive(
-            budget,
-            sink,
-            |sim, sink, steps, remaining| sim.run_fast_counted(counted, steps, remaining, sink),
-            |sim, sink| sim.step_with(sink),
-        );
-        let acc = sink.sole_energy().expect("run_for checked the observers");
-        let blocks = code.blocks.iter().zip(&counted.blocks);
-        for ((execs, total), (block, cb)) in self
-            .counted_execs
-            .iter_mut()
-            .zip(&mut self.block_execs)
-            .zip(blocks)
-        {
-            if *execs == 0 {
-                continue;
-            }
-            for &(opcode, count) in &block.mix {
-                acc.per_opcode[opcode as usize].retired += count as u64 * *execs;
-            }
-            for &(opcode, flips) in &cb.fetch {
-                acc.per_opcode[opcode as usize].fetch += flips as u64 * *execs;
-            }
-            *total += *execs;
-            *execs = 0;
-        }
-        out
-    }
-
-    /// The counted twin's hot loop: [`ThreadedSim::run_fast`] over the
-    /// counted ops. The kernels count the register, TDM and result-bus
-    /// flips. The loop adds each dispatch unit's entry fetch flips, the
-    /// one fetch transition that depends on the path, and a tail's
-    /// retirements and static fetch flips; a whole block's are folded
-    /// in by [`ThreadedSim::run_counted`].
-    fn run_fast_counted(
-        &mut self,
-        counted: &CountedCode,
-        steps: &mut u64,
-        remaining: &mut u64,
-        sink: &mut Held<'_>,
-    ) -> Result<Option<HaltReason>, SimError> {
-        let code = Arc::clone(&self.code);
-        let text_len = code.ops.len();
-        let acc = sink.sole_energy().expect("run_for checked the observers");
-        let mut prev = (acc.prev_instr, acc.prev_pc);
-        let mut retired = 0u64;
-        let mut halt = None;
+        let (mut steps, mut retired) = (0u64, 0u64);
+        let mut halt = self.arch.halted;
         let mut failed = None;
         let mut m = Machine {
             state: &mut self.arch.state,
             icache: &mut self.icache,
             text_len,
             fault: None,
-            tally: Flips {
-                per_opcode: acc.per_opcode,
-                prev_bus: acc.prev_bus,
-            },
+            tally: std::mem::take(tally),
         };
         let mut pc = m.state.pc;
-        while pc < text_len {
+        if pc == text_len && halt.is_none() && remaining > 0 {
+            // Only a core restored at the end of the text starts here
+            // (reaching it halts); like the functional core, it halts
+            // in one step.
+            steps = 1;
+            halt = Some(HaltReason::FellOffEnd);
+        }
+        while halt.is_none() && remaining > 0 {
             let bi = code.block_of[pc] as usize;
             let block = &code.blocks[bi];
-            let head = pc == block.start;
-            let fall = block.start + block.len;
-            let ops = if head {
-                &counted.blocks[bi].fused[..]
+            let n = remaining.min((block.start + block.len - pc) as u64) as usize;
+            let whole = pc == block.start && n == block.len;
+            let ops = if whole {
+                &compiled.fused[bi][..]
             } else {
-                &counted.ops[pc..fall]
+                &compiled.ops[pc..pc + n]
             };
-            let n = (fall - pc) as u64;
-            if n > *remaining {
-                break;
-            }
             let step = match run_ops(&mut m, ops) {
                 Ok(step) => step,
                 Err(i) => {
-                    let fault = m.fault.take().expect("a faulting op parks its fault");
-                    failed = Some((ops, i, fault));
+                    failed = Some((ops, i));
                     break;
                 }
             };
-            let (i1, p1) = counted.fetch[pc].words;
-            m.tally.per_opcode[ops[0].s[0].opcode as usize].fetch +=
-                u64::from(i1.flips_from(&prev.0) + p1.flips_from(&prev.1));
-            prev = counted.fetch[fall - 1].words;
-            if head {
-                self.counted_execs[bi] += 1;
+            m.tally
+                .ran(&compiled.tables, ops, pc..pc + n, whole.then_some(bi));
+            if whole {
+                // Mix accounting is deferred: one counter bump per
+                // block, the sparse per-opcode counts are folded in
+                // lazily by `full_mix`.
+                self.block_execs[bi] += 1;
             } else {
-                for (k, op) in ops.iter().enumerate() {
-                    let opcode = op.s[0].opcode as usize;
-                    self.arch.mix[opcode] += 1;
-                    let activity = &mut m.tally.per_opcode[opcode];
-                    activity.retired += 1;
-                    if k > 0 {
-                        activity.fetch += u64::from(counted.fetch[pc + k].inner);
-                    }
+                for op in ops {
+                    self.arch.mix[op.s[0].opcode as usize] += 1;
                 }
             }
-            retired += n;
-            *steps += n;
-            *remaining -= n;
-            let (next, h) = next_pc(step, fall, text_len);
-            pc = next;
-            if h.is_some() {
-                halt = h;
-                break;
-            }
+            retired += n as u64;
+            steps += n as u64;
+            remaining -= n as u64;
+            (pc, halt) = next_pc(step, pc + n, text_len);
         }
         m.state.pc = pc;
-        let tally = m.tally;
+        let fault = m.fault;
+        *tally = m.tally;
+        self.arch.instructions += retired;
+        if let Some((ops, i)) = failed {
+            let fault = fault.expect("a faulting op parks its fault");
+            // The faulting instruction itself has no write-back.
+            let wrote = retired_slots(ops, i, &fault).count() - 1;
+            tally.faulted(&compiled.tables, retired_slots(ops, i, &fault).take(wrote));
+            return Err(settle(&mut self.arch, ops, i, fault, text_len));
+        }
+        self.arch.halted = halt;
+        Ok(RunSummary {
+            steps,
+            retired: self.arch.instructions,
+            halt,
+        })
+    }
+
+    /// `run_for` with a packed `EnergyAccounting` as the only observer:
+    /// the accountant's counters and history move into a [`Flips`]
+    /// tally for one dispatch over the counted twin. Whole blocks'
+    /// retirements and static fetch flips are added once, on the way
+    /// out.
+    fn run_counted(&mut self, budget: Budget, sink: &mut Held<'_>) -> Result<RunSummary, SimError> {
+        let acc = sink.sole_energy().expect("run_for checked the observers");
+        let mut tally = Flips {
+            per_opcode: acc.per_opcode,
+            prev_bus: acc.prev_bus,
+            prev_fetch: (acc.prev_instr, acc.prev_pc),
+            execs: vec![0; self.code.blocks.len()],
+        };
+        let was_halted = self.arch.halted.is_some();
+        let out = self.dispatch(&mut tally, budget);
+        let code = &*self.code;
+        let blocks = code.blocks.iter().zip(&code.counted().tables.blocks);
+        for (&execs, (block, fetch)) in tally.execs.iter().zip(blocks) {
+            if execs == 0 {
+                continue;
+            }
+            for &(opcode, count) in &block.mix {
+                tally.per_opcode[opcode as usize].retired += count as u64 * execs;
+            }
+            for &(opcode, flips) in fetch {
+                tally.per_opcode[opcode as usize].fetch += flips as u64 * execs;
+            }
+        }
         acc.per_opcode = tally.per_opcode;
         acc.prev_bus = tally.prev_bus;
-        self.arch.instructions += retired;
-        if let Some((ops, i, fault)) = failed {
-            // The instructions before the faulting one retired with a
-            // write-back; the faulting one has none.
-            let wrote = retired_slots(ops, i, &fault).count() - 1;
-            for s in retired_slots(ops, i, &fault).take(wrote) {
-                let (i1, p1) = counted.fetch[s.pc as usize].words;
-                let activity = &mut acc.per_opcode[s.opcode as usize];
-                activity.retired += 1;
-                activity.fetch += u64::from(i1.flips_from(&prev.0) + p1.flips_from(&prev.1));
-                prev = (i1, p1);
+        (acc.prev_instr, acc.prev_pc) = tally.prev_fetch;
+        if let Ok(RunSummary {
+            halt: Some(reason), ..
+        }) = out
+        {
+            if !was_halted {
+                // The accountant resets its history on halt, as on
+                // every other path.
+                sink.halt(reason, self.arch.instructions);
             }
-            (acc.prev_instr, acc.prev_pc) = prev;
-            return Err(self.settle(ops, i, fault));
         }
-        (acc.prev_instr, acc.prev_pc) = prev;
-        if let Some(reason) = halt {
-            self.arch.halted = Some(reason);
-            // The accountant resets its history on halt, as on every
-            // other path.
-            sink.halt(reason, self.arch.instructions);
+        out
+    }
+}
+
+/// Settles a fault raised by op `i` of the straight-line run `ops` on
+/// `arch` precisely: every instruction [`retired_slots`] names counts
+/// as retired, and the pc rests on the faulting instruction.
+fn settle<T>(
+    arch: &mut FunctionalSim,
+    ops: &[Op<T>],
+    i: usize,
+    fault: Fault,
+    text_len: usize,
+) -> SimError {
+    for s in retired_slots(ops, i, &fault) {
+        arch.instructions += 1;
+        arch.mix[s.opcode as usize] += 1;
+    }
+    match fault {
+        Fault::Mem { pc, cause, .. } => {
+            arch.state.pc = pc;
+            SimError::MemoryFault { pc, cause }
         }
-        Ok(halt)
+        Fault::Wild { target, at_pc } => {
+            arch.state.pc = at_pc as usize;
+            SimError::PcOutOfRange {
+                at: arch.instructions,
+                pc: target,
+                tim_size: text_len,
+            }
+        }
     }
 }
 
@@ -1422,10 +1298,10 @@ fn retired_slots<'o, T>(
         .chain(&ops[i].s[..partial as usize])
 }
 
-/// Runs a straight-line op sequence (a block's fused ops, or the
-/// unfused tail of a block). Only its last op can transfer control, so
-/// any step but a fault means every op ran; a fault returns the index
-/// of the faulting op.
+/// Runs a dispatch unit's straight-line op sequence: a block's fused
+/// ops, or unfused ops within one block. Only its last op can transfer
+/// control, so any step but a fault means every op ran; a fault returns
+/// the index of the faulting op.
 #[inline(always)]
 fn run_ops<T>(m: &mut Machine<'_, T>, ops: &[Op<T>]) -> Result<Step, usize> {
     for op in ops {
@@ -1443,10 +1319,10 @@ fn run_ops<T>(m: &mut Machine<'_, T>, ops: &[Op<T>]) -> Result<Step, usize> {
     Ok(Step::Next)
 }
 
-/// Where control goes after an op, a block or a block tail that ended
-/// in `step` (never [`Step::Fault`]): `fall` is the address just past
-/// it, where a fall-through continues — or halts, at the end of the
-/// text. Returns the next PC and the halt reason, if any.
+/// Where control goes after a dispatch unit that ended in `step`
+/// (never [`Step::Fault`]): `fall` is the address just past it, where a
+/// fall-through continues — or halts, at the end of the text. Returns
+/// the next PC and the halt reason, if any.
 #[inline(always)]
 fn next_pc(step: Step, fall: usize, text_len: usize) -> (usize, Option<HaltReason>) {
     match step {
@@ -1472,26 +1348,18 @@ impl Core for ThreadedSim {
         Backend::Threaded
     }
 
+    /// One instruction: a dispatch unit of one on the compiled paths.
     fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
-        if self.arch.observers.is_empty() {
-            self.step_ops()
-        } else {
-            self.arch.step()
-        }
+        self.run_for(Budget::Steps(1)).map(|summary| summary.halt)
     }
 
-    /// With no observer: superblocks and unfused block tails, then
-    /// precise compiled steps. With a packed `EnergyAccounting` as the
-    /// only observer: the counted twin. With any other observers: the
-    /// functional core's observed step throughout.
+    /// With no observer: the plain code. With a packed
+    /// `EnergyAccounting` as the only observer: the counted twin. With
+    /// any other observers: the functional core's observed step
+    /// throughout.
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
         if self.arch.observers.is_empty() {
-            return self.drive(
-                budget,
-                &mut (),
-                |sim, _, steps, remaining| sim.run_fast(steps, remaining),
-                |sim, _| sim.step_ops(),
-            );
+            return self.dispatch(&mut (), budget);
         }
         crate::core::held(self, |sim, sink| {
             if sink.sole_energy().is_some() {
@@ -1533,7 +1401,7 @@ impl Core for ThreadedSim {
     }
 
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SimError> {
-        checkpoint.guard(Backend::Threaded, self.code.ops.len())?;
+        checkpoint.guard(Backend::Threaded, self.code.text.len())?;
         self.arch.restore(checkpoint)?;
         // The restored mix is fully materialized, so the deferred
         // block counters start over from zero.
@@ -1844,6 +1712,13 @@ mod tests {
         let p = assemble(COUNTDOWN).unwrap();
         let b = SimBuilder::new(&p);
         let want = functional_activity(&b);
+        // One instruction at a time, first: the image has not compiled
+        // its counted twin yet, so only `step` can compile it here.
+        let energy = packed();
+        let mut sim = b.clone().observer(energy.clone()).build_threaded();
+        while Core::step(&mut sim).unwrap().is_none() {}
+        assert!(counted(&sim), "step runs the counted twin");
+        assert_eq!(activity(&energy), want, "stepped");
         // Slices of every length up to past the whole run (53
         // instructions).
         for cut in 1..=60u64 {

@@ -280,7 +280,6 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let outcomes: Vec<IterOutcome> = indices
         .into_par_iter()
         .map(|i| {
-            let mut rng = FuzzRng::for_iteration(cfg.seed, i);
             let mut digest = 0u64;
             let mut stats = OracleStats::default();
             let mut divergence = None;
@@ -290,11 +289,11 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                 if cfg.sweep_mixes {
                     gen_cfg.mix = Mix::ALL[(i % Mix::ALL.len() as u64) as usize];
                 }
-                let program = generate(&mut rng, &gen_cfg);
+                let program = generate(&mut FuzzRng::for_iteration(cfg.seed, i), &gen_cfg);
                 digest = program_digest(&program);
                 let (s, d) = check_program_filtered(&program, budget, cfg.oracle);
                 stats = s;
-                divergence = d.or_else(|| oracle::check_values(&mut rng, cfg, &mut stats));
+                divergence = d.or_else(|| oracle::check_values(cfg.seed, i, cfg, &mut stats));
                 if divergence.is_some() {
                     artifact = Some(CaseArtifact::Art9(program));
                 }
@@ -304,9 +303,8 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                 if cfg.sweep_mixes {
                     rv_cfg.mix = Rv32Mix::ALL[(i % Rv32Mix::ALL.len() as u64) as usize];
                 }
-                // The RV32 program's own stream: the same as a filtered
-                // `--oracle compiler-lockstep` run, whatever the value
-                // oracles drew from `rng` above.
+                // A fresh stream for the RV32 program: the same as a
+                // filtered `--oracle compiler-lockstep` run.
                 let src = generate_rv32(&mut FuzzRng::for_iteration(cfg.seed, i), &rv_cfg);
                 digest ^= source_digest(&src).rotate_left(31);
                 divergence = check_compiler_lockstep(&src, rv_budget, &mut stats);
@@ -513,6 +511,10 @@ mod tests {
         );
         let roundtrip = only(Oracle::ToolchainRoundtrip);
         assert_eq!(roundtrip.roundtrip_checks, full.roundtrip_checks);
+        // Each value row draws from its own stream, so alone it checks
+        // the full campaign's operands.
+        assert_eq!(only(Oracle::Arithmetic).arith_checks, full.arith_checks);
+        assert_eq!(only(Oracle::Simd).simd_checks, full.simd_checks);
         // The full campaign runs the filtered run's RV32 programs.
         let cosim = only(Oracle::CompilerLockstep);
         assert!(full.cosim_sync_points > 0);

@@ -568,8 +568,8 @@ impl ProgramRun<'_> {
     }
 
     /// The functional-vs-threaded oracle: one per-instruction
-    /// [`lockstep`] run (exercising the threaded backend's precise
-    /// stepping path), then a fresh threaded core free-running to halt
+    /// [`lockstep`] run (each threaded step a one-instruction dispatch
+    /// unit), then a fresh threaded core free-running to halt
     /// through the fused superblock dispatch path, compared against the
     /// functional final state. Fusion must be architecturally
     /// invisible — both runs land on the same point.
@@ -857,7 +857,11 @@ struct ValueRow<S> {
     oracle: Oracle,
     /// Random draws one campaign iteration makes (`draw`'s `n`).
     draws: fn(&FuzzConfig) -> usize,
-    /// Draws one iteration's operand sets from the campaign RNG.
+    /// Mixed into the campaign seed for the row's own RNG stream, so
+    /// its operands depend only on `(seed, iteration)`: not on the
+    /// generated program, nor on which other rows run.
+    salt: u64,
+    /// Draws one iteration's operand sets from the row's stream.
     draw: fn(&mut FuzzRng, usize) -> Vec<S>,
     /// Checks every case of one operand set.
     cases: fn(&S) -> Result<(), String>,
@@ -891,7 +895,8 @@ trait ValueOracle {
     fn oracle(&self) -> Oracle;
     fn run(
         &self,
-        rng: &mut FuzzRng,
+        seed: u64,
+        iteration: u64,
         cfg: &FuzzConfig,
         stats: &mut OracleStats,
     ) -> Option<Divergence>;
@@ -904,11 +909,13 @@ impl<S: Debug> ValueOracle for ValueRow<S> {
 
     fn run(
         &self,
-        rng: &mut FuzzRng,
+        seed: u64,
+        iteration: u64,
         cfg: &FuzzConfig,
         stats: &mut OracleStats,
     ) -> Option<Divergence> {
-        self.check(rng, (self.draws)(cfg), stats)
+        let mut rng = FuzzRng::for_iteration(seed ^ self.salt, iteration);
+        self.check(&mut rng, (self.draws)(cfg), stats)
     }
 }
 
@@ -919,17 +926,18 @@ const VALUE_ORACLES: [&dyn ValueOracle; 2] = [&ARITH, &SIMD];
 const VALUE_SETS: usize = 8;
 
 /// Runs the value-oracle table (only `cfg.oracle`'s row when the
-/// campaign is filtered), drawing operands from `rng`. Returns the
-/// first divergence.
+/// campaign is filtered) for campaign iteration `iteration`, each row
+/// on its own stream. Returns the first divergence.
 pub(crate) fn check_values(
-    rng: &mut FuzzRng,
+    seed: u64,
+    iteration: u64,
     cfg: &FuzzConfig,
     stats: &mut OracleStats,
 ) -> Option<Divergence> {
     VALUE_ORACLES
         .iter()
         .filter(|row| cfg.oracle.is_none_or(|o| o == row.oracle()))
-        .find_map(|row| row.run(rng, cfg, stats))
+        .find_map(|row| row.run(seed, iteration, cfg, stats))
 }
 
 /// Packed `Word9` kernels vs the tritwise references, one check per
@@ -938,6 +946,7 @@ pub(crate) fn check_values(
 const ARITH: ValueRow<(Word9, Word9)> = ValueRow {
     oracle: Oracle::Arithmetic,
     draws: |cfg| cfg.arith_pairs,
+    salt: 0xa817_0b5e_77c1_4d29,
     draw: |rng, n| {
         let mut words = word9_corners();
         words.extend((0..n).map(|_| random_word(rng)));
@@ -980,6 +989,7 @@ struct LaneSet {
 const SIMD: ValueRow<LaneSet> = ValueRow {
     oracle: Oracle::Simd,
     draws: |_| VALUE_SETS,
+    salt: 0x51ad_1a9e_c0de_83f5,
     draw: |rng, n| {
         let specials = word9_corners();
         // Lane counts hugging the 6-lanes-per-u64 word boundary.
