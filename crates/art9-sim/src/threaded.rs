@@ -69,14 +69,14 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use art9_isa::{Instruction, TReg};
-use ternary::{TernaryError, Trit, Word9};
+use ternary::{TernaryError, TernaryMemory, Trit, Word9};
 
 use crate::checkpoint::Checkpoint;
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::exec::shift;
 use crate::functional::{CoreState, FunctionalSim, HaltReason};
-use crate::observer::observers::{fetch_words, OpcodeActivity};
+use crate::observer::observers::{fetch_words, EnergyAccounting};
 use crate::observer::{Held, ObserverSet, Sink};
 use crate::predecode::PredecodedProgram;
 
@@ -122,30 +122,51 @@ enum Fault {
 type ExecFn<T = ()> = fn(&mut Machine<'_, T>, &Op<T>) -> Step;
 
 /// The mutable execution context handed to every [`ExecFn`].
-struct Machine<'m, T = ()> {
+struct Machine<'m, T: Tally = ()> {
     state: &'m mut CoreState,
     icache: &'m mut [InlineCache],
     text_len: usize,
     /// Fault payload parked by an op that returned [`Step::Fault`].
     fault: Option<Fault>,
-    /// The flip counters of the counted twin ([`Flips`]); nothing for
-    /// the plain code.
-    tally: T,
+    /// What the tally counts into ([`Counting`]); nothing for the plain
+    /// code.
+    tally: T::Live<'m>,
 }
 
-/// The energy counters the counted twin adds to: the attached
-/// `EnergyAccounting`'s per-opcode activity and datapath history, moved
-/// in for one `run_for` and back out after it, plus that run's
-/// whole-block executions.
+/// The tally of the counted twin: trit flips, into the attached
+/// `EnergyAccounting` ([`Counting`]).
+#[derive(Debug)]
+enum Flips {}
+
+/// What a counted machine counts into: the attached accountant's
+/// counters and datapath history, borrowed for one `run_for`, and the
+/// core's [`CountScratch`].
+struct Counting<'m> {
+    acc: &'m mut EnergyAccounting,
+    scratch: &'m mut CountScratch,
+    /// The effective-address word of the LOAD/STORE running now, which
+    /// it drives onto the result bus.
+    address: Word9,
+    /// The TDM cell the STORE running now overwrites.
+    cell: Word9,
+}
+
+/// A counted core's bookkeeping between runs, kept so that a short run
+/// (a [`Core::step`], a small budget slice) allocates nothing.
 #[derive(Debug, Default)]
-struct Flips {
-    per_opcode: [OpcodeActivity; Instruction::OPCODE_COUNT],
-    prev_bus: Word9,
-    /// The instruction and pc words of the last instruction fetched.
-    prev_fetch: (Word9, Word9),
-    /// Completed executions per superblock in this run; their
-    /// retirements and static fetch flips are folded in on the way out.
+struct CountScratch {
+    /// Whole executions per superblock in the current run; zero between
+    /// runs. Their retirements and static fetch flips are folded in on
+    /// the way out.
     execs: Vec<u64>,
+    /// The superblocks with a nonzero `execs` entry, so the fold visits
+    /// only those.
+    ran: Vec<u32>,
+    /// Per inline-cache site: the effective-address word of the base
+    /// word its [`InlineCache`] entry holds, so a hit knows the
+    /// result-bus word without a ternary add. Only the counted code
+    /// fills a counted core's inline caches, so the two stay in step.
+    addresses: Vec<Word9>,
 }
 
 /// One inline-cache entry for a static LOAD/STORE/JALR site: the last
@@ -197,7 +218,7 @@ struct Slot {
 /// One compiled op: a single instruction (`n == 1`, slot 0) or a fused
 /// pair (`n == 2`, slots 0 and 1 in program order).
 #[derive(Debug)]
-struct Op<T = ()> {
+struct Op<T: Tally = ()> {
     exec: ExecFn<T>,
     s: [Slot; 2],
     /// Architectural instructions this op retires.
@@ -205,13 +226,13 @@ struct Op<T = ()> {
 }
 
 // Copyable whatever the tally: an op only names its machine type.
-impl<T> Clone for Op<T> {
+impl<T: Tally> Clone for Op<T> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<T> Copy for Op<T> {}
+impl<T: Tally> Copy for Op<T> {}
 
 /// One superblock: a maximal straight-line run of instructions entered
 /// only at its head. Only its last instruction can transfer control;
@@ -266,14 +287,18 @@ struct Compiled<T: Tally> {
     tables: T::Tables,
 }
 
-/// The counted twin's static fetch activity.
+/// The counted twin's static tables.
 #[derive(Debug)]
-struct FetchTables {
+struct CountTables {
     /// Per pc.
     fetch: Vec<Fetch>,
     /// Per superblock: sparse per-opcode sums of [`Fetch::inner`]. Like
     /// [`Block::mix`], applied per completed execution.
     blocks: Vec<Vec<(u8, u32)>>,
+    /// Per inline-cache site, the effective-address word of the cold
+    /// entry's base, `ZERO`: a LOAD/STORE's offset word. The first
+    /// value of [`CountScratch::addresses`].
+    addresses: Vec<Word9>,
 }
 
 /// What the fetch path switches at one pc.
@@ -301,7 +326,7 @@ struct Fetch {
 /// `pos` is the instruction's position in its op — 1, or 2 for the
 /// second component of a pair — and is how many of the op's
 /// instructions a fault in it retires.
-trait Kernel<T = ()> {
+trait Kernel<T: Tally = ()> {
     /// What the instruction writes, which fixes the flips [`Counted`]
     /// adds for it.
     const EFFECT: Effect;
@@ -311,7 +336,7 @@ trait Kernel<T = ()> {
 
 /// The architectural writes of one instruction, as the energy model
 /// sees them (the functional step's write-back event).
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Effect {
     /// Writes `Ta` and drives its new value onto the result bus: every
     /// register kernel, and JAL/JALR, whose link is both.
@@ -325,7 +350,7 @@ enum Effect {
 }
 
 /// The body of an unfused op.
-fn single<T, K: Kernel<T>>(m: &mut Machine<'_, T>, op: &Op<T>) -> Step {
+fn single<T: Tally, K: Kernel<T>>(m: &mut Machine<'_, T>, op: &Op<T>) -> Step {
     K::run(m, &op.s[0], 1)
 }
 
@@ -333,7 +358,7 @@ fn single<T, K: Kernel<T>>(m: &mut Machine<'_, T>, op: &Op<T>) -> Step {
 /// intra-pair register dependencies behave exactly as in sequential
 /// execution, and the second runs only when the first falls through —
 /// a fault in the first retires just that one.
-fn pair<T, K1: Kernel<T>, K2: Kernel<T>>(m: &mut Machine<'_, T>, op: &Op<T>) -> Step {
+fn pair<T: Tally, K1: Kernel<T>, K2: Kernel<T>>(m: &mut Machine<'_, T>, op: &Op<T>) -> Step {
     match K1::run(m, &op.s[0], 1) {
         Step::Next => K2::run(m, &op.s[1], 2),
         step => step,
@@ -344,22 +369,30 @@ fn pair<T, K1: Kernel<T>, K2: Kernel<T>>(m: &mut Machine<'_, T>, op: &Op<T>) -> 
 /// and what the dispatch loop counts besides the kernels. The plain
 /// code runs kernels bare and counts nothing; the counted twin runs
 /// them [`Counted`] and adds the fetch activity and retirements here.
-trait Tally: Default {
+/// Every hook is empty for the plain code.
+trait Tally: Sized {
     type Of<K: Kernel<Self>>: Kernel<Self>;
 
     /// Static tables the hooks read, built with the compiled code.
     type Tables: std::fmt::Debug;
 
-    fn tables(text: &[Instruction], blocks: &[Block]) -> Self::Tables;
+    /// What a machine running this tally's code counts into.
+    type Live<'m>;
+
+    fn tables(text: &[Instruction], blocks: &[Block], ops: &[Op<Self>]) -> Self::Tables;
 
     /// The image's code compiled for this tally.
     fn compiled(code: &ThreadedCode) -> &Compiled<Self>;
+
+    /// Narrows a live tally to a shorter borrow (every `Live` is
+    /// covariant), so it can sit next to the machine's own borrows.
+    fn narrow<'a: 'b, 'b>(live: Self::Live<'a>) -> Self::Live<'b>;
 
     /// The dispatch unit `span` ran to its end as `ops`: the fused ops
     /// of the whole block `whole`, or unfused ops.
     #[inline(always)]
     fn ran(
-        &mut self,
+        _: &mut Self::Live<'_>,
         _: &Self::Tables,
         _ops: &[Op<Self>],
         _span: Range<usize>,
@@ -370,25 +403,44 @@ trait Tally: Default {
     /// A dispatch unit faulted; `wrote` are the instructions before the
     /// faulting one, which retired with a write-back.
     #[inline(always)]
-    fn faulted<'s>(&mut self, _: &Self::Tables, _wrote: impl Iterator<Item = &'s Slot>) {}
+    fn faulted<'s>(
+        _: &mut Self::Live<'_>,
+        _: &Self::Tables,
+        _wrote: impl Iterator<Item = &'s Slot>,
+    ) {
+    }
+
+    /// The LOAD/STORE at inline-cache site `site` resolved its
+    /// effective address: on a cache miss `missed` is the address word
+    /// it computed; on a hit it is `None`.
+    #[inline(always)]
+    fn resolved(_: &mut Self::Live<'_>, _site: u32, _missed: Option<Word9>) {}
+
+    /// A STORE is about to overwrite the in-range TDM cell `i`.
+    #[inline(always)]
+    fn overwriting(_: &mut Self::Live<'_>, _tdm: &TernaryMemory, _i: usize) {}
 }
 
 impl Tally for () {
     type Of<K: Kernel<()>> = K;
     type Tables = ();
+    type Live<'m> = ();
 
-    fn tables(_: &[Instruction], _: &[Block]) {}
+    fn tables(_: &[Instruction], _: &[Block], _: &[Op]) {}
 
     fn compiled(code: &ThreadedCode) -> &Compiled<()> {
         &code.plain
     }
+
+    fn narrow<'a: 'b, 'b>(_: ()) {}
 }
 
 impl Tally for Flips {
     type Of<K: Kernel<Flips>> = Counted<K>;
-    type Tables = FetchTables;
+    type Tables = CountTables;
+    type Live<'m> = Counting<'m>;
 
-    fn tables(text: &[Instruction], blocks: &[Block]) -> FetchTables {
+    fn tables(text: &[Instruction], blocks: &[Block], ops: &[Op<Flips>]) -> CountTables {
         let mut fetch: Vec<Fetch> = Vec::with_capacity(text.len());
         // The blocks tile the text in address order, so this visits
         // every pc in turn.
@@ -410,11 +462,30 @@ impl Tally for Flips {
                 sparse(&sums)
             })
             .collect();
-        FetchTables { fetch, blocks }
+        // Sites number the LOAD, STORE and JALR ops in address order;
+        // a JALR's entry is never read.
+        let addresses = text
+            .iter()
+            .zip(ops)
+            .filter_map(|(instr, op)| match instr {
+                Instruction::Load { .. } | Instruction::Store { .. } => Some(op.s[0].imm),
+                Instruction::Jalr { .. } => Some(Word9::ZERO),
+                _ => None,
+            })
+            .collect();
+        CountTables {
+            fetch,
+            blocks,
+            addresses,
+        }
     }
 
     fn compiled(code: &ThreadedCode) -> &Compiled<Flips> {
         code.counted()
+    }
+
+    fn narrow<'a: 'b, 'b>(live: Counting<'a>) -> Counting<'b> {
+        live
     }
 
     /// Adds the unit's entry fetch flips, the one fetch transition that
@@ -423,21 +494,28 @@ impl Tally for Flips {
     /// added here.
     #[inline(always)]
     fn ran(
-        &mut self,
-        t: &FetchTables,
+        c: &mut Counting<'_>,
+        t: &CountTables,
         ops: &[Op<Flips>],
         span: Range<usize>,
         whole: Option<usize>,
     ) {
+        let acc = &mut *c.acc;
         let (i1, p1) = t.fetch[span.start].words;
-        self.per_opcode[ops[0].s[0].opcode as usize].fetch +=
-            u64::from(i1.flips_from(&self.prev_fetch.0) + p1.flips_from(&self.prev_fetch.1));
-        self.prev_fetch = t.fetch[span.end - 1].words;
+        acc.per_opcode[ops[0].s[0].opcode as usize].fetch +=
+            u64::from(i1.flips_from(&acc.prev_instr) + p1.flips_from(&acc.prev_pc));
+        (acc.prev_instr, acc.prev_pc) = t.fetch[span.end - 1].words;
         match whole {
-            Some(block) => self.execs[block] += 1,
+            Some(block) => {
+                let scratch = &mut *c.scratch;
+                if scratch.execs[block] == 0 {
+                    scratch.ran.push(block as u32);
+                }
+                scratch.execs[block] += 1;
+            }
             None => {
                 for (k, op) in ops.iter().enumerate() {
-                    let activity = &mut self.per_opcode[op.s[0].opcode as usize];
+                    let activity = &mut acc.per_opcode[op.s[0].opcode as usize];
                     activity.retired += 1;
                     if k > 0 {
                         activity.fetch += u64::from(t.fetch[span.start + k].inner);
@@ -448,25 +526,44 @@ impl Tally for Flips {
     }
 
     #[inline(always)]
-    fn faulted<'s>(&mut self, t: &FetchTables, wrote: impl Iterator<Item = &'s Slot>) {
+    fn faulted<'s>(c: &mut Counting<'_>, t: &CountTables, wrote: impl Iterator<Item = &'s Slot>) {
+        let acc = &mut *c.acc;
         for s in wrote {
             let (i1, p1) = t.fetch[s.pc as usize].words;
-            let activity = &mut self.per_opcode[s.opcode as usize];
+            let activity = &mut acc.per_opcode[s.opcode as usize];
             activity.retired += 1;
             activity.fetch +=
-                u64::from(i1.flips_from(&self.prev_fetch.0) + p1.flips_from(&self.prev_fetch.1));
-            self.prev_fetch = (i1, p1);
+                u64::from(i1.flips_from(&acc.prev_instr) + p1.flips_from(&acc.prev_pc));
+            (acc.prev_instr, acc.prev_pc) = (i1, p1);
         }
+    }
+
+    /// Keeps the site's address word in step with its inline-cache
+    /// entry, and notes it for [`Counted`].
+    #[inline(always)]
+    fn resolved(c: &mut Counting<'_>, site: u32, missed: Option<Word9>) {
+        let cached = &mut c.scratch.addresses[site as usize];
+        if let Some(word) = missed {
+            *cached = word;
+        }
+        c.address = *cached;
+    }
+
+    #[inline(always)]
+    fn overwriting(c: &mut Counting<'_>, tdm: &TernaryMemory, i: usize) {
+        c.cell = tdm.read(i).expect("a resolved address is in range");
     }
 }
 
 /// Kernel `K` plus the trit flips of its instruction, added to the
-/// machine's [`Flips`] after `K` succeeds: the destination register,
+/// attached accountant after `K` succeeds: the destination register,
 /// the overwritten TDM cell and the result bus, exactly as the energy
 /// accountant counts them from the functional step's write-back
-/// event. A faulting instruction has no write-back, so it adds
-/// nothing. (Fetch flips and retirements are counted per dispatch
-/// unit, by the [`Tally`] hooks.)
+/// event. A LOAD or STORE leaves its address word and a STORE its old
+/// cell on the machine ([`Tally::resolved`], [`Tally::overwriting`]),
+/// so neither is computed twice. A faulting instruction has no
+/// write-back, so it adds nothing. (Fetch flips and retirements are
+/// counted per dispatch unit, by the other [`Tally`] hooks.)
 struct Counted<K>(PhantomData<K>);
 
 impl<K: Kernel<Flips>> Kernel<Flips> for Counted<K> {
@@ -475,26 +572,13 @@ impl<K: Kernel<Flips>> Kernel<Flips> for Counted<K> {
     #[inline(always)]
     fn run(m: &mut Machine<'_, Flips>, s: &Slot, pos: u8) -> Step {
         let old = m.state.trf[s.a as usize];
-        let base = m.state.trf[s.b as usize];
-        // A STORE resolves its address first, to read the cell it
-        // overwrites; the kernel then hits the refreshed inline cache.
-        let cell = if K::EFFECT == Effect::Store {
-            let Some(i) = tdm_index(m, s, pos) else {
-                return Step::Fault;
-            };
-            m.state
-                .tdm
-                .read(i)
-                .expect("tdm_index yields an in-range index")
-        } else {
-            Word9::ZERO
-        };
         let step = K::run(m, s, pos);
         if let Step::Fault = step {
             return step;
         }
         let new = m.state.trf[s.a as usize];
-        let acc = &mut m.tally.per_opcode[s.opcode as usize];
+        let c = &mut m.tally;
+        let acc = &mut c.acc.per_opcode[s.opcode as usize];
         let bus = match K::EFFECT {
             Effect::Reg => {
                 acc.regfile += u64::from(new.flips_from(&old));
@@ -502,16 +586,16 @@ impl<K: Kernel<Flips>> Kernel<Flips> for Counted<K> {
             }
             Effect::Load => {
                 acc.regfile += u64::from(new.flips_from(&old));
-                base.wrapping_add(s.imm)
+                c.address
             }
             Effect::Store => {
-                acc.tdm += u64::from(new.flips_from(&cell));
-                base.wrapping_add(s.imm)
+                acc.tdm += u64::from(new.flips_from(&c.cell));
+                c.address
             }
             Effect::Branch => Word9::ZERO,
         };
-        acc.alu += u64::from(bus.flips_from(&m.tally.prev_bus));
-        m.tally.prev_bus = bus;
+        acc.alu += u64::from(bus.flips_from(&c.acc.prev_bus));
+        c.acc.prev_bus = bus;
         step
     }
 }
@@ -538,7 +622,7 @@ macro_rules! kernels {
     ($name:ident($m:ident, $s:ident, $pos:pat_param) -> $effect:ident $body:block $($rest:tt)*) => {
         pub(super) struct $name;
 
-        impl<T> Kernel<T> for $name {
+        impl<T: Tally> Kernel<T> for $name {
             const EFFECT: Effect = Effect::$effect;
 
             #[inline(always)]
@@ -622,6 +706,7 @@ mod kernel {
             let Some(i) = tdm_index(m, s, pos) else {
                 return Step::Fault;
             };
+            T::overwriting(&mut m.tally, &m.state.tdm, i);
             match m.state.tdm.write(i, v) {
                 Ok(()) => Step::Next,
                 Err(cause) => mem_fault(m, s, pos, cause),
@@ -647,7 +732,7 @@ fn wrap9(v: i64) -> i64 {
 /// in-range → jump, own address → jump-to-self halt, text length →
 /// fell-off-end halt, anything else → wild-transfer fault.
 #[inline]
-fn resolve_next<T>(m: &mut Machine<'_, T>, target: i64, pc: usize) -> Step {
+fn resolve_next<T: Tally>(m: &mut Machine<'_, T>, target: i64, pc: usize) -> Step {
     if target < 0 || target as usize > m.text_len {
         m.fault = Some(Fault::Wild {
             target,
@@ -670,7 +755,7 @@ fn resolve_next<T>(m: &mut Machine<'_, T>, target: i64, pc: usize) -> Step {
 /// dispatcher's next PC is then predicted instead of waiting on the
 /// compared register, as a branchless select of the target would.)
 #[inline(always)]
-fn branch<T>(m: &mut Machine<'_, T>, s: &Slot, taken: bool) -> Step {
+fn branch<T: Tally>(m: &mut Machine<'_, T>, s: &Slot, taken: bool) -> Step {
     if taken {
         resolve_next(m, s.pc as i64 + s.off as i64, s.pc as usize)
     } else {
@@ -685,7 +770,7 @@ fn branch<T>(m: &mut Machine<'_, T>, s: &Slot, taken: bool) -> Step {
 /// parks the fault on the machine. (An `Option` rather than a
 /// `Result`: it comes back in registers on the hot path.)
 #[inline]
-fn tdm_index<T>(m: &mut Machine<'_, T>, s: &Slot, pos: u8) -> Option<usize> {
+fn tdm_index<T: Tally>(m: &mut Machine<'_, T>, s: &Slot, pos: u8) -> Option<usize> {
     let base = m.state.trf[s.b as usize];
     let off = s.off as i64;
     let ic = &mut m.icache[s.site as usize];
@@ -696,9 +781,11 @@ fn tdm_index<T>(m: &mut Machine<'_, T>, s: &Slot, pos: u8) -> Option<usize> {
             mem_fault(m, s, pos, TernaryError::AddressRange { address: v, size });
             return None;
         }
+        T::resolved(&mut m.tally, s.site, None);
         Some(v as usize)
     } else {
-        match m.state.tdm.resolve(base.wrapping_add(s.imm)) {
+        let address = base.wrapping_add(s.imm);
+        match m.state.tdm.resolve(address) {
             Ok(idx) => {
                 // The base's integer value is derived from the resolved
                 // index arithmetically (undoing the offset modulo the
@@ -708,6 +795,7 @@ fn tdm_index<T>(m: &mut Machine<'_, T>, s: &Slot, pos: u8) -> Option<usize> {
                     base,
                     value: wrap9(idx as i64 - off),
                 };
+                T::resolved(&mut m.tally, s.site, Some(address));
                 Some(idx)
             }
             Err(cause) => {
@@ -720,7 +808,7 @@ fn tdm_index<T>(m: &mut Machine<'_, T>, s: &Slot, pos: u8) -> Option<usize> {
 
 /// Parks a TDM fault raised by the instruction in `s`.
 #[cold]
-fn mem_fault<T>(m: &mut Machine<'_, T>, s: &Slot, pos: u8, cause: TernaryError) -> Step {
+fn mem_fault<T: Tally>(m: &mut Machine<'_, T>, s: &Slot, pos: u8, cause: TernaryError) -> Step {
     m.fault = Some(Fault::Mem {
         pc: s.pc as usize,
         cause,
@@ -921,7 +1009,7 @@ impl<T: Tally> Compiled<T> {
                 fused
             })
             .collect();
-        let tables = T::tables(text, blocks);
+        let tables = T::tables(text, blocks, &ops);
         let code = Compiled { ops, fused, tables };
         (code, sites as usize)
     }
@@ -1051,6 +1139,9 @@ pub struct ThreadedSim {
     /// counter per block run; the per-opcode mix is materialized
     /// lazily by `full_mix`.
     block_execs: Vec<u64>,
+    /// The counted twin's bookkeeping; empty until the first counted
+    /// run.
+    scratch: CountScratch,
 }
 
 impl ThreadedSim {
@@ -1069,6 +1160,7 @@ impl ThreadedSim {
             arch: FunctionalSim::build(image, tdm_words, observers),
             icache,
             block_execs,
+            scratch: CountScratch::default(),
         }
     }
 
@@ -1120,7 +1212,7 @@ impl ThreadedSim {
     /// through `self`.
     fn dispatch<T: Tally>(
         &mut self,
-        tally: &mut T,
+        tally: T::Live<'_>,
         budget: Budget,
     ) -> Result<RunSummary, SimError> {
         let code = &*self.code;
@@ -1141,7 +1233,7 @@ impl ThreadedSim {
             icache: &mut self.icache,
             text_len,
             fault: None,
-            tally: std::mem::take(tally),
+            tally: T::narrow(tally),
         };
         let mut pc = m.state.pc;
         if pc == text_len && halt.is_none() && remaining > 0 {
@@ -1168,8 +1260,13 @@ impl ThreadedSim {
                     break;
                 }
             };
-            m.tally
-                .ran(&compiled.tables, ops, pc..pc + n, whole.then_some(bi));
+            T::ran(
+                &mut m.tally,
+                &compiled.tables,
+                ops,
+                pc..pc + n,
+                whole.then_some(bi),
+            );
             if whole {
                 // Mix accounting is deferred: one counter bump per
                 // block, the sparse per-opcode counts are folded in
@@ -1186,14 +1283,18 @@ impl ThreadedSim {
             (pc, halt) = next_pc(step, pc + n, text_len);
         }
         m.state.pc = pc;
-        let fault = m.fault;
-        *tally = m.tally;
-        self.arch.instructions += retired;
-        if let Some((ops, i)) = failed {
-            let fault = fault.expect("a faulting op parks its fault");
+        let failed = failed.map(|(ops, i)| {
+            let fault = m.fault.take().expect("a faulting op parks its fault");
             // The faulting instruction itself has no write-back.
             let wrote = retired_slots(ops, i, &fault).count() - 1;
-            tally.faulted(&compiled.tables, retired_slots(ops, i, &fault).take(wrote));
+            let wrote = retired_slots(ops, i, &fault).take(wrote);
+            T::faulted(&mut m.tally, &compiled.tables, wrote);
+            (ops, i, fault)
+        });
+        // The tally may share the machine's borrow of the state.
+        drop(m);
+        self.arch.instructions += retired;
+        if let Some((ops, i, fault)) = failed {
             return Err(settle(&mut self.arch, ops, i, fault, text_len));
         }
         self.arch.halted = halt;
@@ -1205,36 +1306,39 @@ impl ThreadedSim {
     }
 
     /// `run_for` with a packed `EnergyAccounting` as the only observer:
-    /// the accountant's counters and history move into a [`Flips`]
-    /// tally for one dispatch over the counted twin. Whole blocks'
-    /// retirements and static fetch flips are added once, on the way
-    /// out.
+    /// one dispatch over the counted twin, counting straight into the
+    /// accountant. The retirements and static fetch flips of the blocks
+    /// that ran whole are added once, on the way out.
     fn run_counted(&mut self, budget: Budget, sink: &mut Held<'_>) -> Result<RunSummary, SimError> {
         let acc = sink.sole_energy().expect("run_for checked the observers");
-        let mut tally = Flips {
-            per_opcode: acc.per_opcode,
-            prev_bus: acc.prev_bus,
-            prev_fetch: (acc.prev_instr, acc.prev_pc),
-            execs: vec![0; self.code.blocks.len()],
-        };
+        let mut scratch = std::mem::take(&mut self.scratch);
+        if scratch.execs.len() != self.code.blocks.len() {
+            // The first counted run: every inline-cache entry is still
+            // cold.
+            scratch.execs = vec![0; self.code.blocks.len()];
+            scratch.addresses = self.code.counted().tables.addresses.clone();
+        }
         let was_halted = self.arch.halted.is_some();
-        let out = self.dispatch(&mut tally, budget);
+        let counting = Counting {
+            acc: &mut *acc,
+            scratch: &mut scratch,
+            address: Word9::ZERO,
+            cell: Word9::ZERO,
+        };
+        let out = self.dispatch::<Flips>(counting, budget);
         let code = &*self.code;
-        let blocks = code.blocks.iter().zip(&code.counted().tables.blocks);
-        for (&execs, (block, fetch)) in tally.execs.iter().zip(blocks) {
-            if execs == 0 {
-                continue;
+        let fetch = &code.counted().tables.blocks;
+        for block in scratch.ran.drain(..) {
+            let block = block as usize;
+            let execs = std::mem::take(&mut scratch.execs[block]);
+            for &(opcode, count) in &code.blocks[block].mix {
+                acc.per_opcode[opcode as usize].retired += count as u64 * execs;
             }
-            for &(opcode, count) in &block.mix {
-                tally.per_opcode[opcode as usize].retired += count as u64 * execs;
-            }
-            for &(opcode, flips) in fetch {
-                tally.per_opcode[opcode as usize].fetch += flips as u64 * execs;
+            for &(opcode, flips) in &fetch[block] {
+                acc.per_opcode[opcode as usize].fetch += flips as u64 * execs;
             }
         }
-        acc.per_opcode = tally.per_opcode;
-        acc.prev_bus = tally.prev_bus;
-        (acc.prev_instr, acc.prev_pc) = tally.prev_fetch;
+        self.scratch = scratch;
         if let Ok(RunSummary {
             halt: Some(reason), ..
         }) = out
@@ -1252,7 +1356,7 @@ impl ThreadedSim {
 /// Settles a fault raised by op `i` of the straight-line run `ops` on
 /// `arch` precisely: every instruction [`retired_slots`] names counts
 /// as retired, and the pc rests on the faulting instruction.
-fn settle<T>(
+fn settle<T: Tally>(
     arch: &mut FunctionalSim,
     ops: &[Op<T>],
     i: usize,
@@ -1283,7 +1387,7 @@ fn settle<T>(
 /// straight-line run `ops` faults: every op before it in full, plus the
 /// faulting op's components up to and including the faulting one (the
 /// functional backend counts a faulting instruction as retired).
-fn retired_slots<'o, T>(
+fn retired_slots<'o, T: Tally>(
     ops: &'o [Op<T>],
     i: usize,
     fault: &Fault,
@@ -1303,7 +1407,7 @@ fn retired_slots<'o, T>(
 /// control, so any step but a fault means every op ran; a fault returns
 /// the index of the faulting op.
 #[inline(always)]
-fn run_ops<T>(m: &mut Machine<'_, T>, ops: &[Op<T>]) -> Result<Step, usize> {
+fn run_ops<T: Tally>(m: &mut Machine<'_, T>, ops: &[Op<T>]) -> Result<Step, usize> {
     for op in ops {
         match (op.exec)(m, op) {
             Step::Next => {}
@@ -1359,7 +1463,7 @@ impl Core for ThreadedSim {
     /// throughout.
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
         if self.arch.observers.is_empty() {
-            return self.dispatch(&mut (), budget);
+            return self.dispatch::<()>((), budget);
         }
         crate::core::held(self, |sim, sink| {
             if sink.sole_energy().is_some() {
@@ -1418,7 +1522,7 @@ mod tests {
 
     use super::*;
     use crate::core::SimBuilder;
-    use crate::observer::observers::{EnergyAccounting, Watchpoint};
+    use crate::observer::observers::{OpcodeActivity, Watchpoint};
     use art9_isa::assemble;
 
     fn pair(src: &str) -> (crate::FunctionalSim, ThreadedSim) {
@@ -1766,6 +1870,46 @@ JAL t0, 0
         assert!(counted(&sim));
         assert_eq!(sim.state().reg(TReg::T4).to_i64(), 6);
         assert_eq!(activity(&energy), functional_activity(&b));
+    }
+
+    #[test]
+    fn counted_energy_is_exact_on_cold_inline_cache_hits() {
+        // A cold inline-cache entry keys the base `ZERO`, so the first
+        // LOAD and STORE at each site below, whose base t5 is still
+        // `ZERO`, hit it: their result-bus word is then the offset
+        // word, not `ZERO`. The second pass misses on base 1. The
+        // second LOAD overwrites its own base register, so its bus
+        // word is the address it resolved before the write.
+        let src = "
+            .data
+            v: .word 5, -7, 11, 0
+            .text
+            LI t3, 2
+        loop:
+            LOAD t4, t5, 1
+            STORE t4, t5, 3
+            LI t6, 2
+            LOAD t6, t6, -1
+            ADDI t3, -1
+            MV t5, t3
+            MV t7, t3
+            COMP t7, t0
+            BEQ t7, +, loop
+            JAL t0, 0
+        ";
+        let p = assemble(src).unwrap();
+        let b = SimBuilder::new(&p);
+        let want = functional_activity(&b);
+        let energy = packed();
+        let mut run = b.clone().observer(energy.clone()).build_threaded();
+        run.run(1_000).unwrap();
+        assert!(counted(&run));
+        assert_eq!(run.state().reg(TReg::T6).to_i64(), -7);
+        assert_eq!(activity(&energy), want, "run");
+        let energy = packed();
+        let mut stepped = b.clone().observer(energy.clone()).build_threaded();
+        while Core::step(&mut stepped).unwrap().is_none() {}
+        assert_eq!(activity(&energy), want, "stepped");
     }
 
     #[test]

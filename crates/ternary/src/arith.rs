@@ -109,8 +109,8 @@ pub fn mul_tritwise<const N: usize>(a: Trits<N>, b: Trits<N>) -> Trits<N> {
 }
 
 /// Trit-serial switching-activity count: compares the words one trit at
-/// a time — the per-trit reference for the packed XOR+popcount behind
-/// [`Trits::flips_from`](crate::Trits::flips_from), used by the
+/// a time — the per-trit reference for the packed XOR and table lookup
+/// behind [`Trits::flips_from`](crate::Trits::flips_from), used by the
 /// differential energy oracle in `art9-fuzz`.
 ///
 /// # Examples

@@ -51,6 +51,18 @@ pub const fn pow3(n: usize) -> i64 {
     acc
 }
 
+/// The population count of every 9-bit value: the trits that differ in
+/// one 9-trit chunk of a differing-trit mask ([`Trits::flips_from`]).
+static FLIPS_9: [u8; 512] = {
+    let mut table = [0; 512];
+    let mut i = 0;
+    while i < 512 {
+        table[i] = (i as u32).count_ones() as u8;
+        i += 1;
+    }
+    table
+};
+
 /// A fixed-width balanced-ternary word of `N` trits, little-endian,
 /// stored as two packed binary bitplanes (`pos`/`neg`, one bit per trit).
 ///
@@ -719,8 +731,13 @@ impl<const N: usize> Trits<N> {
     ///
     /// On the packed representation a trit differs exactly when either
     /// bitplane differs at its position (the balanced encoding is
-    /// unique), so the count is one XOR + OR + popcount — the same
-    /// differing-trit mask [`Ord::cmp`] scans. This is the primitive the
+    /// unique), so the count is the population count of one XOR + OR
+    /// mask — the same differing-trit mask [`Ord::cmp`] scans. The
+    /// count is one lookup per 9-trit chunk of that mask in a 512-entry
+    /// table (a single lookup for [`Word9`]): the x86-64 baseline target
+    /// has no `POPCNT` instruction, and `count_ones` there compiles to
+    /// a shift, mask and multiply sequence of over a dozen
+    /// instructions. This is the primitive the
     /// dynamic energy model (`art9-hw`) is built on; the per-trit
     /// reference it is property-tested against is
     /// [`crate::arith::flips_tritwise`].
@@ -739,7 +756,13 @@ impl<const N: usize> Trits<N> {
     #[inline]
     #[must_use]
     pub fn flips_from(&self, prev: &Self) -> u32 {
-        (((self.pos ^ prev.pos) | (self.neg ^ prev.neg)) & Self::MASK).count_ones()
+        let mut differ = ((self.pos ^ prev.pos) | (self.neg ^ prev.neg)) & Self::MASK;
+        let mut flips = 0;
+        for _ in 0..N.div_ceil(9) {
+            flips += u32::from(FLIPS_9[(differ & 0x1ff) as usize]);
+            differ >>= 9;
+        }
+        flips
     }
 
     /// The COMP result of the paper (§IV-A): a word whose every-trit value

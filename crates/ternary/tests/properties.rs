@@ -242,7 +242,12 @@ proptest! {
     }
 
     #[test]
-    fn packed_flips_agree_every_width(a in flip_operand(9841), b in flip_operand(9841)) {
+    fn packed_flips_agree_every_width(
+        a in flip_operand(9841),
+        b in flip_operand(9841),
+        c in width_operand(),
+        d in width_operand(),
+    ) {
         // Every `Trits<N>` width the workspace instantiates (register
         // indices, immediates, LI payloads, the machine word), with the
         // operand pool biased toward the ±3^k carry/borrow corners where
@@ -252,6 +257,12 @@ proptest! {
         check_flips::<4>(a, b);
         check_flips::<5>(a, b);
         check_flips::<9>(a, b);
+        // Widths past one 9-trit chunk of the flip table, with operands
+        // that reach every trit.
+        check_flips::<10>(c, d);
+        check_flips::<13>(c, d);
+        check_flips::<18>(c, d);
+        check_flips::<20>(c, d);
     }
 
     #[test]
@@ -375,6 +386,23 @@ fn flip_operand(max: i64) -> impl Strategy<Value = i64> {
         3 => -max..=max,
         2 => (0usize..len).prop_map(move |i| corners[i]),
     ]
+}
+
+/// Every `Word9` against the all-zero, all-plus and all-minus words: each
+/// entry of the 9-trit flip table is reached, and the count is pinned to
+/// the per-trit reference.
+#[test]
+fn word9_flips_exhaustive_against_the_extremes() {
+    for v in -Word9::MAX_VALUE..=Word9::MAX_VALUE {
+        let w = Word9::from_i64(v).unwrap();
+        for extreme in [Word9::ZERO, Word9::MAX, Word9::MIN] {
+            assert_eq!(
+                w.flips_from(&extreme),
+                arith::flips_tritwise(w, extreme),
+                "{v} vs {extreme}"
+            );
+        }
+    }
 }
 
 /// Pins packed `flips_from` to the per-trit reference at one width, with
