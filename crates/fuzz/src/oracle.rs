@@ -84,11 +84,10 @@ pub enum Oracle {
     /// Packed bitplane kernels vs the tritwise reference algorithms.
     Arithmetic,
     /// Bitplane-SIMD lane subsystem ([`Word9xN`]) vs the per-trit
-    /// lanewise references in `ternary::arith`: lane-parallel add,
-    /// subtract, negate, logic, compare, ternary-weight MAC and
-    /// horizontal reduce on adversarial lane counts (word-boundary
-    /// ±1), ±3^k lane values, all-zero weight vectors and mixed-sign
-    /// MACs.
+    /// lanewise references in `ternary::arith`: pack/unpack,
+    /// lane-parallel compare and the carry-save ternary-weight matvec
+    /// on adversarial lane counts (word-boundary ±1, up to five plane
+    /// words), ±3^k lane values and mixed-sign weight columns.
     Simd,
     /// RV32→ART-9 translation vs the `rv32` machine, in lockstep at
     /// RV32-instruction granularity (see [`crate::CoSim`]). Runs on
@@ -966,121 +965,68 @@ const ARITH: ValueRow<(Word9, Word9)> = ValueRow {
     checks_per_set: 1,
 };
 
-/// One SIMD-lane operand set: two lane vectors, MAC weights, and the
-/// columns of a short matvec.
+/// One SIMD-lane operand set: two lane vectors and the columns of a
+/// short matvec.
 #[derive(Debug)]
 struct LaneSet {
     a: Vec<Word9>,
     b: Vec<Word9>,
-    weights: Vec<Trit>,
     cols: Vec<(Word9, Vec<Trit>)>,
 }
 
 /// The bitplane-SIMD lane subsystem ([`Word9xN`]) vs the per-trit
-/// lanewise references, 13 cases per set: pack/unpack, add, sub,
-/// negate, and/or/xor, compare, MAC (mask and fused splat paths),
-/// reduce, splat, and the carry-save matvec kernel against a chain of
-/// lanewise MACs.
+/// lanewise references, 3 cases per set: pack/unpack, compare, and the
+/// carry-save matvec kernel against a chain of lanewise MACs.
 ///
 /// Every set draws lane counts straddling the 6-lanes-per-u64 word
-/// boundary, lane values from the ±3^k sign boundaries and saturated
-/// words (longest carry chains), all-zero weight vectors (the MAC
-/// identity) and mixed-sign weights.
+/// boundary (up to 30 lanes, five plane words, so every matvec pass
+/// width runs), lane values and activations one in three from the ±3^k
+/// sign boundaries and saturated words (longest carry chains), and
+/// mixed-sign weights.
 const SIMD: ValueRow<LaneSet> = ValueRow {
     oracle: Oracle::Simd,
     draws: |_| VALUE_SETS,
     salt: 0x51ad_1a9e_c0de_83f5,
     draw: |rng, n| {
         let specials = word9_corners();
-        // Lane counts hugging the 6-lanes-per-u64 word boundary.
-        const BOUNDARY_LANES: [usize; 6] = [1, 5, 6, 7, 12, 13];
+        let word = |rng: &mut FuzzRng| {
+            if rng.chance(1, 3) {
+                specials[rng.index(specials.len())]
+            } else {
+                random_word(rng)
+            }
+        };
+        // Lane counts hugging the 6-lanes-per-u64 word boundaries.
+        const BOUNDARY_LANES: [usize; 10] = [1, 5, 6, 7, 12, 13, 18, 19, 24, 25];
         (0..n)
             .map(|_| {
                 let lanes = if rng.chance(1, 2) {
                     BOUNDARY_LANES[rng.index(BOUNDARY_LANES.len())]
                 } else {
-                    1 + rng.below(16) as usize
+                    1 + rng.below(30) as usize
                 };
-                let lane_words = |rng: &mut FuzzRng| -> Vec<Word9> {
-                    (0..lanes)
-                        .map(|_| {
-                            if rng.chance(1, 3) {
-                                specials[rng.index(specials.len())]
-                            } else {
-                                random_word(rng)
-                            }
-                        })
-                        .collect()
-                };
-                let a = lane_words(rng);
-                let b = lane_words(rng);
-                // One set in five exercises the all-zero weight vector;
-                // the rest mix all three signs.
-                let weights = if rng.chance(1, 5) {
-                    vec![Trit::Z; lanes]
-                } else {
-                    (0..lanes).map(|_| random_trit(rng)).collect()
-                };
-                // A random short column count, so matvec pass shapes
-                // (3-, 4-, 2- and 1-word tails) all occur across sets.
-                let x: Vec<Word9> = (0..1 + rng.below(6)).map(|_| random_word(rng)).collect();
-                let cols = x
-                    .into_iter()
-                    .map(|x| (x, (0..lanes).map(|_| random_trit(rng)).collect()))
+                let a = (0..lanes).map(|_| word(rng)).collect();
+                let b = (0..lanes).map(|_| word(rng)).collect();
+                // A random short column count over the drawn lane count,
+                // so matvec pass shapes (1- to 4-word passes and the
+                // 3 + … splits) all occur across sets; activations are
+                // corner-biased like the lane words.
+                let cols = (0..1 + rng.below(6))
+                    .map(|_| (word(rng), (0..lanes).map(|_| random_trit(rng)).collect()))
                     .collect();
-                LaneSet {
-                    a,
-                    b,
-                    weights,
-                    cols,
-                }
+                LaneSet { a, b, cols }
             })
             .collect()
     },
     cases: |s| {
         let (a, b, lanes) = (&s.a, &s.b, s.a.len());
-        let (va, vb) = (Word9xN::from_words(a), Word9xN::from_words(b));
+        let va = Word9xN::from_words(a);
         case("pack/unpack", &va.to_words(), a)?;
         case(
-            "add",
-            va.wrapping_add(&vb).to_words(),
-            arith::add_lanewise(a, b),
-        )?;
-        let minus_b = arith::negate_lanewise(b);
-        let sub_ref = arith::add_lanewise(a, &minus_b);
-        case("sub", va.wrapping_sub(&vb).to_words(), sub_ref)?;
-        case("negate", va.negate().to_words(), arith::negate_lanewise(a))?;
-        case(
-            "and",
-            va.and(&vb).to_words(),
-            arith::logic_lanewise(a, b, Trit::and),
-        )?;
-        case(
-            "or",
-            va.or(&vb).to_words(),
-            arith::logic_lanewise(a, b, Trit::or),
-        )?;
-        case(
-            "xor",
-            va.xor(&vb).to_words(),
-            arith::logic_lanewise(a, b, Trit::xor),
-        )?;
-        case(
             "compare",
-            va.compare(&vb).lane_lsts(),
+            va.compare(&Word9xN::from_words(b)).lane_lsts(),
             arith::compare_lanewise(a, b),
         )?;
-        let masks = LaneWeights::new(&s.weights);
-        let mac_ref = arith::mac_lanewise(a, b, &s.weights);
-        case("mac", va.mac(&vb, &masks).to_words(), mac_ref)?;
-        // The fused broadcast path: every lane accumulates the same x.
-        let mut splat_acc = va.clone();
-        splat_acc.mac_splat(b[0], &masks);
-        let splat_ref = arith::mac_lanewise(a, &vec![b[0]; lanes], &s.weights);
-        case("mac_splat", splat_acc.to_words(), splat_ref)?;
-        case("reduce", va.reduce_add(), arith::reduce_add_lanewise(a))?;
-        let splat = Word9xN::splat(a[0], lanes).to_words();
-        case("splat", splat, vec![a[0]; lanes])?;
         let weights: Vec<LaneWeights> = s.cols.iter().map(|(_, w)| LaneWeights::new(w)).collect();
         let x: Vec<Word9> = s.cols.iter().map(|(x, _)| *x).collect();
         let matvec = simd::matvec(&x, &PackedWeights::from_columns(&weights)).to_words();
@@ -1090,7 +1036,7 @@ const SIMD: ValueRow<LaneSet> = ValueRow {
         case("matvec", matvec, chained)
     },
     counter: |stats| &mut stats.simd_checks,
-    checks_per_set: 13,
+    checks_per_set: 3,
 };
 
 /// The adversarial Word9 corners the arithmetic and SIMD oracles share:
@@ -1276,8 +1222,8 @@ mod tests {
         let mut stats = OracleStats::default();
         let d = SIMD.check(&mut rng, 32, &mut stats);
         assert!(d.is_none(), "{}", d.unwrap());
-        // Each clean set performs exactly the thirteen fixed comparisons.
-        assert_eq!(stats.simd_checks, 32 * 13);
+        // Each clean set performs exactly the three fixed comparisons.
+        assert_eq!(stats.simd_checks, 32 * 3);
     }
 
     #[test]
@@ -1294,39 +1240,48 @@ mod tests {
     /// Runs `row` with a planted wrong reference and checks the first
     /// operand set is reported under the row's oracle, naming the op
     /// and the operands.
-    fn assert_planted_add_is_caught<S: Debug>(row: ValueRow<S>) {
+    fn assert_planted_case_is_caught<S: Debug>(row: ValueRow<S>, op: &str) {
         let d = row
             .check(&mut FuzzRng::new(3), 4, &mut OracleStats::default())
             .expect("planted wrong reference caught");
         assert_eq!(d.oracle, row.oracle);
         let first = &(row.draw)(&mut FuzzRng::new(3), 4)[0];
-        assert!(d.detail.starts_with("add: "), "{d}");
+        assert!(d.detail.starts_with(&format!("{op}: ")), "{d}");
         assert!(d.detail.contains("(packed) vs"), "{d}");
         assert!(d.detail.ends_with(&format!(" for {first:?}")), "{d}");
     }
 
     #[test]
     fn value_oracles_report_a_planted_wrong_reference() {
-        // Each row's add case with an off-by-one reference: a
-        // comparator that always agreed would pass the clean tests
-        // above but not this one.
-        assert_planted_add_is_caught(ValueRow {
-            cases: |&(a, b)| {
-                let (sum, carry) = arith::add_tritwise(a, b);
-                let one = Word9::from_i64(1).unwrap();
-                case("add", a.carrying_add(b), (sum.wrapping_add(one), carry))
+        // Each row with an off-by-one reference: a comparator that
+        // always agreed would pass the clean tests above but not this
+        // one.
+        assert_planted_case_is_caught(
+            ValueRow {
+                cases: |&(a, b)| {
+                    let (sum, carry) = arith::add_tritwise(a, b);
+                    let one = Word9::from_i64(1).unwrap();
+                    case("add", a.carrying_add(b), (sum.wrapping_add(one), carry))
+                },
+                ..ARITH
             },
-            ..ARITH
-        });
-        assert_planted_add_is_caught(ValueRow {
-            cases: |s: &LaneSet| {
-                let one = vec![Word9::from_i64(1).unwrap(); s.a.len()];
-                let packed = Word9xN::from_words(&s.a).wrapping_add(&Word9xN::from_words(&s.b));
-                let reference = arith::add_lanewise(&arith::add_lanewise(&s.a, &s.b), &one);
-                case("add", packed.to_words(), reference)
+            "add",
+        );
+        assert_planted_case_is_caught(
+            ValueRow {
+                cases: |s: &LaneSet| {
+                    let one = Word9::from_i64(1).unwrap();
+                    let reference: Vec<Word9> = s.a.iter().map(|w| w.wrapping_add(one)).collect();
+                    case(
+                        "pack/unpack",
+                        Word9xN::from_words(&s.a).to_words(),
+                        reference,
+                    )
+                },
+                ..SIMD
             },
-            ..SIMD
-        });
+            "pack/unpack",
+        );
     }
 
     #[test]

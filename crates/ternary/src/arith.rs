@@ -207,72 +207,11 @@ pub fn div_rem_tritwise<const N: usize>(
 
 // ---- Per-lane references for the bitplane-SIMD subsystem ------------
 //
-// `crate::simd::Word9xN` computes on many 9-trit lanes at once; these
-// references perform the same operations one lane at a time through the
-// per-trit algorithms above (and the packed scalar kernels they are
-// already pinned to). The `--oracle simd` fuzz campaign and the
-// property tests compare the two everywhere.
-
-/// Per-lane reference for [`crate::simd::Word9xN::wrapping_add`]: each
-/// lane added independently through the trit-serial ripple adder
-/// [`add_tritwise`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-///
-/// # Examples
-///
-/// ```
-/// use ternary::{arith, simd::Word9xN, Word9};
-///
-/// let a = [Word9::from_i64(9841)?, Word9::from_i64(-7)?];
-/// let b = [Word9::from_i64(1)?, Word9::from_i64(7)?];
-/// let reference = arith::add_lanewise(&a, &b);
-/// let packed = Word9xN::from_words(&a).wrapping_add(&Word9xN::from_words(&b));
-/// assert_eq!(reference, packed.to_words());
-/// # Ok::<(), ternary::TernaryError>(())
-/// ```
-pub fn add_lanewise(a: &[Word9], b: &[Word9]) -> Vec<Word9> {
-    assert_eq!(a.len(), b.len(), "lanewise add requires equal lane counts");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| add_tritwise(*x, *y).0)
-        .collect()
-}
-
-/// Per-lane reference for [`crate::simd::Word9xN::negate`]: STI applied
-/// to every trit of every lane via [`negate_tritwise`].
-pub fn negate_lanewise(a: &[Word9]) -> Vec<Word9> {
-    a.iter().map(|x| negate_tritwise(*x)).collect()
-}
-
-/// Per-lane reference for the [`crate::simd::Word9xN`] logic operations:
-/// applies `f` trit by trit to each lane pair. Pass [`Trit::and`],
-/// [`Trit::or`] or [`Trit::xor`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn logic_lanewise(a: &[Word9], b: &[Word9], f: fn(Trit, Trit) -> Trit) -> Vec<Word9> {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "lanewise logic requires equal lane counts"
-    );
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let xt = x.trits();
-            let yt = y.trits();
-            let mut out = [Trit::Z; 9];
-            for i in 0..9 {
-                out[i] = f(xt[i], yt[i]);
-            }
-            Trits::from_trits(out)
-        })
-        .collect()
-}
+// `crate::simd` computes on many 9-trit lanes at once; these references
+// perform the same operations one lane at a time through the per-trit
+// algorithms above (and the packed scalar kernels they are already
+// pinned to). The `--oracle simd` fuzz row and the property tests
+// compare the two everywhere.
 
 /// Per-lane reference for [`crate::simd::Word9xN::compare`]: the
 /// trit-serial comparator (most significant trit first, first
@@ -305,9 +244,11 @@ pub fn compare_lanewise(a: &[Word9], b: &[Word9]) -> Vec<Trit> {
         .collect()
 }
 
-/// Per-lane reference for [`crate::simd::Word9xN::mac`]: each lane's
-/// ternary weight selects add, subtract or skip through the trit-serial
-/// adder — the scalar loop the SIMD plane-masked MAC replaces.
+/// One column step of the per-lane reference for [`crate::simd::matvec`]:
+/// each lane's ternary weight selects add, subtract or skip of `x`
+/// through the trit-serial adder — the scalar loop the plane-masked,
+/// carry-save matvec replaces. Chaining it over the weight columns from
+/// an all-zero `acc` gives the matvec result lane by lane.
 ///
 /// # Panics
 ///
@@ -341,14 +282,6 @@ pub fn mac_lanewise(acc: &[Word9], x: &[Word9], weights: &[Trit]) -> Vec<Word9> 
             Trit::Z => *a,
         })
         .collect()
-}
-
-/// Per-lane reference for [`crate::simd::Word9xN::reduce_add`]: folds
-/// the lanes through the trit-serial adder in lane order.
-pub fn reduce_add_lanewise(lanes: &[Word9]) -> Word9 {
-    lanes
-        .iter()
-        .fold(Word9::ZERO, |acc, w| add_tritwise(acc, *w).0)
 }
 
 /// Non-negative comparison helper: `x >= y` for sign-normalized words.

@@ -13,12 +13,9 @@
 //!   stored as two packed binary bitplanes and every kernel is
 //!   word-level bit-twiddling (see `docs/PERFORMANCE.md`); the per-trit
 //!   reference algorithms live in [`arith`].
-//! * [`encoding`] — binary-coded balanced ternary (2 bits/trit), the
-//!   representation the paper's FPGA verification platform uses.
 //! * [`simd`] — bitplane-SIMD lanes ([`simd::Word9xN`]): many 9-trit
-//!   words packed across wide bitplanes, with the word-parallel kernels
-//!   lifted to every lane at once and a ternary-weight
-//!   multiply-accumulate for the NN workloads.
+//!   words packed across wide bitplanes, with a lane-parallel compare
+//!   and the carry-save ternary-weight matvec of the NN workloads.
 //! * [`TernaryMemory`] — word-addressed TIM/TDM models with memory-cell
 //!   (trit) accounting for Fig. 5.
 //!
@@ -42,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod arith;
-pub mod encoding;
 mod error;
 mod memory;
 mod planes;

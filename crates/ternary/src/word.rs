@@ -210,7 +210,7 @@ impl<const N: usize> Trits<N> {
 
     /// Builds a word from its two packed bitplanes — the zero-cost
     /// entry point for code that already holds data in binary-coded
-    /// form (FPGA memory images, the BCT [`crate::encoding`] module).
+    /// form (FPGA memory images, the lanes of [`crate::simd`]).
     ///
     /// Bit `i` of `pos` makes trit `i` equal +1, bit `i` of `neg` makes
     /// it −1.

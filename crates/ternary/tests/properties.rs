@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use ternary::simd::Word9xN;
-use ternary::{arith, encoding, pow3, Trit, Trits, Word9};
+use ternary::{arith, pow3, Trit, Trits, Word9};
 
 const W9_MAX: i64 = 9841;
 
@@ -129,19 +129,6 @@ proptest! {
     }
 
     #[test]
-    fn bct_roundtrip(a in word9()) {
-        let packed = encoding::pack(&a);
-        prop_assert!(packed < (1u64 << 18));
-        prop_assert_eq!(encoding::unpack::<9>(packed).unwrap(), a);
-    }
-
-    #[test]
-    fn bct_packed_add_matches(a in word9(), b in word9()) {
-        let s = encoding::packed_add::<9>(encoding::pack(&a), encoding::pack(&b)).unwrap();
-        prop_assert_eq!(encoding::unpack::<9>(s).unwrap(), a.wrapping_add(b));
-    }
-
-    #[test]
     fn full_adder_identity(a in trit(), b in trit(), c in trit()) {
         let (s, k) = a.full_add(b, c);
         prop_assert_eq!(
@@ -224,12 +211,6 @@ proptest! {
     }
 
     #[test]
-    fn bct_packed_negate_negates(a in word9()) {
-        let n = encoding::packed_negate::<9>(encoding::pack(&a));
-        prop_assert_eq!(encoding::unpack::<9>(n).unwrap(), a.negate());
-    }
-
-    #[test]
     fn tritwise_mul_agrees_with_integer_mul(a in word9(), b in word9()) {
         prop_assert_eq!(ternary::arith::mul_tritwise(a, b), a.wrapping_mul(b));
     }
@@ -282,83 +263,20 @@ proptest! {
     }
 }
 
-// ---- Bitplane-SIMD lanes vs. the per-lane references ----------------
+// ---- Bitplane-SIMD lanes vs. the per-lane reference -----------------
 //
-// `simd::Word9xN` runs the word kernels across many lanes at once;
-// `arith::{add,mac,compare,...}_lanewise` perform the same work one
-// lane at a time through the per-trit algorithms. Lane counts straddle
-// the 6-lanes-per-u64 packing boundary on purpose.
+// `simd::Word9xN::compare` runs the trit-serial comparator across many
+// lanes at once; `arith::compare_lanewise` performs the same work one
+// lane at a time. Lane counts straddle the 6-lanes-per-u64 packing
+// boundary on purpose.
 
 proptest! {
-    #[test]
-    fn simd_add_sub_agree_with_lanewise_reference(
-        (a, b) in lane_pair(1..=14)
-    ) {
-        let va = Word9xN::from_words(&a);
-        let vb = Word9xN::from_words(&b);
-        prop_assert_eq!(va.wrapping_add(&vb).to_words(), arith::add_lanewise(&a, &b));
-        prop_assert_eq!(
-            va.wrapping_sub(&vb).to_words(),
-            arith::add_lanewise(&a, &arith::negate_lanewise(&b))
-        );
-        prop_assert_eq!(va.negate().to_words(), arith::negate_lanewise(&a));
-    }
-
-    #[test]
-    fn simd_logic_agrees_with_lanewise_reference((a, b) in lane_pair(1..=14)) {
-        let va = Word9xN::from_words(&a);
-        let vb = Word9xN::from_words(&b);
-        prop_assert_eq!(va.and(&vb).to_words(), arith::logic_lanewise(&a, &b, Trit::and));
-        prop_assert_eq!(va.or(&vb).to_words(), arith::logic_lanewise(&a, &b, Trit::or));
-        prop_assert_eq!(va.xor(&vb).to_words(), arith::logic_lanewise(&a, &b, Trit::xor));
-    }
-
     #[test]
     fn simd_compare_agrees_with_lanewise_reference((a, b) in lane_pair(1..=14)) {
         let va = Word9xN::from_words(&a);
         let vb = Word9xN::from_words(&b);
         prop_assert_eq!(va.compare(&vb).lane_lsts(), arith::compare_lanewise(&a, &b));
     }
-
-    #[test]
-    fn simd_mac_agrees_with_lanewise_reference(
-        (acc, x) in lane_pair(1..=14),
-        seed in proptest::num::u64::ANY
-    ) {
-        // Weights derived from the seed so every {−1,0,+1} mix occurs.
-        let weights: Vec<Trit> = (0..acc.len())
-            .map(|i| match (seed >> (2 * (i % 32))) % 3 {
-                0 => Trit::N,
-                1 => Trit::Z,
-                _ => Trit::P,
-            })
-            .collect();
-        let out = Word9xN::from_words(&acc).mac_trits(&Word9xN::from_words(&x), &weights);
-        prop_assert_eq!(out.to_words(), arith::mac_lanewise(&acc, &x, &weights));
-    }
-
-    #[test]
-    fn simd_reduce_agrees_with_lanewise_reference(a in lane_words(0..=20)) {
-        prop_assert_eq!(
-            Word9xN::from_words(&a).reduce_add(),
-            arith::reduce_add_lanewise(&a)
-        );
-    }
-
-    #[test]
-    fn simd_splat_lane_roundtrip(v in -W9_MAX..=W9_MAX, lanes in 1usize..=13) {
-        let w = Word9::from_i64(v).unwrap();
-        let s = Word9xN::splat(w, lanes);
-        prop_assert_eq!(s.lanes(), lanes);
-        for i in 0..lanes {
-            prop_assert_eq!(s.lane(i), w);
-        }
-    }
-}
-
-/// Strategy: a lane vector of corner-biased words (see [`flip_operand`]).
-fn lane_words(lanes: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<Word9>> {
-    proptest::collection::vec(flip_operand(9841).prop_map(Word9::from_i64_wrapping), lanes)
 }
 
 /// Strategy: two equal-length lane vectors (generated as a vector of

@@ -11,9 +11,9 @@
 //!
 //! * **scalar** — one [`Word9`] at a time, the straightforward loop
 //!   ([`TernaryMatrix::matvec_scalar`]);
-//! * **SIMD** — output neurons packed into lanes, one fused
-//!   [`mac_splat`](ternary::simd::Word9xN::mac_splat) per input
-//!   activation ([`TernaryMatrix::matvec_simd`]).
+//! * **SIMD** — output neurons packed into lanes, the whole product
+//!   one carry-save [`matvec`](ternary::simd::matvec) over the
+//!   precomputed weight masks ([`TernaryMatrix::matvec_simd`]).
 //!
 //! Both are pinned to each other and to plain `i64` arithmetic by the
 //! tests here; the RV32/ART-9 assembly kernel produced by

@@ -41,9 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  x = [{}]", fmt(&x));
     println!("  y = [{}]   (scalar and SIMD paths agree)", fmt(&simd));
     println!(
-        "  SIMD path: {} lanes per plane word, ternary MAC by plane \
-         masking, carry-save matvec (docs/WORKLOADS.md)\n",
-        ternary::simd::LANES_PER_WORD
+        "  SIMD path: 6 lanes per plane word, ternary MAC by plane \
+         masking, carry-save matvec (docs/WORKLOADS.md)\n"
     );
 
     // ---- The same inference as a simulated ART-9 run ---------------
