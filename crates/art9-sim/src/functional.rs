@@ -19,7 +19,7 @@ use ternary::{TernaryMemory, Word9};
 use crate::checkpoint::{Checkpoint, Micro};
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
-use crate::exec::{control_target, talu};
+use crate::exec::{alu, target, Opcode, Row, NO_DEST};
 use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 
@@ -180,8 +180,11 @@ impl CoreState {
 /// runs through its step body.
 #[derive(Debug, Clone)]
 pub struct FunctionalSim {
-    text: Arc<[Instruction]>,
-    links: Arc<[Word9]>,
+    image: PredecodedProgram,
+    /// The image's execution rows, taken from it on the first step (so a
+    /// threaded core that is never observed does not build them): empty
+    /// until then.
+    rows: Arc<[Row]>,
     pub(crate) state: CoreState,
     pub(crate) instructions: u64,
     pub(crate) halted: Option<HaltReason>,
@@ -198,8 +201,8 @@ impl FunctionalSim {
         observers: ObserverSet,
     ) -> Self {
         Self {
-            text: image.text_arc(),
-            links: image.links_arc(),
+            image: image.clone(),
+            rows: Arc::new([]),
             state: CoreState::with_image(image.data(), tdm_words),
             instructions: 0,
             halted: None,
@@ -219,37 +222,41 @@ impl SinkStep for FunctionalSim {
             return Ok(Some(reason));
         }
         let pc = self.state.pc;
-        if pc == self.text.len() {
-            self.halted = Some(HaltReason::FellOffEnd);
-            sink.halt(HaltReason::FellOffEnd, self.instructions);
-            return Ok(Some(HaltReason::FellOffEnd));
+        // One bounds test covers both the first step (no rows taken yet)
+        // and the end of the text.
+        if pc >= self.rows.len() {
+            self.rows = Arc::clone(self.image.rows());
+            if pc == self.rows.len() {
+                self.halted = Some(HaltReason::FellOffEnd);
+                sink.halt(HaltReason::FellOffEnd, self.instructions);
+                return Ok(Some(HaltReason::FellOffEnd));
+            }
         }
-        let instr = self.text[pc];
+        let rows = &*self.rows;
+        let row = &rows[pc];
         self.instructions += 1;
-        self.mix[instr.opcode()] += 1;
+        self.mix[row.op as usize] += 1;
 
-        let (a_val, b_val) = operand_values(&instr, &self.state);
-        let link = self.links[pc]; // PC + 1, precomputed at decode time
-        let result = talu(&instr, a_val, b_val, link);
-
+        let trf = &mut self.state.trf;
+        let (a_val, b_val) = (trf[usize::from(row.a)], trf[usize::from(row.b)]);
+        let result = alu(row, a_val, b_val);
         // Old destination value, captured before any write so the
         // write-back event can report the overwritten contents.
-        let old_reg = if E::ON {
-            instr.writes().map(|dest| self.state.reg(dest))
+        let dest = usize::from(row.dest);
+        let old_reg = if E::ON && row.dest != NO_DEST {
+            trf[dest]
         } else {
-            None
+            Word9::ZERO
         };
         let mut mem_write = None;
-
-        use Instruction::*;
-        match instr {
-            Load { a, .. } => {
+        match row.op {
+            Opcode::Load => {
                 let v = self
                     .state
                     .tdm
                     .read_word_addr(result)
                     .map_err(|cause| SimError::MemoryFault { pc, cause })?;
-                self.state.set_reg(a, v);
+                self.state.trf[dest] = v;
                 if E::ON {
                     let address = self.state.tdm.resolve(result).expect("read succeeded");
                     sink.memory(&MemoryAccess {
@@ -260,7 +267,7 @@ impl SinkStep for FunctionalSim {
                     });
                 }
             }
-            Store { .. } => {
+            Opcode::Store => {
                 let old_cell = if E::ON {
                     self.state.tdm.read_word_addr(result).ok()
                 } else {
@@ -285,22 +292,18 @@ impl SinkStep for FunctionalSim {
                     });
                 }
             }
-            _ => {
-                if let Some(dest) = instr.writes() {
-                    self.state.set_reg(dest, result);
-                }
-            }
+            _ if row.dest != NO_DEST => trf[dest] = result,
+            _ => {}
         }
 
         // Control flow.
-        let lst = b_val.lst();
-        let (next, taken) = match control_target(&instr, pc, lst, b_val) {
+        let (next, taken) = match target(row, b_val) {
             Some(target) => {
-                if target < 0 || target as usize > self.text.len() {
+                if target < 0 || target as usize > rows.len() {
                     return Err(SimError::PcOutOfRange {
                         at: self.instructions,
                         pc: target,
-                        tim_size: self.text.len(),
+                        tim_size: rows.len(),
                     });
                 }
                 (target as usize, true)
@@ -309,16 +312,17 @@ impl SinkStep for FunctionalSim {
         };
 
         if E::ON {
-            if instr.is_control_flow() {
+            let instr = self.image.text()[pc];
+            if row.is_control() {
                 sink.control(pc, &instr, taken, next);
             }
             sink.writeback(&Writeback {
                 pc,
                 instr,
-                reg: instr.writes().map(|dest| RegWrite {
-                    reg: dest,
-                    old: old_reg.expect("captured above"),
-                    new: self.state.reg(dest),
+                reg: instr.writes().map(|reg| RegWrite {
+                    reg,
+                    old: old_reg,
+                    new: self.state.reg(reg),
                 }),
                 mem: mem_write,
                 bus: result,
@@ -328,7 +332,7 @@ impl SinkStep for FunctionalSim {
 
         let halt = if next == pc {
             Some(HaltReason::JumpToSelf)
-        } else if next == self.text.len() {
+        } else if next == rows.len() {
             self.state.pc = next;
             Some(HaltReason::FellOffEnd)
         } else {
@@ -379,7 +383,7 @@ impl Core for FunctionalSim {
     fn snapshot(&self) -> Checkpoint {
         Checkpoint {
             backend: Backend::Functional,
-            text_len: self.text.len(),
+            text_len: self.image.len(),
             state: self.state.clone(),
             retired: self.instructions,
             halted: self.halted,
@@ -389,60 +393,13 @@ impl Core for FunctionalSim {
     }
 
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SimError> {
-        checkpoint.guard(Backend::Functional, self.text.len())?;
+        checkpoint.guard(Backend::Functional, self.image.len())?;
         self.state = checkpoint.state.clone();
         self.instructions = checkpoint.retired;
         self.halted = checkpoint.halted;
         self.mix = checkpoint.mix;
         Ok(())
     }
-}
-
-/// Reads the operand values an instruction consumes: `(a_val, b_val)`.
-///
-/// `a_val` is the current value of the `Ta` register for instructions
-/// that read it (zero otherwise); `b_val` the `Tb` register value (zero
-/// when the instruction has no `Tb`).
-pub(crate) fn operand_values(instr: &Instruction, state: &CoreState) -> (Word9, Word9) {
-    use Instruction::*;
-    let a_val = match instr {
-        And { a, .. }
-        | Or { a, .. }
-        | Xor { a, .. }
-        | Add { a, .. }
-        | Sub { a, .. }
-        | Sr { a, .. }
-        | Sl { a, .. }
-        | Comp { a, .. }
-        | Andi { a, .. }
-        | Addi { a, .. }
-        | Sri { a, .. }
-        | Sli { a, .. }
-        | Li { a, .. }
-        | Store { a, .. } => state.reg(*a),
-        _ => Word9::ZERO,
-    };
-    let b_val = match instr {
-        Mv { b, .. }
-        | Pti { b, .. }
-        | Nti { b, .. }
-        | Sti { b, .. }
-        | And { b, .. }
-        | Or { b, .. }
-        | Xor { b, .. }
-        | Add { b, .. }
-        | Sub { b, .. }
-        | Sr { b, .. }
-        | Sl { b, .. }
-        | Comp { b, .. }
-        | Beq { b, .. }
-        | Bne { b, .. }
-        | Jalr { b, .. }
-        | Load { b, .. }
-        | Store { b, .. } => state.reg(*b),
-        _ => Word9::ZERO,
-    };
-    (a_val, b_val)
 }
 
 #[cfg(test)]

@@ -31,13 +31,16 @@
 //! * [`PipelineStats`] — cycle/stall accounting feeding the DMIPS and
 //!   DMIPS/W numbers of Tables II–V.
 //! * [`PredecodedProgram`] — a decode-once, `Arc`-shared program image
-//!   (instructions plus a precomputed link table) every backend
-//!   fetches from; the throughput path for batch runs (see
-//!   `docs/PERFORMANCE.md`).
+//!   every backend fetches from, with its per-PC execution rows and its
+//!   threaded compilation built once on first use; the throughput path
+//!   for batch runs (see `docs/PERFORMANCE.md`).
 //!
-//! The packed-bitplane backends share one semantics module ([`talu`],
-//! [`shift`], [`branch_taken`]) and all four are property-tested to
-//! agree architecturally. The full API contract lives in `docs/API.md`.
+//! The functional and pipelined backends execute through one ALU and
+//! one branch unit over those rows, the threaded backend's kernels are
+//! compiled from the same rows (with the public [`shift`]), and all four
+//! backends are property-tested to agree architecturally against the
+//! reference, which shares none of that code. The full API contract
+//! lives in `docs/API.md`.
 //!
 //! ## Quick start
 //!
@@ -87,7 +90,7 @@ mod trace;
 pub use crate::core::{Backend, Budget, Core, RunSummary, SimBuilder};
 pub use checkpoint::Checkpoint;
 pub use error::SimError;
-pub use exec::{branch_taken, control_target, shift, talu};
+pub use exec::shift;
 pub use functional::{CoreState, FunctionalSim, HaltReason, DEFAULT_TDM_WORDS};
 pub use observer::{
     observers, MemWrite, MemoryAccess, Observer, RegWrite, SharedObserver, Writeback,

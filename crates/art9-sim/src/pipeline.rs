@@ -26,58 +26,18 @@
 
 use std::sync::Arc;
 
-use art9_isa::{Instruction, TReg};
+use art9_isa::Instruction;
 use ternary::Word9;
 
 use crate::checkpoint::{Checkpoint, Micro, PipelineMicro};
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
-use crate::exec::{control_target, talu};
+use crate::exec::{alu, target, Opcode, Row, NO_DEST, NO_SRC};
 use crate::functional::{CoreState, HaltReason};
 use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 use crate::stats::PipelineStats;
 use crate::trace::{CycleTrace, StageSnapshot};
-
-/// [`Hazard::dest`] of an instruction that writes no register.
-const NO_DEST: u8 = 9;
-/// [`Hazard::src`] of an unused source slot. It differs from
-/// [`NO_DEST`], so an empty slot never matches an empty destination
-/// and every comparison below needs no `Option`.
-const NO_SRC: u8 = 10;
-
-/// What the hazard detection unit and the forwarding muxes need to
-/// know about one TIM word. [`PredecodedProgram`] holds one row per
-/// PC, so the pipeline latches carry PCs, not instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Hazard {
-    /// Index of the register written, or [`NO_DEST`].
-    dest: u8,
-    /// `[Ta, Tb]` source slots ([`Instruction::sources`]): register
-    /// indices, or [`NO_SRC`].
-    src: [u8; 2],
-    /// [`Instruction::opcode`], for the instruction mix.
-    opcode: u8,
-    load: bool,
-    store: bool,
-    control: bool,
-}
-
-impl Hazard {
-    /// The hazard row of `instr`.
-    pub(crate) fn of(instr: &Instruction) -> Self {
-        let index = |reg: Option<TReg>, none| reg.map_or(none, |r| r.index() as u8);
-        let [a, b] = instr.sources();
-        Self {
-            dest: index(instr.writes(), NO_DEST),
-            src: [index(a, NO_SRC), index(b, NO_SRC)],
-            opcode: instr.opcode() as u8,
-            load: matches!(instr, Instruction::Load { .. }),
-            store: matches!(instr, Instruction::Store { .. }),
-            control: instr.is_control_flow(),
-        }
-    }
-}
 
 /// ID/EX pipeline register payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,8 +106,7 @@ struct WbCarry {
 #[derive(Debug, Clone)]
 pub struct PipelinedSim {
     text: Arc<[Instruction]>,
-    links: Arc<[Word9]>,
-    hazards: Arc<[Hazard]>,
+    rows: Arc<[Row]>,
     state: CoreState,
     fetch_pc: usize,
     /// IF/ID: the PC of the fetched word awaiting decode.
@@ -177,8 +136,7 @@ impl PipelinedSim {
     ) -> Self {
         Self {
             text: image.text_arc(),
-            links: image.links_arc(),
-            hazards: image.hazards(),
+            rows: Arc::clone(image.rows()),
             state: CoreState::with_image(image.data(), tdm_words),
             fetch_pc: 0,
             if_id: None,
@@ -226,9 +184,9 @@ impl SinkStep for PipelinedSim {
     /// `Some(reason)` once the pipeline has fully drained after a halt
     /// condition.
     ///
-    /// Hazards and forwarding read the per-PC [`Hazard`] rows; the
-    /// instruction itself is read only where its semantics are needed
-    /// (the TALU in EX, the branch target in ID, observer events).
+    /// Hazards, forwarding, the ALU in EX and the branch unit in ID all
+    /// read the image's per-PC [`Row`]s; the instruction itself is read
+    /// only for observer events and the trace.
     fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
         if let Some(reason) = self.halted {
             return Ok(Some(reason));
@@ -240,16 +198,16 @@ impl SinkStep for PipelinedSim {
         let old_ex_mem = self.ex_mem;
         let old_mem_wb = self.mem_wb;
         let forwarding = self.forwarding;
-        let hazards = &*self.hazards;
+        let rows = &*self.rows;
 
         // ---- WB ------------------------------------------------------
         // Synchronous TRF write; write-through makes the value visible
         // to ID in this same cycle.
         let carry = self.wb_carry.take();
         let (wb_dest, wb_value) = if let Some(wb) = old_mem_wb {
-            let h = hazards[wb.pc];
+            let h = &rows[wb.pc];
             self.stats.instructions += 1;
-            self.mix[h.opcode as usize] += 1;
+            self.mix[h.op as usize] += 1;
             let dest = usize::from(h.dest);
             let old_reg = if E::ON && h.dest != NO_DEST {
                 self.state.trf[dest]
@@ -288,9 +246,9 @@ impl SinkStep for PipelinedSim {
 
         // ---- MEM -----------------------------------------------------
         if let Some(mem) = old_ex_mem {
-            let h = hazards[mem.pc];
+            let h = &rows[mem.pc];
             let mut mem_write = None;
-            let value = if h.load {
+            let value = if h.op == Opcode::Load {
                 let v = self
                     .state
                     .tdm
@@ -306,7 +264,7 @@ impl SinkStep for PipelinedSim {
                     });
                 }
                 v
-            } else if h.store {
+            } else if h.op == Opcode::Store {
                 // Old cell value, read before the write so the write
                 // itself still produces the canonical fault.
                 let old_cell = if E::ON {
@@ -356,23 +314,22 @@ impl SinkStep for PipelinedSim {
                     return captured;
                 }
                 if let Some(m) = &old_ex_mem {
-                    let h = hazards[m.pc];
-                    if !h.load && h.dest == reg {
+                    let h = &rows[m.pc];
+                    if h.op != Opcode::Load && h.dest == reg {
                         return m.result;
                     }
                 }
                 if let Some(w) = &old_mem_wb {
-                    if hazards[w.pc].dest == reg {
+                    if rows[w.pc].dest == reg {
                         return w.value;
                     }
                 }
                 captured
             };
-            let [a_reg, b_reg] = hazards[ex.pc].src;
-            let a_val = fwd(a_reg, ex.a_val);
-            let b_val = fwd(b_reg, ex.b_val);
-            let link = self.links[ex.pc]; // PC + 1, precomputed at decode time
-            let result = talu(&self.text[ex.pc], a_val, b_val, link);
+            let row = &rows[ex.pc];
+            let a_val = fwd(row.src[0], ex.a_val);
+            let b_val = fwd(row.src[1], ex.b_val);
+            let result = alu(row, a_val, b_val);
             self.ex_mem = Some(ExMem {
                 pc: ex.pc,
                 result,
@@ -388,7 +345,7 @@ impl SinkStep for PipelinedSim {
         let mut stall = false;
         let mut redirect: Option<usize> = None;
         if let Some(pc) = self.if_id {
-            let h = hazards[pc];
+            let h = &rows[pc];
 
             // Value of a register as visible to ID this cycle:
             // EX output (this cycle) > EX/MEM > WB write-through > TRF.
@@ -397,9 +354,9 @@ impl SinkStep for PipelinedSim {
             // forwarding is disabled).
             let id_value = |reg: u8| -> Option<Word9> {
                 if let Some(ex) = &old_id_ex {
-                    let p = hazards[ex.pc];
+                    let p = &rows[ex.pc];
                     if p.dest == reg {
-                        return if !forwarding || p.load {
+                        return if !forwarding || p.op == Opcode::Load {
                             None
                         } else {
                             ex_result
@@ -407,9 +364,9 @@ impl SinkStep for PipelinedSim {
                     }
                 }
                 if let Some(m) = &old_ex_mem {
-                    let p = hazards[m.pc];
+                    let p = &rows[m.pc];
                     if p.dest == reg {
-                        return if !forwarding || p.load {
+                        return if !forwarding || p.op == Opcode::Load {
                             None
                         } else {
                             Some(m.result)
@@ -422,7 +379,7 @@ impl SinkStep for PipelinedSim {
                 Some(self.state.trf[usize::from(reg)])
             };
 
-            if h.control {
+            if h.is_control() {
                 // B-type needs its source register (Tb, its only source
                 // slot) already in ID.
                 let b_reg = h.src[1];
@@ -437,8 +394,7 @@ impl SinkStep for PipelinedSim {
                         self.stats.id_use_stalls += 1;
                     }
                     Some(b_val) => {
-                        let instr = self.text[pc];
-                        match control_target(&instr, pc, b_val.lst(), b_val) {
+                        match target(h, b_val) {
                             Some(target) => {
                                 if target < 0 || target as usize > self.text.len() {
                                     return Err(SimError::PcOutOfRange {
@@ -448,7 +404,9 @@ impl SinkStep for PipelinedSim {
                                     });
                                 }
                                 self.stats.taken_transfers += 1;
-                                sink.control(pc, &instr, true, target as usize);
+                                if E::ON {
+                                    sink.control(pc, &self.text[pc], true, target as usize);
+                                }
                                 if target as usize == pc {
                                     // Jump-to-self: halt request.
                                     self.halting = Some(HaltReason::JumpToSelf);
@@ -459,7 +417,9 @@ impl SinkStep for PipelinedSim {
                             }
                             None => {
                                 self.stats.untaken_branches += 1;
-                                sink.control(pc, &instr, false, pc + 1);
+                                if E::ON {
+                                    sink.control(pc, &self.text[pc], false, pc + 1);
+                                }
                             }
                         }
                         self.id_ex = Some(IdEx {
@@ -474,14 +434,14 @@ impl SinkStep for PipelinedSim {
                 // (or, with forwarding disabled, any in-flight producer).
                 let mut load_use = false;
                 if let Some(ex) = &old_id_ex {
-                    let p = hazards[ex.pc];
-                    if (p.load || !forwarding) && h.src.contains(&p.dest) {
+                    let p = &rows[ex.pc];
+                    if (p.op == Opcode::Load || !forwarding) && h.src.contains(&p.dest) {
                         load_use = true;
                     }
                 }
                 if !forwarding {
                     if let Some(m) = &old_ex_mem {
-                        if h.src.contains(&hazards[m.pc].dest) {
+                        if h.src.contains(&rows[m.pc].dest) {
                             load_use = true;
                         }
                     }
@@ -663,7 +623,7 @@ impl Core for PipelinedSim {
 mod tests {
     use super::*;
     use crate::core::SimBuilder;
-    use art9_isa::assemble;
+    use art9_isa::{assemble, TReg};
 
     fn run_pipe(src: &str) -> (PipelinedSim, PipelineStats) {
         let p = assemble(src).unwrap();

@@ -2,13 +2,19 @@
 //!
 //! An ART-9 core fetches 9-trit TIM words and decodes them in ID every
 //! cycle; a software simulator has no reason to. [`PredecodedProgram`]
-//! decodes every TIM word exactly once into a dense instruction vector,
-//! precomputes the per-PC link values (`PC + 1` as a [`Word9`], the
-//! JAL/JALR link every [`crate::talu`] call needs), and hands both out
-//! behind `Arc`s — so any number of [`FunctionalSim`](crate::FunctionalSim)
-//! and [`PipelinedSim`](crate::PipelinedSim) instances (across threads)
-//! fetch from the same image with no per-simulator copy and no
-//! per-step decode or conversion work.
+//! decodes every TIM word exactly once into a dense instruction vector
+//! and hands it out behind an `Arc`, so any number of cores (across
+//! threads) fetch from the same image with no per-simulator copy.
+//!
+//! Each execution form is derived from that vector once per image, on
+//! first use, and shared by every clone through an `Arc`'d `OnceLock`:
+//!
+//! * the per-PC execution rows ([`Row`]): opcode, register indices,
+//!   hazard slots, and the immediate, link word and target resolved to
+//!   the form the shared ALU consumes. The functional core builds them
+//!   on its first step and the pipelined core when it is built, so a
+//!   threaded-only preparation never pays for them;
+//! * the direct-threaded compilation, built by the first threaded core.
 //!
 //! The batch driver (`workloads::batch::BatchRunner`) builds one
 //! predecoded image per workload in its prepare stage and shares it
@@ -19,14 +25,14 @@ use std::sync::{Arc, OnceLock};
 use art9_isa::{decode, Instruction, IsaError, Program};
 use ternary::Word9;
 
-use crate::pipeline::Hazard;
+use crate::exec::Row;
 use crate::threaded::ThreadedCode;
 
 /// An ART-9 program decoded once into simulator-ready form.
 ///
-/// Cloning is O(1): the instruction image, the link table and the data
-/// image are all behind `Arc`s, which is what lets a batch run share
-/// one decode across its whole simulator matrix.
+/// Cloning is O(1): the instruction image, the data image and the
+/// derived execution forms are all behind `Arc`s, which is what lets a
+/// batch run share one decode across its whole simulator matrix.
 ///
 /// # Examples
 ///
@@ -53,21 +59,20 @@ use crate::threaded::ThreadedCode;
 #[derive(Debug, Clone)]
 pub struct PredecodedProgram {
     text: Arc<[Instruction]>,
-    links: Arc<[Word9]>,
     data: Arc<[Word9]>,
     /// Direct-threaded compilation of this image, filled on the first
     /// `build_threaded` and shared (the cell itself is behind an `Arc`,
     /// so every clone of the image sees one compilation).
     threaded: Arc<OnceLock<Arc<ThreadedCode>>>,
-    /// The pipeline's per-PC hazard rows, filled on the first
-    /// `build_pipelined` and shared the same way.
-    hazards: Arc<OnceLock<Arc<[Hazard]>>>,
+    /// The per-PC execution rows, filled on the first functional step
+    /// or `build_pipelined` and shared the same way.
+    rows: Arc<OnceLock<Arc<[Row]>>>,
 }
 
 impl PredecodedProgram {
     /// Predecodes an assembled [`Program`] (whose text is already a
-    /// decoded instruction list — this builds the shared image and the
-    /// link table around it).
+    /// decoded instruction list — this builds the shared image around
+    /// it).
     pub fn new(program: &Program) -> Self {
         Self::from_parts(program.text().to_vec(), program.data().to_vec())
     }
@@ -99,15 +104,11 @@ impl PredecodedProgram {
     }
 
     fn from_parts(text: Vec<Instruction>, data: Vec<Word9>) -> Self {
-        let links: Vec<Word9> = (0..text.len())
-            .map(|pc| Word9::from_i64_wrapping(pc as i64 + 1))
-            .collect();
         Self {
             text: text.into(),
-            links: links.into(),
             data: data.into(),
             threaded: Arc::new(OnceLock::new()),
-            hazards: Arc::new(OnceLock::new()),
+            rows: Arc::new(OnceLock::new()),
         }
     }
 
@@ -160,11 +161,6 @@ impl PredecodedProgram {
         Arc::clone(&self.text)
     }
 
-    /// Shared handle to the per-PC link table (O(1) clone).
-    pub(crate) fn links_arc(&self) -> Arc<[Word9]> {
-        Arc::clone(&self.links)
-    }
-
     /// The direct-threaded compilation of this image, compiled exactly
     /// once however many `ThreadedSim`s are built from it (or from its
     /// clones).
@@ -175,14 +171,15 @@ impl PredecodedProgram {
         )
     }
 
-    /// The pipeline's hazard row of every instruction, built exactly
-    /// once per image (so preparing an image that never runs on the
-    /// pipelined backend does not pay for it).
-    pub(crate) fn hazards(&self) -> Arc<[Hazard]> {
-        Arc::clone(
-            self.hazards
-                .get_or_init(|| self.text.iter().map(Hazard::of).collect()),
-        )
+    /// The execution row of every instruction, built exactly once per
+    /// image on the first call (so preparing an image that never runs
+    /// on the functional or pipelined core does not pay for it).
+    #[inline]
+    pub(crate) fn rows(&self) -> &Arc<[Row]> {
+        self.rows.get_or_init(|| {
+            let rows = self.text.iter().enumerate();
+            rows.map(|(pc, instr)| Row::of(instr, pc)).collect()
+        })
     }
 }
 
@@ -209,12 +206,41 @@ mod tests {
     }
 
     #[test]
-    fn link_table_holds_pc_plus_one() {
-        let p = assemble("NOP\nNOP\nNOP\n").unwrap();
+    fn rows_are_built_once_and_shared() {
+        let p = assemble("JAL t1, 1\nNOP\nJAL t0, 0\n").unwrap();
         let pd = PredecodedProgram::new(&p);
-        for pc in 0..pd.len() {
-            assert_eq!(pd.links_arc()[pc].to_i64(), pc as i64 + 1);
+        let clone = pd.clone();
+        assert!(pd.rows.get().is_none(), "rows are built on demand");
+        assert!(Arc::ptr_eq(pd.rows(), clone.rows()));
+        for (pc, row) in pd.rows().iter().enumerate() {
+            assert_eq!(*row, Row::of(&p.text()[pc], pc));
         }
+    }
+
+    #[test]
+    fn only_cores_that_step_the_rows_build_them() {
+        use crate::{Budget, Core, SimBuilder};
+        let p = assemble("LI t3, 2\nADDI t3, 1\nJAL t0, 0\n").unwrap();
+        let pd = PredecodedProgram::new(&p);
+        let mut threaded = SimBuilder::new(pd.clone()).build_threaded();
+        threaded.run_for(Budget::Steps(100)).unwrap();
+        threaded.step().unwrap();
+        assert!(pd.rows.get().is_none(), "compiled code needs no rows");
+        let mut functional = SimBuilder::new(pd.clone()).build_functional();
+        assert!(pd.rows.get().is_none(), "built on the first step");
+        functional.step().unwrap();
+        assert!(pd.rows.get().is_some());
+    }
+
+    #[test]
+    fn rows_hold_pc_plus_one_links() {
+        let p = assemble("JAL t1, 1\nJALR t1, t2, 0\nJAL t0, 0\n").unwrap();
+        let pd = PredecodedProgram::new(&p);
+        for (pc, row) in pd.rows().iter().enumerate() {
+            assert_eq!(row.imm.to_i64(), pc as i64 + 1);
+        }
+        // A JAL's target is absolute.
+        assert_eq!(pd.rows()[0].off, 1);
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //!
 //! [`ThreadedSim`] compiles a [`PredecodedProgram`] **once** into
 //! direct-threaded host code and then executes that, instead of
-//! re-interpreting `Instruction` values every step the way
+//! dispatching on each instruction's opcode every step the way
 //! [`FunctionalSim`](crate::FunctionalSim) does. Every instruction has
 //! exactly one *kernel*: an always-inlined body that reads its operands
 //! — register indices, pre-resized immediates, precomputed link words,
-//! integer offsets — from a pre-extracted operand record, its *slot*.
+//! integer offsets and targets — from a pre-extracted operand record,
+//! its *slot*, copied from the instruction's execution row.
 //! The compiled form is an array of ops, each a host function pointer
 //! plus one slot, so the hot loop is an indirect call per op with no
 //! decode, no `match`, and no immediate conversion work.
 //!
 //! Three further techniques stack on top (see `docs/PERFORMANCE.md`):
 //!
-//! * **Superblock formation** over the precomputed link table: the
+//! * **Superblock formation** over the static control targets: the
 //!   program is partitioned into maximal straight-line runs
 //!   (*superblocks*) whose boundaries are the static control-flow
 //!   targets and successors. Inside a block there is no per-instruction
@@ -47,7 +48,9 @@
 //! reason, the observers and the only observed interpreter. The
 //! compiled code updates that state in place; with observers attached,
 //! every step *is* the functional core's observed step, so event order
-//! is identical to the functional backend by construction.
+//! is identical to the functional backend by construction. That core
+//! takes the image's execution rows on its first observed step, so a
+//! threaded core that only runs compiled code never builds them.
 //! `instruction_mix` stays exact across fused ops, and [`Checkpoint`]
 //! snapshot/restore is bit-identical at any architectural boundary —
 //! checkpoints cross-restore between the architectural backends.
@@ -68,13 +71,13 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use art9_isa::{Instruction, TReg};
+use art9_isa::Instruction;
 use ternary::{TernaryError, TernaryMemory, Trit, Word9};
 
 use crate::checkpoint::Checkpoint;
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
-use crate::exec::shift;
+use crate::exec::{shift, wrap9, Opcode, Row};
 use crate::functional::{CoreState, FunctionalSim, HaltReason};
 use crate::observer::observers::{fetch_words, EnergyAccounting};
 use crate::observer::{Held, ObserverSet, Sink};
@@ -195,11 +198,11 @@ impl Default for InlineCache {
 /// the kernel; the rest stay zero.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
-    /// Pre-resized immediate, link word, LUI constant, or LOAD/STORE
-    /// offset word.
+    /// [`Row::imm`]: pre-resized immediate, link word, LUI/LI
+    /// constant, or LOAD/STORE offset word.
     imm: Word9,
-    /// The offset of a branch, JAL, JALR, LOAD or STORE as an integer,
-    /// or the resolved count of a constant shift.
+    /// [`Row::off`]: the absolute target of a branch or JAL, the offset
+    /// of a JALR, LOAD or STORE, or the count of a constant shift.
     off: i32,
     /// Inline-cache site of a LOAD, STORE or JALR.
     site: u32,
@@ -257,7 +260,6 @@ struct Block {
 #[derive(Debug)]
 pub(crate) struct ThreadedCode {
     text: Arc<[Instruction]>,
-    links: Arc<[Word9]>,
     blocks: Vec<Block>,
     /// pc → index of the covering block, for every pc (a head is the
     /// pc equal to its block's `start`).
@@ -669,7 +671,7 @@ mod kernel {
         }
         Jal(m, s, _) -> Reg {
             m.state.trf[s.a as usize] = s.imm; // link = pc + 1, precomputed
-            resolve_next(m, s.pc as i64 + s.off as i64, s.pc as usize)
+            resolve_next(m, s.off as i64, s.pc as usize)
         }
         Jalr(m, s, _) -> Reg {
             // Target reads Tb before the link write lands in Ta (a == b
@@ -715,19 +717,6 @@ mod kernel {
     }
 }
 
-/// Wraps the integer sum of two 9-trit values back into the balanced
-/// word range, exactly as `Word9::wrapping_add` does.
-#[inline]
-fn wrap9(v: i64) -> i64 {
-    if v > Word9::MAX_VALUE {
-        v - Word9::MODULUS
-    } else if v < -Word9::MAX_VALUE {
-        v + Word9::MODULUS
-    } else {
-        v
-    }
-}
-
 /// Classifies a computed next-PC exactly like the functional step:
 /// in-range → jump, own address → jump-to-self halt, text length →
 /// fell-off-end halt, anything else → wild-transfer fault.
@@ -750,14 +739,14 @@ fn resolve_next<T: Tally>(m: &mut Machine<'_, T>, target: i64, pc: usize) -> Ste
     }
 }
 
-/// A conditional branch: to `pc + offset` when taken, else on to
+/// A conditional branch: to its target when taken, else on to
 /// `pc + 1` like any fall-through. (Kept a host branch on purpose: the
 /// dispatcher's next PC is then predicted instead of waiting on the
 /// compared register, as a branchless select of the target would.)
 #[inline(always)]
 fn branch<T: Tally>(m: &mut Machine<'_, T>, s: &Slot, taken: bool) -> Step {
     if taken {
-        resolve_next(m, s.pc as i64 + s.off as i64, s.pc as usize)
+        resolve_next(m, s.off as i64, s.pc as usize)
     } else {
         Step::Next
     }
@@ -819,54 +808,32 @@ fn mem_fault<T: Tally>(m: &mut Machine<'_, T>, s: &Slot, pos: u8, cause: Ternary
 
 // --- compilation -----------------------------------------------------------
 
-/// Compiles one instruction into its unfused op, pre-extracting every
-/// decode-time quantity into slot 0.
-fn compile_op<T: Tally>(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> Op<T> {
-    use Instruction::*;
-    let r = |t: TReg| t.index() as u8;
-    let mut site = || {
-        let s = *sites;
-        *sites += 1;
-        s
-    };
+/// Compiles one instruction into its unfused op, copying its execution
+/// [`Row`] into slot 0.
+fn compile_op<T: Tally>(instr: &Instruction, pc: usize, sites: &mut u32) -> Op<T> {
+    let r = Row::of(instr, pc);
     let mut s = Slot {
+        imm: r.imm,
+        off: r.off,
+        site: 0,
         pc: pc as u32,
-        opcode: instr.opcode() as u8,
-        ..Slot::default()
+        a: r.a,
+        b: r.b,
+        cond: r.cond,
+        opcode: r.op as u8,
     };
-    match *instr {
-        Mv { a, b }
-        | Pti { a, b }
-        | Nti { a, b }
-        | Sti { a, b }
-        | And { a, b }
-        | Or { a, b }
-        | Xor { a, b }
-        | Add { a, b }
-        | Sub { a, b }
-        | Sr { a, b }
-        | Sl { a, b }
-        | Comp { a, b } => (s.a, s.b) = (r(a), r(b)),
-        Andi { a, imm } | Addi { a, imm } => (s.a, s.imm) = (r(a), imm.resize::<9>()),
+    match r.op {
         // Balanced shift amounts resolve at compile time: a negative
         // amount reverses the direction (DESIGN.md §3.2), which picks
         // the kernel below; the slot keeps the magnitude.
-        Sri { a, imm } | Sli { a, imm } => (s.a, s.off) = (r(a), imm.to_i64().abs() as i32),
-        Lui { a, imm } => (s.a, s.imm) = (r(a), Word9::ZERO.with_field::<4>(5, imm)),
-        Li { a, imm } => (s.a, s.imm) = (r(a), Word9::ZERO.with_field::<5>(0, imm)),
-        Beq { b, cond, offset } | Bne { b, cond, offset } => {
-            (s.b, s.cond, s.off) = (r(b), cond, offset.to_i64() as i32)
+        Opcode::Sri | Opcode::Sli => s.off = r.off.abs(),
+        Opcode::Jalr | Opcode::Load | Opcode::Store => {
+            s.site = *sites;
+            *sites += 1;
         }
-        Jal { a, offset } => (s.a, s.imm, s.off) = (r(a), link, offset.to_i64() as i32),
-        Jalr { a, b, offset } => {
-            (s.a, s.b, s.imm, s.off) = (r(a), r(b), link, offset.to_i64() as i32);
-            s.site = site();
-        }
-        Load { a, b, offset } | Store { a, b, offset } => {
-            (s.a, s.b, s.imm, s.off) = (r(a), r(b), offset.resize::<9>(), offset.to_i64() as i32);
-            s.site = site();
-        }
+        _ => {}
     }
+    use Instruction::*;
     let exec: ExecFn<T> = match *instr {
         Mv { .. } => single::<T, T::Of<kernel::Mv>>,
         Pti { .. } => single::<T, T::Of<kernel::Pti>>,
@@ -985,12 +952,12 @@ impl<T: Tally> Compiled<T> {
     /// numbering the inline-cache sites in address order, then greedy
     /// fusion in program order within each block. Returns the code and
     /// the site count.
-    fn new(text: &[Instruction], links: &[Word9], blocks: &[Block]) -> (Self, usize) {
+    fn new(text: &[Instruction], blocks: &[Block]) -> (Self, usize) {
         let mut sites: u32 = 0;
         let ops: Vec<Op<T>> = text
             .iter()
             .enumerate()
-            .map(|(pc, i)| compile_op(i, pc, links[pc], &mut sites))
+            .map(|(pc, i)| compile_op(i, pc, &mut sites))
             .collect();
         let fused = blocks
             .iter()
@@ -1016,11 +983,10 @@ impl<T: Tally> Compiled<T> {
 }
 
 impl ThreadedCode {
-    /// Compiles the whole image: block heads over the link table,
-    /// superblocks, and the plain code.
+    /// Compiles the whole image: block heads, superblocks, and the
+    /// plain code.
     pub(crate) fn compile(image: &PredecodedProgram) -> Self {
         let text = image.text_arc();
-        let links = image.links_arc();
         let len = text.len();
 
         // Block heads: the entry point, every static in-range control
@@ -1079,10 +1045,9 @@ impl ThreadedCode {
             start = end + 1;
         }
 
-        let (plain, sites) = Compiled::new(&text, &links, &blocks);
+        let (plain, sites) = Compiled::new(&text, &blocks);
         ThreadedCode {
             text,
-            links,
             blocks,
             block_of,
             sites,
@@ -1095,13 +1060,13 @@ impl ThreadedCode {
     /// core built from this image.
     fn counted(&self) -> &Compiled<Flips> {
         self.counted
-            .get_or_init(|| Compiled::new(&self.text, &self.links, &self.blocks).0)
+            .get_or_init(|| Compiled::new(&self.text, &self.blocks).0)
     }
 }
 
 /// The direct-threaded instruction-set simulator — architecturally
-/// identical to [`FunctionalSim`](crate::FunctionalSim), several times
-/// faster. The module-level docs describe the compilation pipeline.
+/// identical to [`FunctionalSim`](crate::FunctionalSim), about twice as
+/// fast. The module-level docs describe the compilation pipeline.
 ///
 /// # Examples
 ///
@@ -1523,7 +1488,7 @@ mod tests {
     use super::*;
     use crate::core::SimBuilder;
     use crate::observer::observers::{OpcodeActivity, Watchpoint};
-    use art9_isa::assemble;
+    use art9_isa::{assemble, TReg};
 
     fn pair(src: &str) -> (crate::FunctionalSim, ThreadedSim) {
         let p = assemble(src).unwrap();

@@ -4,11 +4,16 @@
 //! counts. Programs here are randomly generated with forward-only
 //! control flow (guaranteed termination) over the full ALU/memory/branch
 //! repertoire.
+//!
+//! The functional and pipelined cores share one ALU, so agreeing with
+//! each other does not check that ALU. Each program therefore also runs
+//! on the per-trit [`ReferenceSim`](art9_sim::ReferenceSim), which
+//! shares no execution code with them, and must end in the same state.
 
 use proptest::prelude::*;
 
 use art9_isa::{Instruction, Program, TReg};
-use art9_sim::{Core, SimBuilder};
+use art9_sim::{Core, FunctionalSim, RunSummary, SimBuilder};
 use ternary::{Trit, Trits};
 
 /// Base register kept stable for memory addressing.
@@ -202,6 +207,28 @@ fn looped_program() -> impl Strategy<Value = Program> {
         })
 }
 
+/// Runs `builder`'s program on the reference backend and checks it ends
+/// where the functional run `f` (summary `fr`) did: same TRF, TDM and
+/// retired count.
+fn reference_agrees(builder: &SimBuilder, f: &FunctionalSim, fr: &RunSummary) {
+    let mut r = builder.build_reference();
+    let rr = r.run(1_000_000).expect("reference run completes");
+    prop_assert_eq!(
+        r.state().trf,
+        f.state().trf,
+        "reference register files diverge"
+    );
+    prop_assert!(
+        r.state().tdm.iter().eq(f.state().tdm.iter()),
+        "reference data memories diverge"
+    );
+    prop_assert_eq!(
+        rr.retired,
+        fr.retired,
+        "reference retirement counts diverge"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
     #[test]
@@ -215,6 +242,7 @@ proptest! {
         prop_assert_eq!(pipe.state().trf, f.state().trf, "register files diverge");
         prop_assert!(pipe.state().tdm.iter().eq(f.state().tdm.iter()));
         prop_assert_eq!(stats.instructions, fr.retired);
+        reference_agrees(&builder, &f, &fr);
     }
 
     #[test]
@@ -245,6 +273,7 @@ proptest! {
             "data memories diverge"
         );
         prop_assert_eq!(stats.instructions, fr.retired, "retirement counts diverge");
+        reference_agrees(&builder, &f, &fr);
         // Timing sanity: a 5-stage pipe needs at least instret + 4 cycles,
         // and every cycle is either a retirement, a fill slot, or an
         // accounted stall/bubble.

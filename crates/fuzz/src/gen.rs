@@ -575,23 +575,24 @@ mod tests {
 
     #[test]
     fn branch_targets_stay_in_bounds() {
-        use art9_sim::control_target;
         for i in 0..50 {
             let p = gen(11, i);
             let len = p.text().len() as i64;
             for (pc, ins) in p.text().iter().enumerate() {
-                if !ins.is_control_flow() || matches!(ins, Instruction::Jalr { .. }) {
-                    continue;
-                }
-                // Both branch polarities must land inside [0, len].
-                for lst in [Trit::N, Trit::Z, Trit::P] {
-                    if let Some(t) = control_target(ins, pc, lst, Word9::ZERO) {
-                        assert!(
-                            (0..=len).contains(&t),
-                            "iteration {i}: {ins} at {pc} targets {t} (len {len})"
-                        );
-                    }
-                }
+                // The static target of a taken branch or JAL (JALR's is
+                // dynamic; a branch not taken falls through to pc + 1).
+                let t = pc as i64
+                    + match ins {
+                        Instruction::Beq { offset, .. } | Instruction::Bne { offset, .. } => {
+                            offset.to_i64()
+                        }
+                        Instruction::Jal { offset, .. } => offset.to_i64(),
+                        _ => continue,
+                    };
+                assert!(
+                    (0..=len).contains(&t),
+                    "iteration {i}: {ins} at {pc} targets {t} (len {len})"
+                );
             }
         }
     }

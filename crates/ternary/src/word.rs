@@ -125,6 +125,27 @@ impl<const N: usize> Default for Trits<N> {
     }
 }
 
+/// The `(pos, neg)` bitplanes of the three balanced trits `d − 1` of
+/// each base-3 digit `d` of `0..27`, low digit first.
+const TRIPLES: [(u8, u8); 27] = {
+    let mut table = [(0u8, 0u8); 27];
+    let mut v = 0;
+    while v < 27 {
+        let (mut x, mut k) = (v, 0);
+        while k < 3 {
+            match x % 3 {
+                0 => table[v].1 |= 1 << k,
+                2 => table[v].0 |= 1 << k,
+                _ => {}
+            }
+            x /= 3;
+            k += 1;
+        }
+        v += 1;
+    }
+    table
+};
+
 impl<const N: usize> Trits<N> {
     /// Low-`N`-bits mask both bitplanes are kept under.
     const MASK: u64 = {
@@ -313,21 +334,26 @@ impl<const N: usize> Trits<N> {
         }
         // Biased digit extraction: rem + MAX_VALUE has plain (unbalanced)
         // base-3 digits d ∈ {0,1,2}; the balanced trit is d − 1. This
-        // avoids the per-digit rebalancing branches of the textbook loop.
+        // avoids the per-digit rebalancing branches of the textbook loop,
+        // and a table turns each base-27 digit into three trits at once.
+        // The digits above trit N − 1 are 0, which the table reads as
+        // −1, so the mask drops them.
         let mut u = (rem + max) as u64;
         let mut pos = 0u64;
         let mut neg = 0u64;
-        for i in 0..N {
-            let d = u % 3;
-            u /= 3;
-            match d {
-                0 => neg |= 1 << i,
-                2 => pos |= 1 << i,
-                _ => {}
-            }
+        let mut i = 0;
+        while i < N {
+            let (p, n) = TRIPLES[(u % 27) as usize];
+            u /= 27;
+            pos |= u64::from(p) << i;
+            neg |= u64::from(n) << i;
+            i += 3;
         }
         debug_assert_eq!(u, 0, "value fits after wrapping");
-        Self { pos, neg }
+        Self {
+            pos: pos & Self::MASK,
+            neg: neg & Self::MASK,
+        }
     }
 
     /// The numeric value of the word.
@@ -943,6 +969,40 @@ mod tests {
         assert!(Word9::from_i64(9842).is_err());
         assert!(Word9::from_i64(-9842).is_err());
         assert!(Word9::from_i64(9841).is_ok());
+    }
+
+    #[test]
+    fn wrapping_conversion_matches_trit_by_trit_digits() {
+        // The textbook balanced conversion, one trit at a time.
+        fn digits<const N: usize>(v: i64) -> Trits<N> {
+            let m = Trits::<N>::MODULUS;
+            let mut r = v.rem_euclid(m);
+            let mut trits = [Trit::Z; N];
+            for t in trits.iter_mut() {
+                let d = r % 3;
+                r /= 3;
+                *t = match d {
+                    0 => Trit::Z,
+                    1 => Trit::P,
+                    _ => {
+                        r += 1;
+                        Trit::N
+                    }
+                };
+            }
+            Trits::from_trits(trits)
+        }
+        for v in -2 * Word9::MODULUS..=2 * Word9::MODULUS {
+            assert_eq!(Word9::from_i64_wrapping(v), digits::<9>(v), "{v}");
+        }
+        for v in -300..=300 {
+            assert_eq!(Trits::<1>::from_i64_wrapping(v), digits::<1>(v), "{v}");
+            assert_eq!(Trits::<4>::from_i64_wrapping(v), digits::<4>(v), "{v}");
+            assert_eq!(Trits::<5>::from_i64_wrapping(v), digits::<5>(v), "{v}");
+        }
+        for v in [i64::MIN + 1, -(1 << 40), 1 << 40, i64::MAX] {
+            assert_eq!(Trits::<20>::from_i64_wrapping(v), digits::<20>(v), "{v}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::ops::RangeInclusive;
 
-use ternary::simd::{self, LaneWeights, PackedWeights, Word9xN};
+use ternary::simd::{self, LaneWeights, PackedWeights};
 use ternary::{Trit, Word9};
 
 use crate::{lcg_values, split_seed, Generator, Workload};
@@ -123,7 +123,7 @@ impl TernaryMatrix {
             .collect()
     }
 
-    /// SIMD golden path: the output rows live in [`Word9xN`] lanes and
+    /// SIMD golden path: the output rows live in [`simd::Word9xN`] lanes and
     /// the whole product runs through the word-major carry-save
     /// kernel [`simd::matvec`] against the precomputed column masks —
     /// no per-trit, per-row, or carry-propagation loops; one full add
@@ -172,21 +172,14 @@ impl TernaryMlp {
     }
 
     /// SIMD inference: both layers through
-    /// [`TernaryMatrix::matvec_simd`], with the sign activation done
-    /// lane-parallel by a [`Word9xN::compare`] against zero.
+    /// [`TernaryMatrix::matvec_simd`], with the same scalar sign
+    /// activation between them as [`TernaryMlp::infer_scalar`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the input width.
     pub fn infer_simd(&self, x: &[Word9]) -> Vec<Word9> {
-        let pre = Word9xN::from_words(&self.w1.matvec_simd(x));
-        let h: Vec<Word9> = pre
-            .compare(&Word9xN::zero(pre.lanes()))
-            .lane_lsts()
-            .into_iter()
-            .map(|t| Word9::from_i64_wrapping(t.value() as i64))
-            .collect();
-        self.w2.matvec_simd(&h)
+        self.w2.matvec_simd(&sign_words(&self.w1.matvec_simd(x)))
     }
 }
 
