@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn source_chains_to_ternary() {
-        let e = IsaError::from(TernaryError::DivisionByZero);
+        let e = IsaError::from(TernaryError::TritChar { found: 'x' });
         assert!(Error::source(&e).is_some());
     }
 }

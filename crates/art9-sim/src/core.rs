@@ -32,7 +32,7 @@ use art9_isa::{Instruction, Program};
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
 use crate::functional::{CoreState, FunctionalSim, HaltReason, DEFAULT_TDM_WORDS};
-use crate::observer::{Held, NoSink, ObserverSet, SharedObserver, Sink};
+use crate::observer::{Held, NoSink, ObserverSlot, SharedObserver, Sink};
 use crate::pipeline::PipelinedSim;
 use crate::predecode::PredecodedProgram;
 use crate::reference::ReferenceSim;
@@ -245,41 +245,43 @@ pub(crate) fn mix_map(counts: &[u64; Instruction::OPCODE_COUNT]) -> BTreeMap<&'s
 /// functional, pipelined and reference. Their [`Core::step`] and
 /// [`Core::run_for`] are [`step`] and [`run_for`] below.
 pub(crate) trait SinkStep: Core + Sized {
-    /// The attached observers.
-    fn observers(&mut self) -> &mut ObserverSet;
+    /// The observer slot.
+    fn observer(&mut self) -> &mut ObserverSlot;
 
     /// One step, reporting its events to `sink`.
     fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError>;
 }
 
-/// Runs `body` with the core's observers locked. The set is moved out
-/// of the core for the call, so the sink can borrow it while `body`
-/// mutates the core; a panic in `body` leaves the core without
-/// observers.
+/// Runs `body` with the core's observer locked; the core must have one.
+/// The slot is moved out of the core for the call, so the sink can
+/// borrow it while `body` mutates the core; a panic in `body` leaves the
+/// core without its observer.
 pub(crate) fn held<C: SinkStep, T>(
     core: &mut C,
     body: impl FnOnce(&mut C, &mut Held<'_>) -> T,
 ) -> T {
-    let observers = std::mem::take(core.observers());
-    let out = body(core, &mut observers.hold());
-    *core.observers() = observers;
+    let slot = std::mem::take(core.observer());
+    let mut sink = slot.hold().expect("an observer is attached");
+    let out = body(core, &mut sink);
+    drop(sink);
+    *core.observer() = slot;
     out
 }
 
-/// [`Core::step`] of a [`SinkStep`] backend: the observers stay locked
+/// [`Core::step`] of a [`SinkStep`] backend: the observer stays locked
 /// for the one step.
 pub(crate) fn step<C: SinkStep>(core: &mut C) -> Result<Option<HaltReason>, SimError> {
-    if core.observers().is_empty() {
+    if core.observer().is_empty() {
         core.step_with(&mut NoSink)
     } else {
         held(core, |core, sink| core.step_with(sink))
     }
 }
 
-/// [`Core::run_for`] of a [`SinkStep`] backend: the observers stay
+/// [`Core::run_for`] of a [`SinkStep`] backend: the observer stays
 /// locked for the whole call.
 pub(crate) fn run_for<C: SinkStep>(core: &mut C, budget: Budget) -> Result<RunSummary, SimError> {
-    if core.observers().is_empty() {
+    if core.observer().is_empty() {
         run_loop(core, budget, |core| core.step_with(&mut NoSink))
     } else {
         held(core, |core, sink| {
@@ -359,7 +361,7 @@ pub struct SimBuilder {
     tdm_words: usize,
     forwarding: bool,
     trace: bool,
-    observers: ObserverSet,
+    observer: ObserverSlot,
 }
 
 impl SimBuilder {
@@ -369,7 +371,7 @@ impl SimBuilder {
     ///
     /// Defaults: [`Backend::Functional`], a
     /// [`DEFAULT_TDM_WORDS`]-word TDM, forwarding on, tracing off, no
-    /// observers.
+    /// observer.
     pub fn new(image: impl Into<PredecodedProgram>) -> Self {
         Self {
             image: image.into(),
@@ -377,7 +379,7 @@ impl SimBuilder {
             tdm_words: DEFAULT_TDM_WORDS,
             forwarding: true,
             trace: false,
-            observers: ObserverSet::default(),
+            observer: ObserverSlot::default(),
         }
     }
 
@@ -407,11 +409,12 @@ impl SimBuilder {
         self
     }
 
-    /// Attaches an observer; may be called repeatedly. Keep your own
-    /// `Arc` clone to inspect the observer after the run (see the
-    /// [`Observer`](crate::Observer) contract).
+    /// Attaches an observer. A core holds at most one: a second call
+    /// replaces the first. Keep your own `Arc` clone to inspect the
+    /// observer after the run (see the [`Observer`](crate::Observer)
+    /// contract).
     pub fn observer(mut self, observer: SharedObserver) -> Self {
-        self.observers.push(observer);
+        self.observer = ObserverSlot(Some(observer));
         self
     }
 
@@ -428,7 +431,7 @@ impl SimBuilder {
     /// Builds a concrete [`FunctionalSim`] (ignores the
     /// [`backend`](Self::backend) selection).
     pub fn build_functional(&self) -> FunctionalSim {
-        FunctionalSim::build(&self.image, self.tdm_words, self.observers.clone())
+        FunctionalSim::build(&self.image, self.tdm_words, self.observer.clone())
     }
 
     /// Builds a concrete [`PipelinedSim`] (ignores the
@@ -439,21 +442,21 @@ impl SimBuilder {
             self.tdm_words,
             self.forwarding,
             self.trace,
-            self.observers.clone(),
+            self.observer.clone(),
         )
     }
 
     /// Builds a concrete [`ReferenceSim`](crate::ReferenceSim) (ignores
     /// the [`backend`](Self::backend) selection).
     pub fn build_reference(&self) -> ReferenceSim {
-        ReferenceSim::build(&self.image, self.tdm_words, self.observers.clone())
+        ReferenceSim::build(&self.image, self.tdm_words, self.observer.clone())
     }
 
     /// Builds a concrete [`ThreadedSim`](crate::ThreadedSim) (ignores
     /// the [`backend`](Self::backend) selection). Compilation to
     /// direct-threaded code happens here, once.
     pub fn build_threaded(&self) -> ThreadedSim {
-        ThreadedSim::build(&self.image, self.tdm_words, self.observers.clone())
+        ThreadedSim::build(&self.image, self.tdm_words, self.observer.clone())
     }
 }
 

@@ -20,7 +20,7 @@ use crate::checkpoint::{Checkpoint, Micro};
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::exec::{alu, target, Opcode, Row, NO_DEST};
-use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Sink, Writeback};
+use crate::observer::{MemWrite, ObserverSlot, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 
 /// Default TDM size in words (matches the 256-word memories behind
@@ -189,7 +189,7 @@ pub struct FunctionalSim {
     pub(crate) instructions: u64,
     pub(crate) halted: Option<HaltReason>,
     pub(crate) mix: [u64; Instruction::OPCODE_COUNT],
-    pub(crate) observers: ObserverSet,
+    pub(crate) observer: ObserverSlot,
 }
 
 impl FunctionalSim {
@@ -198,7 +198,7 @@ impl FunctionalSim {
     pub(crate) fn build(
         image: &PredecodedProgram,
         tdm_words: usize,
-        observers: ObserverSet,
+        observer: ObserverSlot,
     ) -> Self {
         Self {
             image: image.clone(),
@@ -207,14 +207,14 @@ impl FunctionalSim {
             instructions: 0,
             halted: None,
             mix: [0; Instruction::OPCODE_COUNT],
-            observers,
+            observer,
         }
     }
 }
 
 impl SinkStep for FunctionalSim {
-    fn observers(&mut self) -> &mut ObserverSet {
-        &mut self.observers
+    fn observer(&mut self) -> &mut ObserverSlot {
+        &mut self.observer
     }
 
     fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
@@ -257,15 +257,6 @@ impl SinkStep for FunctionalSim {
                     .read_word_addr(result)
                     .map_err(|cause| SimError::MemoryFault { pc, cause })?;
                 self.state.trf[dest] = v;
-                if E::ON {
-                    let address = self.state.tdm.resolve(result).expect("read succeeded");
-                    sink.memory(&MemoryAccess {
-                        pc,
-                        address,
-                        value: v,
-                        is_write: false,
-                    });
-                }
             }
             Opcode::Store => {
                 let old_cell = if E::ON {
@@ -278,15 +269,8 @@ impl SinkStep for FunctionalSim {
                     .write_word_addr(result, a_val)
                     .map_err(|cause| SimError::MemoryFault { pc, cause })?;
                 if E::ON {
-                    let address = self.state.tdm.resolve(result).expect("write succeeded");
-                    sink.memory(&MemoryAccess {
-                        pc,
-                        address,
-                        value: a_val,
-                        is_write: true,
-                    });
                     mem_write = Some(MemWrite {
-                        address,
+                        address: self.state.tdm.resolve(result).expect("write succeeded"),
                         old: old_cell.expect("write succeeded"),
                         new: a_val,
                     });
@@ -297,7 +281,7 @@ impl SinkStep for FunctionalSim {
         }
 
         // Control flow.
-        let (next, taken) = match target(row, b_val) {
+        let next = match target(row, b_val) {
             Some(target) => {
                 if target < 0 || target as usize > rows.len() {
                     return Err(SimError::PcOutOfRange {
@@ -306,16 +290,13 @@ impl SinkStep for FunctionalSim {
                         tim_size: rows.len(),
                     });
                 }
-                (target as usize, true)
+                target as usize
             }
-            None => (pc + 1, false),
+            None => pc + 1,
         };
 
         if E::ON {
             let instr = self.image.text()[pc];
-            if row.is_control() {
-                sink.control(pc, &instr, taken, next);
-            }
             sink.writeback(&Writeback {
                 pc,
                 instr,
@@ -327,7 +308,6 @@ impl SinkStep for FunctionalSim {
                 mem: mem_write,
                 bus: result,
             });
-            sink.retire(pc, &instr, &self.state);
         }
 
         let halt = if next == pc {

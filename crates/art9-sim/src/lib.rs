@@ -23,8 +23,9 @@
 //!
 //! Around the trait:
 //!
-//! * [`Observer`] hooks — retire/control/memory/halt callbacks on any
-//!   backend, with ready-made observers in [`observers`].
+//! * [`Observer`] hooks — one observer per core, told of every
+//!   retirement's write-back and of the halt on any backend, with
+//!   ready-made observers in [`observers`].
 //! * [`Checkpoint`] — serializable snapshot/resume
 //!   ([`Core::snapshot`]/[`Core::restore`]) that continues
 //!   bit-identically, microarchitectural state included.
@@ -92,9 +93,7 @@ pub use checkpoint::Checkpoint;
 pub use error::SimError;
 pub use exec::shift;
 pub use functional::{CoreState, FunctionalSim, HaltReason, DEFAULT_TDM_WORDS};
-pub use observer::{
-    observers, MemWrite, MemoryAccess, Observer, RegWrite, SharedObserver, Writeback,
-};
+pub use observer::{observers, MemWrite, Observer, RegWrite, SharedObserver, Writeback};
 pub use pipeline::PipelinedSim;
 pub use predecode::PredecodedProgram;
 pub use reference::ReferenceSim;

@@ -1,14 +1,15 @@
 //! Observer hooks: callbacks fired by every [`Core`](crate::Core)
-//! backend at architectural events.
+//! backend as instructions retire and when it halts.
 //!
-//! An [`Observer`] receives five kinds of events — instruction
-//! retirement, control-flow resolution, data-memory access,
-//! architectural write-back, and halt — from whichever backend it is
-//! attached to via
-//! [`SimBuilder::observer`](crate::SimBuilder::observer). Observers are
-//! shared handles ([`SharedObserver`] is `Arc<Mutex<…>>`), so the caller
-//! keeps a clone and inspects the accumulated data between calls that
-//! drive the core:
+//! An [`Observer`] receives two kinds of events — the architectural
+//! write-back of every retired instruction ([`Writeback`]: its pc, the
+//! instruction, its register and TDM writes with their old and new
+//! values, and the result-bus value) and the halt — from whichever
+//! backend it is attached to via
+//! [`SimBuilder::observer`](crate::SimBuilder::observer). A core holds
+//! at most one observer. Observers are shared handles
+//! ([`SharedObserver`] is `Arc<Mutex<…>>`), so the caller keeps a clone
+//! and inspects the accumulated data between calls that drive the core:
 //!
 //! ```
 //! use std::sync::{Arc, Mutex};
@@ -26,40 +27,27 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! A backend locks each attached handle once per call that drives it:
-//! for one [`Core::step`](crate::Core::step), or for a whole
+//! A backend locks its observer once per call that drives it: for one
+//! [`Core::step`](crate::Core::step), or for a whole
 //! [`Core::run_for`](crate::Core::run_for). An event then costs one
-//! dynamic call per attachment and no lock. With no observer attached,
-//! the event sites are compiled out of the step body altogether.
+//! dynamic call and no lock. With no observer attached, the event sites
+//! are compiled out of the step body altogether.
 //!
 //! The threaded backend runs its compiled code, for
 //! [`Core::step`](crate::Core::step) and
 //! [`Core::run_for`](crate::Core::run_for) alike, only with no observer
-//! attached, or with a single packed
+//! attached, or with a packed
 //! [`EnergyAccounting`](observers::EnergyAccounting) (found through
 //! [`Observer::energy_counters`]), whose flips it then counts inside
-//! that code. Any other observer set moves it onto the functional
-//! core's observed step, which reports every event.
+//! that code. Any other observer moves it onto the functional core's
+//! observed step, which reports every event.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use art9_isa::{Instruction, TReg};
 use ternary::Word9;
 
-use crate::functional::{CoreState, HaltReason};
-
-/// One data-memory access, as reported to [`Observer::on_memory`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryAccess {
-    /// Instruction address of the LOAD/STORE.
-    pub pc: usize,
-    /// Resolved TDM word index.
-    pub address: usize,
-    /// The word read (LOAD) or written (STORE).
-    pub value: Word9,
-    /// `true` for STORE, `false` for LOAD.
-    pub is_write: bool,
-}
+use crate::functional::HaltReason;
 
 /// A register-file write as seen by [`Observer::on_writeback`]: the
 /// destination register with its value before and after the write.
@@ -107,59 +95,35 @@ pub struct Writeback {
     pub bus: Word9,
 }
 
-/// Callbacks a [`Core`](crate::Core) backend fires at architectural
-/// events. Every method has a no-op default, so an observer implements
-/// only the events it cares about.
+/// Callbacks a [`Core`](crate::Core) backend fires as instructions
+/// retire and when it halts. Both events have a no-op default, so an
+/// observer implements only what it reads.
 ///
 /// ## Contract
 ///
-/// * `on_retire` fires once per retired instruction, **after** its
-///   architectural effects are visible in `state`. On the pipelined
-///   backend that is the WB stage, so retirement order — not fetch
-///   order — is observed.
-/// * `on_control` fires when a control-flow instruction resolves
-///   (functional/reference: during its step; pipelined: in ID).
-///   `target` is the next instruction address, whether or not the
-///   transfer was taken.
-/// * `on_memory` fires for every successful TDM access, before the
-///   instruction retires. Faulting accesses do not report.
-/// * `on_writeback` fires once per retired instruction, immediately
-///   before its `on_retire`, carrying the old and new values of every
-///   architectural write the instruction performed (see [`Writeback`]).
+/// * `on_writeback` fires once per retired instruction, **after** its
+///   architectural writes, carrying their old and new values (see
+///   [`Writeback`]). On the pipelined backend that is the WB stage, so
+///   retirement order — not fetch order — is observed.
 /// * `on_halt` fires exactly once, when the backend halts (for the
 ///   pipelined backend: after the pipeline drains).
 ///
-/// Observers must not assume a particular backend: the same observer
-/// attached to the functional and pipelined backends sees the same
-/// retirement/write-back/memory/halt event sequence for the same
-/// program.
+/// Observers must not assume a particular backend: every backend
+/// reports the same write-back and halt sequence for the same program.
 ///
-/// A handle is locked for the duration of each
+/// The handle is locked for the duration of each
 /// [`step`](crate::Core::step) or [`run_for`](crate::Core::run_for)
 /// call on a core it is attached to, so read it between calls. Another
-/// thread that locks it meanwhile waits for the call to return. A
-/// handle attached twice sees every event twice; attachments are
-/// called in the order they were made.
+/// thread that locks it meanwhile waits for the call to return.
 ///
 /// One exception to the event stream: an observer whose
-/// [`energy_counters`](Observer::energy_counters) returns `Some`, when
-/// it is the only attachment, is not told of any retirement by a
-/// threaded core's `step` or `run_for`. The core adds the same counts
-/// to those counters directly; `on_halt` still fires.
+/// [`energy_counters`](Observer::energy_counters) returns `Some` is not
+/// told of any retirement by a threaded core's `step` or `run_for`. The
+/// core adds the same counts to those counters directly; `on_halt`
+/// still fires.
 #[allow(unused_variables)]
 pub trait Observer {
-    /// An instruction retired; `state` already reflects it.
-    fn on_retire(&mut self, pc: usize, instr: &Instruction, state: &CoreState) {}
-
-    /// A control-flow instruction resolved to `target` (`taken` is
-    /// `false` for a fall-through conditional branch).
-    fn on_control(&mut self, pc: usize, instr: &Instruction, taken: bool, target: usize) {}
-
-    /// A data-memory access completed.
-    fn on_memory(&mut self, access: &MemoryAccess) {}
-
-    /// An instruction's architectural writes completed (fires just
-    /// before its `on_retire`).
+    /// An instruction retired; `wb` holds its architectural writes.
     fn on_writeback(&mut self, wb: &Writeback) {}
 
     /// The machine halted after retiring `retired` instructions.
@@ -169,10 +133,10 @@ pub trait Observer {
     /// the packed flip kernel ([`observers::EnergyAccounting::new`]);
     /// `None` for every other observer.
     ///
-    /// When such an accountant is the only attachment, the threaded
-    /// backend counts the flips inside its compiled code and adds them
-    /// to these counters directly, instead of reporting write-back
-    /// events. The totals are the same either way.
+    /// The threaded backend counts such an accountant's flips inside
+    /// its compiled code and adds them to these counters directly,
+    /// instead of reporting write-back events. The totals are the same
+    /// either way.
     fn energy_counters(&mut self) -> Option<&mut observers::EnergyAccounting> {
         None
     }
@@ -183,63 +147,37 @@ pub trait Observer {
 /// [`SimBuilder::observer`](crate::SimBuilder::observer).
 pub type SharedObserver = Arc<Mutex<dyn Observer + Send>>;
 
-/// The observer list a backend carries. Cloning a simulator shares its
-/// observers (the handles are `Arc`s).
+/// The observer slot a backend carries: empty, or one handle. Cloning a
+/// simulator shares its observer (the handle is an `Arc`).
 #[derive(Clone, Default)]
-pub(crate) struct ObserverSet {
-    /// Each distinct handle once, sorted by address: the fixed order
-    /// [`ObserverSet::hold`] locks them in, so two cores sharing
-    /// handles cannot deadlock however each attached them.
-    handles: Vec<SharedObserver>,
-    /// The attachments in attachment order, as indices into `handles`
-    /// (a handle attached twice appears twice).
-    order: Vec<usize>,
-}
+pub(crate) struct ObserverSlot(pub(crate) Option<SharedObserver>);
 
-impl std::fmt::Debug for ObserverSet {
+impl std::fmt::Debug for ObserverSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ObserverSet({})", self.order.len())
-    }
-}
-
-/// A handle's address, with the vtable dropped.
-fn address(obs: &SharedObserver) -> usize {
-    Arc::as_ptr(obs) as *const () as usize
-}
-
-impl ObserverSet {
-    pub(crate) fn push(&mut self, obs: SharedObserver) {
-        let index = match self.handles.binary_search_by_key(&address(&obs), address) {
-            Ok(index) => index,
-            Err(index) => {
-                for slot in self.order.iter_mut().filter(|slot| **slot >= index) {
-                    *slot += 1;
-                }
-                self.handles.insert(index, obs);
-                index
-            }
+        let state = if self.0.is_some() {
+            "attached"
+        } else {
+            "empty"
         };
-        self.order.push(index);
+        write!(f, "ObserverSlot({state})")
     }
+}
 
+impl ObserverSlot {
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.0.is_none()
     }
 
-    /// Locks every distinct handle once, for as long as the returned
-    /// sink lives.
-    pub(crate) fn hold(&self) -> Held<'_> {
-        Held {
-            // A poisoned lock (an observer panicked earlier) still
-            // yields the data; observation must not take the run down.
-            guards: self
-                .handles
-                .iter()
-                .map(|obs| obs.lock().unwrap_or_else(PoisonError::into_inner))
-                .collect(),
-            order: &self.order,
-        }
+    /// Locks the observer, when one is attached, for as long as the
+    /// returned sink lives.
+    pub(crate) fn hold(&self) -> Option<Held<'_>> {
+        // A poisoned lock (an observer panicked earlier) still yields
+        // the data; observation must not take the run down.
+        let observer = self.0.as_ref()?;
+        Some(Held(
+            observer.lock().unwrap_or_else(PoisonError::into_inner),
+        ))
     }
 }
 
@@ -251,33 +189,11 @@ pub(crate) trait Sink {
     /// Whether events reach anyone; `false` only for [`NoSink`].
     const ON: bool;
 
-    /// Calls `f` on every attached observer, in attachment order.
-    fn each(&mut self, f: impl FnMut(&mut (dyn Observer + Send)));
+    /// Reports a retirement ([`Observer::on_writeback`]).
+    fn writeback(&mut self, wb: &Writeback);
 
-    #[inline]
-    fn retire(&mut self, pc: usize, instr: &Instruction, state: &CoreState) {
-        self.each(|o| o.on_retire(pc, instr, state));
-    }
-
-    #[inline]
-    fn control(&mut self, pc: usize, instr: &Instruction, taken: bool, target: usize) {
-        self.each(|o| o.on_control(pc, instr, taken, target));
-    }
-
-    #[inline]
-    fn memory(&mut self, access: &MemoryAccess) {
-        self.each(|o| o.on_memory(access));
-    }
-
-    #[inline]
-    fn writeback(&mut self, wb: &Writeback) {
-        self.each(|o| o.on_writeback(wb));
-    }
-
-    #[inline]
-    fn halt(&mut self, reason: HaltReason, retired: u64) {
-        self.each(|o| o.on_halt(reason, retired));
-    }
+    /// Reports the halt ([`Observer::on_halt`]).
+    fn halt(&mut self, reason: HaltReason, retired: u64);
 }
 
 /// The sink of a core with no observer attached.
@@ -287,37 +203,35 @@ impl Sink for NoSink {
     const ON: bool = false;
 
     #[inline(always)]
-    fn each(&mut self, _f: impl FnMut(&mut (dyn Observer + Send))) {}
+    fn writeback(&mut self, _wb: &Writeback) {}
+
+    #[inline(always)]
+    fn halt(&mut self, _reason: HaltReason, _retired: u64) {}
 }
 
-/// The sink of a core with observers attached: every distinct handle
-/// locked once ([`ObserverSet::hold`]), so an event costs a dynamic
-/// call per attachment and no lock.
-pub(crate) struct Held<'a> {
-    guards: Vec<MutexGuard<'a, dyn Observer + Send + 'static>>,
-    order: &'a [usize],
-}
+/// The sink of a core with its observer locked
+/// ([`ObserverSlot::hold`]), so an event costs one dynamic call and no
+/// lock.
+pub(crate) struct Held<'a>(MutexGuard<'a, dyn Observer + Send + 'static>);
 
 impl Sink for Held<'_> {
     const ON: bool = true;
 
     #[inline]
-    fn each(&mut self, mut f: impl FnMut(&mut (dyn Observer + Send))) {
-        for &index in self.order {
-            f(&mut *self.guards[index]);
-        }
+    fn writeback(&mut self, wb: &Writeback) {
+        self.0.on_writeback(wb);
+    }
+
+    #[inline]
+    fn halt(&mut self, reason: HaltReason, retired: u64) {
+        self.0.on_halt(reason, retired);
     }
 }
 
 impl Held<'_> {
-    /// The packed energy counters of the only attachment
-    /// ([`Observer::energy_counters`]); `None` when anything else is
-    /// attached, or the same accountant more than once.
-    pub(crate) fn sole_energy(&mut self) -> Option<&mut observers::EnergyAccounting> {
-        match self.order {
-            [only] => self.guards[*only].energy_counters(),
-            _ => None,
-        }
+    /// The observer's [`Observer::energy_counters`].
+    pub(crate) fn energy_counters(&mut self) -> Option<&mut observers::EnergyAccounting> {
+        self.0.energy_counters()
     }
 }
 
@@ -336,9 +250,9 @@ pub mod observers {
         pub value: Word9,
     }
 
-    /// Records every store to one watched TDM address — the
-    /// event-driven watchpoint the observer API makes possible (no
-    /// polling, exact store PCs).
+    /// Records every store to one watched TDM address, read from the
+    /// stores' write-back records ([`Writeback::mem`]): no polling, and
+    /// exact store PCs on every backend.
     #[derive(Debug, Clone)]
     pub struct Watchpoint {
         address: usize,
@@ -362,12 +276,13 @@ pub mod observers {
     }
 
     impl Observer for Watchpoint {
-        fn on_memory(&mut self, access: &MemoryAccess) {
-            if access.is_write && access.address == self.address {
-                self.hits.push(WatchHit {
-                    pc: access.pc,
-                    value: access.value,
-                });
+        fn on_writeback(&mut self, wb: &Writeback) {
+            match wb.mem {
+                Some(store) if store.address == self.address => self.hits.push(WatchHit {
+                    pc: wb.pc,
+                    value: store.new,
+                }),
+                _ => {}
             }
         }
     }
@@ -377,25 +292,26 @@ pub mod observers {
     /// sync-point detector behind cross-ISA lockstep checking.
     ///
     /// "Entering" address `b` means a retired instruction's successor
-    /// was `b`: for a retired control-flow instruction that is its
-    /// resolved target (taken or fall-through), for anything else
-    /// `pc + 1`. The initial fetch at address 0 is *not* an entry — no
-    /// instruction transferred control there.
+    /// was `b`. Retirement is in order on every backend, so each
+    /// retirement's successor is the pc of the next one. A crossing is
+    /// therefore recorded for each retirement after a run's first whose
+    /// pc is watched, and, at a [`HaltReason::JumpToSelf`] halt, for the
+    /// last retired pc (its own successor). The initial fetch at address
+    /// 0 is *not* an entry — no instruction transferred control there —
+    /// and an address at or past the end of the text is never entered,
+    /// not even by falling off the end.
     ///
-    /// Because the contract guarantees every backend reports the same
-    /// retirement/control event sequence, the recorded crossing trace
-    /// is backend-independent — in particular it works on the pipelined
-    /// backend, whose architectural PC is not observable between
-    /// cycles. `art9-fuzz` watches the RV32 instruction boundaries of a
-    /// translated program and compares the trace against the `rv32`
-    /// machine's own execution path.
+    /// The recorded crossing trace is backend-independent — in
+    /// particular it works on the pipelined backend, whose architectural
+    /// PC is not observable between cycles. `art9-fuzz` watches the RV32
+    /// instruction boundaries of a translated program and compares the
+    /// trace against the `rv32` machine's own execution path.
     #[derive(Debug, Clone, Default)]
     pub struct SyncPoints {
         watched: std::collections::BTreeSet<usize>,
-        /// Control-flow targets resolved but not yet retired, in
-        /// program order (the pipelined backend resolves in ID, retires
-        /// in WB, possibly several instructions apart).
-        pending: std::collections::VecDeque<(usize, usize)>,
+        /// The pc of the run's last retirement: `None` before its
+        /// first and after its halt.
+        last: Option<usize>,
         /// Every watched address entered, in retirement order.
         pub crossings: Vec<usize>,
     }
@@ -405,7 +321,7 @@ pub mod observers {
         pub fn new(watched: impl IntoIterator<Item = usize>) -> Self {
             Self {
                 watched: watched.into_iter().collect(),
-                pending: Default::default(),
+                last: None,
                 crossings: Vec::new(),
             }
         }
@@ -413,6 +329,23 @@ pub mod observers {
         /// The crossing trace recorded so far.
         pub fn crossings(&self) -> &[usize] {
             &self.crossings
+        }
+    }
+
+    impl Observer for SyncPoints {
+        fn on_writeback(&mut self, wb: &Writeback) {
+            if self.last.replace(wb.pc).is_some() && self.watched.contains(&wb.pc) {
+                self.crossings.push(wb.pc);
+            }
+        }
+
+        fn on_halt(&mut self, reason: HaltReason, _retired: u64) {
+            match self.last.take() {
+                Some(pc) if reason == HaltReason::JumpToSelf && self.watched.contains(&pc) => {
+                    self.crossings.push(pc);
+                }
+                _ => {}
+            }
         }
     }
 
@@ -612,28 +545,6 @@ pub mod observers {
             self.packed.then_some(self)
         }
     }
-
-    impl Observer for SyncPoints {
-        fn on_control(&mut self, pc: usize, _instr: &Instruction, _taken: bool, target: usize) {
-            self.pending.push_back((pc, target));
-        }
-
-        fn on_retire(&mut self, pc: usize, _instr: &Instruction, _state: &CoreState) {
-            // In-order retirement: a pending control target belongs to
-            // this retirement iff it was recorded for the same pc.
-            let next = match self.pending.front() {
-                Some((cpc, target)) if *cpc == pc => {
-                    let t = *target;
-                    self.pending.pop_front();
-                    t
-                }
-                _ => pc + 1,
-            };
-            if self.watched.contains(&next) {
-                self.crossings.push(next);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -651,8 +562,8 @@ mod tests {
     }
 
     impl Observer for Retirements {
-        fn on_retire(&mut self, pc: usize, instr: &Instruction, _state: &CoreState) {
-            self.log.push((pc, *instr));
+        fn on_writeback(&mut self, wb: &Writeback) {
+            self.log.push((wb.pc, wb.instr));
         }
     }
 
@@ -664,55 +575,44 @@ mod tests {
         .unwrap()
     }
 
-    /// Every event, verbatim, in arrival order.
-    #[derive(Debug, Clone, PartialEq)]
-    enum Event {
-        Retire(usize),
-        Control(usize, bool, usize),
-        Memory(MemoryAccess),
-        Writeback(Writeback),
-        Halt(HaltReason, u64),
-    }
-
-    #[derive(Default)]
-    struct EventLog {
-        log: Vec<Event>,
-    }
-
-    impl Observer for EventLog {
-        fn on_retire(&mut self, pc: usize, _instr: &Instruction, _state: &CoreState) {
-            self.log.push(Event::Retire(pc));
-        }
-        fn on_control(&mut self, pc: usize, _instr: &Instruction, taken: bool, target: usize) {
-            self.log.push(Event::Control(pc, taken, target));
-        }
-        fn on_memory(&mut self, access: &MemoryAccess) {
-            self.log.push(Event::Memory(*access));
-        }
-        fn on_writeback(&mut self, wb: &Writeback) {
-            self.log.push(Event::Writeback(*wb));
-        }
-        fn on_halt(&mut self, reason: HaltReason, retired: u64) {
-            self.log.push(Event::Halt(reason, retired));
-        }
+    /// The crossing trace of a [`SyncPoints`] watching `watched`, run to
+    /// halt on each backend.
+    fn crossings(
+        program: &art9_isa::Program,
+        watched: impl IntoIterator<Item = usize> + Clone,
+    ) -> Vec<Vec<usize>> {
+        Backend::ALL
+            .iter()
+            .map(|&backend| {
+                let sp = Arc::new(Mutex::new(SyncPoints::new(watched.clone())));
+                let mut core = SimBuilder::new(program)
+                    .backend(backend)
+                    .observer(sp.clone())
+                    .build();
+                assert!(core.run_for(Budget::Steps(100_000)).unwrap().halt.is_some());
+                let trace = sp.lock().unwrap().crossings().to_vec();
+                trace
+            })
+            .collect()
     }
 
     #[test]
-    fn a_handle_attached_twice_sees_every_event_twice_in_order() {
+    fn a_second_observer_call_replaces_the_first() {
         for backend in Backend::ALL {
-            let twice = Arc::new(Mutex::new(EventLog::default()));
-            let once = Arc::new(Mutex::new(EventLog::default()));
+            let first = Arc::new(Mutex::new(Retirements::default()));
+            let second = Arc::new(Mutex::new(Retirements::default()));
             let mut core = SimBuilder::new(&looped())
                 .backend(backend)
-                .observer(twice.clone())
-                .observer(once.clone())
-                .observer(twice.clone())
+                .observer(first.clone())
+                .observer(second.clone())
                 .build();
             core.run_for(Budget::Steps(100_000)).unwrap();
-            let once = once.lock().unwrap().log.clone();
-            assert!(once.len() > 20, "{backend:?}: {} events", once.len());
-            let doubled: Vec<Event> = once.iter().flat_map(|e| [e.clone(), e.clone()]).collect();
-            assert_eq!(twice.lock().unwrap().log, doubled, "{backend:?}");
+            assert!(first.lock().unwrap().log.is_empty(), "{backend:?}");
+            assert_eq!(
+                second.lock().unwrap().log.len() as u64,
+                core.retired(),
+                "{backend:?}"
+            );
         }
     }
 
@@ -820,15 +720,22 @@ mod tests {
 
     #[test]
     fn watchpoint_sees_every_store_with_pc() {
-        let handle = Arc::new(Mutex::new(Watchpoint::new(5)));
-        let mut core = SimBuilder::new(&looped()).observer(handle.clone()).build();
-        core.run_for(Budget::Steps(100_000)).unwrap();
-        let w = handle.lock().unwrap();
-        assert_eq!(w.address(), 5);
-        assert_eq!(w.hits.len(), 3, "one store per loop iteration");
-        assert_eq!(w.hits[0].value.to_i64(), 3);
-        assert_eq!(w.hits[2].value.to_i64(), 1);
-        assert!(w.hits.iter().all(|h| h.pc == 2), "store is at pc 2");
+        for backend in Backend::ALL {
+            let handle = Arc::new(Mutex::new(Watchpoint::new(5)));
+            let mut core = SimBuilder::new(&looped())
+                .backend(backend)
+                .observer(handle.clone())
+                .build();
+            core.run_for(Budget::Steps(100_000)).unwrap();
+            let w = handle.lock().unwrap();
+            assert_eq!(w.address(), 5);
+            let values: Vec<i64> = w.hits.iter().map(|h| h.value.to_i64()).collect();
+            assert_eq!(values, [3, 2, 1], "{backend:?}: one store per iteration");
+            assert!(
+                w.hits.iter().all(|h| h.pc == 2),
+                "{backend:?}: store at pc 2"
+            );
+        }
     }
 
     #[test]
@@ -853,71 +760,49 @@ mod tests {
     }
 
     #[test]
-    fn multiple_observers_see_identical_event_order_on_every_backend() {
-        // Two retire logs plus an energy accumulator on the same core:
-        // every observer must see the same, complete event stream — in
-        // particular on the threaded backend, whose precise-interpreter
-        // fallback carries the whole observer set.
-        for backend in Backend::ALL {
-            let first = Arc::new(Mutex::new(Retirements::default()));
-            let second = Arc::new(Mutex::new(Retirements::default()));
-            let energy = Arc::new(Mutex::new(EnergyAccounting::new()));
-            let mut core = SimBuilder::new(&looped())
-                .backend(backend)
-                .observer(first.clone())
-                .observer(energy.clone())
-                .observer(second.clone())
-                .build();
-            core.run_for(Budget::Steps(100_000)).unwrap();
-            let a = first.lock().unwrap().log.clone();
-            let b = second.lock().unwrap().log.clone();
-            assert!(!a.is_empty(), "{backend:?}: no retirements observed");
-            assert_eq!(a, b, "{backend:?}: observers disagree on order");
-            assert_eq!(
-                energy.lock().unwrap().totals().retired,
-                core.retired(),
-                "{backend:?}: energy observer missed retirements"
-            );
-        }
-    }
-
-    #[test]
     fn sync_points_record_identical_crossings_on_every_backend() {
         // Watch the loop head (pc 2): entered twice by the taken
         // backward branch — the initial fall-in from pc 1 is a plain
         // retirement of pc 1 whose successor is 2, which also counts.
-        let program = looped();
-        let mut traces = Vec::new();
-        for backend in Backend::ALL {
-            let sp = Arc::new(Mutex::new(SyncPoints::new([2usize])));
-            let mut core = SimBuilder::new(&program)
-                .backend(backend)
-                .observer(sp.clone())
-                .build();
-            core.run_for(Budget::Steps(100_000)).unwrap();
-            traces.push(sp.lock().unwrap().crossings().to_vec());
+        for trace in crossings(&looped(), [2]) {
+            // Entered by LI t3 (pc 1 -> 2) and by two taken loop-backs.
+            assert_eq!(trace, [2, 2, 2]);
         }
-        assert_eq!(traces[0], traces[1], "functional vs pipelined");
-        assert_eq!(traces[0], traces[2], "functional vs reference");
-        assert_eq!(traces[0], traces[3], "functional vs threaded");
-        // Entered by LI t3 (pc 1 -> 2) and by two taken loop-backs.
-        assert_eq!(traces[0], vec![2, 2, 2]);
+    }
+
+    #[test]
+    fn sync_points_enter_a_watched_jump_to_self_twice() {
+        // The halting JAL at pc 7 is entered from the BEQ's final
+        // fall-through, then once more by its own transfer to itself.
+        for trace in crossings(&looped(), [0, 7]) {
+            assert_eq!(trace, [7, 7]);
+        }
+    }
+
+    #[test]
+    fn sync_points_never_enter_the_end_of_the_text() {
+        // The loop falls through its BEQ off the end at pc 6: every pc
+        // after the first is entered, the end of the text never is.
+        let program =
+            assemble("LI t3, 2\nloop:\nADDI t3, -1\nMV t7, t3\nCOMP t7, t0\nBEQ t7, +, loop\n")
+                .unwrap();
+        let len = program.text().len();
+        for trace in crossings(&program, 0..=len + 1) {
+            assert_eq!(trace, [1, 2, 3, 4, 1, 2, 3, 4]);
+        }
     }
 
     #[test]
     fn control_and_halt_events_fire() {
         #[derive(Default)]
         struct Counter {
-            taken: u64,
-            untaken: u64,
+            controls: Vec<usize>,
             halts: Vec<(HaltReason, u64)>,
         }
         impl Observer for Counter {
-            fn on_control(&mut self, _pc: usize, _i: &Instruction, taken: bool, _t: usize) {
-                if taken {
-                    self.taken += 1;
-                } else {
-                    self.untaken += 1;
+            fn on_writeback(&mut self, wb: &Writeback) {
+                if wb.instr.is_control_flow() {
+                    self.controls.push(wb.pc);
                 }
             }
             fn on_halt(&mut self, reason: HaltReason, retired: u64) {
@@ -932,10 +817,9 @@ mod tests {
                 .build();
             core.run_for(Budget::Steps(100_000)).unwrap();
             let c = c.lock().unwrap();
-            // 3 taken BEQ? No: taken twice (t3 = 2, 1 -> positive), the
-            // third check falls through, then the JAL-to-self halts.
-            assert_eq!(c.taken, 3, "{backend:?}: 2 loop-backs + halting JAL");
-            assert_eq!(c.untaken, 1, "{backend:?}: final fall-through");
+            // The BEQ retires three times (two loop-backs, then the
+            // fall-through), then the JAL-to-self halts.
+            assert_eq!(c.controls, [6, 6, 6, 7], "{backend:?}");
             assert_eq!(c.halts, vec![(HaltReason::JumpToSelf, core.retired())]);
         }
     }

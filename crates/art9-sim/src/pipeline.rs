@@ -34,7 +34,7 @@ use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::exec::{alu, target, Opcode, Row, NO_DEST, NO_SRC};
 use crate::functional::{CoreState, HaltReason};
-use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Sink, Writeback};
+use crate::observer::{MemWrite, ObserverSlot, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 use crate::stats::PipelineStats;
 use crate::trace::{CycleTrace, StageSnapshot};
@@ -121,7 +121,7 @@ pub struct PipelinedSim {
     trace: Option<Vec<CycleTrace>>,
     forwarding: bool,
     mix: [u64; Instruction::OPCODE_COUNT],
-    observers: ObserverSet,
+    observer: ObserverSlot,
 }
 
 impl PipelinedSim {
@@ -132,7 +132,7 @@ impl PipelinedSim {
         tdm_words: usize,
         forwarding: bool,
         trace: bool,
-        observers: ObserverSet,
+        observer: ObserverSlot,
     ) -> Self {
         Self {
             text: image.text_arc(),
@@ -150,7 +150,7 @@ impl PipelinedSim {
             trace: trace.then(Vec::new),
             forwarding,
             mix: [0; Instruction::OPCODE_COUNT],
-            observers,
+            observer,
         }
     }
 
@@ -176,8 +176,8 @@ impl PipelinedSim {
 }
 
 impl SinkStep for PipelinedSim {
-    fn observers(&mut self) -> &mut ObserverSet {
-        &mut self.observers
+    fn observer(&mut self) -> &mut ObserverSlot {
+        &mut self.observer
     }
 
     /// One step of the pipelined backend is one **clock cycle**;
@@ -236,7 +236,6 @@ impl SinkStep for PipelinedSim {
                     mem: carry.mem,
                     bus: carry.bus,
                 });
-                sink.retire(wb.pc, &instr, &self.state);
             }
             (h.dest, wb.value)
         } else {
@@ -249,21 +248,10 @@ impl SinkStep for PipelinedSim {
             let h = &rows[mem.pc];
             let mut mem_write = None;
             let value = if h.op == Opcode::Load {
-                let v = self
-                    .state
+                self.state
                     .tdm
                     .read_word_addr(mem.result)
-                    .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
-                if E::ON {
-                    let address = self.state.tdm.resolve(mem.result).expect("read succeeded");
-                    sink.memory(&MemoryAccess {
-                        pc: mem.pc,
-                        address,
-                        value: v,
-                        is_write: false,
-                    });
-                }
-                v
+                    .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?
             } else if h.op == Opcode::Store {
                 // Old cell value, read before the write so the write
                 // itself still produces the canonical fault.
@@ -277,15 +265,8 @@ impl SinkStep for PipelinedSim {
                     .write_word_addr(mem.result, mem.store_val)
                     .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
                 if E::ON {
-                    let address = self.state.tdm.resolve(mem.result).expect("write succeeded");
-                    sink.memory(&MemoryAccess {
-                        pc: mem.pc,
-                        address,
-                        value: mem.store_val,
-                        is_write: true,
-                    });
                     mem_write = Some(MemWrite {
-                        address,
+                        address: self.state.tdm.resolve(mem.result).expect("write succeeded"),
                         old: old_cell.expect("write succeeded"),
                         new: mem.store_val,
                     });
@@ -404,9 +385,6 @@ impl SinkStep for PipelinedSim {
                                     });
                                 }
                                 self.stats.taken_transfers += 1;
-                                if E::ON {
-                                    sink.control(pc, &self.text[pc], true, target as usize);
-                                }
                                 if target as usize == pc {
                                     // Jump-to-self: halt request.
                                     self.halting = Some(HaltReason::JumpToSelf);
@@ -415,12 +393,7 @@ impl SinkStep for PipelinedSim {
                                     self.stats.control_flush_bubbles += 1;
                                 }
                             }
-                            None => {
-                                self.stats.untaken_branches += 1;
-                                if E::ON {
-                                    sink.control(pc, &self.text[pc], false, pc + 1);
-                                }
-                            }
+                            None => self.stats.untaken_branches += 1,
                         }
                         self.id_ex = Some(IdEx {
                             pc,

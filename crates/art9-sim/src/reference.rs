@@ -27,7 +27,7 @@ use crate::checkpoint::{Checkpoint, Micro};
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::functional::{CoreState, HaltReason};
-use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Sink, Writeback};
+use crate::observer::{MemWrite, ObserverSlot, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 
 /// The per-trit reference interpreter.
@@ -51,7 +51,7 @@ pub struct ReferenceSim {
     instructions: u64,
     halted: Option<HaltReason>,
     mix: [u64; Instruction::OPCODE_COUNT],
-    observers: ObserverSet,
+    observer: ObserverSlot,
 }
 
 impl ReferenceSim {
@@ -60,7 +60,7 @@ impl ReferenceSim {
     pub(crate) fn build(
         image: &PredecodedProgram,
         tdm_words: usize,
-        observers: ObserverSet,
+        observer: ObserverSlot,
     ) -> Self {
         Self {
             text: image.text().to_vec(),
@@ -68,7 +68,7 @@ impl ReferenceSim {
             instructions: 0,
             halted: None,
             mix: [0; Instruction::OPCODE_COUNT],
-            observers,
+            observer,
         }
     }
 
@@ -88,8 +88,8 @@ impl ReferenceSim {
 }
 
 impl SinkStep for ReferenceSim {
-    fn observers(&mut self) -> &mut ObserverSet {
-        &mut self.observers
+    fn observer(&mut self) -> &mut ObserverSlot {
+        &mut self.observer
     }
 
     /// Executes one instruction; mirrors the architectural contract of
@@ -193,14 +193,6 @@ impl SinkStep for ReferenceSim {
                 let idx = self.resolve(addr, pc)?;
                 let v = self.state.tdm.read(idx).expect("resolved in range");
                 self.state.trf[a.index()] = v;
-                if E::ON {
-                    sink.memory(&MemoryAccess {
-                        pc,
-                        address: idx,
-                        value: v,
-                        is_write: false,
-                    });
-                }
             }
             Store { a, b, offset } => {
                 let addr = address_value(trf[b.index()], offset);
@@ -209,12 +201,6 @@ impl SinkStep for ReferenceSim {
                 let old_cell = self.state.tdm.read(idx).expect("resolved in range");
                 self.state.tdm.write(idx, v).expect("resolved in range");
                 if E::ON {
-                    sink.memory(&MemoryAccess {
-                        pc,
-                        address: idx,
-                        value: v,
-                        is_write: true,
-                    });
                     mem_write = Some(MemWrite {
                         address: idx,
                         old: old_cell,
@@ -226,34 +212,34 @@ impl SinkStep for ReferenceSim {
 
         // Control flow (per-trit address arithmetic for JALR).
         let trf = &mut self.state.trf;
-        let (next, taken): (i64, bool) = match instr {
+        let next: i64 = match instr {
             Beq { b, cond, offset } => {
                 if trf[b.index()].trits()[0] == cond {
-                    (pc as i64 + signed_value(offset), true)
+                    pc as i64 + signed_value(offset)
                 } else {
-                    (pc as i64 + 1, false)
+                    pc as i64 + 1
                 }
             }
             Bne { b, cond, offset } => {
                 if trf[b.index()].trits()[0] != cond {
-                    (pc as i64 + signed_value(offset), true)
+                    pc as i64 + signed_value(offset)
                 } else {
-                    (pc as i64 + 1, false)
+                    pc as i64 + 1
                 }
             }
             Jal { a, offset } => {
                 let target = pc as i64 + signed_value(offset);
                 trf[a.index()] = link;
-                (target, true)
+                target
             }
             Jalr { a, b, offset } => {
                 // Target = base + offset computed tritwise *before* the
                 // link write, so `JALR tX, tX, k` uses the old base.
                 let target = address_value(trf[b.index()], offset);
                 trf[a.index()] = link;
-                (target, true)
+                target
             }
-            _ => (pc as i64 + 1, false),
+            _ => pc as i64 + 1,
         };
 
         if next < 0 || next as usize > self.text.len() {
@@ -264,9 +250,6 @@ impl SinkStep for ReferenceSim {
             });
         }
         if E::ON {
-            if instr.is_control_flow() {
-                sink.control(pc, &instr, taken, next as usize);
-            }
             sink.writeback(&Writeback {
                 pc,
                 instr,
@@ -278,7 +261,6 @@ impl SinkStep for ReferenceSim {
                 mem: mem_write,
                 bus: bus.expect("captured above"),
             });
-            sink.retire(pc, &instr, &self.state);
         }
         let next = next as usize;
         let halt = if next == pc {

@@ -45,8 +45,8 @@
 //! The backend is a compiled accelerator over the functional core: a
 //! `ThreadedSim` embeds one [`FunctionalSim`](crate::FunctionalSim),
 //! which owns the architectural state, the retired count, the halt
-//! reason, the observers and the only observed interpreter. The
-//! compiled code updates that state in place; with observers attached,
+//! reason, the observer and the only observed interpreter. The
+//! compiled code updates that state in place; with an observer attached,
 //! every step *is* the functional core's observed step, so event order
 //! is identical to the functional backend by construction. That core
 //! takes the image's execution rows on its first observed step, so a
@@ -55,8 +55,8 @@
 //! snapshot/restore is bit-identical at any architectural boundary —
 //! checkpoints cross-restore between the architectural backends.
 //!
-//! One observer set keeps the compiled code: a packed
-//! `observers::EnergyAccounting` attached once and alone (see
+//! One observer keeps the compiled code: a packed
+//! `observers::EnergyAccounting` (see
 //! [`Observer::energy_counters`](crate::Observer::energy_counters)).
 //! Its `run_for` and `step` run the same dispatch loop over a *counted
 //! twin* of the compiled code, built lazily once per image by the same
@@ -80,7 +80,7 @@ use crate::error::SimError;
 use crate::exec::{shift, wrap9, Opcode, Row};
 use crate::functional::{CoreState, FunctionalSim, HaltReason};
 use crate::observer::observers::{fetch_words, EnergyAccounting};
-use crate::observer::{Held, ObserverSet, Sink};
+use crate::observer::{Held, ObserverSlot, Sink};
 use crate::predecode::PredecodedProgram;
 
 /// How control leaves a compiled op. Deliberately register-sized: this
@@ -1097,7 +1097,7 @@ pub struct ThreadedSim {
     code: Arc<ThreadedCode>,
     /// The architectural core: state, retired count, halt reason, the
     /// directly-credited mix (partial dispatch units and faults) and
-    /// the observers. Observed steps run through `arch.step_with`.
+    /// the observer. Observed steps run through `arch.step_with`.
     arch: FunctionalSim,
     icache: Vec<InlineCache>,
     /// Completed executions per superblock. The hot loop bumps one
@@ -1115,14 +1115,14 @@ impl ThreadedSim {
     pub(crate) fn build(
         image: &PredecodedProgram,
         tdm_words: usize,
-        observers: ObserverSet,
+        observer: ObserverSlot,
     ) -> Self {
         let code = image.threaded_code();
         let icache = vec![InlineCache::default(); code.sites];
         let block_execs = vec![0; code.blocks.len()];
         Self {
             code,
-            arch: FunctionalSim::build(image, tdm_words, observers),
+            arch: FunctionalSim::build(image, tdm_words, observer),
             icache,
             block_execs,
             scratch: CountScratch::default(),
@@ -1270,12 +1270,14 @@ impl ThreadedSim {
         })
     }
 
-    /// `run_for` with a packed `EnergyAccounting` as the only observer:
+    /// `run_for` with a packed `EnergyAccounting` as the observer:
     /// one dispatch over the counted twin, counting straight into the
     /// accountant. The retirements and static fetch flips of the blocks
     /// that ran whole are added once, on the way out.
     fn run_counted(&mut self, budget: Budget, sink: &mut Held<'_>) -> Result<RunSummary, SimError> {
-        let acc = sink.sole_energy().expect("run_for checked the observers");
+        let acc = sink
+            .energy_counters()
+            .expect("run_for checked the observer");
         let mut scratch = std::mem::take(&mut self.scratch);
         if scratch.execs.len() != self.code.blocks.len() {
             // The first counted run: every inline-cache entry is still
@@ -1403,8 +1405,8 @@ fn next_pc(step: Step, fall: usize, text_len: usize) -> (usize, Option<HaltReaso
 }
 
 impl SinkStep for ThreadedSim {
-    fn observers(&mut self) -> &mut ObserverSet {
-        &mut self.arch.observers
+    fn observer(&mut self) -> &mut ObserverSlot {
+        &mut self.arch.observer
     }
 
     fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
@@ -1423,15 +1425,14 @@ impl Core for ThreadedSim {
     }
 
     /// With no observer: the plain code. With a packed
-    /// `EnergyAccounting` as the only observer: the counted twin. With
-    /// any other observers: the functional core's observed step
-    /// throughout.
+    /// `EnergyAccounting` as the observer: the counted twin. With any
+    /// other observer: the functional core's observed step throughout.
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
-        if self.arch.observers.is_empty() {
+        if self.arch.observer.is_empty() {
             return self.dispatch::<()>((), budget);
         }
         crate::core::held(self, |sim, sink| {
-            if sink.sole_energy().is_some() {
+            if sink.energy_counters().is_some() {
                 sim.run_counted(budget, sink)
             } else {
                 crate::core::run_loop(sim, budget, |sim| sim.step_with(sink))
@@ -1883,22 +1884,6 @@ JAL t0, 0
         // Fresh images, so a compiled twin can only come from this run.
         let want = functional_activity(&SimBuilder::new(&p));
 
-        // One accountant attached twice sees every event twice, as on
-        // the functional core.
-        let twice = |b: SimBuilder| {
-            let energy = packed();
-            let b = b.observer(energy.clone()).observer(energy.clone());
-            (b, energy)
-        };
-        let (b, reference) = twice(SimBuilder::new(&p));
-        b.build_functional().run(1_000).unwrap();
-        let (b, energy) = twice(SimBuilder::new(&p));
-        let mut sim = b.build_threaded();
-        sim.run(1_000).unwrap();
-        assert!(!counted(&sim));
-        assert_eq!(activity(&energy), activity(&reference));
-        assert_eq!(energy.lock().unwrap().totals().retired, 2 * sim.retired());
-
         // A substitute flip function must see every flip.
         let tritwise = Arc::new(Mutex::new(EnergyAccounting::with_flip_fn(|a, b| {
             ternary::arith::flips_tritwise(a, b)
@@ -1910,15 +1895,24 @@ JAL t0, 0
         assert!(!counted(&sim));
         assert_eq!(activity(&tritwise), want);
 
-        // Energy beside another observer.
-        let energy = packed();
-        let mut sim = SimBuilder::new(&p)
-            .observer(energy.clone())
-            .observer(Arc::new(Mutex::new(Watchpoint::new(0))))
-            .build_threaded();
+        // Any other observer sees every event of the functional core.
+        let p = assemble(
+            "LI t2, 5\nLI t3, 3\nloop:\nSTORE t3, t2, 0\nADDI t3, -1\n\
+             MV t7, t3\nCOMP t7, t0\nBEQ t7, +, loop\nJAL t0, 0\n",
+        )
+        .unwrap();
+        let watch = Arc::new(Mutex::new(Watchpoint::new(5)));
+        let mut sim = SimBuilder::new(&p).observer(watch.clone()).build_threaded();
         sim.run(1_000).unwrap();
         assert!(!counted(&sim));
-        assert_eq!(activity(&energy), want);
+        let hits: Vec<(usize, i64)> = watch
+            .lock()
+            .unwrap()
+            .hits
+            .iter()
+            .map(|h| (h.pc, h.value.to_i64()))
+            .collect();
+        assert_eq!(hits, [(2, 3), (2, 2), (2, 1)]);
     }
 
     #[test]

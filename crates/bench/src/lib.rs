@@ -137,16 +137,6 @@ pub mod perf {
         {
             let mut p = next_pair.clone();
             ops.push(WordOp {
-                name: "mul",
-                ns_per_op: ns_per_call(budget, move || {
-                    let (a, b) = p();
-                    a.wrapping_mul(b)
-                }),
-            });
-        }
-        {
-            let mut p = next_pair.clone();
-            ops.push(WordOp {
                 name: "compare",
                 ns_per_op: ns_per_call(budget, move || {
                     let (a, b) = p();

@@ -33,7 +33,10 @@
 //! [`SyncPoints`](art9_sim::observers::SyncPoints) observer instead:
 //! the sequence of RV32-boundary crossings it retires must equal the
 //! boundary sequence the RV32 machine's own execution path predicts,
-//! and the final state must match in full.
+//! and the final state must match in full. `SyncPoints` reads only the
+//! write-back events: since retirement is in order, the boundary a
+//! retirement enters is the pc of the next retirement (or its own, at
+//! a jump-to-self halt).
 
 use std::collections::BTreeSet;
 

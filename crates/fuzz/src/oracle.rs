@@ -955,8 +955,6 @@ const ARITH: ValueRow<(Word9, Word9)> = ValueRow {
     },
     cases: |&(a, b)| {
         case("add", a.carrying_add(b), arith::add_tritwise(a, b))?;
-        case("mul", a.wrapping_mul(b), arith::mul_tritwise(a, b))?;
-        case("div", a.div_rem(b), arith::div_rem_tritwise(a, b))?;
         case("negate", a.negate(), arith::negate_tritwise(a))?;
         let (pos, neg) = a.bitplanes();
         case("bitplane roundtrip", Word9::from_bitplanes(pos, neg), Ok(a))

@@ -1,17 +1,13 @@
-//! Pure trit-domain addition, multiplication and division.
+//! Pure trit-domain addition, negation and switching-activity count.
 //!
 //! The fast kernels on [`Trits`] work on packed binary bitplanes
-//! ([`carrying_add`](crate::Trits::carrying_add)) or
-//! convert through `i64` ([`Trits::wrapping_mul`](crate::Trits::wrapping_mul),
-//! [`Trits::div_rem`](crate::Trits::div_rem)); the algorithms here stay
-//! entirely in the trit domain — the same ripple-carry adder, balanced
-//! base-3 shift-and-add and restoring long division the hardware (and
-//! the compiler's `__mul`/`__div` runtime) would use. They exist both
-//! as executable documentation of those circuits and as an independent
-//! cross-check: property tests assert they agree with the packed and
-//! integer-domain versions everywhere.
+//! ([`carrying_add`](crate::Trits::carrying_add),
+//! [`flips_from`](crate::Trits::flips_from)); the algorithms here stay
+//! entirely in the trit domain — the same ripple-carry adder the
+//! hardware's TALU uses. They exist both as executable documentation of
+//! those circuits and as an independent cross-check: property tests
+//! assert they agree with the packed versions everywhere.
 
-use crate::error::TernaryError;
 use crate::trit::Trit;
 use crate::word::{Trits, Word9};
 
@@ -78,36 +74,6 @@ fn sub_tritwise<const N: usize>(a: Trits<N>, b: Trits<N>) -> Trits<N> {
     add_tritwise(a, negate_tritwise(b)).0
 }
 
-/// Balanced base-3 shift-and-add multiplication, entirely on trits.
-///
-/// For each trit of the multiplier (least significant first), the
-/// shifted multiplicand is added, subtracted, or skipped. Wraps like
-/// the hardware (modulo 3^N).
-///
-/// # Examples
-///
-/// ```
-/// use ternary::{arith, Word9};
-///
-/// let a = Word9::from_i64(123)?;
-/// let b = Word9::from_i64(-45)?;
-/// assert_eq!(arith::mul_tritwise(a, b).to_i64(), -5535);
-/// # Ok::<(), ternary::TernaryError>(())
-/// ```
-pub fn mul_tritwise<const N: usize>(a: Trits<N>, b: Trits<N>) -> Trits<N> {
-    let mut acc = Trits::<N>::ZERO;
-    let mut shifted = a;
-    for i in 0..N {
-        match b.trit(i) {
-            Trit::P => acc = acc.wrapping_add(shifted),
-            Trit::N => acc = acc.wrapping_sub(shifted),
-            Trit::Z => {}
-        }
-        shifted = shifted.shl(1);
-    }
-    acc
-}
-
 /// Trit-serial switching-activity count: compares the words one trit at
 /// a time — the per-trit reference for the packed XOR and table lookup
 /// behind [`Trits::flips_from`](crate::Trits::flips_from), used by the
@@ -134,75 +100,6 @@ pub fn flips_tritwise<const N: usize>(next: Trits<N>, prev: Trits<N>) -> u32 {
         }
     }
     flips
-}
-
-/// Restoring long division in the trit domain, truncating toward zero
-/// (matching [`Trits::div_rem`](crate::Trits::div_rem)).
-///
-/// Sign-normalizes both operands with the balanced system's exact
-/// negation, then builds the quotient digit by digit from the most
-/// significant position: at each step the scaled divisor is subtracted
-/// up to twice (digits 0..2 in the unsigned intermediate form), and
-/// the result is converted back to balanced digits at the end via
-/// ordinary re-encoding.
-///
-/// # Errors
-///
-/// [`TernaryError::DivisionByZero`] when `b` is zero.
-///
-/// # Examples
-///
-/// ```
-/// use ternary::{arith, Word9};
-///
-/// let (q, r) = arith::div_rem_tritwise(Word9::from_i64(-7)?, Word9::from_i64(2)?)?;
-/// assert_eq!((q.to_i64(), r.to_i64()), (-3, -1));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn div_rem_tritwise<const N: usize>(
-    a: Trits<N>,
-    b: Trits<N>,
-) -> Result<(Trits<N>, Trits<N>), TernaryError> {
-    if b.is_zero() {
-        return Err(TernaryError::DivisionByZero);
-    }
-    // Sign-normalize (negation is exact in balanced ternary).
-    let neg_a = a.sign() == Trit::N;
-    let neg_b = b.sign() == Trit::N;
-    let mut rem = if neg_a { a.negate() } else { a };
-    let divisor = if neg_b { b.negate() } else { b };
-
-    // Build the quotient by trial-subtracting 3^k * divisor from the
-    // most significant scale downward; each scale's digit is 0..=2 and
-    // is accumulated as repeated addition of 3^k (which re-balances
-    // automatically through the ripple adder).
-    let mut quotient = Trits::<N>::ZERO;
-    for k in (0..N).rev() {
-        // scaled = divisor * 3^k; skip scales that overflow into the
-        // sign region (their trial subtraction can never succeed for
-        // in-range operands).
-        if leading_zero_trits(divisor) < k {
-            continue;
-        }
-        let scaled = divisor.shl(k);
-        let mut unit = Trits::<N>::ZERO.with_trit(k, Trit::P);
-        let mut digit = 0;
-        while digit < 2 && ge(rem, scaled) {
-            rem = rem.wrapping_sub(scaled);
-            quotient = quotient.wrapping_add(unit);
-            digit += 1;
-            // `unit` is re-used; keep it identical for the second add.
-            unit = Trits::<N>::ZERO.with_trit(k, Trit::P);
-        }
-    }
-
-    let q = if neg_a != neg_b {
-        quotient.negate()
-    } else {
-        quotient
-    };
-    let r = if neg_a { rem.negate() } else { rem };
-    Ok((q, r))
 }
 
 // ---- Per-lane references for the bitplane-SIMD subsystem ------------
@@ -284,21 +181,6 @@ pub fn mac_lanewise(acc: &[Word9], x: &[Word9], weights: &[Trit]) -> Vec<Word9> 
         .collect()
 }
 
-/// Non-negative comparison helper: `x >= y` for sign-normalized words.
-fn ge<const N: usize>(x: Trits<N>, y: Trits<N>) -> bool {
-    x.cmp(&y) != std::cmp::Ordering::Less
-}
-
-/// Number of leading zero trits (above the most significant non-zero).
-fn leading_zero_trits<const N: usize>(x: Trits<N>) -> usize {
-    for i in (0..N).rev() {
-        if !x.trit(i).is_zero() {
-            return N - 1 - i;
-        }
-    }
-    N
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,37 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_matches_integer_domain() {
-        for a in [-9841i64, -123, -1, 0, 1, 81, 4921] {
-            for b in [-121i64, -2, 0, 3, 27, 121] {
-                let wa = Word9::from_i64(a).unwrap();
-                let wb = Word9::from_i64(b).unwrap();
-                assert_eq!(mul_tritwise(wa, wb), wa.wrapping_mul(wb), "{a} * {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn mul_wraps_like_hardware() {
-        let a = Word9::from_i64(5000).unwrap();
-        let b = Word9::from_i64(5000).unwrap();
-        assert_eq!(mul_tritwise(a, b), a.wrapping_mul(b));
-    }
-
-    #[test]
-    fn div_matches_integer_domain() {
-        for a in [-9841i64, -100, -7, -1, 0, 1, 7, 100, 9841] {
-            for b in [-121i64, -3, -1, 1, 2, 3, 7, 121] {
-                let wa = Word9::from_i64(a).unwrap();
-                let wb = Word9::from_i64(b).unwrap();
-                let (q, r) = div_rem_tritwise(wa, wb).unwrap();
-                assert_eq!(q.to_i64(), a / b, "{a} / {b}");
-                assert_eq!(r.to_i64(), a % b, "{a} % {b}");
-            }
-        }
-    }
-
-    #[test]
     fn flips_match_packed_count() {
         for a in [-9841i64, -4921, -1, 0, 1, 123, 9841] {
             for b in [-9841i64, -123, 0, 1, 4921, 9841] {
@@ -370,23 +221,17 @@ mod tests {
     }
 
     #[test]
-    fn div_by_zero_rejected() {
-        assert!(div_rem_tritwise(Word9::from_i64(5).unwrap(), Word9::ZERO).is_err());
-    }
-
-    #[test]
     fn exhaustive_small_width() {
-        // Every pair of 3-trit words: the trit-domain algorithms agree
-        // with integer arithmetic everywhere.
+        // Every pair of 3-trit words: the trit-domain adder and
+        // subtractor agree with wrapped integer arithmetic everywhere.
         for a in -13i64..=13 {
             for b in -13i64..=13 {
                 let wa = Trits::<3>::from_i64(a).unwrap();
                 let wb = Trits::<3>::from_i64(b).unwrap();
-                assert_eq!(mul_tritwise(wa, wb), wa.wrapping_mul(wb), "{a}*{b}");
-                if b != 0 {
-                    let (q, r) = div_rem_tritwise(wa, wb).unwrap();
-                    assert_eq!((q.to_i64(), r.to_i64()), (a / b, a % b), "{a}/{b}");
-                }
+                let sum = Trits::<3>::from_i64_wrapping(a + b);
+                assert_eq!(add_tritwise(wa, wb).0, sum, "{a}+{b}");
+                let difference = Trits::<3>::from_i64_wrapping(a - b);
+                assert_eq!(sub_tritwise(wa, wb), difference, "{a}-{b}");
             }
         }
     }

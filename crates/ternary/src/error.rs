@@ -45,8 +45,6 @@ pub enum TernaryError {
         /// Position of the trit whose encoding was invalid.
         index: usize,
     },
-    /// Division by zero in word arithmetic.
-    DivisionByZero,
 }
 
 impl fmt::Display for TernaryError {
@@ -73,7 +71,6 @@ impl fmt::Display for TernaryError {
                 f,
                 "invalid binary-coded-ternary bit pair 11 at trit index {index}"
             ),
-            TernaryError::DivisionByZero => write!(f, "division by zero"),
         }
     }
 }
@@ -104,7 +101,7 @@ mod tests {
 
     #[test]
     fn implements_std_error() {
-        let e: Box<dyn Error> = Box::new(TernaryError::DivisionByZero);
-        assert_eq!(e.to_string(), "division by zero");
+        let e: Box<dyn Error> = Box::new(TernaryError::TritChar { found: 'x' });
+        assert_eq!(e.to_string(), "character 'x' does not name a trit");
     }
 }

@@ -71,10 +71,9 @@ static FLIPS_9: [u8; 512] = {
 /// instruction fields (e.g. `Trits<2>` register indices, `Trits<5>`
 /// immediates).
 ///
-/// Widths are bounded to `N ≤ 20` at compile time: the product of two
-/// 20-trit values, at most `((3^20 − 1)/2)² ≈ 3.0·10^18`, still fits an
-/// `i64`, so every conversion and [`Trits::wrapping_mul`] computes
-/// exactly in `i64`. The machine word is 9 trits wide.
+/// Widths are bounded to `N ≤ 20` at compile time, far inside the
+/// `i64` range, so every conversion computes exactly in `i64`. The
+/// machine word is 9 trits wide.
 ///
 /// # Examples
 ///
@@ -110,11 +109,6 @@ pub struct Trits<const N: usize> {
 ///
 /// // …and modular wrapping outside it (symmetric, ±9841).
 /// assert_eq!(Word9::from_i64_wrapping(9842).to_i64(), -9841);
-/// assert_eq!(w.wrapping_mul(w).to_i64(), {
-///     let m = ternary::pow3(9);
-///     let r = ((-4821i64 * -4821) % m + m) % m;
-///     if r > 9841 { r - m } else { r }
-/// });
 /// # Ok::<(), ternary::TernaryError>(())
 /// ```
 pub type Word9 = Trits<9>;
@@ -149,10 +143,7 @@ const TRIPLES: [(u8, u8); 27] = {
 impl<const N: usize> Trits<N> {
     /// Low-`N`-bits mask both bitplanes are kept under.
     const MASK: u64 = {
-        assert!(
-            N <= 20,
-            "Trits<N> supports at most 20 trits (the product of two must fit an i64)"
-        );
+        assert!(N <= 20, "Trits<N> supports at most 20 trits");
         (1u64 << N) - 1
     };
 
@@ -602,40 +593,6 @@ impl<const N: usize> Trits<N> {
             pos: self.neg,
             neg: self.pos,
         }
-    }
-
-    /// Wrapping multiplication: the product is formed exactly in `i64`
-    /// (the `N ≤ 20` bound keeps it in range) and reduced once.
-    #[must_use]
-    pub fn wrapping_mul(&self, rhs: Self) -> Self {
-        Self::from_i64_wrapping(self.to_i64() * rhs.to_i64())
-    }
-
-    /// Quotient and remainder, truncating toward zero (like Rust's `/`
-    /// and `%` on integers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TernaryError::DivisionByZero`] when `rhs` is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ternary::Word9;
-    /// let (q, r) = Word9::from_i64(-7)?.div_rem(Word9::from_i64(2)?)?;
-    /// assert_eq!((q.to_i64(), r.to_i64()), (-3, -1));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn div_rem(&self, rhs: Self) -> Result<(Self, Self), TernaryError> {
-        if rhs.is_zero() {
-            return Err(TernaryError::DivisionByZero);
-        }
-        let d = rhs.to_i64();
-        let n = self.to_i64();
-        Ok((
-            Self::from_i64_wrapping(n / d),
-            Self::from_i64_wrapping(n % d),
-        ))
     }
 
     /// Shift left by `k` trit positions: multiply by 3^k, dropping high
@@ -1101,27 +1058,6 @@ mod tests {
         let b = Word9::from_i64(456).unwrap();
         assert_eq!((a - b).to_i64(), -333);
         assert_eq!((b - a).to_i64(), 333);
-    }
-
-    #[test]
-    fn multiplication_wraps() {
-        let a = Word9::from_i64(100).unwrap();
-        let b = Word9::from_i64(98).unwrap();
-        assert_eq!(a.wrapping_mul(b).to_i64(), 9800);
-        let c = Word9::from_i64(200).unwrap();
-        assert_eq!(
-            a.wrapping_mul(c).to_i64(),
-            Word9::from_i64_wrapping(20000).to_i64()
-        );
-    }
-
-    #[test]
-    fn div_rem_truncates_toward_zero() {
-        let n = Word9::from_i64(-7).unwrap();
-        let d = Word9::from_i64(2).unwrap();
-        let (q, r) = n.div_rem(d).unwrap();
-        assert_eq!((q.to_i64(), r.to_i64()), (-3, -1));
-        assert!(n.div_rem(Word9::ZERO).is_err());
     }
 
     #[test]

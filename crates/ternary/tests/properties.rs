@@ -59,21 +59,6 @@ proptest! {
     }
 
     #[test]
-    fn mul_matches_wrapped_integer_mul(a in word9(), b in word9()) {
-        prop_assert_eq!(
-            a.wrapping_mul(b).to_i64(),
-            Word9::from_i128_like(a.to_i64() as i128 * b.to_i64() as i128)
-        );
-    }
-
-    #[test]
-    fn div_rem_reconstructs(a in word9(), b in word9().prop_filter("nonzero", |w| !w.is_zero())) {
-        let (q, r) = a.div_rem(b).unwrap();
-        prop_assert_eq!(q.to_i64() * b.to_i64() + r.to_i64(), a.to_i64());
-        prop_assert!(r.to_i64().abs() < b.to_i64().abs());
-    }
-
-    #[test]
     fn shl_multiplies_by_three(a in word9(), k in 0usize..4) {
         let shifted = a.shl(k);
         prop_assert_eq!(
@@ -211,11 +196,6 @@ proptest! {
     }
 
     #[test]
-    fn tritwise_mul_agrees_with_integer_mul(a in word9(), b in word9()) {
-        prop_assert_eq!(ternary::arith::mul_tritwise(a, b), a.wrapping_mul(b));
-    }
-
-    #[test]
     fn packed_flips_agree_with_tritwise_reference(a in word9(), b in word9()) {
         prop_assert_eq!(a.flips_from(&b), ternary::arith::flips_tritwise(a, b));
         prop_assert_eq!(a.flips_from(&b), b.flips_from(&a)); // symmetric
@@ -249,17 +229,6 @@ proptest! {
     #[test]
     fn flips_bounded_by_width(a in word9(), b in word9()) {
         prop_assert!(a.flips_from(&b) <= 9);
-    }
-
-    #[test]
-    fn tritwise_div_agrees_with_integer_div(
-        a in word9(),
-        b in word9().prop_filter("nonzero", |w| !w.is_zero())
-    ) {
-        let (q, r) = ternary::arith::div_rem_tritwise(a, b).unwrap();
-        let (qi, ri) = a.div_rem(b).unwrap();
-        prop_assert_eq!(q, qi);
-        prop_assert_eq!(r, ri);
     }
 }
 
@@ -381,11 +350,6 @@ fn check_width<const N: usize>(a: i64, b: i64) {
         arith::add_tritwise(wa, wb),
         "width {N} add {a} {b}"
     );
-    assert_eq!(
-        wa.wrapping_mul(wb),
-        arith::mul_tritwise(wa, wb),
-        "width {N} mul {a} {b}"
-    );
     assert_eq!(wa.negate(), arith::negate_tritwise(wa), "width {N} neg");
     assert_eq!(
         wa.flips_from(&wb),
@@ -393,26 +357,4 @@ fn check_width<const N: usize>(a: i64, b: i64) {
         "width {N} flips"
     );
     assert_eq!(wa.cmp(&wb), wa.to_i64().cmp(&wb.to_i64()), "width {N} ord");
-    if !wb.is_zero() {
-        let (q, r) = wa.div_rem(wb).unwrap();
-        let (qr, rr) = arith::div_rem_tritwise(wa, wb).unwrap();
-        assert_eq!((q, r), (qr, rr), "width {N} div {a} {b}");
-    }
-}
-
-/// Helper used by `mul_matches_wrapped_integer_mul`: an i128 wrap without
-/// exposing the crate-private helper.
-trait WrapI128 {
-    fn from_i128_like(v: i128) -> i64;
-}
-
-impl WrapI128 for Word9 {
-    fn from_i128_like(v: i128) -> i64 {
-        let m = pow3(9) as i128;
-        let mut rem = ((v % m) + m) % m;
-        if rem > 9841 {
-            rem -= m;
-        }
-        rem as i64
-    }
 }

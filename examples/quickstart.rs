@@ -62,6 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut observed = builder.clone().observer(watch.clone()).build();
     observed.run_for(Budget::Steps(10_000))?;
     let hits = watch.lock().unwrap().hits.clone();
+    if hits.is_empty() {
+        return Err("the watchpoint on TDM[0] recorded no store".into());
+    }
     println!(
         "\nwatchpoint on TDM[0]: {} stores, last value {}",
         hits.len(),
