@@ -26,13 +26,16 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use art9_isa::{Instruction, Program};
+use ternary::Word9;
 
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
 use crate::functional::{CoreState, FunctionalSim, HaltReason, DEFAULT_TDM_WORDS};
-use crate::observer::{Held, NoSink, ObserverSlot, SharedObserver, Sink};
+use crate::observer::observers::EnergyAccounting;
+use crate::observer::{lock, Accountant, Held, NoSink, Sink};
 use crate::pipeline::PipelinedSim;
 use crate::predecode::PredecodedProgram;
 use crate::reference::ReferenceSim;
@@ -245,43 +248,46 @@ pub(crate) fn mix_map(counts: &[u64; Instruction::OPCODE_COUNT]) -> BTreeMap<&'s
 /// functional, pipelined and reference. Their [`Core::step`] and
 /// [`Core::run_for`] are [`step`] and [`run_for`] below.
 pub(crate) trait SinkStep: Core + Sized {
-    /// The observer slot.
-    fn observer(&mut self) -> &mut ObserverSlot;
+    /// The flip kernel an attached accountant counts with.
+    const FLIPS: fn(Word9, Word9) -> u32 = |next, prev| next.flips_from(&prev);
+
+    /// The accountant slot.
+    fn accountant(&mut self) -> &mut Option<Accountant>;
 
     /// One step, reporting its events to `sink`.
     fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError>;
 }
 
-/// Runs `body` with the core's observer locked; the core must have one.
-/// The slot is moved out of the core for the call, so the sink can
-/// borrow it while `body` mutates the core; a panic in `body` leaves the
-/// core without its observer.
-pub(crate) fn held<C: SinkStep, T>(
-    core: &mut C,
-    body: impl FnOnce(&mut C, &mut Held<'_>) -> T,
-) -> T {
-    let slot = std::mem::take(core.observer());
-    let mut sink = slot.hold().expect("an observer is attached");
+/// Runs `body` with the core's accountant locked; the core must have
+/// one. The handle is moved out of the core for the call, so the sink
+/// can borrow it while `body` mutates the core; a panic in `body` leaves
+/// the core without its accountant.
+fn held<C: SinkStep, T>(core: &mut C, body: impl FnOnce(&mut C, &mut Held<'_>) -> T) -> T {
+    let energy = core.accountant().take().expect("an accountant is attached");
+    let mut sink = Held {
+        acc: lock(&energy),
+        flips: C::FLIPS,
+    };
     let out = body(core, &mut sink);
     drop(sink);
-    *core.observer() = slot;
+    *core.accountant() = Some(energy);
     out
 }
 
-/// [`Core::step`] of a [`SinkStep`] backend: the observer stays locked
-/// for the one step.
+/// [`Core::step`] of a [`SinkStep`] backend: the accountant stays
+/// locked for the one step.
 pub(crate) fn step<C: SinkStep>(core: &mut C) -> Result<Option<HaltReason>, SimError> {
-    if core.observer().is_empty() {
+    if core.accountant().is_none() {
         core.step_with(&mut NoSink)
     } else {
         held(core, |core, sink| core.step_with(sink))
     }
 }
 
-/// [`Core::run_for`] of a [`SinkStep`] backend: the observer stays
+/// [`Core::run_for`] of a [`SinkStep`] backend: the accountant stays
 /// locked for the whole call.
 pub(crate) fn run_for<C: SinkStep>(core: &mut C, budget: Budget) -> Result<RunSummary, SimError> {
-    if core.observer().is_empty() {
+    if core.accountant().is_none() {
         run_loop(core, budget, |core| core.step_with(&mut NoSink))
     } else {
         held(core, |core, sink| {
@@ -361,7 +367,7 @@ pub struct SimBuilder {
     tdm_words: usize,
     forwarding: bool,
     trace: bool,
-    observer: ObserverSlot,
+    energy: Option<Accountant>,
 }
 
 impl SimBuilder {
@@ -371,7 +377,7 @@ impl SimBuilder {
     ///
     /// Defaults: [`Backend::Functional`], a
     /// [`DEFAULT_TDM_WORDS`]-word TDM, forwarding on, tracing off, no
-    /// observer.
+    /// energy accountant.
     pub fn new(image: impl Into<PredecodedProgram>) -> Self {
         Self {
             image: image.into(),
@@ -379,7 +385,7 @@ impl SimBuilder {
             tdm_words: DEFAULT_TDM_WORDS,
             forwarding: true,
             trace: false,
-            observer: ObserverSlot::default(),
+            energy: None,
         }
     }
 
@@ -409,12 +415,13 @@ impl SimBuilder {
         self
     }
 
-    /// Attaches an observer. A core holds at most one: a second call
-    /// replaces the first. Keep your own `Arc` clone to inspect the
-    /// observer after the run (see the [`Observer`](crate::Observer)
-    /// contract).
-    pub fn observer(mut self, observer: SharedObserver) -> Self {
-        self.observer = ObserverSlot(Some(observer));
+    /// Attaches an energy accountant. A core holds at most one: a
+    /// second call replaces the first. Keep your own `Arc` clone to read
+    /// the counters between calls that drive the core; each
+    /// [`Core::step`] or [`Core::run_for`] holds the lock until it
+    /// returns.
+    pub fn observer(mut self, energy: Arc<Mutex<EnergyAccounting>>) -> Self {
+        self.energy = Some(energy);
         self
     }
 
@@ -431,7 +438,7 @@ impl SimBuilder {
     /// Builds a concrete [`FunctionalSim`] (ignores the
     /// [`backend`](Self::backend) selection).
     pub fn build_functional(&self) -> FunctionalSim {
-        FunctionalSim::build(&self.image, self.tdm_words, self.observer.clone())
+        FunctionalSim::build(&self.image, self.tdm_words, self.energy.clone())
     }
 
     /// Builds a concrete [`PipelinedSim`] (ignores the
@@ -442,21 +449,21 @@ impl SimBuilder {
             self.tdm_words,
             self.forwarding,
             self.trace,
-            self.observer.clone(),
+            self.energy.clone(),
         )
     }
 
     /// Builds a concrete [`ReferenceSim`](crate::ReferenceSim) (ignores
     /// the [`backend`](Self::backend) selection).
     pub fn build_reference(&self) -> ReferenceSim {
-        ReferenceSim::build(&self.image, self.tdm_words, self.observer.clone())
+        ReferenceSim::build(&self.image, self.tdm_words, self.energy.clone())
     }
 
     /// Builds a concrete [`ThreadedSim`](crate::ThreadedSim) (ignores
     /// the [`backend`](Self::backend) selection). Compilation to
     /// direct-threaded code happens here, once.
     pub fn build_threaded(&self) -> ThreadedSim {
-        ThreadedSim::build(&self.image, self.tdm_words, self.observer.clone())
+        ThreadedSim::build(&self.image, self.tdm_words, self.energy.clone())
     }
 }
 

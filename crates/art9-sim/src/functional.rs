@@ -20,7 +20,7 @@ use crate::checkpoint::{Checkpoint, Micro};
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::exec::{alu, target, Opcode, Row, NO_DEST};
-use crate::observer::{MemWrite, ObserverSlot, RegWrite, Sink, Writeback};
+use crate::observer::{Accountant, MemWrite, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 
 /// Default TDM size in words (matches the 256-word memories behind
@@ -175,21 +175,21 @@ impl CoreState {
 /// ```
 ///
 /// [`ThreadedSim`](crate::ThreadedSim) embeds one of these as its
-/// architectural core: the compiled paths update `state`, the retired
-/// count, the halt reason and `mix` in place, and every observed step
-/// runs through its step body.
+/// architectural core: the compiled code updates `state`, the retired
+/// count, the halt reason and `mix` in place; it never runs this
+/// core's step body.
 #[derive(Debug, Clone)]
 pub struct FunctionalSim {
     image: PredecodedProgram,
     /// The image's execution rows, taken from it on the first step (so a
-    /// threaded core that is never observed does not build them): empty
-    /// until then.
+    /// threaded core, which never steps this core, does not build
+    /// them): empty until then.
     rows: Arc<[Row]>,
     pub(crate) state: CoreState,
     pub(crate) instructions: u64,
     pub(crate) halted: Option<HaltReason>,
     pub(crate) mix: [u64; Instruction::OPCODE_COUNT],
-    pub(crate) observer: ObserverSlot,
+    pub(crate) energy: Option<Accountant>,
 }
 
 impl FunctionalSim {
@@ -198,7 +198,7 @@ impl FunctionalSim {
     pub(crate) fn build(
         image: &PredecodedProgram,
         tdm_words: usize,
-        observer: ObserverSlot,
+        energy: Option<Accountant>,
     ) -> Self {
         Self {
             image: image.clone(),
@@ -207,14 +207,14 @@ impl FunctionalSim {
             instructions: 0,
             halted: None,
             mix: [0; Instruction::OPCODE_COUNT],
-            observer,
+            energy,
         }
     }
 }
 
 impl SinkStep for FunctionalSim {
-    fn observer(&mut self) -> &mut ObserverSlot {
-        &mut self.observer
+    fn accountant(&mut self) -> &mut Option<Accountant> {
+        &mut self.energy
     }
 
     fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
@@ -228,7 +228,7 @@ impl SinkStep for FunctionalSim {
             self.rows = Arc::clone(self.image.rows());
             if pc == self.rows.len() {
                 self.halted = Some(HaltReason::FellOffEnd);
-                sink.halt(HaltReason::FellOffEnd, self.instructions);
+                sink.halt();
                 return Ok(Some(HaltReason::FellOffEnd));
             }
         }
@@ -321,7 +321,7 @@ impl SinkStep for FunctionalSim {
         };
         if let Some(reason) = halt {
             self.halted = Some(reason);
-            sink.halt(reason, self.instructions);
+            sink.halt();
         }
         Ok(halt)
     }

@@ -23,9 +23,9 @@
 //!
 //! Around the trait:
 //!
-//! * [`Observer`] hooks — one observer per core, told of every
-//!   retirement's write-back and of the halt on any backend, with
-//!   ready-made observers in [`observers`].
+//! * Energy accounting — one [`observers::EnergyAccounting`] per
+//!   core, attached with [`SimBuilder::observer`], counting the trit
+//!   flips of every retirement on any backend.
 //! * [`Checkpoint`] — serializable snapshot/resume
 //!   ([`Core::snapshot`]/[`Core::restore`]) that continues
 //!   bit-identically, microarchitectural state included.
@@ -76,6 +76,9 @@
 #![warn(missing_docs)]
 
 mod checkpoint;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 mod core;
 mod error;
 mod exec;
@@ -93,7 +96,7 @@ pub use checkpoint::Checkpoint;
 pub use error::SimError;
 pub use exec::shift;
 pub use functional::{CoreState, FunctionalSim, HaltReason, DEFAULT_TDM_WORDS};
-pub use observer::{observers, MemWrite, Observer, RegWrite, SharedObserver, Writeback};
+pub use observer::observers;
 pub use pipeline::PipelinedSim;
 pub use predecode::PredecodedProgram;
 pub use reference::ReferenceSim;

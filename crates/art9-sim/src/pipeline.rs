@@ -34,7 +34,7 @@ use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::exec::{alu, target, Opcode, Row, NO_DEST, NO_SRC};
 use crate::functional::{CoreState, HaltReason};
-use crate::observer::{MemWrite, ObserverSlot, RegWrite, Sink, Writeback};
+use crate::observer::{Accountant, MemWrite, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 use crate::stats::PipelineStats;
 use crate::trace::{CycleTrace, StageSnapshot};
@@ -64,7 +64,7 @@ pub(crate) struct MemWb {
     pub(crate) value: Word9,
 }
 
-/// Observer-only side channel travelling in lockstep with [`MemWb`]:
+/// Energy-accounting side channel travelling in lockstep with [`MemWb`]:
 /// the EX result-bus value (for LOADs `MemWb.value` holds the loaded
 /// datum, not the bus) and the old/new TDM cell a STORE rewrote.
 ///
@@ -121,7 +121,7 @@ pub struct PipelinedSim {
     trace: Option<Vec<CycleTrace>>,
     forwarding: bool,
     mix: [u64; Instruction::OPCODE_COUNT],
-    observer: ObserverSlot,
+    energy: Option<Accountant>,
 }
 
 impl PipelinedSim {
@@ -132,7 +132,7 @@ impl PipelinedSim {
         tdm_words: usize,
         forwarding: bool,
         trace: bool,
-        observer: ObserverSlot,
+        energy: Option<Accountant>,
     ) -> Self {
         Self {
             text: image.text_arc(),
@@ -150,7 +150,7 @@ impl PipelinedSim {
             trace: trace.then(Vec::new),
             forwarding,
             mix: [0; Instruction::OPCODE_COUNT],
-            observer,
+            energy,
         }
     }
 
@@ -176,8 +176,8 @@ impl PipelinedSim {
 }
 
 impl SinkStep for PipelinedSim {
-    fn observer(&mut self) -> &mut ObserverSlot {
-        &mut self.observer
+    fn accountant(&mut self) -> &mut Option<Accountant> {
+        &mut self.energy
     }
 
     /// One step of the pipelined backend is one **clock cycle**;
@@ -186,7 +186,7 @@ impl SinkStep for PipelinedSim {
     ///
     /// Hazards, forwarding, the ALU in EX and the branch unit in ID all
     /// read the image's per-PC [`Row`]s; the instruction itself is read
-    /// only for observer events and the trace.
+    /// only for the write-back record and the trace.
     fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
         if let Some(reason) = self.halted {
             return Ok(Some(reason));
@@ -479,9 +479,7 @@ impl SinkStep for PipelinedSim {
             && self.mem_wb.is_none()
         {
             self.halted = self.halting;
-            if let Some(reason) = self.halted {
-                sink.halt(reason, self.stats.instructions);
-            }
+            sink.halt();
             return Ok(self.halted);
         }
         Ok(None)

@@ -219,13 +219,24 @@ mod tests {
 
     #[test]
     fn only_cores_that_step_the_rows_build_them() {
+        use crate::observers::EnergyAccounting;
         use crate::{Budget, Core, SimBuilder};
+        use std::sync::Mutex;
         let p = assemble("LI t3, 2\nADDI t3, 1\nJAL t0, 0\n").unwrap();
         let pd = PredecodedProgram::new(&p);
         let mut threaded = SimBuilder::new(pd.clone()).build_threaded();
         threaded.run_for(Budget::Steps(100)).unwrap();
         threaded.step().unwrap();
         assert!(pd.rows.get().is_none(), "compiled code needs no rows");
+        // Nor does the counted code, stepped or run.
+        let energy = Arc::new(Mutex::new(EnergyAccounting::new()));
+        let counted = SimBuilder::new(pd.clone()).observer(energy.clone());
+        let mut stepped = counted.build_threaded();
+        stepped.step().unwrap();
+        let mut run = counted.build_threaded();
+        run.run_for(Budget::Steps(100)).unwrap();
+        assert_eq!(energy.lock().unwrap().totals().retired, 1 + 3);
+        assert!(pd.rows.get().is_none(), "counted code needs no rows");
         let mut functional = SimBuilder::new(pd.clone()).build_functional();
         assert!(pd.rows.get().is_none(), "built on the first step");
         functional.step().unwrap();

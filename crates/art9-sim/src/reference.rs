@@ -27,7 +27,7 @@ use crate::checkpoint::{Checkpoint, Micro};
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
 use crate::functional::{CoreState, HaltReason};
-use crate::observer::{MemWrite, ObserverSlot, RegWrite, Sink, Writeback};
+use crate::observer::{Accountant, MemWrite, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 
 /// The per-trit reference interpreter.
@@ -51,7 +51,7 @@ pub struct ReferenceSim {
     instructions: u64,
     halted: Option<HaltReason>,
     mix: [u64; Instruction::OPCODE_COUNT],
-    observer: ObserverSlot,
+    energy: Option<Accountant>,
 }
 
 impl ReferenceSim {
@@ -60,7 +60,7 @@ impl ReferenceSim {
     pub(crate) fn build(
         image: &PredecodedProgram,
         tdm_words: usize,
-        observer: ObserverSlot,
+        energy: Option<Accountant>,
     ) -> Self {
         Self {
             text: image.text().to_vec(),
@@ -68,7 +68,7 @@ impl ReferenceSim {
             instructions: 0,
             halted: None,
             mix: [0; Instruction::OPCODE_COUNT],
-            observer,
+            energy,
         }
     }
 
@@ -88,8 +88,12 @@ impl ReferenceSim {
 }
 
 impl SinkStep for ReferenceSim {
-    fn observer(&mut self) -> &mut ObserverSlot {
-        &mut self.observer
+    /// Flips are counted per trit too, so the `energy` fuzz oracle
+    /// checks the packed kernel against this one.
+    const FLIPS: fn(Word9, Word9) -> u32 = arith::flips_tritwise;
+
+    fn accountant(&mut self) -> &mut Option<Accountant> {
+        &mut self.energy
     }
 
     /// Executes one instruction; mirrors the architectural contract of
@@ -102,7 +106,7 @@ impl SinkStep for ReferenceSim {
         let pc = self.state.pc;
         if pc == self.text.len() {
             self.halted = Some(HaltReason::FellOffEnd);
-            sink.halt(HaltReason::FellOffEnd, self.instructions);
+            sink.halt();
             return Ok(Some(HaltReason::FellOffEnd));
         }
         let instr = self.text[pc];
@@ -274,7 +278,7 @@ impl SinkStep for ReferenceSim {
         };
         if let Some(reason) = halt {
             self.halted = Some(reason);
-            sink.halt(reason, self.instructions);
+            sink.halt();
         }
         Ok(halt)
     }
@@ -337,8 +341,8 @@ impl Core for ReferenceSim {
 
 /// The value the TALU drives onto the result bus for `instr`, re-derived
 /// per trit from the pre-execution register file — the reference
-/// counterpart of [`crate::talu`]'s return value, observed by the
-/// write-back hook. Only runs when an observer is attached.
+/// counterpart of the packed ALU's return value, for the write-back
+/// record. Only runs when an energy accountant is attached.
 fn bus_tritwise(instr: &Instruction, trf: &[Word9; 9], pc: usize) -> Word9 {
     use Instruction::*;
     match instr {

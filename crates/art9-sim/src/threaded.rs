@@ -45,27 +45,22 @@
 //! The backend is a compiled accelerator over the functional core: a
 //! `ThreadedSim` embeds one [`FunctionalSim`](crate::FunctionalSim),
 //! which owns the architectural state, the retired count, the halt
-//! reason, the observer and the only observed interpreter. The
-//! compiled code updates that state in place; with an observer attached,
-//! every step *is* the functional core's observed step, so event order
-//! is identical to the functional backend by construction. That core
-//! takes the image's execution rows on its first observed step, so a
-//! threaded core that only runs compiled code never builds them.
+//! reason and the energy accountant slot. The compiled code updates
+//! that state in place and never runs the functional core's step body,
+//! so a threaded core never builds the image's execution rows.
 //! `instruction_mix` stays exact across fused ops, and [`Checkpoint`]
 //! snapshot/restore is bit-identical at any architectural boundary —
 //! checkpoints cross-restore between the architectural backends.
 //!
-//! One observer keeps the compiled code: a packed
-//! `observers::EnergyAccounting` (see
-//! [`Observer::energy_counters`](crate::Observer::energy_counters)).
-//! Its `run_for` and `step` run the same dispatch loop over a *counted
-//! twin* of the compiled code, built lazily once per image by the same
-//! constructor from the same kernels and pair table, each kernel
-//! wrapped to add its instruction's register, TDM and result-bus flips
-//! to the accountant. The fetch flips between consecutive instructions
-//! of a block are static, so they are precomputed per block and added
-//! per execution like the mix; only the entry transition of each
-//! dispatch unit is computed as it runs.
+//! With an `observers::EnergyAccounting` attached, `run_for` and `step`
+//! run the same dispatch loop over a *counted twin* of the compiled
+//! code, built lazily once per image by the same constructor from the
+//! same kernels and pair table, each kernel wrapped to add its
+//! instruction's register, TDM and result-bus flips to the accountant
+//! with the packed `Word9::flips_from`. The fetch flips between
+//! consecutive instructions of a block are static, so they are
+//! precomputed per block and added per execution like the mix; only
+//! the entry transition of each dispatch unit is computed as it runs.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -75,12 +70,12 @@ use art9_isa::Instruction;
 use ternary::{TernaryError, TernaryMemory, Trit, Word9};
 
 use crate::checkpoint::Checkpoint;
-use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
+use crate::core::{Backend, Budget, Core, RunSummary};
 use crate::error::SimError;
 use crate::exec::{shift, wrap9, Opcode, Row};
 use crate::functional::{CoreState, FunctionalSim, HaltReason};
 use crate::observer::observers::{fetch_words, EnergyAccounting};
-use crate::observer::{Held, ObserverSlot, Sink};
+use crate::observer::{lock, Accountant};
 use crate::predecode::PredecodedProgram;
 
 /// How control leaves a compiled op. Deliberately register-sized: this
@@ -269,8 +264,8 @@ pub(crate) struct ThreadedCode {
     sites: usize,
     /// The plain code.
     plain: Compiled<()>,
-    /// The counted twin, compiled on first use. Only a core whose sole
-    /// observer is a packed `EnergyAccounting` runs it.
+    /// The counted twin, compiled on first use. Only a core with an
+    /// `EnergyAccounting` attached runs it.
     counted: OnceLock<Compiled<Flips>>,
 }
 
@@ -1097,7 +1092,7 @@ pub struct ThreadedSim {
     code: Arc<ThreadedCode>,
     /// The architectural core: state, retired count, halt reason, the
     /// directly-credited mix (partial dispatch units and faults) and
-    /// the observer. Observed steps run through `arch.step_with`.
+    /// the accountant slot.
     arch: FunctionalSim,
     icache: Vec<InlineCache>,
     /// Completed executions per superblock. The hot loop bumps one
@@ -1115,14 +1110,14 @@ impl ThreadedSim {
     pub(crate) fn build(
         image: &PredecodedProgram,
         tdm_words: usize,
-        observer: ObserverSlot,
+        energy: Option<Accountant>,
     ) -> Self {
         let code = image.threaded_code();
         let icache = vec![InlineCache::default(); code.sites];
         let block_execs = vec![0; code.blocks.len()];
         Self {
             code,
-            arch: FunctionalSim::build(image, tdm_words, observer),
+            arch: FunctionalSim::build(image, tdm_words, energy),
             icache,
             block_execs,
             scratch: CountScratch::default(),
@@ -1270,14 +1265,15 @@ impl ThreadedSim {
         })
     }
 
-    /// `run_for` with a packed `EnergyAccounting` as the observer:
-    /// one dispatch over the counted twin, counting straight into the
-    /// accountant. The retirements and static fetch flips of the blocks
-    /// that ran whole are added once, on the way out.
-    fn run_counted(&mut self, budget: Budget, sink: &mut Held<'_>) -> Result<RunSummary, SimError> {
-        let acc = sink
-            .energy_counters()
-            .expect("run_for checked the observer");
+    /// `run_for` with an `EnergyAccounting` attached: one dispatch over
+    /// the counted twin, counting straight into the accountant. The
+    /// retirements and static fetch flips of the blocks that ran whole
+    /// are added once, on the way out.
+    fn run_counted(
+        &mut self,
+        budget: Budget,
+        acc: &mut EnergyAccounting,
+    ) -> Result<RunSummary, SimError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         if scratch.execs.len() != self.code.blocks.len() {
             // The first counted run: every inline-cache entry is still
@@ -1306,15 +1302,10 @@ impl ThreadedSim {
             }
         }
         self.scratch = scratch;
-        if let Ok(RunSummary {
-            halt: Some(reason), ..
-        }) = out
-        {
-            if !was_halted {
-                // The accountant resets its history on halt, as on
-                // every other path.
-                sink.halt(reason, self.arch.instructions);
-            }
+        if matches!(out, Ok(RunSummary { halt: Some(_), .. })) && !was_halted {
+            // The accountant resets its history on halt, as on every
+            // other path.
+            acc.halted();
         }
         out
     }
@@ -1404,16 +1395,6 @@ fn next_pc(step: Step, fall: usize, text_len: usize) -> (usize, Option<HaltReaso
     }
 }
 
-impl SinkStep for ThreadedSim {
-    fn observer(&mut self) -> &mut ObserverSlot {
-        &mut self.arch.observer
-    }
-
-    fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
-        self.arch.step_with(sink)
-    }
-}
-
 impl Core for ThreadedSim {
     fn backend(&self) -> Backend {
         Backend::Threaded
@@ -1424,20 +1405,16 @@ impl Core for ThreadedSim {
         self.run_for(Budget::Steps(1)).map(|summary| summary.halt)
     }
 
-    /// With no observer: the plain code. With a packed
-    /// `EnergyAccounting` as the observer: the counted twin. With any
-    /// other observer: the functional core's observed step throughout.
+    /// With no accountant: the plain code. With one: the counted twin,
+    /// with the accountant locked for the call (and moved out of the
+    /// core meanwhile, so a panic leaves the core without it).
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
-        if self.arch.observer.is_empty() {
+        let Some(energy) = self.arch.energy.take() else {
             return self.dispatch::<()>((), budget);
-        }
-        crate::core::held(self, |sim, sink| {
-            if sink.energy_counters().is_some() {
-                sim.run_counted(budget, sink)
-            } else {
-                crate::core::run_loop(sim, budget, |sim| sim.step_with(sink))
-            }
-        })
+        };
+        let out = self.run_counted(budget, &mut lock(&energy));
+        self.arch.energy = Some(energy);
+        out
     }
 
     fn state(&self) -> &CoreState {
@@ -1488,7 +1465,7 @@ mod tests {
 
     use super::*;
     use crate::core::SimBuilder;
-    use crate::observer::observers::{OpcodeActivity, Watchpoint};
+    use crate::observer::observers::OpcodeActivity;
     use art9_isa::{assemble, TReg};
 
     fn pair(src: &str) -> (crate::FunctionalSim, ThreadedSim) {
@@ -1499,7 +1476,7 @@ mod tests {
 
     type Activity = [OpcodeActivity; Instruction::OPCODE_COUNT];
 
-    /// A fresh accountant on the packed flip kernel.
+    /// A fresh accountant.
     fn packed() -> Arc<Mutex<EnergyAccounting>> {
         Arc::new(Mutex::new(EnergyAccounting::new()))
     }
@@ -1876,43 +1853,6 @@ JAL t0, 0
         let mut stepped = b.clone().observer(energy.clone()).build_threaded();
         while Core::step(&mut stepped).unwrap().is_none() {}
         assert_eq!(activity(&energy), want, "stepped");
-    }
-
-    #[test]
-    fn other_observer_sets_take_the_functional_fallback() {
-        let p = assemble(COUNTDOWN).unwrap();
-        // Fresh images, so a compiled twin can only come from this run.
-        let want = functional_activity(&SimBuilder::new(&p));
-
-        // A substitute flip function must see every flip.
-        let tritwise = Arc::new(Mutex::new(EnergyAccounting::with_flip_fn(|a, b| {
-            ternary::arith::flips_tritwise(a, b)
-        })));
-        let mut sim = SimBuilder::new(&p)
-            .observer(tritwise.clone())
-            .build_threaded();
-        sim.run(1_000).unwrap();
-        assert!(!counted(&sim));
-        assert_eq!(activity(&tritwise), want);
-
-        // Any other observer sees every event of the functional core.
-        let p = assemble(
-            "LI t2, 5\nLI t3, 3\nloop:\nSTORE t3, t2, 0\nADDI t3, -1\n\
-             MV t7, t3\nCOMP t7, t0\nBEQ t7, +, loop\nJAL t0, 0\n",
-        )
-        .unwrap();
-        let watch = Arc::new(Mutex::new(Watchpoint::new(5)));
-        let mut sim = SimBuilder::new(&p).observer(watch.clone()).build_threaded();
-        sim.run(1_000).unwrap();
-        assert!(!counted(&sim));
-        let hits: Vec<(usize, i64)> = watch
-            .lock()
-            .unwrap()
-            .hits
-            .iter()
-            .map(|h| (h.pc, h.value.to_i64()))
-            .collect();
-        assert_eq!(hits, [(2, 3), (2, 2), (2, 1)]);
     }
 
     #[test]

@@ -6,83 +6,12 @@
 //! that was never interrupted. This is the property preemptible/sharded
 //! batch serving rests on.
 
+mod common;
+
 use proptest::prelude::*;
 
-use art9_isa::{Instruction, Program, TReg};
 use art9_sim::{Backend, Budget, Checkpoint, SimBuilder};
-use ternary::Trits;
-
-/// Base register kept stable for memory addressing.
-const BASE: TReg = TReg::T2;
-const BASE_ADDR: i64 = 100;
-
-fn imm<const N: usize>() -> impl Strategy<Value = Trits<N>> {
-    let max = (ternary::pow3(N) - 1) / 2;
-    (-max..=max).prop_map(|v| Trits::<N>::from_i64(v).expect("in range"))
-}
-
-/// A counted loop around a random ALU/memory body (same structural
-/// termination guarantee as the `equivalence` suite), so checkpoints
-/// land in interesting places: mid-loop, mid-dependency-chain, around
-/// stores.
-fn looped_program() -> impl Strategy<Value = Program> {
-    use Instruction::*;
-    let body_reg = || {
-        prop_oneof![
-            Just(TReg::T3),
-            Just(TReg::T4),
-            Just(TReg::T5),
-            Just(TReg::T6),
-        ]
-    };
-    let body_op = prop_oneof![
-        (body_reg(), body_reg()).prop_map(|(a, b)| Mv { a, b }),
-        (body_reg(), body_reg()).prop_map(|(a, b)| Add { a, b }),
-        (body_reg(), body_reg()).prop_map(|(a, b)| Sub { a, b }),
-        (body_reg(), body_reg()).prop_map(|(a, b)| Comp { a, b }),
-        (body_reg(), imm::<3>()).prop_map(|(a, imm)| Addi { a, imm }),
-        (body_reg(), imm::<5>()).prop_map(|(a, imm)| Li { a, imm }),
-        (body_reg(), imm::<3>()).prop_map(|(a, offset)| Load { a, b: BASE, offset }),
-        (body_reg(), imm::<3>()).prop_map(|(a, offset)| Store { a, b: BASE, offset }),
-    ];
-    (proptest::collection::vec(body_op, 1..20), 2i64..=6).prop_map(|(body, iters)| {
-        let (hi, lo) = art9_isa::asm::split_hi_lo(BASE_ADDR);
-        let mut text = vec![
-            Lui {
-                a: BASE,
-                imm: Trits::<4>::from_i64(hi).expect("fits"),
-            },
-            Li {
-                a: BASE,
-                imm: Trits::<5>::from_i64(lo).expect("fits"),
-            },
-            Li {
-                a: TReg::T1,
-                imm: Trits::<5>::from_i64(iters).expect("fits"),
-            },
-        ];
-        let body_len = body.len() as i64;
-        text.extend(body);
-        text.push(Addi {
-            a: TReg::T1,
-            imm: Trits::<3>::from_i64(-1).expect("fits"),
-        });
-        text.push(Mv {
-            a: TReg::T7,
-            b: TReg::T1,
-        });
-        text.push(Comp {
-            a: TReg::T7,
-            b: TReg::T0,
-        });
-        text.push(Instruction::Beq {
-            b: TReg::T7,
-            cond: ternary::Trit::P,
-            offset: Trits::<4>::from_i64(-(body_len + 3)).expect("fits imm4"),
-        });
-        Program::from_instructions(text)
-    })
-}
+use common::looped_program;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]

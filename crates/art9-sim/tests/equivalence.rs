@@ -10,16 +10,14 @@
 //! on the per-trit [`ReferenceSim`](art9_sim::ReferenceSim), which
 //! shares no execution code with them, and must end in the same state.
 
+mod common;
+
 use proptest::prelude::*;
 
 use art9_isa::{Instruction, Program, TReg};
 use art9_sim::{Core, FunctionalSim, RunSummary, SimBuilder};
+use common::{imm, looped_program, BASE, BASE_ADDR};
 use ternary::{Trit, Trits};
-
-/// Base register kept stable for memory addressing.
-const BASE: TReg = TReg::T2;
-/// The address preloaded into BASE (mid-TDM, so ±13 offsets stay valid).
-const BASE_ADDR: i64 = 100;
 
 fn data_reg() -> impl Strategy<Value = TReg> {
     // Any register except the memory base.
@@ -37,11 +35,6 @@ fn data_reg() -> impl Strategy<Value = TReg> {
 
 fn trit() -> impl Strategy<Value = Trit> {
     prop_oneof![Just(Trit::N), Just(Trit::Z), Just(Trit::P)]
-}
-
-fn imm<const N: usize>() -> impl Strategy<Value = Trits<N>> {
-    let max = (ternary::pow3(N) - 1) / 2;
-    (-max..=max).prop_map(|v| Trits::<N>::from_i64(v).expect("in range"))
 }
 
 /// A non-control, non-base-clobbering instruction.
@@ -136,75 +129,6 @@ fn program() -> impl Strategy<Value = Program> {
         }
         Program::from_instructions(text)
     })
-}
-
-/// A counted loop around a random body: the counter (t1), the guard
-/// scratch (t7) and the zero register (t0) are excluded from the body's
-/// register set, so termination is structural. Backward branches and
-/// repeated forwarding patterns get covered this way.
-fn looped_program() -> impl Strategy<Value = Program> {
-    use Instruction::*;
-    let body_reg = || {
-        prop_oneof![
-            Just(TReg::T3),
-            Just(TReg::T4),
-            Just(TReg::T5),
-            Just(TReg::T6),
-        ]
-    };
-    let body_op = prop_oneof![
-        (body_reg(), body_reg()).prop_map(|(a, b)| Mv { a, b }),
-        (body_reg(), body_reg()).prop_map(|(a, b)| Add { a, b }),
-        (body_reg(), body_reg()).prop_map(|(a, b)| Sub { a, b }),
-        (body_reg(), body_reg()).prop_map(|(a, b)| Comp { a, b }),
-        (body_reg(), body_reg()).prop_map(|(a, b)| Xor { a, b }),
-        (body_reg(), imm::<3>()).prop_map(|(a, imm)| Addi { a, imm }),
-        (body_reg(), imm::<5>()).prop_map(|(a, imm)| Li { a, imm }),
-        (body_reg(), imm::<3>()).prop_map(|(a, offset)| Load { a, b: BASE, offset }),
-        (body_reg(), imm::<3>()).prop_map(|(a, offset)| Store { a, b: BASE, offset }),
-    ];
-    (
-        proptest::collection::vec(body_op, 1..25),
-        2i64..=6, // iterations
-    )
-        .prop_map(|(body, iters)| {
-            let (hi, lo) = art9_isa::asm::split_hi_lo(BASE_ADDR);
-            let mut text = vec![
-                Lui {
-                    a: BASE,
-                    imm: Trits::<4>::from_i64(hi).expect("fits"),
-                },
-                Li {
-                    a: BASE,
-                    imm: Trits::<5>::from_i64(lo).expect("fits"),
-                },
-                Li {
-                    a: TReg::T1,
-                    imm: Trits::<5>::from_i64(iters).expect("fits"),
-                },
-            ];
-            let body_len = body.len() as i64;
-            text.extend(body);
-            // Guard: t1 -= 1; t7 = sign(t1); loop while positive.
-            text.push(Addi {
-                a: TReg::T1,
-                imm: Trits::<3>::from_i64(-1).expect("fits"),
-            });
-            text.push(Mv {
-                a: TReg::T7,
-                b: TReg::T1,
-            });
-            text.push(Comp {
-                a: TReg::T7,
-                b: TReg::T0,
-            });
-            text.push(Beq {
-                b: TReg::T7,
-                cond: ternary::Trit::P,
-                offset: Trits::<4>::from_i64(-(body_len + 3)).expect("<= 28 fits imm4"),
-            });
-            Program::from_instructions(text)
-        })
 }
 
 /// Runs `builder`'s program on the reference backend and checks it ends

@@ -28,21 +28,21 @@
 //! section *and* the descending stack.
 //!
 //! The architectural backends (functional, reference, threaded) are
-//! compared state-for-state at every sync point. The pipelined backend exposes
-//! architectural state only at retirement, so it runs to halt under a
-//! [`SyncPoints`](art9_sim::observers::SyncPoints) observer instead:
-//! the sequence of RV32-boundary crossings it retires must equal the
-//! boundary sequence the RV32 machine's own execution path predicts,
-//! and the final state must match in full. `SyncPoints` reads only the
-//! write-back events: since retirement is in order, the boundary a
-//! retirement enters is the pc of the next retirement (or its own, at
-//! a jump-to-self halt).
+//! compared state-for-state at every sync point. The pipelined backend
+//! exposes architectural state only at retirement, so it runs to halt
+//! with its cycle trace on instead: the sequence of RV32-boundary
+//! crossings its retirements make ([`crossings`], read off the trace's
+//! WB stage) must equal the boundary sequence the RV32 machine's own
+//! execution path predicts, and the final state must match in full.
+//! Since retirement is in order, the boundary a retirement enters is
+//! the pc of the next retirement (or its own, at a jump-to-self
+//! halt).
 
 use std::collections::BTreeSet;
 
 use art9_compiler::analysis::{analyze, Action, Analysis, DATA_WORD_BASE};
 use art9_compiler::{translate_with_tdm, Origin, Translation};
-use art9_sim::{Backend, Core, SimBuilder};
+use art9_sim::{Backend, Core, CycleTrace, HaltReason, SimBuilder};
 use rv32::{parse_program, Instr, Machine, Reg, Rv32Program, DATA_BASE};
 
 use crate::oracle::{run_to_halt, Divergence, DivergenceKind, Finding, Oracle, OracleStats};
@@ -495,15 +495,25 @@ impl<'a> CoSim<'a> {
         Ok(())
     }
 
-    /// The pipelined variant of [`CoSim::run`]: runs the RV32 machine
-    /// to halt to predict the sequence of boundary addresses the
-    /// translated program must enter, then runs the pipelined core to
-    /// halt under a [`SyncPoints`](art9_sim::observers::SyncPoints)
-    /// observer and compares the crossing trace plus the full final
-    /// state. `Err` is the finding.
+    /// The pipelined variant of [`CoSim::run`]: predicts the boundary
+    /// crossings from the RV32 path ([`CoSim::boundary_path`]), runs
+    /// the pipelined core to halt ([`CoSim::pipelined_crossings`]),
+    /// and compares the crossing traces plus the full final state.
+    /// `Err` is the finding.
     fn pipelined_trace(&self, stats: &mut OracleStats) -> Result<(), Finding> {
-        use std::sync::{Arc, Mutex};
+        let path = self.boundary_path(stats)?;
+        let (core, crossings) = self.pipelined_crossings(&path.watched)?;
+        stats.cosim_art9_instructions += core.retired();
+        crossing_difference(&crossings, &path.expected)?;
+        stats.cosim_sync_points += crossings.len() as u64;
+        Ok(self
+            .compare_at_halt(&*core, &path.machine, &path.mem)
+            .map_err(|d| format!("at halt: {d}"))?)
+    }
 
+    /// Runs the RV32 machine to halt, predicting the sequence of
+    /// boundary addresses the translated program must enter.
+    fn boundary_path(&self, stats: &mut OracleStats) -> Result<BoundaryPath, Finding> {
         let len = self.rv.text().len();
         let b = |k: usize| self.t.address_of_rv(k).expect("boundary in range");
         // Watch every distinct boundary except the halt sequence's own
@@ -557,46 +567,90 @@ impl<'a> CoSim<'a> {
         if halt.is_none() {
             return Err(self.rv32_budget_exhausted());
         }
+        Ok(BoundaryPath {
+            watched,
+            expected,
+            machine: m,
+            mem,
+        })
+    }
 
-        let sync = Arc::new(Mutex::new(art9_sim::observers::SyncPoints::new(
-            watched.iter().copied(),
-        )));
+    /// Runs the pipelined core to halt with its cycle trace on: the
+    /// core and the `watched` addresses its retirements entered.
+    fn pipelined_crossings(
+        &self,
+        watched: &BTreeSet<usize>,
+    ) -> Result<(Box<dyn Core>, Vec<usize>), Finding> {
         let mut core = SimBuilder::new(&self.t.program)
             .tdm_words(self.plan.tdm_words)
             .backend(Backend::Pipelined)
-            .observer(sync.clone())
+            .trace(true)
             .build();
         let cycle_budget = PER_SYNC_BUDGET.saturating_mul(4).max(1 << 20);
-        run_to_halt(
+        let halt = run_to_halt(
             &mut *core,
             cycle_budget,
             "pipelined art9",
             DivergenceKind::CandidateFault,
         )?;
-        stats.cosim_art9_instructions += core.retired();
-
-        let crossings = sync.lock().unwrap().crossings().to_vec();
-        if crossings != expected {
-            let first = crossings
-                .iter()
-                .zip(expected.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| crossings.len().min(expected.len()));
-            return Err(format!(
-                "boundary-crossing trace diverges at entry {first}: pipelined {:?} vs rv32 \
-                 path {:?} ({} vs {} crossings)",
-                crossings.get(first),
-                expected.get(first),
-                crossings.len(),
-                expected.len()
-            )
-            .into());
-        }
-        stats.cosim_sync_points += crossings.len() as u64;
-        Ok(self
-            .compare_at_halt(&*core, &m, &mem)
-            .map_err(|d| format!("at halt: {d}"))?)
+        let trace = core.trace().expect("the core traces");
+        let crossings = crossings(trace, watched, halt);
+        Ok((core, crossings))
     }
+}
+
+/// The RV32 side of the pipelined check: the watched boundary
+/// addresses, the crossings the RV32 path predicts, and the machine and
+/// dirty words at its halt.
+struct BoundaryPath {
+    watched: BTreeSet<usize>,
+    expected: Vec<usize>,
+    machine: Machine,
+    mem: MemTracker,
+}
+
+/// The `watched` addresses a run to `halt` entered, in order, read off
+/// its cycle trace: the WB stage holds each instruction once, in
+/// retirement order. Entering address `b` means a retired instruction's
+/// successor was `b`, and retirement is in order, so each retirement's
+/// successor is the pc of the next one. A crossing is therefore a
+/// watched pc on every retirement after the run's first, plus the last
+/// retired pc at a jump-to-self halt (its own successor). The initial
+/// fetch at address 0 is *not* an entry, and an address at or past the
+/// end of the text is never entered, not even by falling off the end.
+fn crossings(trace: &[CycleTrace], watched: &BTreeSet<usize>, halt: HaltReason) -> Vec<usize> {
+    let retired: Vec<usize> = trace
+        .iter()
+        .filter_map(|c| c.wb_stage)
+        .map(|s| s.pc)
+        .collect();
+    let mut entered: Vec<usize> = retired.iter().skip(1).copied().collect();
+    if halt == HaltReason::JumpToSelf {
+        entered.extend(retired.last());
+    }
+    entered.retain(|pc| watched.contains(pc));
+    entered
+}
+
+/// The first difference between the pipelined core's crossing trace and
+/// the one the RV32 path predicts (`Ok` when identical).
+fn crossing_difference(crossings: &[usize], expected: &[usize]) -> Result<(), String> {
+    if crossings == expected {
+        return Ok(());
+    }
+    let first = crossings
+        .iter()
+        .zip(expected)
+        .position(|(a, b)| a != b)
+        .unwrap_or_else(|| crossings.len().min(expected.len()));
+    Err(format!(
+        "boundary-crossing trace diverges at entry {first}: pipelined {:?} vs rv32 \
+         path {:?} ({} vs {} crossings)",
+        crossings.get(first),
+        expected.get(first),
+        crossings.len(),
+        expected.len()
+    ))
 }
 
 /// Translates `src` and runs the compiler-lockstep oracle on the
@@ -863,6 +917,63 @@ mod tests {
             d.detail.contains("trace") || d.detail.contains("crossings") || d.detail.contains("a1"),
             "{d}"
         );
+    }
+
+    #[test]
+    fn a_looped_program_records_crossings_and_a_dropped_one_is_a_finding() {
+        let src = "li a0, 3\nli a1, 0\nloop:\nadd a1, a1, a0\naddi a0, a0, -1\n\
+                   bnez a0, loop\nebreak\n";
+        let rv = parse_program(src).unwrap();
+        let t = translate_with_tdm(&rv, COSIM_TDM_WORDS).unwrap();
+        let cosim = CoSim::new(&rv, &t, 10_000).unwrap();
+        let path = cosim.boundary_path(&mut OracleStats::default()).unwrap();
+        let (_, crossings) = cosim.pipelined_crossings(&path.watched).unwrap();
+        // Each of the three passes enters the loop body's boundaries.
+        assert!(crossings.len() >= 3 * 3, "{crossings:?}");
+        assert_eq!(crossing_difference(&crossings, &path.expected), Ok(()));
+        for planted in 0..crossings.len() {
+            let mut dropped = crossings.clone();
+            dropped.remove(planted);
+            let d = crossing_difference(&dropped, &path.expected).expect_err("dropped boundary");
+            assert!(d.contains("diverges"), "{d}");
+        }
+    }
+
+    /// The crossings of `src`'s pipelined run to halt into `watched`.
+    fn traced_crossings(src: &str, watched: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        let p = art9_isa::assemble(src).unwrap();
+        let mut core = SimBuilder::new(&p)
+            .backend(Backend::Pipelined)
+            .trace(true)
+            .build();
+        let halt = core.run(100_000).unwrap().halt.unwrap();
+        crossings(core.trace().unwrap(), &watched.into_iter().collect(), halt)
+    }
+
+    const LOOPED: &str = "LI t2, 5\nLI t3, 3\nloop:\nSTORE t3, t2, 0\nADDI t3, -1\n\
+                          MV t7, t3\nCOMP t7, t0\nBEQ t7, +, loop\nJAL t0, 0\n";
+
+    #[test]
+    fn crossings_count_every_entry_of_a_watched_loop_head() {
+        // The loop head (pc 2) is entered by LI t3 (pc 1 -> 2) and by
+        // two taken loop-backs.
+        assert_eq!(traced_crossings(LOOPED, [2]), [2, 2, 2]);
+    }
+
+    #[test]
+    fn crossings_enter_a_watched_jump_to_self_twice() {
+        // The halting JAL at pc 7 is entered from the BEQ's final
+        // fall-through, then once more by its own transfer to itself;
+        // the initial fetch at pc 0 is no entry.
+        assert_eq!(traced_crossings(LOOPED, [0, 7]), [7, 7]);
+    }
+
+    #[test]
+    fn crossings_never_enter_the_end_of_the_text() {
+        // The loop falls through its BEQ off the end at pc 5: every pc
+        // after the first is entered, the end of the text never is.
+        let src = "LI t3, 2\nloop:\nADDI t3, -1\nMV t7, t3\nCOMP t7, t0\nBEQ t7, +, loop\n";
+        assert_eq!(traced_crossings(src, 0..=6), [1, 2, 3, 4, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::fmt::Debug;
 use std::sync::{Arc, Mutex};
 
 use art9_isa::{assemble, decode, disassemble_word, encode, Instruction, Program, ALL_REGS};
-use art9_sim::observers::EnergyAccounting;
+use art9_sim::observers::{EnergyAccounting, OpcodeActivity};
 use art9_sim::{
     Backend, Budget, Checkpoint, Core, CoreState, FunctionalSim, HaltReason, PredecodedProgram,
     SimBuilder,
@@ -592,24 +592,22 @@ impl ProgramRun<'_> {
         Ok(final_difference(&func, &fused, ["functional", "fused"])?)
     }
 
-    /// The differential energy oracle: the same program runs on the
-    /// functional simulator with an [`EnergyAccounting`] observer using
-    /// the packed `flips_from` kernel, and on the per-trit reference
-    /// simulator with an observer using the tritwise flip reference
-    /// ([`arith::flips_tritwise`]). Both the flip *counting* and the
-    /// write-back event stream feeding it are thereby cross-checked — a
-    /// backend that mis-reports a write-back value, or a packed XOR that
-    /// miscounts flips, shows up as a per-opcode counter mismatch.
+    /// The differential energy oracle: the same program runs with an
+    /// [`EnergyAccounting`] attached on the functional simulator, which
+    /// counts flips with the packed `flips_from` kernel, and on the
+    /// per-trit reference simulator, which counts them with the
+    /// tritwise flip reference ([`arith::flips_tritwise`]). Both the
+    /// flip *counting* and the write-back records feeding it are
+    /// thereby cross-checked — a backend that mis-reports a write-back
+    /// value, or a packed XOR that miscounts flips, shows up as a
+    /// per-opcode counter mismatch.
     ///
-    /// A third leg runs the threaded backend with a packed accountant
-    /// as its only observer, which it counts inside its compiled code
-    /// rather than through write-back events; its counters must equal
-    /// the functional run's.
+    /// A third leg runs the threaded backend with an accountant, which
+    /// it counts inside its compiled code rather than from write-back
+    /// records; its counters must equal the functional run's.
     fn energy(&mut self) -> Result<(), Finding> {
         let packed = Arc::new(Mutex::new(EnergyAccounting::new()));
-        let tritwise = Arc::new(Mutex::new(EnergyAccounting::with_flip_fn(|next, prev| {
-            arith::flips_tritwise(next, prev)
-        })));
+        let tritwise = Arc::new(Mutex::new(EnergyAccounting::new()));
         let mut func = self
             .builder
             .clone()
@@ -640,7 +638,8 @@ impl ProgramRun<'_> {
         final_difference(&func, &reference, ["functional", "reference"])?;
 
         let packed = packed.lock().expect("observer lock");
-        activity_difference(&packed, &tritwise.lock().expect("observer lock"))?;
+        let tritwise = tritwise.lock().expect("observer lock");
+        activity_difference(packed.per_opcode(), tritwise.per_opcode())?;
         let t = packed.totals();
         self.stats.energy_flips += t.regfile + t.tdm + t.fetch + t.alu;
 
@@ -658,8 +657,10 @@ impl ProgramRun<'_> {
         )?;
         final_difference(&func, &threaded, ["functional", "threaded"])?;
         let counted = counted.lock().expect("observer lock");
-        Ok(activity_difference(&packed, &counted)
-            .map_err(|d| format!("threaded counted energy vs functional: {d}"))?)
+        Ok(
+            activity_difference(packed.per_opcode(), counted.per_opcode())
+                .map_err(|d| format!("threaded counted energy vs functional: {d}"))?,
+        )
     }
 
     /// The slice-migrate oracle: the service scheduler's execution
@@ -747,8 +748,10 @@ impl ProgramRun<'_> {
         final_difference(&straight, &*core, ["straight-line", "sliced"])?;
         let straight_acc = straight_energy.lock().expect("observer lock");
         let sliced_acc = sliced_energy.lock().expect("observer lock");
-        Ok(activity_difference(&straight_acc, &sliced_acc)
-            .map_err(|d| format!("energy accounting diverged across slicing/migration: {d}"))?)
+        Ok(
+            activity_difference(straight_acc.per_opcode(), sliced_acc.per_opcode())
+                .map_err(|d| format!("energy accounting diverged across slicing/migration: {d}"))?,
+        )
     }
 
     /// A pipelined oracle: the pipeline (forwarding on or off) against
@@ -785,20 +788,16 @@ impl ProgramRun<'_> {
     }
 }
 
+/// One accountant's counters, per opcode.
+type Activity = [OpcodeActivity; Instruction::OPCODE_COUNT];
+
 /// The first per-opcode, per-structure difference between two energy
-/// accountings, named (`Ok` when bit-identical). The first operand
-/// is labelled `packed`, the second `tritwise` (the energy oracle's
-/// sides; for other callers read them as baseline vs candidate).
-fn activity_difference(
-    packed: &EnergyAccounting,
-    tritwise: &EnergyAccounting,
-) -> Result<(), String> {
-    for (opcode, (p, t)) in packed
-        .per_opcode()
-        .iter()
-        .zip(tritwise.per_opcode())
-        .enumerate()
-    {
+/// accountings' counters, named (`Ok` when bit-identical). The first
+/// operand is labelled `packed`, the second `tritwise` (the energy
+/// oracle's sides; for other callers read them as baseline vs
+/// candidate).
+fn activity_difference(packed: &Activity, tritwise: &Activity) -> Result<(), String> {
+    for (opcode, (p, t)) in packed.iter().zip(tritwise).enumerate() {
         if p == t {
             continue;
         }
@@ -1183,25 +1182,23 @@ mod tests {
 
     #[test]
     fn activity_difference_detects_a_planted_flip_miscount() {
-        // Run the same program under a correct and a deliberately
-        // off-by-one flip kernel: the comparator must name the opcode
-        // and the structure, proving the detection path is live.
-        fn off_by_one(next: Word9, prev: Word9) -> u32 {
-            next.flips_from(&prev) + 1
-        }
+        // Plant one extra register-file flip in a copy of a real run's
+        // counters: the comparator must name the opcode and the
+        // structure, proving the detection path is live.
         let p = art9_isa::assemble("LI t3, 5\nJAL t0, 0\n").unwrap();
-        let run = |flip: fn(Word9, Word9) -> u32| {
-            let acc = Arc::new(Mutex::new(EnergyAccounting::with_flip_fn(flip)));
-            let mut sim = SimBuilder::new(&p).observer(acc.clone()).build_functional();
-            sim.run(100).unwrap();
-            let snapshot = acc.lock().unwrap().clone();
-            snapshot
-        };
-        let good = run(|next, prev| next.flips_from(&prev));
-        let bad = run(off_by_one);
+        let acc = Arc::new(Mutex::new(EnergyAccounting::new()));
+        let mut sim = SimBuilder::new(&p).observer(acc.clone()).build_functional();
+        sim.run(100).unwrap();
+        let good = *acc.lock().unwrap().per_opcode();
+        let mut bad = good;
+        let li = Instruction::MNEMONICS
+            .iter()
+            .position(|m| *m == "LI")
+            .unwrap();
+        bad[li].regfile += 1;
         assert_eq!(activity_difference(&good, &good), Ok(()));
         let d = activity_difference(&good, &bad).expect_err("difference detected");
-        assert!(d.contains("LI") || d.contains("JAL"), "{d}");
+        assert!(d.contains("LI: regfile flips"), "{d}");
         assert!(d.contains("packed") && d.contains("tritwise"), "{d}");
     }
 

@@ -22,9 +22,9 @@
 //! the new worker snapshots the core, rebuilds a fresh one from the
 //! shared program image, and restores — the exact invariant the
 //! `slice-migrate` fuzz oracle checks differentially (a sliced,
-//! migrated run is bit-identical to a straight-line run). Observers
-//! (energy accounting) live in `Arc`s owned by the session's builder,
-//! so they survive rebuilds and keep accumulating across migrations.
+//! migrated run is bit-identical to a straight-line run). A session's
+//! energy accountant lives in an `Arc` owned by the session's builder,
+//! so it survives rebuilds and keeps accumulating across migrations.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

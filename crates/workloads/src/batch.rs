@@ -423,7 +423,7 @@ impl BatchRunner {
         self
     }
 
-    /// Attaches an [`EnergyAccounting`] observer to every ART-9 run,
+    /// Attaches an [`EnergyAccounting`] to every ART-9 run,
     /// so each record carries the measured trit-flip activity of its
     /// execution (`RunRecord::energy`). Off by default: counting the
     /// flips of every retired instruction slows each ART-9 run, although

@@ -1,15 +1,12 @@
 //! Quickstart: assemble a ternary program, run it through the unified
-//! `Core` execution API on every backend, attach an observer, and
-//! checkpoint/resume a run.
+//! `Core` execution API on every backend, watch a memory cell from a
+//! step loop, and checkpoint/resume a run.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
-use std::sync::{Arc, Mutex};
-
 use art9_isa::{assemble, disassemble_image};
-use art9_sim::observers::Watchpoint;
 use art9_sim::{Backend, Budget, Checkpoint, SimBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -57,18 +54,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Observer hooks: watch every store to TDM[0], with the storing PC.
-    let watch = Arc::new(Mutex::new(Watchpoint::new(0)));
-    let mut observed = builder.clone().observer(watch.clone()).build();
-    observed.run_for(Budget::Steps(10_000))?;
-    let hits = watch.lock().unwrap().hits.clone();
+    // A watchpoint is a step loop: record the storing PC and the new
+    // value of every step that changes TDM[0]. (Each store here writes
+    // a new running total, so every store changes the cell.)
+    let mut watched = builder.build();
+    let mut hits = Vec::new();
+    for _ in 0..10_000 {
+        let (pc, before) = (watched.state().pc, watched.state().tdm.read(0)?);
+        let halt = watched.step()?;
+        let after = watched.state().tdm.read(0)?;
+        if after != before {
+            hits.push((pc, after));
+        }
+        if halt.is_some() {
+            break;
+        }
+    }
     if hits.is_empty() {
         return Err("the watchpoint on TDM[0] recorded no store".into());
     }
     println!(
         "\nwatchpoint on TDM[0]: {} stores, last value {}",
         hits.len(),
-        hits.last().map_or(0, |h| h.value.to_i64())
+        hits.last().map_or(0, |(_, value)| value.to_i64())
     );
 
     // Snapshot/resume: run 7 cycles on the pipeline, serialize the
