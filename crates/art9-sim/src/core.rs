@@ -296,45 +296,41 @@ pub(crate) fn run_for<C: SinkStep>(core: &mut C, budget: Budget) -> Result<RunSu
     }
 }
 
-/// The shared `run_for` loop over `step`, a backend's statically
-/// dispatched (and inlinable) step body: the virtual call happens once
-/// per `run_for`, not once per step, even when the core itself is
-/// driven as `dyn Core`.
+/// The shared `run_for` loop over `step`, a backend's step body. The
+/// call is static, so the virtual call happens once per `run_for`, not
+/// once per step, even when the core itself is driven as `dyn Core`;
+/// it is not inlined (release builds call `step_with` out of line on
+/// every step). The budget is matched once, outside the loop.
 pub(crate) fn run_loop<C: Core>(
     core: &mut C,
     budget: Budget,
     mut step: impl FnMut(&mut C) -> Result<Option<HaltReason>, SimError>,
 ) -> Result<RunSummary, SimError> {
-    let mut steps = 0u64;
-    loop {
-        if let Some(halt) = core.halted() {
-            return Ok(RunSummary {
-                steps,
-                retired: core.retired(),
-                halt: Some(halt),
-            });
-        }
-        let exhausted = match budget {
-            Budget::Steps(n) => steps >= n,
-            Budget::Retired(n) => core.retired() >= n,
-        };
-        if exhausted {
-            return Ok(RunSummary {
-                steps,
-                retired: core.retired(),
-                halt: None,
-            });
-        }
-        let halt = step(core)?;
-        steps += 1;
-        if halt.is_some() {
-            return Ok(RunSummary {
-                steps,
-                retired: core.retired(),
-                halt,
-            });
-        }
+    match budget {
+        Budget::Steps(n) => run_until(core, &mut step, |_, steps| steps >= n),
+        Budget::Retired(n) => run_until(core, &mut step, |core, _| core.retired() >= n),
     }
+}
+
+/// [`run_loop`] for one kind of budget: `exhausted(core, steps)` says
+/// when it has run out. A step body returns the halt it causes, so the
+/// core's halted flag is read once, on entry.
+fn run_until<C: Core>(
+    core: &mut C,
+    step: &mut impl FnMut(&mut C) -> Result<Option<HaltReason>, SimError>,
+    exhausted: impl Fn(&C, u64) -> bool,
+) -> Result<RunSummary, SimError> {
+    let mut steps = 0u64;
+    let mut halt = core.halted();
+    while halt.is_none() && !exhausted(core, steps) {
+        halt = step(core)?;
+        steps += 1;
+    }
+    Ok(RunSummary {
+        steps,
+        retired: core.retired(),
+        halt,
+    })
 }
 
 /// Builder-style configuration for every backend — the single

@@ -3,9 +3,12 @@
 //! [`PredecodedProgram`](crate::PredecodedProgram) resolves every
 //! instruction once into a [`Row`]: its dense opcode, register indices,
 //! branch condition, one pre-resolved word and one integer. The
-//! functional core and the pipelined core's EX and ID stages then
-//! execute through the two functions here, [`alu`] and [`target`], so
-//! the two cores cannot drift apart and neither re-walks the
+//! pipelined core's EX and ID stages then execute through the two
+//! functions here, [`alu`] and [`target`]. The functional core's one
+//! dispatch calls the same [`alu`] for its ALU arms and writes out
+//! [`target`]'s four cases in its control arms, with the JALR target
+//! and the LOAD/STORE address from the shared [`base_plus_offset`]. So
+//! the two cores cannot drift apart, and neither re-walks the
 //! `Instruction` enum or re-converts an immediate per step. The
 //! pipeline ≡ functional property tests check the *timing* model; the
 //! per-trit [`ReferenceSim`](crate::ReferenceSim), which shares none of
@@ -58,6 +61,14 @@ pub(crate) fn wrap9(v: i64) -> i64 {
     } else {
         v
     }
+}
+
+/// `b + offset` for the JALR or LOAD/STORE in `row`, wrapped like
+/// `b.wrapping_add(row.imm)`: the jump target or the effective TDM
+/// address, computed in integers with no ternary carry chain.
+#[inline(always)]
+pub(crate) fn base_plus_offset(row: &Row, b: Word9) -> i64 {
+    wrap9(b.to_i64() + i64::from(row.off))
 }
 
 /// The dense opcode of an instruction, in [`Instruction::opcode`] order
@@ -227,7 +238,7 @@ pub(crate) fn target(row: &Row, b: Word9) -> Option<i64> {
         Opcode::Beq => (b.lst() == row.cond).then_some(i64::from(row.off)),
         Opcode::Bne => (b.lst() != row.cond).then_some(i64::from(row.off)),
         Opcode::Jal => Some(i64::from(row.off)),
-        Opcode::Jalr => Some(wrap9(b.to_i64() + i64::from(row.off))),
+        Opcode::Jalr => Some(base_plus_offset(row, b)),
         _ => None,
     }
 }
@@ -331,6 +342,27 @@ mod tests {
     fn memory_ops_produce_their_effective_address() {
         assert_eq!(alu(&row("LOAD t3, t2, -4", 0), w(3), w(9)).to_i64(), 5);
         assert_eq!(alu(&row("STORE t3, t2, 4", 0), w(3), w(9)).to_i64(), 13);
+    }
+
+    #[test]
+    fn integer_effective_address_matches_the_ternary_resolve() {
+        // Every 9-trit base with every LOAD/STORE offset, against the
+        // default TDM: in range, negative, past the end and wrapped past
+        // ±9841 alike, fault payload included.
+        let tdm = ternary::TernaryMemory::new(crate::DEFAULT_TDM_WORDS);
+        for op in ["LOAD", "STORE"] {
+            for off in -13..=13 {
+                let row = row(&format!("{op} t3, t2, {off}"), 0);
+                for base in -Word9::MAX_VALUE..=Word9::MAX_VALUE {
+                    let b = w(base);
+                    assert_eq!(
+                        tdm.index_of(base_plus_offset(&row, b)),
+                        tdm.resolve(b.wrapping_add(row.imm)),
+                        "{op} base {base} offset {off}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use ternary::{TernaryMemory, Word9};
 use crate::checkpoint::{Checkpoint, Micro};
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
-use crate::exec::{alu, target, Opcode, Row, NO_DEST};
+use crate::exec::{alu, base_plus_offset, Opcode, Row, NO_DEST};
 use crate::observer::{Accountant, MemWrite, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 
@@ -233,67 +233,87 @@ impl SinkStep for FunctionalSim {
             }
         }
         let rows = &*self.rows;
-        let row = &rows[pc];
+        // A copy, not a reference: the stores below then cannot change
+        // `row.op` as far as the compiler knows, so `alu`'s own match
+        // folds into the one dispatch below.
+        let row = &{ rows[pc] };
         self.instructions += 1;
         self.mix[row.op as usize] += 1;
 
-        let trf = &mut self.state.trf;
-        let (a_val, b_val) = (trf[usize::from(row.a)], trf[usize::from(row.b)]);
-        let result = alu(row, a_val, b_val);
+        let state = &mut self.state;
+        let (a, b) = (state.trf[usize::from(row.a)], state.trf[usize::from(row.b)]);
         // Old destination value, captured before any write so the
         // write-back event can report the overwritten contents.
         let dest = usize::from(row.dest);
         let old_reg = if E::ON && row.dest != NO_DEST {
-            trf[dest]
+            state.trf[dest]
         } else {
             Word9::ZERO
         };
+        let mem_fault = |cause| SimError::MemoryFault { pc, cause };
+        // A control target, range-checked (`rows.len()` itself falls
+        // off the end and halts below).
+        let instructions = self.instructions;
+        let jump = |target: i64| {
+            if (target as u64) <= rows.len() as u64 {
+                Ok(target as usize)
+            } else {
+                Err(SimError::PcOutOfRange {
+                    at: instructions,
+                    pc: target,
+                    tim_size: rows.len(),
+                })
+            }
+        };
+        // One dispatch: each arm does its instruction's whole work, and
+        // the ALU arms reach `alu` with their opcode already known.
         let mut mem_write = None;
+        let mut next = pc + 1;
         match row.op {
             Opcode::Load => {
-                let v = self
-                    .state
+                let index = state
                     .tdm
-                    .read_word_addr(result)
-                    .map_err(|cause| SimError::MemoryFault { pc, cause })?;
-                self.state.trf[dest] = v;
+                    .index_of(base_plus_offset(row, b))
+                    .map_err(mem_fault)?;
+                state.trf[dest] = state.tdm.read(index).expect("index_of checked it");
             }
             Opcode::Store => {
-                let old_cell = if E::ON {
-                    self.state.tdm.read_word_addr(result).ok()
-                } else {
-                    None
-                };
-                self.state
+                let index = state
                     .tdm
-                    .write_word_addr(result, a_val)
-                    .map_err(|cause| SimError::MemoryFault { pc, cause })?;
+                    .index_of(base_plus_offset(row, b))
+                    .map_err(mem_fault)?;
                 if E::ON {
                     mem_write = Some(MemWrite {
-                        address: self.state.tdm.resolve(result).expect("write succeeded"),
-                        old: old_cell.expect("write succeeded"),
-                        new: a_val,
+                        address: index,
+                        old: state.tdm.read(index).expect("index_of checked it"),
+                        new: a,
                     });
                 }
+                state.tdm.write(index, a).expect("index_of checked it");
             }
-            _ if row.dest != NO_DEST => trf[dest] = result,
-            _ => {}
+            Opcode::Beq => {
+                if b.lst() == row.cond {
+                    next = jump(i64::from(row.off))?;
+                }
+            }
+            Opcode::Bne => {
+                if b.lst() != row.cond {
+                    next = jump(i64::from(row.off))?;
+                }
+            }
+            // The link is written before the target is checked, so a
+            // faulting jump still leaves it (and JALR read its base
+            // first, so `JALR tX, tX, k` jumps through the old value).
+            Opcode::Jal => {
+                state.trf[dest] = row.imm;
+                next = jump(i64::from(row.off))?;
+            }
+            Opcode::Jalr => {
+                state.trf[dest] = row.imm;
+                next = jump(base_plus_offset(row, b))?;
+            }
+            _ => state.trf[dest] = alu(row, a, b),
         }
-
-        // Control flow.
-        let next = match target(row, b_val) {
-            Some(target) => {
-                if target < 0 || target as usize > rows.len() {
-                    return Err(SimError::PcOutOfRange {
-                        at: self.instructions,
-                        pc: target,
-                        tim_size: rows.len(),
-                    });
-                }
-                target as usize
-            }
-            None => pc + 1,
-        };
 
         if E::ON {
             let instr = self.image.text()[pc];
@@ -306,7 +326,9 @@ impl SinkStep for FunctionalSim {
                     new: self.state.reg(reg),
                 }),
                 mem: mem_write,
-                bus: result,
+                // What the TALU drove onto the result bus, the
+                // LOAD/STORE address word included.
+                bus: alu(row, a, b),
             });
         }
 

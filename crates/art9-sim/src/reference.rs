@@ -21,7 +21,7 @@
 //! by any consumer — most importantly the generic fuzz lockstep oracle.
 
 use art9_isa::Instruction;
-use ternary::{arith, TernaryError, Trit, Trits, Word9};
+use ternary::{arith, Trit, Trits, Word9};
 
 use crate::checkpoint::{Checkpoint, Micro};
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
@@ -74,16 +74,10 @@ impl ReferenceSim {
 
     /// Resolves a signed address value to a TDM index.
     fn resolve(&self, addr: i64, pc: usize) -> Result<usize, SimError> {
-        if addr < 0 || addr as usize >= self.state.tdm.size() {
-            return Err(SimError::MemoryFault {
-                pc,
-                cause: TernaryError::AddressRange {
-                    address: addr,
-                    size: self.state.tdm.size(),
-                },
-            });
-        }
-        Ok(addr as usize)
+        self.state
+            .tdm
+            .index_of(addr)
+            .map_err(|cause| SimError::MemoryFault { pc, cause })
     }
 }
 

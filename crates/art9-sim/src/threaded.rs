@@ -759,14 +759,16 @@ fn tdm_index<T: Tally>(m: &mut Machine<'_, T>, s: &Slot, pos: u8) -> Option<usiz
     let off = s.off as i64;
     let ic = &mut m.icache[s.site as usize];
     if ic.base == base {
-        let v = wrap9(ic.value + off);
-        let size = m.state.tdm.size();
-        if v < 0 || v as usize >= size {
-            mem_fault(m, s, pos, TernaryError::AddressRange { address: v, size });
-            return None;
+        match m.state.tdm.index_of(wrap9(ic.value + off)) {
+            Ok(idx) => {
+                T::resolved(&mut m.tally, s.site, None);
+                Some(idx)
+            }
+            Err(cause) => {
+                mem_fault(m, s, pos, cause);
+                None
+            }
         }
-        T::resolved(&mut m.tally, s.site, None);
-        Some(v as usize)
     } else {
         let address = base.wrapping_add(s.imm);
         match m.state.tdm.resolve(address) {

@@ -30,6 +30,13 @@ const CASES: &[(&str, &str, &str)] = &[
         "LI t3, 5\nLOAD t3, t4, -1\nJAL t0, 0\n",
         "memory-fault at 1: AddressRange { address: -1, size: 256 }",
     ),
+    // t2 = 40·243 + 121 = 9841, the largest word: the address wraps
+    // past it to the most negative one, as `Word9::wrapping_add` does.
+    (
+        "load wraps past 9841",
+        "LUI t2, 40\nLI t2, 121\nLOAD t3, t2, 1\nJAL t0, 0\n",
+        "memory-fault at 2: AddressRange { address: -9841, size: 256 }",
+    ),
     (
         "jalr to 121",
         "LI t2, 121\nJALR t1, t2, 0\nJAL t0, 0\n",

@@ -394,8 +394,13 @@ mod tests {
 
     #[test]
     fn parses_the_committed_baseline() {
-        // The 24 gated comparisons as (name, direction, tolerance).
+        // The 34 gated comparisons as (name, direction, tolerance).
         let mut expected = Vec::new();
+        for w in ["bubble-sort", "gemm", "sobel", "dhrystone", "nn"] {
+            for m in ["instructions", "cycles"] {
+                expected.push((format!("{w}/{m}"), Better::Lower, 0.0));
+            }
+        }
         for w in ["bubble-sort", "gemm", "sobel", "dhrystone"] {
             for m in ["functional_ips", "threaded_ips", "pipelined_cps"] {
                 expected.push((format!("{w}/{m}"), Better::Higher, 0.25));
@@ -418,7 +423,7 @@ mod tests {
             .collect();
         gates.sort_by(|a, b| a.0.cmp(&b.0));
         expected.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(gates.len(), 24);
+        assert_eq!(gates.len(), 34);
         assert_eq!(gates, expected);
         // Each paper workload's pipelined-over-functional cost ratio is
         // reported, never gated.
@@ -451,7 +456,7 @@ mod tests {
         assert_eq!(render(&baseline()), COMMITTED);
         let r = compare(&baseline(), &baseline());
         assert!(r.ok() && r.added.is_empty(), "{}", r.render());
-        assert!(r.render().contains("gate: OK (24 gated comparisons)"));
+        assert!(r.render().contains("gate: OK (34 gated comparisons)"));
     }
 
     #[test]
@@ -496,7 +501,7 @@ mod tests {
         // threaded rows; the reported nn threaded rate is not gated.
         let r = compare(&baseline(), &scaled_where(is_threaded, 0.5));
         assert!(!r.ok());
-        assert_eq!(r.deltas.len(), 24);
+        assert_eq!(r.deltas.len(), 34);
         let regressed = regressed_names(&r);
         assert_eq!(regressed.len(), 4);
         assert!(regressed.iter().all(|n| n.ends_with("/threaded_ips")));
@@ -601,9 +606,19 @@ mod tests {
     fn nn_section_parses_and_gates() {
         let nn: Vec<_> = gated().into_iter().filter(is_nn).collect();
         let names: Vec<_> = nn.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["nn/simd_speedup", "nn/functional_ips"]);
-        assert!(nn.iter().all(|r| r.better == Better::Higher));
-        // 10% noise passes; halved nn rates trip the gate.
+        let all = [
+            "nn/simd_speedup",
+            "nn/instructions",
+            "nn/cycles",
+            "nn/functional_ips",
+        ];
+        assert_eq!(names, all);
+        // The two rates are better higher, the two exact counts lower.
+        assert!(nn
+            .iter()
+            .all(|r| (r.better == Better::Higher) == (r.unit != "count")));
+        // 10% noise passes; halved nn rates trip the gate (the halved
+        // counts are improvements).
         let r = compare(&baseline(), &scaled_where(is_nn, 0.9));
         assert!(r.ok(), "{}", r.render());
         assert!(r
@@ -621,12 +636,43 @@ mod tests {
     fn dropping_the_nn_section_fails_once_pinned() {
         let r = compare(&baseline(), &without(is_nn));
         assert!(!r.ok());
-        assert_eq!(missing_names(&r), ["nn/simd_speedup", "nn/functional_ips"]);
+        assert_eq!(
+            missing_names(&r),
+            [
+                "nn/simd_speedup",
+                "nn/instructions",
+                "nn/cycles",
+                "nn/functional_ips"
+            ]
+        );
         // A baseline without nn rows gates nothing against an
         // nn-bearing current document.
         let r = compare(&without(is_nn), &baseline());
         assert!(r.ok(), "{}", r.render());
         assert!(r.added.iter().all(is_nn));
+    }
+
+    #[test]
+    fn one_more_instruction_or_cycle_fails() {
+        // The exact counts have no slack: one more fails, one fewer
+        // passes.
+        let exact: Vec<_> = gated()
+            .into_iter()
+            .filter(|r| r.tolerance == Some(0.0))
+            .collect();
+        assert_eq!(exact.len(), 10);
+        for row in exact {
+            let more = |delta: f64| {
+                let mut rows = baseline();
+                for r in rows.iter_mut().filter(|r| r.same_metric(&row)) {
+                    r.value += delta;
+                }
+                rows
+            };
+            let r = compare(&baseline(), &more(1.0));
+            assert_eq!(regressed_names(&r), [row.name.as_str()]);
+            assert!(compare(&baseline(), &more(-1.0)).ok());
+        }
     }
 
     #[test]
@@ -666,6 +712,8 @@ mod tests {
         let r = compare(&baseline(), &current);
         let missing: Vec<_> = r.missing.iter().map(|r| r.name.as_str()).collect();
         let rates = [
+            "instructions",
+            "cycles",
             "functional_ips",
             "threaded_ips",
             "pipelined_cps",
@@ -675,7 +723,7 @@ mod tests {
         assert_eq!(missing, rates.map(|m| format!("gemm/{m}")));
         // A reported row is not pinned: dropping it passes.
         let mut current = baseline();
-        current.retain(|r| r.name != "gemm/instructions");
+        current.retain(|r| r.name != "gemm/threaded_speedup_vs_functional");
         assert!(compare(&baseline(), &current).ok());
     }
 
@@ -693,7 +741,7 @@ mod tests {
         }
         let r = compare(&base, &current);
         assert!(r.ok(), "{}", r.render());
-        assert_eq!(r.deltas.len(), 20);
+        assert_eq!(r.deltas.len(), 30);
         // The four paper workloads' rows plus the reported nn row.
         assert_eq!(r.added.len(), 5);
         assert!(r

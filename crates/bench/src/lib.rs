@@ -442,7 +442,9 @@ pub mod perf {
     /// renders the document with [`crate::gate::render`] (schema in
     /// `docs/PERFORMANCE.md`). Values keep six significant digits.
     ///
-    /// Gated rows: every paper workload's three backend rates, its
+    /// Gated rows: the simulated `instructions` and `cycles` of every
+    /// paper workload and of `nn-mlp` (exact, at 0%), every paper
+    /// workload's three backend rates, its
     /// `energy_overhead_x` (threaded-with-energy time over threaded
     /// time), its `energy_nj` and Dhrystone's `dmips_per_watt`, the NN SIMD
     /// speedup and `nn-mlp` functional rate (all at 25%), the
@@ -462,6 +464,9 @@ pub mod perf {
         use crate::gate::Better::{self, Higher, Lower};
         use crate::gate::{render, Row};
 
+        // Simulated counts are deterministic, so they are gated with no
+        // slack: one more instruction or cycle fails the gate.
+        const EXACT: Option<f64> = Some(0.0);
         const GATED: Option<f64> = Some(0.25);
         const GATED_NOISY: Option<f64> = Some(0.5);
         let mut rows = Vec::new();
@@ -529,8 +534,8 @@ pub mod perf {
                 "execution",
                 w,
                 &[
-                    ("instructions", s.instructions as f64, "count", Lower, None),
-                    ("cycles", s.cycles as f64, "count", Lower, None),
+                    ("instructions", s.instructions as f64, "count", Lower, EXACT),
+                    ("cycles", s.cycles as f64, "count", Lower, EXACT),
                     ("functional_ips", s.functional_ips, "instr/s", Higher, GATED),
                     ("threaded_ips", s.threaded_ips, "instr/s", Higher, GATED),
                     ("threaded_speedup_vs_functional", ratio, "x", Higher, None),
@@ -545,8 +550,8 @@ pub mod perf {
             "execution",
             "nn",
             &[
-                ("instructions", n.instructions as f64, "count", Lower, None),
-                ("cycles", n.cycles as f64, "count", Lower, None),
+                ("instructions", n.instructions as f64, "count", Lower, EXACT),
+                ("cycles", n.cycles as f64, "count", Lower, EXACT),
                 ("functional_ips", n.functional_ips, "instr/s", Higher, GATED),
                 ("threaded_ips", n.threaded_ips, "instr/s", Higher, None),
                 ("pipelined_cps", n.pipelined_cps, "cycles/s", Higher, None),
@@ -714,11 +719,18 @@ pub mod perf {
                 .iter()
                 .filter(|r| r.layer == "prep")
                 .all(|r| r.tolerance.is_none() && r.better == crate::gate::Better::Lower));
-            // One workload: three rates, the energy overhead and the
-            // energy pair (its two cross-backend ratios are reported
-            // only), plus the two NN rows and the scheduler rate.
+            // One workload: its two exact counts, three rates, the
+            // energy overhead and the energy pair (its two cross-backend
+            // ratios are reported only), plus the NN counts, the two NN
+            // rates and the scheduler rate.
             let gated = rows.iter().filter(|r| r.tolerance.is_some()).count();
-            assert_eq!(gated, 4 + 2 + 2 + 1);
+            assert_eq!(gated, 2 + 4 + 2 + 2 + 2 + 1);
+            for name in ["instructions", "cycles"] {
+                for subject in ["dhrystone", "nn"] {
+                    let row = rows.iter().find(|r| r.name == format!("{subject}/{name}"));
+                    assert_eq!(row.and_then(|r| r.tolerance), Some(0.0), "{subject}/{name}");
+                }
+            }
             // Each name is kept once: no layer repeats another's row.
             let mut names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
             names.sort_unstable();

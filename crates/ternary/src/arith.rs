@@ -1,8 +1,10 @@
-//! Pure trit-domain addition, negation and switching-activity count.
+//! Pure trit-domain addition, negation, integer conversion and
+//! switching-activity count.
 //!
 //! The fast kernels on [`Trits`] work on packed binary bitplanes
 //! ([`carrying_add`](crate::Trits::carrying_add),
-//! [`flips_from`](crate::Trits::flips_from)); the algorithms here stay
+//! [`flips_from`](crate::Trits::flips_from),
+//! [`to_i64`](crate::Trits::to_i64)); the algorithms here stay
 //! entirely in the trit domain — the same ripple-carry adder the
 //! hardware's TALU uses. They exist both as executable documentation of
 //! those circuits and as an independent cross-check: property tests
@@ -100,6 +102,28 @@ pub fn flips_tritwise<const N: usize>(next: Trits<N>, prev: Trits<N>) -> u32 {
         }
     }
     flips
+}
+
+/// Trit-serial conversion to an integer: a Horner walk from the most
+/// significant trit down — the per-trit reference for the chunk-table
+/// lookup behind [`Trits::to_i64`](crate::Trits::to_i64).
+///
+/// # Examples
+///
+/// ```
+/// use ternary::{arith, Word9};
+///
+/// let a = Word9::from_i64(-4821)?;
+/// assert_eq!(arith::to_i64_tritwise(a), a.to_i64());
+/// assert_eq!(arith::to_i64_tritwise(a), -4821);
+/// assert_eq!(arith::to_i64_tritwise(Word9::MAX), 9841);
+/// # Ok::<(), ternary::TernaryError>(())
+/// ```
+pub fn to_i64_tritwise<const N: usize>(a: Trits<N>) -> i64 {
+    a.trits()
+        .iter()
+        .rev()
+        .fold(0, |acc, t| acc * 3 + i64::from(t.value()))
 }
 
 // ---- Per-lane references for the bitplane-SIMD subsystem ------------
@@ -217,6 +241,15 @@ mod tests {
                 let wb = Word9::from_i64(b).unwrap();
                 assert_eq!(flips_tritwise(wa, wb), wa.flips_from(&wb), "{a} vs {b}");
             }
+        }
+    }
+
+    #[test]
+    fn chunk_table_matches_horner_on_every_word9() {
+        for v in -Word9::MAX_VALUE..=Word9::MAX_VALUE {
+            let w = Word9::from_i64(v).unwrap();
+            assert_eq!(to_i64_tritwise(w), v, "{w}");
+            assert_eq!(w.to_i64(), v, "{w}");
         }
     }
 

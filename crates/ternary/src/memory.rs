@@ -112,21 +112,49 @@ impl TernaryMemory {
         }
     }
 
-    /// Resolves a 9-trit word to a memory index.
+    /// The memory index an integer address names: the one range check
+    /// behind every word-addressed access.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TernaryError::AddressRange`] for negative addresses or
+    /// addresses at/above the memory size.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ternary::TernaryMemory;
+    ///
+    /// let tdm = TernaryMemory::new(256);
+    /// assert_eq!(tdm.index_of(255)?, 255);
+    /// assert!(tdm.index_of(256).is_err());
+    /// assert!(tdm.index_of(-1).is_err());
+    /// # Ok::<(), ternary::TernaryError>(())
+    /// ```
+    #[inline]
+    pub fn index_of(&self, address: i64) -> Result<usize, TernaryError> {
+        // A negative address reads as a huge unsigned one, so one
+        // comparison covers both ends.
+        if (address as u64) < self.words.len() as u64 {
+            Ok(address as usize)
+        } else {
+            Err(TernaryError::AddressRange {
+                address,
+                size: self.words.len(),
+            })
+        }
+    }
+
+    /// Resolves a 9-trit word to a memory index ([`Self::index_of`] of
+    /// its value).
     ///
     /// # Errors
     ///
     /// Returns [`TernaryError::AddressRange`] for negative values or
     /// values at/above the memory size.
+    #[inline]
     pub fn resolve(&self, address: Word9) -> Result<usize, TernaryError> {
-        let v = address.to_i64();
-        if v < 0 || v as usize >= self.words.len() {
-            return Err(TernaryError::AddressRange {
-                address: v,
-                size: self.words.len(),
-            });
-        }
-        Ok(v as usize)
+        self.index_of(address.to_i64())
     }
 
     /// Reads through a 9-trit address word (resolve + read).

@@ -140,6 +140,22 @@ const TRIPLES: [(u8, u8); 27] = {
     table
 };
 
+/// The value of a 3-trit chunk, indexed by `pos | neg << 3` of its
+/// bitplanes (indices with a bit set in both planes never occur).
+const CHUNK_VALUES: [i8; 64] = {
+    // The value of a 3-bit plane read as base-3 digits 0/1.
+    const fn plane(bits: usize) -> i8 {
+        (bits & 1) as i8 + 3 * ((bits >> 1) & 1) as i8 + 9 * ((bits >> 2) & 1) as i8
+    }
+    let mut table = [0i8; 64];
+    let mut i = 0;
+    while i < 64 {
+        table[i] = plane(i & 7) - plane(i >> 3);
+        i += 1;
+    }
+    table
+};
+
 impl<const N: usize> Trits<N> {
     /// Low-`N`-bits mask both bitplanes are kept under.
     const MASK: u64 = {
@@ -358,13 +374,16 @@ impl<const N: usize> Trits<N> {
     /// ```
     #[inline]
     pub fn to_i64(&self) -> i64 {
-        // Branch-free Horner walk over the bitplanes; the loop bound is
-        // a const generic, so this fully unrolls.
+        // Horner in base 27: one table read per 3-trit chunk, top chunk
+        // first. The planes are zero above trit `N − 1`, so a partial
+        // top chunk reads its missing trits as 0. The loop bound is a
+        // const generic, so this fully unrolls (three reads for `Word9`).
         let mut acc = 0i64;
-        let mut i = N;
+        let mut i = N.div_ceil(3) * 3;
         while i > 0 {
-            i -= 1;
-            acc = acc * 3 + ((self.pos >> i) & 1) as i64 - ((self.neg >> i) & 1) as i64;
+            i -= 3;
+            let chunk = ((self.pos >> i) & 7) | ((self.neg >> i) & 7) << 3;
+            acc = acc * 27 + i64::from(CHUNK_VALUES[chunk as usize]);
         }
         acc
     }

@@ -318,6 +318,53 @@ proptest! {
     }
 }
 
+proptest! {
+    #[test]
+    fn to_i64_matches_tritwise_every_width(a in width_operand()) {
+        check_to_i64::<1>(a);
+        check_to_i64::<2>(a);
+        check_to_i64::<3>(a);
+        check_to_i64::<4>(a);
+        check_to_i64::<5>(a);
+        check_to_i64::<6>(a);
+        check_to_i64::<7>(a);
+        check_to_i64::<8>(a);
+        check_to_i64::<9>(a);
+        check_to_i64::<10>(a);
+        check_to_i64::<11>(a);
+        check_to_i64::<12>(a);
+        check_to_i64::<13>(a);
+        check_to_i64::<14>(a);
+        check_to_i64::<15>(a);
+        check_to_i64::<16>(a);
+        check_to_i64::<17>(a);
+        check_to_i64::<18>(a);
+        check_to_i64::<19>(a);
+        check_to_i64::<20>(a);
+    }
+}
+
+/// Pins the chunk-table `to_i64` to the per-trit Horner walk at one
+/// width, on `a` wrapped into range and on both extremes.
+fn check_to_i64<const N: usize>(a: i64) {
+    let w = Trits::<N>::from_i64_wrapping(a);
+    let expected = a.rem_euclid(Trits::<N>::MODULUS);
+    let expected = if expected > Trits::<N>::MAX_VALUE {
+        expected - Trits::<N>::MODULUS
+    } else {
+        expected
+    };
+    assert_eq!(w.to_i64(), expected, "width {N} value of {a}");
+    assert_eq!(w.to_i64(), arith::to_i64_tritwise(w), "width {N} {a}");
+    for (extreme, value) in [
+        (Trits::<N>::MAX, Trits::<N>::MAX_VALUE),
+        (Trits::<N>::MIN, -Trits::<N>::MAX_VALUE),
+    ] {
+        assert_eq!(extreme.to_i64(), value, "width {N} extreme");
+        assert_eq!(arith::to_i64_tritwise(extreme), value, "width {N} extreme");
+    }
+}
+
 /// Operand strategy for the width-parametric checks: uniform `i64`
 /// values mixed with the ±3^k carry corners (and neighbours).
 fn width_operand() -> impl Strategy<Value = i64> {
