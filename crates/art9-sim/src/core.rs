@@ -26,6 +26,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
 use art9_isa::{Instruction, Program};
@@ -249,7 +250,10 @@ pub(crate) fn mix_map(counts: &[u64; Instruction::OPCODE_COUNT]) -> BTreeMap<&'s
 /// [`Core::run_for`] are [`step`] and [`run_for`] below.
 pub(crate) trait SinkStep: Core + Sized {
     /// The flip kernel an attached accountant counts with.
-    const FLIPS: fn(Word9, Word9) -> u32 = |next, prev| next.flips_from(&prev);
+    #[inline(always)]
+    fn flips(next: Word9, prev: Word9) -> u32 {
+        next.flips_from(&prev)
+    }
 
     /// The accountant slot.
     fn accountant(&mut self) -> &mut Option<Accountant>;
@@ -258,20 +262,32 @@ pub(crate) trait SinkStep: Core + Sized {
     fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError>;
 }
 
+/// A core with its accountant moved out for one call, so a sink can
+/// borrow the handle while the call mutates the core. Dropping it puts
+/// the handle back, also when the call panics.
+struct Lent<'c, C: SinkStep> {
+    core: &'c mut C,
+    energy: Option<Accountant>,
+}
+
+impl<C: SinkStep> Drop for Lent<'_, C> {
+    fn drop(&mut self) {
+        *self.core.accountant() = self.energy.take();
+    }
+}
+
 /// Runs `body` with the core's accountant locked; the core must have
-/// one. The handle is moved out of the core for the call, so the sink
-/// can borrow it while `body` mutates the core; a panic in `body` leaves
-/// the core without its accountant.
-fn held<C: SinkStep, T>(core: &mut C, body: impl FnOnce(&mut C, &mut Held<'_>) -> T) -> T {
-    let energy = core.accountant().take().expect("an accountant is attached");
+/// one, and still has it when `body` returns or panics.
+fn held<C: SinkStep, T>(core: &mut C, body: impl FnOnce(&mut C, &mut Held<'_, C>) -> T) -> T {
+    let energy = core.accountant().take();
+    let mut lent = Lent { core, energy };
+    let Lent { core, energy } = &mut lent;
+    let acc = lock(energy.as_ref().expect("an accountant is attached"));
     let mut sink = Held {
-        acc: lock(&energy),
-        flips: C::FLIPS,
+        acc,
+        kernel: PhantomData,
     };
-    let out = body(core, &mut sink);
-    drop(sink);
-    *core.accountant() = Some(energy);
-    out
+    body(core, &mut sink)
 }
 
 /// [`Core::step`] of a [`SinkStep`] backend: the accountant stays
@@ -586,6 +602,28 @@ mod tests {
         };
         assert_eq!(fwd.1, nofwd.1, "same architecture");
         assert!(nofwd.0.cycles > fwd.0.cycles, "no-forwarding must stall");
+    }
+
+    #[test]
+    fn a_panicking_body_gives_the_accountant_back() {
+        let energy = Arc::new(Mutex::new(EnergyAccounting::new()));
+        let mut core = SimBuilder::new(&program())
+            .observer(energy.clone())
+            .build_functional();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            held(&mut core, |core, sink| {
+                core.step_with(sink).unwrap();
+                panic!("the body panics with the accountant locked");
+            })
+        }));
+        assert!(caught.is_err());
+        assert!(core.accountant().is_some(), "the accountant is back");
+        // The lock is poisoned, but the counters still read, and the
+        // core keeps counting into them.
+        assert!(energy.is_poisoned());
+        assert_eq!(lock(&energy).totals().retired, 1);
+        core.run(1_000_000).unwrap();
+        assert_eq!(lock(&energy).totals().retired, core.retired());
     }
 
     #[test]

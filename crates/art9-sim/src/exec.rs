@@ -102,7 +102,7 @@ pub(crate) enum Opcode {
 }
 
 /// [`Opcode`] by [`Instruction::opcode`].
-const OPCODES: [Opcode; Instruction::OPCODE_COUNT] = {
+pub(crate) const OPCODES: [Opcode; Instruction::OPCODE_COUNT] = {
     use Opcode::*;
     [
         Mv, Pti, Nti, Sti, And, Or, Xor, Add, Sub, Sr, Sl, Comp, Andi, Addi, Sri, Sli, Lui, Li,

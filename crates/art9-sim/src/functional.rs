@@ -266,25 +266,27 @@ impl SinkStep for FunctionalSim {
             }
         };
         // One dispatch: each arm does its instruction's whole work, and
-        // the ALU arms reach `alu` with their opcode already known.
+        // the ALU arms reach `alu` with their opcode already known. Each
+        // arm also leaves what it drove onto the result bus (BEQ/BNE
+        // drive zero); with no sink it is never read.
         let mut mem_write = None;
+        let mut bus = Word9::ZERO;
         let mut next = pc + 1;
         match row.op {
             Opcode::Load => {
-                let index = state
-                    .tdm
-                    .index_of(base_plus_offset(row, b))
-                    .map_err(mem_fault)?;
+                let address = base_plus_offset(row, b);
+                let index = state.tdm.index_of(address).map_err(mem_fault)?;
                 state.trf[dest] = state.tdm.read(index).expect("index_of checked it");
+                if E::ON {
+                    bus = Word9::from_i64_wrapping(address);
+                }
             }
             Opcode::Store => {
-                let index = state
-                    .tdm
-                    .index_of(base_plus_offset(row, b))
-                    .map_err(mem_fault)?;
+                let address = base_plus_offset(row, b);
+                let index = state.tdm.index_of(address).map_err(mem_fault)?;
                 if E::ON {
+                    bus = Word9::from_i64_wrapping(address);
                     mem_write = Some(MemWrite {
-                        address: index,
                         old: state.tdm.read(index).expect("index_of checked it"),
                         new: a,
                     });
@@ -305,30 +307,31 @@ impl SinkStep for FunctionalSim {
             // faulting jump still leaves it (and JALR read its base
             // first, so `JALR tX, tX, k` jumps through the old value).
             Opcode::Jal => {
-                state.trf[dest] = row.imm;
+                (bus, state.trf[dest]) = (row.imm, row.imm);
                 next = jump(i64::from(row.off))?;
             }
             Opcode::Jalr => {
-                state.trf[dest] = row.imm;
+                (bus, state.trf[dest]) = (row.imm, row.imm);
                 next = jump(base_plus_offset(row, b))?;
             }
-            _ => state.trf[dest] = alu(row, a, b),
+            _ => {
+                bus = alu(row, a, b);
+                state.trf[dest] = bus;
+            }
         }
 
         if E::ON {
-            let instr = self.image.text()[pc];
             sink.writeback(&Writeback {
                 pc,
-                instr,
-                reg: instr.writes().map(|reg| RegWrite {
-                    reg,
+                op: row.op,
+                fetch: self.image.fetch_words()[pc],
+                reg: (row.dest != NO_DEST).then(|| RegWrite {
+                    reg: row.dest,
                     old: old_reg,
-                    new: self.state.reg(reg),
+                    new: self.state.trf[dest],
                 }),
                 mem: mem_write,
-                // What the TALU drove onto the result bus, the
-                // LOAD/STORE address word included.
-                bus: alu(row, a, b),
+                bus,
             });
         }
 

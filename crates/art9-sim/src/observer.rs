@@ -33,17 +33,24 @@
 //! [`Core::step`](crate::Core::step), or for a whole
 //! [`Core::run_for`](crate::Core::run_for). The functional, pipelined
 //! and reference step bodies build one [`Writeback`] record per
-//! retirement and count its flips with the backend's own flip kernel:
-//! the packed `Word9::flips_from`, or on the reference backend the
-//! per-trit `ternary::arith::flips_tritwise`. With no accountant
-//! attached, the record and everything captured only to build it
-//! compile away. The threaded backend counts the same flips inside a
-//! counted twin of its compiled code and never builds a record.
+//! retirement from values the step already holds, the fetch words from
+//! the image's per-pc table included, and count its flips with the
+//! backend's own flip kernel, inlined: the packed `Word9::flips_from`,
+//! or on the reference backend the per-trit
+//! `ternary::arith::flips_tritwise`. The accountant keeps no per-pc
+//! state. With no accountant attached, the record and everything
+//! captured only to build it compile away. The threaded backend counts
+//! the same flips inside a counted twin of its compiled code and never
+//! builds a record.
 
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use art9_isa::{Instruction, TReg};
+use art9_isa::Instruction;
 use ternary::Word9;
+
+use crate::core::SinkStep;
+use crate::exec::Opcode;
 
 /// The handle a core shares with its caller.
 pub(crate) type Accountant = Arc<Mutex<observers::EnergyAccounting>>;
@@ -54,33 +61,43 @@ pub(crate) fn lock(acc: &Accountant) -> MutexGuard<'_, observers::EnergyAccounti
     acc.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// What the fetch path holds while an instruction retires: its encoded
+/// word (the instruction register) and its pc wrapped to a 9-trit word
+/// (the PC register). Static per pc, so the image tabulates them.
+pub(crate) type FetchWords = (Word9, Word9);
+
+/// The [`FetchWords`] of `instr` at `pc`.
+pub(crate) fn fetch_words(pc: usize, instr: &Instruction) -> FetchWords {
+    (art9_isa::encode(instr), Word9::from_i64_wrapping(pc as i64))
+}
+
 /// A register-file write in a [`Writeback`]: the destination register
-/// with its value before and after the write.
+/// index with its value before and after the write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RegWrite {
-    pub(crate) reg: TReg,
+    pub(crate) reg: u8,
     pub(crate) old: Word9,
     /// Read back from the register file, so backend-specific write
     /// paths cannot diverge.
     pub(crate) new: Word9,
 }
 
-/// A TDM write in a [`Writeback`]: the word index with the cell's value
-/// before and after the store.
+/// A TDM write in a [`Writeback`]: the cell's value before and after
+/// the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MemWrite {
-    pub(crate) address: usize,
     pub(crate) old: Word9,
     pub(crate) new: Word9,
 }
 
 /// The architectural write-back of one retired instruction: everything
 /// the switching-activity model needs to see the datapath's old and new
-/// values.
+/// values, taken from what the step body already holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Writeback {
     pub(crate) pc: usize,
-    pub(crate) instr: Instruction,
+    pub(crate) op: Opcode,
+    pub(crate) fetch: FetchWords,
     /// `None` for BEQ/BNE/STORE.
     pub(crate) reg: Option<RegWrite>,
     /// STORE only.
@@ -121,19 +138,19 @@ impl Sink for NoSink {
     fn halt(&mut self) {}
 }
 
-/// The sink of a core with its accountant locked, counting with the
-/// backend's flip kernel `flips`.
-pub(crate) struct Held<'a> {
+/// The sink of a `C` core with its accountant locked, counting with
+/// `C`'s flip kernel ([`SinkStep::flips`]), which inlines.
+pub(crate) struct Held<'a, C> {
     pub(crate) acc: MutexGuard<'a, observers::EnergyAccounting>,
-    pub(crate) flips: fn(Word9, Word9) -> u32,
+    pub(crate) kernel: PhantomData<C>,
 }
 
-impl Sink for Held<'_> {
+impl<C: SinkStep> Sink for Held<'_, C> {
     const ON: bool = true;
 
     #[inline]
     fn writeback(&mut self, wb: &Writeback) {
-        self.acc.record(wb, self.flips);
+        self.acc.record(wb, C::flips);
     }
 
     #[inline]
@@ -226,41 +243,12 @@ pub mod observers {
         pub(crate) prev_pc: Word9,
         pub(crate) prev_bus: Word9,
         pub(crate) per_opcode: [OpcodeActivity; Instruction::OPCODE_COUNT],
-        /// Per pc: the instruction last retired there, its encoded
-        /// word and the pc as a 9-trit word. Both words are static per
-        /// instruction, so a hit skips re-encoding; the instruction is
-        /// compared on every hit, so an accumulator reused across
-        /// programs stays exact.
-        fetch_words: Vec<Option<(Instruction, Word9, Word9)>>,
-    }
-
-    /// What the fetch path holds while `instr` at `pc` retires: its
-    /// encoded word (the instruction register) and the pc wrapped to a
-    /// 9-trit word (the PC register).
-    pub(crate) fn fetch_words(pc: usize, instr: &Instruction) -> (Word9, Word9) {
-        (art9_isa::encode(instr), Word9::from_i64_wrapping(pc as i64))
     }
 
     impl EnergyAccounting {
         /// An empty accumulator, with the datapath history at reset.
         pub fn new() -> Self {
             Self::default()
-        }
-
-        /// The encoded instruction word and the pc word of a
-        /// retirement, cached per pc.
-        fn fetch_words(&mut self, pc: usize, instr: Instruction) -> (Word9, Word9) {
-            if pc >= self.fetch_words.len() {
-                self.fetch_words.resize(pc + 1, None);
-            }
-            match self.fetch_words[pc] {
-                Some((cached, encoded, pc_word)) if cached == instr => (encoded, pc_word),
-                _ => {
-                    let (encoded, pc_word) = fetch_words(pc, &instr);
-                    self.fetch_words[pc] = Some((instr, encoded, pc_word));
-                    (encoded, pc_word)
-                }
-            }
         }
 
         /// Activity accumulated per opcode, indexed like
@@ -280,9 +268,10 @@ pub mod observers {
 
         /// Adds one retirement's activity, counting each flip with
         /// `flip`.
-        pub(crate) fn record(&mut self, wb: &Writeback, flip: fn(Word9, Word9) -> u32) {
-            let (encoded, pc_word) = self.fetch_words(wb.pc, wb.instr);
-            let acc = &mut self.per_opcode[wb.instr.opcode()];
+        #[inline(always)]
+        pub(crate) fn record(&mut self, wb: &Writeback, flip: impl Fn(Word9, Word9) -> u32) {
+            let (encoded, pc_word) = wb.fetch;
+            let acc = &mut self.per_opcode[wb.op as usize];
             acc.retired += 1;
             if let Some(r) = wb.reg {
                 acc.regfile += u64::from(flip(r.new, r.old));
@@ -315,7 +304,7 @@ mod tests {
     use crate::common::looped_program;
     use crate::core::{run_loop, Backend, Budget, SimBuilder, SinkStep};
     use crate::error::SimError;
-    use art9_isa::assemble;
+    use art9_isa::{assemble, TReg};
     use proptest::prelude::*;
 
     /// Records every write-back verbatim, and counts the halts.
@@ -377,10 +366,11 @@ mod tests {
 
         /// The write-back stream is architectural: for the same
         /// program, every step body reports bit-identical records — pc,
-        /// instruction, old/new destination register value, old/new TDM
-        /// cell, result-bus value — in retirement order. The accountant
-        /// counts from this stream, so the measured energy of Table IV
-        /// rests on it.
+        /// opcode, fetch words, old/new destination register value,
+        /// old/new TDM cell, result-bus value — in retirement order. The
+        /// reference backend encodes its own fetch words, so this also
+        /// checks the image's fetch table. The accountant counts from
+        /// this stream, so the measured energy of Table IV rests on it.
         #[test]
         fn writeback_stream_is_identical_on_every_backend(p in looped_program()) {
             let [(_, (base, base_retired)), rest @ ..] = streams(&p);
@@ -452,15 +442,17 @@ mod tests {
 
     #[test]
     fn one_energy_accumulator_reused_over_two_programs_sums_two_fresh_ones() {
-        // Different instructions at the same pcs: the reused
-        // accumulator must not serve one program's cached fetch words
-        // to the other.
+        // Different instructions at the same pcs, and the first program
+        // again after the second: the fetch words come from each run's
+        // own image, so the reused accumulator carries nothing from one
+        // program into the next.
         let first = looped();
         let second = assemble(
             "LI t3, 100\nLI t2, 7\nSTORE t3, t2, 1\nSUB t3, t2\nLOAD t4, t2, 1\n\
              XOR t4, t3\nJAL t0, 0\n",
         )
         .unwrap();
+        assert!(first.text().iter().zip(second.text()).all(|(a, b)| a != b));
         let run = |acc: &Accountant, p: &art9_isa::Program, backend| {
             let mut core = SimBuilder::new(p)
                 .backend(backend)
@@ -470,8 +462,9 @@ mod tests {
         };
         for backend in Backend::ALL {
             let reused = energy();
-            run(&reused, &first, backend);
-            run(&reused, &second, backend);
+            for p in [&first, &second, &first] {
+                run(&reused, p, backend);
+            }
             let fresh = [&first, &second].map(|p| {
                 let acc = energy();
                 run(&acc, p, backend);
@@ -482,11 +475,11 @@ mod tests {
                 .iter()
                 .zip(&fresh[1])
                 .map(|(a, b)| OpcodeActivity {
-                    retired: a.retired + b.retired,
-                    regfile: a.regfile + b.regfile,
-                    tdm: a.tdm + b.tdm,
-                    fetch: a.fetch + b.fetch,
-                    alu: a.alu + b.alu,
+                    retired: 2 * a.retired + b.retired,
+                    regfile: 2 * a.regfile + b.regfile,
+                    tdm: 2 * a.tdm + b.tdm,
+                    fetch: 2 * a.fetch + b.fetch,
+                    alu: 2 * a.alu + b.alu,
                 })
                 .collect();
             assert_eq!(lock(&reused).per_opcode().to_vec(), summed, "{backend:?}");
@@ -515,8 +508,8 @@ mod tests {
     fn retire_log_and_halt_agree_across_backends() {
         let [(_, (base, base_retired)), rest @ ..] = streams(&looped());
         assert_eq!(base.len() as u64, base_retired);
-        let order = |log: &[Writeback]| -> Vec<(usize, Instruction)> {
-            log.iter().map(|wb| (wb.pc, wb.instr)).collect()
+        let order = |log: &[Writeback]| -> Vec<(usize, Opcode)> {
+            log.iter().map(|wb| (wb.pc, wb.op)).collect()
         };
         for (backend, (log, retired)) in rest {
             assert_eq!(
@@ -533,7 +526,12 @@ mod tests {
         for (backend, (log, _)) in streams(&looped()) {
             let controls: Vec<usize> = log
                 .iter()
-                .filter(|wb| wb.instr.is_control_flow())
+                .filter(|wb| {
+                    matches!(
+                        wb.op,
+                        Opcode::Beq | Opcode::Bne | Opcode::Jal | Opcode::Jalr
+                    )
+                })
                 .map(|wb| wb.pc)
                 .collect();
             // The BEQ retires three times (two loop-backs, then the

@@ -32,7 +32,7 @@ use ternary::Word9;
 use crate::checkpoint::{Checkpoint, Micro, PipelineMicro};
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
-use crate::exec::{alu, target, Opcode, Row, NO_DEST, NO_SRC};
+use crate::exec::{alu, base_plus_offset, target, Opcode, Row, NO_DEST, NO_SRC};
 use crate::functional::{CoreState, HaltReason};
 use crate::observer::{Accountant, MemWrite, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
@@ -64,9 +64,10 @@ pub(crate) struct MemWb {
     pub(crate) value: Word9,
 }
 
-/// Energy-accounting side channel travelling in lockstep with [`MemWb`]:
-/// the EX result-bus value (for LOADs `MemWb.value` holds the loaded
-/// datum, not the bus) and the old/new TDM cell a STORE rewrote.
+/// Energy-accounting side channel travelling in lockstep with [`MemWb`]
+/// for a LOAD or STORE: its address word on the result bus (a LOAD's
+/// `MemWb.value` holds the loaded datum) and the old/new TDM cell a
+/// STORE rewrote. Every other instruction drove its `MemWb.value`.
 ///
 /// Deliberately *not* part of `MemWb`, whose layout the
 /// `art9-checkpoint v1` text format serializes; like the trace buffer,
@@ -105,7 +106,7 @@ struct WbCarry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PipelinedSim {
-    text: Arc<[Instruction]>,
+    image: PredecodedProgram,
     rows: Arc<[Row]>,
     state: CoreState,
     fetch_pc: usize,
@@ -113,6 +114,8 @@ pub struct PipelinedSim {
     if_id: Option<usize>,
     id_ex: Option<IdEx>,
     ex_mem: Option<ExMem>,
+    /// EX/MEM's LOAD/STORE address; a snapshot rebuilds `result` from it.
+    ex_address: i64,
     mem_wb: Option<MemWb>,
     wb_carry: Option<WbCarry>,
     stats: PipelineStats,
@@ -135,13 +138,14 @@ impl PipelinedSim {
         energy: Option<Accountant>,
     ) -> Self {
         Self {
-            text: image.text_arc(),
+            image: image.clone(),
             rows: Arc::clone(image.rows()),
             state: CoreState::with_image(image.data(), tdm_words),
             fetch_pc: 0,
             if_id: None,
             id_ex: None,
             ex_mem: None,
+            ex_address: 0,
             mem_wb: None,
             wb_carry: None,
             stats: PipelineStats::default(),
@@ -160,7 +164,7 @@ impl PipelinedSim {
     fn push_trace(&mut self) {
         let snap = |pc: usize| StageSnapshot {
             pc,
-            instr: self.text[pc],
+            instr: self.image.text()[pc],
         };
         let cycle = CycleTrace {
             cycle: self.stats.cycles,
@@ -186,7 +190,7 @@ impl SinkStep for PipelinedSim {
     ///
     /// Hazards, forwarding, the ALU in EX and the branch unit in ID all
     /// read the image's per-PC [`Row`]s; the instruction itself is read
-    /// only for the write-back record and the trace.
+    /// only for the trace.
     fn step_with<E: Sink>(&mut self, sink: &mut E) -> Result<Option<HaltReason>, SimError> {
         if let Some(reason) = self.halted {
             return Ok(Some(reason));
@@ -203,7 +207,6 @@ impl SinkStep for PipelinedSim {
         // ---- WB ------------------------------------------------------
         // Synchronous TRF write; write-through makes the value visible
         // to ID in this same cycle.
-        let carry = self.wb_carry.take();
         let (wb_dest, wb_value) = if let Some(wb) = old_mem_wb {
             let h = &rows[wb.pc];
             self.stats.instructions += 1;
@@ -218,18 +221,18 @@ impl SinkStep for PipelinedSim {
                 self.state.trf[dest] = wb.value;
             }
             if E::ON {
-                // A restore mid-flight clears the carry; fall back to the
-                // WB value as the bus for that one instruction.
-                let carry = carry.unwrap_or(WbCarry {
+                // No carry: not a LOAD/STORE, or a restore mid-flight
+                // cleared it (then the WB value stands in for the bus).
+                let carry = self.wb_carry.take().unwrap_or(WbCarry {
                     bus: wb.value,
                     mem: None,
                 });
-                let instr = self.text[wb.pc];
                 sink.writeback(&Writeback {
                     pc: wb.pc,
-                    instr,
-                    reg: instr.writes().map(|reg| RegWrite {
-                        reg,
+                    op: h.op,
+                    fetch: self.image.fetch_words()[wb.pc],
+                    reg: (h.dest != NO_DEST).then_some(RegWrite {
+                        reg: h.dest,
                         old: old_reg,
                         new: wb.value,
                     }),
@@ -246,42 +249,36 @@ impl SinkStep for PipelinedSim {
         // ---- MEM -----------------------------------------------------
         if let Some(mem) = old_ex_mem {
             let h = &rows[mem.pc];
-            let mut mem_write = None;
-            let value = if h.op == Opcode::Load {
-                self.state
-                    .tdm
-                    .read_word_addr(mem.result)
-                    .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?
-            } else if h.op == Opcode::Store {
-                // Old cell value, read before the write so the write
-                // itself still produces the canonical fault.
-                let old_cell = if E::ON {
-                    self.state.tdm.read_word_addr(mem.result).ok()
-                } else {
-                    None
-                };
-                self.state
-                    .tdm
-                    .write_word_addr(mem.result, mem.store_val)
+            let tdm = &mut self.state.tdm;
+            let value = if let Opcode::Load | Opcode::Store = h.op {
+                let index = tdm
+                    .index_of(self.ex_address)
                     .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
+                let mut mem_write = None;
+                let value = if h.op == Opcode::Load {
+                    tdm.read(index).expect("index_of checked it")
+                } else {
+                    if E::ON {
+                        mem_write = Some(MemWrite {
+                            old: tdm.read(index).expect("index_of checked it"),
+                            new: mem.store_val,
+                        });
+                    }
+                    tdm.write(index, mem.store_val)
+                        .expect("index_of checked it");
+                    Word9::ZERO
+                };
                 if E::ON {
-                    mem_write = Some(MemWrite {
-                        address: self.state.tdm.resolve(mem.result).expect("write succeeded"),
-                        old: old_cell.expect("write succeeded"),
-                        new: mem.store_val,
+                    self.wb_carry = Some(WbCarry {
+                        bus: Word9::from_i64_wrapping(self.ex_address),
+                        mem: mem_write,
                     });
                 }
-                Word9::ZERO
+                value
             } else {
                 mem.result
             };
             self.mem_wb = Some(MemWb { pc: mem.pc, value });
-            if E::ON {
-                self.wb_carry = Some(WbCarry {
-                    bus: mem.result,
-                    mem: mem_write,
-                });
-            }
         }
         self.ex_mem = None;
 
@@ -310,7 +307,12 @@ impl SinkStep for PipelinedSim {
             let row = &rows[ex.pc];
             let a_val = fwd(row.src[0], ex.a_val);
             let b_val = fwd(row.src[1], ex.b_val);
-            let result = alu(row, a_val, b_val);
+            let result = if let Opcode::Load | Opcode::Store = row.op {
+                self.ex_address = base_plus_offset(row, b_val);
+                Word9::ZERO
+            } else {
+                alu(row, a_val, b_val)
+            };
             self.ex_mem = Some(ExMem {
                 pc: ex.pc,
                 result,
@@ -377,11 +379,11 @@ impl SinkStep for PipelinedSim {
                     Some(b_val) => {
                         match target(h, b_val) {
                             Some(target) => {
-                                if target < 0 || target as usize > self.text.len() {
+                                if target < 0 || target as usize > rows.len() {
                                     return Err(SimError::PcOutOfRange {
                                         at: self.stats.cycles,
                                         pc: target,
-                                        tim_size: self.text.len(),
+                                        tim_size: rows.len(),
                                     });
                                 }
                                 self.stats.taken_transfers += 1;
@@ -457,7 +459,7 @@ impl SinkStep for PipelinedSim {
                     self.halting = None;
                 }
             } else if self.halting.is_none() {
-                if self.fetch_pc < self.text.len() {
+                if self.fetch_pc < self.rows.len() {
                     self.if_id = Some(self.fetch_pc);
                     self.fetch_pc += 1;
                 } else {
@@ -520,9 +522,10 @@ impl Core for PipelinedSim {
     }
 
     fn snapshot(&self) -> Checkpoint {
+        let text = self.image.text();
         Checkpoint {
             backend: Backend::Pipelined,
-            text_len: self.text.len(),
+            text_len: self.image.len(),
             state: self.state.clone(),
             retired: self.stats.instructions,
             halted: self.halted,
@@ -532,10 +535,15 @@ impl Core for PipelinedSim {
                 halting: self.halting,
                 forwarding: self.forwarding,
                 stats: self.stats,
-                if_id: self.if_id.map(|pc| (self.text[pc], pc)),
-                id_ex: self.id_ex.map(|e| (self.text[e.pc], e)),
-                ex_mem: self.ex_mem.map(|m| (self.text[m.pc], m)),
-                mem_wb: self.mem_wb.map(|w| (self.text[w.pc], w)),
+                if_id: self.if_id.map(|pc| (text[pc], pc)),
+                id_ex: self.id_ex.map(|e| (text[e.pc], e)),
+                ex_mem: self.ex_mem.map(|mut m| {
+                    if let Opcode::Load | Opcode::Store = self.rows[m.pc].op {
+                        m.result = Word9::from_i64_wrapping(self.ex_address);
+                    }
+                    (text[m.pc], m)
+                }),
+                mem_wb: self.mem_wb.map(|w| (text[w.pc], w)),
             })),
         }
     }
@@ -551,18 +559,18 @@ impl Core for PipelinedSim {
     /// program holds at the latch's PC: a checkpoint of another program
     /// (or an edited one) is refused rather than run.
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SimError> {
-        checkpoint.guard(Backend::Pipelined, self.text.len())?;
+        let text = self.image.text();
+        checkpoint.guard(Backend::Pipelined, text.len())?;
         let Micro::Pipelined(m) = &checkpoint.micro else {
             return Err(SimError::Checkpoint {
                 detail: "pipelined checkpoint lacks its micro section".into(),
             });
         };
-        if let Some((latch, pc, instr)) = m.latches().find(|&(_, pc, instr)| self.text[pc] != instr)
-        {
+        if let Some((latch, pc, instr)) = m.latches().find(|&(_, pc, instr)| text[pc] != instr) {
             return Err(SimError::Checkpoint {
                 detail: format!(
                     "checkpoint {latch} latch holds `{instr}`, but this program holds `{}` at pc {pc}",
-                    self.text[pc]
+                    text[pc]
                 ),
             });
         }
@@ -576,6 +584,7 @@ impl Core for PipelinedSim {
         self.if_id = m.if_id.map(|(_, pc)| pc);
         self.id_ex = m.id_ex.map(|(_, e)| e);
         self.ex_mem = m.ex_mem.map(|(_, x)| x);
+        self.ex_address = m.ex_mem.map_or(0, |(_, x)| x.result.to_i64());
         self.mem_wb = m.mem_wb.map(|(_, w)| w);
         self.wb_carry = None;
         Ok(())

@@ -14,6 +14,8 @@
 //!   the form the shared ALU consumes. The functional core builds them
 //!   on its first step and the pipelined core when it is built, so a
 //!   threaded-only preparation never pays for them;
+//! * the per-PC fetch words their energy accounting reads, built on
+//!   the first counted retirement;
 //! * the direct-threaded compilation, built by the first threaded core.
 //!
 //! The batch driver (`workloads::batch::BatchRunner`) builds one
@@ -26,6 +28,7 @@ use art9_isa::{decode, Instruction, IsaError, Program};
 use ternary::Word9;
 
 use crate::exec::Row;
+use crate::observer::{fetch_words, FetchWords};
 use crate::threaded::ThreadedCode;
 
 /// An ART-9 program decoded once into simulator-ready form.
@@ -67,6 +70,8 @@ pub struct PredecodedProgram {
     /// The per-PC execution rows, filled on the first functional step
     /// or `build_pipelined` and shared the same way.
     rows: Arc<OnceLock<Arc<[Row]>>>,
+    /// The per-PC fetch words, filled and shared the same way.
+    fetch: Arc<OnceLock<Box<[FetchWords]>>>,
 }
 
 impl PredecodedProgram {
@@ -109,6 +114,7 @@ impl PredecodedProgram {
             data: data.into(),
             threaded: Arc::new(OnceLock::new()),
             rows: Arc::new(OnceLock::new()),
+            fetch: Arc::new(OnceLock::new()),
         }
     }
 
@@ -179,6 +185,15 @@ impl PredecodedProgram {
         self.rows.get_or_init(|| {
             let rows = self.text.iter().enumerate();
             rows.map(|(pc, instr)| Row::of(instr, pc)).collect()
+        })
+    }
+
+    /// The fetch words of every pc, built once per image.
+    #[inline]
+    pub(crate) fn fetch_words(&self) -> &[FetchWords] {
+        self.fetch.get_or_init(|| {
+            let text = self.text.iter().enumerate();
+            text.map(|(pc, instr)| fetch_words(pc, instr)).collect()
         })
     }
 }

@@ -26,8 +26,9 @@ use ternary::{arith, Trit, Trits, Word9};
 use crate::checkpoint::{Checkpoint, Micro};
 use crate::core::{Backend, Budget, Core, RunSummary, SinkStep};
 use crate::error::SimError;
+use crate::exec::OPCODES;
 use crate::functional::{CoreState, HaltReason};
-use crate::observer::{Accountant, MemWrite, RegWrite, Sink, Writeback};
+use crate::observer::{fetch_words, Accountant, MemWrite, RegWrite, Sink, Writeback};
 use crate::predecode::PredecodedProgram;
 
 /// The per-trit reference interpreter.
@@ -84,7 +85,9 @@ impl ReferenceSim {
 impl SinkStep for ReferenceSim {
     /// Flips are counted per trit too, so the `energy` fuzz oracle
     /// checks the packed kernel against this one.
-    const FLIPS: fn(Word9, Word9) -> u32 = arith::flips_tritwise;
+    fn flips(next: Word9, prev: Word9) -> u32 {
+        arith::flips_tritwise(next, prev)
+    }
 
     fn accountant(&mut self) -> &mut Option<Accountant> {
         &mut self.energy
@@ -200,7 +203,6 @@ impl SinkStep for ReferenceSim {
                 self.state.tdm.write(idx, v).expect("resolved in range");
                 if E::ON {
                     mem_write = Some(MemWrite {
-                        address: idx,
                         old: old_cell,
                         new: v,
                     });
@@ -250,9 +252,12 @@ impl SinkStep for ReferenceSim {
         if E::ON {
             sink.writeback(&Writeback {
                 pc,
-                instr,
+                op: OPCODES[instr.opcode()],
+                // Encoded here rather than read from the image's table,
+                // so the cross-backend checks cover that table too.
+                fetch: fetch_words(pc, &instr),
                 reg: instr.writes().map(|dest| RegWrite {
-                    reg: dest,
+                    reg: dest.index() as u8,
                     old: old_reg.expect("captured above"),
                     new: self.state.reg(dest),
                 }),

@@ -74,8 +74,8 @@ use crate::core::{Backend, Budget, Core, RunSummary};
 use crate::error::SimError;
 use crate::exec::{shift, wrap9, Opcode, Row};
 use crate::functional::{CoreState, FunctionalSim, HaltReason};
-use crate::observer::observers::{fetch_words, EnergyAccounting};
-use crate::observer::{lock, Accountant};
+use crate::observer::observers::EnergyAccounting;
+use crate::observer::{fetch_words, lock, Accountant, FetchWords};
 use crate::predecode::PredecodedProgram;
 
 /// How control leaves a compiled op. Deliberately register-sized: this
@@ -302,7 +302,7 @@ struct CountTables {
 #[derive(Debug, Clone, Copy)]
 struct Fetch {
     /// The instruction and pc words ([`fetch_words`]).
-    words: (Word9, Word9),
+    words: FetchWords,
     /// Their flips against the previous pc's words when both lie in
     /// one superblock, zero at a head. Inside a block the predecessor
     /// is static, so only a dispatch unit's entry transition depends on

@@ -273,19 +273,23 @@ fn main() {
         .iter()
         .map(|w| perf::measure_sim_throughput(w, Duration::from_millis(150)))
         .collect();
+    // The last three columns: each backend's time with an energy
+    // accountant attached over its time without one.
     println!(
-        "  {:<14} {:>14} {:>14} {:>14} {:>10} {:>10}",
-        "workload", "functional", "threaded", "pipelined", "thr/fun", "energy"
+        "  {:<14} {:>14} {:>14} {:>14} {:>10} {:>10} {:>10} {:>10}",
+        "workload", "functional", "threaded", "pipelined", "thr/fun", "energy", "fun+E", "pipe+E"
     );
     for s in &sims {
         println!(
-            "  {:<14} {:>10.3e} i/s {:>10.3e} i/s {:>10.3e} c/s {:>9.2}x {:>9.2}x",
+            "  {:<14} {:>10.3e} i/s {:>10.3e} i/s {:>10.3e} c/s {:>9.2}x {:>9.2}x {:>9.2}x {:>9.2}x",
             s.workload,
             s.functional_ips,
             s.threaded_ips,
             s.pipelined_cps,
             s.threaded_ips / s.functional_ips,
-            s.threaded_ips / s.energy_ips
+            s.threaded_ips / s.energy_ips,
+            s.functional_ips / s.functional_energy_ips,
+            s.pipelined_cps / s.pipelined_energy_cps
         );
     }
     // ---- Service scheduler throughput ---------------------------------

@@ -279,12 +279,22 @@ impl GateResult {
             let _ = writeln!(out, "MISSING: {} {} dropped", r.layer, r.name);
         }
         for d in self.regressions() {
-            let _ = writeln!(
-                out,
-                "gate: REGRESSION {} moved {:+.1}%",
-                d.baseline.name,
-                d.ratio() * 100.0
-            );
+            let (name, base, cur) = (&d.baseline.name, d.baseline.value, d.current);
+            // A count moves by whole units, which a percentage of a large
+            // count rounds away: show the values.
+            let _ = if d.baseline.unit == "count" {
+                writeln!(
+                    out,
+                    "gate: REGRESSION {name} {base} → {cur} ({:+})",
+                    cur - base
+                )
+            } else {
+                writeln!(
+                    out,
+                    "gate: REGRESSION {name} moved {:+.1}%",
+                    d.ratio() * 100.0
+                )
+            };
         }
         let (regressed, missing) = (self.regressions().count(), self.missing.len());
         let _ = if self.ok() {
@@ -673,6 +683,30 @@ mod tests {
             assert_eq!(regressed_names(&r), [row.name.as_str()]);
             assert!(compare(&baseline(), &more(-1.0)).ok());
         }
+    }
+
+    #[test]
+    fn a_count_regression_prints_both_counts() {
+        let rows = |cycles: f64| {
+            let mut rows = baseline();
+            let row = rows.iter_mut().find(|r| r.name == "dhrystone/cycles");
+            row.expect("a dhrystone/cycles row").value = cycles;
+            rows
+        };
+        let r = compare(&rows(67742.0), &rows(67743.0));
+        assert!(!r.ok());
+        let out = r.render();
+        assert!(
+            out.contains("gate: REGRESSION dhrystone/cycles 67742 → 67743 (+1)\n"),
+            "{out}"
+        );
+        // A rate still reads as a percentage.
+        let row = gated().into_iter().find(|r| r.unit != "count").unwrap();
+        let out = compare(&baseline(), &scaled(&row, bad_factor(&row, 0.1))).render();
+        assert!(
+            out.contains(&format!("gate: REGRESSION {} moved ", row.name)),
+            "{out}"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod perf {
     use std::time::{Duration, Instant};
 
     use art9_sim::observers::EnergyAccounting;
-    use art9_sim::{Core, SimBuilder};
+    use art9_sim::{Backend, Core, SimBuilder};
     use ternary::{arith, Word9};
     use workloads::batch::DEFAULT_MAX_STEPS;
     use workloads::Workload;
@@ -65,6 +65,12 @@ pub mod perf {
         /// Direct-threaded simulator instructions per host second with
         /// an `observers::EnergyAccounting` attached.
         pub energy_ips: f64,
+        /// Functional simulator instructions per host second with an
+        /// accountant attached.
+        pub functional_energy_ips: f64,
+        /// Pipelined simulator cycles per host second with an
+        /// accountant attached.
+        pub pipelined_energy_cps: f64,
     }
 
     /// Mean ns per call of `f`, measured over roughly `budget`.
@@ -185,9 +191,11 @@ pub mod perf {
         p().0
     }
 
-    /// Measures functional, threaded, pipelined and threaded-with-energy
-    /// throughput of one workload on its shared predecoded image
-    /// (`budget` in all).
+    /// Measures functional, threaded and pipelined throughput of one
+    /// workload on its shared predecoded image, each without and with an
+    /// energy accountant attached. Each configuration is timed for a
+    /// quarter of `budget`, the slice the gated rates were baselined
+    /// with, so the call takes about 1.5 × `budget`.
     ///
     /// # Panics
     ///
@@ -215,17 +223,21 @@ pub mod perf {
         probe.run(DEFAULT_MAX_STEPS).expect("completes");
         let cycles = probe.pipeline_stats().expect("pipelined backend").cycles;
 
-        // The four configurations are measured in interleaved rounds
+        // The six configurations are measured in interleaved rounds
         // (each keeping its fastest round) rather than one contiguous
         // window apiece: a host-frequency excursion then degrades all
-        // four equally instead of silently skewing the cross-backend
+        // six equally instead of silently skewing the cross-backend
         // ratios the report exists to track.
         let rounds = 3u32;
         let slice = budget / (4 * rounds);
-        let mut functional_ns = f64::INFINITY;
-        let mut threaded_ns = f64::INFINITY;
-        let mut pipelined_ns = f64::INFINITY;
-        let mut energy_ns = f64::INFINITY;
+        let counted = |backend: Backend| {
+            let energy = Arc::new(Mutex::new(EnergyAccounting::new()));
+            let builder = builder.clone().backend(backend).observer(energy.clone());
+            builder.build().run(DEFAULT_MAX_STEPS).expect("completes");
+            energy
+        };
+        let [mut functional_ns, mut threaded_ns, mut pipelined_ns] = [f64::INFINITY; 3];
+        let [mut energy_ns, mut functional_energy_ns, mut pipelined_energy_ns] = [f64::INFINITY; 3];
         for _ in 0..rounds {
             functional_ns = functional_ns.min(ns_per_call(slice, || {
                 let mut sim = builder.build_functional();
@@ -239,17 +251,18 @@ pub mod perf {
                 let mut core = builder.build_pipelined();
                 core.run(DEFAULT_MAX_STEPS).expect("completes")
             }));
-            energy_ns = energy_ns.min(ns_per_call(slice, || {
-                let energy = Arc::new(Mutex::new(EnergyAccounting::new()));
-                let mut sim = builder.clone().observer(energy.clone()).build_threaded();
-                sim.run(DEFAULT_MAX_STEPS).expect("completes");
-                energy
-            }));
+            energy_ns = energy_ns.min(ns_per_call(slice, || counted(Backend::Threaded)));
+            functional_energy_ns =
+                functional_energy_ns.min(ns_per_call(slice, || counted(Backend::Functional)));
+            pipelined_energy_ns =
+                pipelined_energy_ns.min(ns_per_call(slice, || counted(Backend::Pipelined)));
         }
         let functional_ips = instructions as f64 * 1e9 / functional_ns;
         let threaded_ips = instructions as f64 * 1e9 / threaded_ns;
         let pipelined_cps = cycles as f64 * 1e9 / pipelined_ns;
         let energy_ips = instructions as f64 * 1e9 / energy_ns;
+        let functional_energy_ips = instructions as f64 * 1e9 / functional_energy_ns;
+        let pipelined_energy_cps = cycles as f64 * 1e9 / pipelined_energy_ns;
 
         SimThroughput {
             workload: w.name,
@@ -259,6 +272,8 @@ pub mod perf {
             threaded_ips,
             pipelined_cps,
             energy_ips,
+            functional_energy_ips,
+            pipelined_energy_cps,
         }
     }
 
@@ -530,6 +545,9 @@ pub mod perf {
             // instruction: what the cycle model costs beyond the ISA.
             let pipelined_x = s.functional_ips / s.pipelined_cps;
             let overhead = s.threaded_ips / s.energy_ips;
+            // Reported until ratio rows have a paired gate method.
+            let functional_overhead = s.functional_ips / s.functional_energy_ips;
+            let pipelined_overhead = s.pipelined_cps / s.pipelined_energy_cps;
             push(
                 "execution",
                 w,
@@ -542,6 +560,20 @@ pub mod perf {
                     ("pipelined_vs_functional_x", pipelined_x, "x", Lower, None),
                     ("pipelined_cps", s.pipelined_cps, "cycles/s", Higher, GATED),
                     ("energy_overhead_x", overhead, "x", Lower, GATED),
+                    (
+                        "functional_energy_overhead_x",
+                        functional_overhead,
+                        "x",
+                        Lower,
+                        None,
+                    ),
+                    (
+                        "pipelined_energy_overhead_x",
+                        pipelined_overhead,
+                        "x",
+                        Lower,
+                        None,
+                    ),
                 ],
             );
         }
@@ -628,6 +660,7 @@ pub mod perf {
             let s = measure_sim_throughput(&w, Duration::from_millis(5));
             assert!(s.functional_ips > 0.0 && s.pipelined_cps > 0.0);
             assert!(s.threaded_ips > 0.0 && s.energy_ips > 0.0);
+            assert!(s.functional_energy_ips > 0.0 && s.pipelined_energy_cps > 0.0);
             assert!(s.instructions > 0 && s.cycles >= s.instructions);
         }
 
@@ -645,6 +678,8 @@ pub mod perf {
                 threaded_ips: 2.2e8,
                 pipelined_cps: 2.1e7,
                 energy_ips: 2.0e7,
+                functional_energy_ips: 3.3e7,
+                pipelined_energy_cps: 1.4e7,
             }];
             let energy = vec![crate::energy::EnergyRow {
                 workload: "dhrystone",
@@ -679,6 +714,8 @@ pub mod perf {
                     threaded_ips: 1.8e8,
                     pipelined_cps: 1.9e7,
                     energy_ips: 1.5e7,
+                    functional_energy_ips: 2.5e7,
+                    pipelined_energy_cps: 1.2e7,
                 },
             };
             let prep = vec![PrepTimes {
@@ -707,6 +744,8 @@ pub mod perf {
             assert_eq!(value("dhrystone/threaded_speedup_vs_functional"), 3.33333);
             assert_eq!(value("dhrystone/pipelined_vs_functional_x"), 3.14286);
             assert_eq!(value("dhrystone/energy_overhead_x"), 11.0);
+            assert_eq!(value("dhrystone/functional_energy_overhead_x"), 2.0);
+            assert_eq!(value("dhrystone/pipelined_energy_overhead_x"), 1.5);
             assert_eq!(value("dhrystone/epi_control_pj"), 0.018);
             assert_eq!(value("dhrystone/dmips_per_watt"), 7.5e6);
             assert_eq!(value("service/p99_slice_us"), 210.25);

@@ -592,6 +592,12 @@ impl ProgramRun<'_> {
         Ok(final_difference(&func, &fused, ["functional", "fused"])?)
     }
 
+    /// A pipelined run's budget: in cycles, which a stall-heavy program
+    /// spends several of per retired instruction.
+    fn cycle_budget(&self) -> u64 {
+        self.step_budget.saturating_mul(16).max(1024)
+    }
+
     /// The differential energy oracle: the same program runs with an
     /// [`EnergyAccounting`] attached on the functional simulator, which
     /// counts flips with the packed `flips_from` kernel, and on the
@@ -602,9 +608,11 @@ impl ProgramRun<'_> {
     /// value, or a packed XOR that miscounts flips, shows up as a
     /// per-opcode counter mismatch.
     ///
-    /// A third leg runs the threaded backend with an accountant, which
-    /// it counts inside its compiled code rather than from write-back
-    /// records; its counters must equal the functional run's.
+    /// Two more legs run with an accountant, and their counters must
+    /// equal the functional run's: the threaded backend, which counts
+    /// inside its compiled code rather than from write-back records,
+    /// and the pipelined backend, whose write-back records leave its WB
+    /// stage cycles after their fetch.
     fn energy(&mut self) -> Result<(), Finding> {
         let packed = Arc::new(Mutex::new(EnergyAccounting::new()));
         let tritwise = Arc::new(Mutex::new(EnergyAccounting::new()));
@@ -639,7 +647,11 @@ impl ProgramRun<'_> {
 
         let packed = packed.lock().expect("observer lock");
         let tritwise = tritwise.lock().expect("observer lock");
-        activity_difference(packed.per_opcode(), tritwise.per_opcode())?;
+        activity_difference(
+            packed.per_opcode(),
+            tritwise.per_opcode(),
+            ["packed", "tritwise"],
+        )?;
         let t = packed.totals();
         self.stats.energy_flips += t.regfile + t.tdm + t.fetch + t.alu;
 
@@ -657,10 +669,33 @@ impl ProgramRun<'_> {
         )?;
         final_difference(&func, &threaded, ["functional", "threaded"])?;
         let counted = counted.lock().expect("observer lock");
-        Ok(
-            activity_difference(packed.per_opcode(), counted.per_opcode())
-                .map_err(|d| format!("threaded counted energy vs functional: {d}"))?,
+        activity_difference(
+            packed.per_opcode(),
+            counted.per_opcode(),
+            ["functional", "threaded"],
         )
+        .map_err(|d| format!("threaded counted energy vs functional: {d}"))?;
+
+        let piped = Arc::new(Mutex::new(EnergyAccounting::new()));
+        let mut pipe = self
+            .builder
+            .clone()
+            .observer(piped.clone())
+            .build_pipelined();
+        run_to_halt(
+            &mut pipe,
+            self.cycle_budget(),
+            "pipelined run",
+            DivergenceKind::CandidateFault,
+        )?;
+        final_difference(&func, &pipe, ["functional", "pipelined"])?;
+        let piped = piped.lock().expect("observer lock");
+        Ok(activity_difference(
+            packed.per_opcode(),
+            piped.per_opcode(),
+            ["functional", "pipelined"],
+        )
+        .map_err(|d| format!("pipelined energy vs functional: {d}"))?)
     }
 
     /// The slice-migrate oracle: the service scheduler's execution
@@ -748,10 +783,12 @@ impl ProgramRun<'_> {
         final_difference(&straight, &*core, ["straight-line", "sliced"])?;
         let straight_acc = straight_energy.lock().expect("observer lock");
         let sliced_acc = sliced_energy.lock().expect("observer lock");
-        Ok(
-            activity_difference(straight_acc.per_opcode(), sliced_acc.per_opcode())
-                .map_err(|d| format!("energy accounting diverged across slicing/migration: {d}"))?,
+        Ok(activity_difference(
+            straight_acc.per_opcode(),
+            sliced_acc.per_opcode(),
+            ["straight-line", "sliced"],
         )
+        .map_err(|d| format!("energy accounting diverged across slicing/migration: {d}"))?)
     }
 
     /// A pipelined oracle: the pipeline (forwarding on or off) against
@@ -774,10 +811,9 @@ impl ProgramRun<'_> {
             .clone()
             .forwarding(forwarding)
             .build_pipelined();
-        let cycle_budget = self.step_budget.saturating_mul(16).max(1024);
         let halt = run_to_halt(
             &mut pipe,
-            cycle_budget,
+            self.cycle_budget(),
             "pipeline",
             DivergenceKind::CandidateFault,
         );
@@ -792,12 +828,14 @@ impl ProgramRun<'_> {
 type Activity = [OpcodeActivity; Instruction::OPCODE_COUNT];
 
 /// The first per-opcode, per-structure difference between two energy
-/// accountings' counters, named (`Ok` when bit-identical). The first
-/// operand is labelled `packed`, the second `tritwise` (the energy
-/// oracle's sides; for other callers read them as baseline vs
-/// candidate).
-fn activity_difference(packed: &Activity, tritwise: &Activity) -> Result<(), String> {
-    for (opcode, (p, t)) in packed.iter().zip(tritwise).enumerate() {
+/// accountings' counters, named and labelled by `sides` (`Ok` when
+/// bit-identical).
+fn activity_difference(
+    baseline: &Activity,
+    candidate: &Activity,
+    sides: [&str; 2],
+) -> Result<(), String> {
+    for (opcode, (p, t)) in baseline.iter().zip(candidate).enumerate() {
         if p == t {
             continue;
         }
@@ -810,12 +848,7 @@ fn activity_difference(packed: &Activity, tritwise: &Activity) -> Result<(), Str
             ("alu", p.alu, t.alu),
         ];
         for (name, a, b) in structures {
-            compare(
-                &format!("{mnemonic}: {name} flips"),
-                a,
-                b,
-                ["packed", "tritwise"],
-            )?;
+            compare(&format!("{mnemonic}: {name} flips"), a, b, sides)?;
         }
     }
     Ok(())
@@ -1196,8 +1229,9 @@ mod tests {
             .position(|m| *m == "LI")
             .unwrap();
         bad[li].regfile += 1;
-        assert_eq!(activity_difference(&good, &good), Ok(()));
-        let d = activity_difference(&good, &bad).expect_err("difference detected");
+        let sides = ["packed", "tritwise"];
+        assert_eq!(activity_difference(&good, &good, sides), Ok(()));
+        let d = activity_difference(&good, &bad, sides).expect_err("difference detected");
         assert!(d.contains("LI: regfile flips"), "{d}");
         assert!(d.contains("packed") && d.contains("tritwise"), "{d}");
     }

@@ -157,25 +157,6 @@ impl TernaryMemory {
         self.index_of(address.to_i64())
     }
 
-    /// Reads through a 9-trit address word (resolve + read).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TernaryError::AddressRange`] as in [`TernaryMemory::resolve`].
-    pub fn read_word_addr(&self, address: Word9) -> Result<Word9, TernaryError> {
-        self.read(self.resolve(address)?)
-    }
-
-    /// Writes through a 9-trit address word (resolve + write).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TernaryError::AddressRange`] as in [`TernaryMemory::resolve`].
-    pub fn write_word_addr(&mut self, address: Word9, value: Word9) -> Result<(), TernaryError> {
-        let idx = self.resolve(address)?;
-        self.write(idx, value)
-    }
-
     /// Iterates over the stored words in address order.
     pub fn iter(&self) -> std::slice::Iter<'_, Word9> {
         self.words.iter()
@@ -223,7 +204,7 @@ mod tests {
         assert!(m.read(4).is_err());
         assert!(m.write(4, Word9::ZERO).is_err());
         let neg = Word9::from_i64(-1).unwrap();
-        assert!(m.read_word_addr(neg).is_err());
+        assert!(m.resolve(neg).is_err());
     }
 
     #[test]
@@ -245,9 +226,9 @@ mod tests {
     #[test]
     fn word_addressing() {
         let mut m = TernaryMemory::new(32);
-        let addr = Word9::from_i64(7).unwrap();
-        m.write_word_addr(addr, Word9::from_i64(-9).unwrap())
-            .unwrap();
-        assert_eq!(m.read_word_addr(addr).unwrap().to_i64(), -9);
+        let addr = m.resolve(Word9::from_i64(7).unwrap()).unwrap();
+        assert_eq!(addr, 7);
+        m.write(addr, Word9::from_i64(-9).unwrap()).unwrap();
+        assert_eq!(m.read(addr).unwrap().to_i64(), -9);
     }
 }
